@@ -5,7 +5,9 @@
 // With -opt it first trains in-process — profiling a (possibly different)
 // workload at a (possibly different) shard count under the baseline layout,
 // then optimizing with the named combo — and evaluates the resulting
-// layout, so profile-transplant runs work standalone:
+// layout, so profile-transplant runs work standalone. Training, the profile
+// store and the layout build go through an expt.Session, the same path
+// layoutlab measures through; -opt takes any layout name a session knows:
 //
 //	oltpbench -workload tpcb -txns 500 -cpus 4 -layout app.layout -trace run.trace
 //	oltpbench -workload ordere -quick
@@ -23,11 +25,10 @@ import (
 	"os"
 	"time"
 
-	"codelayout/internal/appmodel"
 	"codelayout/internal/cache"
 	"codelayout/internal/core"
+	"codelayout/internal/expt"
 	"codelayout/internal/isa"
-	"codelayout/internal/kernel"
 	"codelayout/internal/machine"
 	"codelayout/internal/profile"
 	"codelayout/internal/program"
@@ -153,14 +154,38 @@ func main() {
 		extra = append(extra, train)
 	}
 
-	app, err := appmodel.Build(appmodel.Config{
-		Seed: *seed, LibScale: *libScale, ColdWords: *cold, Workload: wl, ExtraWorkloads: extra,
-		FastPath: *fastPath,
-	})
+	var store *pstore.Store
+	if *storeDir != "" {
+		if store, err = pstore.Open(*storeDir); err != nil {
+			fatal(err)
+		}
+	}
+
+	// An expt session owns the images and, under -opt, the whole train →
+	// (store) → layout path, so this command trains, keys the profile store
+	// and builds fused images exactly as layoutlab does. Only the fields that
+	// shape the image and the training run are filled in: the measured run
+	// below stays this command's own machine.Config.
+	def := expt.DefaultOptions() // the kernel size and DCPI period have no flag
+	o := expt.Options{
+		Seed: *seed, LibScale: *libScale, ColdWords: *cold,
+		KernColdWords: def.KernColdWords, DCPIPeriod: def.DCPIPeriod,
+		Workload: wl, PredictFastPath: *fastPath, ProfileStore: store,
+		CPUs: *cpus, ProcsPerCPU: *procs, Shards: *shards, WarmupTxns: *warmup,
+		// Zero train fields inherit: the shard count from -shards, the
+		// processor count and warmup from the evaluation side.
+		Train: expt.TrainConfig{Workload: train, Seed: *runSeed + 7, Shards: *trainSh, Txns: *trainTxns},
+	}
+	src, err := expt.NewProfileSource(o, extra...)
 	if err != nil {
 		fatal(err)
 	}
-	appL, err := program.BaselineLayout(app.Prog)
+	s, err := expt.NewSessionFrom(src, o)
+	if err != nil {
+		fatal(err)
+	}
+	app, kern := s.AppImage(), s.KernelImage()
+	appL, err := s.Layout("base")
 	if err != nil {
 		fatal(err)
 	}
@@ -170,109 +195,45 @@ func main() {
 			fatal(err)
 		}
 	}
-	kern, err := kernel.Build(kernel.DefaultConfig(*seed + 1))
+	kernL, err := s.KernLayout("kbase")
 	if err != nil {
 		fatal(err)
-	}
-	kernL, err := program.BaselineLayout(kern.Prog)
-	if err != nil {
-		fatal(err)
-	}
-
-	var store *pstore.Store
-	if *storeDir != "" {
-		if store, err = pstore.Open(*storeDir); err != nil {
-			fatal(err)
-		}
 	}
 
 	// reoptFn and trainFreq are set by the -opt path and wire -reopt into
-	// the measurement config: the hook re-runs the same combo pipeline over
-	// the online profile, and trainFreq anchors the drift detector.
+	// the measurement config: the hook re-runs the same pipeline over the
+	// online profile, and trainFreq anchors the drift detector.
 	var reoptFn func(*profile.Profile) (*program.Layout, error)
 	var trainFreq map[string]float64
 
 	if *optCombo != "" {
-		trainShards := *trainSh
-		if trainShards == 0 {
-			trainShards = *shards
-		}
-		// The store key resolves everything that shapes the training run:
-		// spec parameters plus both image fingerprints, so a stored profile
-		// can never be applied to a differently built program.
-		key := pstore.Key{
-			Spec: fmt.Sprintf("oltpbench|%s|sh%d|c%d/p%d|seed%d|w%d|t%d",
-				train.Name(), trainShards, *cpus, *procs, *runSeed+7, *warmup, *trainTxns),
-			Image: fmt.Sprintf("%016x-%016x", app.Prog.Fingerprint(), kern.Prog.Fingerprint()),
-		}
-		var prof *profile.Profile
-		if store != nil {
-			if e, ok := store.Get(key); ok {
-				prof, trainFreq = e.App, e.KindFreq
-				fmt.Printf("profile store:    hit (trained %s ago), training run skipped\n",
-					e.Age(time.Now()).Round(time.Second))
-			}
-		}
-		if prof == nil {
-			px := profile.NewPixie(app.Prog, "pixie-train")
-			kx := profile.NewPixie(kern.Prog, "pixie-train-kern")
-			tcfg := machine.Config{
-				CPUs: *cpus, ProcsPerCPU: *procs, Seed: *runSeed + 7,
-				Shards:     trainShards,
-				WarmupTxns: *warmup, Transactions: *trainTxns,
-				Workload: train,
-				AppImage: app, AppLayout: appL, KernImage: kern, KernLayout: kernL,
-				AppCollector: px, KernCollector: kx,
-			}
-			tm, err := machine.New(tcfg)
-			if err != nil {
-				fatal(fmt.Errorf("training: %w", err))
-			}
-			tres, err := tm.Run()
-			if err != nil {
-				fatal(fmt.Errorf("training: %w", err))
-			}
-			prof = px.Profile
-			trainFreq = tm.KindFrequencies()
-			if store != nil {
-				if err := store.Put(&pstore.Entry{
-					Spec: key.Spec, Image: key.Image, CreatedAt: time.Now(),
-					KindFreq: trainFreq, App: px.Profile, Kern: kx.Profile,
-				}); err != nil {
-					fmt.Fprintln(os.Stderr, "oltpbench: warning:", err)
-				}
-			}
-			fmt.Printf("trained on:       %d %s txns at %d shard(s)\n",
-				tres.Committed, train.Name(), trainShards)
-		}
-		pl, err := core.ComboPipeline(*optCombo)
+		// Resolving the name first rejects a typo before the training run.
+		spec, err := s.PipelineSpec(*optCombo)
 		if err != nil {
 			fatal(err)
 		}
-		if *optCombo == "fusion" {
-			// Fusion clones procedures, so it runs over a specialized copy
-			// of the image; the grown image is what the measurement runs.
-			simg := app.Specialize()
-			roots, err := appmodel.FusionRoots(simg, wl, train)
-			if err != nil {
-				fatal(err)
-			}
-			if len(roots) == 0 {
-				fatal(fmt.Errorf("-opt fusion: workload %q declares no transaction-kind roots", wl.Name()))
-			}
-			var rep *core.Report
-			appL, rep, err = pl.RunFused(simg.Prog, prof, roots, simg)
-			if err != nil {
-				fatal(err)
-			}
-			if appL.TotalBytes() > isa.AppTextLimitBytes {
-				fatal(fmt.Errorf("fused layout is %d bytes, past the %d-byte app text map", appL.TotalBytes(), isa.AppTextLimitBytes))
-			}
-			app = simg
+		if trainFreq, err = s.TrainKindFreq(); err != nil {
+			fatal(err)
+		}
+		if e := src.LastStoreHit(); e != nil {
+			fmt.Printf("profile store:    hit (trained %s ago), training run skipped\n",
+				e.Age(time.Now()).Round(time.Second))
+		} else {
+			fmt.Printf("trained on:       %s\n", s.TrainSpec())
+		}
+		if appL, err = s.Layout(*optCombo); err != nil {
+			fatal(err)
+		}
+		// A fusing pipeline clones procedures into a specialized copy of the
+		// image; the grown image is what the measurement must run over.
+		app = s.AppImageFor(*optCombo)
+		if app != s.AppImage() {
+			rep := s.Report(*optCombo)
 			fmt.Printf("fused:            %d transaction kinds, %d procedures cloned (%.1f KB growth)\n",
 				rep.FusedKinds, rep.ClonedProcs, float64(rep.CloneWords*isa.WordBytes)/1024)
-		} else {
-			appL, _, err = pl.Run(app.Prog, prof)
+		}
+		if *reoptN > 0 {
+			pl, err := core.ParsePipeline(spec)
 			if err != nil {
 				fatal(err)
 			}
@@ -281,7 +242,7 @@ func main() {
 				return l, err
 			}
 		}
-		fmt.Printf("optimized with:   %q (%s)\n", *optCombo, pl.String())
+		fmt.Printf("optimized with:   %q (%s)\n", *optCombo, spec)
 	}
 
 	ic := cache.New(cache.Config{SizeBytes: 64 << 10, LineBytes: 128, Assoc: 4})
@@ -367,7 +328,7 @@ func main() {
 	if store != nil {
 		st := store.Stats()
 		fmt.Printf("profile store:    hits=%d misses=%d evictions=%d trained=%d\n",
-			st.Hits, st.Misses, st.Evictions, st.Misses)
+			st.Hits, st.Misses, st.Evictions, src.TrainRunsExecuted())
 	}
 	if *pctiles {
 		l := res.Latency

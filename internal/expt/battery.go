@@ -40,7 +40,7 @@ type Measure struct {
 	// (Figures 9, 10, 11 and the unused-fetch statistic).
 	Word *cache.Stats
 	// Intf: combined 128KB/128B/4-way for interference attribution
-	// (Figure 13).
+	// (Figure 13) — the same simulated cache as Comb4W[128].
 	Intf *cache.Stats
 
 	// Seq and Foot observe the application stream (Figure 8, footprint).
@@ -78,7 +78,6 @@ type battery struct {
 	comb4W map[int]*perCPUCache
 	kern4W map[int]*perCPUCache
 	word   *perCPUCache
-	intf   *perCPUCache
 
 	seq    *trace.SeqLen
 	foot   *trace.Footprint
@@ -111,7 +110,6 @@ func newBattery(cpus int) *battery {
 		b.kern4W[size] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4}, cpus)
 	}
 	b.word = newPerCPUCache(cache.Config{SizeBytes: 128 << 10, LineBytes: 128, Assoc: 4, WordStats: true}, cpus)
-	b.intf = newPerCPUCache(cache.Config{SizeBytes: 128 << 10, LineBytes: 128, Assoc: 4}, cpus)
 	b.seq = trace.NewSeqLen()
 	b.foot = trace.NewFootprint(128)
 	b.appCnt = &trace.Counter{}
@@ -159,8 +157,7 @@ func (b *battery) sinks() []trace.Sink {
 	for _, c := range b.comb4W {
 		combined = append(combined, c)
 	}
-	combined = append(combined, b.intf, b.allCnt,
-		b.itlb64, b.itlb48, b.simosL1I, b.boardL1I)
+	combined = append(combined, b.allCnt, b.itlb64, b.itlb48, b.simosL1I, b.boardL1I)
 
 	return []trace.Sink{
 		trace.AppOnly(appSinks),
@@ -197,7 +194,7 @@ func (b *battery) finish(res machine.Result) *Measure {
 		m.Kern4W[size] = c.stats()
 	}
 	m.Word = b.word.stats()
-	m.Intf = b.intf.stats()
+	m.Intf = m.Comb4W[128]
 	b.seq.Flush()
 	m.Seq = b.seq
 	m.Foot = b.foot

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"codelayout/internal/core"
-	"codelayout/internal/machine"
-	"codelayout/internal/program"
 	"codelayout/internal/pstore"
 	"codelayout/internal/stats"
 	"codelayout/internal/workload"
@@ -118,7 +116,10 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("expt: blend ratio %v layout: %w", r, err)
 		}
-		m, err := measureLayout(s, l, cpus)
+		// A blend's layout is built outside the named-layout memo, so it is
+		// measured ad hoc, through the same tail as Session.Measure.
+		m, err := runMeasured(s.machineConfig(src.appImg, l, src.baseKern, cpus),
+			fmt.Sprintf("blended layout/kbase/%dcpu", cpus))
 		if err != nil {
 			return nil, fmt.Errorf("expt: blend ratio %v: %w", r, err)
 		}
@@ -138,25 +139,4 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 	t.Note("weight 0 is the stale profile alone, weight 1 the fresh one; the knee locates how much aged profile a store can keep blending in")
 	res.Table = t
 	return res, nil
-}
-
-// measureLayout runs the session's measurement battery over an ad-hoc layout
-// (one built outside the named-layout memo, like a blend).
-func measureLayout(s *Session, appL *program.Layout, cpus int) (*Measure, error) {
-	bat := newBattery(cpus)
-	cfg := s.machineConfig(s.src.appImg, appL, s.src.baseKern, cpus)
-	cfg.Sinks = bat.sinks()
-	cfg.DataSinks = bat.dataSinks()
-	mach, err := machine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	r, err := mach.Run()
-	if err != nil {
-		return nil, err
-	}
-	m := bat.finish(r)
-	m.Latency = mach.LatencyByKind()
-	m.GCWindows = mach.GroupCommitWindows()
-	return m, nil
 }

@@ -192,10 +192,10 @@ func (o Options) resolveTrain(tc TrainConfig) TrainConfig {
 
 // Session owns the evaluation half of an experiment — memoized measurement
 // runs over the profile source's images and layouts. All methods are safe
-// for concurrent use except TrainFrom: the memo maps are mutex-guarded and
-// in-flight measurement runs are deduplicated, so MeasureBatch can fan
-// measurement runs out across a worker pool. Every memo is keyed by the
-// training spec as well as the layout name, so layouts trained under
+// for concurrent use except TrainFrom: every memo is the single-flight memo
+// of memo.go, so MeasureBatch can fan measurement runs out across a worker
+// pool and concurrent callers of one key share one run. Every memo is keyed
+// by the training spec as well as the layout name, so layouts trained under
 // different configs never collide; layouts themselves are memoized on the
 // shared ProfileSource, so sessions of one source never rebuild them.
 type Session struct {
@@ -204,20 +204,7 @@ type Session struct {
 	src      *ProfileSource
 	defTrain TrainConfig // resolved default training config
 
-	mu       sync.Mutex // guards the maps below
-	measures map[measKey]*Measure
-	measErr  map[measKey]error
-	inflight map[measKey]chan struct{}
-
-	measHits, measMisses uint64 // measurement memo counters (MemoStats)
-}
-
-// MemoCounters reports one memo map's traffic: Hits answered from cache,
-// Misses that executed real work (a simulation run, a layout build, a
-// training run), and Entries currently memoized. A waiter that blocked on an
-// in-flight run counts as a hit — it executed nothing.
-type MemoCounters struct {
-	Hits, Misses, Entries uint64
+	measures memo[measKey, *Measure]
 }
 
 // MemoStats is the session's memo-layer report card: the measurement memo
@@ -233,22 +220,11 @@ type MemoStats struct {
 
 // MemoStats returns the session's memo counters (see MemoStats type).
 func (s *Session) MemoStats() MemoStats {
-	train, layout := s.src.memoStats()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return MemoStats{
-		Measure: MemoCounters{Hits: s.measHits, Misses: s.measMisses, Entries: uint64(len(s.measures))},
-		Layout:  layout,
-		Train:   train,
+		Measure: s.measures.counters(),
+		Layout:  s.src.built.counters(),
+		Train:   s.src.runs.counters(),
 	}
-}
-
-// layoutKey identifies a built layout: the resolved train spec it was
-// trained from plus the layout (or kernel-layout) name. Baselines carry an
-// empty train spec — they depend on no profile.
-type layoutKey struct {
-	train string
-	name  string
 }
 
 type measKey struct {
@@ -301,15 +277,7 @@ func NewSessionFrom(src *ProfileSource, o Options) (*Session, error) {
 	if o.PredictFastPath && shardKey(o.Shards) > 1 && src.appImg.Fns["predict_check"] == nil {
 		return nil, fmt.Errorf("expt: PredictFastPath needs the predictor models in the source image; build the ProfileSource with Options.PredictFastPath set")
 	}
-	s := &Session{
-		Opt:      o,
-		src:      src,
-		defTrain: o.resolveTrain(TrainConfig{}),
-		measures: make(map[measKey]*Measure),
-		measErr:  make(map[measKey]error),
-		inflight: make(map[measKey]chan struct{}),
-	}
-	return s, nil
+	return &Session{Opt: o, src: src, defTrain: o.resolveTrain(TrainConfig{})}, nil
 }
 
 // Source exposes the session's profile source (for sharing with further
@@ -320,10 +288,14 @@ func (s *Session) Source() *ProfileSource { return s.src }
 func (s *Session) AppImage() *codegen.Image { return s.src.appImg }
 
 // AppImageFor returns the app image measurements of the named layout run
-// over: the specialized (clone-grown) image for "fusion" once the layout is
-// built, the shared image for everything else.
+// over (building the layout if needed): the specialized (clone-grown) image
+// for "fusion" and any other fusing pipeline, the shared image for
+// everything else — including a name whose layout fails to build.
 func (s *Session) AppImageFor(name string) *codegen.Image {
-	return s.src.appImageFor(s.defTrain, name)
+	if b, err := s.src.build(s.defTrain, name, false); err == nil {
+		return b.image
+	}
+	return s.src.appImg
 }
 
 // KernelImage exposes the kernel image.
@@ -362,13 +334,26 @@ func (s *Session) Profile() (*profile.Profile, error) {
 	return run.app, nil
 }
 
+// TrainKindFreq returns the transaction-kind frequencies the default
+// training run observed (training first if needed) — the reference mix a
+// drift monitor compares live traffic against
+// (machine.Config.TrainKindFreq).
+func (s *Session) TrainKindFreq() (map[string]float64, error) {
+	run, err := s.src.train(s.defTrain)
+	if err != nil {
+		return nil, err
+	}
+	return run.kindFreq, nil
+}
+
 // PipelineSpec returns the resolved pass list of a named layout (for
-// reports). "base" has no pipeline and resolves to the empty spec.
+// reports, and for re-running the same pipeline over a fresh profile).
+// "base" has no pipeline and resolves to the empty spec.
 func (s *Session) PipelineSpec(name string) (string, error) {
 	if name == "base" {
 		return "", nil
 	}
-	pl, _, err := s.src.layoutSpec(s.defTrain, name)
+	pl, err := pipelineFor(name)
 	if err != nil {
 		return "", err
 	}
@@ -376,29 +361,30 @@ func (s *Session) PipelineSpec(name string) (string, error) {
 }
 
 // Layout returns (building if needed) a named app layout trained under the
-// session's default train config. Known names: base, porder, chain,
-// chain+split, chain+porder, all, hotcold, cfa, dcpi-all, ipchain, fusion.
-// "fusion" is special: it runs txfuse over a specialized copy of the app
-// image (AppImageFor returns it) so shared procedures can be cloned into
-// each transaction kind's fused unit. A name containing pass separators
-// (",", ":") is treated as a raw pipeline spec and built through
-// core.ParsePipeline — specs containing txfuse take the specialized-image
-// path exactly like "fusion". Raw specs flow through Measure and
+// session's default train config. Known names: base, every combo
+// core.ComboPipeline knows (porder, chain, chain+split, chain+porder, all,
+// hotcold, cfa, ipchain, fusion) and dcpi-all. A name containing pass
+// separators (",", ":") is treated as a raw pipeline spec and built through
+// core.ParsePipeline. Any pipeline containing txfuse — the "fusion" combo
+// or a raw spec — runs over a specialized copy of the app image
+// (AppImageFor returns it) so shared procedures can be cloned into each
+// transaction kind's fused unit. Raw specs flow through Measure and
 // MeasureBatch too, which is how the search engine evaluates genome
 // populations as one memoized parallel wave.
 func (s *Session) Layout(name string) (*program.Layout, error) {
-	return s.src.layout(s.defTrain, name)
+	return s.src.layout(s.defTrain, name, false)
 }
 
 // LayoutFrom is Layout with an explicit training configuration (zero fields
 // inherit as in Options.Train): the layout is built from the profile
 // trained under tc and memoized under tc's spec in the shared source.
 func (s *Session) LayoutFrom(tc TrainConfig, name string) (*program.Layout, error) {
-	return s.src.layout(s.Opt.resolveTrain(tc), name)
+	return s.src.layout(s.Opt.resolveTrain(tc), name, false)
 }
 
 // Report returns the optimizer report for a layout built under the
-// session's current default train config.
+// session's current default train config (building it if needed); nil for
+// "base", which no pipeline produced, and for a layout that fails to build.
 func (s *Session) Report(name string) *core.Report {
 	return s.src.report(s.defTrain, name)
 }
@@ -413,7 +399,7 @@ func (s *Session) ReportFrom(tc TrainConfig, name string) *core.Report {
 // out with the full optimization pipeline over the default train config's
 // kernel profile).
 func (s *Session) KernLayout(name string) (*program.Layout, error) {
-	return s.src.kernLayout(s.defTrain, name)
+	return s.src.layout(s.defTrain, name, true)
 }
 
 // recordLayout normalizes the session's record-layout setting: the empty
@@ -496,77 +482,53 @@ func (s *Session) measureFor(tc TrainConfig, layout, kern string, cpus int) (*Me
 		fastPath:  s.fastPath(),
 		stall:     s.Opt.FetchStallPenaltyInstr,
 	}
-	for {
-		s.mu.Lock()
-		if m, ok := s.measures[key]; ok {
-			s.measHits++
-			s.mu.Unlock()
-			return m, nil
-		}
-		if err, ok := s.measErr[key]; ok {
-			s.mu.Unlock()
-			return nil, err
-		}
-		if ch, ok := s.inflight[key]; ok {
-			s.mu.Unlock()
-			<-ch // someone else is running this measurement
-			continue
-		}
-		ch := make(chan struct{})
-		s.inflight[key] = ch
-		s.measMisses++
-		s.mu.Unlock()
-
-		meas, err := s.measure(tc, layout, kern, cpus)
-		s.mu.Lock()
-		if err != nil {
-			s.measErr[key] = err
-		} else {
-			s.measures[key] = meas
-		}
-		delete(s.inflight, key)
-		close(ch)
-		s.mu.Unlock()
-		return meas, err
-	}
+	return s.measures.get(key, func() (*Measure, error) { return s.measure(tc, layout, kern, cpus) })
 }
 
 func (s *Session) measure(tc TrainConfig, layout, kern string, cpus int) (*Measure, error) {
-	appL, err := s.src.layout(tc, layout)
+	app, err := s.src.build(tc, layout, false)
 	if err != nil {
 		return nil, err
 	}
-	var kernL *program.Layout
-	kernL, err = s.src.kernLayout(tc, kern)
+	kernL, err := s.src.layout(tc, kern, true)
 	if err != nil {
 		return nil, err
 	}
-	bat := newBattery(cpus)
-	// The fusion layout addresses cloned blocks that exist only in its
-	// specialized image; every other layout runs over the shared image.
-	cfg := s.machineConfig(s.src.appImageFor(tc, layout), appL, kernL, cpus)
+	cfg := s.machineConfig(app.image, app.layout, kernL, cpus)
+	if s.recordLayout() == "grouped" {
+		run, err := s.src.train(tc)
+		if err != nil {
+			return nil, err
+		}
+		// A run that predates field tallying (an old store entry) has a nil
+		// field profile; GroupedDefs then falls back to the static hints.
+		cfg.RecordLayouts, err = reclayout.GroupedDefs(s.Opt.Workload, run.fields)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return runMeasured(cfg, fmt.Sprintf("%s/%s/%dcpu (train %s)", layout, kern, cpus, tc.Spec()))
+}
+
+// runMeasured is the tail every measurement shares: attach a fresh battery
+// to cfg, run the machine, audit the workload's invariants after
+// drain-to-quiescence — a measurement of a run that corrupted the database
+// is not a measurement — and collect the battery into a Measure. what names
+// the run in errors.
+func runMeasured(cfg machine.Config, what string) (*Measure, error) {
+	bat := newBattery(cfg.CPUs)
 	cfg.Sinks = bat.sinks()
 	cfg.DataSinks = bat.dataSinks()
-	if s.recordLayout() == "grouped" {
-		prof, err := s.src.fieldProfile(tc)
-		if err != nil {
-			return nil, err
-		}
-		cfg.RecordLayouts, err = reclayout.GroupedDefs(s.Opt.Workload, prof)
-		if err != nil {
-			return nil, err
-		}
-	}
 	mach, err := machine.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	res, err := mach.Run()
-	if err != nil {
-		return nil, fmt.Errorf("expt: measuring %s/%s/%dcpu (train %s): %w", layout, kern, cpus, tc.Spec(), err)
+	if err == nil {
+		err = mach.CheckInvariants()
 	}
-	if err := mach.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("expt: measuring %s/%s/%dcpu (train %s): %w", layout, kern, cpus, tc.Spec(), err)
+	if err != nil {
+		return nil, fmt.Errorf("expt: measuring %s: %w", what, err)
 	}
 	meas := bat.finish(res)
 	meas.Latency = mach.LatencyByKind()

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"codelayout/internal/appmodel"
@@ -109,24 +109,31 @@ type ProfileSource struct {
 	store   *pstore.Store
 	imageID string
 
-	mu        sync.Mutex
-	trainExec uint64 // training runs actually executed (not served by a memo or the store)
-	lastHit   *pstore.Entry
-	runs      map[string]*trainRun
-	trainErr  map[string]error
-	inflight  map[string]chan struct{}
-	layouts   map[layoutKey]*program.Layout
-	reports   map[layoutKey]*core.Report
-	kernLay   map[layoutKey]*program.Layout
-	// images holds per-layout specialized app images: the fusion layout
-	// clones procedures, so its layout addresses blocks the shared image
-	// does not have, and measurements must run over the grown image.
-	images map[layoutKey]*codegen.Image
+	trainExec atomic.Uint64 // training runs actually executed (not served by a memo or the store)
+	lastHit   atomic.Pointer[pstore.Entry]
 
-	// memo hit/miss counters (MemoStats): how often the train and layout
-	// memos answered from cache vs executed work.
-	trainHits, trainMisses   uint64
-	layoutHits, layoutMisses uint64
+	runs  memo[string, *trainRun]       // training runs by resolved train spec
+	built memo[layoutKey, *builtLayout] // app and kernel layouts by (train spec, name)
+}
+
+// layoutKey identifies a built layout: the resolved train spec it was
+// trained from plus the layout (or kernel-layout) name. Baselines carry an
+// empty train spec — they depend on no profile.
+type layoutKey struct {
+	train string
+	name  string
+}
+
+// builtLayout is one memoized layout build: the layout, the optimizer's
+// report (nil for the baselines) and the image the layout addresses. A
+// fusing pipeline clones procedures, so its layout places blocks the shared
+// image does not have and measurements must run over the grown copy; keeping
+// the image in the same memo value as the layout is what makes the pair
+// impossible to mismatch.
+type builtLayout struct {
+	layout *program.Layout
+	report *core.Report
+	image  *codegen.Image
 }
 
 // NewProfileSource builds the images and baseline layouts for o's workload
@@ -142,13 +149,6 @@ func NewProfileSource(o Options, extra ...workload.Workload) (*ProfileSource, er
 	ps := &ProfileSource{
 		opt:       o,
 		workloads: map[string]workload.Workload{o.Workload.Name(): o.Workload},
-		runs:      make(map[string]*trainRun),
-		trainErr:  make(map[string]error),
-		inflight:  make(map[string]chan struct{}),
-		layouts:   make(map[layoutKey]*program.Layout),
-		reports:   make(map[layoutKey]*core.Report),
-		kernLay:   make(map[layoutKey]*program.Layout),
-		images:    make(map[layoutKey]*codegen.Image),
 	}
 	var extras []workload.Workload
 	for _, w := range extra {
@@ -179,8 +179,6 @@ func NewProfileSource(o Options, extra ...workload.Workload) (*ProfileSource, er
 	if err != nil {
 		return nil, err
 	}
-	ps.layouts[layoutKey{name: "base"}] = ps.baseApp
-	ps.kernLay[layoutKey{name: "kbase"}] = ps.baseKern
 	ps.store = o.ProfileStore
 	ps.imageID = fmt.Sprintf("%016x-%016x", ps.appImg.Prog.Fingerprint(), ps.kernImg.Prog.Fingerprint())
 	return ps, nil
@@ -199,24 +197,10 @@ func (ps *ProfileSource) storeKey(spec string) pstore.Key {
 	}
 }
 
-// memoStats reports the source-side memo counters (train + layout halves of
-// a session's MemoStats).
-func (ps *ProfileSource) memoStats() (train, layout MemoCounters) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	train = MemoCounters{Hits: ps.trainHits, Misses: ps.trainMisses, Entries: uint64(len(ps.runs))}
-	layout = MemoCounters{Hits: ps.layoutHits, Misses: ps.layoutMisses, Entries: uint64(len(ps.layouts))}
-	return train, layout
-}
-
 // TrainRunsExecuted reports how many training simulations this source has
 // actually run — memo and store hits do not count, which is what the pinned
 // warm-store regression asserts on.
-func (ps *ProfileSource) TrainRunsExecuted() uint64 {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.trainExec
-}
+func (ps *ProfileSource) TrainRunsExecuted() uint64 { return ps.trainExec.Load() }
 
 // StoreStats reports the persistent store's hit/miss counters (zero Stats
 // and false when the source has no store).
@@ -230,11 +214,7 @@ func (ps *ProfileSource) StoreStats() (pstore.Stats, bool) {
 // LastStoreHit returns the most recent entry served from the persistent
 // store (nil if every training so far was executed) — commands report its
 // age next to the hit counters.
-func (ps *ProfileSource) LastStoreHit() *pstore.Entry {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.lastHit
-}
+func (ps *ProfileSource) LastStoreHit() *pstore.Entry { return ps.lastHit.Load() }
 
 // trainEntry trains (or loads) tc and packages the run as a store entry —
 // the currency of the persistent store and of profile blending.
@@ -254,17 +234,6 @@ func (ps *ProfileSource) trainEntry(tc TrainConfig) (*pstore.Entry, error) {
 		Kern:     run.kern,
 		DCPI:     run.dcpi,
 	}, nil
-}
-
-// fieldProfile trains (or loads) tc and returns its field-access profile —
-// nil (static-hint fallback) when the run predates field tallying (an old
-// store entry).
-func (ps *ProfileSource) fieldProfile(tc TrainConfig) (reclayout.Profile, error) {
-	run, err := ps.train(ps.opt.resolveTrain(tc))
-	if err != nil {
-		return nil, err
-	}
-	return run.fields, nil
 }
 
 // AppImage exposes the shared application image.
@@ -301,39 +270,7 @@ func (ps *ProfileSource) train(tc TrainConfig) (*trainRun, error) {
 			tc.Workload.Name(), ps.WorkloadNames())
 	}
 	spec := tc.Spec()
-	for {
-		ps.mu.Lock()
-		if run, ok := ps.runs[spec]; ok {
-			ps.trainHits++
-			ps.mu.Unlock()
-			return run, nil
-		}
-		if err, ok := ps.trainErr[spec]; ok {
-			ps.mu.Unlock()
-			return nil, err
-		}
-		if ch, ok := ps.inflight[spec]; ok {
-			ps.mu.Unlock()
-			<-ch // someone else is running this training
-			continue
-		}
-		ch := make(chan struct{})
-		ps.inflight[spec] = ch
-		ps.trainMisses++
-		ps.mu.Unlock()
-
-		run, err := ps.trainOrLoad(tc, spec)
-		ps.mu.Lock()
-		if err != nil {
-			ps.trainErr[spec] = err
-		} else {
-			ps.runs[spec] = run
-		}
-		delete(ps.inflight, spec)
-		close(ch)
-		ps.mu.Unlock()
-		return run, err
-	}
+	return ps.runs.get(spec, func() (*trainRun, error) { return ps.trainOrLoad(tc, spec) })
 }
 
 // isPipelineSpec reports whether a layout name is a raw pass-pipeline spec
@@ -354,159 +291,114 @@ func pipelineFuses(pl core.Pipeline) bool {
 	return false
 }
 
-// layoutSpec resolves a layout name to the pass pipeline implementing it
-// and the profile (from the given training run) it trains on. The paper's
-// combinations assemble their pipeline through core.PipelineFor; the
-// extensions name their pass lists directly, and a raw pipeline spec parses
-// as itself.
-func (ps *ProfileSource) layoutSpec(tc TrainConfig, name string) (core.Pipeline, *profile.Profile, error) {
-	run, err := ps.train(tc)
-	if err != nil {
-		return nil, nil, err
+// pipelineFor resolves a layout name to the pass pipeline implementing it.
+// core owns the combo table; expt only knows that a raw spec parses as
+// itself and that "dcpi-all" and "kopt" are the full "all" pipeline run over
+// a different profile and a different program (see build).
+func pipelineFor(name string) (core.Pipeline, error) {
+	switch {
+	case isPipelineSpec(name):
+		return core.ParsePipeline(name)
+	case name == "dcpi-all" || name == "kopt":
+		name = "all"
 	}
-	if isPipelineSpec(name) {
-		pl, err := core.ParsePipeline(name)
-		return pl, run.app, err
-	}
-	var o core.Options
-	prof := run.app
-	switch name {
-	case "porder":
-		o = core.Options{Order: core.OrderPettisHansen}
-	case "chain":
-		o = core.Options{Chain: true}
-	case "chain+split":
-		o = core.Options{Chain: true, Split: core.SplitFine}
-	case "chain+porder":
-		o = core.Options{Chain: true, Order: core.OrderPettisHansen}
-	case "all":
-		o = core.Options{Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen}
-	case "hotcold":
-		o = core.Options{Chain: true, Split: core.SplitHotCold, Order: core.OrderPettisHansen}
-	case "cfa":
-		o = core.Options{Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-			CFA: &core.CFAOptions{CacheBytes: 64 << 10, ReservedBytes: 16 << 10}}
-	case "dcpi-all":
-		o = core.Options{Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen}
-		prof = run.dcpi
-	case "ipchain":
-		pl, err := core.ComboPipeline("ipchain")
-		return pl, run.app, err
-	case "fusion":
-		// Resolved here only for PipelineSpec; layout() builds fusion
-		// through fusedLayout, which supplies kind roots and a cloner.
-		pl, err := core.ComboPipeline("fusion")
-		return pl, run.app, err
-	default:
-		return nil, nil, fmt.Errorf("expt: unknown layout %q", name)
-	}
-	pl, err := core.PipelineFor(o)
-	return pl, prof, err
+	return core.ComboPipeline(name)
 }
 
-// layout builds (or returns the memoized) app layout trained under a fully
-// resolved config. Layouts depend only on source state, so every session of
-// the source shares them.
-func (ps *ProfileSource) layout(tc TrainConfig, name string) (*program.Layout, error) {
+// build builds (or returns the memoized build of) a named layout trained
+// under a fully resolved config: an app layout, or with kernel set one of the
+// two kernel layouts "kbase" and "kopt". Layouts depend only on source
+// state, so every session of the source shares them. The baselines are the
+// source's own; every other name resolves through pipelineFor and runs over
+// the training run's app profile — except "dcpi-all", which runs over the
+// sampled profile, and "kopt", which lays out the kernel program from the
+// kernel profile. A pipeline containing txfuse runs over a specialized copy
+// of the image with the covered workloads' kind roots, so cloned procedures
+// become real code the simulator can fetch; the shared image is never
+// mutated.
+func (ps *ProfileSource) build(tc TrainConfig, name string, kernel bool) (*builtLayout, error) {
+	if kernel != (name == "kbase" || name == "kopt") {
+		if kernel {
+			return nil, fmt.Errorf("expt: unknown kernel layout %q", name)
+		}
+		return nil, fmt.Errorf("expt: %q is a kernel layout, not an app layout", name)
+	}
 	key := layoutKey{train: tc.Spec(), name: name}
-	if name == "base" {
+	if name == "base" || name == "kbase" {
 		key.train = "" // baselines are profile-independent
 	}
-	ps.mu.Lock()
-	l, ok := ps.layouts[key]
-	if ok {
-		ps.layoutHits++
-		ps.mu.Unlock()
-		return l, nil
-	}
-	ps.layoutMisses++
-	ps.mu.Unlock()
-	if name == "fusion" {
-		return ps.fusedLayout(tc, key, nil)
-	}
-	if isPipelineSpec(name) {
-		pl, err := core.ParsePipeline(name)
+	return ps.built.get(key, func() (*builtLayout, error) {
+		switch name {
+		case "base":
+			return &builtLayout{layout: ps.baseApp, image: ps.appImg}, nil
+		case "kbase":
+			return &builtLayout{layout: ps.baseKern, image: ps.kernImg}, nil
+		}
+		pl, err := pipelineFor(name)
+		if err != nil {
+			return nil, fmt.Errorf("expt: layout %q: %w", name, err)
+		}
+		run, err := ps.train(tc)
 		if err != nil {
 			return nil, err
 		}
-		if pipelineFuses(pl) {
-			return ps.fusedLayout(tc, key, pl)
+		img, prof := ps.appImg, run.app
+		switch name {
+		case "kopt":
+			img, prof = ps.kernImg, run.kern
+		case "dcpi-all":
+			prof = run.dcpi
 		}
-	}
-	pl, prof, err := ps.layoutSpec(tc, name)
-	if err != nil {
-		return nil, err
-	}
-	// Copy the profile so EnsureEdges on a sampled profile does not
-	// contaminate the shared instance. When the source carries no measured
-	// edges (sampling profiles, or a degenerate training run), drop the
-	// shared empty map too: concurrent layout builds would otherwise
-	// estimate edges into the same map without a lock.
-	pf := &profile.Profile{Name: prof.Name, BlockCount: prof.BlockCount, EdgeCount: prof.EdgeCount}
-	if name == "dcpi-all" || !prof.HasEdges() {
-		pf = &profile.Profile{Name: prof.Name, BlockCount: prof.BlockCount}
-	}
-	l, rep, err := pl.Run(ps.appImg.Prog, pf)
-	if err != nil {
-		return nil, fmt.Errorf("expt: layout %q (train %s): %w", name, key.train, err)
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if prev, ok := ps.layouts[key]; ok {
-		return prev, nil // another goroutine built it concurrently
-	}
-	ps.layouts[key] = l
-	ps.reports[key] = rep
-	return l, nil
+		// Run over a private copy of the profile. When the source carries no
+		// measured edges (sampling profiles, or a degenerate training run)
+		// the copy has no edge map at all: EnsureEdges would otherwise
+		// estimate edges into the shared map, contaminating it and racing
+		// concurrent builds.
+		pf := &profile.Profile{Name: prof.Name, BlockCount: prof.BlockCount}
+		if prof.HasEdges() {
+			pf.EdgeCount = prof.EdgeCount
+		}
+		var roots []core.KindRoot
+		var cloner core.ProcCloner
+		if pipelineFuses(pl) {
+			img = img.Specialize()
+			if roots, err = ps.fusionRoots(img); err != nil {
+				return nil, err
+			}
+			cloner = img
+			// txfuse moves counts and edges onto clones, so the copy must be
+			// deep.
+			pf = prof.Clone()
+		}
+		l, rep, err := pl.RunFused(img.Prog, pf, roots, cloner)
+		if err != nil {
+			return nil, fmt.Errorf("expt: layout %q (train %s): %w", name, key.train, err)
+		}
+		if cloner != nil && l.TotalBytes() > isa.AppTextLimitBytes {
+			return nil, fmt.Errorf("expt: fused layout is %d bytes, past the %d-byte app text map; lower the txfuse clone budget",
+				l.TotalBytes(), isa.AppTextLimitBytes)
+		}
+		return &builtLayout{layout: l, report: rep, image: img}, nil
+	})
 }
 
-// fusedLayout builds a fusing layout — the named "fusion" combo (pl nil) or
-// any raw pipeline spec containing txfuse — over a specialized copy of the
-// app image, so cloned procedures become real code the simulator can fetch.
-// The specialized image is memoized next to the layout (appImageFor); the
-// shared image is never mutated.
-func (ps *ProfileSource) fusedLayout(tc TrainConfig, key layoutKey, pl core.Pipeline) (*program.Layout, error) {
-	run, err := ps.train(tc)
+// layout is build reduced to the layout itself.
+func (ps *ProfileSource) layout(tc TrainConfig, name string, kernel bool) (*program.Layout, error) {
+	b, err := ps.build(tc, name, kernel)
 	if err != nil {
 		return nil, err
 	}
-	if pl == nil {
-		if pl, err = core.ComboPipeline("fusion"); err != nil {
-			return nil, err
-		}
-	}
-	simg := ps.appImg.Specialize()
-	roots, err := ps.fusionRoots(simg)
+	return b.layout, nil
+}
+
+// report is build reduced to the optimizer report (nil when the layout does
+// not build).
+func (ps *ProfileSource) report(tc TrainConfig, name string) *core.Report {
+	b, err := ps.build(tc, name, false)
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	// txfuse moves counts and edges onto clones, so it needs a private deep
-	// copy of the training profile, not the shared instance.
-	pf := &profile.Profile{
-		Name:       run.app.Name,
-		BlockCount: append([]uint64(nil), run.app.BlockCount...),
-		EdgeCount:  make(map[uint64]uint64, len(run.app.EdgeCount)),
-	}
-	for k, v := range run.app.EdgeCount {
-		pf.EdgeCount[k] = v
-	}
-	l, rep, err := pl.RunFused(simg.Prog, pf, roots, simg)
-	if err != nil {
-		return nil, fmt.Errorf("expt: layout %q (train %s): %w", key.name, key.train, err)
-	}
-	if l.TotalBytes() > isa.AppTextLimitBytes {
-		return nil, fmt.Errorf("expt: fused layout is %d bytes, past the %d-byte app text map; lower the txfuse clone budget",
-			l.TotalBytes(), isa.AppTextLimitBytes)
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if prev, ok := ps.layouts[key]; ok {
-		return prev, nil // another goroutine built it concurrently
-	}
-	ps.layouts[key] = l
-	ps.reports[key] = rep
-	ps.images[key] = simg
-	return l, nil
+	return b.report
 }
 
 // fusionRoots resolves the kind roots of every covered workload that
@@ -528,63 +420,6 @@ func (ps *ProfileSource) fusionRoots(img *codegen.Image) ([]core.KindRoot, error
 	return roots, nil
 }
 
-// appImageFor returns the app image a layout's measurements must run over:
-// the specialized (grown) image when the layout built one, the shared image
-// otherwise. Valid once the layout has been built.
-func (ps *ProfileSource) appImageFor(tc TrainConfig, name string) *codegen.Image {
-	key := layoutKey{train: tc.Spec(), name: name}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if img, ok := ps.images[key]; ok {
-		return img
-	}
-	return ps.appImg
-}
-
-// report returns the optimizer report of a layout built under tc (nil if
-// the layout has not been built).
-func (ps *ProfileSource) report(tc TrainConfig, name string) *core.Report {
-	key := layoutKey{train: tc.Spec(), name: name}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.reports[key]
-}
-
-// kernLayout builds (or returns the memoized) kernel layout: "kbase" or
-// "kopt" (the full pipeline over the training run's kernel profile).
-func (ps *ProfileSource) kernLayout(tc TrainConfig, name string) (*program.Layout, error) {
-	key := layoutKey{train: tc.Spec(), name: name}
-	if name == "kbase" {
-		key.train = ""
-	}
-	ps.mu.Lock()
-	l, ok := ps.kernLay[key]
-	ps.mu.Unlock()
-	if ok {
-		return l, nil
-	}
-	if name != "kopt" {
-		return nil, fmt.Errorf("expt: unknown kernel layout %q", name)
-	}
-	run, err := ps.train(tc)
-	if err != nil {
-		return nil, err
-	}
-	l, _, err = core.Optimize(ps.kernImg.Prog, run.kern, core.Options{
-		Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if prev, ok := ps.kernLay[key]; ok {
-		return prev, nil
-	}
-	ps.kernLay[key] = l
-	return l, nil
-}
-
 // trainOrLoad serves a training run from the persistent store when one is
 // configured and holds the key, and executes (then persists) it otherwise.
 // Stored profiles are exact, so either path yields the same trainRun.
@@ -594,9 +429,7 @@ func (ps *ProfileSource) trainOrLoad(tc TrainConfig, spec string) (*trainRun, er
 	}
 	key := ps.storeKey(spec)
 	if e, ok := ps.store.Get(key); ok {
-		ps.mu.Lock()
-		ps.lastHit = e
-		ps.mu.Unlock()
+		ps.lastHit.Store(e)
 		return &trainRun{app: e.App, kern: e.Kern, dcpi: e.DCPI, kindFreq: e.KindFreq,
 			fields: reclayout.Profile(e.Fields)}, nil
 	}
@@ -645,9 +478,7 @@ func (ps *ProfileSource) runTraining(tc TrainConfig, spec string) (*trainRun, er
 	if _, err := m.Run(); err != nil {
 		return nil, fmt.Errorf("expt: training %s: %w", spec, err)
 	}
-	ps.mu.Lock()
-	ps.trainExec++
-	ps.mu.Unlock()
+	ps.trainExec.Add(1)
 	return &trainRun{app: px.Profile, kern: kx.Profile, dcpi: dcpi.Finish("dcpi-train"),
 		kindFreq: m.KindFrequencies(), fields: m.FieldProfile()}, nil
 }
