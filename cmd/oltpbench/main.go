@@ -297,7 +297,7 @@ func main() {
 
 	fmt.Printf("workload:         %s\n", wl.Name())
 	if *shards > 1 {
-		part := wl.(workload.ShardedWorkload).Partitioning()
+		part := wl.Partitioning()
 		fmt.Printf("shards:           %d engines by %s, %d%% cross-shard (%d cross-shard txns, %d aborts)\n",
 			*shards, part.Key, part.CrossShardPct, res.CrossShard, res.Aborted)
 	}

@@ -164,11 +164,11 @@ func BaselineLayout(p *Program) (*Layout, error) { return program.BaselineLayout
 type (
 	// Workload describes one OLTP benchmark at a specific scale.
 	Workload = workload.Workload
-	// WorkloadInstance is a workload loaded into an engine.
+	// WorkloadInstance is a workload loaded across one or more engines — the
+	// routed instance; one engine is its one-partition case. Migration: the
+	// separate sharded-workload alias is gone — every Workload partitions
+	// (Workload.Partitioning; Load takes the engine slice).
 	WorkloadInstance = workload.Instance
-	// ShardedWorkload is a workload that can partition across the shard
-	// router's engines (set MachineConfig.Shards > 1 to use it).
-	ShardedWorkload = workload.ShardedWorkload
 	// Partitioning declares a workload's shard scheme and cross-shard
 	// transaction fraction.
 	Partitioning = workload.Partitioning

@@ -120,25 +120,25 @@ func main() {
 // run drives real TPC-B transactions through an emitter outside the full
 // machine (single process, no kernel).
 type run struct {
-	em    *codegen.Emitter
-	bench *tpcb.Bench
-	sess  *db.Session
-	rng   *rand.Rand
+	em   *codegen.Emitter
+	inst codelayout.WorkloadInstance
+	sess []*db.Session
+	rng  *rand.Rand
 }
 
 func newRun(img *codelayout.Image, l *codelayout.Layout, seed int64) *run {
 	em := codegen.NewEmitter(img, l, seed)
 	em.Sink = func(uint64, int32) {}
 	eng := db.NewEngine(db.Config{BufferPoolPages: 8192})
-	bench, err := tpcb.Load(eng, tpcb.Scale{Branches: 5, TellersPerBranch: 5, AccountsPerBranch: 200})
+	inst, err := tpcb.NewScaled(tpcb.Scale{Branches: 5, TellersPerBranch: 5, AccountsPerBranch: 200}).Load([]*db.Engine{eng})
 	if err != nil {
 		log.Fatal(err)
 	}
-	return &run{em: em, bench: bench, sess: eng.NewSession(1, em), rng: rand.New(rand.NewSource(seed))}
+	return &run{em: em, inst: inst, sess: []*db.Session{eng.NewSession(1, em)}, rng: rand.New(rand.NewSource(seed))}
 }
 
 func (r *run) txns(n int) {
 	for i := 0; i < n; i++ {
-		r.bench.RunTxn(r.sess, r.bench.GenInput(r.rng))
+		r.inst.RunTxn(r.sess, r.inst.GenInput(r.rng))
 	}
 }

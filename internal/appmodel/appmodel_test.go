@@ -119,14 +119,14 @@ func TestEngineModelConformance(t *testing.T) {
 			em.Sink = func(uint64, int32) {}
 
 			eng := db.NewEngine(db.Config{BufferPoolPages: 8192})
-			inst, err := wl.Load(eng)
+			inst, err := wl.Load([]*db.Engine{eng})
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := eng.NewSession(1, em)
+			ss := []*db.Session{eng.NewSession(1, em)}
 			r := rand.New(rand.NewSource(4))
 			for i := 0; i < 100; i++ {
-				inst.RunTxn(s, inst.GenInput(r))
+				inst.RunTxn(ss, inst.GenInput(r))
 				if !em.Idle() {
 					t.Fatalf("txn %d: emitter not idle after transaction", i)
 				}
@@ -141,7 +141,7 @@ func TestEngineModelConformance(t *testing.T) {
 			if per < 2000 {
 				t.Fatalf("only %.0f instructions per transaction", per)
 			}
-			if err := inst.Check(eng.NewSession(2, nil)); err != nil {
+			if err := inst.Check([]*db.Session{eng.NewSession(2, nil)}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -6,12 +6,14 @@
 // instruction and data streams out to the attached cache simulators and
 // collectors.
 //
-// With Shards > 1 the machine becomes a sharded multi-engine server: the
-// workload's database is hash-partitioned across per-shard engines,
-// transactions route through the instrumented shard router to their home
-// engine, the configured cross-shard fraction commits through two-phase
-// commit, and a shared waits-for graph detects distributed deadlocks,
-// aborting victims through the modeled txn_abort path and retrying them.
+// The workload's database is always hash-partitioned across Config.Shards
+// engines, and every transaction runs through the routed workload.Instance
+// over one session per engine. One engine is the one-partition case: every
+// request homes on shard 0 and nothing is remote. With more, transactions
+// pass the instrumented shard router to their home engine, the configured
+// cross-shard fraction commits through two-phase commit, and a shared
+// waits-for graph detects distributed deadlocks, aborting victims through
+// the modeled txn_abort path and retrying them.
 //
 // Processes are goroutines, but exactly one runs at a time: the scheduler
 // and the running process hand control back and forth over unbuffered
@@ -75,9 +77,9 @@ type Config struct {
 	ProcsPerCPU int
 	Seed        int64
 
-	// Shards is the number of partitioned database engines behind the
-	// router; 0 or 1 runs the single shared engine. Counts above 1 require
-	// a workload implementing workload.ShardedWorkload.
+	// Shards is the number of partitioned database engines; 0 or 1 runs
+	// the whole database on one engine, counts above 1 put the shard router
+	// in front of them.
 	Shards int
 
 	// WarmupTxns commit before measurement begins (caches and emitters
@@ -339,7 +341,7 @@ type proc struct {
 	id  int
 	cpu *cpu
 	// sessions holds one engine session per shard (all sharing the
-	// process's emitter as probe); single-shard machines use sessions[0].
+	// process's emitter as probe).
 	sessions []*db.Session
 	emit     *codegen.Emitter
 	client   *rand.Rand
@@ -405,8 +407,7 @@ type Machine struct {
 	cfg   Config
 	graph *db.WaitGraph
 	engs  []*db.Engine
-	inst  workload.Instance        // single-shard machines
-	sinst workload.ShardedInstance // sharded machines (Shards > 1)
+	inst  workload.Instance
 	// fastInst/pred drive the predictive single-shard fast path (nil
 	// unless Config.PredictFastPath).
 	fastInst workload.FastPath
@@ -437,8 +438,8 @@ type Machine struct {
 	kindOf  func(workload.Input) string
 }
 
-// New builds the machine: per-shard engines, the loaded (and, when sharded,
-// partitioned) workload database, and processes bound to emitters over the
+// New builds the machine: per-shard engines, the workload database
+// partitioned across them, and processes bound to emitters over the
 // configured layouts. The configuration is validated up front; see
 // Config.Validate.
 func New(cfg Config) (*Machine, error) {
@@ -468,38 +469,24 @@ func New(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 	}
-	if cfg.Shards > 1 {
-		sw := cfg.Workload.(workload.ShardedWorkload) // checked by Validate
-		sinst, err := sw.LoadSharded(m.engs)
-		if err != nil {
-			return nil, err
-		}
-		m.sinst = sinst
-		if cfg.PredictFastPath {
-			fp, ok := sinst.(workload.FastPath)
-			if !ok {
-				return nil, fmt.Errorf("machine: workload %q does not implement workload.FastPath (required by PredictFastPath)",
-					cfg.Workload.Name())
-			}
-			m.fastInst = fp
-			m.pred = cfg.Predictor
-			if m.pred == nil {
-				m.pred = predict.New()
-			}
-		}
-	} else {
-		inst, err := cfg.Workload.Load(m.engs[0])
-		if err != nil {
-			return nil, err
-		}
-		m.inst = inst
+	inst, err := cfg.Workload.Load(m.engs)
+	if err != nil {
+		return nil, err
 	}
-	var lab workload.Labeler
-	if m.sinst != nil {
-		lab, _ = m.sinst.(workload.Labeler)
-	} else {
-		lab, _ = m.inst.(workload.Labeler)
+	m.inst = inst
+	if cfg.PredictFastPath {
+		fp, ok := inst.(workload.FastPath)
+		if !ok {
+			return nil, fmt.Errorf("machine: workload %q does not implement workload.FastPath (required by PredictFastPath)",
+				cfg.Workload.Name())
+		}
+		m.fastInst = fp
+		m.pred = cfg.Predictor
+		if m.pred == nil {
+			m.pred = predict.New()
+		}
 	}
+	lab, _ := inst.(workload.Labeler)
 	name := cfg.Workload.Name()
 	m.kindOf = func(in workload.Input) string {
 		if lab != nil {
@@ -620,10 +607,6 @@ func (m *Machine) GroupCommitWindows() []uint64 {
 	return ws
 }
 
-// Instance exposes the loaded workload of a single-shard machine (tests and
-// verification); nil when sharded.
-func (m *Machine) Instance() workload.Instance { return m.inst }
-
 // FieldProfile harvests the field-access profile the engines tallied during
 // the run: table → field → read/write counts, merged across shards. Only
 // field-instrumented accesses (db.Table.FetchFields/UpdateFields) tally, so
@@ -653,18 +636,14 @@ func (m *Machine) FieldProfile() map[string]map[string]db.FieldAccess {
 func (m *Machine) Engines() []*db.Engine { return m.engs }
 
 // CheckInvariants verifies the workload's consistency invariants through
-// uninstrumented sessions (tests, post-run verification). On sharded
-// machines it audits the union of shards, so cross-shard conservation must
-// hold globally.
+// uninstrumented sessions (tests, post-run verification). It audits the
+// union of shards, so cross-shard conservation must hold globally.
 func (m *Machine) CheckInvariants() error {
-	if m.sinst != nil {
-		ss := make([]*db.Session, len(m.engs))
-		for i, e := range m.engs {
-			ss[i] = e.NewSession(0, nil)
-		}
-		return m.sinst.Check(ss)
+	ss := make([]*db.Session, len(m.engs))
+	for i, e := range m.engs {
+		ss[i] = e.NewSession(0, nil)
 	}
-	return m.inst.Check(m.engs[0].NewSession(0, nil))
+	return m.inst.Check(ss)
 }
 
 // gatedCollector forwards block events only during the measured phase.
@@ -895,20 +874,12 @@ func (p *proc) run(m *Machine) {
 	}()
 	p.waitRun()
 	for {
-		var in workload.Input
-		if m.sinst != nil {
-			in = m.sinst.GenInput(p.client)
-		} else {
-			in = m.inst.GenInput(p.client)
-		}
+		in := m.inst.GenInput(p.client)
 		// Latency is stamped on the process's CPU clock from request
 		// generation to successful commit, so deadlock-abort retries and
 		// every block along the way (locks, group-commit windows, log
 		// writes, CPU queueing) are part of the transaction's latency.
-		home := 0
-		if m.sinst != nil {
-			home = m.sinst.Home(in)
-		}
+		home := m.inst.Home(in)
 		start := p.cpu.clock
 		startMeasured := m.measuring
 		p.forceSlow = false
@@ -918,7 +889,7 @@ func (p *proc) run(m *Machine) {
 		// retry: an immediate retry could re-acquire its first locks
 		// before the wounded party ever resumes, re-forming the same
 		// cycle indefinitely (victim back-off, deterministic).
-		for !p.tryTxn(m, in) {
+		for !p.tryTxn(m, in, home) {
 			p.doYield(yieldMsg{kind: yQuantum})
 		}
 		m.recordLatency(home, m.kindOf(in), startMeasured, p.cpu.clock-start)
@@ -927,7 +898,7 @@ func (p *proc) run(m *Machine) {
 			// outcome back into the model (and emit the modeled table
 			// update). Warmup transactions train too, so the model is warm
 			// when measurement starts.
-			remote := m.sinst.Remote(in)
+			remote := m.inst.Remote(in)
 			predict.Train(p.emit, home, remote)
 			m.pred.Observe(m.fastInst.Class(in), home, remote)
 		}
@@ -935,14 +906,14 @@ func (p *proc) run(m *Machine) {
 	}
 }
 
-// tryTxn routes and executes one transaction. It reports false when the
-// attempt must be retried: the process was chosen as a deadlock victim, or
-// its fast-path attempt discovered a remote touch. Either way the engine's
-// longjmp (db.ErrDeadlock or workload.ErrMispredict) is recovered here, the
-// emitter reset, and every in-flight branch of the transaction aborted
-// through the instrumented txn_abort path; a misprediction additionally
-// pins the retry to the full distributed path.
-func (p *proc) tryTxn(m *Machine, in workload.Input) (ok bool) {
+// tryTxn routes and executes one transaction homed on shard home. It reports
+// false when the attempt must be retried: the process was chosen as a
+// deadlock victim, or its fast-path attempt discovered a remote touch.
+// Either way the engine's longjmp (db.ErrDeadlock or workload.ErrMispredict)
+// is recovered here, the emitter reset, and every in-flight branch of the
+// transaction aborted through the instrumented txn_abort path; a
+// misprediction additionally pins the retry to the full distributed path.
+func (p *proc) tryTxn(m *Machine, in workload.Input, home int) (ok bool) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -968,11 +939,6 @@ func (p *proc) tryTxn(m *Machine, in workload.Input) (ok bool) {
 			m.res.Aborted++
 		}
 	}()
-	if m.sinst == nil {
-		m.inst.RunTxn(p.sessions[0], in)
-		return true
-	}
-	home := m.sinst.Home(in)
 	if m.fastInst != nil && !p.forceSlow {
 		// The fast-path decision replaces the router for predicted-local
 		// transactions: a prediction-table probe costing a dozen modeled
@@ -987,9 +953,13 @@ func (p *proc) tryTxn(m *Machine, in workload.Input) (ok bool) {
 			return true
 		}
 	}
-	remote := m.sinst.Remote(in)
-	shard.Route(p.emit, home, remote)
-	m.sinst.RunTxn(p.sessions, in)
+	remote := m.inst.Remote(in)
+	if len(m.engs) > 1 {
+		// One engine has no directory to consult: the router model, like
+		// the 2PC coordinator's, never fires there.
+		shard.Route(p.emit, home, remote)
+	}
+	m.inst.RunTxn(p.sessions, in)
 	if remote && m.measuring {
 		m.res.CrossShard++
 	}

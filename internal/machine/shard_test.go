@@ -270,7 +270,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative procs", func(c *machine.Config) { c.ProcsPerCPU = -2 }, "ProcsPerCPU"},
 		{"negative shards", func(c *machine.Config) { c.Shards = -1 }, "Shards"},
 		{"too many shards", func(c *machine.Config) { c.Shards = machine.MaxShards + 1 }, "exceeds the maximum"},
-		{"unshardable workload", func(c *machine.Config) { c.Shards = 2; c.Workload = plainWorkload{wl} }, "does not support sharding"},
 		{"negative transactions", func(c *machine.Config) { c.Transactions = -5 }, "Transactions"},
 		{"negative warmup", func(c *machine.Config) { c.WarmupTxns = -5 }, "WarmupTxns"},
 		{"negative pool", func(c *machine.Config) { c.BufferPoolPages = -1 }, "BufferPoolPages"},
@@ -298,6 +297,3 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("base config rejected: %v", err)
 	}
 }
-
-// plainWorkload hides a workload's sharding support (validation test).
-type plainWorkload struct{ workload.Workload }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"codelayout/internal/db"
-	"codelayout/internal/workload"
 )
 
 // MaxShards bounds the shard count. The shards' page-address windows share
@@ -50,12 +49,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shards > MaxShards {
 		return fmt.Errorf("machine: Shards = %d exceeds the maximum of %d", c.Shards, MaxShards)
-	}
-	if c.Shards > 1 {
-		if _, ok := c.Workload.(workload.ShardedWorkload); !ok {
-			return fmt.Errorf("machine: workload %q does not support sharding (Shards = %d needs workload.ShardedWorkload)",
-				c.Workload.Name(), c.Shards)
-		}
 	}
 	// Each shard owns a bounded page-address window; a database whose
 	// loaded slice (plus growth headroom) cannot fit would silently alias

@@ -9,17 +9,19 @@ import (
 	"codelayout/internal/workload"
 )
 
-// Sharded is the order-entry database hash-partitioned by warehouse across
-// N engines. New-Orders are always warehouse-local (TPC-C's home-warehouse
-// stock simplification); a CrossShardPct fraction of Payments draw their
-// customer from another shard's warehouse and commit through 2PC — the
-// home shard takes the warehouse/district YTDs and the history row, the
-// remote shard the customer balance.
+// Instance is the order-entry database hash-partitioned by warehouse across
+// N >= 1 engines. New-Orders are always warehouse-local (TPC-C's
+// home-warehouse stock simplification); with more than one engine a
+// CrossShardPct fraction of Payments draw their customer from another
+// shard's warehouse and commit through 2PC — the home shard takes the
+// warehouse/district YTDs and the history row, the remote shard the customer
+// balance. On one engine no warehouse is remote and every Payment is local.
 //
 // Lock order stays globally consistent (warehouse → district → customer,
-// customer always last), so sharded order-entry remains deadlock-free; the
-// TPC-B mix is the one that exercises distributed deadlock cycles.
-type Sharded struct {
+// customer always last), so order-entry remains deadlock-free at every
+// engine count; the TPC-B mix is the one that exercises distributed deadlock
+// cycles.
+type Instance struct {
 	Scale    Scale
 	Map      shard.Map
 	Shards   []*Bench
@@ -29,13 +31,17 @@ type Sharded struct {
 	remoteBy [][]uint64 // shard → warehouses on other shards
 }
 
-// LoadSharded implements workload.ShardedWorkload.
-func (w *Workload) LoadSharded(engs []*db.Engine) (workload.ShardedInstance, error) {
-	if len(engs) < 2 {
-		return nil, fmt.Errorf("ordere: LoadSharded needs >= 2 engines (got %d); use Load", len(engs))
+// Load implements workload.Workload.
+func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
+	if len(engs) == 0 {
+		return nil, &workload.NoEnginesError{Workload: w.Name()}
 	}
 	sc := w.Scale
-	sb := &Sharded{
+	if sc.Warehouses <= 0 || sc.DistrictsPerWarehouse <= 0 ||
+		sc.CustomersPerDistrict <= 0 || sc.Items <= 0 {
+		return nil, fmt.Errorf("ordere: bad scale %+v", sc)
+	}
+	sb := &Instance{
 		Scale:    sc,
 		Map:      shard.Map{Shards: len(engs)},
 		crossPct: w.Partitioning().CrossShardPct,
@@ -62,10 +68,11 @@ func (w *Workload) LoadSharded(engs []*db.Engine) (workload.ShardedInstance, err
 	return sb, nil
 }
 
-// GenInput implements workload.ShardedInstance: the plain generator, except
+// GenInput implements workload.Instance: the per-engine generator, except
 // that a CrossShardPct fraction of Payments take their customer from a
-// remote shard's warehouse.
-func (sb *Sharded) GenInput(r *rand.Rand) workload.Input {
+// remote shard's warehouse. With no remote warehouse the draw is skipped
+// before it touches the RNG.
+func (sb *Instance) GenInput(r *rand.Rand) workload.Input {
 	home := sb.Shards[0] // generators share one Scale; any bench works
 	in := home.Gen(r)
 	if in.Kind == Payment {
@@ -77,20 +84,20 @@ func (sb *Sharded) GenInput(r *rand.Rand) workload.Input {
 	return in
 }
 
-// Home implements workload.ShardedInstance.
-func (sb *Sharded) Home(in workload.Input) int {
+// Home implements workload.Instance.
+func (sb *Instance) Home(in workload.Input) int {
 	return sb.whShard[in.(Input).Warehouse]
 }
 
-// Remote implements workload.ShardedInstance.
-func (sb *Sharded) Remote(in workload.Input) bool {
+// Remote implements workload.Instance.
+func (sb *Instance) Remote(in workload.Input) bool {
 	req := in.(Input)
 	return sb.whShard[req.CWarehouse] != sb.whShard[req.Warehouse]
 }
 
 // KindOf implements workload.Labeler: remote Payments run the distributed
 // 2PC variant and get their own latency bucket.
-func (sb *Sharded) KindOf(in workload.Input) string {
+func (sb *Instance) KindOf(in workload.Input) string {
 	req := in.(Input)
 	if req.Kind == NewOrder {
 		return "neworder"
@@ -101,13 +108,13 @@ func (sb *Sharded) KindOf(in workload.Input) string {
 	return "payment"
 }
 
-// RunTxn implements workload.ShardedInstance.
-func (sb *Sharded) RunTxn(ss []*db.Session, in workload.Input) {
+// RunTxn implements workload.Instance.
+func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
 	req := in.(Input)
 	home := sb.whShard[req.Warehouse]
 	custShard := sb.whShard[req.CWarehouse]
 	if req.Kind == NewOrder || custShard == home {
-		sb.Shards[home].RunTxn(ss[home], req)
+		sb.Shards[home].Run(ss[home], req)
 		return
 	}
 	hs, rs := ss[home], ss[custShard]
@@ -129,7 +136,7 @@ func (sb *Sharded) RunTxn(ss []*db.Session, in workload.Input) {
 // separately (New-Orders are always local; Payments carry the cross-shard
 // fraction), but the class must not leak the routing outcome, so local and
 // remote Payments share one class.
-func (sb *Sharded) Class(in workload.Input) string {
+func (sb *Instance) Class(in workload.Input) string {
 	if in.(Input).Kind == NewOrder {
 		return "neworder"
 	}
@@ -143,11 +150,11 @@ func (sb *Sharded) Class(in workload.Input) string {
 // honestly when the customer search comes up empty on the home shard's
 // tree, and unwinds through workload.Mispredict before touching any foreign
 // engine.
-func (sb *Sharded) RunLocal(s *db.Session, in workload.Input) {
+func (sb *Instance) RunLocal(s *db.Session, in workload.Input) {
 	req := in.(Input)
 	home := sb.whShard[req.Warehouse]
 	if req.Kind == NewOrder || sb.whShard[req.CWarehouse] == home {
-		sb.Shards[home].RunTxn(s, req)
+		sb.Shards[home].Run(s, req)
 		return
 	}
 	b := sb.Shards[home]
@@ -166,11 +173,12 @@ func (sb *Sharded) RunLocal(s *db.Session, in workload.Input) {
 	workload.Mispredict(pb)
 }
 
-// Check implements workload.ShardedInstance: per-shard order/order-line
-// consistency plus payment-flow conservation over the union of shards
-// (remote Payments split warehouse/district YTDs and the customer balance
-// across two engines, so only the global sums agree).
-func (sb *Sharded) Check(ss []*db.Session) error {
+// Check implements workload.Instance: every order's total equals the sum of
+// its order-line amounts with the recorded line count (a per-shard audit),
+// and payment flows are conserved over the union of shards — warehouse YTD =
+// sum of district YTDs = sum of customer balances; remote Payments split
+// them across two engines, so only the global sums agree.
+func (sb *Instance) Check(ss []*db.Session) error {
 	var whTotal, distTotal, custTotal int64
 	for i, b := range sb.Shards {
 		if err := b.checkOrders(ss[i]); err != nil {
@@ -182,7 +190,7 @@ func (sb *Sharded) Check(ss []*db.Session) error {
 		custTotal += c
 	}
 	if whTotal != distTotal || custTotal != whTotal {
-		return fmt.Errorf("ordere: sharded payment flow diverged: warehouses=%d districts=%d customers=%d",
+		return fmt.Errorf("ordere: payment flow diverged: warehouses=%d districts=%d customers=%d",
 			whTotal, distTotal, custTotal)
 	}
 	return nil

@@ -162,27 +162,18 @@ type Bench struct {
 
 	off offsets
 
-	// owned lists the warehouses resident in this engine, ascending (every
-	// warehouse for an unsharded load; one hash partition for a shard).
+	// owned lists the warehouses resident in this engine, ascending (one hash
+	// partition; every warehouse when the database has a single engine).
 	owned []uint64
 }
 
-// Load creates and populates the database through an uninstrumented session
-// and leaves it checkpointed, like tpcb.Load.
-func Load(eng *db.Engine, sc Scale) (*Bench, error) {
-	return loadOwned(eng, sc, nil)
-}
-
-// loadOwned loads the slice of the database whose warehouses satisfy own
-// (nil = every warehouse): warehouse, district, customer and stock rows
-// plus the per-engine indexes. Order, order-line and history tables start
-// empty on every engine; New-Orders are always warehouse-local, so they
-// fill only their home shard's tables.
+// loadOwned creates one engine's slice of the database — the warehouses
+// satisfying own with their district, customer and stock rows plus the
+// per-engine indexes — through an uninstrumented session and leaves it
+// checkpointed, like the TPC-B loader. Order, order-line and history tables
+// start empty on every engine; New-Orders are always warehouse-local, so
+// they fill only their home shard's tables.
 func loadOwned(eng *db.Engine, sc Scale, own func(warehouse uint64) bool) (*Bench, error) {
-	if sc.Warehouses <= 0 || sc.DistrictsPerWarehouse <= 0 ||
-		sc.CustomersPerDistrict <= 0 || sc.Items <= 0 {
-		return nil, fmt.Errorf("ordere: bad scale %+v", sc)
-	}
 	m := &Bench{Eng: eng, Scale: sc}
 	s := eng.NewSession(0, nil)
 
@@ -212,7 +203,7 @@ func loadOwned(eng *db.Engine, sc Scale, own func(warehouse uint64) bool) (*Benc
 	m.whRID = make([]db.RID, sc.Warehouses)
 	m.distRID = make([]db.RID, sc.Warehouses*sc.DistrictsPerWarehouse)
 	for w := 0; w < sc.Warehouses; w++ {
-		if own != nil && !own(uint64(w)) {
+		if !own(uint64(w)) {
 			continue
 		}
 		m.owned = append(m.owned, uint64(w))
@@ -221,7 +212,7 @@ func loadOwned(eng *db.Engine, sc Scale, own func(warehouse uint64) bool) (*Benc
 	}
 	for dg := 0; dg < sc.Warehouses*sc.DistrictsPerWarehouse; dg++ {
 		wh := uint64(dg / sc.DistrictsPerWarehouse)
-		if own != nil && !own(wh) {
+		if !own(wh) {
 			continue
 		}
 		// next_oid is d_next_o_id, starting at 1.
@@ -231,7 +222,7 @@ func loadOwned(eng *db.Engine, sc Scale, own func(warehouse uint64) bool) (*Benc
 	for cg := 0; cg < m.NumCustomers(); cg++ {
 		dg := uint64(cg / sc.CustomersPerDistrict)
 		wh := dg / uint64(sc.DistrictsPerWarehouse)
-		if own != nil && !own(wh) {
+		if !own(wh) {
 			continue
 		}
 		rid := m.CustTable.Insert(s, encodeRow4(m.off.custID, m.off.custDist, m.off.custBal, m.off.custCredit,
@@ -242,7 +233,7 @@ func loadOwned(eng *db.Engine, sc Scale, own func(warehouse uint64) bool) (*Benc
 	}
 	for sk := 0; sk < sc.Warehouses*sc.Items; sk++ {
 		wh := uint64(sk / sc.Items)
-		if own != nil && !own(wh) {
+		if !own(wh) {
 			continue
 		}
 		rid := m.StockTable.Insert(s, encodeRow4(m.off.stockID, m.off.stockWh, m.off.stockQty, m.off.stockYTD,
@@ -289,7 +280,7 @@ type Input struct {
 	District  uint64 // within the warehouse
 	Customer  uint64 // within the district
 	// CWarehouse is the warehouse the paying customer belongs to: equal to
-	// Warehouse except for a sharded run's remote Payments, which draw the
+	// Warehouse except for a multi-engine run's remote Payments, which draw the
 	// customer from another shard's warehouse (the cross-shard fraction).
 	CWarehouse uint64
 	Lines      []Line // New-Order only; items sorted ascending, deduplicated
@@ -330,25 +321,13 @@ func (m *Bench) Gen(r *rand.Rand) Input {
 	return in
 }
 
-// GenInput implements workload.Instance.
-func (m *Bench) GenInput(r *rand.Rand) workload.Input { return m.Gen(r) }
-
-// RunTxn implements workload.Instance; in must come from GenInput.
-func (m *Bench) RunTxn(s *db.Session, in workload.Input) {
-	req := in.(Input)
-	if req.Kind == NewOrder {
-		m.runNewOrder(s, req)
+// Run executes one request on the session.
+func (m *Bench) Run(s *db.Session, in Input) {
+	if in.Kind == NewOrder {
+		m.runNewOrder(s, in)
 	} else {
-		m.runPayment(s, req)
+		m.runPayment(s, in)
 	}
-}
-
-// KindOf implements workload.Labeler.
-func (m *Bench) KindOf(in workload.Input) string {
-	if in.(Input).Kind == NewOrder {
-		return "neworder"
-	}
-	return "payment"
 }
 
 func (m *Bench) distGlobal(in Input) uint64 {
@@ -572,22 +551,6 @@ func (m *Bench) CustomerBalance(s *db.Session, cg uint64) int64 {
 		panic(fmt.Sprintf("ordere: customer %d missing", cg))
 	}
 	return rowI(m.CustTable.Fetch(s, db.UnpackRID(packed)), m.off.custBal)
-}
-
-// Check implements workload.Instance: every order's total equals the sum of
-// its order-line amounts with the recorded line count, and payment flows are
-// conserved (warehouse YTD = sum of district YTDs = sum of customer
-// balances).
-func (m *Bench) Check(s *db.Session) error {
-	if err := m.checkOrders(s); err != nil {
-		return err
-	}
-	whTotal, distTotal, custTotal := m.paymentSums(s)
-	if whTotal != distTotal || custTotal != whTotal {
-		return fmt.Errorf("ordere: payment flow diverged: warehouses=%d districts=%d customers=%d",
-			whTotal, distTotal, custTotal)
-	}
-	return nil
 }
 
 // checkOrders verifies every resident order's total and line count against

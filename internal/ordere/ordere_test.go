@@ -13,14 +13,25 @@ func smallScale() ordere.Scale {
 	return ordere.Scale{Warehouses: 2, DistrictsPerWarehouse: 3, CustomersPerDistrict: 40, Items: 100}
 }
 
-func load(t *testing.T, sc ordere.Scale) (*ordere.Bench, *db.Session) {
+// loaded is the workload on one engine: the routed instance and its only
+// bench.
+type loaded struct {
+	*ordere.Bench
+	inst *ordere.Instance
+}
+
+// Check runs the instance's invariant audit over the one engine.
+func (l loaded) Check(s *db.Session) error { return l.inst.Check([]*db.Session{s}) }
+
+func load(t *testing.T, sc ordere.Scale) (loaded, *db.Session) {
 	t.Helper()
 	eng := db.NewEngine(db.Config{BufferPoolPages: 8192})
-	m, err := ordere.Load(eng, sc)
+	wi, err := ordere.NewScaled(sc).Load([]*db.Engine{eng})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, eng.NewSession(1, nil)
+	inst := wi.(*ordere.Instance)
+	return loaded{Bench: inst.Shards[0], inst: inst}, eng.NewSession(1, nil)
 }
 
 func TestLoadPopulates(t *testing.T) {
@@ -49,7 +60,7 @@ func TestTransactionsKeepInvariants(t *testing.T) {
 	orders, payments := 0, 0
 	for i := 0; i < 300; i++ {
 		in := m.Gen(r)
-		m.RunTxn(s, in)
+		m.Run(s, in)
 		if in.Kind == ordere.Payment {
 			paid += in.Amount
 			payments++
@@ -90,7 +101,7 @@ func TestCheckCatchesCorruption(t *testing.T) {
 	m, s := load(t, smallScale())
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 50; i++ {
-		m.RunTxn(s, m.Gen(r))
+		m.Run(s, m.Gen(r))
 	}
 	// Corrupt one order-line amount behind the workload's back.
 	var victim db.RID
@@ -147,16 +158,16 @@ func TestWorkloadAdapter(t *testing.T) {
 		t.Fatalf("quick scale not smaller: %d vs %d", q.DataPages(), wl.DataPages())
 	}
 	eng := db.NewEngine(db.Config{BufferPoolPages: q.DataPages() + 4096})
-	inst, err := q.Load(eng)
+	inst, err := q.Load([]*db.Engine{eng})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := eng.NewSession(1, nil)
+	ss := []*db.Session{eng.NewSession(1, nil)}
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 30; i++ {
-		inst.RunTxn(s, inst.GenInput(r))
+		inst.RunTxn(ss, inst.GenInput(r))
 	}
-	if err := inst.Check(s); err != nil {
+	if err := inst.Check(ss); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,7 +2,6 @@ package ordere
 
 import (
 	"codelayout/internal/codegen"
-	"codelayout/internal/db"
 	"codelayout/internal/workload"
 )
 
@@ -13,7 +12,7 @@ func init() {
 // Workload adapts the order-entry bench to the workload seam.
 type Workload struct {
 	Scale Scale
-	// CrossShardPct overrides the remote-Payment percentage on sharded
+	// CrossShardPct overrides the remote-Payment percentage on multi-engine
 	// machines; 0 uses workload.DefaultCrossShardPct, negative disables
 	// it.
 	CrossShardPct int
@@ -36,7 +35,7 @@ func (w *Workload) QuickScale() workload.Workload {
 	}
 }
 
-// Partitioning implements workload.ShardedWorkload: order-entry partitions
+// Partitioning implements workload.Workload: order-entry partitions
 // on the warehouse, TPC-C's natural partition key.
 func (w *Workload) Partitioning() workload.Partitioning {
 	return workload.Partitioning{Key: "warehouse", CrossShardPct: workload.EffectiveCrossShardPct(w.CrossShardPct)}
@@ -49,11 +48,6 @@ func (w *Workload) DataPages() int {
 	customers := sc.Warehouses * sc.DistrictsPerWarehouse * sc.CustomersPerDistrict
 	stock := sc.Warehouses * sc.Items
 	return customers/70 + stock/70 + sc.Warehouses*sc.DistrictsPerWarehouse + sc.Warehouses + 64
-}
-
-// Load implements workload.Workload.
-func (w *Workload) Load(eng *db.Engine) (workload.Instance, error) {
-	return Load(eng, w.Scale)
 }
 
 // RecordSchemas implements workload.RecordSchemas: the per-table field

@@ -216,21 +216,23 @@ type schemaWorkload struct {
 	schemas []workload.TableSchema
 }
 
-func (w *schemaWorkload) Name() string                               { return "schemawl" }
-func (w *schemaWorkload) QuickScale() workload.Workload              { return w }
-func (w *schemaWorkload) DataPages() int                             { return 1 }
-func (w *schemaWorkload) Load(*db.Engine) (workload.Instance, error) { return nil, nil }
-func (w *schemaWorkload) RecordSchemas() []workload.TableSchema      { return w.schemas }
-func (w *schemaWorkload) Models(*workload.ModelEnv) []codegen.FnSpec { return nil }
+func (w *schemaWorkload) Name() string                                 { return "schemawl" }
+func (w *schemaWorkload) QuickScale() workload.Workload                { return w }
+func (w *schemaWorkload) DataPages() int                               { return 1 }
+func (w *schemaWorkload) Partitioning() workload.Partitioning          { return workload.Partitioning{} }
+func (w *schemaWorkload) Load([]*db.Engine) (workload.Instance, error) { return nil, nil }
+func (w *schemaWorkload) RecordSchemas() []workload.TableSchema        { return w.schemas }
+func (w *schemaWorkload) Models(*workload.ModelEnv) []codegen.FnSpec   { return nil }
 
 // noSchemaWorkload implements workload.Workload but not RecordSchemas.
 type noSchemaWorkload struct{}
 
-func (w *noSchemaWorkload) Name() string                               { return "noschemas" }
-func (w *noSchemaWorkload) QuickScale() workload.Workload              { return w }
-func (w *noSchemaWorkload) DataPages() int                             { return 1 }
-func (w *noSchemaWorkload) Load(*db.Engine) (workload.Instance, error) { return nil, nil }
-func (w *noSchemaWorkload) Models(*workload.ModelEnv) []codegen.FnSpec { return nil }
+func (w *noSchemaWorkload) Name() string                                 { return "noschemas" }
+func (w *noSchemaWorkload) QuickScale() workload.Workload                { return w }
+func (w *noSchemaWorkload) DataPages() int                               { return 1 }
+func (w *noSchemaWorkload) Partitioning() workload.Partitioning          { return workload.Partitioning{} }
+func (w *noSchemaWorkload) Load([]*db.Engine) (workload.Instance, error) { return nil, nil }
+func (w *noSchemaWorkload) Models(*workload.ModelEnv) []codegen.FnSpec   { return nil }
 
 // TestGroupedDefsRejectsSchemaless: a workload without RecordSchemas is an
 // explicit error, not a silent no-op.

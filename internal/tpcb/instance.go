@@ -9,17 +9,19 @@ import (
 	"codelayout/internal/workload"
 )
 
-// Sharded is the TPC-B database hash-partitioned by branch across N
-// engines: a teller's transaction homes on its branch's shard, and a
-// CrossShardPct fraction of requests draw their account from another
-// shard's branch, turning the classic transaction into a distributed one
-// (home teller/branch/history plus a remote account update under 2PC).
+// Instance is the TPC-B database hash-partitioned by branch across N >= 1
+// engines: a teller's transaction homes on its branch's shard, and with more
+// than one engine a CrossShardPct fraction of requests draw their account
+// from another shard's branch, turning the classic transaction into a
+// distributed one (home teller/branch/history plus a remote account update
+// under 2PC). On one engine every branch is home and only the classic
+// transaction runs.
 //
 // Local transactions keep the account→teller→branch lock order; distributed
 // ones acquire their home locks first and the remote account last, so
 // opposing cross-shard flows can form genuine distributed deadlock cycles —
 // which the shared waits-for graph resolves by victim abort.
-type Sharded struct {
+type Instance struct {
 	Scale    Scale
 	Map      shard.Map
 	Shards   []*Bench
@@ -31,16 +33,16 @@ type Sharded struct {
 	remoteBy    [][]uint64 // shard → branches on other shards
 }
 
-// LoadSharded implements workload.ShardedWorkload.
-func (w *Workload) LoadSharded(engs []*db.Engine) (workload.ShardedInstance, error) {
-	if len(engs) < 2 {
-		return nil, fmt.Errorf("tpcb: LoadSharded needs >= 2 engines (got %d); use Load", len(engs))
+// Load implements workload.Workload.
+func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
+	if len(engs) == 0 {
+		return nil, &workload.NoEnginesError{Workload: w.Name()}
 	}
 	if err := w.validate(); err != nil {
 		return nil, err
 	}
 	sc := w.Scale
-	sb := &Sharded{
+	sb := &Instance{
 		Scale:    sc,
 		Map:      shard.Map{Shards: len(engs)},
 		crossPct: w.Partitioning().CrossShardPct,
@@ -74,14 +76,20 @@ func (w *Workload) LoadSharded(engs []*db.Engine) (workload.ShardedInstance, err
 }
 
 // acctBranch returns the branch an account belongs to.
-func (sb *Sharded) acctBranch(acct uint64) uint64 {
+func (sb *Instance) acctBranch(acct uint64) uint64 {
 	return acct / uint64(sb.Scale.AccountsPerBranch)
 }
 
-// GenInput implements workload.ShardedInstance: uniform teller (fixing the
-// home branch and shard), then an account drawn from the home shard's
-// branches — or, for a CrossShardPct fraction, from a remote shard's.
-func (sb *Sharded) GenInput(r *rand.Rand) workload.Input {
+// GenInput implements workload.Instance: uniform teller (fixing the home
+// branch and shard), then an account drawn from the home shard's branches —
+// or, for a CrossShardPct fraction, from a remote shard's. A single
+// partition keeps the classic draw order (teller, then one global account
+// pick): the two orders consume the RNG differently, and results at every
+// engine count are pinned to theirs.
+func (sb *Instance) GenInput(r *rand.Rand) workload.Input {
+	if len(sb.Shards) == 1 {
+		return sb.Shards[0].Gen(r)
+	}
 	sc := sb.Scale
 	teller := uint64(r.Intn(sc.Branches * sc.TellersPerBranch))
 	branch := teller / uint64(sc.TellersPerBranch)
@@ -99,13 +107,13 @@ func (sb *Sharded) GenInput(r *rand.Rand) workload.Input {
 	}
 }
 
-// Home implements workload.ShardedInstance.
-func (sb *Sharded) Home(in workload.Input) int {
+// Home implements workload.Instance.
+func (sb *Instance) Home(in workload.Input) int {
 	return sb.branchShard[in.(Input).Branch]
 }
 
-// Remote implements workload.ShardedInstance.
-func (sb *Sharded) Remote(in workload.Input) bool {
+// Remote implements workload.Instance.
+func (sb *Instance) Remote(in workload.Input) bool {
 	req := in.(Input)
 	return sb.branchShard[sb.acctBranch(req.Account)] != sb.branchShard[req.Branch]
 }
@@ -113,17 +121,17 @@ func (sb *Sharded) Remote(in workload.Input) bool {
 // KindOf implements workload.Labeler: cross-shard requests run the
 // distributed 2PC variant, whose commit path (forced prepare plus the
 // coordinator's forced commit) has its own latency distribution.
-func (sb *Sharded) KindOf(in workload.Input) string {
+func (sb *Instance) KindOf(in workload.Input) string {
 	if sb.Remote(in) {
 		return "tpcb_dist"
 	}
 	return "tpcb"
 }
 
-// RunTxn implements workload.ShardedInstance: single-shard requests run the
+// RunTxn implements workload.Instance: single-shard requests run the
 // classic transaction on their home engine; cross-shard requests run the
 // distributed variant — home teller/branch/history, remote account, 2PC.
-func (sb *Sharded) RunTxn(ss []*db.Session, in workload.Input) {
+func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
 	req := in.(Input)
 	home := sb.branchShard[req.Branch]
 	acctShard := sb.branchShard[sb.acctBranch(req.Account)]
@@ -149,7 +157,7 @@ func (sb *Sharded) RunTxn(ss []*db.Session, in workload.Input) {
 // Class implements workload.FastPath: every TPC-B request has one shape;
 // whether it crosses shards is exactly what the predictor must guess, so the
 // class cannot depend on it.
-func (sb *Sharded) Class(workload.Input) string { return "tpcb" }
+func (sb *Instance) Class(workload.Input) string { return "tpcb" }
 
 // RunLocal implements workload.FastPath: the classic transaction on the
 // home engine alone. A request whose account turns out to live on another
@@ -157,7 +165,7 @@ func (sb *Sharded) Class(workload.Input) string { return "tpcb" }
 // shard's tree (a modeled bt_found=false path, exactly what a real engine
 // would execute) — and unwinds through workload.Mispredict before touching
 // any foreign engine.
-func (sb *Sharded) RunLocal(s *db.Session, in workload.Input) {
+func (sb *Instance) RunLocal(s *db.Session, in workload.Input) {
 	req := in.(Input)
 	home := sb.branchShard[req.Branch]
 	if sb.branchShard[sb.acctBranch(req.Account)] == home {
@@ -179,11 +187,12 @@ func (sb *Sharded) RunLocal(s *db.Session, in workload.Input) {
 	workload.Mispredict(pb)
 }
 
-// Check implements workload.ShardedInstance: TPC-B balance conservation
-// over the union of shards. Cross-shard transactions split their delta
-// between two engines, so no single shard balances — only the global sums
-// must agree.
-func (sb *Sharded) Check(ss []*db.Session) error {
+// Check implements workload.Instance: TPC-B balance conservation over the
+// union of shards. Every transaction applies one delta to one account, one
+// teller and one branch, so the three totals must agree; cross-shard
+// transactions split their delta between two engines, so no single shard
+// balances — only the global sums do.
+func (sb *Instance) Check(ss []*db.Session) error {
 	var accounts, tellers, branches int64
 	for i, b := range sb.Shards {
 		s := ss[i]
@@ -198,7 +207,7 @@ func (sb *Sharded) Check(ss []*db.Session) error {
 		}
 	}
 	if accounts != branches || tellers != branches {
-		return fmt.Errorf("tpcb: sharded balances diverged: accounts=%d tellers=%d branches=%d",
+		return fmt.Errorf("tpcb: balances diverged: accounts=%d tellers=%d branches=%d",
 			accounts, tellers, branches)
 	}
 	return nil

@@ -104,27 +104,19 @@ type Bench struct {
 	branchRID []db.RID
 	tellerRID []db.RID
 
-	// owned lists the branches resident in this engine, ascending (every
-	// branch for an unsharded load; one hash partition for a shard).
+	// owned lists the branches resident in this engine, ascending (one hash
+	// partition; every branch when the database has a single engine).
 	owned []uint64
 }
 
-// Load creates and populates the database through an uninstrumented session
-// (the paper starts profiling only after setup and warmup). It checkpoints
-// the loaded pages and marks the log flushed, so measured runs start clean.
-func Load(eng *db.Engine, sc Scale) (*Bench, error) {
-	return loadOwned(eng, sc, nil)
-}
-
-// loadOwned loads the slice of the database whose branches satisfy own (nil
-// = every branch): the branch rows, their tellers and accounts, and the
-// per-engine indexes over them. A shard's engine therefore holds only its
-// partition, while IDs stay global so routed transactions address rows the
-// same way at every shard count.
+// loadOwned creates one engine's slice of the database — the branches
+// satisfying own, their tellers and accounts, and the per-engine indexes
+// over them — through an uninstrumented session (the paper starts profiling
+// only after setup and warmup), then checkpoints the loaded pages and marks
+// the log flushed, so measured runs start clean. A shard's engine holds only
+// its partition, while IDs stay global so routed transactions address rows
+// the same way at every shard count.
 func loadOwned(eng *db.Engine, sc Scale, own func(branch uint64) bool) (*Bench, error) {
-	if sc.Branches <= 0 || sc.TellersPerBranch <= 0 || sc.AccountsPerBranch <= 0 {
-		return nil, fmt.Errorf("tpcb: bad scale %+v", sc)
-	}
 	b := &Bench{Eng: eng, Scale: sc}
 	s := eng.NewSession(0, nil)
 
@@ -150,7 +142,7 @@ func loadOwned(eng *db.Engine, sc Scale, own func(branch uint64) bool) (*Bench, 
 	b.branchRID = make([]db.RID, sc.Branches)
 	b.tellerRID = make([]db.RID, sc.Branches*sc.TellersPerBranch)
 	for br := 0; br < sc.Branches; br++ {
-		if own != nil && !own(uint64(br)) {
+		if !own(uint64(br)) {
 			continue
 		}
 		b.owned = append(b.owned, uint64(br))
@@ -158,7 +150,7 @@ func loadOwned(eng *db.Engine, sc Scale, own func(branch uint64) bool) (*Bench, 
 	}
 	for t := 0; t < sc.Branches*sc.TellersPerBranch; t++ {
 		branch := uint64(t / sc.TellersPerBranch)
-		if own != nil && !own(branch) {
+		if !own(branch) {
 			continue
 		}
 		rid := b.TellerTable.Insert(s, encodeRow(b.tellOff, uint64(t), branch, 0))
@@ -169,7 +161,7 @@ func loadOwned(eng *db.Engine, sc Scale, own func(branch uint64) bool) (*Bench, 
 	}
 	for a := 0; a < sc.Branches*sc.AccountsPerBranch; a++ {
 		branch := uint64(a / sc.AccountsPerBranch)
-		if own != nil && !own(branch) {
+		if !own(branch) {
 			continue
 		}
 		rid := b.AcctTable.Insert(s, encodeRow(b.acctOff, uint64(a), branch, 0))
@@ -244,39 +236,6 @@ func hotIndex(r *rand.Rand, n int, frac float64) int {
 		return r.Intn(hot)
 	}
 	return r.Intn(n)
-}
-
-// GenInput implements workload.Instance.
-func (b *Bench) GenInput(r *rand.Rand) workload.Input { return b.Gen(r) }
-
-// RunTxn implements workload.Instance; in must come from GenInput.
-func (b *Bench) RunTxn(s *db.Session, in workload.Input) {
-	b.Run(s, in.(Input))
-}
-
-// KindOf implements workload.Labeler: the classic mix has one transaction
-// shape.
-func (b *Bench) KindOf(workload.Input) string { return "tpcb" }
-
-// Check implements workload.Instance: TPC-B balance conservation. Every
-// transaction applies one delta to one account, one teller and one branch,
-// so the three totals must agree.
-func (b *Bench) Check(s *db.Session) error {
-	var accounts, tellers, branches int64
-	for a := 0; a < b.NumAccounts(); a++ {
-		accounts += b.AccountBalance(s, uint64(a))
-	}
-	for t := 0; t < b.NumTellers(); t++ {
-		tellers += b.TellerBalance(s, uint64(t))
-	}
-	for br := 0; br < b.Scale.Branches; br++ {
-		branches += b.BranchBalance(s, uint64(br))
-	}
-	if accounts != branches || tellers != branches {
-		return fmt.Errorf("tpcb: balances diverged: accounts=%d tellers=%d branches=%d",
-			accounts, tellers, branches)
-	}
-	return nil
 }
 
 // Run executes one TPC-B transaction on the session and returns the new

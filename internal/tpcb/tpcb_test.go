@@ -9,14 +9,22 @@ import (
 	"codelayout/internal/workload"
 )
 
-func load(t *testing.T, sc tpcb.Scale) (*tpcb.Bench, *db.Session) {
+// loadInstance loads the workload on one engine.
+func loadInstance(t *testing.T, sc tpcb.Scale) (*tpcb.Instance, *db.Session) {
 	t.Helper()
 	eng := db.NewEngine(db.Config{BufferPoolPages: 8192})
-	b, err := tpcb.Load(eng, sc)
+	inst, err := tpcb.NewScaled(sc).Load([]*db.Engine{eng})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, eng.NewSession(1, nil)
+	return inst.(*tpcb.Instance), eng.NewSession(1, nil)
+}
+
+// load returns the one engine's bench of a single-engine load.
+func load(t *testing.T, sc tpcb.Scale) (*tpcb.Bench, *db.Session) {
+	t.Helper()
+	inst, s := loadInstance(t, sc)
+	return inst.Shards[0], s
 }
 
 func smallScale() tpcb.Scale {
@@ -45,7 +53,7 @@ func TestTransactionsBalance(t *testing.T) {
 	perAccount := make(map[uint64]int64)
 	for i := 0; i < 300; i++ {
 		in := b.Gen(r)
-		b.RunTxn(s, in)
+		b.Run(s, in)
 		total += in.Delta
 		perBranch[in.Branch] += in.Delta
 		perTeller[in.Teller] += in.Delta
@@ -82,7 +90,7 @@ func TestHistoryGrows(t *testing.T) {
 	b, s := load(t, smallScale())
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 50; i++ {
-		b.RunTxn(s, b.Gen(r))
+		b.Run(s, b.Gen(r))
 	}
 	if len(b.HistTable.Pages) == 0 {
 		t.Fatal("no history pages")
@@ -99,7 +107,7 @@ func TestRecoveryAfterWorkload(t *testing.T) {
 	want := make(map[uint64]int64)
 	for i := 0; i < 100; i++ {
 		in := b.Gen(r)
-		b.RunTxn(s, in)
+		b.Run(s, in)
 		want[in.Account] += in.Delta
 	}
 	// Crash without checkpointing; recover from load-time disk + log.
@@ -139,12 +147,13 @@ func uint64le(b []byte) uint64 {
 // TestCheckInvariant exercises the workload.Instance invariant checker:
 // clean after transactions, failing after corruption.
 func TestCheckInvariant(t *testing.T) {
-	b, s := load(t, smallScale())
+	inst, s := loadInstance(t, smallScale())
+	b, ss := inst.Shards[0], []*db.Session{s}
 	r := rand.New(rand.NewSource(9))
 	for i := 0; i < 100; i++ {
-		b.RunTxn(s, b.Gen(r))
+		inst.RunTxn(ss, inst.GenInput(r))
 	}
-	if err := b.Check(s); err != nil {
+	if err := inst.Check(ss); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt one teller balance behind the workload's back; Check must
@@ -157,7 +166,7 @@ func TestCheckInvariant(t *testing.T) {
 	row := b.TellerTable.Fetch(s, rid)
 	row[16] ^= 0xFF
 	b.TellerTable.Update(s, rid, row)
-	if err := b.Check(s); err == nil {
+	if err := inst.Check(ss); err == nil {
 		t.Fatal("Check missed a corrupted teller balance")
 	}
 }
@@ -177,16 +186,16 @@ func TestWorkloadAdapter(t *testing.T) {
 		t.Fatalf("quick scale not smaller: %d vs %d", q.DataPages(), wl.DataPages())
 	}
 	eng := db.NewEngine(db.Config{BufferPoolPages: q.DataPages() + 4096})
-	inst, err := q.Load(eng)
+	inst, err := q.Load([]*db.Engine{eng})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := eng.NewSession(1, nil)
+	ss := []*db.Session{eng.NewSession(1, nil)}
 	r := rand.New(rand.NewSource(10))
 	for i := 0; i < 20; i++ {
-		inst.RunTxn(s, inst.GenInput(r))
+		inst.RunTxn(ss, inst.GenInput(r))
 	}
-	if err := inst.Check(s); err != nil {
+	if err := inst.Check(ss); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := workload.New("nope"); err == nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"codelayout/internal/codegen"
-	"codelayout/internal/db"
 	"codelayout/internal/workload"
 )
 
@@ -15,7 +14,7 @@ func init() {
 // Workload adapts the TPC-B bench to the workload seam.
 type Workload struct {
 	Scale Scale
-	// CrossShardPct overrides the percentage of sharded-machine requests
+	// CrossShardPct overrides the percentage of multi-engine requests
 	// whose account lives on another shard's branch; 0 uses
 	// workload.DefaultCrossShardPct, negative disables cross-shard
 	// traffic.
@@ -53,16 +52,19 @@ func (w *Workload) QuickScale() workload.Workload {
 	}
 }
 
-// validate fails fast on knob values that would silently produce a
-// nonsensical mix.
+// validate fails fast on a scale that cannot load and on knob values that
+// would silently produce a nonsensical mix.
 func (w *Workload) validate() error {
+	if sc := w.Scale; sc.Branches <= 0 || sc.TellersPerBranch <= 0 || sc.AccountsPerBranch <= 0 {
+		return fmt.Errorf("tpcb: bad scale %+v", sc)
+	}
 	if w.HotAccountFrac < 0 || w.HotAccountFrac >= 1 {
 		return fmt.Errorf("tpcb: HotAccountFrac = %v; must be in [0, 1) (0 = uniform)", w.HotAccountFrac)
 	}
 	return nil
 }
 
-// Partitioning implements workload.ShardedWorkload: TPC-B partitions on the
+// Partitioning implements workload.Workload: TPC-B partitions on the
 // branch, the key the teller and branch updates already cluster around.
 func (w *Workload) Partitioning() workload.Partitioning {
 	return workload.Partitioning{Key: "branch", CrossShardPct: workload.EffectiveCrossShardPct(w.CrossShardPct)}
@@ -74,19 +76,6 @@ func (w *Workload) DataPages() int {
 	return w.Scale.Branches*w.Scale.AccountsPerBranch/70 +
 		w.Scale.Branches*w.Scale.TellersPerBranch/70 +
 		w.Scale.Branches
-}
-
-// Load implements workload.Workload.
-func (w *Workload) Load(eng *db.Engine) (workload.Instance, error) {
-	if err := w.validate(); err != nil {
-		return nil, err
-	}
-	b, err := Load(eng, w.Scale)
-	if err != nil {
-		return nil, err
-	}
-	b.HotAccountFrac = w.HotAccountFrac
-	return b, nil
 }
 
 // RecordSchemas implements workload.RecordSchemas: the per-table field

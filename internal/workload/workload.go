@@ -1,10 +1,16 @@
 // Package workload defines the seam between the OLTP harness and the
 // transaction mixes it runs. A Workload knows how to size itself (paper
-// scale and a shrunken quick scale), how to load its tables into a
-// db.Engine, how to generate and execute transactions against a Session,
-// how to check its own consistency invariants, and which code models it
-// contributes to the modeled application binary (appmodel assembles the
-// image from the engine models plus the workload's models).
+// scale and a shrunken quick scale), how to partition and load its tables
+// into one or more db.Engines, how to generate, route and execute
+// transactions over the engines' sessions, how to check its own consistency
+// invariants, and which code models it contributes to the modeled
+// application binary (appmodel assembles the image from the engine models
+// plus the workload's models).
+//
+// There is one engine topology: a loaded Instance is always the routed,
+// partitioned one, and a single engine is its one-partition case — every
+// key homes on shard 0, nothing is remote, and the distributed transaction
+// variants never run.
 //
 // Everything above the storage engine — internal/machine, internal/appmodel,
 // internal/expt, and the commands — programs against this interface, so new
@@ -15,6 +21,7 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 
 	"codelayout/internal/codegen"
@@ -26,30 +33,44 @@ import (
 // RunTxn. Its concrete type is private to the workload.
 type Input any
 
-// Instance is a workload loaded into an engine: the handle server processes
-// use to generate and run transactions.
+// Instance is a workload loaded across one or more engines: the handle
+// server processes use to generate, route and run transactions.
 type Instance interface {
-	// GenInput draws one transaction request from the client's RNG.
+	// GenInput draws one transaction request from the client's RNG; with
+	// more than one engine a CrossShardPct fraction of requests touch a
+	// remote shard.
 	GenInput(r *rand.Rand) Input
 
-	// RunTxn executes one transaction on the session. It is the
-	// instrumented top-level entry whose model roots the application call
-	// graph; in must be a value produced by GenInput.
-	RunTxn(s *db.Session, in Input)
+	// Home returns the shard owning in's partition key (always 0 on one
+	// engine).
+	Home(in Input) int
+
+	// Remote reports whether in also touches a shard other than Home(in)
+	// (never on one engine).
+	Remote(in Input) bool
+
+	// RunTxn executes in over the per-shard sessions (ss[i] bound to
+	// engine i; all sessions of one process share one probe), committing
+	// through two-phase commit when the transaction touched two shards. It
+	// is the instrumented top-level entry whose model roots the
+	// application call graph; in must be a value produced by GenInput.
+	RunTxn(ss []*db.Session, in Input)
 
 	// Check verifies the workload's consistency invariants (e.g. TPC-B
-	// balance conservation) over the loaded database. It is called with an
-	// uninstrumented session after runs and must not mutate data.
-	Check(s *db.Session) error
+	// balance conservation) over the union of shards, through
+	// uninstrumented sessions (ss[i] on engine i), without mutating data;
+	// cross-shard conservation must hold globally even though no single
+	// shard balances.
+	Check(ss []*db.Session) error
 }
 
-// Labeler is optionally implemented by workload instances (plain and
-// sharded) that classify requests into transaction kinds. The machine keys
-// its per-transaction latency histograms by (shard, kind), so a workload
-// that labels its inputs gets a per-kind latency breakdown ("neworder" vs
-// "payment", "read" vs "update", local vs distributed); an instance without
-// labels is tracked under its workload's registry name. Labels must be a
-// pure function of the input, drawn from a small fixed set.
+// Labeler is optionally implemented by workload instances that classify
+// requests into transaction kinds. The machine keys its per-transaction
+// latency histograms by (shard, kind), so a workload that labels its inputs
+// gets a per-kind latency breakdown ("neworder" vs "payment", "read" vs
+// "update", local vs distributed); an instance without labels is tracked
+// under its workload's registry name. Labels must be a pure function of the
+// input, drawn from a small fixed set.
 type Labeler interface {
 	// KindOf returns the transaction-kind label of an input produced by the
 	// instance's own GenInput.
@@ -69,9 +90,16 @@ type Workload interface {
 	// used to size buffer pools that should cache every table.
 	DataPages() int
 
-	// Load creates and populates the database through an uninstrumented
-	// session and returns the runnable instance.
-	Load(eng *db.Engine) (Instance, error)
+	// Partitioning describes the workload's partition scheme and
+	// cross-shard transaction fraction.
+	Partitioning() Partitioning
+
+	// Load creates and populates the database through uninstrumented
+	// sessions, hash-partitioned across the engines — engine i receives the
+	// rows whose partition key maps to shard i — and returns the routed
+	// instance. One engine is the one-partition case; none is a
+	// NoEnginesError.
+	Load(engs []*db.Engine) (Instance, error)
 
 	// Models returns the workload's contribution to the modeled application
 	// binary: the FnSpecs of its transaction roots and helpers, mirroring
@@ -80,7 +108,7 @@ type Workload interface {
 	Models(env *ModelEnv) []codegen.FnSpec
 }
 
-// Partitioning declares how a workload splits across sharded engines.
+// Partitioning declares how a workload splits across engines.
 type Partitioning struct {
 	// Key names the partition key ("branch", "warehouse", ...).
 	Key string
@@ -90,7 +118,7 @@ type Partitioning struct {
 	CrossShardPct int
 }
 
-// DefaultCrossShardPct is the cross-shard transaction fraction sharded
+// DefaultCrossShardPct is the cross-shard transaction fraction the write
 // workloads use unless overridden — the spirit of TPC-C's 15% remote
 // Payment rate.
 const DefaultCrossShardPct = 15
@@ -108,44 +136,14 @@ func EffectiveCrossShardPct(override int) int {
 	}
 }
 
-// ShardedWorkload is implemented by workloads that can partition their
-// database across multiple engines behind the shard router.
-type ShardedWorkload interface {
-	Workload
-
-	// Partitioning describes the workload's partition scheme and
-	// cross-shard transaction fraction.
-	Partitioning() Partitioning
-
-	// LoadSharded hash-partitions the database across the engines — engine
-	// i receives the rows whose partition key maps to shard i — and
-	// returns the routed instance. len(engs) must be at least 2; a single
-	// engine uses the plain Load path.
-	LoadSharded(engs []*db.Engine) (ShardedInstance, error)
+// NoEnginesError is returned by Workload.Load when it is handed no engine.
+type NoEnginesError struct {
+	// Workload is the registry name of the workload that refused to load.
+	Workload string
 }
 
-// ShardedInstance is a workload loaded across sharded engines: the handle
-// server processes use to generate, route and run transactions.
-type ShardedInstance interface {
-	// GenInput draws one transaction request from the client's RNG; a
-	// CrossShardPct fraction of requests touch a remote shard.
-	GenInput(r *rand.Rand) Input
-
-	// Home returns the shard owning in's partition key.
-	Home(in Input) int
-
-	// Remote reports whether in also touches a shard other than Home(in).
-	Remote(in Input) bool
-
-	// RunTxn executes in over the per-shard sessions (ss[i] bound to
-	// engine i; all sessions of one process share one probe), committing
-	// through two-phase commit when the transaction touched two shards.
-	RunTxn(ss []*db.Session, in Input)
-
-	// Check verifies the workload's consistency invariants over the union
-	// of shards (uninstrumented sessions, ss[i] on engine i); cross-shard
-	// conservation must hold globally even though no single shard balances.
-	Check(ss []*db.Session) error
+func (e *NoEnginesError) Error() string {
+	return fmt.Sprintf("%s: Load needs at least one engine", e.Workload)
 }
 
 // KindRoot names the entry model of one transaction kind: the fn whose
@@ -201,14 +199,14 @@ func Mispredict(pb probe.Probe) {
 	panic(ErrMispredict)
 }
 
-// FastPath is implemented by sharded instances that can run
-// predicted-single-shard transactions on their home engine alone, without
-// the router or the 2PC coordinator. A transaction that turns out to touch
-// a remote shard after all must call Mispredict the moment it discovers
-// this — before reading or writing anything on the foreign shard's engine —
-// so the machine can abort the home branch and rerun it distributed.
+// FastPath is implemented by instances that can run predicted-single-shard
+// transactions on their home engine alone, without the router or the 2PC
+// coordinator. A transaction that turns out to touch a remote shard after
+// all must call Mispredict the moment it discovers this — before reading or
+// writing anything on the foreign shard's engine — so the machine can abort
+// the home branch and rerun it distributed.
 type FastPath interface {
-	ShardedInstance
+	Instance
 
 	// Class labels an input with its prediction class. Classes are coarser
 	// than or equal to Labeler kinds: they must be computable from the

@@ -1,6 +1,7 @@
 package ycsb_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,49 +13,16 @@ import (
 )
 
 // TestDefaultScaleConformance drives thousands of operations at the default
-// (paper) scale through an emitter-bound session — a regression test for
-// probe/model drift on the read, update and (via direct call) scatter
-// paths.
+// (paper) scale through emitter-bound sessions on 1, 2 and 4 engines — a
+// regression test for probe/model drift on the read, update and scatter
+// paths. A quarter of the reads ask for a scatter read; on one engine there
+// is no second shard to read from, so the same request stream exercises the
+// point paths alone.
 func TestDefaultScaleConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long conformance run in -short mode")
 	}
 	wl := ycsb.New()
-	img, err := appmodel.Build(appmodel.Config{Seed: 2001, LibScale: 0.25, ColdWords: 100_000, Workload: wl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := program.BaselineLayout(img.Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	em := codegen.NewEmitter(img, l, 3)
-	em.Sink = func(uint64, int32) {}
-	eng := db.NewEngine(db.Config{BufferPoolPages: wl.DataPages() + 4096})
-	inst, err := wl.Load(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := eng.NewSession(1, em)
-	r := rand.New(rand.NewSource(4))
-	for i := 0; i < 5000; i++ {
-		inst.RunTxn(s, inst.GenInput(r))
-		if !em.Idle() {
-			t.Fatalf("op %d: emitter not idle", i)
-		}
-	}
-	if err := inst.Check(eng.NewSession(2, nil)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShardedConformance drives the sharded instance, scatter reads
-// included, through an emitter bound to a sharded-model image.
-func TestShardedConformance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long conformance run in -short mode")
-	}
-	wl := ycsb.NewScaled(ycsb.Scale{Records: 3000})
 	wl.CrossShardPct = 25
 	img, err := appmodel.Build(appmodel.Config{Seed: 2001, LibScale: 0.25, ColdWords: 100_000, Workload: wl})
 	if err != nil {
@@ -64,26 +32,37 @@ func TestShardedConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em := codegen.NewEmitter(img, l, 3)
-	em.Sink = func(uint64, int32) {}
-	engs := []*db.Engine{
-		db.NewEngine(db.Config{BufferPoolPages: 4096, Shard: 0}),
-		db.NewEngine(db.Config{BufferPoolPages: 4096, Shard: 1}),
-	}
-	sinst, err := wl.LoadSharded(engs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := []*db.Session{engs[0].NewSession(1, em), engs[1].NewSession(1, em)}
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 3000; i++ {
-		sinst.RunTxn(ss, sinst.GenInput(r))
-		if !em.Idle() {
-			t.Fatalf("op %d: emitter not idle", i)
-		}
-	}
-	check := []*db.Session{engs[0].NewSession(2, nil), engs[1].NewSession(2, nil)}
-	if err := sinst.Check(check); err != nil {
-		t.Fatal(err)
+	for _, engines := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("engines=%d", engines), func(t *testing.T) {
+			em := codegen.NewEmitter(img, l, 3)
+			em.Sink = func(uint64, int32) {}
+			engs := newEngines(engines) // 8192-page pools hold the default scale's ~2000 pages
+			ss, check := make([]*db.Session, engines), make([]*db.Session, engines)
+			for i, e := range engs {
+				ss[i], check[i] = e.NewSession(1, em), e.NewSession(2, nil)
+			}
+			inst, err := wl.Load(engs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(4))
+			scatter := 0
+			for i := 0; i < 5000; i++ {
+				in := inst.GenInput(r)
+				if inst.Remote(in) {
+					scatter++
+				}
+				inst.RunTxn(ss, in)
+				if !em.Idle() {
+					t.Fatalf("op %d: emitter not idle", i)
+				}
+			}
+			if (scatter > 0) != (engines > 1) {
+				t.Fatalf("%d scatter reads on %d engine(s)", scatter, engines)
+			}
+			if err := inst.Check(check); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -9,40 +9,41 @@ import (
 	"codelayout/internal/workload"
 )
 
-// Sharded is the key-value store hash-partitioned by record key across N
-// engines. Point reads and single-row updates are always shard-local — the
-// trivial sharding of a key-value store — so the default sharded mix has no
-// distributed transactions at all. With CrossShardPct > 0, that fraction of
-// reads becomes a two-key scatter read whose second key lives on another
-// shard; scatter reads stay read-only, so even then the workload never
-// two-phase commits.
-type Sharded struct {
+// Instance is the key-value store hash-partitioned by record key across
+// N >= 1 engines. Point reads and single-row updates are always shard-local
+// — the trivial sharding of a key-value store — so the default mix has no
+// distributed transactions at any engine count. With CrossShardPct > 0, that
+// fraction of reads becomes a two-key scatter read whose second key lives on
+// another shard; scatter reads stay read-only, so even then the workload
+// never two-phase commits.
+type Instance struct {
 	Scale    Scale
 	Map      shard.Map
 	Shards   []*Bench
 	crossPct int
+
+	// hasRemote[i] reports whether any key lives off shard i. A shard that
+	// owns the whole keyspace (one engine, or a keyspace that hashes onto
+	// one shard) has no second key to scatter to.
+	hasRemote []bool
 }
 
-// LoadSharded implements workload.ShardedWorkload.
-func (w *Workload) LoadSharded(engs []*db.Engine) (workload.ShardedInstance, error) {
-	if len(engs) < 2 {
-		return nil, fmt.Errorf("ycsb: LoadSharded needs >= 2 engines (got %d); use Load", len(engs))
+// Load implements workload.Workload.
+func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
+	if len(engs) == 0 {
+		return nil, &workload.NoEnginesError{Workload: w.Name()}
 	}
 	if err := w.validate(); err != nil {
 		return nil, err
 	}
-	readPct := w.ReadPct
-	if readPct < 0 {
-		readPct = DefaultReadPct
-	}
-	sb := &Sharded{
+	sb := &Instance{
 		Scale:    w.Scale,
 		Map:      shard.Map{Shards: len(engs)},
 		crossPct: w.Partitioning().CrossShardPct,
 	}
 	for i, eng := range engs {
 		sh := i
-		b, err := loadOwned(eng, w.Scale, readPct, func(key uint64) bool { return sb.Map.Of(key) == sh })
+		b, err := loadOwned(eng, w.Scale, w.ReadPct, func(key uint64) bool { return sb.Map.Of(key) == sh })
 		if err != nil {
 			return nil, err
 		}
@@ -51,18 +52,23 @@ func (w *Workload) LoadSharded(engs []*db.Engine) (workload.ShardedInstance, err
 		b.ShiftAfterGens, b.ShiftReadPct = w.ShiftAfterGens, w.ShiftReadPct
 		b.SetZipfTheta(w.ZipfTheta)
 		sb.Shards = append(sb.Shards, b)
+		sb.hasRemote = append(sb.hasRemote, len(b.owned) < w.Scale.Records)
 	}
 	return sb, nil
 }
 
-// GenInput implements workload.ShardedInstance: the plain generator, except
+// GenInput implements workload.Instance: the per-engine generator, except
 // that a CrossShardPct fraction of reads draws a second key from a remote
-// shard (a scatter read).
-func (sb *Sharded) GenInput(r *rand.Rand) workload.Input {
+// shard (a scatter read). A read whose home shard owns every key stays a
+// point read and consumes no extra RNG draws.
+func (sb *Instance) GenInput(r *rand.Rand) workload.Input {
 	in := sb.Shards[0].Gen(r) // generators share one Scale; any bench works
-	if in.Kind == Read && sb.crossPct > 0 && r.Intn(100) < sb.crossPct {
-		home := sb.Map.Of(in.Key)
-		// Rejection-sample a key on a different shard; with >= 2 shards the
+	if in.Kind != Read || sb.crossPct == 0 {
+		return in
+	}
+	home := sb.Map.Of(in.Key)
+	if sb.hasRemote[home] && r.Intn(100) < sb.crossPct {
+		// Rejection-sample a key on a different shard; one exists, and the
 		// hash spreads keys, so this terminates fast and deterministically.
 		for {
 			k2 := uint64(r.Intn(sb.Scale.Records))
@@ -75,20 +81,20 @@ func (sb *Sharded) GenInput(r *rand.Rand) workload.Input {
 	return in
 }
 
-// Home implements workload.ShardedInstance.
-func (sb *Sharded) Home(in workload.Input) int {
+// Home implements workload.Instance.
+func (sb *Instance) Home(in workload.Input) int {
 	return sb.Map.Of(in.(Input).Key)
 }
 
-// Remote implements workload.ShardedInstance.
-func (sb *Sharded) Remote(in workload.Input) bool {
+// Remote implements workload.Instance.
+func (sb *Instance) Remote(in workload.Input) bool {
 	req := in.(Input)
 	return req.MultiGet && sb.Map.Of(req.Key2) != sb.Map.Of(req.Key)
 }
 
 // KindOf implements workload.Labeler: scatter reads touch two shards and
 // get their own latency bucket next to plain reads and updates.
-func (sb *Sharded) KindOf(in workload.Input) string {
+func (sb *Instance) KindOf(in workload.Input) string {
 	req := in.(Input)
 	switch {
 	case req.MultiGet:
@@ -99,14 +105,14 @@ func (sb *Sharded) KindOf(in workload.Input) string {
 	return "update"
 }
 
-// RunTxn implements workload.ShardedInstance: everything is shard-local
-// except scatter reads, which fetch the second key on its own shard's
-// engine — still without any transaction or 2PC.
-func (sb *Sharded) RunTxn(ss []*db.Session, in workload.Input) {
+// RunTxn implements workload.Instance: everything is shard-local except
+// scatter reads, which fetch the second key on its own shard's engine —
+// still without any transaction or 2PC.
+func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
 	req := in.(Input)
 	home := sb.Map.Of(req.Key)
 	if !req.MultiGet {
-		sb.Shards[home].RunTxn(ss[home], req)
+		sb.Shards[home].Run(ss[home], req)
 		return
 	}
 	remote := sb.Map.Of(req.Key2)
@@ -122,24 +128,24 @@ func (sb *Sharded) RunTxn(ss []*db.Session, in workload.Input) {
 // client request itself (the second key is part of the input), so "mget" is
 // an honestly separate class the predictor learns is never local; plain
 // reads and updates are always local.
-func (sb *Sharded) Class(in workload.Input) string { return sb.KindOf(in) }
+func (sb *Instance) Class(in workload.Input) string { return sb.KindOf(in) }
 
 // RunLocal implements workload.FastPath: point operations on the home
 // engine. Scatter reads can never be predicted local — their class always
 // observes remote — so reaching the mget arm means the predictor was driven
 // by a stub; unwind rather than touch the remote shard.
-func (sb *Sharded) RunLocal(s *db.Session, in workload.Input) {
+func (sb *Instance) RunLocal(s *db.Session, in workload.Input) {
 	req := in.(Input)
 	if req.MultiGet {
 		workload.Mispredict(s.PB)
 	}
-	sb.Shards[sb.Map.Of(req.Key)].RunTxn(s, req)
+	sb.Shards[sb.Map.Of(req.Key)].Run(s, req)
 }
 
-// Check implements workload.ShardedInstance: the per-record invariant is
+// Check implements workload.Instance: the per-record invariant is
 // shard-local (no operation ever writes across shards), so the union audit
 // is each shard's own audit.
-func (sb *Sharded) Check(ss []*db.Session) error {
+func (sb *Instance) Check(ss []*db.Session) error {
 	for i, b := range sb.Shards {
 		if err := b.Check(ss[i]); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)

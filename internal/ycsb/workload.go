@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"codelayout/internal/codegen"
-	"codelayout/internal/db"
 	"codelayout/internal/workload"
 )
 
@@ -26,7 +25,7 @@ type Workload struct {
 	// classic uniform draw — and leaves runs bit-identical to a workload
 	// that never heard of skew.
 	ZipfTheta float64
-	// CrossShardPct sets the fraction of sharded-machine reads that become
+	// CrossShardPct sets the fraction of multi-engine reads that become
 	// two-shard scatter reads. Point operations shard trivially, so the
 	// default is 0 — no cross-shard traffic, unlike the write workloads'
 	// 15% 2PC fraction; scatter reads are read-only and never two-phase
@@ -65,9 +64,12 @@ func (w *Workload) Name() string {
 	return "ycsb"
 }
 
-// validate fails fast on knob values that would silently produce a
-// nonsensical mix.
+// validate fails fast on a scale that cannot load and on knob values that
+// would silently produce a nonsensical mix.
 func (w *Workload) validate() error {
+	if w.Scale.Records <= 0 {
+		return fmt.Errorf("ycsb: bad scale %+v", w.Scale)
+	}
 	if w.ReadPct > 100 {
 		return fmt.Errorf("ycsb: ReadPct = %d; must be in [0, 100] (negative selects the default %d)", w.ReadPct, DefaultReadPct)
 	}
@@ -84,7 +86,7 @@ func (w *Workload) QuickScale() workload.Workload {
 	return &q
 }
 
-// Partitioning implements workload.ShardedWorkload: the store partitions on
+// Partitioning implements workload.Workload: the store partitions on
 // the record key; cross-shard traffic is off unless CrossShardPct opts in.
 func (w *Workload) Partitioning() workload.Partitioning {
 	pct := 0
@@ -98,20 +100,6 @@ func (w *Workload) Partitioning() workload.Partitioning {
 // 8 KB page after slot overhead; the index adds a small tail).
 func (w *Workload) DataPages() int {
 	return w.Scale.Records/70 + w.Scale.Records/500 + 8
-}
-
-// Load implements workload.Workload.
-func (w *Workload) Load(eng *db.Engine) (workload.Instance, error) {
-	if err := w.validate(); err != nil {
-		return nil, err
-	}
-	b, err := Load(eng, w.Scale, w.ReadPct)
-	if err != nil {
-		return nil, err
-	}
-	b.ShiftAfterGens, b.ShiftReadPct = w.ShiftAfterGens, w.ShiftReadPct
-	b.SetZipfTheta(w.ZipfTheta)
-	return b, nil
 }
 
 // RecordSchemas implements workload.RecordSchemas: the per-table field

@@ -53,7 +53,7 @@ const (
 type Input struct {
 	Kind Kind
 	Key  uint64
-	// Key2 is the second key of a scatter read (sharded runs with a
+	// Key2 is the second key of a scatter read (multi-engine runs with a
 	// cross-shard fraction configured); MultiGet reports whether it is set.
 	Key2     uint64
 	MultiGet bool
@@ -149,29 +149,18 @@ type Bench struct {
 	zipfZetan float64
 	zipfHalf  float64
 
-	// owned lists the record keys resident in this engine, ascending (every
-	// key for an unsharded load; one hash partition for a shard).
+	// owned lists the record keys resident in this engine, ascending (one
+	// hash partition; every key when the store has a single engine).
 	owned []uint64
 }
 
-// Load creates and populates the store through an uninstrumented session and
-// leaves it checkpointed, like tpcb.Load. A negative readPct selects
-// DefaultReadPct (95); 0 is a valid pure-update mix.
-func Load(eng *db.Engine, sc Scale, readPct int) (*Bench, error) {
-	return loadOwned(eng, sc, readPct, nil)
-}
-
-// loadOwned loads the slice of the store whose keys satisfy own (nil =
-// every key).
+// loadOwned creates one engine's slice of the store — the keys satisfying
+// own — through an uninstrumented session and leaves it checkpointed, like
+// the TPC-B loader. The scale and readPct have passed Workload.validate; a
+// negative readPct selects DefaultReadPct (95), 0 is a valid pure-update mix.
 func loadOwned(eng *db.Engine, sc Scale, readPct int, own func(key uint64) bool) (*Bench, error) {
-	if sc.Records <= 0 {
-		return nil, fmt.Errorf("ycsb: bad scale %+v", sc)
-	}
 	if readPct < 0 {
 		readPct = DefaultReadPct
-	}
-	if readPct > 100 {
-		return nil, fmt.Errorf("ycsb: ReadPct = %d; must be in [0, 100] (negative selects the default %d)", readPct, DefaultReadPct)
 	}
 	b := &Bench{Eng: eng, Scale: sc, ReadPct: readPct}
 	s := eng.NewSession(0, nil)
@@ -183,7 +172,7 @@ func loadOwned(eng *db.Engine, sc Scale, readPct int, own func(key uint64) bool)
 	b.off = resolveOffsets(b.UserTable)
 	for k := 0; k < sc.Records; k++ {
 		key := uint64(k)
-		if own != nil && !own(key) {
+		if !own(key) {
 			continue
 		}
 		b.owned = append(b.owned, key)
@@ -273,26 +262,13 @@ func (b *Bench) Gen(r *rand.Rand) Input {
 	return in
 }
 
-// GenInput implements workload.Instance.
-func (b *Bench) GenInput(r *rand.Rand) workload.Input { return b.Gen(r) }
-
-// RunTxn implements workload.Instance; in must come from GenInput.
-func (b *Bench) RunTxn(s *db.Session, in workload.Input) {
-	req := in.(Input)
-	if req.Kind == Read {
-		b.runRead(s, req.Key)
+// Run executes one request on the session.
+func (b *Bench) Run(s *db.Session, in Input) {
+	if in.Kind == Read {
+		b.runRead(s, in.Key)
 	} else {
-		b.runUpdate(s, req.Key)
+		b.runUpdate(s, in.Key)
 	}
-}
-
-// KindOf implements workload.Labeler: lock-free point reads and
-// single-row update transactions have very different latency shapes.
-func (b *Bench) KindOf(in workload.Input) string {
-	if in.(Input).Kind == Read {
-		return "read"
-	}
-	return "update"
 }
 
 // runRead executes one point read: a B-tree search and a heap fetch with no
@@ -346,7 +322,7 @@ func (b *Bench) ReadRecord(s *db.Session, key uint64) (version uint64, value int
 	return b.off.rowVersion(row), b.off.rowValue(row)
 }
 
-// Check implements workload.Instance: every resident record's value must
+// Check audits this engine's slice: every resident record's value must
 // equal the replayed sum of the deterministic per-version deltas — a
 // record's state is a pure function of (key, version), so any lost or
 // doubled update surfaces.

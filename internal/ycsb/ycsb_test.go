@@ -3,6 +3,7 @@ package ycsb_test
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"codelayout/internal/db"
 	"codelayout/internal/workload"
@@ -11,14 +12,33 @@ import (
 
 func smallScale() ycsb.Scale { return ycsb.Scale{Records: 800} }
 
-func load(t *testing.T, sc ycsb.Scale, readPct int) (*ycsb.Bench, *db.Session) {
+// newEngines returns n fresh engines, engine i on shard i.
+func newEngines(n int) []*db.Engine {
+	engs := make([]*db.Engine, n)
+	for i := range engs {
+		engs[i] = db.NewEngine(db.Config{BufferPoolPages: 8192, Shard: i})
+	}
+	return engs
+}
+
+// loadOn loads w across n engines.
+func loadOn(t *testing.T, w *ycsb.Workload, n int) (*ycsb.Instance, []*db.Engine) {
 	t.Helper()
-	eng := db.NewEngine(db.Config{BufferPoolPages: 8192})
-	b, err := ycsb.Load(eng, sc, readPct)
+	engs := newEngines(n)
+	inst, err := w.Load(engs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, eng.NewSession(1, nil)
+	return inst.(*ycsb.Instance), engs
+}
+
+// load returns the one engine's bench of a single-engine load.
+func load(t *testing.T, sc ycsb.Scale, readPct int) (*ycsb.Bench, *db.Session) {
+	t.Helper()
+	w := ycsb.NewScaled(sc)
+	w.ReadPct = readPct
+	inst, engs := loadOn(t, w, 1)
+	return inst.Shards[0], engs[0].NewSession(1, nil)
 }
 
 func TestLoadPopulates(t *testing.T) {
@@ -43,7 +63,7 @@ func TestMixKeepsInvariants(t *testing.T) {
 	reads, updates := 0, 0
 	for i := 0; i < 2000; i++ {
 		in := b.Gen(r)
-		b.RunTxn(s, in)
+		b.Run(s, in)
 		if in.Kind == ycsb.Read {
 			reads++
 		} else {
@@ -76,7 +96,7 @@ func TestCheckCatchesCorruption(t *testing.T) {
 	b, s := load(t, smallScale(), 50)
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 200; i++ {
-		b.RunTxn(s, b.Gen(r))
+		b.Run(s, b.Gen(r))
 	}
 	// Corrupt one record's value behind the workload's back.
 	var victim uint64
@@ -112,16 +132,16 @@ func TestWorkloadAdapter(t *testing.T) {
 		t.Fatalf("quick name = %q", q.Name())
 	}
 	eng := db.NewEngine(db.Config{BufferPoolPages: q.DataPages() + 4096})
-	inst, err := q.Load(eng)
+	inst, err := q.Load([]*db.Engine{eng})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := eng.NewSession(1, nil)
+	ss := []*db.Session{eng.NewSession(1, nil)}
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 200; i++ {
-		inst.RunTxn(s, inst.GenInput(r))
+		inst.RunTxn(ss, inst.GenInput(r))
 	}
-	if err := inst.Check(s); err != nil {
+	if err := inst.Check(ss); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -142,8 +162,7 @@ func TestLabelOverridesName(t *testing.T) {
 // TestReadPctZeroIsPureUpdate is the regression test for the zero-value
 // conflation bug: ReadPct: 0 used to silently become DefaultReadPct (95),
 // making an explicit pure-update mix impossible. Now 0 is configurable and
-// only a negative value selects the default, on both the plain and sharded
-// paths.
+// only a negative value selects the default, at every engine count.
 func TestReadPctZeroIsPureUpdate(t *testing.T) {
 	b, s := load(t, smallScale(), 0)
 	if b.ReadPct != 0 {
@@ -155,7 +174,7 @@ func TestReadPctZeroIsPureUpdate(t *testing.T) {
 		if in.Kind != ycsb.Update {
 			t.Fatalf("gen %d produced a read under ReadPct=0", i)
 		}
-		b.RunTxn(s, in)
+		b.Run(s, in)
 	}
 	if err := b.Check(s); err != nil {
 		t.Fatal(err)
@@ -167,47 +186,18 @@ func TestReadPctZeroIsPureUpdate(t *testing.T) {
 	if w.ReadPct != ycsb.DefaultReadPct {
 		t.Fatalf("NewScaled ReadPct = %d, want the explicit default %d", w.ReadPct, ycsb.DefaultReadPct)
 	}
-	w.ReadPct = 0
-	eng := db.NewEngine(db.Config{BufferPoolPages: 4096})
-	inst, err := w.Load(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := inst.(*ycsb.Bench).ReadPct; got != 0 {
-		t.Fatalf("loaded ReadPct = %d, want 0", got)
-	}
 	w.ReadPct = 120
-	if _, err := w.Load(db.NewEngine(db.Config{BufferPoolPages: 4096})); err == nil {
+	if _, err := w.Load(newEngines(1)); err == nil {
 		t.Fatal("ReadPct = 120 must fail Load")
 	}
-
-	// Sharded path: same sentinel semantics.
-	sw := ycsb.NewScaled(smallScale())
-	sw.ReadPct = 0
-	engs := []*db.Engine{
-		db.NewEngine(db.Config{BufferPoolPages: 4096, Shard: 0}),
-		db.NewEngine(db.Config{BufferPoolPages: 4096, Shard: 1}),
-	}
-	sinst, err := sw.LoadSharded(engs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, sb := range sinst.(*ycsb.Sharded).Shards {
-		if sb.ReadPct != 0 {
-			t.Fatalf("shard %d ReadPct = %d, want 0", i, sb.ReadPct)
+	for _, tc := range []struct{ readPct, want int }{{0, 0}, {-1, ycsb.DefaultReadPct}} {
+		w.ReadPct = tc.readPct
+		inst, _ := loadOn(t, w, 2)
+		for i, sb := range inst.Shards {
+			if sb.ReadPct != tc.want {
+				t.Fatalf("ReadPct %d: shard %d loaded ReadPct = %d, want %d", tc.readPct, i, sb.ReadPct, tc.want)
+			}
 		}
-	}
-	sw.ReadPct = -1
-	engs2 := []*db.Engine{
-		db.NewEngine(db.Config{BufferPoolPages: 4096, Shard: 0}),
-		db.NewEngine(db.Config{BufferPoolPages: 4096, Shard: 1}),
-	}
-	sinst2, err := sw.LoadSharded(engs2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sinst2.(*ycsb.Sharded).Shards[0].ReadPct; got != ycsb.DefaultReadPct {
-		t.Fatalf("sharded ReadPct = %d, want default %d for negative sentinel", got, ycsb.DefaultReadPct)
 	}
 }
 
@@ -221,12 +211,8 @@ func TestZipfSkewConcentrates(t *testing.T) {
 	if w.Name() != "ycsb-zipf90" {
 		t.Fatalf("name = %q, want ycsb-zipf90", w.Name())
 	}
-	eng := db.NewEngine(db.Config{BufferPoolPages: 4096})
-	inst, err := w.Load(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := inst.(*ycsb.Bench)
+	inst, engs := loadOn(t, w, 1)
+	b := inst.Shards[0]
 	r := rand.New(rand.NewSource(11))
 	counts := map[uint64]int{}
 	const draws = 5000
@@ -244,16 +230,16 @@ func TestZipfSkewConcentrates(t *testing.T) {
 	if max < 60 {
 		t.Fatalf("top key drawn %d times in %d draws; Zipfian skew missing", max, draws)
 	}
-	s := eng.NewSession(1, nil)
+	s := engs[0].NewSession(1, nil)
 	for i := 0; i < 500; i++ {
-		b.RunTxn(s, b.Gen(r))
+		b.Run(s, b.Gen(r))
 	}
 	if err := b.Check(s); err != nil {
 		t.Fatal(err)
 	}
 
 	w.ZipfTheta = 1.0
-	if _, err := w.Load(db.NewEngine(db.Config{BufferPoolPages: 4096})); err == nil {
+	if _, err := w.Load(newEngines(1)); err == nil {
 		t.Fatal("ZipfTheta = 1.0 must fail Load")
 	}
 }
@@ -261,15 +247,7 @@ func TestZipfSkewConcentrates(t *testing.T) {
 func TestShardedPartitionAndScatter(t *testing.T) {
 	w := ycsb.NewScaled(smallScale())
 	w.CrossShardPct = 30
-	engs := []*db.Engine{
-		db.NewEngine(db.Config{BufferPoolPages: 4096, Shard: 0}),
-		db.NewEngine(db.Config{BufferPoolPages: 4096, Shard: 1}),
-	}
-	sinst, err := w.LoadSharded(engs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb := sinst.(*ycsb.Sharded)
+	sb, engs := loadOn(t, w, 2)
 	// Partition is exact and disjoint.
 	total := 0
 	for i, b := range sb.Shards {
@@ -287,11 +265,11 @@ func TestShardedPartitionAndScatter(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	scatter := 0
 	for i := 0; i < 1500; i++ {
-		in := sinst.GenInput(r)
-		if sinst.Remote(in) {
+		in := sb.GenInput(r)
+		if sb.Remote(in) {
 			scatter++
 		}
-		sinst.RunTxn(ss, in)
+		sb.RunTxn(ss, in)
 	}
 	if scatter == 0 {
 		t.Fatal("no scatter reads generated with CrossShardPct=30")
@@ -305,7 +283,50 @@ func TestShardedPartitionAndScatter(t *testing.T) {
 		}
 	}
 	check := []*db.Session{engs[0].NewSession(2, nil), engs[1].NewSession(2, nil)}
-	if err := sinst.Check(check); err != nil {
+	if err := sb.Check(check); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScatterDrawNeedsARemoteKey is the regression test for the scatter
+// read's rejection loop: it sampled keys until one hashed off the home
+// shard, which never terminates when the home shard owns the whole keyspace
+// — one engine, or a keyspace that lands on one shard. Such reads must stay
+// point reads and leave the RNG where the per-engine generator leaves it.
+func TestScatterDrawNeedsARemoteKey(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		engines int
+		records int
+	}{
+		{"one engine", 1, 800},
+		{"two engines, one record", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := ycsb.NewScaled(ycsb.Scale{Records: tc.records})
+			w.CrossShardPct = 100
+			inst, _ := loadOn(t, w, tc.engines)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				r, plain := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+				for i := 0; i < 500; i++ {
+					in := inst.GenInput(r)
+					if inst.Remote(in) || inst.KindOf(in) == "mget" {
+						t.Errorf("draw %d: scatter read %+v with no remote key to read", i, in)
+						return
+					}
+					if want := inst.Shards[0].Gen(plain); in != want {
+						t.Errorf("draw %d: got %+v, want the per-engine draw %+v", i, in, want)
+						return
+					}
+				}
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("GenInput never returned: scatter draw spinning for a remote key that does not exist")
+			}
+		})
 	}
 }
