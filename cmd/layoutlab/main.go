@@ -1,5 +1,8 @@
 // layoutlab regenerates the paper's tables and figures, plus the
-// cross-workload/cross-shard extension tables.
+// cross-workload/cross-shard extension tables. The run description comes
+// from the flag surface the four commands share (expt.BindFlags): the
+// -quick/-full preset with -seed/-txns/-cpus/-shards overrides, the workload
+// lookups and the mix knobs are resolved once, before any image builds.
 //
 //	layoutlab -list
 //	layoutlab -run fig05            # one experiment, quick configuration
@@ -23,48 +26,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"codelayout/internal/expt"
-	"codelayout/internal/machine"
-	"codelayout/internal/ordere"
-	"codelayout/internal/pstore"
 	"codelayout/internal/search"
 	"codelayout/internal/stats"
-	"codelayout/internal/tpcb"
-	"codelayout/internal/workload"
-	"codelayout/internal/ycsb"
 )
 
 func main() {
 	var (
 		run    = flag.String("run", "all", "experiment id to run, or 'all'")
 		list   = flag.Bool("list", false, "list experiments and exit")
-		full   = flag.Bool("full", false, "paper-scale run (default is the quick configuration)")
-		quick  = flag.Bool("quick", false, "force the quick configuration (the default; conflicts with -full)")
-		seed   = flag.Int64("seed", 0, "override workload seed")
-		txns   = flag.Int("txns", 0, "override measured transactions")
-		cpus   = flag.Int("cpus", 0, "override processor count")
-		shards = flag.String("shards", "", "shard count (partitioned engines); for -table shardsweep, a comma-separated list to sweep (default 1,2,4,8,16,32,64)")
-		wlName = flag.String("workload", "tpcb", fmt.Sprintf("workload to evaluate %v", workload.Names()))
 		csvDir = flag.String("csv", "", "directory to write CSV copies of each table")
-
-		table     = flag.String("table", "", "extension table to emit: robustness (train×eval matrix), shardsweep, latency (percentiles), search (evolutionary pipeline search) or datalayout (record layout: interleaved vs grouped)")
-		matrix    = flag.String("matrix", "tpcb,ordere,ycsb", "robustness/latency: comma-separated workloads to measure")
-		shardlist = flag.String("shardlist", "1,4", "robustness/latency: comma-separated shard counts to measure")
-		layout    = flag.String("layout", "all", "extension tables: pipeline combo to train and evaluate (latency with 'fusion' also measures ipchain and emits per-kind deltas)")
-		stall     = flag.Uint64("stall", 0, "instruction-times of stall per L1 icache miss on the measurement clock (layout latency comparisons need a non-zero penalty, e.g. 40)")
-		fastpath  = flag.Bool("fastpath", true, "shardsweep: measure the predictive single-shard fast path against the routed baseline (on/off delta columns)")
-		gcMode    = flag.String("gc", "", "shardsweep: group-commit tuning mode (off, flushcount, p99; default p99)")
-		crossPct  = flag.Int("cross", 0, "shardsweep: override the workload's cross-shard transaction percentage in [1, 100] (0 = workload default, negative disables)")
-		readPct   = flag.Int("readpct", -1, "ycsb: point-read share of the mix in [0, 100]; 0 is a valid pure-update mix (negative = workload default)")
-		zipfTheta = flag.Float64("zipf", 0, "ycsb: Zipfian key-skew theta in [0, 1); for -table datalayout, the skewed regime's theta (0 selects 0.9)")
-		hotFrac   = flag.Float64("hotfrac", 0, "tpcb: hot-account fraction in [0, 1); for -table datalayout, the skewed regime's fraction (0 selects 0.1)")
-		ratios    = flag.String("ratios", "", "blend: comma-separated new-mix weights to sweep (default 0,0.25,0.5,0.75,1)")
-		storeDir  = flag.String("profile-store", "", "directory of the persistent profile store; training runs already in the store are loaded instead of re-run")
 
 		population  = flag.Int("population", 0, "search: genomes per generation (default 16)")
 		generations = flag.Int("generations", 0, "search: maximum generations (default 8)")
@@ -73,25 +47,10 @@ func main() {
 		workers     = flag.Int("workers", 0, "search: measurement worker-pool bound per evaluation wave (default GOMAXPROCS; never changes results)")
 		memostats   = flag.Bool("memostats", false, "print the session memo counters (measure/layout/train hits, misses, entries) after the run")
 	)
+	f := expt.BindFlags(flag.CommandLine, expt.Layoutlab)
 	flag.Parse()
-
-	if *quick && *full {
-		fatal(fmt.Errorf("-quick conflicts with -full"))
-	}
-	// Percentage and fraction knobs fail fast here, before any image builds
-	// or training runs, instead of surfacing as a workload load error
-	// minutes in.
-	if *readPct > 100 {
-		fatal(fmt.Errorf("-readpct = %d; must be in [0, 100] (negative selects the workload default)", *readPct))
-	}
-	if *zipfTheta < 0 || *zipfTheta >= 1 {
-		fatal(fmt.Errorf("-zipf = %v; must be in [0, 1)", *zipfTheta))
-	}
-	if *hotFrac < 0 || *hotFrac >= 1 {
-		fatal(fmt.Errorf("-hotfrac = %v; must be in [0, 1)", *hotFrac))
-	}
-	if *crossPct > 100 {
-		fatal(fmt.Errorf("-cross = %d; must be in [1, 100] (0 = workload default, negative disables)", *crossPct))
+	if err := f.Resolve(); err != nil {
+		fatal(err)
 	}
 
 	if *list {
@@ -101,44 +60,8 @@ func main() {
 		return
 	}
 
-	opts := expt.QuickOptions()
-	if *full {
-		opts = expt.DefaultOptions()
-	}
-	opts.FetchStallPenaltyInstr = *stall
-	var store *pstore.Store
-	if *storeDir != "" {
-		var err error
-		if store, err = pstore.Open(*storeDir); err != nil {
-			fatal(err)
-		}
-		opts.ProfileStore = store
-	}
-	if *seed != 0 {
-		opts.Seed = *seed
-		opts.Train.Seed = *seed + 7
-	}
-	if *txns != 0 {
-		opts.Transactions = *txns
-	}
-	if *cpus != 0 {
-		opts.CPUs = *cpus
-	}
-	var shardCounts []int
-	if *shards != "" {
-		var err error
-		if shardCounts, err = parseInts(*shards); err != nil {
-			fatal(err)
-		}
-		if len(shardCounts) == 1 {
-			opts.Shards = shardCounts[0]
-		} else if *table != "shardsweep" {
-			fatal(fmt.Errorf("-shards accepts a list only with -table shardsweep"))
-		}
-	}
-
-	if *table == "search" {
-		res, err := searchTable(opts, *full, *matrix, search.Config{
+	if f.Table == "search" {
+		res, err := searchTable(f, search.Config{
 			Population:  *population,
 			Generations: *generations,
 			Seed:        *searchSeed,
@@ -151,29 +74,20 @@ func main() {
 		if *memostats {
 			printMemoStats(res.Memo)
 		}
-		reportStore(store, nil)
+		reportStore(f, nil)
 		return
 	}
-	if *table != "" {
-		tables, err := extensionTables(*table, opts, *full, *wlName, *matrix, *shardlist, *layout, *ratios, shardCounts, *fastpath, *gcMode, *crossPct, *readPct, *zipfTheta, *hotFrac)
+	if f.Table != "" {
+		tables, err := extensionTables(f)
 		if err != nil {
 			fatal(err)
 		}
 		emit(tables, *csvDir)
-		reportStore(store, nil)
+		reportStore(f, nil)
 		return
 	}
 
-	wl, err := resolveWorkload(*wlName, *full)
-	if err != nil {
-		fatal(err)
-	}
-	if err := applyMixKnobs(wl, *readPct, *zipfTheta, *hotFrac); err != nil {
-		fatal(err)
-	}
-	opts.Workload = wl
-
-	s, err := expt.NewSession(opts)
+	s, err := f.NewSession()
 	if err != nil {
 		fatal(err)
 	}
@@ -196,30 +110,26 @@ func main() {
 	if *memostats {
 		printMemoStats(s.MemoStats())
 	}
-	reportStore(store, s.Source())
+	reportStore(f, s.Source())
 }
 
 // searchTable runs the evolutionary pipeline search over the -matrix
 // workloads (the first is the training workload) and prints one progress
 // line per generation.
-func searchTable(opts expt.Options, full bool, matrix string, cfg search.Config, objective string) (*search.Result, error) {
+func searchTable(f *expt.Flags, cfg search.Config, objective string) (*search.Result, error) {
 	obj, err := search.ParseObjective(objective)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Objective = obj
-	for _, name := range splitList(matrix) {
-		wl, err := resolveWorkload(name, full)
-		if err != nil {
-			return nil, err
-		}
+	for _, wl := range f.Matrix {
 		cfg.Workloads = append(cfg.Workloads, search.WorkloadWeight{Workload: wl, Weight: 1})
 	}
 	cfg.Progress = func(g search.GenerationStat) {
 		fmt.Printf("search gen %d: best %.4f (%s) unique=%d executed=%d\n",
 			g.Gen, g.Best.Fitness, g.Best.Spec, g.Unique, g.Executed)
 	}
-	return search.Run(opts, cfg)
+	return search.Run(f.Opt, cfg)
 }
 
 // printMemoStats prints the grep-able memo-counter debug line: every measure
@@ -234,7 +144,8 @@ func printMemoStats(ms expt.MemoStats) {
 
 // reportStore prints the grep-able profile-store summary: every store miss is
 // a training run this invocation had to execute, every hit one it skipped.
-func reportStore(store *pstore.Store, src *expt.ProfileSource) {
+func reportStore(f *expt.Flags, src *expt.ProfileSource) {
+	store := f.Opt.ProfileStore
 	if store == nil {
 		return
 	}
@@ -249,215 +160,42 @@ func reportStore(store *pstore.Store, src *expt.ProfileSource) {
 	fmt.Println(line)
 }
 
-// resolveWorkload looks a workload up by name at paper or quick scale.
-func resolveWorkload(name string, full bool) (workload.Workload, error) {
-	wl, err := workload.New(name)
-	if err != nil {
-		return nil, err
-	}
-	if !full {
-		wl = wl.QuickScale()
-	}
-	return wl, nil
-}
-
-// validTables lists every -table value extensionTables accepts, sorted; the
-// unknown-table error quotes it so a typo fails fast with the full menu.
-var validTables = []string{"blend", "datalayout", "latency", "robustness", "search", "shardsweep"}
-
-// extensionTables runs the cross-workload/cross-shard tables that need more
-// configuration than one session carries.
-func extensionTables(kind string, opts expt.Options, full bool, wlName, matrix, shardlist, layout, ratios string, sweep []int, fastpath bool, gcMode string, crossPct, readPct int, zipfTheta, hotFrac float64) ([]*stats.Table, error) {
-	switch kind {
+// extensionTables runs the cross-workload/cross-shard table -table names
+// (Resolve has already rejected an unknown one) from the parsed flags.
+func extensionTables(f *expt.Flags) ([]*stats.Table, error) {
+	switch f.Table {
 	case "datalayout":
-		wl, err := resolveWorkload(wlName, full)
-		if err != nil {
-			return nil, err
-		}
-		// -zipf/-hotfrac parameterize the table's skewed regime; only the
-		// mix knob applies to the base workload here.
-		if err := applyMixKnobs(wl, readPct, 0, 0); err != nil {
-			return nil, err
-		}
-		opts.Workload = wl
-		t, err := expt.DataLayoutTable(opts, expt.DataLayoutSpec{
-			ZipfTheta: zipfTheta, HotAccountFrac: hotFrac,
-		})
+		t, err := expt.DataLayoutTable(f.Opt, f.DataLayout)
 		if err != nil {
 			return nil, err
 		}
 		return []*stats.Table{t}, nil
 	case "blend":
-		rs, err := parseFloats(ratios)
-		if err != nil {
-			return nil, err
-		}
-		res, err := expt.BlendTable(opts, expt.BlendSpec{Ratios: rs})
+		res, err := expt.BlendTable(f.Opt, expt.BlendSpec{Ratios: f.Ratios})
 		if err != nil {
 			return nil, err
 		}
 		return []*stats.Table{res.Table}, nil
 	case "robustness":
-		var wls []workload.Workload
-		for _, name := range splitList(matrix) {
-			wl, err := resolveWorkload(name, full)
-			if err != nil {
-				return nil, err
-			}
-			wls = append(wls, wl)
-		}
-		shards, err := parseInts(shardlist)
-		if err != nil {
-			return nil, err
-		}
-		res, err := expt.Robustness(opts, expt.RobustnessSpec{
-			Workloads: wls, Shards: shards, Layout: layout,
+		res, err := expt.Robustness(f.Opt, expt.RobustnessSpec{
+			Workloads: f.Matrix, Shards: f.ShardList, Layout: f.Layout,
 		})
 		if err != nil {
 			return nil, err
 		}
 		return res.Tables, nil
 	case "shardsweep":
-		wl, err := resolveWorkload(wlName, full)
-		if err != nil {
-			return nil, err
-		}
-		if err := setCrossShardPct(wl, crossPct); err != nil {
-			return nil, err
-		}
-		if err := applyMixKnobs(wl, readPct, zipfTheta, hotFrac); err != nil {
-			return nil, err
-		}
-		opts.Workload = wl
-		if len(sweep) == 0 {
-			sweep = []int{1, 2, 4, 8, 16, 32, 64}
-		}
-		layouts := []string{"base"}
-		if layout != "base" {
-			layouts = append(layouts, layout)
-		}
-		spec := expt.ShardSweepSpec{
-			Shards:   sweep,
-			Layouts:  layouts,
-			FastPath: fastpath,
-		}
-		switch gcMode {
-		case "", "p99":
-			// ShardSweepTable's default: the tail-aware p99 tuner.
-		case "off":
-			spec.NoAutoGC = true
-		case "flushcount":
-			spec.AutoGC = machine.AutoGCFlushCount
-		default:
-			return nil, fmt.Errorf("unknown -gc mode %q (have off, flushcount, p99)", gcMode)
-		}
-		t, err := expt.ShardSweepTable(opts, spec)
+		t, err := expt.ShardSweepTable(f.Opt, f.Sweep)
 		if err != nil {
 			return nil, err
 		}
 		return []*stats.Table{t}, nil
 	case "latency":
-		var wls []workload.Workload
-		for _, name := range splitList(matrix) {
-			wl, err := resolveWorkload(name, full)
-			if err != nil {
-				return nil, err
-			}
-			wls = append(wls, wl)
-		}
-		shards, err := parseInts(shardlist)
-		if err != nil {
-			return nil, err
-		}
-		return expt.LatencyTables(opts, expt.LatencySpec{
-			Workloads: wls, Shards: shards, Layout: layout,
+		return expt.LatencyTables(f.Opt, expt.LatencySpec{
+			Workloads: f.Matrix, Shards: f.ShardList, Layout: f.Layout,
 		})
 	}
-	sorted := append([]string(nil), validTables...)
-	sort.Strings(sorted)
-	return nil, fmt.Errorf("unknown table %q (valid tables: %s)", kind, strings.Join(sorted, ", "))
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range splitList(s) {
-		f, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ratio %q: %w", part, err)
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
-// applyMixKnobs applies the workload-mix flags to the resolved workload,
-// failing fast when a knob targets a workload that does not have it (range
-// checks happen at flag parse; this is the type check).
-func applyMixKnobs(wl workload.Workload, readPct int, zipfTheta, hotFrac float64) error {
-	if readPct >= 0 {
-		w, ok := wl.(*ycsb.Workload)
-		if !ok {
-			return fmt.Errorf("-readpct: workload %s has no read/update mix knob", wl.Name())
-		}
-		w.ReadPct = readPct
-	}
-	if zipfTheta > 0 {
-		w, ok := wl.(*ycsb.Workload)
-		if !ok {
-			return fmt.Errorf("-zipf: workload %s has no Zipfian skew knob", wl.Name())
-		}
-		w.ZipfTheta = zipfTheta
-	}
-	if hotFrac > 0 {
-		w, ok := wl.(*tpcb.Workload)
-		if !ok {
-			return fmt.Errorf("-hotfrac: workload %s has no hot-account knob", wl.Name())
-		}
-		w.HotAccountFrac = hotFrac
-	}
-	return nil
-}
-
-// setCrossShardPct overrides a workload's cross-shard transaction fraction
-// (0 leaves the workload's own setting in place; the [1, 100] range is
-// checked at flag parse).
-func setCrossShardPct(wl workload.Workload, pct int) error {
-	if pct == 0 {
-		return nil
-	}
-	switch w := wl.(type) {
-	case *tpcb.Workload:
-		w.CrossShardPct = pct
-	case *ordere.Workload:
-		w.CrossShardPct = pct
-	case *ycsb.Workload:
-		w.CrossShardPct = pct
-	default:
-		return fmt.Errorf("-cross: workload %s has no cross-shard override", wl.Name())
-	}
-	return nil
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range splitList(s) {
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad count %q: %w", part, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
+	return nil, fmt.Errorf("no extension table %q", f.Table)
 }
 
 func emit(tables []*stats.Table, csvDir string) {

@@ -1,6 +1,8 @@
 // oltpgen builds the modeled application and kernel binaries and writes
 // them to disk, the inputs of the cmd/pixie → cmd/spike → cmd/oltpbench
-// pipeline.
+// pipeline. The images are the ones an expt session builds for the same
+// flags (expt.BindFlags is the flag surface the four commands share), so
+// pixie, oltpbench and layoutlab rebuild them bit for bit from the seed.
 //
 // With -train-workload the app image is the union of both workloads'
 // models, matching the image cmd/pixie builds when profiling one mix for
@@ -16,64 +18,36 @@ import (
 	"os"
 	"path/filepath"
 
-	"codelayout/internal/appmodel"
-	"codelayout/internal/kernel"
-	"codelayout/internal/workload"
-
-	_ "codelayout/internal/ordere" // register the order-entry workload
-	_ "codelayout/internal/tpcb"   // register the TPC-B workload
-	_ "codelayout/internal/ycsb"   // register the key-value workload
+	"codelayout/internal/expt"
 )
 
 func main() {
-	var (
-		out      = flag.String("out", ".", "output directory")
-		seed     = flag.Int64("seed", 2001, "image generation seed")
-		libScale = flag.Float64("libscale", 1.0, "library size multiplier")
-		cold     = flag.Int("cold", 6_400_000, "cold code words in the app image")
-		kcold    = flag.Int("kcold", 1_400_000, "cold code words in the kernel image")
-		wlName   = flag.String("workload", "tpcb", fmt.Sprintf("workload whose models root the app image %v", workload.Names()))
-		trainWl  = flag.String("train-workload", "", "additional workload whose models join the image (the pixie -train-workload union)")
-	)
+	out := flag.String("out", ".", "output directory")
+	f := expt.BindFlags(flag.CommandLine, expt.Oltpgen)
 	flag.Parse()
-
-	wl, err := workload.New(*wlName)
-	if err != nil {
+	if err := f.Resolve(); err != nil {
 		fatal(err)
-	}
-	var extra []workload.Workload
-	if *trainWl != "" && *trainWl != *wlName {
-		train, err := workload.New(*trainWl)
-		if err != nil {
-			fatal(err)
-		}
-		extra = append(extra, train)
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
-	app, err := appmodel.Build(appmodel.Config{
-		Seed: *seed, LibScale: *libScale, ColdWords: *cold, Workload: wl, ExtraWorkloads: extra,
-	})
+	s, err := f.NewSession()
 	if err != nil {
 		fatal(err)
 	}
+	app, kern := s.AppImage(), s.KernelImage()
 	appPath := filepath.Join(*out, "app.prog")
 	if err := app.Prog.SaveFile(appPath); err != nil {
 		fatal(err)
 	}
 	st := app.Prog.ComputeStats()
-	label := wl.Name()
-	for _, w := range extra {
+	label := f.Opt.Workload.Name()
+	for _, w := range f.Extra {
 		label += "+" + w.Name()
 	}
 	fmt.Printf("wrote %s (%s workload): %d procs (%d cold), %d blocks, %.1f MB static\n",
 		appPath, label, st.Procs, st.ColdProcs, st.Blocks, float64(st.BodyWords*4)/(1<<20))
 
-	kern, err := kernel.Build(kernel.Config{Seed: *seed + 1, ColdWords: *kcold})
-	if err != nil {
-		fatal(err)
-	}
 	kernPath := filepath.Join(*out, "kernel.prog")
 	if err := kern.Prog.SaveFile(kernPath); err != nil {
 		fatal(err)

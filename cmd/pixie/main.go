@@ -1,7 +1,9 @@
 // pixie collects a basic-block execution profile of an OLTP workload, the
 // way the paper profiles the pixified Oracle server processes: the image is
 // rebuilt from its seed, the workload runs under the baseline layout, and
-// exact block/edge counts are written to a profile file.
+// exact block/edge counts are written to a profile file. The run is an expt
+// session's training run — the one oltpbench -opt and layoutlab train with —
+// described by the flag surface the four commands share (expt.BindFlags).
 //
 // The profiled mix may differ from the image's evaluation workload: with
 // -train-workload (and -train-shards) the image is built as a union of both
@@ -18,103 +20,46 @@ import (
 	"fmt"
 	"os"
 
-	"codelayout/internal/appmodel"
-	"codelayout/internal/kernel"
-	"codelayout/internal/machine"
-	"codelayout/internal/profile"
-	"codelayout/internal/program"
-	"codelayout/internal/workload"
-
-	_ "codelayout/internal/ordere" // register the order-entry workload
-	_ "codelayout/internal/tpcb"   // register the TPC-B workload
-	_ "codelayout/internal/ycsb"   // register the key-value workload
+	"codelayout/internal/expt"
 )
 
 func main() {
 	var (
-		seed     = flag.Int64("seed", 2001, "image generation seed")
-		runSeed  = flag.Int64("runseed", 1998, "workload seed for the profiling run")
-		txns     = flag.Int("txns", 2000, "profiled transactions")
-		warmup   = flag.Int("warmup", 100, "warmup transactions before profiling")
-		cpus     = flag.Int("cpus", 4, "processors")
-		shards   = flag.Int("shards", 1, "partitioned database engines behind the shard router")
-		libScale = flag.Float64("libscale", 1.0, "library size multiplier")
-		cold     = flag.Int("cold", 6_400_000, "app cold words")
-		wlName   = flag.String("workload", "tpcb", fmt.Sprintf("image (evaluation) workload %v", workload.Names()))
-		trainWl  = flag.String("train-workload", "", "workload whose transactions are profiled (default: -workload)")
-		trainSh  = flag.Int("train-shards", 0, "shard count of the profiling run (default: -shards)")
-		quick    = flag.Bool("quick", false, "use the workload's quick scale")
-		out      = flag.String("out", "oltp.prof", "profile output file")
-		kout     = flag.String("kout", "", "optional kernel profile output file")
+		out  = flag.String("out", "oltp.prof", "profile output file")
+		kout = flag.String("kout", "", "optional kernel profile output file")
 	)
+	f := expt.BindFlags(flag.CommandLine, expt.Pixie)
 	flag.Parse()
-
-	wl, err := workload.New(*wlName)
+	if err := f.Resolve(); err != nil {
+		fatal(err)
+	}
+	s, err := f.NewSession()
 	if err != nil {
 		fatal(err)
 	}
-	if *quick {
-		wl = wl.QuickScale()
+	prof, err := s.Profile()
+	if err != nil {
+		fatal(err)
 	}
-	var extra []workload.Workload
-	train := wl
-	if *trainWl != "" && *trainWl != *wlName {
-		train, err = workload.New(*trainWl)
+	res, err := s.TrainResult()
+	if err != nil {
+		fatal(err)
+	}
+	if err := prof.SaveFile(*out); err != nil {
+		fatal(err)
+	}
+	train := f.Opt.Workload
+	if len(f.Extra) > 0 {
+		train = f.Extra[0]
+	}
+	fmt.Printf("profiled %d %s txns (%d app + %d kernel instructions) over image %s, wrote %s\n",
+		res.Committed, train.Name(), res.AppInstrs, res.KernelInstrs, s.AppImage().Prog.Name, *out)
+	if *kout != "" {
+		kprof, err := s.KernProfile()
 		if err != nil {
 			fatal(err)
 		}
-		if *quick {
-			train = train.QuickScale()
-		}
-		extra = append(extra, train)
-	}
-	if *trainSh != 0 {
-		*shards = *trainSh
-	}
-
-	app, err := appmodel.Build(appmodel.Config{
-		Seed: *seed, LibScale: *libScale, ColdWords: *cold, Workload: wl, ExtraWorkloads: extra,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	appL, err := program.BaselineLayout(app.Prog)
-	if err != nil {
-		fatal(err)
-	}
-	kern, err := kernel.Build(kernel.DefaultConfig(*seed + 1))
-	if err != nil {
-		fatal(err)
-	}
-	kernL, err := program.BaselineLayout(kern.Prog)
-	if err != nil {
-		fatal(err)
-	}
-
-	px := profile.NewPixie(app.Prog, "pixie")
-	kx := profile.NewPixie(kern.Prog, "kprofile")
-	cfg := machine.Config{
-		CPUs: *cpus, Seed: *runSeed, Shards: *shards,
-		WarmupTxns: *warmup, Transactions: *txns,
-		Workload: train,
-		AppImage: app, AppLayout: appL, KernImage: kern, KernLayout: kernL,
-		AppCollector: px, KernCollector: kx,
-	}
-	m, err := machine.New(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	res, err := m.Run()
-	if err != nil {
-		fatal(err)
-	}
-	if err := px.Profile.SaveFile(*out); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("profiled %d %s txns (%d app + %d kernel instructions) over image %s, wrote %s\n",
-		res.Committed, train.Name(), res.AppInstrs, res.KernelInstrs, app.Prog.Name, *out)
-	if *kout != "" {
-		if err := kx.Profile.SaveFile(*kout); err != nil {
+		if err := kprof.SaveFile(*kout); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote kernel profile %s\n", *kout)

@@ -325,15 +325,13 @@ func Robustness(o SessionOptions, spec RobustnessSpec) (*RobustnessResult, error
 	return expt.Robustness(o, spec)
 }
 
-// ShardSweep sweeps the shard count over o's workload, self-training at
-// each count, and reports throughput, blocked-on-log time and miss ratios.
-func ShardSweep(o SessionOptions, shardCounts []int, layouts []string) (*Table, error) {
-	return expt.ShardSweep(o, shardCounts, layouts)
-}
-
-// ShardSweepTable is the configurable shard sweep: an explicit shard list
-// (up to 64), a group-commit tuning mode, and optional predictive fast-path
-// on/off delta columns (instr/txn, p99, predicted/mispredicted counts).
+// ShardSweepTable is the shard sweep: an explicit shard list (up to 64), a
+// group-commit tuning mode, and optional predictive fast-path on/off delta
+// columns (instr/txn, p99, predicted/mispredicted counts). Migration: the
+// positional ShardSweep(o, counts, layouts) is gone — call
+// ShardSweepTable(o, ShardSweepSpec{Shards: counts, Layouts: layouts}) —
+// and so is the CPUs field of RobustnessSpec, LatencySpec, ShardSweepSpec,
+// DataLayoutSpec and BlendSpec: set SessionOptions.CPUs.
 func ShardSweepTable(o SessionOptions, spec ShardSweepSpec) (*Table, error) {
 	return expt.ShardSweepTable(o, spec)
 }

@@ -24,8 +24,6 @@ type BlendSpec struct {
 	// Ratios are the new-mix weights swept (each blend is old*(1-r) +
 	// new*r); empty means {0, 0.25, 0.5, 0.75, 1}.
 	Ratios []float64
-	// CPUs overrides the measurement processor count (0 = Options.CPUs).
-	CPUs int
 }
 
 // BlendCell is one measured ratio of the blending sweep.
@@ -74,10 +72,6 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 	if len(ratios) == 0 {
 		ratios = []float64{0, 0.25, 0.5, 0.75, 1}
 	}
-	cpus := spec.CPUs
-	if cpus == 0 {
-		cpus = o.CPUs
-	}
 	o.Workload = spec.Old
 	src, err := NewProfileSource(o, spec.New)
 	if err != nil {
@@ -117,9 +111,14 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 			return nil, fmt.Errorf("expt: blend ratio %v layout: %w", r, err)
 		}
 		// A blend's layout is built outside the named-layout memo, so it is
-		// measured ad hoc, through the same tail as Session.Measure.
-		m, err := runMeasured(s.machineConfig(src.appImg, l, src.baseKern, cpus),
-			fmt.Sprintf("blended layout/kbase/%dcpu", cpus))
+		// measured ad hoc: the baseline's lowering with the layout swapped,
+		// through the same tail as Session.Measure.
+		cfg, err := s.MachineConfig("base", o.CPUs)
+		if err != nil {
+			return nil, err
+		}
+		cfg.AppLayout = l
+		m, err := runMeasured(cfg, fmt.Sprintf("blended layout/kbase/%dcpu", o.CPUs))
 		if err != nil {
 			return nil, fmt.Errorf("expt: blend ratio %v: %w", r, err)
 		}

@@ -15,8 +15,6 @@ import (
 // layout — so the delta columns isolate what hot/cold field grouping buys
 // the data cache.
 type DataLayoutSpec struct {
-	// CPUs is the measured processor count; 0 uses the options' CPUs.
-	CPUs int
 	// ZipfTheta is the YCSB skewed regime's Zipfian parameter in (0, 1);
 	// 0 selects 0.9 (the YCSB default). Ignored for other workloads.
 	ZipfTheta float64
@@ -81,10 +79,7 @@ func DataLayoutTable(o Options, spec DataLayoutSpec) (*stats.Table, error) {
 	if spec.HotAccountFrac < 0 || spec.HotAccountFrac >= 1 {
 		return nil, fmt.Errorf("expt: DataLayoutSpec.HotAccountFrac = %v; must be in [0, 1) (0 selects 0.1)", spec.HotAccountFrac)
 	}
-	cpus := spec.CPUs
-	if cpus == 0 {
-		cpus = o.CPUs
-	}
+	cpus := o.CPUs
 	if o.Workload == nil {
 		o.Workload = defaultWorkload()
 	}

@@ -21,8 +21,6 @@ type LatencySpec struct {
 	// Layout is the optimized pipeline combo ("all" if empty), compared
 	// against the "base" (original) layout.
 	Layout string
-	// CPUs overrides the measurement processor count (0 = Options.CPUs).
-	CPUs int
 }
 
 // LatencyTables measures every workload × shard count cell under the
@@ -40,10 +38,7 @@ func LatencyTables(o Options, spec LatencySpec) ([]*stats.Table, error) {
 	if spec.Layout == "" {
 		spec.Layout = "all"
 	}
-	cpus := spec.CPUs
-	if cpus == 0 {
-		cpus = o.CPUs
-	}
+	cpus := o.CPUs
 	o.Workload = spec.Workloads[0]
 	src, err := NewProfileSource(o, spec.Workloads[1:]...)
 	if err != nil {

@@ -22,8 +22,6 @@ type RobustnessSpec struct {
 	Shards []int
 	// Layout is the pipeline combo trained and evaluated ("all" if empty).
 	Layout string
-	// CPUs overrides the measurement processor count (0 = Options.CPUs).
-	CPUs int
 }
 
 // RobustnessCell is one matrix entry: the layout trained under Train,
@@ -77,10 +75,7 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 	if spec.Layout == "" {
 		spec.Layout = "all"
 	}
-	cpus := spec.CPUs
-	if cpus == 0 {
-		cpus = o.CPUs
-	}
+	cpus := o.CPUs
 	o.Workload = spec.Workloads[0]
 	src, err := NewProfileSource(o, spec.Workloads[1:]...)
 	if err != nil {
@@ -222,8 +217,6 @@ type ShardSweepSpec struct {
 	// their own. NoAutoGC forces fixed windows regardless.
 	AutoGC   machine.AutoGCMode
 	NoAutoGC bool
-	// CPUs overrides the measurement processor count (0 = Options.CPUs).
-	CPUs int
 }
 
 // resolveGC picks the sweep's group-commit mode: an explicit spec choice
@@ -241,16 +234,6 @@ func (sp ShardSweepSpec) resolveGC(o Options) machine.AutoGCMode {
 		return machine.AutoGCOff
 	}
 	return machine.AutoGCTargetP99
-}
-
-// ShardSweep sweeps the shard count over the given workload, self-training
-// at each count, and reports the speed levers the router adds: throughput
-// (busy instructions per transaction and committed txns per million
-// instruction-times of wall clock), blocked-on-log time, and app/kernel
-// miss ratios. It is the legacy entry point — ShardSweepTable with a zero
-// spec except for the given counts and layouts.
-func ShardSweep(o Options, shardCounts []int, layouts []string) (*stats.Table, error) {
-	return ShardSweepTable(o, ShardSweepSpec{Shards: shardCounts, Layouts: layouts})
 }
 
 // sweepRow aggregates one (shards, layout) measurement for the table.
@@ -279,7 +262,11 @@ func delta(off, on float64) string {
 	return fmt.Sprintf("%+.1f%%", 100*(on/off-1))
 }
 
-// ShardSweepTable runs the configured shard-count sweep. With spec.FastPath
+// ShardSweepTable runs the configured shard-count sweep, self-training at
+// each count, and reports the speed levers the router adds: throughput (busy
+// instructions per transaction and committed txns per million
+// instruction-times of wall clock), blocked-on-log time, and app/kernel miss
+// ratios. With spec.FastPath
 // every sharded count is measured twice — fast path off and on — over one
 // shared image that carries the predictor models, so the off/on pair
 // differs only in the runtime toggle and the table's delta columns isolate
@@ -293,10 +280,7 @@ func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
 	if len(layouts) == 0 {
 		layouts = []string{"base", "all"}
 	}
-	cpus := spec.CPUs
-	if cpus == 0 {
-		cpus = o.CPUs
-	}
+	cpus := o.CPUs
 	o.AutoGroupCommit = spec.resolveGC(o)
 	if o.AutoGroupCommit != machine.AutoGCOff {
 		o.GroupCommitWindowInstr = 0

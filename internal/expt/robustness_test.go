@@ -123,7 +123,7 @@ func TestShardSweepTable(t *testing.T) {
 	}
 	o := tinyMatrixOptions()
 	o.Workload = tpcb.NewScaled(tpcb.Scale{Branches: 8, TellersPerBranch: 4, AccountsPerBranch: 150})
-	tb, err := expt.ShardSweep(o, []int{1, 2, 4}, []string{"base"})
+	tb, err := expt.ShardSweepTable(o, expt.ShardSweepSpec{Shards: []int{1, 2, 4}, Layouts: []string{"base"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,15 @@
 // Session evaluates layouts built from those profiles under its own
 // measurement configuration. Training and evaluation are decoupled: a
 // session can measure layouts trained under a different workload or shard
-// count (Session.TrainFrom / the *From methods), and every memo is keyed by
-// (train spec × eval spec), so mismatched pairs coexist in one session.
+// count (Session.TrainFrom / the *From methods); training runs and layouts
+// are memoized by train spec, measurements per session by (train spec,
+// layout), so mismatched pairs coexist in one session.
+//
+// Options is the one description of a run. It has one way in from a command
+// line — BindFlags and Flags.Resolve (flags.go), shared by oltpgen, pixie,
+// oltpbench and layoutlab — and one way out to the simulator:
+// Session.MachineConfig lowers a session's options and a layout name to the
+// machine.Config the measured run executes.
 package expt
 
 import (
@@ -52,14 +59,11 @@ type Options struct {
 	// group-commit comparisons run against).
 	PerCommitLogFlush bool
 	// AutoGroupCommit auto-tunes the per-shard windows from warmup
-	// observations (machine.AutoGCFlushCount or machine.AutoGCTargetP99);
-	// it keys the measurement memos, so runs under different tuning modes
-	// never collide.
+	// observations (machine.AutoGCFlushCount or machine.AutoGCTargetP99).
 	AutoGroupCommit machine.AutoGCMode
 	// PredictFastPath enables the predictive single-shard fast path (see
 	// machine.Config.PredictFastPath) on the session's sharded measurement
-	// runs, adds the predictor models to the source's app image, and keys
-	// the measurement memos, so fast-path-on and -off runs never collide.
+	// runs and adds the predictor models to the source's app image.
 	// Single-shard measurements ignore it (there is no router to skip).
 	PredictFastPath bool
 
@@ -73,16 +77,15 @@ type Options struct {
 	// the field-access profile of the session's training run (falling back
 	// to the schema's static hot hints when the profile predates field
 	// tallying). Training itself always runs interleaved — the baseline —
-	// so the two regimes share one training memo; the setting keys the
-	// measurement memos, so interleaved and grouped runs never collide.
+	// so sessions of the two regimes share one source's training memo.
 	RecordLayout string
 
 	// FetchStallPenaltyInstr charges each L1 instruction-cache miss this
 	// many instruction-times of stall on the fetching CPU's clock (see
 	// machine.Config.FetchStallPenaltyInstr). 0 keeps the pure
-	// fetch-bandwidth clock. It keys the measurement memos: latency
-	// comparisons between layouts (fusion vs ipchain) need a non-zero
-	// penalty for locality to show up in per-transaction latency at all.
+	// fetch-bandwidth clock; latency comparisons between layouts (fusion vs
+	// ipchain) need a non-zero penalty for locality to show up in
+	// per-transaction latency at all.
 	FetchStallPenaltyInstr uint64
 
 	// Workload is the transaction mix every measured run in the session
@@ -194,11 +197,15 @@ func (o Options) resolveTrain(tc TrainConfig) TrainConfig {
 // runs over the profile source's images and layouts. All methods are safe
 // for concurrent use except TrainFrom: every memo is the single-flight memo
 // of memo.go, so MeasureBatch can fan measurement runs out across a worker
-// pool and concurrent callers of one key share one run. Every memo is keyed
-// by the training spec as well as the layout name, so layouts trained under
-// different configs never collide; layouts themselves are memoized on the
-// shared ProfileSource, so sessions of one source never rebuild them.
+// pool and concurrent callers of one key share one run. The measurement memo
+// is keyed by the training spec as well as the layout name, so layouts
+// trained under different configs never collide; layouts themselves are
+// memoized on the shared ProfileSource, so sessions of one source never
+// rebuild them.
 type Session struct {
+	// Opt is the session's evaluation configuration. It is read-only after
+	// construction: the measurement memo belongs to one session, so its keys
+	// carry only what varies between two measurements of that session.
 	Opt Options
 
 	src      *ProfileSource
@@ -228,18 +235,10 @@ func (s *Session) MemoStats() MemoStats {
 }
 
 type measKey struct {
-	train     string
-	workload  string
-	layout    string
-	kern      string
-	reclayout string
-	cpus      int
-	shards    int
-	gcWindow  uint64
-	perCommit bool
-	gcMode    machine.AutoGCMode
-	fastPath  bool
-	stall     uint64
+	train  string
+	layout string
+	kern   string
+	cpus   int
 }
 
 // NewSession builds a private profile source (images and baseline layouts)
@@ -334,6 +333,27 @@ func (s *Session) Profile() (*profile.Profile, error) {
 	return run.app, nil
 }
 
+// KernProfile returns the kernel Pixie profile of the same training run.
+func (s *Session) KernProfile() (*profile.Profile, error) {
+	run, err := s.src.train(s.defTrain)
+	if err != nil {
+		return nil, err
+	}
+	return run.kern, nil
+}
+
+// TrainResult returns the machine result of the default training run
+// (training first if needed): what the profiled transactions cost. It is the
+// zero Result when the run was served from the profile store, which keeps
+// profiles only.
+func (s *Session) TrainResult() (machine.Result, error) {
+	run, err := s.src.train(s.defTrain)
+	if err != nil {
+		return machine.Result{}, err
+	}
+	return run.res, nil
+}
+
 // TrainKindFreq returns the transaction-kind frequencies the default
 // training run observed (training first if needed) — the reference mix a
 // drift monitor compares live traffic against
@@ -402,25 +422,33 @@ func (s *Session) KernLayout(name string) (*program.Layout, error) {
 	return s.src.layout(s.defTrain, name, true)
 }
 
-// recordLayout normalizes the session's record-layout setting: the empty
-// string is the interleaved default, so both spellings share one memo key.
-func (s *Session) recordLayout() string {
-	if s.Opt.RecordLayout == "" {
-		return "interleaved"
-	}
-	return s.Opt.RecordLayout
-}
-
 // fastPath normalizes the session's fast-path setting: single-shard
 // measurements have no router to skip, so the flag is effective only on
-// sharded configurations (this also keeps shards=1 memo keys and machine
-// configs bit-identical with the flag set).
+// sharded configurations (this also keeps shards=1 machine configs
+// bit-identical with the flag set).
 func (s *Session) fastPath() bool {
 	return s.Opt.PredictFastPath && shardKey(s.Opt.Shards) > 1
 }
 
-func (s *Session) machineConfig(appImg *codegen.Image, appL, kernL *program.Layout, cpus int) machine.Config {
-	return machine.Config{
+// MachineConfig lowers the session's options and a named layout (default
+// train config, baseline kernel layout) to the machine.Config a measurement
+// of that layout runs — the one place Options becomes a machine.Config. The
+// sinks are left empty: Measure attaches the measurement battery, a command
+// its own caches and trace writers.
+func (s *Session) MachineConfig(layout string, cpus int) (machine.Config, error) {
+	return s.machineConfig(s.defTrain, layout, "kbase", cpus)
+}
+
+func (s *Session) machineConfig(tc TrainConfig, layout, kern string, cpus int) (machine.Config, error) {
+	app, err := s.src.build(tc, layout, false)
+	if err != nil {
+		return machine.Config{}, err
+	}
+	kernL, err := s.src.layout(tc, kern, true)
+	if err != nil {
+		return machine.Config{}, err
+	}
+	cfg := machine.Config{
 		CPUs:                   cpus,
 		ProcsPerCPU:            s.Opt.ProcsPerCPU,
 		Seed:                   s.Opt.Seed,
@@ -433,11 +461,24 @@ func (s *Session) machineConfig(appImg *codegen.Image, appL, kernL *program.Layo
 		WarmupTxns:             s.Opt.WarmupTxns,
 		Transactions:           s.Opt.Transactions,
 		Workload:               s.Opt.Workload,
-		AppImage:               appImg,
-		AppLayout:              appL,
+		AppImage:               app.image,
+		AppLayout:              app.layout,
 		KernImage:              s.src.kernImg,
 		KernLayout:             kernL,
 	}
+	if s.Opt.RecordLayout == "grouped" {
+		run, err := s.src.train(tc)
+		if err != nil {
+			return machine.Config{}, err
+		}
+		// A run that predates field tallying (an old store entry) has a nil
+		// field profile; GroupedDefs then falls back to the static hints.
+		cfg.RecordLayouts, err = reclayout.GroupedDefs(s.Opt.Workload, run.fields)
+		if err != nil {
+			return machine.Config{}, err
+		}
+	}
+	return cfg, nil
 }
 
 // Measure runs (or returns the memoized run of) the workload under the
@@ -468,46 +509,14 @@ func (s *Session) MeasureKernFrom(tc TrainConfig, layout, kern string, cpus int)
 }
 
 func (s *Session) measureFor(tc TrainConfig, layout, kern string, cpus int) (*Measure, error) {
-	key := measKey{
-		train:     tc.Spec(),
-		workload:  s.Opt.Workload.Name(),
-		layout:    layout,
-		kern:      kern,
-		reclayout: s.recordLayout(),
-		cpus:      cpus,
-		shards:    shardKey(s.Opt.Shards),
-		gcWindow:  s.Opt.GroupCommitWindowInstr,
-		perCommit: s.Opt.PerCommitLogFlush,
-		gcMode:    s.Opt.AutoGroupCommit,
-		fastPath:  s.fastPath(),
-		stall:     s.Opt.FetchStallPenaltyInstr,
-	}
-	return s.measures.get(key, func() (*Measure, error) { return s.measure(tc, layout, kern, cpus) })
-}
-
-func (s *Session) measure(tc TrainConfig, layout, kern string, cpus int) (*Measure, error) {
-	app, err := s.src.build(tc, layout, false)
-	if err != nil {
-		return nil, err
-	}
-	kernL, err := s.src.layout(tc, kern, true)
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.machineConfig(app.image, app.layout, kernL, cpus)
-	if s.recordLayout() == "grouped" {
-		run, err := s.src.train(tc)
+	key := measKey{train: tc.Spec(), layout: layout, kern: kern, cpus: cpus}
+	return s.measures.get(key, func() (*Measure, error) {
+		cfg, err := s.machineConfig(tc, layout, kern, cpus)
 		if err != nil {
 			return nil, err
 		}
-		// A run that predates field tallying (an old store entry) has a nil
-		// field profile; GroupedDefs then falls back to the static hints.
-		cfg.RecordLayouts, err = reclayout.GroupedDefs(s.Opt.Workload, run.fields)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return runMeasured(cfg, fmt.Sprintf("%s/%s/%dcpu (train %s)", layout, kern, cpus, tc.Spec()))
+		return runMeasured(cfg, fmt.Sprintf("%s/%s/%dcpu (train %s)", layout, kern, cpus, tc.Spec()))
+	})
 }
 
 // runMeasured is the tail every measurement shares: attach a fresh battery

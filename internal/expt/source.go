@@ -84,6 +84,9 @@ type trainRun struct {
 	// groups hot fields from. Training always runs the interleaved baseline
 	// layout, so the profile is layout-independent.
 	fields reclayout.Profile
+	// res is the profiling run's machine result; zero for a run served from
+	// the persistent store, which keeps profiles only.
+	res machine.Result
 }
 
 // ProfileSource owns the built images, their baseline layouts, and memos of
@@ -475,10 +478,11 @@ func (ps *ProfileSource) runTraining(tc TrainConfig, spec string) (*trainRun, er
 	if err != nil {
 		return nil, fmt.Errorf("expt: training %s: %w", spec, err)
 	}
-	if _, err := m.Run(); err != nil {
+	res, err := m.Run()
+	if err != nil {
 		return nil, fmt.Errorf("expt: training %s: %w", spec, err)
 	}
 	ps.trainExec.Add(1)
 	return &trainRun{app: px.Profile, kern: kx.Profile, dcpi: dcpi.Finish("dcpi-train"),
-		kindFreq: m.KindFrequencies(), fields: m.FieldProfile()}, nil
+		kindFreq: m.KindFrequencies(), fields: m.FieldProfile(), res: res}, nil
 }

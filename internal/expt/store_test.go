@@ -128,7 +128,7 @@ func TestProfileStoreHitReported(t *testing.T) {
 // least as well as the stale one.
 func TestBlendTableQuick(t *testing.T) {
 	o := storeOpts()
-	res, err := expt.BlendTable(o, expt.BlendSpec{Ratios: []float64{0, 0.5, 1}, CPUs: 1})
+	res, err := expt.BlendTable(o, expt.BlendSpec{Ratios: []float64{0, 0.5, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

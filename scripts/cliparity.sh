@@ -58,9 +58,6 @@ run parity-pixie pixie "${img[@]}" -runseed 2008 -txns 300 -cpus 2 -out par.prof
 run parity-spike spike -prog pimg/app.prog -profile par.prof -combo all -out par.layout
 run parity-offline oltpbench "${img[@]}" -cpus 2 -stall 40 -layout par.layout
 run parity-inprocess oltpbench "${img[@]}" -cpus 2 -stall 40 -opt all -train-txns 300
-# The layouts spike wrote are a digest of the profiles pixie wrote: equal
-# block and edge counts give equal layouts.
-sha256sum par.layout >"$out/parity-layout.sha256"
 
 # No-flag runs.
 run noflag-oltpgen oltpgen
