@@ -273,17 +273,24 @@ func DefaultScale() Scale { return tpcb.DefaultScale() }
 
 // Experiment harness surface.
 type (
-	// Session owns images, profiles and memoized measurement runs.
+	// Session owns memoized measurement runs over a profile source's images,
+	// under the one training configuration it was opened with
+	// (SessionOptions.Train). Migration: the method that re-pointed a
+	// session's train config and the "From" variants of Layout, Report,
+	// Measure and MeasureKern that took a TrainConfig per call are gone —
+	// set o.Train.Workload (or .Shards, ...) and open a second session
+	// over the same source with NewSessionFrom(src, o) instead.
 	Session = expt.Session
 	// SessionOptions configures a session.
 	SessionOptions = expt.Options
-	// TrainConfig is the train-side half of a session's configuration:
-	// the workload, seed, shard count and length of the profiling run a
-	// layout is built from. Zero fields inherit from the evaluation side.
+	// TrainConfig is the train-side half of a session's configuration
+	// (SessionOptions.Train): the workload, seed, shard count and length of
+	// the profiling run the session's layouts are built from. Zero fields
+	// inherit from the evaluation side.
 	TrainConfig = expt.TrainConfig
-	// ProfileSource owns shared images and memoized training runs, so
-	// several sessions (or several train configs in one session) evaluate
-	// layouts over one program.
+	// ProfileSource owns shared images and memoized training runs and
+	// layouts, so several sessions — one per train config — evaluate layouts
+	// over one program.
 	ProfileSource = expt.ProfileSource
 	// RobustnessSpec configures the train×eval robustness matrix.
 	RobustnessSpec = expt.RobustnessSpec
@@ -292,7 +299,7 @@ type (
 	// LatencySpec configures the latency percentile tables.
 	LatencySpec = expt.LatencySpec
 	// ShardSweepSpec configures the shard-count sweep table (shard list,
-	// layouts, fast-path delta columns, group-commit tuning mode).
+	// layouts, fast-path delta columns).
 	ShardSweepSpec = expt.ShardSweepSpec
 )
 
@@ -325,13 +332,15 @@ func Robustness(o SessionOptions, spec RobustnessSpec) (*RobustnessResult, error
 	return expt.Robustness(o, spec)
 }
 
-// ShardSweepTable is the shard sweep: an explicit shard list (up to 64), a
-// group-commit tuning mode, and optional predictive fast-path on/off delta
-// columns (instr/txn, p99, predicted/mispredicted counts). Migration: the
-// positional ShardSweep(o, counts, layouts) is gone — call
+// ShardSweepTable is the shard sweep: an explicit shard list (up to 64) and
+// optional predictive fast-path on/off delta columns (instr/txn, p99,
+// predicted/mispredicted counts), with group commit as o configures it.
+// Migration: the positional ShardSweep(o, counts, layouts) is gone — call
 // ShardSweepTable(o, ShardSweepSpec{Shards: counts, Layouts: layouts}) —
-// and so is the CPUs field of RobustnessSpec, LatencySpec, ShardSweepSpec,
-// DataLayoutSpec and BlendSpec: set SessionOptions.CPUs.
+// and so are the CPUs field of RobustnessSpec, LatencySpec, ShardSweepSpec,
+// DataLayoutSpec and BlendSpec (set SessionOptions.CPUs) and the AutoGC and
+// NoAutoGC fields of ShardSweepSpec: set SessionOptions.AutoGroupCommit
+// (the sweep no longer defaults to AutoGCTargetP99; layoutlab's -gc does).
 func ShardSweepTable(o SessionOptions, spec ShardSweepSpec) (*Table, error) {
 	return expt.ShardSweepTable(o, spec)
 }

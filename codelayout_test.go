@@ -205,8 +205,8 @@ func TestFacadeRegisterWorkload(t *testing.T) {
 }
 
 // TestFacadeTrainEvalSeam: the train/eval split is reachable through the
-// facade — a shared profile source, a session over it, and a transplanted
-// measurement keyed separately from the self-trained one.
+// facade — a shared profile source, a self-trained session over it, and a
+// second session whose Train.Workload names the other workload.
 func TestFacadeTrainEvalSeam(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
@@ -234,11 +234,16 @@ func TestFacadeTrainEvalSeam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cross, err := s.MeasureFrom(codelayout.TrainConfig{Workload: stock}, "all", o.CPUs)
+	o.Train.Workload = stock
+	ts, err := codelayout.NewSessionFrom(src, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if self == cross {
-		t.Fatal("transplanted measure aliases the self-trained memo entry")
+	cross, err := ts.Measure("all", o.CPUs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts.TrainSpec() == s.TrainSpec() || self.Res == cross.Res {
+		t.Fatalf("transplanted session (train %s) measured the self-trained layout (train %s)", ts.TrainSpec(), s.TrainSpec())
 	}
 }

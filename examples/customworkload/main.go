@@ -72,7 +72,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	transplant, err := s.MeasureFrom(codelayout.TrainConfig{Workload: stock}, "all", opts.CPUs)
+	// The transplant is a second session over the same source whose
+	// training configuration names the other workload.
+	opts.Train.Workload = stock
+	ts, err := codelayout.NewSessionFrom(src, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	transplant, err := ts.Measure("all", opts.CPUs)
 	if err != nil {
 		log.Fatal(err)
 	}

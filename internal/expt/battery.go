@@ -30,6 +30,7 @@ type Measure struct {
 	// AppDM[size][line] — application-only, direct-mapped (Figures 4, 5).
 	AppDM map[int]map[int]*cache.Stats
 	// App4W[size] — application-only, 128B lines, 4-way (Figures 6, 7, 12).
+	// App4W[128] is the same simulated cache as Word.
 	App4W map[int]*cache.Stats
 	// Comb4W[size] — combined app+kernel, 128B, 4-way (Figure 12).
 	Comb4W map[int]*cache.Stats
@@ -105,7 +106,9 @@ func newBattery(cpus int) *battery {
 		for _, line := range LineSizes {
 			b.appDM[size][line] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: line, Assoc: 1}, cpus)
 		}
-		b.app4W[size] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4}, cpus)
+		if size != 128 { // Word is the 128KB one: word tracking never changes a hit or a victim
+			b.app4W[size] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4}, cpus)
+		}
 		b.comb4W[size] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4}, cpus)
 		b.kern4W[size] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4}, cpus)
 	}
@@ -194,6 +197,7 @@ func (b *battery) finish(res machine.Result) *Measure {
 		m.Kern4W[size] = c.stats()
 	}
 	m.Word = b.word.stats()
+	m.App4W[128] = m.Word
 	m.Intf = m.Comb4W[128]
 	b.seq.Flush()
 	m.Seq = b.seq

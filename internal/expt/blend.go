@@ -77,21 +77,25 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	eOld, err := src.trainEntry(TrainConfig{Workload: spec.Old})
-	if err != nil {
-		return nil, fmt.Errorf("expt: blend training %q: %w", spec.Old.Name(), err)
-	}
-	eNew, err := src.trainEntry(TrainConfig{Workload: spec.New})
-	if err != nil {
-		return nil, fmt.Errorf("expt: blend training %q: %w", spec.New.Name(), err)
-	}
-
-	// Evaluation runs under the drifted-to mix for every ratio.
-	eo := o
-	eo.Workload = spec.New
-	s, err := NewSessionFrom(src, eo)
+	// One session per training mix over the shared source; the drifted-to
+	// mix's session also runs every evaluation.
+	o.Train.Workload = spec.Old
+	stale, err := NewSessionFrom(src, o)
 	if err != nil {
 		return nil, err
+	}
+	o.Workload, o.Train.Workload = spec.New, spec.New
+	s, err := NewSessionFrom(src, o)
+	if err != nil {
+		return nil, err
+	}
+	var entries []*pstore.Entry
+	for _, ts := range []*Session{stale, s} {
+		run, err := src.train(ts.tc)
+		if err != nil {
+			return nil, fmt.Errorf("expt: blend training %q: %w", ts.tc.Workload.Name(), err)
+		}
+		entries = append(entries, run.Entry)
 	}
 
 	res := &BlendResult{}
@@ -100,7 +104,7 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 			spec.Old.Name(), spec.New.Name(), spec.New.Name()),
 		"new-mix weight", "app miss %", "instr/txn", "p50", "p99")
 	for _, r := range ratios {
-		blended, err := pstore.Blend([]*pstore.Entry{eOld, eNew}, []float64{1 - r, r})
+		blended, err := pstore.Blend(entries, []float64{1 - r, r})
 		if err != nil {
 			return nil, fmt.Errorf("expt: blend ratio %v: %w", r, err)
 		}

@@ -123,7 +123,7 @@ func BindFlags(fs *flag.FlagSet, cmd Command) *Flags {
 		fs.IntVar(txns, "txns", *txns, "measured (pixie: profiled) transactions")
 		fs.IntVar(&o.CPUs, "cpus", o.CPUs, "processors")
 		fs.Func("shards", "partitioned database engines behind the shard router; for layoutlab -table shardsweep, a comma-separated list to sweep (default 1,2,4,8,16,32,64)",
-			func(s string) (err error) { f.shards, err = parseInts(s); return err })
+			func(s string) (err error) { f.shards, err = parseShards(s); return err })
 		fs.BoolVar(&f.quick, "quick", false, "use the workload's quick scale (layoutlab: the quick preset, its default; conflicts with -full)")
 	}
 	if has(Pixie | Oltpbench) {
@@ -282,7 +282,11 @@ func (f *Flags) resolveWorkloads() error {
 	}
 	measured := []workload.Workload{o.Workload}
 	if f.Table == "robustness" || f.Table == "latency" || f.Table == "search" {
-		for _, name := range splitList(f.matrix) {
+		names := splitList(f.matrix)
+		if d, ok := dup(names); ok {
+			return fmt.Errorf("-matrix lists workload %q twice", d)
+		}
+		for _, name := range names {
 			wl, err := lookup(name)
 			if err != nil {
 				return err
@@ -354,28 +358,37 @@ func knob[W workload.Workload](set func(W)) func(workload.Workload) bool {
 	}
 }
 
-// resolveTables parses layoutlab's list flags and fills the shardsweep spec.
+// resolveTables parses layoutlab's list flags and fills the shardsweep spec;
+// under -table shardsweep, -gc picks the group-commit mode of the run.
 func (f *Flags) resolveTables() error {
 	var err error
-	if f.ShardList, err = parseInts(f.shardlist); err != nil {
-		return err
+	if f.ShardList, err = parseShards(f.shardlist); err != nil {
+		return fmt.Errorf("-shardlist: %w", err)
 	}
 	for _, part := range splitList(f.ratios) {
 		r, err := strconv.ParseFloat(part, 64)
 		if err != nil {
 			return fmt.Errorf("bad ratio %q: %w", part, err)
 		}
+		if !(r >= 0 && r <= 1) {
+			return fmt.Errorf("-ratios: weight %v outside [0, 1]", r)
+		}
 		f.Ratios = append(f.Ratios, r)
 	}
+	// The sweep defaults to the tail-aware tuner: high shard counts starve
+	// fixed windows.
+	gc := machine.AutoGCTargetP99
 	switch f.gc {
 	case "", "p99":
-		// ShardSweepTable's default: the tail-aware p99 tuner.
 	case "off":
-		f.Sweep.NoAutoGC = true
+		gc = machine.AutoGCOff
 	case "flushcount":
-		f.Sweep.AutoGC = machine.AutoGCFlushCount
+		gc = machine.AutoGCFlushCount
 	default:
 		return fmt.Errorf("unknown -gc mode %q (have off, flushcount, p99)", f.gc)
+	}
+	if f.Table == "shardsweep" {
+		f.Opt.AutoGroupCommit = gc
 	}
 	f.Sweep.Shards = f.shards
 	if len(f.shards) == 0 {
@@ -414,14 +427,34 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseInts(s string) ([]int, error) {
+// parseShards parses a comma-separated list of distinct shard counts in
+// [1, machine.MaxShards].
+func parseShards(s string) ([]int, error) {
 	var out []int
 	for _, part := range splitList(s) {
 		n, err := strconv.Atoi(part)
 		if err != nil {
 			return nil, fmt.Errorf("bad count %q: %w", part, err)
 		}
+		if n < 1 || n > machine.MaxShards {
+			return nil, fmt.Errorf("shard count %d outside [1, %d]", n, machine.MaxShards)
+		}
 		out = append(out, n)
 	}
+	if d, ok := dup(out); ok {
+		return nil, fmt.Errorf("shard count %d listed twice", d)
+	}
 	return out, nil
+}
+
+// dup returns the first entry of xs that repeats an earlier one.
+func dup[T comparable](xs []T) (d T, ok bool) {
+	seen := make(map[T]bool, len(xs))
+	for _, x := range xs {
+		if seen[x] {
+			return x, true
+		}
+		seen[x] = true
+	}
+	return d, false
 }

@@ -81,6 +81,14 @@ func TestFlagsNameSets(t *testing.T) {
 	}
 }
 
+func wantGC(mode machine.AutoGCMode) func(*testing.T, *expt.Flags) {
+	return func(t *testing.T, f *expt.Flags) {
+		if f.Opt.AutoGroupCommit != mode {
+			t.Errorf("group commit resolved to %v, want %v", f.Opt.AutoGroupCommit, mode)
+		}
+	}
+}
+
 // TestFlagsResolve covers the overrides and the three seed conventions:
 // -seed is the image seed in oltpbench and pixie, where -runseed drives the
 // run (oltpbench trains on runseed+7, pixie's run is the training run), and
@@ -136,9 +144,12 @@ func TestFlagsResolve(t *testing.T) {
 			}
 		}},
 		{"layoutlab shardsweep spec", expt.Layoutlab, "-table shardsweep -shards 1,4 -gc off -fastpath=false -layout ipchain -cross 50", func(t *testing.T, f *expt.Flags) {
-			want := expt.ShardSweepSpec{Shards: []int{1, 4}, Layouts: []string{"base", "ipchain"}, NoAutoGC: true}
+			want := expt.ShardSweepSpec{Shards: []int{1, 4}, Layouts: []string{"base", "ipchain"}}
 			if !reflect.DeepEqual(f.Sweep, want) {
 				t.Errorf("sweep %+v, want %+v", f.Sweep, want)
+			}
+			if f.Opt.AutoGroupCommit != machine.AutoGCOff {
+				t.Errorf("-gc off resolved to %v", f.Opt.AutoGroupCommit)
 			}
 			if f.Opt.Shards != 0 || f.Opt.PredictFastPath {
 				t.Errorf("sweep flags leaked into the options: shards %d fastpath %v", f.Opt.Shards, f.Opt.PredictFastPath)
@@ -147,6 +158,11 @@ func TestFlagsResolve(t *testing.T) {
 				t.Errorf("-cross not applied: %d", w.CrossShardPct)
 			}
 		}},
+		// -gc is the shard sweep's group-commit mode (default the p99 tuner)
+		// and no other table's.
+		{"shardsweep -gc default", expt.Layoutlab, "-table shardsweep", wantGC(machine.AutoGCTargetP99)},
+		{"shardsweep -gc flushcount", expt.Layoutlab, "-table shardsweep -gc flushcount", wantGC(machine.AutoGCFlushCount)},
+		{"latency ignores -gc", expt.Layoutlab, "-table latency -gc flushcount", wantGC(machine.AutoGCOff)},
 		{"layoutlab datalayout keeps the skew for the spec", expt.Layoutlab, "-table datalayout -workload ycsb -zipf 0.8 -readpct 0", func(t *testing.T, f *expt.Flags) {
 			w := f.Opt.Workload.(*ycsb.Workload)
 			if w.ZipfTheta != 0 || w.ReadPct != 0 || f.DataLayout.ZipfTheta != 0.8 {
@@ -209,6 +225,20 @@ func TestFlagsReject(t *testing.T) {
 		{expt.Oltpbench, "-shards 1,2", "-shards accepts a list only with"},
 		{expt.Oltpbench, "-shards two", `bad count "two"`},
 		{expt.Layoutlab, "-table blend -ratios 0,half", `bad ratio "half"`},
+		// Lists are checked before any image builds: a count the machine would
+		// reject after a cell or two has been measured, an entry listed twice
+		// (a matrix of one cell under four labels), a weight pstore.Blend
+		// would reject without naming the flag.
+		{expt.Layoutlab, "-table robustness -matrix tpcb,tpcb", `-matrix lists workload "tpcb" twice`},
+		{expt.Layoutlab, "-table robustness -matrix tpcb -shardlist 0,1", "-shardlist: shard count 0 outside [1, 64]"},
+		{expt.Layoutlab, "-table latency -shardlist 1,999", "-shardlist: shard count 999 outside [1, 64]"},
+		{expt.Layoutlab, "-table latency -shardlist 2,4,2", "-shardlist: shard count 2 listed twice"},
+		{expt.Layoutlab, "-table shardsweep -shards 1,65", "shard count 65 outside [1, 64]"},
+		{expt.Oltpbench, "-shards 0", "shard count 0 outside [1, 64]"},
+		{expt.Pixie, "-shards -3", "shard count -3 outside [1, 64]"},
+		{expt.Layoutlab, "-table blend -ratios 2", "-ratios: weight 2 outside [0, 1]"},
+		{expt.Layoutlab, "-table blend -ratios 0.5,-0.1", "-ratios: weight -0.1 outside [0, 1]"},
+		{expt.Layoutlab, "-table blend -ratios NaN", "-ratios: weight NaN outside [0, 1]"},
 		// A mix knob no measured workload has is an error, not a silent
 		// default mix: the single workload, and the matrix tables that used to
 		// drop the knobs.

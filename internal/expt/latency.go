@@ -38,6 +38,9 @@ func LatencyTables(o Options, spec LatencySpec) ([]*stats.Table, error) {
 	if spec.Layout == "" {
 		spec.Layout = "all"
 	}
+	if err := checkAxes(spec.Workloads, spec.Shards); err != nil {
+		return nil, err
+	}
 	cpus := o.CPUs
 	o.Workload = spec.Workloads[0]
 	src, err := NewProfileSource(o, spec.Workloads[1:]...)

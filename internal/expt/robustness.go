@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 
-	"codelayout/internal/machine"
 	"codelayout/internal/stats"
 	"codelayout/internal/workload"
 )
@@ -61,10 +60,29 @@ func (r *RobustnessResult) Cell(trainW string, trainShards int, evalW string, ev
 	return nil
 }
 
+// cellLabel names one workload × shard-count cell of a matrix table.
+func cellLabel(w string, shards int) string { return fmt.Sprintf("%s/s%d", w, shards) }
+
+// checkAxes rejects a workload × shard-count matrix that lists a cell twice
+// (shard counts 0 and 1 are the same single-engine machine): a table over it
+// would repeat one measurement under several labels.
+func checkAxes(wls []workload.Workload, shards []int) error {
+	var cells []string
+	for _, w := range wls {
+		for _, n := range shards {
+			cells = append(cells, cellLabel(w.Name(), shardKey(n)))
+		}
+	}
+	if d, ok := dup(cells); ok {
+		return fmt.Errorf("expt: cell %s is listed twice", d)
+	}
+	return nil
+}
+
 // Robustness runs the train×eval matrix in one process over one shared
-// ProfileSource: every training run and every transplanted evaluation is
-// memoized under its (train spec × eval spec) key, so no pair can collide
-// and the whole matrix reuses each training run across eval cells.
+// ProfileSource, one session per (train cell, eval cell) pair: training runs
+// and layouts are memoized on the source by train spec, so no pair can
+// collide and the whole matrix reuses each training run across eval cells.
 func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 	if len(spec.Workloads) == 0 {
 		return nil, fmt.Errorf("expt: robustness needs at least one workload")
@@ -74,6 +92,9 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 	}
 	if spec.Layout == "" {
 		spec.Layout = "all"
+	}
+	if err := checkAxes(spec.Workloads, spec.Shards); err != nil {
+		return nil, err
 	}
 	cpus := o.CPUs
 	o.Workload = spec.Workloads[0]
@@ -93,23 +114,33 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 		}
 	}
 
+	// session opens the session of one (eval, train) pair over the shared
+	// source: layouts are memoized there by train spec, so each is trained
+	// and built once for the whole matrix.
+	session := func(eval, train axis) (*Session, error) {
+		o.Workload, o.Shards = eval.w, eval.shards
+		o.Train.Workload, o.Train.Shards = train.w, train.shards
+		return NewSessionFrom(src, o)
+	}
 	res := &RobustnessResult{}
-	for _, eval := range cells {
-		eo := o
-		eo.Workload = eval.w
-		eo.Shards = eval.shards
-		s, err := NewSessionFrom(src, eo)
+	for ei, eval := range cells {
+		self, err := session(eval, eval)
 		if err != nil {
 			return nil, err
 		}
-		base, err := s.Measure("base", cpus)
+		base, err := self.Measure("base", cpus)
 		if err != nil {
 			return nil, fmt.Errorf("baseline for eval %s/s%d: %w", eval.w.Name(), eval.shards, err)
 		}
 		baseMiss := base.App4W[64].MissRate()
-		for _, train := range cells {
-			tc := TrainConfig{Workload: train.w, Shards: train.shards}
-			m, err := s.MeasureFrom(tc, spec.Layout, cpus)
+		for ti, train := range cells {
+			s := self
+			if ti != ei {
+				if s, err = session(eval, train); err != nil {
+					return nil, err
+				}
+			}
+			m, err := s.Measure(spec.Layout, cpus)
 			if err != nil {
 				return nil, fmt.Errorf("train %s/s%d eval %s/s%d: %w",
 					train.w.Name(), train.shards, eval.w.Name(), eval.shards, err)
@@ -123,7 +154,7 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 				TrainShards:   train.shards,
 				EvalWorkload:  eval.w.Name(),
 				EvalShards:    eval.shards,
-				SelfTrained:   train.w.Name() == eval.w.Name() && train.shards == eval.shards,
+				SelfTrained:   ti == ei,
 				MissRatio:     m.App4W[64].MissRate(),
 				BaseMissRatio: baseMiss,
 				InstrPerTxn:   perTxn,
@@ -131,10 +162,9 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 		}
 	}
 
-	label := func(w string, n int) string { return fmt.Sprintf("%s/s%d", w, n) }
 	cols := []string{"train\\eval"}
 	for _, c := range cells {
-		cols = append(cols, label(c.w.Name(), c.shards))
+		cols = append(cols, cellLabel(c.w.Name(), c.shards))
 	}
 
 	miss := stats.NewTable(
@@ -144,8 +174,8 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 		fmt.Sprintf("Robustness matrix: busy instructions per transaction, layout %q (* = self-trained)", spec.Layout),
 		cols...)
 	for _, train := range cells {
-		missRow := []interface{}{label(train.w.Name(), train.shards)}
-		txnRow := []interface{}{label(train.w.Name(), train.shards)}
+		missRow := []interface{}{cellLabel(train.w.Name(), train.shards)}
+		txnRow := []interface{}{cellLabel(train.w.Name(), train.shards)}
 		for _, eval := range cells {
 			c := res.Cell(train.w.Name(), train.shards, eval.w.Name(), eval.shards)
 			mark := ""
@@ -179,7 +209,7 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 			continue
 		}
 		if worst == nil {
-			sum.AddRow(label(eval.w.Name(), eval.shards), stats.Pct(self.BaseMissRatio),
+			sum.AddRow(cellLabel(eval.w.Name(), eval.shards), stats.Pct(self.BaseMissRatio),
 				stats.Pct(self.MissRatio), "-", "-", "-")
 			continue
 		}
@@ -187,9 +217,9 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 		if self.MissRatio > 0 {
 			drift = fmt.Sprintf("%+.1f%%", 100*(worst.MissRatio/self.MissRatio-1))
 		}
-		sum.AddRow(label(eval.w.Name(), eval.shards), stats.Pct(self.BaseMissRatio),
+		sum.AddRow(cellLabel(eval.w.Name(), eval.shards), stats.Pct(self.BaseMissRatio),
 			stats.Pct(self.MissRatio), stats.Pct(worst.MissRatio), drift,
-			label(worst.TrainWorkload, worst.TrainShards))
+			cellLabel(worst.TrainWorkload, worst.TrainShards))
 	}
 	sum.Note("drift = worst transplanted layout's misses over the self-trained layout's; the profile-drift cost of reusing stale layouts")
 
@@ -210,30 +240,6 @@ type ShardSweepSpec struct {
 	// columns and the on/off deltas. Single-shard rows have no router to
 	// skip and report only the off side.
 	FastPath bool
-	// AutoGC is the group-commit tuning mode the sweep's measurement runs
-	// use; the zero value selects the tail-aware machine.AutoGCTargetP99
-	// tuner (high shard counts starve fixed windows), unless the options
-	// already pin an explicit window, per-commit flushing, or a tuner of
-	// their own. NoAutoGC forces fixed windows regardless.
-	AutoGC   machine.AutoGCMode
-	NoAutoGC bool
-}
-
-// resolveGC picks the sweep's group-commit mode: an explicit spec choice
-// wins; otherwise options that configure batching themselves are left
-// alone, and everything else defaults to the tail-aware p99 tuner.
-func (sp ShardSweepSpec) resolveGC(o Options) machine.AutoGCMode {
-	switch {
-	case sp.NoAutoGC:
-		return machine.AutoGCOff
-	case sp.AutoGC != machine.AutoGCOff:
-		return sp.AutoGC
-	case o.AutoGroupCommit != machine.AutoGCOff:
-		return o.AutoGroupCommit
-	case o.GroupCommitWindowInstr > 0 || o.PerCommitLogFlush:
-		return machine.AutoGCOff
-	}
-	return machine.AutoGCTargetP99
 }
 
 // sweepRow aggregates one (shards, layout) measurement for the table.
@@ -266,11 +272,12 @@ func delta(off, on float64) string {
 // each count, and reports the speed levers the router adds: throughput (busy
 // instructions per transaction and committed txns per million
 // instruction-times of wall clock), blocked-on-log time, and app/kernel miss
-// ratios. With spec.FastPath
-// every sharded count is measured twice — fast path off and on — over one
-// shared image that carries the predictor models, so the off/on pair
-// differs only in the runtime toggle and the table's delta columns isolate
-// what skipping the router and coordinator buys.
+// ratios. Group commit runs as o configures it (layoutlab's -gc defaults the
+// sweep to machine.AutoGCTargetP99). With spec.FastPath every sharded count
+// is measured twice — fast path off and on — over one shared image that
+// carries the predictor models, so the off/on pair differs only in the
+// runtime toggle and the table's delta columns isolate what skipping the
+// router and coordinator buys.
 func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
 	shardCounts := spec.Shards
 	if len(shardCounts) == 0 {
@@ -281,11 +288,6 @@ func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
 		layouts = []string{"base", "all"}
 	}
 	cpus := o.CPUs
-	o.AutoGroupCommit = spec.resolveGC(o)
-	if o.AutoGroupCommit != machine.AutoGCOff {
-		o.GroupCommitWindowInstr = 0
-		o.PerCommitLogFlush = false
-	}
 	o.PredictFastPath = spec.FastPath
 	src, err := NewProfileSource(o)
 	if err != nil {

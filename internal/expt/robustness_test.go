@@ -1,9 +1,11 @@
 package expt_test
 
 import (
+	"strings"
 	"testing"
 
 	"codelayout/internal/expt"
+	"codelayout/internal/machine"
 	"codelayout/internal/ordere"
 	"codelayout/internal/tpcb"
 	"codelayout/internal/workload"
@@ -115,6 +117,30 @@ func TestRobustnessMatrix(t *testing.T) {
 	}
 }
 
+// TestTablesRejectDuplicateAxes: a workload or shard count listed twice (0
+// and 1 are one machine) would render one cell under several labels; both
+// matrix tables refuse before any image builds.
+func TestTablesRejectDuplicateAxes(t *testing.T) {
+	wls := tinyMatrixWorkloads()
+	for name, tc := range map[string]struct {
+		wls     []workload.Workload
+		shards  []int
+		mention string
+	}{
+		"workload twice":  {[]workload.Workload{wls[0], wls[1], wls[0]}, []int{1}, "cell tpcb/s1 is listed twice"},
+		"shard twice":     {wls[:2], []int{2, 4, 2}, "cell tpcb/s2 is listed twice"},
+		"0 and 1 are one": {wls[:1], []int{0, 1}, "cell tpcb/s1 is listed twice"},
+	} {
+		_, rerr := expt.Robustness(tinyMatrixOptions(), expt.RobustnessSpec{Workloads: tc.wls, Shards: tc.shards})
+		_, lerr := expt.LatencyTables(tinyMatrixOptions(), expt.LatencySpec{Workloads: tc.wls, Shards: tc.shards})
+		for _, err := range []error{rerr, lerr} {
+			if err == nil || !strings.Contains(err.Error(), tc.mention) {
+				t.Errorf("%s: error %v does not mention %q", name, err, tc.mention)
+			}
+		}
+	}
+}
+
 // TestShardSweepTable: the shard-count sweep runs the sharded machine at
 // each count over one shared image and reports non-degenerate rows.
 func TestShardSweepTable(t *testing.T) {
@@ -123,6 +149,7 @@ func TestShardSweepTable(t *testing.T) {
 	}
 	o := tinyMatrixOptions()
 	o.Workload = tpcb.NewScaled(tpcb.Scale{Branches: 8, TellersPerBranch: 4, AccountsPerBranch: 150})
+	o.AutoGroupCommit = machine.AutoGCTargetP99
 	tb, err := expt.ShardSweepTable(o, expt.ShardSweepSpec{Shards: []int{1, 2, 4}, Layouts: []string{"base"}})
 	if err != nil {
 		t.Fatal(err)
@@ -142,6 +169,7 @@ func TestShardSweepFastPathColumns(t *testing.T) {
 	}
 	o := tinyMatrixOptions()
 	o.Workload = tpcb.NewScaled(tpcb.Scale{Branches: 8, TellersPerBranch: 4, AccountsPerBranch: 150})
+	o.AutoGroupCommit = machine.AutoGCTargetP99
 	tb, err := expt.ShardSweepTable(o, expt.ShardSweepSpec{
 		Shards:   []int{1, 2},
 		Layouts:  []string{"base"},

@@ -3,10 +3,11 @@
 // ProfileSource owns the built images and the memoized training runs; a
 // Session evaluates layouts built from those profiles under its own
 // measurement configuration. Training and evaluation are decoupled: a
-// session can measure layouts trained under a different workload or shard
-// count (Session.TrainFrom / the *From methods); training runs and layouts
-// are memoized by train spec, measurements per session by (train spec,
-// layout), so mismatched pairs coexist in one session.
+// session is bound at construction to one training configuration
+// (Options.Train), which may name a different workload or shard count than
+// the one it evaluates. Training runs and layouts are memoized on the source
+// by train spec, measurements per session, so sessions over one source — one
+// per (train, eval) pair — share every training run and layout.
 //
 // Options is the one description of a run. It has one way in from a command
 // line — BindFlags and Flags.Resolve (flags.go), shared by oltpgen, pixie,
@@ -32,18 +33,18 @@ import (
 )
 
 // Options configures a session: the measurement (evaluation) half of the
-// configuration, plus the default TrainConfig the session's profiles come
-// from. Train fields left zero inherit the matching evaluation fields, so a
-// plain Options trains and evaluates under one configuration, as the paper
-// does.
+// configuration, plus the TrainConfig the session's profiles come from.
+// Train fields left zero inherit the matching evaluation fields, so a plain
+// Options trains and evaluates under one configuration, as the paper does.
 type Options struct {
 	Seed int64
 
-	// Train is the default training configuration: the profile every
-	// layout is built from unless a *From method (or TrainFrom) overrides
-	// it. Zero fields inherit from the evaluation side — Workload,
-	// Shards, CPUs, WarmupTxns from the same-named fields here, Seed from
-	// Seed, Txns from Transactions.
+	// Train is the training configuration: the profile every layout of the
+	// session is built from. Zero fields inherit from the evaluation side —
+	// Workload, Shards, CPUs, WarmupTxns from the same-named fields here,
+	// Seed from Seed, Txns from Transactions. To evaluate a layout trained
+	// elsewhere, set the fields that differ and open a session over a
+	// source covering both workloads (NewSessionFrom).
 	Train TrainConfig
 
 	CPUs        int
@@ -149,43 +150,25 @@ func QuickOptions() Options {
 	return o
 }
 
-// resolveTrain fills tc's zero fields: first from the options' default
-// train config, then from the evaluation side. The result is fully
-// resolved — its Spec() is a stable memo key.
-func (o Options) resolveTrain(tc TrainConfig) TrainConfig {
-	d := o.Train
-	if tc.Workload == nil {
-		tc.Workload = d.Workload
-	}
+// resolveTrain returns o.Train with its zero fields filled from the
+// evaluation side. The result is fully resolved — its Spec() is a stable memo
+// key.
+func (o Options) resolveTrain() TrainConfig {
+	tc := o.Train
 	if tc.Workload == nil {
 		tc.Workload = o.Workload
-	}
-	if tc.Seed == 0 {
-		tc.Seed = d.Seed
 	}
 	if tc.Seed == 0 {
 		tc.Seed = o.Seed
 	}
 	if tc.Shards == 0 {
-		tc.Shards = d.Shards
-	}
-	if tc.Shards == 0 {
 		tc.Shards = o.Shards
-	}
-	if tc.Txns == 0 {
-		tc.Txns = d.Txns
 	}
 	if tc.Txns == 0 {
 		tc.Txns = o.Transactions
 	}
 	if tc.CPUs == 0 {
-		tc.CPUs = d.CPUs
-	}
-	if tc.CPUs == 0 {
 		tc.CPUs = o.CPUs
-	}
-	if tc.WarmupTxns == 0 {
-		tc.WarmupTxns = d.WarmupTxns
 	}
 	if tc.WarmupTxns == 0 {
 		tc.WarmupTxns = o.WarmupTxns
@@ -194,22 +177,22 @@ func (o Options) resolveTrain(tc TrainConfig) TrainConfig {
 }
 
 // Session owns the evaluation half of an experiment — memoized measurement
-// runs over the profile source's images and layouts. All methods are safe
-// for concurrent use except TrainFrom: every memo is the single-flight memo
-// of memo.go, so MeasureBatch can fan measurement runs out across a worker
-// pool and concurrent callers of one key share one run. The measurement memo
-// is keyed by the training spec as well as the layout name, so layouts
-// trained under different configs never collide; layouts themselves are
-// memoized on the shared ProfileSource, so sessions of one source never
-// rebuild them.
+// runs over the profile source's images and layouts, built from the one
+// training configuration the session was opened with. Nothing in a Session
+// is written after NewSessionFrom returns and all methods are safe for
+// concurrent use: every memo is the single-flight memo of memo.go, so
+// MeasureBatch can fan measurement runs out across a worker pool and
+// concurrent callers of one key share one run. Layouts are memoized on the
+// shared ProfileSource by train spec, so sessions of one source never rebuild
+// them and layouts trained under different configs never collide.
 type Session struct {
-	// Opt is the session's evaluation configuration. It is read-only after
+	// Opt is the session's configuration. It is read-only after
 	// construction: the measurement memo belongs to one session, so its keys
 	// carry only what varies between two measurements of that session.
 	Opt Options
 
-	src      *ProfileSource
-	defTrain TrainConfig // resolved default training config
+	src *ProfileSource
+	tc  TrainConfig // Opt.Train, resolved
 
 	measures memo[measKey, *Measure]
 }
@@ -235,7 +218,6 @@ func (s *Session) MemoStats() MemoStats {
 }
 
 type measKey struct {
-	train  string
 	layout string
 	kern   string
 	cpus   int
@@ -244,9 +226,6 @@ type measKey struct {
 // NewSession builds a private profile source (images and baseline layouts)
 // and the session over it.
 func NewSession(o Options) (*Session, error) {
-	if o.Workload == nil {
-		o.Workload = defaultWorkload()
-	}
 	src, err := NewProfileSource(o)
 	if err != nil {
 		return nil, err
@@ -276,7 +255,7 @@ func NewSessionFrom(src *ProfileSource, o Options) (*Session, error) {
 	if o.PredictFastPath && shardKey(o.Shards) > 1 && src.appImg.Fns["predict_check"] == nil {
 		return nil, fmt.Errorf("expt: PredictFastPath needs the predictor models in the source image; build the ProfileSource with Options.PredictFastPath set")
 	}
-	return &Session{Opt: o, src: src, defTrain: o.resolveTrain(TrainConfig{})}, nil
+	return &Session{Opt: o, src: src, tc: o.resolveTrain()}, nil
 }
 
 // Source exposes the session's profile source (for sharing with further
@@ -291,7 +270,7 @@ func (s *Session) AppImage() *codegen.Image { return s.src.appImg }
 // for "fusion" and any other fusing pipeline, the shared image for
 // everything else — including a name whose layout fails to build.
 func (s *Session) AppImageFor(name string) *codegen.Image {
-	if b, err := s.src.build(s.defTrain, name, false); err == nil {
+	if b, err := s.src.build(s.tc, name, false); err == nil {
 		return b.image
 	}
 	return s.src.appImg
@@ -300,70 +279,60 @@ func (s *Session) AppImageFor(name string) *codegen.Image {
 // KernelImage exposes the kernel image.
 func (s *Session) KernelImage() *codegen.Image { return s.src.kernImg }
 
-// TrainFrom replaces the session's default training configuration: later
-// Layout/Measure calls build from the profile trained under tc (zero fields
-// inherit as in Options.Train). Memos are keyed by train spec, so switching
-// back and forth never mixes results — but TrainFrom itself must not race
-// other session calls. It returns s for chaining.
-func (s *Session) TrainFrom(tc TrainConfig) *Session {
-	s.defTrain = s.Opt.resolveTrain(tc)
-	return s
-}
+// TrainSpec returns the resolved spec string of the session's training
+// configuration.
+func (s *Session) TrainSpec() string { return s.tc.Spec() }
 
-// TrainSpec returns the resolved spec string of the session's current
-// default training configuration.
-func (s *Session) TrainSpec() string { return s.defTrain.Spec() }
-
-// Train runs the default training configuration's profiling run once (Pixie
+// Train runs the session's training configuration's profiling run once (Pixie
 // instrumentation plus a DCPI-style sampler over the same run) and caches
 // the profiles in the source. Concurrent callers block until the single
 // training run finishes.
 func (s *Session) Train() error {
-	_, err := s.src.train(s.defTrain)
+	_, err := s.src.train(s.tc)
 	return err
 }
 
-// Profile returns the Pixie training profile of the session's default train
-// config (training first if needed).
+// Profile returns the Pixie training profile of the session's train config
+// (training first if needed).
 func (s *Session) Profile() (*profile.Profile, error) {
-	run, err := s.src.train(s.defTrain)
+	run, err := s.src.train(s.tc)
 	if err != nil {
 		return nil, err
 	}
-	return run.app, nil
+	return run.App, nil
 }
 
 // KernProfile returns the kernel Pixie profile of the same training run.
 func (s *Session) KernProfile() (*profile.Profile, error) {
-	run, err := s.src.train(s.defTrain)
+	run, err := s.src.train(s.tc)
 	if err != nil {
 		return nil, err
 	}
-	return run.kern, nil
+	return run.Kern, nil
 }
 
-// TrainResult returns the machine result of the default training run
+// TrainResult returns the machine result of the session's training run
 // (training first if needed): what the profiled transactions cost. It is the
 // zero Result when the run was served from the profile store, which keeps
 // profiles only.
 func (s *Session) TrainResult() (machine.Result, error) {
-	run, err := s.src.train(s.defTrain)
+	run, err := s.src.train(s.tc)
 	if err != nil {
 		return machine.Result{}, err
 	}
 	return run.res, nil
 }
 
-// TrainKindFreq returns the transaction-kind frequencies the default
+// TrainKindFreq returns the transaction-kind frequencies the session's
 // training run observed (training first if needed) — the reference mix a
 // drift monitor compares live traffic against
 // (machine.Config.TrainKindFreq).
 func (s *Session) TrainKindFreq() (map[string]float64, error) {
-	run, err := s.src.train(s.defTrain)
+	run, err := s.src.train(s.tc)
 	if err != nil {
 		return nil, err
 	}
-	return run.kindFreq, nil
+	return run.KindFreq, nil
 }
 
 // PipelineSpec returns the resolved pass list of a named layout (for
@@ -381,7 +350,7 @@ func (s *Session) PipelineSpec(name string) (string, error) {
 }
 
 // Layout returns (building if needed) a named app layout trained under the
-// session's default train config. Known names: base, every combo
+// session's train config. Known names: base, every combo
 // core.ComboPipeline knows (porder, chain, chain+split, chain+porder, all,
 // hotcold, cfa, ipchain, fusion) and dcpi-all. A name containing pass
 // separators (",", ":") is treated as a raw pipeline spec and built through
@@ -392,34 +361,25 @@ func (s *Session) PipelineSpec(name string) (string, error) {
 // MeasureBatch too, which is how the search engine evaluates genome
 // populations as one memoized parallel wave.
 func (s *Session) Layout(name string) (*program.Layout, error) {
-	return s.src.layout(s.defTrain, name, false)
-}
-
-// LayoutFrom is Layout with an explicit training configuration (zero fields
-// inherit as in Options.Train): the layout is built from the profile
-// trained under tc and memoized under tc's spec in the shared source.
-func (s *Session) LayoutFrom(tc TrainConfig, name string) (*program.Layout, error) {
-	return s.src.layout(s.Opt.resolveTrain(tc), name, false)
+	return s.src.layout(s.tc, name, false)
 }
 
 // Report returns the optimizer report for a layout built under the
-// session's current default train config (building it if needed); nil for
+// session's train config (building it if needed); nil for
 // "base", which no pipeline produced, and for a layout that fails to build.
 func (s *Session) Report(name string) *core.Report {
-	return s.src.report(s.defTrain, name)
-}
-
-// ReportFrom returns the optimizer report for a layout built under tc
-// (zero fields inherit as in Options.Train).
-func (s *Session) ReportFrom(tc TrainConfig, name string) *core.Report {
-	return s.src.report(s.Opt.resolveTrain(tc), name)
+	b, err := s.src.build(s.tc, name, false)
+	if err != nil {
+		return nil
+	}
+	return b.report
 }
 
 // KernLayout returns a kernel layout: "kbase" or "kopt" (kernel code laid
-// out with the full optimization pipeline over the default train config's
-// kernel profile).
+// out with the full optimization pipeline over the train config's kernel
+// profile).
 func (s *Session) KernLayout(name string) (*program.Layout, error) {
-	return s.src.layout(s.defTrain, name, true)
+	return s.src.layout(s.tc, name, true)
 }
 
 // fastPath normalizes the session's fast-path setting: single-shard
@@ -430,21 +390,21 @@ func (s *Session) fastPath() bool {
 	return s.Opt.PredictFastPath && shardKey(s.Opt.Shards) > 1
 }
 
-// MachineConfig lowers the session's options and a named layout (default
-// train config, baseline kernel layout) to the machine.Config a measurement
-// of that layout runs — the one place Options becomes a machine.Config. The
-// sinks are left empty: Measure attaches the measurement battery, a command
-// its own caches and trace writers.
+// MachineConfig lowers the session's options and a named layout (baseline
+// kernel layout) to the machine.Config a measurement of that layout runs —
+// the one place Options becomes a machine.Config. The sinks are left empty:
+// Measure attaches the measurement battery, a command its own caches and
+// trace writers.
 func (s *Session) MachineConfig(layout string, cpus int) (machine.Config, error) {
-	return s.machineConfig(s.defTrain, layout, "kbase", cpus)
+	return s.machineConfig(layout, "kbase", cpus)
 }
 
-func (s *Session) machineConfig(tc TrainConfig, layout, kern string, cpus int) (machine.Config, error) {
-	app, err := s.src.build(tc, layout, false)
+func (s *Session) machineConfig(layout, kern string, cpus int) (machine.Config, error) {
+	app, err := s.src.build(s.tc, layout, false)
 	if err != nil {
 		return machine.Config{}, err
 	}
-	kernL, err := s.src.layout(tc, kern, true)
+	kernL, err := s.src.layout(s.tc, kern, true)
 	if err != nil {
 		return machine.Config{}, err
 	}
@@ -467,13 +427,13 @@ func (s *Session) machineConfig(tc TrainConfig, layout, kern string, cpus int) (
 		KernLayout:             kernL,
 	}
 	if s.Opt.RecordLayout == "grouped" {
-		run, err := s.src.train(tc)
+		run, err := s.src.train(s.tc)
 		if err != nil {
 			return machine.Config{}, err
 		}
 		// A run that predates field tallying (an old store entry) has a nil
 		// field profile; GroupedDefs then falls back to the static hints.
-		cfg.RecordLayouts, err = reclayout.GroupedDefs(s.Opt.Workload, run.fields)
+		cfg.RecordLayouts, err = reclayout.GroupedDefs(s.Opt.Workload, run.Fields)
 		if err != nil {
 			return machine.Config{}, err
 		}
@@ -482,40 +442,23 @@ func (s *Session) machineConfig(tc TrainConfig, layout, kern string, cpus int) (
 }
 
 // Measure runs (or returns the memoized run of) the workload under the
-// named layout (default train config) with the full measurement battery
-// attached.
+// named layout with the full measurement battery attached.
 func (s *Session) Measure(layout string, cpus int) (*Measure, error) {
-	return s.measureFor(s.defTrain, layout, "kbase", cpus)
-}
-
-// MeasureFrom is Measure with an explicit training configuration: it
-// evaluates the layout trained under tc against the session's own
-// measurement configuration — the train/eval mismatch experiments.
-func (s *Session) MeasureFrom(tc TrainConfig, layout string, cpus int) (*Measure, error) {
-	return s.measureFor(s.Opt.resolveTrain(tc), layout, "kbase", cpus)
+	return s.MeasureKern(layout, "kbase", cpus)
 }
 
 // MeasureKern is Measure with an explicit kernel layout. Concurrent calls
-// for the same (train, layout, kernel, cpus) key share one simulation run:
-// the first caller runs it, later callers block until the result (or error)
-// is memoized.
+// for the same (layout, kernel, cpus) key share one simulation run: the first
+// caller runs it, later callers block until the result (or error) is
+// memoized.
 func (s *Session) MeasureKern(layout, kern string, cpus int) (*Measure, error) {
-	return s.measureFor(s.defTrain, layout, kern, cpus)
-}
-
-// MeasureKernFrom is MeasureKern with an explicit training configuration.
-func (s *Session) MeasureKernFrom(tc TrainConfig, layout, kern string, cpus int) (*Measure, error) {
-	return s.measureFor(s.Opt.resolveTrain(tc), layout, kern, cpus)
-}
-
-func (s *Session) measureFor(tc TrainConfig, layout, kern string, cpus int) (*Measure, error) {
-	key := measKey{train: tc.Spec(), layout: layout, kern: kern, cpus: cpus}
+	key := measKey{layout: layout, kern: kern, cpus: cpus}
 	return s.measures.get(key, func() (*Measure, error) {
-		cfg, err := s.machineConfig(tc, layout, kern, cpus)
+		cfg, err := s.machineConfig(layout, kern, cpus)
 		if err != nil {
 			return nil, err
 		}
-		return runMeasured(cfg, fmt.Sprintf("%s/%s/%dcpu (train %s)", layout, kern, cpus, tc.Spec()))
+		return runMeasured(cfg, fmt.Sprintf("%s/%s/%dcpu (train %s)", layout, kern, cpus, s.tc.Spec()))
 	})
 }
 

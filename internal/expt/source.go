@@ -16,7 +16,6 @@ import (
 	"codelayout/internal/profile"
 	"codelayout/internal/program"
 	"codelayout/internal/pstore"
-	"codelayout/internal/reclayout"
 	"codelayout/internal/trace"
 	"codelayout/internal/workload"
 )
@@ -71,19 +70,15 @@ func (tc TrainConfig) Spec() string {
 		name, shardKey(tc.Shards), tc.CPUs, tc.Seed, tc.WarmupTxns, tc.Txns)
 }
 
-// trainRun is one memoized training run: the exact Pixie profiles of the app
-// and kernel plus the DCPI-style sampling profile over the same run, and the
-// observed transaction-kind mix (the drift monitor's reference).
+// trainRun is one memoized training run: the store's own record of it — the
+// exact Pixie profiles of the app and kernel, the DCPI-style sampling profile
+// over the same run, the observed transaction-kind mix (the drift monitor's
+// reference) and the field-access profile the record-layout pass groups hot
+// fields from (training always runs the interleaved baseline layout, so the
+// profile is layout-independent) — plus the one thing the store does not
+// keep.
 type trainRun struct {
-	app      *profile.Profile
-	kern     *profile.Profile
-	dcpi     *profile.Profile
-	kindFreq map[string]float64
-	// fields is the field-access profile the engines tallied while training
-	// (table → field → read/write counts) — what the record-layout pass
-	// groups hot fields from. Training always runs the interleaved baseline
-	// layout, so the profile is layout-independent.
-	fields reclayout.Profile
+	*pstore.Entry
 	// res is the profiling run's machine result; zero for a run served from
 	// the persistent store, which keeps profiles only.
 	res machine.Result
@@ -219,26 +214,6 @@ func (ps *ProfileSource) StoreStats() (pstore.Stats, bool) {
 // age next to the hit counters.
 func (ps *ProfileSource) LastStoreHit() *pstore.Entry { return ps.lastHit.Load() }
 
-// trainEntry trains (or loads) tc and packages the run as a store entry —
-// the currency of the persistent store and of profile blending.
-func (ps *ProfileSource) trainEntry(tc TrainConfig) (*pstore.Entry, error) {
-	tc = ps.opt.resolveTrain(tc)
-	run, err := ps.train(tc)
-	if err != nil {
-		return nil, err
-	}
-	k := ps.storeKey(tc.Spec())
-	return &pstore.Entry{
-		Spec:     k.Spec,
-		Image:    k.Image,
-		KindFreq: run.kindFreq,
-		Fields:   run.fields,
-		App:      run.app,
-		Kern:     run.kern,
-		DCPI:     run.dcpi,
-	}, nil
-}
-
 // AppImage exposes the shared application image.
 func (ps *ProfileSource) AppImage() *codegen.Image { return ps.appImg }
 
@@ -345,12 +320,12 @@ func (ps *ProfileSource) build(tc TrainConfig, name string, kernel bool) (*built
 		if err != nil {
 			return nil, err
 		}
-		img, prof := ps.appImg, run.app
+		img, prof := ps.appImg, run.App
 		switch name {
 		case "kopt":
-			img, prof = ps.kernImg, run.kern
+			img, prof = ps.kernImg, run.Kern
 		case "dcpi-all":
-			prof = run.dcpi
+			prof = run.DCPI
 		}
 		// Run over a private copy of the profile. When the source carries no
 		// measured edges (sampling profiles, or a degenerate training run)
@@ -394,16 +369,6 @@ func (ps *ProfileSource) layout(tc TrainConfig, name string, kernel bool) (*prog
 	return b.layout, nil
 }
 
-// report is build reduced to the optimizer report (nil when the layout does
-// not build).
-func (ps *ProfileSource) report(tc TrainConfig, name string) *core.Report {
-	b, err := ps.build(tc, name, false)
-	if err != nil {
-		return nil
-	}
-	return b.report
-}
-
 // fusionRoots resolves the kind roots of every covered workload that
 // declares them (workload.KindRoots) against an image, in sorted workload
 // order so the root list — and therefore the fused layout — is
@@ -425,32 +390,26 @@ func (ps *ProfileSource) fusionRoots(img *codegen.Image) ([]core.KindRoot, error
 
 // trainOrLoad serves a training run from the persistent store when one is
 // configured and holds the key, and executes (then persists) it otherwise.
-// Stored profiles are exact, so either path yields the same trainRun.
+// Stored profiles are exact, so either path yields the same record.
 func (ps *ProfileSource) trainOrLoad(tc TrainConfig, spec string) (*trainRun, error) {
-	if ps.store == nil {
-		return ps.runTraining(tc, spec)
-	}
-	key := ps.storeKey(spec)
-	if e, ok := ps.store.Get(key); ok {
-		ps.lastHit.Store(e)
-		return &trainRun{app: e.App, kern: e.Kern, dcpi: e.DCPI, kindFreq: e.KindFreq,
-			fields: reclayout.Profile(e.Fields)}, nil
+	if ps.store != nil {
+		if e, ok := ps.store.Get(ps.storeKey(spec)); ok {
+			ps.lastHit.Store(e)
+			return &trainRun{Entry: e}, nil
+		}
 	}
 	run, err := ps.runTraining(tc, spec)
-	if err != nil {
-		return nil, err
+	if err == nil && ps.store != nil {
+		// Persistence is best-effort: a full disk must not fail the
+		// experiment, and the in-memory memo still carries the run.
+		_ = ps.store.Put(run.Entry)
 	}
-	// Persistence is best-effort: a full disk must not fail the experiment,
-	// and the in-memory memo still carries the run.
-	_ = ps.store.Put(&pstore.Entry{
-		Spec: key.Spec, Image: key.Image, CreatedAt: time.Now(),
-		KindFreq: run.kindFreq, Fields: run.fields, App: run.app, Kern: run.kern, DCPI: run.dcpi,
-	})
-	return run, nil
+	return run, err
 }
 
-// runTraining executes one profiling run: Pixie instrumentation on app and
-// kernel plus a DCPI-style sampler over the same run.
+// runTraining executes one profiling run — Pixie instrumentation on app and
+// kernel plus a DCPI-style sampler over the same run — and is the one place a
+// training record is made: the store writes and returns this entry as is.
 func (ps *ProfileSource) runTraining(tc TrainConfig, spec string) (*trainRun, error) {
 	px := profile.NewPixie(ps.appImg.Prog, "pixie-train")
 	kx := profile.NewPixie(ps.kernImg.Prog, "kprofile")
@@ -483,6 +442,10 @@ func (ps *ProfileSource) runTraining(tc TrainConfig, spec string) (*trainRun, er
 		return nil, fmt.Errorf("expt: training %s: %w", spec, err)
 	}
 	ps.trainExec.Add(1)
-	return &trainRun{app: px.Profile, kern: kx.Profile, dcpi: dcpi.Finish("dcpi-train"),
-		kindFreq: m.KindFrequencies(), fields: m.FieldProfile(), res: res}, nil
+	key := ps.storeKey(spec)
+	return &trainRun{res: res, Entry: &pstore.Entry{
+		Spec: key.Spec, Image: key.Image, CreatedAt: time.Now(),
+		KindFreq: m.KindFrequencies(), Fields: m.FieldProfile(),
+		App: px.Profile, Kern: kx.Profile, DCPI: dcpi.Finish("dcpi-train"),
+	}}, nil
 }

@@ -1,9 +1,11 @@
 package expt_test
 
 import (
+	"reflect"
 	"testing"
 
 	"codelayout/internal/expt"
+	"codelayout/internal/machine"
 	"codelayout/internal/pstore"
 	"codelayout/internal/tpcb"
 )
@@ -27,13 +29,16 @@ func storeOpts() expt.Options {
 // TestProfileStoreWarmSkipsTraining is the pinned store regression: a second
 // identical invocation against the same store directory must execute zero
 // training runs (the store serves the profile) and produce bit-identical
-// measurements.
+// measurements — the whole Measure, not just the machine result. The training
+// record has one form: the run a hit serves is the entry the store decoded
+// (the session's profiles are that entry's, not copies), with a zero
+// TrainResult since the store keeps profiles only.
 func TestProfileStoreWarmSkipsTraining(t *testing.T) {
 	dir := t.TempDir()
 
 	// invoke simulates one process: a fresh Store over the shared directory,
 	// a fresh session, one measured layout.
-	invoke := func() (res interface{}, trained uint64, st pstore.Stats) {
+	invoke := func() (*expt.Session, *expt.Measure, pstore.Stats) {
 		store, err := pstore.Open(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -48,26 +53,38 @@ func TestProfileStoreWarmSkipsTraining(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.Res, s.Source().TrainRunsExecuted(), store.Stats()
+		return s, m, store.Stats()
 	}
 
-	res1, trained1, st1 := invoke()
-	if trained1 != 1 {
-		t.Fatalf("cold invocation executed %d training runs, want 1", trained1)
+	cold, mCold, st1 := invoke()
+	if trained := cold.Source().TrainRunsExecuted(); trained != 1 {
+		t.Fatalf("cold invocation executed %d training runs, want 1", trained)
 	}
 	if st1.Misses == 0 || st1.Hits != 0 {
 		t.Fatalf("cold invocation store stats: %+v, want a miss and no hits", st1)
 	}
+	if res, err := cold.TrainResult(); err != nil || res.Committed == 0 {
+		t.Fatalf("cold training result: %+v, %v; want the profiling run's", res, err)
+	}
 
-	res2, trained2, st2 := invoke()
-	if trained2 != 0 {
-		t.Fatalf("warm invocation executed %d training runs, want 0 (store hit)", trained2)
+	warm, mWarm, st2 := invoke()
+	if trained := warm.Source().TrainRunsExecuted(); trained != 0 {
+		t.Fatalf("warm invocation executed %d training runs, want 0 (store hit)", trained)
 	}
 	if st2.Hits == 0 {
 		t.Fatalf("warm invocation store stats: %+v, want a hit", st2)
 	}
-	if res1 != res2 {
-		t.Fatalf("warm-store measurement diverged from cold:\n cold: %+v\n warm: %+v", res1, res2)
+	if !reflect.DeepEqual(mCold, mWarm) {
+		t.Fatalf("warm-store measurement diverged from cold:\n cold: %+v\n warm: %+v", mCold.Res, mWarm.Res)
+	}
+	hit := warm.Source().LastStoreHit()
+	app, _ := warm.Profile()
+	kern, _ := warm.KernProfile()
+	if hit == nil || app != hit.App || kern != hit.Kern {
+		t.Fatal("the warm session's profiles are not the decoded entry's own")
+	}
+	if res, err := warm.TrainResult(); err != nil || res != (machine.Result{}) {
+		t.Fatalf("warm training result: %+v, %v; want zero (the store keeps profiles only)", res, err)
 	}
 }
 
@@ -112,6 +129,11 @@ func TestProfileStoreHitReported(t *testing.T) {
 	}
 	if hit.App == nil || hit.Kern == nil || len(hit.KindFreq) == 0 {
 		t.Fatalf("hit entry incomplete: %+v", hit)
+	}
+	// The store was handed the first source's record as is and hands it on
+	// as is: one entry, never a field-by-field copy.
+	if first, _ := s1.Profile(); hit.App != first {
+		t.Fatal("the entry served to the second source is not the record the first one trained")
 	}
 
 	noStore, err := expt.NewSession(storeOpts())

@@ -2,10 +2,12 @@ package expt_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"codelayout/internal/expt"
 	"codelayout/internal/ordere"
+	"codelayout/internal/program"
 	"codelayout/internal/tpcb"
 )
 
@@ -77,49 +79,68 @@ func TestSelfTrainedTPCBPinned(t *testing.T) {
 	}
 }
 
-// TestTrainEvalMemoSeparation is the regression test for the (train × eval)
-// memo keys: layouts trained under different train configs over the same
-// eval config must never share memo entries, while equal-spec pairs must
-// stay deterministic and alias the same memoized objects.
+// tinyTrainOptions is pinnedOptions shrunk further, plus the order-entry
+// workload the train/eval tests transplant from.
+func tinyTrainOptions() (expt.Options, *ordere.Workload) {
+	o := pinnedOptions()
+	o.Transactions = 40
+	o.WarmupTxns = 10
+	o.Train.Txns = 100
+	return o, ordere.NewScaled(ordere.Scale{Warehouses: 2, DistrictsPerWarehouse: 3, CustomersPerDistrict: 40, Items: 120})
+}
+
+// TestTrainEvalMemoSeparation is the regression test for the train × eval
+// seam: a session is bound to one train config, so the pairs are sessions
+// over one source. Layouts trained under different train configs must never
+// share memo entries, while equal-spec sessions must alias the same memoized
+// layouts and stay deterministic.
 func TestTrainEvalMemoSeparation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
-	tiny := func() expt.Options {
-		o := pinnedOptions()
-		o.Transactions = 40
-		o.WarmupTxns = 10
-		o.Train.Txns = 100
-		return o
-	}
-	oe := ordere.NewScaled(ordere.Scale{Warehouses: 2, DistrictsPerWarehouse: 3, CustomersPerDistrict: 40, Items: 120})
-
-	o := tiny()
+	o, oe := tinyTrainOptions()
 	src, err := expt.NewProfileSource(o, oe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := expt.NewSessionFrom(src, o)
-	if err != nil {
-		t.Fatal(err)
+	// open returns a session over src evaluating o, trained as train edits
+	// o.Train.
+	open := func(src *expt.ProfileSource, train func(*expt.TrainConfig)) *expt.Session {
+		so := o
+		train(&so.Train)
+		s, err := expt.NewSessionFrom(src, so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	layoutOf := func(s *expt.Session) *program.Layout {
+		l, err := s.Layout("all")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	measureOf := func(s *expt.Session) *expt.Measure {
+		m, err := s.Measure("all", s.Opt.CPUs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
 
-	self := expt.TrainConfig{}                       // resolves to tpcb, the eval workload
-	cross := expt.TrainConfig{Workload: oe}          // trained on order-entry
-	crossSeed := expt.TrainConfig{Seed: o.Seed + 99} // same workload, different run
+	self := open(src, func(*expt.TrainConfig) {})                                      // resolves to tpcb, the eval workload
+	cross := open(src, func(tc *expt.TrainConfig) { tc.Workload = oe })                // trained on order-entry
+	crossSeed := open(src, func(tc *expt.TrainConfig) { tc.Seed = o.Seed + 99 })       // same workload, different run
+	again := open(src, func(tc *expt.TrainConfig) { tc.Workload = self.Opt.Workload }) // self, spelled out
+	if cross.TrainSpec() == self.TrainSpec() || crossSeed.TrainSpec() == self.TrainSpec() {
+		t.Fatalf("distinct train configs resolved to one spec %s", self.TrainSpec())
+	}
+	if again.TrainSpec() != self.TrainSpec() {
+		t.Fatalf("explicit spelling of the self-trained config resolved to %s, not %s", again.TrainSpec(), self.TrainSpec())
+	}
 
-	selfL, err := s.LayoutFrom(self, "all")
-	if err != nil {
-		t.Fatal(err)
-	}
-	crossL, err := s.LayoutFrom(cross, "all")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedL, err := s.LayoutFrom(crossSeed, "all")
-	if err != nil {
-		t.Fatal(err)
-	}
+	selfL, crossL, seedL := layoutOf(self), layoutOf(cross), layoutOf(crossSeed)
 	if selfL == crossL || selfL == seedL {
 		t.Fatal("layouts trained under different train configs share a memo entry")
 	}
@@ -133,51 +154,38 @@ func TestTrainEvalMemoSeparation(t *testing.T) {
 	if sameAddrs {
 		t.Fatal("cross-workload-trained layout is address-identical to self-trained (profile not actually different?)")
 	}
-
-	// Equal specs alias: a second resolution of the zero config and an
-	// explicit spelling of the same resolved config hit the same entries.
-	again, err := s.LayoutFrom(expt.TrainConfig{Workload: s.Opt.Workload}, "all")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != selfL {
-		t.Fatal("equal-spec train configs did not share the layout memo")
+	selfRep, crossRep := self.Report("all"), cross.Report("all")
+	if selfRep == nil || crossRep == nil || selfRep == crossRep {
+		t.Fatalf("reports do not follow the session's train config (self=%p cross=%p)", selfRep, crossRep)
 	}
 
-	// Measures keyed the same way: self vs cross must be distinct runs with
-	// distinct results objects; repeated calls alias.
-	mSelf, err := s.MeasureFrom(self, "all", s.Opt.CPUs)
-	if err != nil {
-		t.Fatal(err)
+	// Equal specs alias across sessions: layouts are memoized on the source,
+	// so a second session of the same train spec hits the same entries, and
+	// the layout memo missed once per distinct train spec.
+	if layoutOf(again) != selfL || again.Report("all") != selfRep {
+		t.Fatal("sessions of equal train spec did not share the layout memo")
 	}
-	mCross, err := s.MeasureFrom(cross, "all", s.Opt.CPUs)
-	if err != nil {
-		t.Fatal(err)
+	if ms := self.MemoStats(); ms.Layout.Misses != 3 || ms.Train.Misses != 3 {
+		t.Fatalf("3 distinct train specs built %d layouts from %d training runs", ms.Layout.Misses, ms.Train.Misses)
 	}
-	if mSelf == mCross {
-		t.Fatal("measures for different train specs share a memo entry")
-	}
+
+	// Measures: self vs cross must be distinct runs with distinct results;
+	// repeated calls on one session alias.
+	mSelf, mCross := measureOf(self), measureOf(cross)
 	if reflect.DeepEqual(mSelf, mCross) {
 		t.Fatal("transplanted-layout measure is value-identical to self-trained — memo collision or dead seam")
 	}
-	if m2, _ := s.MeasureFrom(self, "all", s.Opt.CPUs); m2 != mSelf {
+	if measureOf(self) != mSelf {
 		t.Fatal("repeated self-trained measure did not hit the memo")
 	}
 
-	// Determinism across sessions: a fresh source+session pair reproduces
+	// Determinism across sources: a fresh source+session pair reproduces
 	// the transplanted measure bit for bit.
-	src2, err := expt.NewProfileSource(tiny(), oe)
+	src2, err := expt.NewProfileSource(o, oe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := expt.NewSessionFrom(src2, tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mCross2, err := s2.MeasureFrom(cross, "all", s2.Opt.CPUs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mCross2 := measureOf(open(src2, func(tc *expt.TrainConfig) { tc.Workload = oe }))
 	if mCross.Res != mCross2.Res {
 		t.Fatalf("transplanted measure not deterministic:\n%+v\n%+v", mCross.Res, mCross2.Res)
 	}
@@ -186,74 +194,82 @@ func TestTrainEvalMemoSeparation(t *testing.T) {
 	}
 }
 
-// TestTrainFromSwitchesDefault: TrainFrom re-points the session's default
-// profile; switching back restores the original memo entries.
-func TestTrainFromSwitchesDefault(t *testing.T) {
+// TestConcurrentSessionsOneSource: eight sessions — two per train config,
+// four train configs — measure concurrently over one source. Every method of
+// a session is safe for concurrent use and nothing in it is written after
+// construction, so each result must equal the one a serial run over a fresh
+// source produces, from one training run and one layout per train spec.
+func TestConcurrentSessionsOneSource(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
-	o := pinnedOptions()
-	o.Transactions = 40
-	o.WarmupTxns = 10
-	o.Train.Txns = 100
-	oe := ordere.NewScaled(ordere.Scale{Warehouses: 2, DistrictsPerWarehouse: 3, CustomersPerDistrict: 40, Items: 120})
-	src, err := expt.NewProfileSource(o, oe)
-	if err != nil {
-		t.Fatal(err)
+	o, oe := tinyTrainOptions()
+	trains := []func(*expt.TrainConfig){
+		func(*expt.TrainConfig) {},
+		func(tc *expt.TrainConfig) { tc.Workload = oe },
+		func(tc *expt.TrainConfig) { tc.Seed = o.Seed + 99 },
+		func(tc *expt.TrainConfig) { tc.Shards = 2 },
 	}
-	s, err := expt.NewSessionFrom(src, o)
-	if err != nil {
-		t.Fatal(err)
+	// sessions opens n sessions per train config over a fresh source.
+	sessions := func(n int) []*expt.Session {
+		src, err := expt.NewProfileSource(o, oe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []*expt.Session
+		for _, train := range trains {
+			so := o
+			train(&so.Train)
+			for i := 0; i < n; i++ {
+				s, err := expt.NewSessionFrom(src, so)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, s)
+			}
+		}
+		return out
 	}
-	selfSpec := s.TrainSpec()
-	selfL, err := s.Layout("all")
-	if err != nil {
-		t.Fatal(err)
+
+	serial := make(map[string]*expt.Measure)
+	for _, s := range sessions(1) {
+		m, err := s.Measure("all", s.Opt.CPUs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[s.TrainSpec()] = m
 	}
-	selfRep := s.Report("all")
-	if selfRep == nil {
-		t.Fatal("no report for the self-trained layout")
+	if len(serial) != len(trains) {
+		t.Fatalf("%d train configs resolved to %d specs", len(trains), len(serial))
 	}
-	s.TrainFrom(expt.TrainConfig{Workload: oe})
-	if s.TrainSpec() == selfSpec {
-		t.Fatal("TrainFrom did not change the resolved train spec")
+
+	conc := sessions(2)
+	got := make([]*expt.Measure, len(conc))
+	errs := make([]error, len(conc))
+	var wg sync.WaitGroup
+	for i, s := range conc {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = s.Measure("all", s.Opt.CPUs)
+		}()
 	}
-	crossL, err := s.Layout("all")
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	for i, s := range conc {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i], serial[s.TrainSpec()]) {
+			t.Errorf("session %d (train %s): concurrent measure differs from the serial one", i, s.TrainSpec())
+		}
 	}
-	if crossL == selfL {
-		t.Fatal("default-train layout after TrainFrom aliases the self-trained layout")
+	ms := conc[0].MemoStats()
+	if ms.Train.Misses != uint64(len(trains)) {
+		t.Errorf("%d training runs for %d train specs", ms.Train.Misses, len(trains))
 	}
-	// Report must follow the switched default, like Layout does.
-	if rep := s.Report("all"); rep == nil || rep == selfRep {
-		t.Fatalf("Report after TrainFrom did not track the switched default (rep=%p self=%p)", rep, selfRep)
-	}
-	s.TrainFrom(expt.TrainConfig{})
-	if s.TrainSpec() != selfSpec {
-		t.Fatal("TrainFrom(zero) did not restore the self-trained default")
-	}
-	back, err := s.Layout("all")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != selfL {
-		t.Fatal("restored default did not hit the original memo entry")
-	}
-	if rep := s.Report("all"); rep != selfRep {
-		t.Fatal("restored default did not restore the original report")
-	}
-	// Layouts are memoized on the source: a second session over the same
-	// source must hit the same entries instead of rebuilding.
-	s2, err := expt.NewSessionFrom(src, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := s2.Layout("all")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shared != selfL {
-		t.Fatal("sessions of one source do not share the layout memo")
+	// One "all" layout per train spec, plus the two shared baselines the
+	// measured machine runs the kernel (kbase) and the training (base) over.
+	if want := uint64(len(trains)) + 1; ms.Layout.Misses != want {
+		t.Errorf("%d layout builds, want %d", ms.Layout.Misses, want)
 	}
 }

@@ -2,6 +2,7 @@ package program_test
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"testing"
 
@@ -41,6 +42,88 @@ func TestLayoutSaveLoadRoundTrip(t *testing.T) {
 	}
 	if got.TotalWords() != l.TotalWords() {
 		t.Fatalf("total words %d != %d", got.TotalWords(), l.TotalWords())
+	}
+}
+
+// TestSaveLayoutIsByteStable: a layout file is a digest of the layout. A
+// layout of the shape CFA produces — many alignment units, explicit gaps
+// before some of them, both kept as maps — saves to the same bytes every time
+// and loads back to the same addresses.
+func TestSaveLayoutIsByteStable(t *testing.T) {
+	p := progtest.RandProgram(rand.New(rand.NewSource(21)), 30)
+	order := program.SourceOrder(p)
+	opts := program.MaterializeOptions{
+		AlignWords: 4,
+		AlignAt:    make(map[program.BlockID]bool),
+		GapBefore:  make(map[program.BlockID]uint64),
+	}
+	for i := 0; i < len(order); i += 4 {
+		opts.AlignAt[order[i]] = true
+		if i%3 == 0 {
+			opts.GapBefore[order[i]] = uint64(64 + 16*i)
+		}
+	}
+	l, err := program.Materialize(p, order, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.AlignAt) < 16 || len(l.GapBefore) < 8 {
+		t.Fatalf("layout has %d alignment units and %d gaps; the test needs several of each", len(l.AlignAt), len(l.GapBefore))
+	}
+	var first bytes.Buffer
+	if err := program.SaveLayout(&first, l, 4); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		var again bytes.Buffer
+		if err := program.SaveLayout(&again, l, 4); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("save %d of one layout differs from the first", i+2)
+		}
+	}
+	got, err := program.LoadLayout(&first, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range p.Blocks {
+		if got.Addr[id] != l.Addr[id] {
+			t.Fatalf("block %d: address differs after roundtrip", id)
+		}
+	}
+}
+
+// TestLoadLayoutReadsMapGapFiles: files written when the gap table was still
+// a gob map keep loading.
+func TestLoadLayoutReadsMapGapFiles(t *testing.T) {
+	p := progtest.RandProgram(rand.New(rand.NewSource(12)), 6)
+	order := program.SourceOrder(p)
+	opts := program.MaterializeOptions{
+		AlignWords: 4,
+		AlignAt:    map[program.BlockID]bool{order[0]: true},
+		GapBefore:  map[program.BlockID]uint64{order[len(order)/2]: 256},
+	}
+	want, err := program.Materialize(p, order, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(struct {
+		ProgramName string
+		Order       []program.BlockID
+		AlignAt     []program.BlockID
+		AlignWords  int
+		GapBefore   map[program.BlockID]uint64
+	}{p.Name, order, []program.BlockID{order[0]}, 4, opts.GapBefore}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := program.LoadLayout(&buf, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TotalWords() != want.TotalWords() || got.GapBefore[order[len(order)/2]] != 256 {
+		t.Fatalf("old-format file lost its gap: %d words, want %d", got.TotalWords(), want.TotalWords())
 	}
 }
 

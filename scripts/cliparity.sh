@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # cliparity records, or checks against the record, what the four commands
 # that share one flag surface (oltpgen, pixie, oltpbench, layoutlab) print:
-# the stdout of every invocation .github/workflows/ci.yml makes of them, the
-# offline/in-process parity pair, a no-flag run of each, and each command's
-# flag-name set. A refactor of the flag surface must leave all of it
-# byte-identical (store-hit ages, which depend on wall time, are masked).
+# the stdout of one invocation per oltpbench mode and layoutlab extension
+# table (CI runs this script as its end-to-end smoke of them), the
+# offline/in-process parity pair and the hash of the layout file it writes, a
+# no-flag run of each, and each command's flag-name set. A refactor must
+# leave all of it byte-identical (store-hit ages, which depend on wall time,
+# are masked).
 #
 #	scripts/cliparity.sh record   # rewrite testdata/cliparity/
 #	scripts/cliparity.sh check    # diff a fresh run against it (exit 1 on drift)
@@ -58,6 +60,9 @@ run parity-pixie pixie "${img[@]}" -runseed 2008 -txns 300 -cpus 2 -out par.prof
 run parity-spike spike -prog pimg/app.prog -profile par.prof -combo all -out par.layout
 run parity-offline oltpbench "${img[@]}" -cpus 2 -stall 40 -layout par.layout
 run parity-inprocess oltpbench "${img[@]}" -cpus 2 -stall 40 -opt all -train-txns 300
+# The layouts spike wrote are a digest of the profiles pixie wrote: equal
+# block and edge counts give equal layouts, and equal layouts equal files.
+sha256sum par.layout >"$out/parity-layout.sha256"
 
 # No-flag runs.
 run noflag-oltpgen oltpgen
