@@ -16,9 +16,13 @@ var (
 	LineSizes = []int{16, 32, 64, 128, 256}
 )
 
-// Measure holds everything one simulated run produces.
+// Measure holds what one simulated run produced: the machine's own results,
+// and the fields of the sink groups the run attached (Sinks). A field of a
+// group outside Sinks is nil or zero — nothing simulated it.
 type Measure struct {
 	Res machine.Result
+	// Sinks is the set of sink groups the run was measured with.
+	Sinks SinkSet
 
 	// Latency is the run's per-transaction latency breakdown per home
 	// shard × transaction kind (the run-wide summary is Res.Latency).
@@ -70,157 +74,215 @@ type Measure struct {
 	Board mem.Stats
 }
 
-// battery wires up every sink for one run.
-type battery struct {
-	cpus int
+// SinkSet names the sink groups a measured run attaches: what the reader of
+// its Measure will read, and so all the run simulates beyond the machine
+// itself. Sets combine with |. Res, Latency and GCWindows come from the
+// machine and are valid under every set, NoSinks included.
+type SinkSet uint32
 
-	appDM  map[int]map[int]*perCPUCache
-	app4W  map[int]*perCPUCache
-	comb4W map[int]*perCPUCache
-	kern4W map[int]*perCPUCache
-	word   *perCPUCache
+const (
+	SinkAppDM  SinkSet = 1 << iota // AppDM: all 25 size × line caches
+	SinkSeq                        // Seq
+	SinkFoot                       // Foot
+	SinkRuns                       // AppRuns, AllRuns
+	SinkITLB                       // ITLB64, ITLB48
+	SinkMem                        // Mem, and HW21264: the L1I whose misses feed Mem's L2
+	SinkBoard                      // Board, and HW21164 likewise
+	sinkApp4W                      // App4W[size]: five bits, one per CacheSizesKB entry
+	sinkComb4W         = sinkApp4W << 5
+	sinkKern4W         = sinkComb4W << 5
 
-	seq    *trace.SeqLen
-	foot   *trace.Footprint
-	appCnt *trace.Counter
-	allCnt *trace.Counter
-	itlb64 *perCPUTLB
-	itlb48 *perCPUTLB
-	memsys *mem.System
-	board  *mem.System
+	NoSinks  SinkSet = 0
+	AllSinks         = sinkKern4W<<5 - 1
+)
 
-	simosL1I *perCPUCache // 64KB/64B/2-way, feeds memsys (doubles as 21264 L1I)
-	boardL1I *perCPUCache // 8KB/32B/direct, feeds board (doubles as 21164 L1I)
+// SinkApp4W, SinkComb4W and SinkKern4W name one cache of a 4-way family by
+// its size, a CacheSizesKB entry (any other size names no cache: the empty
+// set). SinkApp4W(128) is also Word, SinkComb4W(128) also Intf.
+func SinkApp4W(sizeKB int) SinkSet  { return sizeBit(sinkApp4W, sizeKB) }
+func SinkComb4W(sizeKB int) SinkSet { return sizeBit(sinkComb4W, sizeKB) }
+func SinkKern4W(sizeKB int) SinkSet { return sizeBit(sinkKern4W, sizeKB) }
+
+func sizeBit(first SinkSet, sizeKB int) SinkSet {
+	for i, s := range CacheSizesKB {
+		if s == sizeKB {
+			return first << i
+		}
+	}
+	return NoSinks
 }
 
-func newBattery(cpus int) *battery {
-	b := &battery{
-		cpus:   cpus,
-		appDM:  make(map[int]map[int]*perCPUCache),
-		app4W:  make(map[int]*perCPUCache),
-		comb4W: make(map[int]*perCPUCache),
-		kern4W: make(map[int]*perCPUCache),
+// stream is the part of the fetch stream a sink observes.
+type stream int
+
+const (
+	appStream stream = iota
+	kernStream
+	combStream
+	numStreams
+)
+
+var streamFilter = [numStreams]func(trace.Sink) trace.Sink{
+	appStream:  trace.AppOnly,
+	kernStream: trace.KernelOnly,
+	combStream: func(s trace.Sink) trace.Sink { return s },
+}
+
+// sinkGroup is one row of the battery: the set bit that asks for it, the
+// fetch stream it observes, and build, which makes its simulators for one
+// run on a cpus-processor machine and returns the fetch sink, the data sink
+// if it has one, and the collector that files its results in the Measure.
+type sinkGroup struct {
+	in     SinkSet
+	stream stream
+	build  func(cpus int) (trace.Sink, trace.DataSink, func(*Measure))
+}
+
+// sinkGroups is the battery, every group listed once.
+var sinkGroups = func() []sinkGroup {
+	var gs []sinkGroup
+	icache := func(in SinkSet, st stream, cfg cache.Config, file func(*Measure, *cache.Stats)) {
+		gs = append(gs, sinkGroup{in, st, func(cpus int) (trace.Sink, trace.DataSink, func(*Measure)) {
+			c := newPerCPUCache(cfg, cpus)
+			return c, nil, func(m *Measure) { file(m, c.stats()) }
+		}})
 	}
-	for _, size := range CacheSizesKB {
-		b.appDM[size] = make(map[int]*perCPUCache)
+	for i, size := range CacheSizesKB {
 		for _, line := range LineSizes {
-			b.appDM[size][line] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: line, Assoc: 1}, cpus)
+			icache(SinkAppDM, appStream, cache.Config{SizeBytes: size << 10, LineBytes: line, Assoc: 1},
+				func(m *Measure, st *cache.Stats) {
+					if m.AppDM[size] == nil {
+						put(&m.AppDM, size, make(map[int]*cache.Stats))
+					}
+					m.AppDM[size][line] = st
+				})
 		}
-		if size != 128 { // Word is the 128KB one: word tracking never changes a hit or a victim
-			b.app4W[size] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4}, cpus)
+		// The 128KB application cache tracks words: it is Word, and word
+		// tracking never changes a hit or a victim. The 128KB combined
+		// cache is Intf.
+		fourWay := cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4}
+		app := fourWay
+		app.WordStats = size == 128
+		icache(sinkApp4W<<i, appStream, app, func(m *Measure, st *cache.Stats) {
+			put(&m.App4W, size, st)
+			if size == 128 {
+				m.Word = st
+			}
+		})
+		icache(sinkComb4W<<i, combStream, fourWay, func(m *Measure, st *cache.Stats) {
+			put(&m.Comb4W, size, st)
+			if size == 128 {
+				m.Intf = st
+			}
+		})
+		icache(sinkKern4W<<i, kernStream, fourWay, func(m *Measure, st *cache.Stats) { put(&m.Kern4W, size, st) })
+	}
+
+	itlb := func(entries int, file func(*Measure, uint64)) sinkGroup {
+		return sinkGroup{SinkITLB, combStream, func(cpus int) (trace.Sink, trace.DataSink, func(*Measure)) {
+			t := &perCPUTLB{}
+			for i := 0; i < cpus; i++ {
+				t.tlbs = append(t.tlbs, tlb.New(entries))
+			}
+			return t, nil, func(m *Measure) {
+				var n uint64
+				for _, one := range t.tlbs {
+					n += one.Misses
+				}
+				file(m, n)
+			}
+		}}
+	}
+	// memory is an L1I per CPU whose misses feed the unified L2 of a memory
+	// system that also takes the data references.
+	memory := func(in SinkSet, l1i cache.Config, sys mem.Config, file func(*Measure, *cache.Stats, mem.Stats)) sinkGroup {
+		return sinkGroup{in, combStream, func(cpus int) (trace.Sink, trace.DataSink, func(*Measure)) {
+			sys := sys // builds run concurrently
+			sys.CPUs = cpus
+			ms := mem.NewSystem(sys)
+			c := newPerCPUCache(l1i, cpus)
+			for cpu, ic := range c.sims {
+				ic.OnMiss(func(lineAddr uint64, kernel bool) { ms.FetchMiss(lineAddr, cpu) })
+			}
+			return c, ms, func(m *Measure) { file(m, c.stats(), ms.Stats) }
+		}}
+	}
+	return append(gs,
+		sinkGroup{SinkSeq, appStream, func(int) (trace.Sink, trace.DataSink, func(*Measure)) {
+			s := trace.NewSeqLen()
+			return s, nil, func(m *Measure) { s.Flush(); m.Seq = s }
+		}},
+		sinkGroup{SinkFoot, appStream, func(int) (trace.Sink, trace.DataSink, func(*Measure)) {
+			f := trace.NewFootprint(128)
+			return f, nil, func(m *Measure) { m.Foot = f }
+		}},
+		sinkGroup{SinkRuns, appStream, func(int) (trace.Sink, trace.DataSink, func(*Measure)) {
+			c := &trace.Counter{}
+			return c, nil, func(m *Measure) { m.AppRuns = *c }
+		}},
+		sinkGroup{SinkRuns, combStream, func(int) (trace.Sink, trace.DataSink, func(*Measure)) {
+			c := &trace.Counter{}
+			return c, nil, func(m *Measure) { m.AllRuns = *c }
+		}},
+		itlb(64, func(m *Measure, n uint64) { m.ITLB64 = n }),
+		itlb(48, func(m *Measure, n uint64) { m.ITLB48 = n }),
+		memory(SinkMem, cache.Config{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 2}, mem.DefaultConfig(0),
+			func(m *Measure, l1i *cache.Stats, st mem.Stats) { m.HW21264, m.Mem = l1i, st }),
+		memory(SinkBoard, cache.Config{SizeBytes: 8 << 10, LineBytes: 32, Assoc: 1},
+			mem.Config{
+				L1DSizeBytes: 8 << 10, L1DLineBytes: 32, L1DAssoc: 1,
+				L2SizeBytes: 2 << 20, L2LineBytes: 64, L2Assoc: 1,
+			},
+			func(m *Measure, l1i *cache.Stats, st mem.Stats) { m.HW21164, m.Board = l1i, st }),
+	)
+}()
+
+// put stores v under k, making the map on first use: a Measure's maps stay
+// nil until a requested group files something in them.
+func put[V any](m *map[int]V, k int, v V) {
+	if *m == nil {
+		*m = make(map[int]V)
+	}
+	(*m)[k] = v
+}
+
+// attachBattery builds the groups of set for the machine cfg describes —
+// the one place the battery is sized, from cfg.CPUs — attaches them as
+// cfg's sinks, one filtered tee per observed stream, and returns their
+// collectors.
+func attachBattery(cfg *machine.Config, set SinkSet) []func(*Measure) {
+	var tees [numStreams]trace.Tee
+	var collect []func(*Measure)
+	for _, g := range sinkGroups {
+		if g.in&set == 0 {
+			continue
 		}
-		b.comb4W[size] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4}, cpus)
-		b.kern4W[size] = newPerCPUCache(cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4}, cpus)
+		fetch, data, c := g.build(cfg.CPUs)
+		tees[g.stream] = append(tees[g.stream], fetch)
+		if data != nil {
+			cfg.DataSinks = append(cfg.DataSinks, data)
+		}
+		collect = append(collect, c)
 	}
-	b.word = newPerCPUCache(cache.Config{SizeBytes: 128 << 10, LineBytes: 128, Assoc: 4, WordStats: true}, cpus)
-	b.seq = trace.NewSeqLen()
-	b.foot = trace.NewFootprint(128)
-	b.appCnt = &trace.Counter{}
-	b.allCnt = &trace.Counter{}
-	b.itlb64 = newPerCPUTLB(64, cpus)
-	b.itlb48 = newPerCPUTLB(48, cpus)
-
-	b.memsys = mem.NewSystem(mem.DefaultConfig(cpus))
-	b.simosL1I = newPerCPUCache(cache.Config{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 2}, cpus)
-	for c, ic := range b.simosL1I.sims {
-		cc := c
-		ic.OnMiss(func(lineAddr uint64, kernel bool) { b.memsys.FetchMiss(lineAddr, cc) })
-	}
-	b.board = mem.NewSystem(mem.Config{
-		CPUs:         cpus,
-		L1DSizeBytes: 8 << 10, L1DLineBytes: 32, L1DAssoc: 1,
-		L2SizeBytes: 2 << 20, L2LineBytes: 64, L2Assoc: 1,
-	})
-	b.boardL1I = newPerCPUCache(cache.Config{SizeBytes: 8 << 10, LineBytes: 32, Assoc: 1}, cpus)
-	for c, ic := range b.boardL1I.sims {
-		cc := c
-		ic.OnMiss(func(lineAddr uint64, kernel bool) { b.board.FetchMiss(lineAddr, cc) })
-	}
-	return b
-}
-
-func (b *battery) sinks() []trace.Sink {
-	var appSinks trace.Tee
-	for _, perLine := range b.appDM {
-		for _, c := range perLine {
-			appSinks = append(appSinks, c)
+	for st, tee := range tees {
+		if len(tee) > 0 {
+			cfg.Sinks = append(cfg.Sinks, streamFilter[st](tee))
 		}
 	}
-	for _, c := range b.app4W {
-		appSinks = append(appSinks, c)
-	}
-	appSinks = append(appSinks, b.word, b.seq, b.foot, b.appCnt)
-
-	var kernSinks trace.Tee
-	for _, c := range b.kern4W {
-		kernSinks = append(kernSinks, c)
-	}
-
-	var combined trace.Tee
-	for _, c := range b.comb4W {
-		combined = append(combined, c)
-	}
-	combined = append(combined, b.allCnt, b.itlb64, b.itlb48, b.simosL1I, b.boardL1I)
-
-	return []trace.Sink{
-		trace.AppOnly(appSinks),
-		trace.KernelOnly(kernSinks),
-		combined,
-	}
+	return collect
 }
 
-func (b *battery) dataSinks() []trace.DataSink {
-	return []trace.DataSink{b.memsys, b.board}
-}
-
-func (b *battery) finish(res machine.Result) *Measure {
-	m := &Measure{
-		Res:    res,
-		AppDM:  make(map[int]map[int]*cache.Stats),
-		App4W:  make(map[int]*cache.Stats),
-		Comb4W: make(map[int]*cache.Stats),
-		Kern4W: make(map[int]*cache.Stats),
-	}
-	for size, perLine := range b.appDM {
-		m.AppDM[size] = make(map[int]*cache.Stats)
-		for line, c := range perLine {
-			m.AppDM[size][line] = c.stats()
-		}
-	}
-	for size, c := range b.app4W {
-		m.App4W[size] = c.stats()
-	}
-	for size, c := range b.comb4W {
-		m.Comb4W[size] = c.stats()
-	}
-	for size, c := range b.kern4W {
-		m.Kern4W[size] = c.stats()
-	}
-	m.Word = b.word.stats()
-	m.App4W[128] = m.Word
-	m.Intf = m.Comb4W[128]
-	b.seq.Flush()
-	m.Seq = b.seq
-	m.Foot = b.foot
-	m.AppRuns = *b.appCnt
-	m.AllRuns = *b.allCnt
-	m.ITLB64 = b.itlb64.misses()
-	m.ITLB48 = b.itlb48.misses()
-	m.HW21264 = b.simosL1I.stats()
-	m.HW21164 = b.boardL1I.stats()
-	m.Mem = b.memsys.Stats
-	m.Board = b.board.Stats
-	return m
-}
-
-// perCPUCache routes runs to one ICache per CPU and merges their stats.
-type perCPUCache struct {
-	sims []*cache.ICache
-	cfg  cache.Config
-}
+// perCPUCache and perCPUTLB route each fetch run to its CPU's own simulator.
+// A run from a CPU beyond them means the battery was not sized from the
+// machine it is attached to: the index panics, where a clamp would fold the
+// run into another CPU's statistics.
+type (
+	perCPUCache struct{ sims []*cache.ICache }
+	perCPUTLB   struct{ tlbs []*tlb.TLB }
+)
 
 func newPerCPUCache(cfg cache.Config, cpus int) *perCPUCache {
-	p := &perCPUCache{cfg: cfg}
+	p := &perCPUCache{}
 	for i := 0; i < cpus; i++ {
 		p.sims = append(p.sims, cache.New(cfg))
 	}
@@ -228,49 +290,17 @@ func newPerCPUCache(cfg cache.Config, cpus int) *perCPUCache {
 }
 
 // Fetch implements trace.Sink.
-func (p *perCPUCache) Fetch(r trace.FetchRun) {
-	i := int(r.CPU)
-	if i >= len(p.sims) {
-		i = len(p.sims) - 1
-	}
-	p.sims[i].Fetch(r)
-}
+func (p *perCPUCache) Fetch(r trace.FetchRun) { p.sims[r.CPU].Fetch(r) }
 
+// Fetch implements trace.Sink.
+func (p *perCPUTLB) Fetch(r trace.FetchRun) { p.tlbs[r.CPU].Fetch(r) }
+
+// stats finalizes the per-CPU caches and merges their statistics.
 func (p *perCPUCache) stats() *cache.Stats {
-	merged := cache.NewStats(p.cfg)
+	merged := cache.NewStats(p.sims[0].Config())
 	for _, c := range p.sims {
 		c.Finalize()
 		merged.Merge(c.Stats())
 	}
 	return merged
-}
-
-// perCPUTLB routes runs to one iTLB per CPU.
-type perCPUTLB struct {
-	tlbs []*tlb.TLB
-}
-
-func newPerCPUTLB(entries, cpus int) *perCPUTLB {
-	p := &perCPUTLB{}
-	for i := 0; i < cpus; i++ {
-		p.tlbs = append(p.tlbs, tlb.New(entries))
-	}
-	return p
-}
-
-// Fetch implements trace.Sink.
-func (p *perCPUTLB) Fetch(r trace.FetchRun) {
-	i := int(r.CPU)
-	if i >= len(p.tlbs) {
-		i = len(p.tlbs) - 1
-	}
-	p.tlbs[i].Fetch(r)
-}
-
-func (p *perCPUTLB) misses() uint64 {
-	var n uint64
-	for _, t := range p.tlbs {
-		n += t.Misses
-	}
-	return n
 }

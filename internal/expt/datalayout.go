@@ -113,11 +113,11 @@ func DataLayoutTable(o Options, spec DataLayoutSpec) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mI, err := sI.Measure("base", cpus)
+		mI, err := sI.Reading(SinkMem).Measure("base", cpus)
 		if err != nil {
 			return nil, fmt.Errorf("regime %s interleaved: %w", r.name, err)
 		}
-		mG, err := sG.Measure("base", cpus)
+		mG, err := sG.Reading(SinkMem).Measure("base", cpus)
 		if err != nil {
 			return nil, fmt.Errorf("regime %s grouped: %w", r.name, err)
 		}

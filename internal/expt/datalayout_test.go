@@ -7,7 +7,8 @@ import (
 )
 
 // measurePair builds a fresh source over QuickOptions TPC-B and measures the
-// base code layout under both record layouts.
+// base code layout under both record layouts, reading what DataLayoutTable
+// reads: the machine's results and Mem.
 func measurePair(t *testing.T) (*Measure, *Measure) {
 	t.Helper()
 	o := QuickOptions()
@@ -27,11 +28,11 @@ func measurePair(t *testing.T) (*Measure, *Measure) {
 	if err != nil {
 		t.Fatalf("grouped session: %v", err)
 	}
-	mI, err := sI.Measure("base", o.CPUs)
+	mI, err := sI.Reading(SinkMem).Measure("base", o.CPUs)
 	if err != nil {
 		t.Fatalf("interleaved measure: %v", err)
 	}
-	mG, err := sG.Measure("base", o.CPUs)
+	mG, err := sG.Reading(SinkMem).Measure("base", o.CPUs)
 	if err != nil {
 		t.Fatalf("grouped measure: %v", err)
 	}

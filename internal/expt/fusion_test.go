@@ -46,6 +46,7 @@ func TestFusionBeatsIPChainP50(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		s = s.Reading(expt.NoSinks) // latency and stalls are the machine's own
 		fuse, err := s.Measure("fusion", eo.CPUs)
 		if err != nil {
 			t.Fatalf("%s: measure fusion: %v", wl, err)

@@ -73,6 +73,7 @@ func LatencyTables(o Options, spec LatencySpec) ([]*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			s = s.Reading(NoSinks) // latency is the machine's own
 			layouts := []string{"base"}
 			if spec.Layout != "base" {
 				layouts = append(layouts, spec.Layout)

@@ -23,6 +23,7 @@ func TestMeasureCarriesLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s = s.Reading(expt.NoSinks) // latency and windows are the machine's own
 	m, err := s.Measure("base", o.CPUs)
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +51,7 @@ func TestMeasureCarriesLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s2 = s2.Reading(expt.NoSinks)
 	m2, err := s2.Measure("base", o.CPUs)
 	if err != nil {
 		t.Fatal(err)

@@ -123,12 +123,13 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 		return NewSessionFrom(src, o)
 	}
 	res := &RobustnessResult{}
+	reads := SinkApp4W(64) // the one cache the matrix reports
 	for ei, eval := range cells {
 		self, err := session(eval, eval)
 		if err != nil {
 			return nil, err
 		}
-		base, err := self.Measure("base", cpus)
+		base, err := self.Reading(reads).Measure("base", cpus)
 		if err != nil {
 			return nil, fmt.Errorf("baseline for eval %s/s%d: %w", eval.w.Name(), eval.shards, err)
 		}
@@ -140,7 +141,7 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 					return nil, err
 				}
 			}
-			m, err := s.Measure(spec.Layout, cpus)
+			m, err := s.Reading(reads).Measure(spec.Layout, cpus)
 			if err != nil {
 				return nil, fmt.Errorf("train %s/s%d eval %s/s%d: %w",
 					train.w.Name(), train.shards, eval.w.Name(), eval.shards, err)
@@ -306,6 +307,10 @@ func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
 			"blocked-on-log", "predicted", "mispredicted", "cross-shard"}
 	}
 	t := stats.NewTable(title, cols...)
+	reads := SinkApp4W(64) | SinkKern4W(64)
+	if spec.FastPath {
+		reads = NoSinks // the off/on columns are all the machine's own
+	}
 
 	for _, n := range shardCounts {
 		eo := o
@@ -324,7 +329,7 @@ func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
 			}
 		}
 		for _, layout := range layouts {
-			mOff, err := off.Measure(layout, cpus)
+			mOff, err := off.Reading(reads).Measure(layout, cpus)
 			if err != nil {
 				return nil, fmt.Errorf("shards=%d layout=%s: %w", n, layout, err)
 			}
@@ -344,7 +349,7 @@ func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
 					mOff.Res.LogBlockedInstr, "-", "-", mOff.Res.CrossShard)
 				continue
 			}
-			mOn, err := on.Measure(layout, cpus)
+			mOn, err := on.Reading(reads).Measure(layout, cpus)
 			if err != nil {
 				return nil, fmt.Errorf("shards=%d layout=%s fastpath: %w", n, layout, err)
 			}

@@ -194,7 +194,8 @@ type Session struct {
 	src *ProfileSource
 	tc  TrainConfig // Opt.Train, resolved
 
-	measures memo[measKey, *Measure]
+	sinks    SinkSet // what Measure attaches; AllSinks unless a Reading view
+	measures *memo[measKey, *Measure]
 }
 
 // MemoStats is the session's memo-layer report card: the measurement memo
@@ -221,6 +222,7 @@ type measKey struct {
 	layout string
 	kern   string
 	cpus   int
+	sinks  SinkSet
 }
 
 // NewSession builds a private profile source (images and baseline layouts)
@@ -255,7 +257,18 @@ func NewSessionFrom(src *ProfileSource, o Options) (*Session, error) {
 	if o.PredictFastPath && shardKey(o.Shards) > 1 && src.appImg.Fns["predict_check"] == nil {
 		return nil, fmt.Errorf("expt: PredictFastPath needs the predictor models in the source image; build the ProfileSource with Options.PredictFastPath set")
 	}
-	return &Session{Opt: o, src: src, tc: o.resolveTrain()}, nil
+	return &Session{Opt: o, src: src, tc: o.resolveTrain(), sinks: AllSinks, measures: new(memo[measKey, *Measure])}, nil
+}
+
+// Reading returns a view of the session whose Measure, MeasureKern and
+// MeasureBatch attach only the sink groups of set — what the caller will
+// read off the Measure — instead of the full battery. The view shares the
+// session's memo (keyed by set as well, so a run is never served to a reader
+// of fields it did not simulate) and everything else.
+func (s *Session) Reading(set SinkSet) *Session {
+	v := *s
+	v.sinks = set
+	return &v
 }
 
 // Source exposes the session's profile source (for sharing with further
@@ -393,8 +406,8 @@ func (s *Session) fastPath() bool {
 // MachineConfig lowers the session's options and a named layout (baseline
 // kernel layout) to the machine.Config a measurement of that layout runs —
 // the one place Options becomes a machine.Config. The sinks are left empty:
-// Measure attaches the measurement battery, a command its own caches and
-// trace writers.
+// Measure attaches the sink groups its reader asked for, a command its own
+// caches and trace writers.
 func (s *Session) MachineConfig(layout string, cpus int) (machine.Config, error) {
 	return s.machineConfig(layout, "kbase", cpus)
 }
@@ -442,35 +455,34 @@ func (s *Session) machineConfig(layout, kern string, cpus int) (machine.Config, 
 }
 
 // Measure runs (or returns the memoized run of) the workload under the
-// named layout with the full measurement battery attached.
+// named layout with the full measurement battery attached (on a Reading
+// view: with the view's sink groups).
 func (s *Session) Measure(layout string, cpus int) (*Measure, error) {
 	return s.MeasureKern(layout, "kbase", cpus)
 }
 
 // MeasureKern is Measure with an explicit kernel layout. Concurrent calls
-// for the same (layout, kernel, cpus) key share one simulation run: the first
-// caller runs it, later callers block until the result (or error) is
-// memoized.
+// for the same (layout, kernel, cpus, sink set) key share one simulation run:
+// the first caller runs it, later callers block until the result (or error)
+// is memoized.
 func (s *Session) MeasureKern(layout, kern string, cpus int) (*Measure, error) {
-	key := measKey{layout: layout, kern: kern, cpus: cpus}
+	key := measKey{layout: layout, kern: kern, cpus: cpus, sinks: s.sinks}
 	return s.measures.get(key, func() (*Measure, error) {
 		cfg, err := s.machineConfig(layout, kern, cpus)
 		if err != nil {
 			return nil, err
 		}
-		return runMeasured(cfg, fmt.Sprintf("%s/%s/%dcpu (train %s)", layout, kern, cpus, s.tc.Spec()))
+		return runMeasured(cfg, s.sinks, fmt.Sprintf("%s/%s/%dcpu (train %s)", layout, kern, cpus, s.tc.Spec()))
 	})
 }
 
 // runMeasured is the tail every measurement shares: attach a fresh battery
-// to cfg, run the machine, audit the workload's invariants after
-// drain-to-quiescence — a measurement of a run that corrupted the database
-// is not a measurement — and collect the battery into a Measure. what names
-// the run in errors.
-func runMeasured(cfg machine.Config, what string) (*Measure, error) {
-	bat := newBattery(cfg.CPUs)
-	cfg.Sinks = bat.sinks()
-	cfg.DataSinks = bat.dataSinks()
+// of the sink groups in set to cfg, run the machine, audit the workload's
+// invariants after drain-to-quiescence — a measurement of a run that
+// corrupted the database is not a measurement — and collect the battery into
+// a Measure. what names the run in errors.
+func runMeasured(cfg machine.Config, set SinkSet, what string) (*Measure, error) {
+	collect := attachBattery(&cfg, set)
 	mach, err := machine.New(cfg)
 	if err != nil {
 		return nil, err
@@ -482,9 +494,10 @@ func runMeasured(cfg machine.Config, what string) (*Measure, error) {
 	if err != nil {
 		return nil, fmt.Errorf("expt: measuring %s: %w", what, err)
 	}
-	meas := bat.finish(res)
-	meas.Latency = mach.LatencyByKind()
-	meas.GCWindows = mach.GroupCommitWindows()
+	meas := &Measure{Res: res, Sinks: set, Latency: mach.LatencyByKind(), GCWindows: mach.GroupCommitWindows()}
+	for _, c := range collect {
+		c(meas)
+	}
 	return meas, nil
 }
 

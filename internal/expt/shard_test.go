@@ -64,7 +64,7 @@ func TestShardedSessionDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := s.Measure("base", s.Opt.CPUs)
+		m, err := s.Reading(expt.NoSinks).Measure("base", s.Opt.CPUs)
 		if err != nil {
 			t.Fatal(err)
 		}

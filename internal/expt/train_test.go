@@ -225,7 +225,7 @@ func TestConcurrentSessionsOneSource(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out = append(out, s)
+				out = append(out, s.Reading(expt.NoSinks))
 			}
 		}
 		return out

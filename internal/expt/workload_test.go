@@ -75,6 +75,9 @@ func TestOrderEntryPipelinesReduceMisses(t *testing.T) {
 // TestMeasureDeterminism is the regression test for the parallel memo path:
 // two sessions with identical options, each measuring through MeasureBatch's
 // worker pool, must produce identical Measure results — for both workloads.
+// It compares the machine's own results, so it attaches no sinks (the
+// battery's determinism is TestShardsOneMeasureMatchesDefault's and the
+// pinned tests' job).
 func TestMeasureDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
@@ -97,6 +100,7 @@ func TestMeasureDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				s = s.Reading(expt.NoSinks)
 				if err := s.MeasureBatch(layouts, s.Opt.CPUs, 2); err != nil {
 					t.Fatal(err)
 				}

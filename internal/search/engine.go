@@ -64,6 +64,15 @@ func (o Objective) score(m *expt.Measure) float64 {
 	}
 }
 
+// reads is the sink set score needs: only the miss ratio comes off a
+// simulated cache, the other objectives off the machine's own result.
+func (o Objective) reads() expt.SinkSet {
+	if o == ObjectiveMissRatio {
+		return expt.SinkApp4W(64)
+	}
+	return expt.NoSinks
+}
+
 // Label is the objective's table-column label.
 func (o Objective) Label() string {
 	switch o {
@@ -352,7 +361,7 @@ func Run(o expt.Options, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ev.sessions = append(ev.sessions, s)
+		ev.sessions = append(ev.sessions, s.Reading(cfg.Objective.reads()))
 	}
 
 	// Score the hand-built reference combos first: "base" anchors the

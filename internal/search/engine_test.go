@@ -194,6 +194,7 @@ func TestRawSpecMatchesNamedCombo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s = s.Reading(expt.NoSinks) // only Res is compared
 	pairs := map[string]string{
 		"ipchain": "chain,split:none,ipchain,porder:ph,materialize",
 		"all":     "chain,split:fine,porder:ph,materialize",
