@@ -39,17 +39,16 @@ func main() {
 		fatal(err)
 	}
 
-	type key struct{ size, line int }
-	sims := make(map[key]*perCPU)
-	var all trace.Tee
-	for _, s := range sizes {
-		for _, l := range lines {
-			p := newPerCPU(cache.Config{SizeBytes: s << 10, LineBytes: l, Assoc: *assoc})
-			sims[key{s, l}] = p
-			all = append(all, p)
+	g := &grid{cfgs: make([][]cache.Config, len(lines))}
+	for i, l := range lines {
+		for _, s := range sizes {
+			g.cfgs[i] = append(g.cfgs[i], cache.Config{SizeBytes: s << 10, LineBytes: l, Assoc: *assoc})
 		}
 	}
-	var sink trace.Sink = all
+	if _, err := g.families(); err != nil {
+		fatal(err)
+	}
+	var sink trace.Sink = g
 	if *appOnly {
 		sink = trace.AppOnly(sink)
 	}
@@ -75,37 +74,57 @@ func main() {
 		cols = append(cols, fmt.Sprintf("%dKB", s))
 	}
 	t := stats.NewTable(fmt.Sprintf("icache misses (%d-way)", *assoc), cols...)
-	for _, l := range lines {
+	for i, l := range lines {
 		row := []interface{}{fmt.Sprintf("%dB", l)}
-		for _, s := range sizes {
-			row = append(row, sims[key{s, l}].misses())
+		for j := range sizes {
+			row = append(row, g.misses(i, j))
 		}
 		t.AddRow(row...)
 	}
 	t.Render(os.Stdout)
 }
 
-// perCPU lazily instantiates one cache per CPU that actually appears in the
-// trace.
-type perCPU struct {
-	cfg  cache.Config
-	sims [trace.MaxCPUs]*cache.ICache
+// grid is the size × line sweep: one cache.Family per line size, walking
+// that line's sizes, for each CPU that appears in the trace.
+type grid struct {
+	cfgs [][]cache.Config // per line size, one member per cache size
+	cpus [trace.MaxCPUs][]*cache.Family
 }
 
-func newPerCPU(cfg cache.Config) *perCPU { return &perCPU{cfg: cfg} }
-
-func (p *perCPU) Fetch(r trace.FetchRun) {
-	if p.sims[r.CPU] == nil {
-		p.sims[r.CPU] = cache.New(p.cfg)
+// families builds one CPU's families, or reports why the lists do not
+// describe caches.
+func (g *grid) families() ([]*cache.Family, error) {
+	fams := make([]*cache.Family, len(g.cfgs))
+	for i, cfgs := range g.cfgs {
+		f, err := cache.NewFamily(cfgs...)
+		if err != nil {
+			return nil, err
+		}
+		fams[i] = f
 	}
-	p.sims[r.CPU].Fetch(r)
+	return fams, nil
 }
 
-func (p *perCPU) misses() uint64 {
+// Fetch implements trace.Sink.
+func (g *grid) Fetch(r trace.FetchRun) {
+	if g.cpus[r.CPU] == nil {
+		fams, err := g.families()
+		if err != nil {
+			panic(err) // main built one set before replaying
+		}
+		g.cpus[r.CPU] = fams
+	}
+	for _, f := range g.cpus[r.CPU] {
+		f.Fetch(r)
+	}
+}
+
+// misses sums the misses of one cache of the grid over the CPUs.
+func (g *grid) misses(line, size int) uint64 {
 	var n uint64
-	for _, c := range p.sims {
-		if c != nil {
-			n += c.Stats().Misses
+	for _, fams := range g.cpus {
+		if fams != nil {
+			n += fams[line].Stats()[size].Misses
 		}
 	}
 	return n

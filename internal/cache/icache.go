@@ -128,6 +128,25 @@ func (s *Stats) UnusedFetchedFrac() float64 {
 	return 1 - float64(s.UsedWordSlots)/float64(s.FetchedWords)
 }
 
+// Validate reports why c does not describe a cache New can build: every
+// dimension positive, a power-of-two line of at least one instruction word,
+// and a power-of-two number of sets.
+func (c Config) Validate() error {
+	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Assoc <= 0 {
+		return fmt.Errorf("cache: size %d, line %d and associativity %d must all be positive", c.SizeBytes, c.LineBytes, c.Assoc)
+	}
+	if c.LineBytes < isa.WordBytes || c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("cache: line size %d is not a power of two of at least %d bytes", c.LineBytes, isa.WordBytes)
+	}
+	if c.SizeBytes%(c.LineBytes*c.Assoc) != 0 {
+		return fmt.Errorf("cache: size %d not divisible by line*assoc (%d*%d)", c.SizeBytes, c.LineBytes, c.Assoc)
+	}
+	if sets := c.SizeBytes / (c.LineBytes * c.Assoc); sets&(sets-1) != 0 {
+		return fmt.Errorf("cache: set count %d not a power of two", sets)
+	}
+	return nil
+}
+
 // ICache simulates one instruction cache with LRU replacement.
 type ICache struct {
 	cfg       Config
@@ -135,47 +154,47 @@ type ICache struct {
 	setMask   uint64
 	assoc     int
 	lineWords int
-	numSets   int
 
-	// Frame state, flattened as set*assoc+way.
+	// Frame state, flattened as set*assoc+way. The access clock is
+	// stats.Accesses.
 	tags    []uint64 // line number + 1; 0 = invalid
-	lastUse []uint64
 	fillAt  []uint64
 	owner   []Owner
 	wordCnt []uint8 // frames × lineWords saturating counters (WordStats)
+	// Replacement order, kept only when there is a choice of victim
+	// (assoc > 1): lastUse orders the frames of a set, mru[set] is the frame
+	// of its most recently used line.
+	lastUse []uint64
+	mru     []uint32
 	missCB  func(lineAddr uint64, kernel bool)
 
-	clock uint64
 	stats *Stats
 }
 
-// New creates an instruction cache simulator.
+// New creates an instruction cache simulator. It panics on a config that
+// does not Validate.
 func New(cfg Config) *ICache {
-	if cfg.SizeBytes <= 0 || cfg.LineBytes <= 0 || cfg.Assoc <= 0 {
-		panic("cache: bad config")
-	}
-	if cfg.SizeBytes%(cfg.LineBytes*cfg.Assoc) != 0 {
-		panic(fmt.Sprintf("cache: size %d not divisible by line*assoc", cfg.SizeBytes))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
-	if numSets&(numSets-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d not a power of two", numSets))
-	}
-	if cfg.LineBytes&(cfg.LineBytes-1) != 0 {
-		panic("cache: line size not a power of two")
-	}
 	c := &ICache{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setMask:   uint64(numSets - 1),
 		assoc:     cfg.Assoc,
 		lineWords: cfg.LineBytes / isa.WordBytes,
-		numSets:   numSets,
 		tags:      make([]uint64, numSets*cfg.Assoc),
-		lastUse:   make([]uint64, numSets*cfg.Assoc),
 		fillAt:    make([]uint64, numSets*cfg.Assoc),
 		owner:     make([]Owner, numSets*cfg.Assoc),
 		stats:     NewStats(cfg),
+	}
+	if cfg.Assoc > 1 {
+		c.lastUse = make([]uint64, numSets*cfg.Assoc)
+		c.mru = make([]uint32, numSets)
+		for set := range c.mru {
+			c.mru[set] = uint32(set * cfg.Assoc)
+		}
 	}
 	if cfg.WordStats {
 		c.wordCnt = make([]uint8, numSets*cfg.Assoc*c.lineWords)
@@ -196,23 +215,10 @@ func (c *ICache) Fetch(r trace.FetchRun) {
 	first := r.Addr >> c.lineShift
 	last := (r.End() - 1) >> c.lineShift
 	for ln := first; ln <= last; ln++ {
-		frame := c.access(ln, r.Kernel)
+		c.stats.Accesses++
+		frame, _ := c.lookup(ln, r.Kernel, c.stats.Accesses)
 		if c.wordCnt != nil {
-			lineStart := ln << c.lineShift
-			w0 := 0
-			if r.Addr > lineStart {
-				w0 = int(r.Addr-lineStart) / isa.WordBytes
-			}
-			w1 := c.lineWords - 1
-			if end := (ln + 1) << c.lineShift; r.End() < end {
-				w1 = int(r.End()-lineStart)/isa.WordBytes - 1
-			}
-			base := frame * c.lineWords
-			for w := w0; w <= w1; w++ {
-				if c.wordCnt[base+w] != 255 {
-					c.wordCnt[base+w]++
-				}
-			}
+			c.markWords(frame, ln, r)
 		}
 	}
 }
@@ -225,63 +231,95 @@ func (c *ICache) FetchMisses(r trace.FetchRun) int {
 	return int(c.stats.Misses - before)
 }
 
-// access looks up one line and returns the frame index holding it.
-func (c *ICache) access(line uint64, kernel bool) int {
-	c.clock++
-	c.stats.Accesses++
+// markWords counts one use of each word of line ln, held in frame, that run
+// r fetches.
+func (c *ICache) markWords(frame int, ln uint64, r trace.FetchRun) {
+	lineStart := ln << c.lineShift
+	w0 := 0
+	if r.Addr > lineStart {
+		w0 = int(r.Addr-lineStart) / isa.WordBytes
+	}
+	w1 := c.lineWords - 1
+	if end := (ln + 1) << c.lineShift; r.End() < end {
+		w1 = int(r.End()-lineStart)/isa.WordBytes - 1
+	}
+	base := frame * c.lineWords
+	for w := w0; w <= w1; w++ {
+		if c.wordCnt[base+w] != 255 {
+			c.wordCnt[base+w]++
+		}
+	}
+}
+
+// lookup is the one replacement policy: it finds line in its set at access
+// time now, filling it over the least recently used frame on a miss, and
+// returns the frame that holds it and whether it already was the set's most
+// recently used line. Such an MRU hit changes no state at all — the line
+// stays where it is in the replacement order — which is what lets a Family
+// skip it; a direct-mapped hit is always one.
+func (c *ICache) lookup(line uint64, kernel bool, now uint64) (frame int, mru bool) {
 	set := int(line & c.setMask)
-	base := set * c.assoc
 	tag := line + 1
+	if c.assoc == 1 {
+		if c.tags[set] == tag {
+			return set, true
+		}
+		c.replace(set, line, kernel, now)
+		return set, false
+	}
+	if f := int(c.mru[set]); c.tags[f] == tag {
+		return f, true
+	}
+	base := set * c.assoc
 	victim := base
-	for w := 0; w < c.assoc; w++ {
-		f := base + w
+	for f := base; f < base+c.assoc; f++ {
 		switch {
 		case c.tags[f] == tag:
-			c.lastUse[f] = c.clock
-			return f
+			c.lastUse[f] = now
+			c.mru[set] = uint32(f)
+			return f, false
 		case c.tags[f] == 0:
 			victim = f
 		case c.tags[victim] != 0 && c.lastUse[f] < c.lastUse[victim]:
 			victim = f
 		}
 	}
-	// Miss.
+	c.replace(victim, line, kernel, now)
+	c.lastUse[victim] = now
+	c.mru[set] = uint32(victim)
+	return victim, false
+}
+
+// replace records a miss on line and fills frame f with it, retiring the
+// line f held.
+func (c *ICache) replace(f int, line uint64, kernel bool, now uint64) {
 	c.stats.Misses++
 	miss := OwnerApp
 	if kernel {
 		miss = OwnerKernel
 	}
 	c.stats.MissBy[miss]++
-	if c.tags[victim] == 0 {
+	if c.tags[f] == 0 {
 		c.stats.VictimBy[miss][OwnerNone]++
 	} else {
-		c.stats.VictimBy[miss][c.owner[victim]]++
-		c.retire(victim)
+		c.stats.VictimBy[miss][c.owner[f]]++
+		c.retire(f, now)
 	}
-	c.fill(victim, tag, miss)
+	c.tags[f] = line + 1
+	c.fillAt[f] = now
+	c.owner[f] = miss
+	c.stats.Fills++
+	if c.wordCnt != nil {
+		clear(c.wordCnt[f*c.lineWords : (f+1)*c.lineWords])
+		c.stats.FetchedWords += uint64(c.lineWords)
+	}
 	if c.missCB != nil {
 		c.missCB(line<<c.lineShift, kernel)
 	}
-	return victim
 }
 
-func (c *ICache) fill(f int, tag uint64, owner Owner) {
-	c.tags[f] = tag
-	c.lastUse[f] = c.clock
-	c.fillAt[f] = c.clock
-	c.owner[f] = owner
-	c.stats.Fills++
-	if c.wordCnt != nil {
-		base := f * c.lineWords
-		for w := 0; w < c.lineWords; w++ {
-			c.wordCnt[base+w] = 0
-		}
-		c.stats.FetchedWords += uint64(c.lineWords)
-	}
-}
-
-// retire records replacement-time metrics for a valid frame.
-func (c *ICache) retire(f int) {
+// retire records replacement-time metrics for a valid frame at time now.
+func (c *ICache) retire(f int, now uint64) {
 	if c.wordCnt == nil {
 		return
 	}
@@ -296,7 +334,7 @@ func (c *ICache) retire(f int) {
 	}
 	c.stats.WordsUsed.Add(used)
 	c.stats.UsedWordSlots += uint64(used)
-	c.stats.Lifetime.Add(c.clock - c.fillAt[f])
+	c.stats.Lifetime.Add(now - c.fillAt[f])
 }
 
 // Finalize folds still-resident lines into the replacement-time metrics so
@@ -308,7 +346,7 @@ func (c *ICache) Finalize() {
 	}
 	for f, tag := range c.tags {
 		if tag != 0 {
-			c.retire(f)
+			c.retire(f, c.stats.Accesses)
 			c.tags[f] = 0
 		}
 	}

@@ -3,7 +3,9 @@ package cache_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"codelayout/internal/cache"
@@ -180,34 +182,7 @@ func TestICacheMatchesReferenceOnRandomRuns(t *testing.T) {
 // simulate Word and App4W[128] (application stream) and Intf and Comb4W[128]
 // (combined stream) once each.
 func TestICacheMatchesReferenceOnMachineRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation in -short mode")
-	}
-	o := expt.QuickOptions()
-	o.Workload = tpcb.NewScaled(tpcb.Scale{Branches: 4, TellersPerBranch: 4, AccountsPerBranch: 150})
-	o.Transactions, o.WarmupTxns, o.Train.Txns = 30, 10, 100
-	o.CPUs, o.ProcsPerCPU = 1, 6
-	o.LibScale, o.ColdWords, o.KernColdWords = 0.3, 400_000, 100_000
-	s, err := expt.NewSession(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := s.MachineConfig("base", o.CPUs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var all, app recorder
-	cfg.Sinks = []trace.Sink{&all, trace.AppOnly(&app)}
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(app) == 0 || len(app) == len(all) {
-		t.Fatalf("recorded %d runs, %d of them application", len(all), len(app))
-	}
+	all, app := machineRuns(t)
 	for _, c := range []struct {
 		stream string
 		runs   []trace.FetchRun
@@ -223,6 +198,247 @@ func TestICacheMatchesReferenceOnMachineRuns(t *testing.T) {
 	}
 }
 
+// machineRuns records the fetch runs of a real (tiny) TPC-B run, once for
+// all the tests that replay them: the combined stream and its application
+// part.
+func machineRuns(t *testing.T) (all, app []trace.FetchRun) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("simulation in -short mode")
+	}
+	recordOnce.Do(func() {
+		o := expt.QuickOptions()
+		o.Workload = tpcb.NewScaled(tpcb.Scale{Branches: 4, TellersPerBranch: 4, AccountsPerBranch: 150})
+		o.Transactions, o.WarmupTxns, o.Train.Txns = 30, 10, 100
+		o.CPUs, o.ProcsPerCPU = 1, 6
+		o.LibScale, o.ColdWords, o.KernColdWords = 0.3, 400_000, 100_000
+		s, err := expt.NewSession(o)
+		if err != nil {
+			recordErr = err
+			return
+		}
+		cfg, err := s.MachineConfig("base", o.CPUs)
+		if err != nil {
+			recordErr = err
+			return
+		}
+		cfg.Sinks = []trace.Sink{&recordedAll, trace.AppOnly(&recordedApp)}
+		m, err := machine.New(cfg)
+		if err != nil {
+			recordErr = err
+			return
+		}
+		_, recordErr = m.Run()
+	})
+	if recordErr != nil {
+		t.Fatal(recordErr)
+	}
+	if len(recordedApp) == 0 || len(recordedApp) == len(recordedAll) {
+		t.Fatalf("recorded %d runs, %d of them application", len(recordedAll), len(recordedApp))
+	}
+	return recordedAll, recordedApp
+}
+
+var (
+	recordOnce               sync.Once
+	recordErr                error
+	recordedAll, recordedApp recorder
+)
+
 type recorder []trace.FetchRun
 
 func (r *recorder) Fetch(run trace.FetchRun) { *r = append(*r, run) }
+
+// familyOf lists the configs of one family: sizes in the given order, at one
+// line size and associativity, the member of wordsSize tracking words.
+func familyOf(sizes []int, line, assoc, wordsSize int) []cache.Config {
+	cfgs := make([]cache.Config, len(sizes))
+	for i, size := range sizes {
+		cfgs[i] = cache.Config{SizeBytes: size, LineBytes: line, Assoc: assoc, WordStats: size == wordsSize}
+	}
+	return cfgs
+}
+
+// checkFamilyAgainstOracle replays runs through one Family and through one
+// reference cache per member, and requires every statistic of every member
+// to agree — an independent cache per size is what the walk claims to equal.
+func checkFamilyAgainstOracle(t *testing.T, cfgs []cache.Config, runs []trace.FetchRun) {
+	t.Helper()
+	fam, err := cache.NewFamily(cfgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := make([]*refCache, len(cfgs))
+	for i, cfg := range cfgs {
+		refs[i] = newRefCache(cfg)
+	}
+	for _, r := range runs {
+		fam.Fetch(r)
+		for _, ref := range refs {
+			ref.Fetch(r)
+		}
+	}
+	fam.Finalize()
+	for i, got := range fam.Stats() {
+		if want := refs[i].finalize(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: member %s and its reference disagree over %d runs:\n got %+v\nwant %+v", cfgs, cfgs[i], len(runs), got, want)
+		}
+		if got.Misses == 0 || got.Misses == got.Accesses {
+			t.Errorf("%s: %d misses of %d accesses; the trace does not exercise replacement", cfgs[i], got.Misses, got.Accesses)
+		}
+	}
+}
+
+// familySizes is a five-point size axis small enough for random streams to
+// wrap every member.
+var familySizes = []int{2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10}
+
+// TestFamilyMatchesReferenceOnRandomRuns checks the smallest-first walk, for
+// every associativity and line size the battery uses, over five sizes with
+// the word-tracking member in the middle, on random streams of mixed
+// application and kernel runs.
+func TestFamilyMatchesReferenceOnRandomRuns(t *testing.T) {
+	for seed, assoc := range []int{1, 2, 4} {
+		for _, line := range []int{16, 32, 64, 128, 256} {
+			cfgs := familyOf(familySizes, line, assoc, 8<<10)
+			t.Run(strings.ReplaceAll(cfgs[0].String(), "/", "-"), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(1000 + 100*seed + line)))
+				checkFamilyAgainstOracle(t, cfgs, randomRuns(rng, 20_000, 4*32<<10))
+			})
+		}
+	}
+}
+
+// TestFamilyMatchesReferenceOnEverySubset builds the family of every
+// non-empty subset of the five sizes — what a partial SinkSet asks the
+// battery for — configured largest first, so the walk order is the family's
+// own and statistics still come back in configured order.
+func TestFamilyMatchesReferenceOnEverySubset(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	runs := randomRuns(rng, 10_000, 4*32<<10)
+	for mask := 1; mask < 1<<len(familySizes); mask++ {
+		var sizes []int
+		for i := len(familySizes) - 1; i >= 0; i-- {
+			if mask&(1<<i) != 0 {
+				sizes = append(sizes, familySizes[i])
+			}
+		}
+		checkFamilyAgainstOracle(t, familyOf(sizes, 64, 4, 8<<10), runs)
+		checkFamilyAgainstOracle(t, familyOf(sizes, 32, 1, 0), runs)
+	}
+}
+
+// TestFamilyMatchesReferenceOnMachineRuns checks the battery's own family
+// rows — the cache-size axis of Figures 4 to 7 and 12 — on machine-recorded
+// runs: a direct-mapped application family, the 4-way application family
+// whose 128KB member is Word, and the 4-way combined family.
+func TestFamilyMatchesReferenceOnMachineRuns(t *testing.T) {
+	all, app := machineRuns(t)
+	var sizes []int
+	for _, kb := range expt.CacheSizesKB {
+		sizes = append(sizes, kb<<10)
+	}
+	for _, c := range []struct {
+		stream string
+		runs   []trace.FetchRun
+		cfgs   []cache.Config
+	}{
+		{"app", app, familyOf(sizes, 32, 1, 0)},
+		{"app", app, familyOf(sizes, 128, 4, 128<<10)},
+		{"combined", all, familyOf(sizes, 128, 4, 0)},
+	} {
+		name := c.stream + "-" + strings.ReplaceAll(c.cfgs[0].String(), "/", "-")
+		t.Run(name, func(t *testing.T) { checkFamilyAgainstOracle(t, c.cfgs, c.runs) })
+	}
+}
+
+// TestNewFamilyRejects: members must be valid caches of one line size and
+// associativity, each size once.
+func TestNewFamilyRejects(t *testing.T) {
+	ok := cache.Config{SizeBytes: 8 << 10, LineBytes: 64, Assoc: 2}
+	for name, cfgs := range map[string][]cache.Config{
+		"no members":     nil,
+		"invalid member": {ok, {SizeBytes: 3 << 10, LineBytes: 64, Assoc: 2}},
+		"line differs":   {ok, {SizeBytes: 16 << 10, LineBytes: 32, Assoc: 2}},
+		"ways differ":    {ok, {SizeBytes: 16 << 10, LineBytes: 64, Assoc: 4}},
+		"size repeated":  {ok, {SizeBytes: 16 << 10, LineBytes: 64, Assoc: 2}, ok},
+	} {
+		if _, err := cache.NewFamily(cfgs...); err == nil {
+			t.Errorf("%s: NewFamily accepted %v", name, cfgs)
+		}
+	}
+	for _, cfg := range []cache.Config{
+		{SizeBytes: 0, LineBytes: 64, Assoc: 1},
+		{SizeBytes: 8 << 10, LineBytes: 0, Assoc: 1},
+		{SizeBytes: 8 << 10, LineBytes: 64, Assoc: 0},
+		{SizeBytes: 8 << 10, LineBytes: 48, Assoc: 1},
+		{SizeBytes: 8 << 10, LineBytes: 2, Assoc: 1},
+		{SizeBytes: 3 << 10, LineBytes: 64, Assoc: 1},
+		{SizeBytes: 8 << 10, LineBytes: 64, Assoc: 3},
+	} {
+		if cfg.Validate() == nil {
+			t.Errorf("%+v validates", cfg)
+		}
+	}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("%s: %v", ok, err)
+	}
+}
+
+// FuzzFamily turns bytes into a family shape and a fetch stream and requires
+// the family to read, member by member and field by field, what independent
+// ICaches over the same stream read.
+func FuzzFamily(f *testing.F) {
+	f.Add([]byte{0x00, 0x1f, 0x02, 0, 0, 8, 0, 1, 0, 8, 0x80, 0, 0, 40, 1, 0x10, 0, 3, 0})
+	f.Add([]byte{0x16, 0x05, 0x00, 0xff, 0xff, 63, 1, 0, 0, 0, 0})
+	f.Add([]byte{0x29, 0x1b, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		assoc := []int{1, 2, 4}[int(data[0]&0x0f)%3]
+		line := 16 << (int(data[0]>>4) % 5)
+		mask := int(data[1]) & 0x1f
+		if mask == 0 {
+			mask = 0x1f
+		}
+		var sizes []int
+		for i := range familySizes {
+			if mask&(1<<i) != 0 {
+				sizes = append(sizes, familySizes[i])
+			}
+		}
+		if data[1]&0x20 != 0 { // configured largest first
+			slices.Reverse(sizes)
+		}
+		cfgs := familyOf(sizes, line, assoc, familySizes[int(data[2])%len(familySizes)])
+		fam, err := cache.NewFamily(cfgs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := make([]*cache.ICache, len(cfgs))
+		for i, cfg := range cfgs {
+			alone[i] = cache.New(cfg)
+		}
+		// Four bytes a run: a word address inside 256KB, a length of up to
+		// 64 words, and the owner.
+		for data = data[3:]; len(data) >= 4; data = data[4:] {
+			r := trace.FetchRun{
+				Addr:   (uint64(data[0])<<8 | uint64(data[1])) * isa.WordBytes,
+				Words:  1 + int32(data[2]&63),
+				Kernel: data[3]&1 != 0,
+			}
+			fam.Fetch(r)
+			for _, ic := range alone {
+				ic.Fetch(r)
+			}
+		}
+		fam.Finalize()
+		for i, got := range fam.Stats() {
+			alone[i].Finalize()
+			if want := alone[i].Stats(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s in %v:\n got %+v\nwant %+v", cfgs[i], cfgs, got, want)
+			}
+		}
+	})
+}

@@ -128,65 +128,101 @@ var streamFilter = [numStreams]func(trace.Sink) trace.Sink{
 	combStream: func(s trace.Sink) trace.Sink { return s },
 }
 
-// sinkGroup is one row of the battery: the set bit that asks for it, the
-// fetch stream it observes, and build, which makes its simulators for one
-// run on a cpus-processor machine and returns the fetch sink, the data sink
-// if it has one, and the collector that files its results in the Measure.
+// sinkGroup is one row of the battery: the set bits that ask for it, the
+// fetch stream it observes, and build, which makes its simulators for one run
+// of set on a cpus-processor machine and returns the fetch sink, the data
+// sink if it has one, and the collector that files its results in the
+// Measure.
 type sinkGroup struct {
 	in     SinkSet
 	stream stream
-	build  func(cpus int) (trace.Sink, trace.DataSink, func(*Measure))
+	build  func(cpus int, set SinkSet) (trace.Sink, trace.DataSink, func(*Measure))
 }
 
 // sinkGroups is the battery, every group listed once.
 var sinkGroups = func() []sinkGroup {
 	var gs []sinkGroup
-	icache := func(in SinkSet, st stream, cfg cache.Config, file func(*Measure, *cache.Stats)) {
-		gs = append(gs, sinkGroup{in, st, func(cpus int) (trace.Sink, trace.DataSink, func(*Measure)) {
-			c := newPerCPUCache(cfg, cpus)
-			return c, nil, func(m *Measure) { file(m, c.stats()) }
+	// family is one row per size sweep: the caches of one line size and
+	// associativity over one stream, CacheSizesKB[i] asked for by bit(i),
+	// simulated as one cache.Family of the members a run asks for — one
+	// walk per fetched line in which every member still reads exactly what
+	// a cache of its own would.
+	family := func(bit func(i int) SinkSet, st stream, cfg func(sizeKB int) cache.Config, file func(m *Measure, sizeKB int, st *cache.Stats)) {
+		var in SinkSet
+		for i := range CacheSizesKB {
+			in |= bit(i)
+		}
+		gs = append(gs, sinkGroup{in, st, func(cpus int, set SinkSet) (trace.Sink, trace.DataSink, func(*Measure)) {
+			var sizes []int
+			var cfgs []cache.Config
+			for i, size := range CacheSizesKB {
+				if bit(i)&set != 0 {
+					sizes = append(sizes, size)
+					cfgs = append(cfgs, cfg(size))
+				}
+			}
+			fams := newPerCPU(cpus, func() *cache.Family {
+				f, err := cache.NewFamily(cfgs...)
+				if err != nil {
+					panic(err) // the rows below are constants
+				}
+				return f
+			})
+			return fams, nil, func(m *Measure) {
+				merged := make([]*cache.Stats, len(cfgs))
+				for i, c := range cfgs {
+					merged[i] = cache.NewStats(c)
+				}
+				for _, f := range fams {
+					f.Finalize()
+					for i, st := range f.Stats() {
+						merged[i].Merge(st)
+					}
+				}
+				for i, size := range sizes {
+					file(m, size, merged[i])
+				}
+			}
 		}})
 	}
-	for i, size := range CacheSizesKB {
-		for _, line := range LineSizes {
-			icache(SinkAppDM, appStream, cache.Config{SizeBytes: size << 10, LineBytes: line, Assoc: 1},
-				func(m *Measure, st *cache.Stats) {
-					if m.AppDM[size] == nil {
-						put(&m.AppDM, size, make(map[int]*cache.Stats))
-					}
-					m.AppDM[size][line] = st
-				})
-		}
-		// The 128KB application cache tracks words: it is Word, and word
-		// tracking never changes a hit or a victim. The 128KB combined
-		// cache is Intf.
-		fourWay := cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4}
-		app := fourWay
-		app.WordStats = size == 128
-		icache(sinkApp4W<<i, appStream, app, func(m *Measure, st *cache.Stats) {
-			put(&m.App4W, size, st)
-			if size == 128 {
-				m.Word = st
-			}
-		})
-		icache(sinkComb4W<<i, combStream, fourWay, func(m *Measure, st *cache.Stats) {
-			put(&m.Comb4W, size, st)
-			if size == 128 {
-				m.Intf = st
-			}
-		})
-		icache(sinkKern4W<<i, kernStream, fourWay, func(m *Measure, st *cache.Stats) { put(&m.Kern4W, size, st) })
+	for _, line := range LineSizes {
+		family(func(int) SinkSet { return SinkAppDM }, appStream,
+			func(size int) cache.Config { return cache.Config{SizeBytes: size << 10, LineBytes: line, Assoc: 1} },
+			func(m *Measure, size int, st *cache.Stats) {
+				if m.AppDM[size] == nil {
+					put(&m.AppDM, size, make(map[int]*cache.Stats))
+				}
+				m.AppDM[size][line] = st
+			})
 	}
+	fourWay := func(first SinkSet, st stream, wordsKB int, file func(m *Measure, sizeKB int, st *cache.Stats)) {
+		family(func(i int) SinkSet { return first << i }, st,
+			func(size int) cache.Config {
+				return cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4, WordStats: size == wordsKB}
+			}, file)
+	}
+	// The 128KB application cache tracks words: it is Word, and word tracking
+	// never changes a hit or a victim. The 128KB combined cache is Intf.
+	fourWay(sinkApp4W, appStream, 128, func(m *Measure, size int, st *cache.Stats) {
+		put(&m.App4W, size, st)
+		if size == 128 {
+			m.Word = st
+		}
+	})
+	fourWay(sinkComb4W, combStream, 0, func(m *Measure, size int, st *cache.Stats) {
+		put(&m.Comb4W, size, st)
+		if size == 128 {
+			m.Intf = st
+		}
+	})
+	fourWay(sinkKern4W, kernStream, 0, func(m *Measure, size int, st *cache.Stats) { put(&m.Kern4W, size, st) })
 
 	itlb := func(entries int, file func(*Measure, uint64)) sinkGroup {
-		return sinkGroup{SinkITLB, combStream, func(cpus int) (trace.Sink, trace.DataSink, func(*Measure)) {
-			t := &perCPUTLB{}
-			for i := 0; i < cpus; i++ {
-				t.tlbs = append(t.tlbs, tlb.New(entries))
-			}
-			return t, nil, func(m *Measure) {
+		return sinkGroup{SinkITLB, combStream, func(cpus int, _ SinkSet) (trace.Sink, trace.DataSink, func(*Measure)) {
+			tlbs := newPerCPU(cpus, func() *tlb.TLB { return tlb.New(entries) })
+			return tlbs, nil, func(m *Measure) {
 				var n uint64
-				for _, one := range t.tlbs {
+				for _, one := range tlbs {
 					n += one.Misses
 				}
 				file(m, n)
@@ -196,31 +232,38 @@ var sinkGroups = func() []sinkGroup {
 	// memory is an L1I per CPU whose misses feed the unified L2 of a memory
 	// system that also takes the data references.
 	memory := func(in SinkSet, l1i cache.Config, sys mem.Config, file func(*Measure, *cache.Stats, mem.Stats)) sinkGroup {
-		return sinkGroup{in, combStream, func(cpus int) (trace.Sink, trace.DataSink, func(*Measure)) {
+		return sinkGroup{in, combStream, func(cpus int, _ SinkSet) (trace.Sink, trace.DataSink, func(*Measure)) {
 			sys := sys // builds run concurrently
 			sys.CPUs = cpus
 			ms := mem.NewSystem(sys)
-			c := newPerCPUCache(l1i, cpus)
-			for cpu, ic := range c.sims {
+			l1is := newPerCPU(cpus, func() *cache.ICache { return cache.New(l1i) })
+			for cpu, ic := range l1is {
 				ic.OnMiss(func(lineAddr uint64, kernel bool) { ms.FetchMiss(lineAddr, cpu) })
 			}
-			return c, ms, func(m *Measure) { file(m, c.stats(), ms.Stats) }
+			return l1is, ms, func(m *Measure) {
+				merged := cache.NewStats(l1i)
+				for _, ic := range l1is {
+					ic.Finalize()
+					merged.Merge(ic.Stats())
+				}
+				file(m, merged, ms.Stats)
+			}
 		}}
 	}
 	return append(gs,
-		sinkGroup{SinkSeq, appStream, func(int) (trace.Sink, trace.DataSink, func(*Measure)) {
+		sinkGroup{SinkSeq, appStream, func(int, SinkSet) (trace.Sink, trace.DataSink, func(*Measure)) {
 			s := trace.NewSeqLen()
 			return s, nil, func(m *Measure) { s.Flush(); m.Seq = s }
 		}},
-		sinkGroup{SinkFoot, appStream, func(int) (trace.Sink, trace.DataSink, func(*Measure)) {
+		sinkGroup{SinkFoot, appStream, func(int, SinkSet) (trace.Sink, trace.DataSink, func(*Measure)) {
 			f := trace.NewFootprint(128)
 			return f, nil, func(m *Measure) { m.Foot = f }
 		}},
-		sinkGroup{SinkRuns, appStream, func(int) (trace.Sink, trace.DataSink, func(*Measure)) {
+		sinkGroup{SinkRuns, appStream, func(int, SinkSet) (trace.Sink, trace.DataSink, func(*Measure)) {
 			c := &trace.Counter{}
 			return c, nil, func(m *Measure) { m.AppRuns = *c }
 		}},
-		sinkGroup{SinkRuns, combStream, func(int) (trace.Sink, trace.DataSink, func(*Measure)) {
+		sinkGroup{SinkRuns, combStream, func(int, SinkSet) (trace.Sink, trace.DataSink, func(*Measure)) {
 			c := &trace.Counter{}
 			return c, nil, func(m *Measure) { m.AllRuns = *c }
 		}},
@@ -257,7 +300,7 @@ func attachBattery(cfg *machine.Config, set SinkSet) []func(*Measure) {
 		if g.in&set == 0 {
 			continue
 		}
-		fetch, data, c := g.build(cfg.CPUs)
+		fetch, data, c := g.build(cfg.CPUs, set)
 		tees[g.stream] = append(tees[g.stream], fetch)
 		if data != nil {
 			cfg.DataSinks = append(cfg.DataSinks, data)
@@ -272,35 +315,19 @@ func attachBattery(cfg *machine.Config, set SinkSet) []func(*Measure) {
 	return collect
 }
 
-// perCPUCache and perCPUTLB route each fetch run to its CPU's own simulator.
-// A run from a CPU beyond them means the battery was not sized from the
-// machine it is attached to: the index panics, where a clamp would fold the
-// run into another CPU's statistics.
-type (
-	perCPUCache struct{ sims []*cache.ICache }
-	perCPUTLB   struct{ tlbs []*tlb.TLB }
-)
+// perCPU routes each fetch run to its CPU's own simulator. A run from a CPU
+// beyond it means the battery was not sized from the machine it is attached
+// to: the index panics, where a clamp would fold the run into another CPU's
+// statistics.
+type perCPU[S trace.Sink] []S
 
-func newPerCPUCache(cfg cache.Config, cpus int) *perCPUCache {
-	p := &perCPUCache{}
-	for i := 0; i < cpus; i++ {
-		p.sims = append(p.sims, cache.New(cfg))
+func newPerCPU[S trace.Sink](cpus int, mk func() S) perCPU[S] {
+	p := make(perCPU[S], cpus)
+	for i := range p {
+		p[i] = mk()
 	}
 	return p
 }
 
 // Fetch implements trace.Sink.
-func (p *perCPUCache) Fetch(r trace.FetchRun) { p.sims[r.CPU].Fetch(r) }
-
-// Fetch implements trace.Sink.
-func (p *perCPUTLB) Fetch(r trace.FetchRun) { p.tlbs[r.CPU].Fetch(r) }
-
-// stats finalizes the per-CPU caches and merges their statistics.
-func (p *perCPUCache) stats() *cache.Stats {
-	merged := cache.NewStats(p.sims[0].Config())
-	for _, c := range p.sims {
-		c.Finalize()
-		merged.Merge(c.Stats())
-	}
-	return merged
-}
+func (p perCPU[S]) Fetch(r trace.FetchRun) { p[r.CPU].Fetch(r) }

@@ -9,9 +9,11 @@ import (
 
 // TestBatteryRejectsForeignCPU: the battery is sized from the machine.Config
 // it is attached to, so a fetch run from a CPU beyond it is a bug and panics
-// instead of being folded into the last CPU's statistics.
+// instead of being folded into the last CPU's statistics — through every use
+// of the one per-CPU router: a one-member family, a two-member one, the five
+// direct-mapped families, the TLBs and a memory system's L1I.
 func TestBatteryRejectsForeignCPU(t *testing.T) {
-	for _, set := range []SinkSet{SinkApp4W(64), SinkITLB, SinkMem} {
+	for _, set := range []SinkSet{SinkApp4W(64), SinkApp4W(64) | SinkApp4W(128), SinkAppDM, SinkITLB, SinkMem} {
 		cfg := machine.Config{CPUs: 2}
 		attachBattery(&cfg, set)
 		if len(cfg.Sinks) != 1 {

@@ -141,7 +141,14 @@ func TestSinksArePassiveAndIndependent(t *testing.T) {
 			if again := measure(expt.SinkApp4W(64)); again != one {
 				t.Error("repeated partial measure missed the memo")
 			}
-			if got, want := s.MemoStats().Measure.Misses, uint64(len(groups)+2); got != want {
+			// Two sizes of one family are walked together, and each still
+			// reads what it reads in the full family.
+			two := measure(expt.SinkApp4W(64) | expt.SinkApp4W(128))
+			if len(two.App4W) != 2 || two.Word != two.App4W[128] ||
+				!reflect.DeepEqual(two.App4W[64], full.App4W[64]) || !reflect.DeepEqual(two.App4W[128], full.App4W[128]) {
+				t.Errorf("set App4W[64]|App4W[128] differs from the full battery's members: %+v", two)
+			}
+			if got, want := s.MemoStats().Measure.Misses, uint64(len(groups)+3); got != want {
 				t.Errorf("%d simulations for %d distinct sets", got, want)
 			}
 		})

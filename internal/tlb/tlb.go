@@ -16,8 +16,6 @@ type TLB struct {
 	head     *node // most recent
 	tail     *node // least recent
 	free     []*node
-	lastPg   [trace.MaxCPUs]uint64
-	lastOK   [trace.MaxCPUs]bool
 	Accesses uint64
 	Misses   uint64
 }
@@ -34,22 +32,17 @@ func New(entries int) *TLB {
 }
 
 // Fetch implements trace.Sink: every page the run touches is translated.
-// A per-CPU last-page fast path keeps the common case cheap without
-// affecting miss counts (a repeat access to the most recent page is always a
-// hit and already most recent in LRU order only if no other CPU intervened —
-// the TLB is per-CPU in practice, so machines instantiate one per CPU and
-// the fast path is exact).
+// A repeat access to the most recently used page — the common case — is a
+// hit that leaves the LRU order as it is, so it skips the lookup.
 func (t *TLB) Fetch(r trace.FetchRun) {
 	first := r.Addr / isa.PageBytes
 	last := (r.End() - 1) / isa.PageBytes
 	for pg := first; pg <= last; pg++ {
 		t.Accesses++
-		if t.lastOK[r.CPU] && t.lastPg[r.CPU] == pg {
+		if t.head != nil && t.head.page == pg {
 			continue
 		}
 		t.translate(pg)
-		t.lastPg[r.CPU] = pg
-		t.lastOK[r.CPU] = true
 	}
 }
 
@@ -70,12 +63,6 @@ func (t *TLB) translate(pg uint64) bool {
 		n = t.tail
 		t.unlink(n)
 		delete(t.slots, n.page)
-		// Invalidate fast paths that may point at the evicted page.
-		for i := range t.lastOK {
-			if t.lastOK[i] && t.lastPg[i] == n.page {
-				t.lastOK[i] = false
-			}
-		}
 	} else if len(t.free) > 0 {
 		n = t.free[len(t.free)-1]
 		t.free = t.free[:len(t.free)-1]

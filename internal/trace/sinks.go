@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"cmp"
+	"slices"
+
 	"codelayout/internal/isa"
 	"codelayout/internal/stats"
 )
@@ -57,17 +60,13 @@ func (s *SeqLen) Flush() {
 // touched during execution".
 type Footprint struct {
 	LineBytes int
-	lines     map[uint64]struct{}
-	pages     map[uint64]struct{}
+	lines     bitset
+	pages     bitset
 }
 
 // NewFootprint creates a footprint sink for the given line size.
 func NewFootprint(lineBytes int) *Footprint {
-	return &Footprint{
-		LineBytes: lineBytes,
-		lines:     make(map[uint64]struct{}, 1<<12),
-		pages:     make(map[uint64]struct{}, 1<<8),
-	}
+	return &Footprint{LineBytes: lineBytes}
 }
 
 // Fetch implements Sink.
@@ -76,23 +75,57 @@ func (f *Footprint) Fetch(r FetchRun) {
 	first := r.Addr / lb
 	last := (r.End() - 1) / lb
 	for ln := first; ln <= last; ln++ {
-		f.lines[ln] = struct{}{}
+		f.lines.add(ln)
 	}
 	pFirst := r.Addr / isa.PageBytes
 	pLast := (r.End() - 1) / isa.PageBytes
 	for pg := pFirst; pg <= pLast; pg++ {
-		f.pages[pg] = struct{}{}
+		f.pages.add(pg)
 	}
 }
 
 // Lines returns the number of unique cache lines touched.
-func (f *Footprint) Lines() int { return len(f.lines) }
+func (f *Footprint) Lines() int { return f.lines.n }
 
 // Bytes returns the touched footprint in bytes (lines × line size).
-func (f *Footprint) Bytes() int64 { return int64(len(f.lines)) * int64(f.LineBytes) }
+func (f *Footprint) Bytes() int64 { return int64(f.lines.n) * int64(f.LineBytes) }
 
 // Pages returns the number of unique pages touched.
-func (f *Footprint) Pages() int { return len(f.pages) }
+func (f *Footprint) Pages() int { return f.pages.n }
+
+// bitset is a counted set of numbers that are dense within a few far-apart
+// ranges, as the line and page numbers of text are (application and kernel
+// text each start at one base): fixed-size chunks of bits, sorted by the
+// range they cover, the chunk last used tried first.
+type bitset struct {
+	chunks []*bitChunk
+	last   *bitChunk
+	n      int // members
+}
+
+const chunkShift = 15 // bits per chunk, log2: 4 KB of bits
+
+type bitChunk struct {
+	key  uint64 // the numbers it covers, >> chunkShift
+	bits [1 << chunkShift / 64]uint64
+}
+
+func (b *bitset) add(v uint64) {
+	c := b.last
+	if key := v >> chunkShift; c == nil || c.key != key {
+		i, ok := slices.BinarySearchFunc(b.chunks, key, func(c *bitChunk, key uint64) int { return cmp.Compare(c.key, key) })
+		if !ok {
+			b.chunks = slices.Insert(b.chunks, i, &bitChunk{key: key})
+		}
+		c = b.chunks[i]
+		b.last = c
+	}
+	word, bit := &c.bits[v>>6&(1<<chunkShift/64-1)], uint64(1)<<(v&63)
+	if *word&bit == 0 {
+		*word |= bit
+		b.n++
+	}
+}
 
 // DataTee fans a data-reference stream out to several sinks.
 type DataTee []DataSink

@@ -18,7 +18,7 @@ golden=$root/testdata/cliparity
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 bin=$work/bin
-go -C "$root" build -o "$bin/" ./cmd/oltpgen ./cmd/pixie ./cmd/spike ./cmd/oltpbench ./cmd/layoutlab
+go -C "$root" build -o "$bin/" ./cmd/oltpgen ./cmd/pixie ./cmd/spike ./cmd/oltpbench ./cmd/layoutlab ./cmd/icachesim
 
 out=$work/out
 mkdir -p "$out" "$work/run"
@@ -63,6 +63,10 @@ run parity-inprocess oltpbench "${img[@]}" -cpus 2 -stall 40 -opt all -train-txn
 # The layouts spike wrote are a digest of the profiles pixie wrote: equal
 # block and edge counts give equal layouts, and equal layouts equal files.
 sha256sum par.layout >"$out/parity-layout.sha256"
+
+# Trace replay: a recorded two-CPU run through icachesim's size × line grid.
+run icachesim-trace oltpbench -quick -txns 100 -warmup 20 -cpus 2 -trace t.bin
+run icachesim icachesim -trace t.bin -sizes 32,64,128,256,512 -lines 64,128 -assoc 4
 
 # No-flag runs.
 run noflag-oltpgen oltpgen
