@@ -76,7 +76,7 @@ func (f *Family) Fetch(r trace.FetchRun) {
 		// lookup only finds the frame.
 		for _, m := range f.words {
 			frame, _ := m.lookup(ln, r.Kernel, f.accesses)
-			m.markWords(frame, ln, r)
+			m.markWords(frame, ln, r.Addr, r.End())
 		}
 	}
 }

@@ -211,37 +211,35 @@ func (c *ICache) OnMiss(cb func(lineAddr uint64, kernel bool)) { c.missCB = cb }
 
 // Fetch implements trace.Sink: it touches every line the run covers and, if
 // word stats are enabled, marks each fetched word used.
-func (c *ICache) Fetch(r trace.FetchRun) {
-	first := r.Addr >> c.lineShift
-	last := (r.End() - 1) >> c.lineShift
-	for ln := first; ln <= last; ln++ {
+func (c *ICache) Fetch(r trace.FetchRun) { c.FetchWords(r.Addr, r.Words, r.Kernel) }
+
+// FetchWords is Fetch on the run's bare coordinates, and returns the number
+// of misses the run took — what an inline stall model charges to a CPU clock
+// as it fetches, without building a trace.FetchRun nobody else will read.
+func (c *ICache) FetchWords(addr uint64, words int32, kernel bool) (misses int) {
+	end := addr + uint64(words)*isa.WordBytes
+	before := c.stats.Misses
+	for ln, last := addr>>c.lineShift, (end-1)>>c.lineShift; ln <= last; ln++ {
 		c.stats.Accesses++
-		frame, _ := c.lookup(ln, r.Kernel, c.stats.Accesses)
+		frame, _ := c.lookup(ln, kernel, c.stats.Accesses)
 		if c.wordCnt != nil {
-			c.markWords(frame, ln, r)
+			c.markWords(frame, ln, addr, end)
 		}
 	}
-}
-
-// FetchMisses is Fetch plus the number of misses this run took, for inline
-// stall models that charge miss latency to a CPU clock as it fetches.
-func (c *ICache) FetchMisses(r trace.FetchRun) int {
-	before := c.stats.Misses
-	c.Fetch(r)
 	return int(c.stats.Misses - before)
 }
 
-// markWords counts one use of each word of line ln, held in frame, that run
-// r fetches.
-func (c *ICache) markWords(frame int, ln uint64, r trace.FetchRun) {
+// markWords counts one use of each word of line ln, held in frame, that the
+// run [addr, end) fetches.
+func (c *ICache) markWords(frame int, ln, addr, end uint64) {
 	lineStart := ln << c.lineShift
 	w0 := 0
-	if r.Addr > lineStart {
-		w0 = int(r.Addr-lineStart) / isa.WordBytes
+	if addr > lineStart {
+		w0 = int(addr-lineStart) / isa.WordBytes
 	}
 	w1 := c.lineWords - 1
-	if end := (ln + 1) << c.lineShift; r.End() < end {
-		w1 = int(r.End()-lineStart)/isa.WordBytes - 1
+	if lineEnd := (ln + 1) << c.lineShift; end < lineEnd {
+		w1 = int(end-lineStart)/isa.WordBytes - 1
 	}
 	base := frame * c.lineWords
 	for w := w0; w <= w1; w++ {

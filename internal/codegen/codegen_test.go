@@ -300,3 +300,30 @@ func TestAutoPickRespectsWeights(t *testing.T) {
 		t.Fatalf("weights ignored: rare=%d hot=%d", rareN, hotN)
 	}
 }
+
+// TestWarmedWalkDoesNotAllocate pins the walk at zero allocations per call
+// once the frame stack has grown: every machine run is this loop, millions of
+// times, and a map or a per-run record sneaking back in shows up here first.
+func TestWarmedWalkDoesNotAllocate(t *testing.T) {
+	img := buildTestImage(t)
+	l, err := program.BaselineLayout(img.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := codegen.NewEmitter(img, l, 1)
+	var words int64
+	e.Sink = func(_ uint64, w int32) { words += int64(w) }
+	cycles := map[string]func(){
+		"RunAuto":            func() { e.RunAuto("helper") },
+		"Enter/Branch/Leave": func() { driveScript(e, 3, true, 1) },
+	}
+	for name, cycle := range cycles {
+		cycle() // warm: the stack reaches its depth
+		if n := testing.AllocsPerRun(200, cycle); n != 0 {
+			t.Errorf("%s: %v allocations per cycle on a warmed emitter, want 0", name, n)
+		}
+	}
+	if words == 0 {
+		t.Fatal("the cycles fetched nothing")
+	}
+}

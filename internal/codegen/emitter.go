@@ -3,7 +3,6 @@ package codegen
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"codelayout/internal/isa"
 	"codelayout/internal/program"
@@ -25,9 +24,12 @@ type Collector interface {
 // stops exactly at the blocks whose outcome the engine must report. A
 // mismatch between the engine's events and the model's structure panics with
 // a diagnostic, so model drift is caught immediately in tests.
+//
+// The walk is a table walk: a block exit reads the image's steps[id] and the
+// layout's Addr[id] and Exit[id], nothing else. It emits one run per block
+// exit and never merges address-adjacent runs, because the machine hangs
+// timer interrupts, quantum expiry and the measuring gate on run boundaries.
 type Emitter struct {
-	Img *Image
-	L   *program.Layout
 	// Sink receives each fetched address run.
 	Sink func(addr uint64, words int32)
 	// Collector, if non-nil, receives exact block/edge counts (Pixie).
@@ -38,9 +40,14 @@ type Emitter struct {
 	OnData    func(addr uint64, bytes int, write bool)
 	OnSyscall func(name string)
 
+	img   *Image
+	steps []step         // img.steps
+	decs  []decision     // img.decs
+	addr  []uint64       // l.Addr
+	exit  []program.Exit // l.Exit
+
 	stack []eframe
 	cur   program.BlockID
-	prev  program.BlockID
 
 	// unwinding suppresses probe events while a transaction-abort longjmp
 	// (db.ErrDeadlock) propagates through instrumented frames whose
@@ -51,8 +58,10 @@ type Emitter struct {
 	Instructions uint64
 }
 
+// eframe is one in-flight function. Its name (what Leave must be called
+// with) is derived on demand: see frameName.
 type eframe struct {
-	name      string
+	fn        program.ProcID
 	auto      bool
 	callBlock program.BlockID
 	cont      program.BlockID
@@ -62,15 +71,19 @@ type eframe struct {
 // so hitting it means a model bug.
 const maxAutoDepth = 512
 
-// NewEmitter creates an emitter over the image and layout.
+// NewEmitter creates an emitter over the image and layout, which must be of
+// the same program. The first emitter over an image seals it (see Image).
 func NewEmitter(img *Image, l *program.Layout, seed int64) *Emitter {
-	return &Emitter{
-		Img:  img,
-		L:    l,
-		Rng:  rand.New(rand.NewSource(seed)),
-		cur:  program.NoBlock,
-		prev: program.NoBlock,
+	img.seal()
+	e := &Emitter{
+		Rng:   rand.New(rand.NewSource(seed)),
+		img:   img,
+		steps: img.steps,
+		decs:  img.decs,
+		cur:   program.NoBlock,
 	}
+	e.SetLayout(l)
+	return e
 }
 
 // Idle reports whether the emitter has no in-flight function.
@@ -84,10 +97,10 @@ func (e *Emitter) SetLayout(l *program.Layout) {
 	if !e.Idle() {
 		panic("codegen: SetLayout while a function is in flight")
 	}
-	if l.Prog != e.Img.Prog {
+	if l.Prog != e.img.Prog {
 		panic("codegen: SetLayout with a layout of a different program")
 	}
-	e.L = l
+	e.addr, e.exit = l.Addr, l.Exit
 }
 
 // AbortUnwind implements db.Aborter: it suppresses all probe events until
@@ -103,7 +116,6 @@ func (e *Emitter) Reset() {
 	e.unwinding = false
 	e.stack = e.stack[:0]
 	e.cur = program.NoBlock
-	e.prev = program.NoBlock
 }
 
 func (e *Emitter) emit(addr uint64, words int32) {
@@ -116,49 +128,59 @@ func (e *Emitter) emit(addr uint64, words int32) {
 	}
 }
 
-// transition emits block b's run for an exit to succ and arrives at succ.
-func (e *Emitter) transition(b *program.Block, succ program.BlockID) {
-	e.emit(e.L.Addr[b.ID], e.L.ExecWords(b, succ))
-	e.prev = b.ID
+// transition emits block id's run of words words and arrives at succ.
+func (e *Emitter) transition(id program.BlockID, words int32, succ program.BlockID) {
+	e.emit(e.addr[id], words)
 	e.cur = succ
 	if succ != program.NoBlock && e.Collector != nil {
-		e.Collector.Block(b.ID, succ)
+		e.Collector.Block(id, succ)
 	}
 }
 
-// enterCall emits the call block's run and pushes the callee frame.
-func (e *Emitter) enterCall(b *program.Block, callee *Fn) {
-	e.emit(e.L.Addr[b.ID], e.L.ExecWords(b, b.Fall))
+// exitTo leaves block id for succ by the exit the layout's Fall bits price:
+// the Fall successor, or the single way out of a return, indirect jump or
+// halt. exitTaken leaves by the Taken successor.
+func (e *Emitter) exitTo(id program.BlockID, s *step, succ program.BlockID) {
+	e.transition(id, s.body()+e.exit[id].Fall(), succ)
+}
+
+func (e *Emitter) exitFall(id program.BlockID, s *step) { e.exitTo(id, s, s.fall) }
+
+func (e *Emitter) exitTaken(id program.BlockID, s *step) {
+	e.transition(id, s.body()+e.exit[id].Taken(), s.taken)
+}
+
+// enterCall emits call block id's run and pushes the callee frame.
+func (e *Emitter) enterCall(id program.BlockID, s *step) {
+	e.emit(e.addr[id], s.body()+e.exit[id].Fall())
 	e.stack = append(e.stack, eframe{
-		name:      callee.EventName(),
-		auto:      callee.Auto,
-		callBlock: b.ID,
-		cont:      b.Fall,
+		fn:        program.ProcID(s.aux),
+		auto:      s.auto(),
+		callBlock: id,
+		cont:      s.fall,
 	})
-	entry := callee.Proc.Entry()
-	e.prev = b.ID
+	entry := s.taken
 	e.cur = entry
 	if e.Collector != nil {
-		e.Collector.Block(b.ID, entry) // call edge
+		e.Collector.Block(id, entry) // call edge
 	}
 }
 
-// popRet emits the return block's run, pops the frame, and resumes at the
+// popRet emits return block id's run, pops the frame, and resumes at the
 // continuation (through the landing branch if the layout needed one).
-func (e *Emitter) popRet(b *program.Block) {
-	e.emit(e.L.Addr[b.ID], e.L.ExecWords(b, program.NoBlock))
+func (e *Emitter) popRet(id program.BlockID, s *step) {
+	e.emit(e.addr[id], s.body()+e.exit[id].Fall())
 	f := e.stack[len(e.stack)-1]
 	e.stack = e.stack[:len(e.stack)-1]
 	if f.cont == program.NoBlock {
 		// Top-level return: go idle.
-		e.prev = b.ID
 		e.cur = program.NoBlock
 		return
 	}
-	if addr, words, ok := e.L.LandingRun(f.callBlock); ok {
-		e.emit(addr, words)
+	if e.exit[f.callBlock].Landing() {
+		// Block layout: [body][call][landing branch].
+		e.emit(e.addr[f.callBlock]+uint64(e.steps[f.callBlock].body()+1)*isa.WordBytes, 1)
 	}
-	e.prev = f.callBlock
 	e.cur = f.cont
 	if e.Collector != nil {
 		e.Collector.Block(f.callBlock, f.cont) // continuation edge
@@ -168,53 +190,66 @@ func (e *Emitter) popRet(b *program.Block) {
 // advance walks the CFG until it needs an engine event (or goes idle).
 func (e *Emitter) advance() {
 	for e.cur != program.NoBlock {
-		b := e.Img.Prog.Block(e.cur)
-		switch b.Kind {
+		id := e.cur
+		s := &e.steps[id]
+		switch s.kind() {
 		case isa.TermFallThrough:
-			e.transition(b, b.Fall)
+			e.exitFall(id, s)
 		case isa.TermBranch:
-			e.transition(b, b.Taken)
+			e.exitTaken(id, s)
 		case isa.TermCond:
-			p, auto := e.Img.AutoProb[b.ID]
-			if !auto {
+			if !s.auto() {
 				return // wait for Branch
 			}
-			if e.Rng.Float64() < p {
-				e.transition(b, b.Fall)
+			if e.Rng.Float64() < e.decs[s.aux].prob {
+				e.exitFall(id, s)
 			} else {
-				e.transition(b, b.Taken)
+				e.exitTaken(id, s)
 			}
 		case isa.TermIndirect:
-			cum, auto := e.Img.AutoCum[b.ID]
-			if !auto {
+			if !s.auto() {
 				return // wait for Case
 			}
-			x := uint32(e.Rng.Int63n(int64(cum[len(cum)-1])))
-			k := sort.Search(len(cum), func(i int) bool { return cum[i] > x })
-			e.transition(b, b.Targets[k])
+			j := &e.img.jumps[s.aux]
+			x := uint32(e.Rng.Int63n(int64(j.cum[len(j.cum)-1])))
+			k := 0
+			for j.cum[k] <= x {
+				k++
+			}
+			e.exitTo(id, s, j.targets[k])
 		case isa.TermCall:
-			callee := e.Img.FnOf(b.Callee)
-			if !callee.Auto {
+			if !s.auto() {
 				return // wait for Enter
 			}
 			if len(e.stack) >= maxAutoDepth {
-				panic(fmt.Sprintf("codegen: auto call depth exceeded at %s", callee.Name))
+				panic(fmt.Sprintf("codegen: auto call depth exceeded at %s", e.img.fnByProc[s.aux].Name))
 			}
-			e.enterCall(b, callee)
+			e.enterCall(id, s)
 		case isa.TermRet:
 			if len(e.stack) == 0 {
-				e.transition(b, program.NoBlock)
+				e.exitTo(id, s, program.NoBlock)
 				return
 			}
 			if !e.stack[len(e.stack)-1].auto {
 				return // wait for Leave
 			}
-			e.popRet(b)
+			e.popRet(id, s)
 		case isa.TermHalt:
-			e.transition(b, program.NoBlock)
+			e.exitTo(id, s, program.NoBlock)
 			return
 		}
 	}
+}
+
+// enterTop starts f's frame from idle. auto says who ends it: the walk
+// itself (RunAuto) or the engine's Leave.
+func (e *Emitter) enterTop(f *Fn, auto bool) {
+	e.stack = append(e.stack, eframe{fn: f.Proc.ID, auto: auto, callBlock: program.NoBlock, cont: program.NoBlock})
+	e.cur = f.Proc.Entry()
+	if e.Collector != nil {
+		e.Collector.Block(program.NoBlock, e.cur)
+	}
+	e.advance()
 }
 
 // Enter implements the probe event: the engine entered fn.
@@ -222,35 +257,35 @@ func (e *Emitter) Enter(fn string) {
 	if e.unwinding {
 		return
 	}
-	f, ok := e.Img.Fns[fn]
+	if e.cur != program.NoBlock {
+		// Mid-model the call block says who is being entered; fn is looked
+		// up by name only when it is not that function. A fused image may
+		// have rewired the call to a per-kind clone; the clone replays the
+		// original's events, so entering it under the original name is the
+		// expected path.
+		if s := &e.steps[e.cur]; s.kind() == isa.TermCall {
+			if callee := e.img.fnByProc[s.aux]; callee.Name == fn || callee.EventName() == fn {
+				e.enterCall(e.cur, s)
+				e.advance()
+				return
+			}
+		}
+	}
+	f, ok := e.img.Fns[fn]
 	if !ok {
 		panic(fmt.Sprintf("codegen: Enter(%q): unknown function", fn))
 	}
 	if e.cur == program.NoBlock {
 		// Top-level entry (transaction driver).
-		e.stack = append(e.stack, eframe{name: fn, callBlock: program.NoBlock, cont: program.NoBlock})
-		e.prev = program.NoBlock
-		e.cur = f.Proc.Entry()
-		if e.Collector != nil {
-			e.Collector.Block(program.NoBlock, e.cur)
-		}
-		e.advance()
+		e.enterTop(f, false)
 		return
 	}
-	b := e.Img.Prog.Block(e.cur)
-	if b.Kind != isa.TermCall {
+	s := &e.steps[e.cur]
+	if s.kind() != isa.TermCall {
 		panic(fmt.Sprintf("codegen: Enter(%q) but model at %s block b%d of %s",
-			fn, b.Kind, b.ID, e.frameName()))
+			fn, s.kind(), e.cur, e.frameName()))
 	}
-	// A fused image may have rewired the call to a per-kind clone; the clone
-	// replays the original's events, so entering it under the original name
-	// is the expected path.
-	callee := e.Img.FnOf(b.Callee)
-	if callee != f && callee.EventName() != fn {
-		panic(fmt.Sprintf("codegen: Enter(%q) but model expects call to %q", fn, callee.Name))
-	}
-	e.enterCall(b, callee)
-	e.advance()
+	panic(fmt.Sprintf("codegen: Enter(%q) but model expects call to %q", fn, e.img.fnByProc[s.aux].Name))
 }
 
 // Leave implements the probe event: the engine returned from fn.
@@ -261,16 +296,15 @@ func (e *Emitter) Leave(fn string) {
 	if len(e.stack) == 0 {
 		panic(fmt.Sprintf("codegen: Leave(%q) with empty stack", fn))
 	}
-	top := e.stack[len(e.stack)-1]
-	if top.name != fn {
-		panic(fmt.Sprintf("codegen: Leave(%q) but current frame is %q", fn, top.name))
+	if top := e.frameName(); top != fn {
+		panic(fmt.Sprintf("codegen: Leave(%q) but current frame is %q", fn, top))
 	}
-	b := e.Img.Prog.Block(e.cur)
-	if b.Kind != isa.TermRet {
+	s := &e.steps[e.cur]
+	if s.kind() != isa.TermRet {
 		panic(fmt.Sprintf("codegen: Leave(%q) but model at %s block b%d (missing events?)",
-			fn, b.Kind, b.ID))
+			fn, s.kind(), e.cur))
 	}
-	e.popRet(b)
+	e.popRet(e.cur, s)
 	e.advance()
 }
 
@@ -279,11 +313,11 @@ func (e *Emitter) Branch(site string, taken bool) {
 	if e.unwinding {
 		return
 	}
-	b := e.curSiteBlock(site, isa.TermCond)
+	s := e.siteStep(site, isa.TermCond)
 	if taken {
-		e.transition(b, b.Fall)
+		e.exitFall(e.cur, s)
 	} else {
-		e.transition(b, b.Taken)
+		e.exitTaken(e.cur, s)
 	}
 	e.advance()
 }
@@ -293,11 +327,12 @@ func (e *Emitter) Case(site string, k int) {
 	if e.unwinding {
 		return
 	}
-	b := e.curSiteBlock(site, isa.TermIndirect)
-	if k < 0 || k >= len(b.Targets) {
-		panic(fmt.Sprintf("codegen: Case(%q, %d) out of range (%d cases)", site, k, len(b.Targets)))
+	s := e.siteStep(site, isa.TermIndirect)
+	targets := e.img.jumps[s.aux].targets
+	if k < 0 || k >= len(targets) {
+		panic(fmt.Sprintf("codegen: Case(%q, %d) out of range (%d cases)", site, k, len(targets)))
 	}
-	e.transition(b, b.Targets[k])
+	e.exitTo(e.cur, s, targets[k])
 	e.advance()
 }
 
@@ -324,7 +359,7 @@ func (e *Emitter) Syscall(name string) {
 // RunAuto executes an auto function to completion from idle (used for the
 // kernel image, whose services have no engine instrumentation).
 func (e *Emitter) RunAuto(fn string) {
-	f, ok := e.Img.Fns[fn]
+	f, ok := e.img.Fns[fn]
 	if !ok {
 		panic(fmt.Sprintf("codegen: RunAuto(%q): unknown function", fn))
 	}
@@ -334,33 +369,43 @@ func (e *Emitter) RunAuto(fn string) {
 	if e.cur != program.NoBlock {
 		panic(fmt.Sprintf("codegen: RunAuto(%q) while busy", fn))
 	}
-	e.stack = append(e.stack, eframe{name: fn, auto: true, callBlock: program.NoBlock, cont: program.NoBlock})
-	e.prev = program.NoBlock
-	e.cur = f.Proc.Entry()
-	if e.Collector != nil {
-		e.Collector.Block(program.NoBlock, e.cur)
-	}
-	e.advance()
+	e.enterTop(f, true)
 	if e.cur != program.NoBlock || len(e.stack) != 0 {
 		panic(fmt.Sprintf("codegen: RunAuto(%q) did not run to completion", fn))
 	}
 }
 
-func (e *Emitter) curSiteBlock(site string, kind isa.TermKind) *program.Block {
+// siteStep returns the current block's step after checking that it is the
+// kind of decision block, at the site, the engine's event names.
+func (e *Emitter) siteStep(site string, kind isa.TermKind) *step {
 	if e.cur == program.NoBlock {
 		panic(fmt.Sprintf("codegen: event at site %q while idle", site))
 	}
-	b := e.Img.Prog.Block(e.cur)
-	if b.Kind != kind || e.Img.Site[b.ID] != site {
-		panic(fmt.Sprintf("codegen: event for site %q but model at %s block b%d (site %q) in %s",
-			site, b.Kind, b.ID, e.Img.Site[b.ID], e.frameName()))
+	s := &e.steps[e.cur]
+	at := ""
+	switch s.kind() {
+	case isa.TermCond:
+		at = e.decs[s.aux].site
+	case isa.TermIndirect:
+		at = e.img.jumps[s.aux].site
 	}
-	return b
+	if s.kind() != kind || at != site {
+		panic(fmt.Sprintf("codegen: event for site %q but model at %s block b%d (site %q) in %s",
+			site, s.kind(), e.cur, at, e.frameName()))
+	}
+	return s
 }
 
+// frameName returns the name the innermost frame answers to: the name a
+// top-level frame was entered by, the callee's event name for a call.
 func (e *Emitter) frameName() string {
 	if len(e.stack) == 0 {
 		return "<no frame>"
 	}
-	return e.stack[len(e.stack)-1].name
+	f := e.stack[len(e.stack)-1]
+	fn := e.img.fnByProc[f.fn]
+	if f.callBlock == program.NoBlock {
+		return fn.Name
+	}
+	return fn.EventName()
 }

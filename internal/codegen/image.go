@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"sync"
 
 	"codelayout/internal/isa"
 	"codelayout/internal/program"
@@ -30,20 +31,132 @@ func (fn *Fn) EventName() string {
 
 // Image is a modeled binary: the program plus the annotations the emitter
 // needs to replay engine events over it.
+//
+// An image has two phases. While it is being built — Build, then CloneProc
+// on a Specialize copy, then whatever call rewiring the fusion pass does on
+// Prog — the per-block annotations live in note/decs. The first NewEmitter
+// seals it: the annotations and the CFG are compiled, once, into the flat
+// step table every emitter over the image walks, and the image can no longer
+// grow.
 type Image struct {
 	Prog *program.Program
 	Fns  map[string]*Fn
 	// fnByProc maps ProcID to Fn.
 	fnByProc []*Fn
-	// Site names the engine decision site implemented by a block (Cond or
-	// Indirect terminators).
-	Site map[program.BlockID]string
-	// AutoProb gives the PRNG probability of the Fall arm for auto Cond
-	// blocks.
-	AutoProb map[program.BlockID]float64
-	// AutoCum gives cumulative PRNG weights for auto Indirect blocks,
-	// parallel to Block.Targets.
-	AutoCum map[program.BlockID][]uint32
+
+	// note[b] indexes decs for a Cond or Indirect block that lowering
+	// annotated; 0 (or a block past the end) means none. Both only grow: a
+	// block's note and a decs entry never change once written, so clones
+	// share entries and Specialize copies share the arrays.
+	note []int32
+	decs []decision
+
+	// steps and jumps are the sealed form; steps is nil until then.
+	sealOnce sync.Once
+	steps    []step
+	jumps    []jump
+}
+
+// decision annotates how a Cond or Indirect block's outcome is resolved.
+type decision struct {
+	// site names the engine decision site the block implements.
+	site string
+	// auto marks a block the emitter's PRNG resolves instead: a Cond falls
+	// through with probability prob, an Indirect picks a target by the
+	// cumulative weights cum (parallel to Block.Targets).
+	auto bool
+	prob float64
+	cum  []uint32
+}
+
+// annotate records block b's decision.
+func (img *Image) annotate(b program.BlockID, d decision) {
+	img.decs = append(img.decs, d)
+	img.setNote(b, int32(len(img.decs)-1))
+}
+
+func (img *Image) setNote(b program.BlockID, n int32) {
+	for int(b) >= len(img.note) {
+		img.note = append(img.note, 0)
+	}
+	img.note[b] = n
+}
+
+func (img *Image) noteOf(b program.BlockID) int32 {
+	if int(b) >= len(img.note) {
+		return 0
+	}
+	return img.note[b]
+}
+
+// step is one block as the emitter walks it: everything advance needs to
+// leave the block, in one 16-byte row, so a block exit reads steps[id] plus
+// the layout's Addr[id] and Exit[id] and chases no pointer. The row is kept
+// this small because every specialized image a search candidate builds owns a
+// table: at 32 bytes a row the tables of one search-mix run were 9 MB of RSS.
+type step struct {
+	// head packs the terminator kind (bits 0-2), the auto flag (bit 3: a Cond
+	// or Indirect resolved by the PRNG, or a Call whose callee is an auto
+	// function) and the body words (bits 8-31).
+	head uint32
+	fall program.BlockID
+	// taken is Block.Taken, or the callee's entry block for a Call.
+	taken program.BlockID
+	// aux leads to the rest without hashing: the decs index of a Cond (an
+	// engine site's name, an auto branch's probability), the jumps index of
+	// an Indirect, the callee's ProcID (into fnByProc) of a Call.
+	aux int32
+}
+
+const (
+	stepKindMask  = 7
+	stepAuto      = 1 << 3
+	stepBodyShift = 8
+)
+
+func (s *step) kind() isa.TermKind { return isa.TermKind(s.head & stepKindMask) }
+func (s *step) auto() bool         { return s.head&stepAuto != 0 }
+func (s *step) body() int32        { return int32(s.head >> stepBodyShift) }
+
+// jump is an Indirect block's dispatch table.
+type jump struct {
+	targets []program.BlockID
+	cum     []uint32
+	site    string
+}
+
+// seal compiles the step table on first use. Every emitter over the image
+// shares it, concurrent machines included, so it is built under a Once and
+// never written again.
+func (img *Image) seal() {
+	img.sealOnce.Do(func() {
+		steps := make([]step, len(img.Prog.Blocks))
+		var jumps []jump
+		for id, b := range img.Prog.Blocks {
+			if b.Body >= 1<<(32-stepBodyShift) {
+				panic(fmt.Sprintf("codegen: block b%d has %d body words; a step row holds %d bits of them", id, b.Body, 32-stepBodyShift))
+			}
+			n := img.noteOf(b.ID)
+			auto := img.decs[n].auto
+			s := &steps[id]
+			s.fall, s.taken = b.Fall, b.Taken
+			switch b.Kind {
+			case isa.TermCond:
+				s.aux = n
+			case isa.TermIndirect:
+				s.aux = int32(len(jumps))
+				jumps = append(jumps, jump{targets: b.Targets, cum: img.decs[n].cum, site: img.decs[n].site})
+			case isa.TermCall:
+				callee := img.fnByProc[b.Callee]
+				auto, s.taken, s.aux = callee.Auto, callee.Proc.Entry(), int32(b.Callee)
+			}
+			s.head = uint32(b.Kind) | uint32(b.Body)<<stepBodyShift
+			if auto {
+				s.head |= stepAuto
+			}
+		}
+		img.steps, img.jumps = steps, jumps
+	})
 }
 
 // FnOf returns the modeled function owning the procedure.
@@ -58,15 +171,19 @@ func (img *Image) Entry(name string) (program.BlockID, error) {
 	return fn.Proc.Entry(), nil
 }
 
+// newImage returns an empty, unsealed image. decs[0] is the "no annotation"
+// entry every unannotated block reads: an engine decision with no site.
+func newImage(name string, textBase uint64, fns int) *Image {
+	return &Image{
+		Prog: program.New(name, textBase),
+		Fns:  make(map[string]*Fn, fns),
+		decs: make([]decision, 1),
+	}
+}
+
 // Build lowers an image spec into a program plus emitter annotations.
 func Build(spec ImageSpec) (*Image, error) {
-	img := &Image{
-		Prog:     program.New(spec.Name, spec.TextBase),
-		Fns:      make(map[string]*Fn, len(spec.Fns)),
-		Site:     make(map[program.BlockID]string),
-		AutoProb: make(map[program.BlockID]float64),
-		AutoCum:  make(map[program.BlockID][]uint32),
-	}
+	img := newImage(spec.Name, spec.TextBase, len(spec.Fns))
 	// First pass: declare procedures so calls can resolve in any order.
 	for _, fs := range spec.Fns {
 		if _, dup := img.Fns[fs.Name]; dup {
@@ -104,8 +221,8 @@ func (img *Image) checkAutoClosure() error {
 			b := img.Prog.Block(bid)
 			switch b.Kind {
 			case isa.TermCond, isa.TermIndirect:
-				if site, ok := img.Site[bid]; ok {
-					return fmt.Errorf("codegen: auto fn %q has engine site %q", fn.Name, site)
+				if n := img.noteOf(bid); n != 0 && !img.decs[n].auto {
+					return fmt.Errorf("codegen: auto fn %q has engine site %q", fn.Name, img.decs[n].site)
 				}
 			case isa.TermCall:
 				callee := img.FnOf(b.Callee)
@@ -261,11 +378,7 @@ func (lo *lowerer) lowerIf(open *program.Block, site string, prob float64, then,
 	// Degenerate conditional guard: with an empty Then region, the then
 	// entry is an empty fall block, distinct from join, so Taken != Fall
 	// always holds here by construction.
-	if site != "" {
-		lo.img.Site[cond] = site
-	} else {
-		lo.img.AutoProb[cond] = prob
-	}
+	lo.img.annotate(cond, decision{site: site, auto: site == "", prob: prob})
 	return join
 }
 
@@ -287,11 +400,7 @@ func (lo *lowerer) lowerLoop(open *program.Block, site string, prob float64, hea
 	}
 	join := lo.newBlock()
 	lo.img.Prog.Block(headID).Taken = join.ID
-	if site != "" {
-		lo.img.Site[headID] = site
-	} else {
-		lo.img.AutoProb[headID] = prob
-	}
+	lo.img.annotate(headID, decision{site: site, auto: site == "", prob: prob})
 	return join
 }
 
@@ -329,7 +438,7 @@ func (lo *lowerer) lowerSwitch(open *program.Block, site string, cases [][]Frag,
 			acc += w
 			cum = append(cum, acc)
 		}
-		lo.img.AutoCum[sw] = cum
+		lo.img.annotate(sw, decision{auto: true, cum: cum})
 		return join
 	}
 	if len(cases) == 0 {
@@ -343,6 +452,6 @@ func (lo *lowerer) lowerSwitch(open *program.Block, site string, cases [][]Frag,
 			p(join.ID)
 		}
 	}
-	lo.img.Site[sw] = site
+	lo.img.annotate(sw, decision{site: site})
 	return join
 }

@@ -9,41 +9,25 @@ import (
 // Specialize returns a deep copy of the image whose program may grow
 // per-transaction-kind procedure clones (CloneProc). Original ProcIDs and
 // BlockIDs are preserved, so profiles trained on the base image map onto
-// the specialized one unchanged, and the base image is never mutated.
+// the specialized one unchanged, and the base image is never mutated. The
+// copy starts unsealed whether or not emitters already walk the original.
 func (img *Image) Specialize() *Image {
-	src := img.Prog
 	out := &Image{
-		Prog:     program.New(src.Name, src.TextBase),
-		Fns:      make(map[string]*Fn, len(img.Fns)),
-		Site:     make(map[program.BlockID]string, len(img.Site)),
-		AutoProb: make(map[program.BlockID]float64, len(img.AutoProb)),
-		AutoCum:  make(map[program.BlockID][]uint32, len(img.AutoCum)),
+		Prog: img.Prog.Clone(),
+		Fns:  make(map[string]*Fn, len(img.Fns)),
+		// The annotations are shared, not copied: decs entries are immutable,
+		// and a copy only ever adds notes for the blocks CloneProc appends —
+		// with the capacities cut to the lengths, its first append moves the
+		// slice off the original's array.
+		note: img.note[:len(img.note):len(img.note)],
+		decs: img.decs[:len(img.decs):len(img.decs)],
 	}
-	for _, pr := range src.Procs {
-		np := out.Prog.AddProc(pr.Name)
-		np.Cold = pr.Cold
-		fn := img.fnByProc[pr.ID]
-		nf := &Fn{Name: fn.Name, Auto: fn.Auto, CloneOf: fn.CloneOf, Proc: np}
-		out.Fns[nf.Name] = nf
-		out.fnByProc = append(out.fnByProc, nf)
-	}
-	// Blocks are appended in program order (not proc order) so IDs match.
-	for _, b := range src.Blocks {
-		nb := out.Prog.AddBlock(out.Prog.Proc(b.Proc), int(b.Body))
-		nb.Kind = b.Kind
-		nb.Fall = b.Fall
-		nb.Taken = b.Taken
-		nb.Callee = b.Callee
-		nb.Targets = append([]program.BlockID(nil), b.Targets...)
-	}
-	for id, site := range img.Site {
-		out.Site[id] = site
-	}
-	for id, p := range img.AutoProb {
-		out.AutoProb[id] = p
-	}
-	for id, cum := range img.AutoCum {
-		out.AutoCum[id] = append([]uint32(nil), cum...)
+	fns := make([]Fn, len(img.fnByProc))
+	for id, fn := range img.fnByProc {
+		fns[id] = *fn
+		fns[id].Proc = out.Prog.Procs[id]
+		out.Fns[fn.Name] = &fns[id]
+		out.fnByProc = append(out.fnByProc, &fns[id])
 	}
 	return out
 }
@@ -54,8 +38,13 @@ func (img *Image) Specialize() *Image {
 // intra-procedure successors remapped onto the clone's blocks. Calls out of
 // the clone keep their original callees until the caller rewires them. The
 // clone replays the original's engine events (Fn.CloneOf), so the emitter
-// accepts it wherever the original was expected.
+// accepts it wherever the original was expected. Emitters walk a table
+// compiled from the image when the first of them is created, so an image
+// that has one can no longer be cloned into.
 func (img *Image) CloneProc(id program.ProcID, tag string) (program.ProcID, error) {
+	if img.steps != nil {
+		return program.NoProc, fmt.Errorf("codegen: clone of proc %d after the image's first emitter; clone on a Specialize copy", id)
+	}
 	if int(id) >= len(img.Prog.Procs) {
 		return program.NoProc, fmt.Errorf("codegen: clone of unknown proc %d", id)
 	}
@@ -68,7 +57,6 @@ func (img *Image) CloneProc(id program.ProcID, tag string) (program.ProcID, erro
 	pr := img.Prog.AddProc(name)
 	pr.Cold = orig.Cold
 
-	remap := make(map[program.BlockID]program.BlockID, len(orig.Blocks))
 	for _, obid := range orig.Blocks {
 		ob := img.Prog.Block(obid)
 		nb := img.Prog.AddBlock(pr, int(ob.Body))
@@ -77,16 +65,19 @@ func (img *Image) CloneProc(id program.ProcID, tag string) (program.ProcID, erro
 		nb.Taken = ob.Taken
 		nb.Callee = ob.Callee
 		nb.Targets = append([]program.BlockID(nil), ob.Targets...)
-		remap[obid] = nb.ID
 	}
+	// local maps a successor inside the original onto the clone's block at
+	// the same position; procedures are a few dozen blocks, so it scans.
 	local := func(b program.BlockID) program.BlockID {
-		if nb, ok := remap[b]; ok {
-			return nb
+		for i, ob := range orig.Blocks {
+			if ob == b {
+				return pr.Blocks[i]
+			}
 		}
 		return b // inter-procedure reference: keep the original target
 	}
-	for _, obid := range orig.Blocks {
-		nb := img.Prog.Block(remap[obid])
+	for i, obid := range orig.Blocks {
+		nb := img.Prog.Block(pr.Blocks[i])
 		if nb.Fall != program.NoBlock {
 			nb.Fall = local(nb.Fall)
 		}
@@ -96,14 +87,8 @@ func (img *Image) CloneProc(id program.ProcID, tag string) (program.ProcID, erro
 		for i, t := range nb.Targets {
 			nb.Targets[i] = local(t)
 		}
-		if site, ok := img.Site[obid]; ok {
-			img.Site[nb.ID] = site
-		}
-		if p, ok := img.AutoProb[obid]; ok {
-			img.AutoProb[nb.ID] = p
-		}
-		if cum, ok := img.AutoCum[obid]; ok {
-			img.AutoCum[nb.ID] = append([]uint32(nil), cum...)
+		if n := img.noteOf(obid); n != 0 {
+			img.setNote(nb.ID, n)
 		}
 	}
 

@@ -202,7 +202,7 @@ func (p txfusePass) Run(st *LayoutState) error {
 	// cloneBlocks[gi][unit] is the clone's block list in the original
 	// unit's chain order.
 	cloneBlocks := make(map[int]map[int][]program.BlockID)
-	cloneProcOf := make(map[int]map[program.ProcID]program.ProcID)
+	cloneProcOf := make(map[int]map[program.ProcID]procClone)
 	var cloneWords int64
 	for _, c := range cands {
 		if st.Cloner == nil {
@@ -224,16 +224,13 @@ func (p txfusePass) Run(st *LayoutState) error {
 		for i, ob := range origProc.Blocks {
 			remap[ob] = newProc.Blocks[i]
 		}
-		blocks := make([]program.BlockID, len(st.Units[c.unit].Blocks))
-		for i, ob := range st.Units[c.unit].Blocks {
-			blocks[i] = remap[ob]
-		}
+		pc := procClone{id: newID, remap: remap}
 		if cloneBlocks[c.gi] == nil {
 			cloneBlocks[c.gi] = make(map[int][]program.BlockID)
-			cloneProcOf[c.gi] = make(map[program.ProcID]program.ProcID)
+			cloneProcOf[c.gi] = make(map[program.ProcID]procClone)
 		}
-		cloneBlocks[c.gi][c.unit] = blocks
-		cloneProcOf[c.gi][origProc.ID] = newID
+		cloneBlocks[c.gi][c.unit] = pc.blocks(st.Units[c.unit])
+		cloneProcOf[c.gi][origProc.ID] = pc
 		transferProfile(st, origProc, remap, c.w)
 	}
 
@@ -260,10 +257,11 @@ func (p txfusePass) Run(st *LayoutState) error {
 			if b.Kind != isa.TermCall || b.Callee == program.NoProc {
 				continue
 			}
-			newP, ok := cloneProcOf[gi][b.Callee]
+			pc, ok := cloneProcOf[gi][b.Callee]
 			if !ok {
 				continue
 			}
+			newP := pc.id
 			oldEntry, newEntry := prog.Entry(b.Callee), prog.Entry(newP)
 			if w := pf.Edge(bid, oldEntry); w > 0 {
 				pf.AddEdge(bid, newEntry, w)
@@ -284,6 +282,20 @@ func (p txfusePass) Run(st *LayoutState) error {
 			merged = append(merged, u)
 		}
 	}
+	// A clone copies its whole procedure, but only the unit headed by the
+	// entry joined a fused unit. Under a splitting pass the procedure's other
+	// units (its cold half, its later segments) were cloned too and are code
+	// the layout must place: they follow as units of the clone.
+	if len(cloneProcOf) > 0 {
+		for i, u := range st.Units {
+			for gi := range groups { // group order, not map order: units must come out the same every run
+				pc, cloned := cloneProcOf[gi][u.Proc]
+				if _, placed := cloneBlocks[gi][i]; cloned && !placed {
+					merged = append(merged, makeUnit(pf, pc.id, u.Seq, pc.blocks(u)))
+				}
+			}
+		}
+	}
 	st.Units = merged
 	st.Report.FusedKinds = len(groups)
 	st.Report.ClonedProcs = countClones(cloneProcOf)
@@ -292,7 +304,24 @@ func (p txfusePass) Run(st *LayoutState) error {
 	return nil
 }
 
-func countClones(m map[int]map[program.ProcID]program.ProcID) int {
+// procClone is one kind's clone of a procedure: the new procedure and the
+// original-to-clone block map.
+type procClone struct {
+	id    program.ProcID
+	remap map[program.BlockID]program.BlockID
+}
+
+// blocks returns the clone's copy of a unit of the original procedure, in the
+// unit's chain order.
+func (pc procClone) blocks(u Unit) []program.BlockID {
+	out := make([]program.BlockID, len(u.Blocks))
+	for i, ob := range u.Blocks {
+		out[i] = pc.remap[ob]
+	}
+	return out
+}
+
+func countClones(m map[int]map[program.ProcID]procClone) int {
 	n := 0
 	for _, procs := range m {
 		n += len(procs)

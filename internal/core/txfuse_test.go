@@ -115,9 +115,13 @@ func TestPassCoverageProperty(t *testing.T) {
 		}
 
 		// The cloning run mutates program and profile, so it goes last: a
-		// wide-open budget over derived roots, through a real cloner.
+		// wide-open budget over derived roots, through a real cloner. Under
+		// a splitting pass a cloned procedure is several units, of which only
+		// the entry's joins the fused unit; the layout must still place the
+		// rest of the clone.
 		cl := &testCloner{p: p}
-		pl, err := core.ParsePipeline("chain,split:none,txfuse:100,porder:ph,materialize")
+		split := []string{"none", "fine", "hotcold"}[seed%3]
+		pl, err := core.ParsePipeline("chain,split:" + split + ",txfuse:100,porder:ph,materialize")
 		if err != nil {
 			t.Fatal(err)
 		}

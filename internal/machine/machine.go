@@ -391,7 +391,7 @@ type cpu struct {
 	id        int
 	clock     uint64
 	idle      uint64
-	runq      []*proc
+	runq      runQueue
 	kern      *codegen.Emitter
 	nextTimer uint64
 	current   *proc
@@ -496,7 +496,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 
 	for c := 0; c < cfg.CPUs; c++ {
-		cp := &cpu{id: c, nextTimer: cfg.TimerIntervalInstr}
+		cp := &cpu{id: c, nextTimer: cfg.TimerIntervalInstr, runq: runQueue{buf: make([]*proc, cfg.ProcsPerCPU)}}
 		if cfg.FetchStallPenaltyInstr > 0 {
 			cp.l1i = cache.New(cache.Config{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 2})
 		}
@@ -550,7 +550,7 @@ func New(cfg Config) (*Machine, error) {
 			for s := 0; s < cfg.Shards; s++ {
 				p.sessions = append(p.sessions, m.engs[s].NewSession(p.id, p.emit))
 			}
-			m.cpus[c].runq = append(m.cpus[c].runq, p)
+			m.cpus[c].runq.pushBack(p)
 			m.procs = append(m.procs, p)
 		}
 	}
@@ -675,20 +675,12 @@ func (m *Machine) appFetch(p *proc, addr uint64, words int32) {
 	c.clock += uint64(words)
 	p.budget -= int64(words)
 	if c.l1i != nil {
-		r := trace.FetchRun{Addr: addr, Words: words, CPU: uint8(c.id), PID: uint16(p.id)}
-		if miss := c.l1i.FetchMisses(r); miss > 0 {
-			stall := uint64(miss) * m.cfg.FetchStallPenaltyInstr
-			c.clock += stall
-			if m.measuring {
-				m.res.FetchStallInstr += stall
-			}
-		}
+		m.fetchStall(c, addr, words, false)
 	}
 	if m.measuring {
 		m.res.AppInstrs += uint64(words)
-		r := trace.FetchRun{Addr: addr, Words: words, CPU: uint8(c.id), PID: uint16(p.id)}
-		for _, s := range m.cfg.Sinks {
-			s.Fetch(r)
+		if len(m.cfg.Sinks) > 0 {
+			trace.Tee(m.cfg.Sinks).Fetch(trace.FetchRun{Addr: addr, Words: words, CPU: uint8(c.id), PID: uint16(p.id)})
 		}
 	}
 	if c.clock >= c.nextTimer {
@@ -705,28 +697,29 @@ func (m *Machine) appFetch(p *proc, addr uint64, words int32) {
 func (m *Machine) kernelFetch(c *cpu, addr uint64, words int32) {
 	c.clock += uint64(words)
 	if c.l1i != nil {
-		pid := uint16(0)
-		if c.current != nil {
-			pid = uint16(c.current.id)
-		}
-		r := trace.FetchRun{Addr: addr, Words: words, CPU: uint8(c.id), PID: pid, Kernel: true}
-		if miss := c.l1i.FetchMisses(r); miss > 0 {
-			stall := uint64(miss) * m.cfg.FetchStallPenaltyInstr
-			c.clock += stall
-			if m.measuring {
-				m.res.FetchStallInstr += stall
-			}
-		}
+		m.fetchStall(c, addr, words, true)
 	}
 	if m.measuring {
 		m.res.KernelInstrs += uint64(words)
-		pid := uint16(0)
-		if c.current != nil {
-			pid = uint16(c.current.id)
+		if len(m.cfg.Sinks) > 0 {
+			r := trace.FetchRun{Addr: addr, Words: words, CPU: uint8(c.id), Kernel: true}
+			if c.current != nil {
+				r.PID = uint16(c.current.id)
+			}
+			trace.Tee(m.cfg.Sinks).Fetch(r)
 		}
-		r := trace.FetchRun{Addr: addr, Words: words, CPU: uint8(c.id), PID: pid, Kernel: true}
-		for _, s := range m.cfg.Sinks {
-			s.Fetch(r)
+	}
+}
+
+// fetchStall runs the fetch through the CPU's inline L1I and charges its
+// misses to the CPU clock. The sink-less path stops here: a trace.FetchRun is
+// built only for cfg.Sinks.
+func (m *Machine) fetchStall(c *cpu, addr uint64, words int32, kernel bool) {
+	if miss := c.l1i.FetchWords(addr, words, kernel); miss > 0 {
+		stall := uint64(miss) * m.cfg.FetchStallPenaltyInstr
+		c.clock += stall
+		if m.measuring {
+			m.res.FetchStallInstr += stall
 		}
 	}
 }
@@ -831,7 +824,7 @@ func (e *machineEnv) Wake(q *db.WaitQueue) {
 	for _, p := range wl.procs {
 		if p.state == stBlockedWait {
 			p.state = stRunnable
-			p.cpu.runq = append(p.cpu.runq, p)
+			p.cpu.runq.pushBack(p)
 		}
 		// A runnable process is no longer blocked: drop its waits-for edge
 		// now, not when it resumes, so the deadlock detector never walks a

@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"sync"
 	"testing"
 
 	"codelayout/internal/appmodel"
@@ -169,6 +170,42 @@ func TestDeterminism(t *testing.T) {
 				t.Fatalf("cache stats differ: %d/%d vs %d/%d", s1.Misses, s1.Accesses, s2.Misses, s2.Accesses)
 			}
 		})
+	}
+}
+
+// TestConcurrentMachinesBuildTheWalkTableOnce starts several machines at once
+// over images no emitter has touched, so their first emitters race to compile
+// the shared step tables (MeasureBatch workers do exactly this). Every run
+// must read the same table: identical results, and nothing for the race
+// detector to report (run with -race -count=10).
+func TestConcurrentMachinesBuildTheWalkTableOnce(t *testing.T) {
+	wl := smallWorkload(t, "tpcb")
+	app, appL, kern, kernL := testImages(t, wl)
+	const n = 4
+	results := make([]machine.Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		cfg := configFor(smallWorkload(t, "tpcb"), app, appL, kern, kernL)
+		cfg.FetchStallPenaltyInstr = 40
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, err := machine.New(cfg)
+			if err == nil {
+				results[i], err = m.Run()
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i := range results {
+		if errs[i] != nil {
+			t.Fatalf("machine %d: %v", i, errs[i])
+		}
+		if results[i] != results[0] {
+			t.Fatalf("machine %d read a different table:\n%+v\n%+v", i, results[i], results[0])
+		}
 	}
 }
 

@@ -198,7 +198,7 @@ func (m *Machine) reoptSwap() {
 		p.emit.SetLayout(ro.pendingLayout)
 	}
 	for _, p := range order {
-		p.cpu.runq = append(p.cpu.runq, p)
+		p.cpu.runq.pushBack(p)
 	}
 	ro.parked = make(map[*proc]uint64)
 	ro.pendingLayout = nil

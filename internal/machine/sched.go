@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 
 	"codelayout/internal/kernel"
 	"codelayout/internal/trace"
@@ -63,7 +62,7 @@ func (m *Machine) Run() (Result, error) {
 			p.state = stRunnable
 			// Processes continue until they block; front of queue keeps the
 			// cache-warm process running, as a real scheduler would.
-			c.runq = append([]*proc{p}, c.runq...)
+			c.runq.pushFront(p)
 		}
 	}
 
@@ -110,7 +109,7 @@ func (m *Machine) step(skip func(*proc) bool) (*cpu, *proc, yieldMsg, error) {
 		return nil, nil, none, fmt.Errorf("machine: deadlock — no runnable or waking process")
 	}
 	m.wakeExpired(c)
-	if len(c.runq) == 0 {
+	if c.runq.n == 0 {
 		// Idle until this CPU's next IO completion.
 		next := c.earliestWake()
 		if next > c.clock {
@@ -122,8 +121,7 @@ func (m *Machine) step(skip func(*proc) bool) (*cpu, *proc, yieldMsg, error) {
 		}
 		return c, nil, none, nil
 	}
-	p := c.runq[0]
-	c.runq = c.runq[1:]
+	p := c.runq.popFront()
 	if skip != nil && skip(p) {
 		return c, nil, none, nil
 	}
@@ -143,7 +141,7 @@ func (m *Machine) step(skip func(*proc) bool) (*cpu, *proc, yieldMsg, error) {
 	case yQuantum:
 		c.kern.RunAuto(kernel.SvcSwitch)
 		p.state = stRunnable
-		c.runq = append(c.runq, p)
+		c.runq.pushBack(p)
 	case yBlockIO:
 		p.state = stBlockedIO
 		p.wakeAt = c.clock + msg.ioDelay
@@ -205,7 +203,7 @@ func (m *Machine) pickCPU() *cpu {
 	for _, c := range m.cpus {
 		var at uint64
 		switch {
-		case len(c.runq) > 0:
+		case c.runq.n > 0:
 			at = c.clock
 		case len(c.blocked) > 0:
 			at = c.earliestWake()
@@ -230,31 +228,63 @@ func (c *cpu) earliestWake() uint64 {
 }
 
 // wakeExpired moves IO-blocked processes whose deadline passed onto the run
-// queue, in deterministic (wakeAt, pid) order.
+// queue, in deterministic (wakeAt, pid) order: it takes the earliest expired
+// one out of c.blocked until none is left (a CPU has a handful of processes),
+// so nothing is allocated or sorted.
 func (m *Machine) wakeExpired(c *cpu) {
-	if len(c.blocked) == 0 {
-		return
-	}
-	var woken []*proc
-	rest := c.blocked[:0]
-	for _, p := range c.blocked {
-		if p.wakeAt <= c.clock {
-			woken = append(woken, p)
-		} else {
-			rest = append(rest, p)
+	for {
+		var first *proc
+		at := -1
+		for i, p := range c.blocked {
+			if p.wakeAt <= c.clock && (first == nil || p.wakeAt < first.wakeAt ||
+				(p.wakeAt == first.wakeAt && p.id < first.id)) {
+				first, at = p, i
+			}
 		}
-	}
-	c.blocked = rest
-	sort.Slice(woken, func(i, j int) bool {
-		if woken[i].wakeAt != woken[j].wakeAt {
-			return woken[i].wakeAt < woken[j].wakeAt
+		if first == nil {
+			return
 		}
-		return woken[i].id < woken[j].id
-	})
-	for _, p := range woken {
-		p.state = stRunnable
-		c.runq = append(c.runq, p)
+		last := len(c.blocked) - 1
+		c.blocked[at] = c.blocked[last]
+		c.blocked = c.blocked[:last]
+		first.state = stRunnable
+		c.runq.pushBack(first)
 	}
+}
+
+// runQueue is one CPU's run queue: a ring sized once for the CPU's processes
+// (a process is queued at most once), so the scheduler's push-front on every
+// commit and its pops never allocate.
+type runQueue struct {
+	buf     []*proc
+	head, n int
+}
+
+func (q *runQueue) checkRoom() {
+	if q.n == len(q.buf) {
+		panic("machine: run queue overflow: a process queued twice")
+	}
+}
+
+func (q *runQueue) pushBack(p *proc) {
+	q.checkRoom()
+	q.buf[(q.head+q.n)%len(q.buf)] = p
+	q.n++
+}
+
+func (q *runQueue) pushFront(p *proc) {
+	q.checkRoom()
+	q.head = (q.head + len(q.buf) - 1) % len(q.buf)
+	q.buf[q.head] = p
+	q.n++
+}
+
+func (q *runQueue) popFront() *proc {
+	p := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return p
 }
 
 // killAll terminates every surviving process goroutine.

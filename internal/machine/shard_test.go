@@ -266,6 +266,10 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"nil workload", func(c *machine.Config) { c.Workload = nil }, "Workload is required"},
 		{"missing images", func(c *machine.Config) { c.AppImage = nil }, "images and layouts"},
+		// A fused layout beside the unspecialized image (Session.AppImage
+		// instead of AppImageFor) used to index-panic in a proc goroutine.
+		{"app layout of another program", func(c *machine.Config) { c.AppImage = app.Specialize() }, "AppLayout lays out a different program"},
+		{"kernel layout of another program", func(c *machine.Config) { c.KernLayout = appL }, "KernLayout lays out a different program"},
 		{"negative cpus", func(c *machine.Config) { c.CPUs = -1 }, "CPUs"},
 		{"negative procs", func(c *machine.Config) { c.ProcsPerCPU = -2 }, "ProcsPerCPU"},
 		{"negative shards", func(c *machine.Config) { c.Shards = -1 }, "Shards"},

@@ -32,6 +32,15 @@ func (c Config) Validate() error {
 	if c.AppImage == nil || c.AppLayout == nil || c.KernImage == nil || c.KernLayout == nil {
 		return fmt.Errorf("machine: images and layouts are required")
 	}
+	// The emitter indexes the layout's per-block tables with the image's
+	// block ids: a layout of another program (a fused layout beside the
+	// unspecialized image, say) would walk wrong addresses or run off the end.
+	if c.AppLayout.Prog != c.AppImage.Prog {
+		return fmt.Errorf("machine: AppLayout lays out a different program than AppImage (a fused layout runs over its specialized image: Session.AppImageFor)")
+	}
+	if c.KernLayout.Prog != c.KernImage.Prog {
+		return fmt.Errorf("machine: KernLayout lays out a different program than KernImage")
+	}
 	if c.CPUs < 0 {
 		return fmt.Errorf("machine: CPUs = %d; must be >= 1 (0 selects the default)", c.CPUs)
 	}

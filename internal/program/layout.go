@@ -38,9 +38,9 @@ type Layout struct {
 	// transfer to be elided or flipped onto it), or NoBlock.
 	Adj []BlockID
 
-	// Landing[b] reports whether call block b needed a landing branch
-	// because its continuation is not adjacent.
-	Landing []bool
+	// Exit[b] is what leaving block b fetches beyond its body under this
+	// layout — the emitter's per-block view of the terminator rules above.
+	Exit []Exit
 
 	// CondFirst[b], for a conditional block with no adjacent arm, names the
 	// successor tested by the first branch of the branch pair (the cheaper
@@ -93,7 +93,7 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 		Addr:      make([]uint64, n),
 		Occ:       make([]int32, n),
 		Adj:       make([]BlockID, n),
-		Landing:   make([]bool, n),
+		Exit:      make([]Exit, n),
 		CondFirst: make([]BlockID, n),
 	}
 	for i := range l.Adj {
@@ -139,16 +139,19 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 			// entered by explicit transfers anyway.)
 			next = order[i+1]
 		}
-		term := int32(0)
+		// term is the terminator words the block occupies; fall and taken
+		// are the ones an exit by that successor fetches.
+		var term, fall, taken int32
+		landing := false
 		switch b.Kind {
 		case isa.TermFallThrough:
 			if b.Fall == next {
 				l.Adj[id] = next
 			} else {
-				term = 1
+				term, fall = 1, 1
 			}
 		case isa.TermCond:
-			term = 1
+			term, fall, taken = 1, 1, 1
 			switch {
 			case b.Fall == next:
 				l.Adj[id] = next
@@ -162,24 +165,30 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 					first = b.Fall
 				}
 				l.CondFirst[id] = first
+				if first == b.Fall {
+					taken = 2
+				} else {
+					fall = 2
+				}
 			}
 		case isa.TermBranch:
 			if b.Taken == next {
 				l.Adj[id] = next
 			} else {
-				term = 1
+				term, taken = 1, 1
 			}
 		case isa.TermCall:
-			term = 1
+			term, fall = 1, 1
 			if b.Fall == next {
 				l.Adj[id] = next
 			} else {
 				term = 2
-				l.Landing[id] = true
+				landing = true
 			}
 		case isa.TermRet, isa.TermIndirect, isa.TermHalt:
-			term = 1
+			term, fall = 1, 1
 		}
+		l.Exit[id] = newExit(fall, taken, landing)
 		l.Occ[id] = b.Body + term
 	}
 
@@ -224,6 +233,40 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 	}
 	return l, nil
 }
+
+// Exit packs, one byte per block, the terminator words each way out of the
+// block fetches after its body (0: elided, 1: one branch, 2: the second
+// branch of a pair) and whether a call block is followed by a landing
+// branch. It is the form the emitter reads on every block exit; ExecWords
+// and LandingRun answer the same questions from Adj and CondFirst and are
+// what the tests hold it equal to.
+type Exit uint8
+
+const (
+	exitWordsMask  = 3
+	exitTakenShift = 2
+	exitLanding    = 1 << 4
+)
+
+func newExit(fall, taken int32, landing bool) Exit {
+	x := Exit(fall) | Exit(taken)<<exitTakenShift
+	if landing {
+		x |= exitLanding
+	}
+	return x
+}
+
+// Fall returns the terminator words fetched when the block leaves by its Fall
+// successor, or by its only way out (calls, returns, indirect jumps, halts).
+func (x Exit) Fall() int32 { return int32(x & exitWordsMask) }
+
+// Taken returns the terminator words fetched when the block leaves by its
+// Taken successor.
+func (x Exit) Taken() int32 { return int32(x >> exitTakenShift & exitWordsMask) }
+
+// Landing reports whether the block is a call whose continuation is not
+// adjacent, so a return to it executes a landing branch first.
+func (x Exit) Landing() bool { return x&exitLanding != 0 }
 
 // End returns the address one past the last word of block b.
 func (l *Layout) End(b BlockID) uint64 {
@@ -273,7 +316,7 @@ func (l *Layout) ExecWords(b *Block, succ BlockID) int32 {
 // executed when control returns to call block b's continuation, or ok=false
 // when the continuation is adjacent and no landing branch exists.
 func (l *Layout) LandingRun(b BlockID) (addr uint64, words int32, ok bool) {
-	if !l.Landing[b] {
+	if !l.Exit[b].Landing() {
 		return 0, 0, false
 	}
 	// Block layout: [body][call][landing branch].
@@ -349,10 +392,10 @@ func (l *Layout) Validate() error {
 			want++
 			if adj == NoBlock {
 				want++
-				if !l.Landing[b.ID] {
+				if !l.Exit[b.ID].Landing() {
 					return fmt.Errorf("layout: call block %d missing landing flag", b.ID)
 				}
-			} else if l.Landing[b.ID] {
+			} else if l.Exit[b.ID].Landing() {
 				return fmt.Errorf("layout: call block %d has landing flag with adjacent continuation", b.ID)
 			}
 		case isa.TermRet, isa.TermIndirect, isa.TermHalt:

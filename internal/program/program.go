@@ -112,6 +112,37 @@ func (p *Program) AddBlock(pr *Procedure, body int) *Block {
 	return b
 }
 
+// Clone returns a deep copy of the program — same ids, same order, nothing
+// shared with p — that can grow on its own (AddProc, AddBlock). The copies
+// come out of three slabs instead of one allocation per block and procedure:
+// every fused search candidate clones the whole image, and what a clone costs
+// is live memory for as long as the candidate's layout is.
+func (p *Program) Clone() *Program {
+	out := &Program{
+		Name:     p.Name,
+		TextBase: p.TextBase,
+		Procs:    make([]*Procedure, len(p.Procs)),
+		Blocks:   make([]*Block, len(p.Blocks)),
+	}
+	procs := make([]Procedure, len(p.Procs))
+	ids := make([]BlockID, 0, len(p.Blocks))
+	for i, pr := range p.Procs {
+		procs[i] = *pr
+		// Capacity stops at the procedure's own blocks, so an append to one
+		// procedure reallocates instead of running into the next one's.
+		ids = append(ids, pr.Blocks...)
+		procs[i].Blocks = ids[len(ids)-len(pr.Blocks) : len(ids) : len(ids)]
+		out.Procs[i] = &procs[i]
+	}
+	blocks := make([]Block, len(p.Blocks))
+	for i, b := range p.Blocks {
+		blocks[i] = *b
+		blocks[i].Targets = append([]BlockID(nil), b.Targets...)
+		out.Blocks[i] = &blocks[i]
+	}
+	return out
+}
+
 // Block returns the block with the given ID.
 func (p *Program) Block(id BlockID) *Block { return p.Blocks[id] }
 

@@ -183,6 +183,45 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeepAndGrowsAlone: a clone encodes to the same bytes as its
+// source, and growing it — new blocks in an old procedure, retargeted
+// successors — leaves the source (and the clone's other procedures, which
+// share a slab with the grown one) untouched.
+func TestCloneIsDeepAndGrowsAlone(t *testing.T) {
+	p := progtest.RandProgram(rand.New(rand.NewSource(7)), 6)
+	encode := func(p *program.Program) string {
+		var buf bytes.Buffer
+		if err := p.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	before := encode(p)
+	q := p.Clone()
+	if encode(q) != before {
+		t.Fatal("clone differs from its source")
+	}
+	next := append([]program.BlockID(nil), q.Procs[1].Blocks...)
+	nb := q.AddBlock(q.Procs[0], 3)
+	nb.Kind = isa.TermRet
+	for _, b := range q.Blocks {
+		for i := range b.Targets {
+			b.Targets[i] = nb.ID
+		}
+	}
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if encode(p) != before {
+		t.Fatal("growing the clone changed the source")
+	}
+	for i, id := range q.Procs[1].Blocks {
+		if id != next[i] {
+			t.Fatalf("appending to procedure 0 overwrote procedure 1's block list: %v, was %v", q.Procs[1].Blocks, next)
+		}
+	}
+}
+
 func TestPredsCountsIncomingEdges(t *testing.T) {
 	p, b := buildDiamond(t)
 	preds := p.Preds()

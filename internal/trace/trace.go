@@ -1,17 +1,25 @@
 // Package trace defines the instruction-fetch event stream produced by the
 // simulated machine and the sink plumbing the experiments consume it with.
 //
-// The unit event is a FetchRun: a maximal run of sequentially fetched
-// instruction words (a basic block body plus whatever terminator words the
-// layout materialized). Emitting runs instead of individual instructions
+// The unit event is a FetchRun: a run of sequentially fetched instruction
+// words, one per block exit — a basic block's body plus whatever terminator
+// words the layout materialized for the exit taken (and one more run for a
+// call's landing branch). Emitting runs instead of individual instructions
 // keeps full-workload simulations fast while preserving everything the
 // paper's metrics need — miss counts, word usage, sequence lengths — because
 // within a run the fetch addresses are consecutive by construction.
+//
+// Runs are not maximal: two blocks the layout placed back to back still
+// arrive as two runs. The machine checks its timer interrupt, quantum expiry
+// and warmup/measured gate at run boundaries, so merging address-adjacent
+// runs would move those points and with them every simulated number; sinks
+// that want maximal sequences (SeqLen) join runs themselves.
 package trace
 
 import "codelayout/internal/isa"
 
-// FetchRun is a maximal run of sequentially fetched instruction words.
+// FetchRun is one block exit's run of sequentially fetched instruction words
+// (see the package comment for why adjacent runs are never merged).
 type FetchRun struct {
 	// Addr is the virtual address of the first word.
 	Addr uint64
