@@ -1,5 +1,8 @@
 // Benchmarks: one per reproduced table/figure (printing the regenerated
-// rows/series on first run), plus microbenchmarks of the core components.
+// rows/series on first run), plus the extension tables and the
+// BENCH_fusion/pgo/search.json writers. Per-layer timing (cache fetch, the
+// layout passes, the emitter walk, machine transactions, Pixie overhead) is
+// bench/'s ledger, not this file.
 //
 // The figure benches share one quick-configuration session; run
 //
@@ -12,7 +15,6 @@ package codelayout_test
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"sync"
 	"testing"
@@ -29,7 +31,6 @@ import (
 	"codelayout/internal/ordere"
 	"codelayout/internal/profile"
 	"codelayout/internal/program"
-	"codelayout/internal/progtest"
 	"codelayout/internal/pstore"
 	"codelayout/internal/search"
 	"codelayout/internal/tpcb"
@@ -95,88 +96,7 @@ func BenchmarkAblation_Splitting(b *testing.B)       { benchFigure(b, "abl-split
 func BenchmarkAblation_CFA(b *testing.B)             { benchFigure(b, "abl-cfa") }
 func BenchmarkAblation_SamplingProfile(b *testing.B) { benchFigure(b, "abl-profile") }
 
-// ---- Microbenchmarks of the core components ----
-
-// BenchmarkICacheFetch measures raw cache-simulator throughput.
-func BenchmarkICacheFetch(b *testing.B) {
-	c := cache.New(cache.Config{SizeBytes: 64 << 10, LineBytes: 128, Assoc: 4})
-	r := rand.New(rand.NewSource(1))
-	runs := make([]trace.FetchRun, 4096)
-	for i := range runs {
-		runs[i] = trace.FetchRun{Addr: uint64(r.Intn(1<<20)) &^ 3, Words: int32(1 + r.Intn(16))}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Fetch(runs[i&4095])
-	}
-	b.ReportMetric(float64(c.Stats().MissRate()*100), "miss%")
-}
-
-// BenchmarkChainProc measures the chaining pass.
-func BenchmarkChainProc(b *testing.B) {
-	r := rand.New(rand.NewSource(2))
-	p := progtest.RandProgram(r, 64)
-	pf := progtest.RandProfile(r, p, 50, 400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, pr := range p.Procs {
-			core.ChainProc(p, pr, pf)
-		}
-	}
-}
-
-// BenchmarkPettisHansen measures the ordering pass on a moderate unit graph.
-func BenchmarkPettisHansen(b *testing.B) {
-	r := rand.New(rand.NewSource(3))
-	p := progtest.RandProgram(r, 200)
-	pf := progtest.RandProfile(r, p, 100, 500)
-	chains := make(map[program.ProcID][]core.Chain, len(p.Procs))
-	for _, pr := range p.Procs {
-		chains[pr.ID] = core.ChainProc(p, pr, pf)
-	}
-	units := core.BuildUnits(p, pf, chains, core.SplitFine)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.PettisHansen(p, pf, units)
-	}
-}
-
-// BenchmarkOptimizeAll measures the whole Spike pipeline on the real OLTP
-// image.
-func BenchmarkOptimizeAll(b *testing.B) {
-	s := session(b)
-	prof, err := s.Profile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := s.AppImage()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Optimize(img.Prog, prof, core.Options{
-			Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEmitterWalk measures instruction-stream generation throughput.
-func BenchmarkEmitterWalk(b *testing.B) {
-	s := session(b)
-	img := s.AppImage()
-	l, err := codelayout.BaselineLayout(img.Prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	em := codegen.NewEmitter(img, l, 4)
-	var instr uint64
-	em.Sink = func(_ uint64, words int32) { instr += uint64(words) }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		em.RunAuto("sql_0")
-	}
-	b.ReportMetric(float64(instr)/float64(b.N), "instr/op")
-}
+// ---- Extension tables ----
 
 // benchWorkloads names the tiny per-workload setups the cross-workload
 // benchmarks run against.
@@ -212,42 +132,6 @@ func benchImages(b *testing.B) map[string]*codegen.Image {
 		b.Fatal(benchImgErr)
 	}
 	return benchImgs
-}
-
-// BenchmarkMachineTxns measures full-system simulation throughput in
-// transactions per benchmark op (10 txns per iteration), one row per
-// workload.
-func BenchmarkMachineTxns(b *testing.B) {
-	s := session(b)
-	kimg := s.KernelImage()
-	kernL, err := codelayout.BaselineLayout(kimg.Prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	imgs := benchImages(b)
-	for name, wl := range benchWorkloads() {
-		img := imgs[name]
-		appL, err := codelayout.BaselineLayout(img.Prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, err := machine.New(machine.Config{
-					CPUs: 1, ProcsPerCPU: 4, Seed: int64(i),
-					WarmupTxns: 2, Transactions: 10,
-					Workload: wl,
-					AppImage: img, AppLayout: appL, KernImage: kimg, KernLayout: kernL,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkCrossWorkloadOptimize measures the full optimization pipeline on
@@ -314,57 +198,6 @@ func BenchmarkCrossWorkloadOptimize(b *testing.B) {
 					}
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkShardedMachineTxns measures full-system simulation throughput on
-// the sharded multi-engine machine (4 shards, cross-shard 2PC traffic
-// included), one row per workload.
-func BenchmarkShardedMachineTxns(b *testing.B) {
-	s := session(b)
-	kimg := s.KernelImage()
-	kernL, err := codelayout.BaselineLayout(kimg.Prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	shardWorkloads := map[string]workload.Workload{
-		"tpcb":   tpcb.NewScaled(tpcb.Scale{Branches: 6, TellersPerBranch: 3, AccountsPerBranch: 100}),
-		"ordere": ordere.NewScaled(ordere.Scale{Warehouses: 6, DistrictsPerWarehouse: 3, CustomersPerDistrict: 30, Items: 100}),
-	}
-	for name, wl := range shardWorkloads {
-		img, err := appmodel.Build(appmodel.Config{Seed: 42, LibScale: 0.25, ColdWords: 200_000, Workload: wl})
-		if err != nil {
-			b.Fatal(err)
-		}
-		appL, err := codelayout.BaselineLayout(img.Prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			var cross, aborts uint64
-			for i := 0; i < b.N; i++ {
-				m, err := machine.New(machine.Config{
-					CPUs: 2, ProcsPerCPU: 6, Seed: int64(i), Shards: 4,
-					WarmupTxns: 2, Transactions: 20,
-					Workload: wl,
-					AppImage: img, AppLayout: appL, KernImage: kimg, KernLayout: kernL,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := m.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := m.CheckInvariants(); err != nil {
-					b.Fatal(err)
-				}
-				cross += res.CrossShard
-				aborts += res.Aborted
-			}
-			b.ReportMetric(float64(cross)/float64(b.N), "crossshard/op")
-			b.ReportMetric(float64(aborts)/float64(b.N), "aborts/op")
 		})
 	}
 }
@@ -929,23 +762,5 @@ func BenchmarkPipelineSearch(b *testing.B) {
 		}
 		fmt.Fprintf(os.Stdout, "wrote BENCH_search.json (winner %s, fitness %.4f, %d executed/workload for %d requested)\n",
 			res.Winner.Spec, res.Winner.Fitness, res.Executed/3, res.Requested)
-	}
-}
-
-// BenchmarkPixieCollection measures profiling overhead.
-func BenchmarkPixieCollection(b *testing.B) {
-	s := session(b)
-	img := s.AppImage()
-	l, err := codelayout.BaselineLayout(img.Prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	px := profile.NewPixie(img.Prog, "bench")
-	em := codegen.NewEmitter(img, l, 5)
-	em.Sink = func(uint64, int32) {}
-	em.Collector = px
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		em.RunAuto("sql_0")
 	}
 }

@@ -98,6 +98,10 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 		entries = append(entries, run.Entry)
 	}
 
+	pipeline, err := core.ComboPipeline("all")
+	if err != nil {
+		return nil, err
+	}
 	res := &BlendResult{}
 	t := stats.NewTable(
 		fmt.Sprintf("Aged-profile blend: %s → %s, full pipeline, evaluated under %s",
@@ -108,9 +112,7 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("expt: blend ratio %v: %w", r, err)
 		}
-		l, _, err := core.Optimize(src.appImg.Prog, blended.App, core.Options{
-			Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-		})
+		l, _, err := pipeline.Run(src.appImg.Prog, blended.App)
 		if err != nil {
 			return nil, fmt.Errorf("expt: blend ratio %v layout: %w", r, err)
 		}

@@ -15,10 +15,11 @@
 // waits-for graph detects distributed deadlocks, aborting victims through
 // the modeled txn_abort path and retrying them.
 //
-// Processes are goroutines, but exactly one runs at a time: the scheduler
-// and the running process hand control back and forth over unbuffered
-// channels, so runs are fully deterministic for a given seed at every
-// shard count.
+// Processes are coroutines (package iter's pull iterators over proc.run):
+// the scheduler resumes one with next() and is itself suspended until that
+// process yields, so exactly one side ever runs and no simulated state needs
+// a lock. Runs are fully deterministic for a given seed at every shard count
+// and every GOMAXPROCS.
 package machine
 
 import (
@@ -309,14 +310,6 @@ const (
 	stRunning
 	stBlockedIO
 	stBlockedWait
-	stDead
-)
-
-type cmd int
-
-const (
-	cmdRun cmd = iota
-	cmdKill
 )
 
 type yieldKind int
@@ -326,13 +319,11 @@ const (
 	yQuantum
 	yBlockIO
 	yWait
-	yDead
 )
 
 type yieldMsg struct {
-	kind     yieldKind
-	ioDelay  uint64
-	panicMsg string
+	kind    yieldKind
+	ioDelay uint64
 }
 
 type killSentinelType struct{}
@@ -348,8 +339,15 @@ type proc struct {
 	state    procState
 	wakeAt   uint64
 	budget   int64
-	resume   chan cmd
-	yield    chan yieldMsg
+
+	// next resumes the process until its next yield (false once it has
+	// returned) and stop unwinds it; yield is the process's side of the
+	// switch. Run makes all three, so a machine that never runs holds no
+	// goroutine. panicked carries a crash out of the coroutine to step.
+	next     func() (yieldMsg, bool)
+	stop     func()
+	yield    func(yieldMsg) bool
+	panicked any
 
 	// logParked/logParkAt time waits on group-commit queues for the
 	// blocked-on-log accounting; logParkMeasured records the phase at park
@@ -390,11 +388,9 @@ func (p *proc) inTxn() bool {
 type cpu struct {
 	id        int
 	clock     uint64
-	idle      uint64
 	runq      runQueue
 	kern      *codegen.Emitter
 	nextTimer uint64
-	current   *proc
 	// blocked-IO procs pinned here, for wake scanning.
 	blocked []*proc
 	// l1i is the inline per-CPU instruction cache of the fetch-stall model
@@ -414,6 +410,10 @@ type Machine struct {
 	pred     workload.Predictor
 	cpus     []*cpu
 	procs    []*proc
+	// running is the process that holds control (nil while the scheduler
+	// does: load, between steps); ran makes Run single-use.
+	running *proc
+	ran     bool
 
 	measuring bool
 	// warmupOver flips (permanently) at the warmup/measured switch, so the
@@ -422,7 +422,6 @@ type Machine struct {
 	warmCommitted int
 	committed     int
 	res           Result
-	failure       error
 
 	// ro carries the continuous re-optimization loop; nil unless
 	// Config.ReoptimizeEveryTxns > 0, and every hook checks for nil first,
@@ -521,8 +520,6 @@ func New(cfg Config) (*Machine, error) {
 				id:     pid,
 				cpu:    m.cpus[c],
 				client: rand.New(rand.NewSource(cfg.Seed*31 + int64(pid))),
-				resume: make(chan cmd),
-				yield:  make(chan yieldMsg),
 				state:  stRunnable,
 			}
 			p.emit = codegen.NewEmitter(cfg.AppImage, cfg.AppLayout, cfg.Seed*17+int64(pid))
@@ -668,7 +665,7 @@ func (mc multiCollector) Block(prev, cur program.BlockID) {
 	}
 }
 
-// ---- Emitter hooks (run on the current process's goroutine) ----
+// ---- Emitter hooks (run inside the current process's coroutine) ----
 
 func (m *Machine) appFetch(p *proc, addr uint64, words int32) {
 	c := p.cpu
@@ -703,8 +700,8 @@ func (m *Machine) kernelFetch(c *cpu, addr uint64, words int32) {
 		m.res.KernelInstrs += uint64(words)
 		if len(m.cfg.Sinks) > 0 {
 			r := trace.FetchRun{Addr: addr, Words: words, CPU: uint8(c.id), Kernel: true}
-			if c.current != nil {
-				r.PID = uint16(c.current.id)
+			if m.running != nil {
+				r.PID = uint16(m.running.id)
 			}
 			trace.Tee(m.cfg.Sinks).Fetch(r)
 		}
@@ -785,7 +782,7 @@ type waitList struct {
 // Wait implements db.Env.
 func (e *machineEnv) Wait(q *db.WaitQueue) {
 	m := (*Machine)(e)
-	p := m.currentProc()
+	p := m.running
 	if p == nil {
 		panic("machine: Wait with no running process")
 	}
@@ -808,7 +805,7 @@ func (e *machineEnv) Wait(q *db.WaitQueue) {
 // can timestamp commits. Outside a scheduled process (load, invariant
 // checks) it returns 0, which the engine treats as "no clock".
 func (e *machineEnv) Now() uint64 {
-	if p := (*Machine)(e).currentProc(); p != nil {
+	if p := (*Machine)(e).running; p != nil {
 		return p.cpu.clock
 	}
 	return 0
@@ -842,30 +839,25 @@ func (e *machineEnv) Wake(q *db.WaitQueue) {
 	wl.procs = wl.procs[:0]
 }
 
-// currentProc returns the process currently on a CPU (nil when the
-// scheduler itself holds control — load, between steps).
-func (m *Machine) currentProc() *proc {
-	for _, c := range m.cpus {
-		if c.current != nil && c.current.state == stRunning {
-			return c.current
-		}
-	}
-	return nil
-}
+// ---- Process coroutine ----
+//
+// A process runs only inside the scheduler's next() call and the scheduler
+// only while every process is suspended in its yield (or not yet started), so
+// the two never overlap and share the machine's state without locks. stop()
+// makes the pending yield return false; doYield turns that into the kill
+// sentinel, which unwinds the process from wherever it is parked (tryTxn
+// re-raises it) back to run. Any other panic is a crash: run keeps it for
+// step to report and returns, which ends the coroutine.
 
-// ---- Process goroutine ----
-
-func (p *proc) run(m *Machine) {
+func (p *proc) run(m *Machine, yield func(yieldMsg) bool) {
+	p.yield = yield
 	defer func() {
-		msg := yieldMsg{kind: yDead}
 		if r := recover(); r != nil {
 			if _, kill := r.(killSentinelType); !kill {
-				msg.panicMsg = fmt.Sprint(r)
+				p.panicked = r
 			}
 		}
-		p.yield <- msg
 	}()
-	p.waitRun()
 	for {
 		in := m.inst.GenInput(p.client)
 		// Latency is stamped on the process's CPU clock from request
@@ -959,13 +951,8 @@ func (p *proc) tryTxn(m *Machine, in workload.Input, home int) (ok bool) {
 	return true
 }
 
-func (p *proc) waitRun() {
-	if c := <-p.resume; c == cmdKill {
+func (p *proc) doYield(msg yieldMsg) {
+	if !p.yield(msg) {
 		panic(killSentinelType{})
 	}
-}
-
-func (p *proc) doYield(msg yieldMsg) {
-	p.yield <- msg
-	p.waitRun()
 }

@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -142,12 +143,16 @@ func TestWorkloadInvariantsAfterRun(t *testing.T) {
 	}
 }
 
+// TestDeterminism: the same seed gives the same result and cache statistics,
+// and the coroutine switch does not depend on how many Ps exist — the two
+// runs are made under GOMAXPROCS 1 and 4.
 func TestDeterminism(t *testing.T) {
 	for _, name := range testWorkloads {
 		t.Run(name, func(t *testing.T) {
 			wl := smallWorkload(t, name)
 			app, appL, kern, kernL := testImages(t, wl)
-			run := func() (machine.Result, *cache.Stats) {
+			run := func(procs int) (machine.Result, *cache.Stats) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				cfg := configFor(smallWorkload(t, name), app, appL, kern, kernL)
 				ic := cache.New(cache.Config{SizeBytes: 64 << 10, LineBytes: 128, Assoc: 2})
 				cfg.Sinks = []trace.Sink{ic}
@@ -161,8 +166,8 @@ func TestDeterminism(t *testing.T) {
 				}
 				return res, ic.Stats()
 			}
-			r1, s1 := run()
-			r2, s2 := run()
+			r1, s1 := run(1)
+			r2, s2 := run(4)
 			if r1 != r2 {
 				t.Fatalf("results differ:\n%+v\n%+v", r1, r2)
 			}

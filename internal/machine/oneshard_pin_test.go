@@ -2,6 +2,7 @@ package machine_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"codelayout/internal/machine"
@@ -44,35 +45,40 @@ func TestOneShardPinned(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			wl := pin.wl()
 			app, appL, kern, kernL := testImages(t, wl)
-			cfg := configFor(wl, app, appL, kern, kernL)
-			cfg.Shards = 1
-			cfg.CPUs = 2
-			cfg.ProcsPerCPU = 6
-			cfg.WarmupTxns = 20
-			cfg.Transactions = 300
-			cfg.FetchStallPenaltyInstr = 20
-			m, err := machine.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := m.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			if got := fmt.Sprintf("%+v", res); got != pin.res {
-				t.Errorf("result drifted from the pin:\n got %s\nwant %s", got, pin.res)
-			}
-			var kinds []string
-			for _, c := range m.LatencyByKind() {
-				s := c.Summary
-				kinds = append(kinds, fmt.Sprintf("%d/%s %d %.3f %d %d %d %d",
-					c.Shard, c.Kind, s.N, s.Mean, s.P50, s.P95, s.P99, s.Max))
-			}
-			if fmt.Sprint(kinds) != fmt.Sprint(pin.kinds) {
-				t.Errorf("per-kind latency drifted from the pin:\n got %q\nwant %q", kinds, pin.kinds)
+			// The pin holds however many Ps the coroutine switch has.
+			for _, procs := range []int{1, 4} {
+				cfg := configFor(wl, app, appL, kern, kernL)
+				cfg.Shards = 1
+				cfg.CPUs = 2
+				cfg.ProcsPerCPU = 6
+				cfg.WarmupTxns = 20
+				cfg.Transactions = 300
+				cfg.FetchStallPenaltyInstr = 20
+				m, err := machine.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prev := runtime.GOMAXPROCS(procs)
+				res, err := m.Run()
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%+v", res); got != pin.res {
+					t.Errorf("GOMAXPROCS %d: result drifted from the pin:\n got %s\nwant %s", procs, got, pin.res)
+				}
+				var kinds []string
+				for _, c := range m.LatencyByKind() {
+					s := c.Summary
+					kinds = append(kinds, fmt.Sprintf("%d/%s %d %.3f %d %d %d %d",
+						c.Shard, c.Kind, s.N, s.Mean, s.P50, s.P95, s.P99, s.Max))
+				}
+				if fmt.Sprint(kinds) != fmt.Sprint(pin.kinds) {
+					t.Errorf("GOMAXPROCS %d: per-kind latency drifted from the pin:\n got %q\nwant %q", procs, kinds, pin.kinds)
+				}
 			}
 		})
 	}

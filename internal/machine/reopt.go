@@ -143,21 +143,9 @@ func (m *Machine) reoptTick() error {
 func (m *Machine) reoptPark(p *proc) {
 	p.state = stRunnable
 	m.ro.parked[p] = p.cpu.clock
-	if m.reoptAllParked() {
+	if len(m.ro.parked) == len(m.procs) {
 		m.reoptSwap()
 	}
-}
-
-func (m *Machine) reoptAllParked() bool {
-	for _, p := range m.procs {
-		if p.state == stDead {
-			continue
-		}
-		if _, ok := m.ro.parked[p]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // reoptSwap is the epoch transition: every live process is parked at a
@@ -176,7 +164,6 @@ func (m *Machine) reoptSwap() {
 	for _, c := range m.cpus {
 		if c.clock < fence {
 			gap := fence - c.clock
-			c.idle += gap
 			if m.measuring {
 				m.res.IdleInstrs += gap
 			}
@@ -192,9 +179,6 @@ func (m *Machine) reoptSwap() {
 
 	m.res.PreSwapP99 = m.latencySummary().P99
 	for _, p := range m.procs {
-		if p.state == stDead {
-			continue
-		}
 		p.emit.SetLayout(ro.pendingLayout)
 	}
 	for _, p := range order {

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"iter"
 
 	"codelayout/internal/kernel"
 	"codelayout/internal/trace"
@@ -11,10 +12,15 @@ import (
 const maxSchedulerSteps = 200_000_000
 
 // Run executes the configured warmup and measured transactions and returns
-// the result. It is single-use: create a new Machine per run.
+// the result. It is single-use: create a new Machine per run; a second call
+// is an error.
 func (m *Machine) Run() (Result, error) {
+	if m.ran {
+		return Result{}, fmt.Errorf("machine: Run called twice; create a new Machine per run")
+	}
+	m.ran = true
 	for _, p := range m.procs {
-		go p.run(m)
+		p.next, p.stop = iter.Pull(func(yield func(yieldMsg) bool) { p.run(m, yield) })
 	}
 	defer m.killAll()
 
@@ -116,7 +122,6 @@ func (m *Machine) step(skip func(*proc) bool) (*cpu, *proc, yieldMsg, error) {
 			if m.measuring {
 				m.res.IdleInstrs += next - c.clock
 			}
-			c.idle += next - c.clock
 			c.clock = next
 		}
 		return c, nil, none, nil
@@ -127,17 +132,14 @@ func (m *Machine) step(skip func(*proc) bool) (*cpu, *proc, yieldMsg, error) {
 	}
 	p.state = stRunning
 	p.budget = int64(m.cfg.QuantumInstr)
-	c.current = p
-	p.resume <- cmdRun
-	msg := <-p.yield
-	c.current = nil
+	m.running = p
+	msg, alive := p.next()
+	m.running = nil
+	if !alive {
+		// run never returns on its own: the process crashed.
+		return c, nil, none, fmt.Errorf("machine: process %d panicked: %v", p.id, p.panicked)
+	}
 	switch msg.kind {
-	case yDead:
-		p.state = stDead
-		if msg.panicMsg != "" {
-			return c, nil, none, fmt.Errorf("machine: process %d panicked: %s", p.id, msg.panicMsg)
-		}
-		return c, nil, none, fmt.Errorf("machine: process %d exited unexpectedly", p.id)
 	case yQuantum:
 		c.kern.RunAuto(kernel.SvcSwitch)
 		p.state = stRunnable
@@ -164,20 +166,12 @@ func (m *Machine) drain() error {
 	// boundary (strict 2PL: no locks, no undo); only mid-transaction
 	// processes run.
 	for _, p := range m.procs {
-		if p.state != stDead && !p.inTxn() {
+		if !p.inTxn() {
 			parked[p] = true
 		}
 	}
-	atBoundary := func() bool {
-		for _, p := range m.procs {
-			if p.state != stDead && !parked[p] {
-				return false
-			}
-		}
-		return true
-	}
 	steps := 0
-	for !atBoundary() {
+	for len(parked) < len(m.procs) {
 		steps++
 		if steps > maxSchedulerSteps {
 			return fmt.Errorf("machine: drain step limit exceeded")
@@ -287,15 +281,10 @@ func (q *runQueue) popFront() *proc {
 	return p
 }
 
-// killAll terminates every surviving process goroutine.
+// killAll unwinds every process: one parked in a yield panics out of it with
+// the kill sentinel, one that never started or already returned is a no-op.
 func (m *Machine) killAll() {
 	for _, p := range m.procs {
-		if p.state == stDead {
-			continue
-		}
-		// Every non-dead process is parked on resume.
-		p.resume <- cmdKill
-		<-p.yield
-		p.state = stDead
+		p.stop()
 	}
 }

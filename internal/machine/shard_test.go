@@ -2,6 +2,7 @@ package machine_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -73,13 +74,14 @@ func TestShardedEndToEnd(t *testing.T) {
 }
 
 // TestShardedDeterminism: the same seed must produce bit-identical results
-// and cache statistics at every shard count.
+// and cache statistics at every shard count, under GOMAXPROCS 1 and 4 alike.
 func TestShardedDeterminism(t *testing.T) {
 	for _, name := range testWorkloads {
 		t.Run(name, func(t *testing.T) {
 			wl := shardWorkload(t, name)
 			app, appL, kern, kernL := testImages(t, wl)
-			run := func() (machine.Result, *cache.Stats) {
+			run := func(procs int) (machine.Result, *cache.Stats) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				cfg := configFor(shardWorkload(t, name), app, appL, kern, kernL)
 				cfg.Shards = 4
 				cfg.CPUs = 2
@@ -97,8 +99,8 @@ func TestShardedDeterminism(t *testing.T) {
 				}
 				return res, ic.Stats()
 			}
-			r1, s1 := run()
-			r2, s2 := run()
+			r1, s1 := run(1)
+			r2, s2 := run(4)
 			if r1 != r2 {
 				t.Fatalf("sharded results differ:\n%+v\n%+v", r1, r2)
 			}
