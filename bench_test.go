@@ -168,9 +168,11 @@ func BenchmarkCrossWorkloadOptimize(b *testing.B) {
 				if _, err := m.Run(); err != nil {
 					b.Fatal(err)
 				}
-				optL, _, err := core.Optimize(img.Prog, px.Profile, core.Options{
-					Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-				})
+				pl, err := core.ComboPipeline("all")
+				if err != nil {
+					b.Fatal(err)
+				}
+				optL, _, err := pl.Run(img.Prog, px.Profile)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -534,9 +536,11 @@ func BenchmarkContinuousPGO(b *testing.B) {
 			b.Fatal(err)
 		}
 		optimize := func(pf *profile.Profile) (*program.Layout, error) {
-			l, _, err := core.Optimize(app.Prog, pf, core.Options{
-				Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-			})
+			pl, err := core.ComboPipeline("all")
+			if err != nil {
+				return nil, err
+			}
+			l, _, err := pl.Run(app.Prog, pf)
 			return l, err
 		}
 		px := profile.NewPixie(app.Prog, "train")

@@ -2,8 +2,10 @@
 // profile, like the Spike executable optimizer: basic block chaining,
 // fine-grain procedure splitting, and Pettis–Hansen procedure ordering.
 //
-// The optimizer is a pass pipeline; a combo name resolves to a pass list,
-// and -passes runs an arbitrary pipeline spec instead:
+// The optimizer is a pass pipeline; a combo name is a row of core's combo
+// table (name → pipeline spec), and -passes runs an arbitrary spec instead.
+// The file -out writes is the layout that was built — oltpbench -layout
+// replays it exactly, whatever the combo or align:N:
 //
 //	spike -prog images/app.prog -profile oltp.prof -combo all -out app.layout
 //	spike -prog images/app.prog -profile oltp.prof -passes chain,split:fine,porder:ph
@@ -19,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"codelayout/internal/core"
 	"codelayout/internal/isa"
@@ -27,10 +30,14 @@ import (
 )
 
 func main() {
+	var comboNames []string
+	for _, c := range core.Combos() {
+		comboNames = append(comboNames, c.Name)
+	}
 	var (
 		progPath = flag.String("prog", "", "program file (from oltpgen)")
 		profPath = flag.String("profile", "", "profile file (from pixie)")
-		combo    = flag.String("combo", "all", "optimization combo: base|porder|chain|chain+split|chain+porder|all|hotcold|cfa|ipchain|fusion")
+		combo    = flag.String("combo", "all", "optimization combo: "+strings.Join(comboNames, "|"))
 		passes   = flag.String("passes", "", "comma-separated pass pipeline (overrides -combo), e.g. chain,split:fine,porder:ph")
 		list     = flag.Bool("list-passes", false, "list the registered passes with their descriptions and exit")
 		out      = flag.String("out", "", "layout output file (optional)")
@@ -92,7 +99,7 @@ func main() {
 		float64(base.TotalBytes())/(1<<20), float64(l.TotalBytes())/(1<<20),
 		float64(rep.PadWords*isa.WordBytes)/1024, rep.LongBranches)
 	if *out != "" {
-		if err := program.SaveLayoutFile(*out, l, 4); err != nil {
+		if err := program.SaveLayoutFile(*out, l); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *out)

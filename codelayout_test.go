@@ -2,6 +2,9 @@ package codelayout_test
 
 import (
 	"math/rand"
+	"os"
+	"reflect"
+	"regexp"
 	"testing"
 
 	"codelayout"
@@ -12,7 +15,11 @@ func TestFacadeOptimizePipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	p := progtest.RandProgram(r, 8)
 	pf := progtest.RandProfile(r, p, 20, 300)
-	l, rep, err := codelayout.Optimize(p, pf, codelayout.OptAll())
+	pl, err := codelayout.ComboPipeline("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, rep, err := pl.Run(p, pf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +46,18 @@ func TestFacadePassPipeline(t *testing.T) {
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// The same pipeline through the Options wrapper is identical.
-	want, _, err := codelayout.Optimize(p, pf, codelayout.OptAll())
+	// The terse spec is the "all" combo.
+	all, err := codelayout.ComboPipeline("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := all.Run(p, pf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for b := range l.Addr {
 		if l.Addr[b] != want.Addr[b] {
-			t.Fatalf("pipeline and Optimize diverged at block %d", b)
+			t.Fatalf("spec and combo diverged at block %d", b)
 		}
 	}
 	if rep.Units == 0 {
@@ -61,16 +72,27 @@ func TestFacadePassPipeline(t *testing.T) {
 	}
 }
 
+// TestFacadeCombosMatchPaper: the table leads with the paper's six in Figure
+// 7 order, and the README's combo table is that table — one "| `name` |
+// `spec` |" row per combo, in order, and no row the table lacks.
 func TestFacadeCombosMatchPaper(t *testing.T) {
-	names := make([]string, 0, 6)
-	for _, c := range codelayout.Combos() {
-		names = append(names, c.Name)
-	}
+	combos := codelayout.Combos()
 	want := []string{"base", "porder", "chain", "chain+split", "chain+porder", "all"}
 	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("combo %d = %q, want %q", i, names[i], n)
+		if combos[i].Name != n {
+			t.Fatalf("combo %d = %q, want %q", i, combos[i].Name, n)
 		}
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []codelayout.Combo
+	for _, m := range regexp.MustCompile("(?m)^\\| `([^`]+)` +\\| `([^`]+,materialize)` +\\|$").FindAllStringSubmatch(string(readme), -1) {
+		rows = append(rows, codelayout.Combo{Name: m[1], Spec: m[2]})
+	}
+	if !reflect.DeepEqual(rows, combos) {
+		t.Fatalf("README combo table = %v, want core's %v", rows, combos)
 	}
 }
 
@@ -138,7 +160,11 @@ func TestFacadeMachineRun(t *testing.T) {
 		t.Fatalf("committed=%d profileBlocks=%d", res.Committed, px.Profile.TotalBlocks())
 	}
 	// The collected profile should drive a working optimization.
-	opt, _, err := codelayout.Optimize(img.Prog, px.Profile, codelayout.OptAll())
+	pl, err := codelayout.ComboPipeline("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, _, err := pl.Run(img.Prog, px.Profile)
 	if err != nil {
 		t.Fatal(err)
 	}

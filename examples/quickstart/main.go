@@ -62,7 +62,11 @@ func main() {
 	}
 
 	// Optimize with the full pipeline.
-	opt, rep, err := codelayout.Optimize(img.Prog, px.Profile, codelayout.OptAll())
+	pl, err := codelayout.ComboPipeline("all")
+	if err != nil {
+		log.Fatal(err)
+	}
+	opt, rep, err := pl.Run(img.Prog, px.Profile)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -88,7 +88,11 @@ func main() {
 		em.RunAuto("serve_request")
 	}
 
-	opt, _, err := codelayout.Optimize(img.Prog, px.Profile, codelayout.OptAll())
+	pl, err := codelayout.ComboPipeline("all")
+	if err != nil {
+		log.Fatal(err)
+	}
+	opt, _, err := pl.Run(img.Prog, px.Profile)
 	if err != nil {
 		log.Fatal(err)
 	}

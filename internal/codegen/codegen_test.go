@@ -107,9 +107,11 @@ func TestEmitterLayoutInvariance(t *testing.T) {
 	e1.Collector = px1
 	driveScript(e1, 4, false, 2)
 
-	opt, _, err := core.Optimize(img.Prog, px1.Profile, core.Options{
-		Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-	})
+	pl, err := core.ComboPipeline("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, _, err := pl.Run(img.Prog, px1.Profile)
 	if err != nil {
 		t.Fatal(err)
 	}

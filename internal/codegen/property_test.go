@@ -106,7 +106,12 @@ func TestRandomImagesWalkAndOptimizeProperty(t *testing.T) {
 		}
 		prof := walk(base, seed*3+1)
 		for _, combo := range core.Combos() {
-			opt, _, err := core.Optimize(img.Prog, prof, combo.Opts)
+			pl, err := core.ParsePipeline(combo.Spec)
+			if err != nil {
+				t.Logf("seed %d %s: %v", seed, combo.Name, err)
+				return false
+			}
+			opt, _, err := pl.Run(img.Prog, prof)
 			if err != nil {
 				t.Logf("seed %d %s: %v", seed, combo.Name, err)
 				return false

@@ -276,7 +276,7 @@ func randLayout(t testing.TB, r *rand.Rand, p *program.Program) *program.Layout 
 		for i := range hot {
 			hot[i] = uint64(r.Intn(4))
 		}
-		opts.Hotness = func(b program.BlockID) uint64 { return hot[b] }
+		opts.FallFirst = func(b *program.Block) bool { return hot[b.Fall] > hot[b.Taken] }
 	}
 	l, err := program.Materialize(p, order, opts)
 	if err != nil {

@@ -180,7 +180,11 @@ func TestChainImprovesFallthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := core.Optimize(p, pf, core.Options{Chain: true})
+	pl, err := core.ComboPipeline("chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, _, err := pl.Run(p, pf)
 	if err != nil {
 		t.Fatal(err)
 	}

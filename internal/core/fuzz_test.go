@@ -9,18 +9,10 @@ import (
 // FuzzParsePipeline: a pipeline spec is text from a command line. Whatever
 // it is, ParsePipeline returns a pipeline or an error, never panics, and a
 // parsed pipeline's String() is a fixed point: it parses back to the same
-// passes. Seeded from every combo ComboPipeline knows.
+// passes. Seeded from every row of the combo table.
 func FuzzParsePipeline(f *testing.F) {
-	names := []string{"hotcold", "cfa", "ipchain", "fusion"}
 	for _, c := range core.Combos() {
-		names = append(names, c.Name)
-	}
-	for _, name := range names {
-		pl, err := core.ComboPipeline(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(pl.String())
+		f.Add(c.Spec)
 	}
 	f.Add(" chain , split : hotcold@3 ,, align:+8")
 	f.Add("cfa:1/0,txfuse:-1,split:hotcold@0,bogus:,:")

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"codelayout/internal/profile"
@@ -12,10 +12,20 @@ import (
 	"codelayout/internal/progtest"
 )
 
-// legacyOptimize is a verbatim copy of the monolithic pre-pipeline Optimize.
-// It is the golden reference: the pass-based path must reproduce its output
-// bit for bit on every combination the paper measures.
-func legacyOptimize(p *program.Program, pf *profile.Profile, o Options) (*program.Layout, *Report, error) {
+// legacyOptions is the oracle's own input: the options struct the monolithic
+// pre-pipeline Optimize took.
+type legacyOptions struct {
+	Chain      bool
+	Split      SplitMode
+	PH         bool // Pettis–Hansen ordering; false keeps the link order
+	AlignWords int  // 0 defaults to 4
+	CFA        *CFAOptions
+}
+
+// legacyOptimize is a copy of the monolithic pre-pipeline Optimize. It is
+// the golden reference: the pass-based path must reproduce its output bit
+// for bit on every combination the paper measures.
+func legacyOptimize(p *program.Program, pf *profile.Profile, o legacyOptions) (*program.Layout, *Report, error) {
 	pf.EnsureEdges(p)
 	rep := &Report{}
 
@@ -42,8 +52,7 @@ func legacyOptimize(p *program.Program, pf *profile.Profile, o Options) (*progra
 
 	// 3. Order units.
 	var unitOrder []int
-	switch o.Order {
-	case OrderOriginal:
+	if !o.PH {
 		unitOrder = make([]int, len(units))
 		for i := range units {
 			unitOrder[i] = i
@@ -55,7 +64,7 @@ func legacyOptimize(p *program.Program, pf *profile.Profile, o Options) (*progra
 			}
 			return ua.Seq < ub.Seq
 		})
-	case OrderPettisHansen:
+	} else {
 		hot := PettisHansen(p, pf, units)
 		seen := make([]bool, len(units))
 		for _, i := range hot {
@@ -76,8 +85,6 @@ func legacyOptimize(p *program.Program, pf *profile.Profile, o Options) (*progra
 			return ua.Seq < ub.Seq
 		})
 		unitOrder = append(unitOrder, cold...)
-	default:
-		return nil, nil, fmt.Errorf("core: unknown order mode %d", o.Order)
 	}
 
 	// 4. Flatten and materialize.
@@ -98,7 +105,7 @@ func legacyOptimize(p *program.Program, pf *profile.Profile, o Options) (*progra
 	mopts := program.MaterializeOptions{
 		AlignWords: align,
 		AlignAt:    alignAt,
-		Hotness:    pf.Count,
+		FallFirst:  func(b *program.Block) bool { return pf.Count(b.Fall) > pf.Count(b.Taken) },
 	}
 	if o.CFA != nil {
 		gaps, reserved := planCFA(p, units, unitOrder, *o.CFA)
@@ -115,16 +122,22 @@ func legacyOptimize(p *program.Program, pf *profile.Profile, o Options) (*progra
 }
 
 // goldenVariants are the layouts whose pipeline output must be identical to
-// the legacy path: the paper's six combos plus the hotcold and cfa
-// extensions the experiment harness builds through the same options struct.
-func goldenVariants() []Combo {
-	out := append([]Combo(nil), Combos()...)
-	out = append(out,
-		Combo{"hotcold", Options{Chain: true, Split: SplitHotCold, Order: OrderPettisHansen}},
-		Combo{"cfa", Options{Chain: true, Split: SplitFine, Order: OrderPettisHansen,
-			CFA: &CFAOptions{CacheBytes: 4096, ReservedBytes: 1024}}},
-	)
-	return out
+// the legacy path: the paper's six combos and the hotcold extension by table
+// name, a small-cache cfa geometry and a non-default alignment by spec.
+var goldenVariants = []struct {
+	layout string // combo name or pipeline spec
+	opts   legacyOptions
+}{
+	{"base", legacyOptions{}},
+	{"porder", legacyOptions{PH: true}},
+	{"chain", legacyOptions{Chain: true}},
+	{"chain+split", legacyOptions{Chain: true, Split: SplitFine}},
+	{"chain+porder", legacyOptions{Chain: true, PH: true}},
+	{"all", legacyOptions{Chain: true, Split: SplitFine, PH: true}},
+	{"hotcold", legacyOptions{Chain: true, Split: SplitHotCold, PH: true}},
+	{"chain,split:fine,porder:ph,cfa:4096/1024,materialize", legacyOptions{Chain: true, Split: SplitFine, PH: true,
+		CFA: &CFAOptions{CacheBytes: 4096, ReservedBytes: 1024}}},
+	{"chain,split:fine,porder:ph,align:8,materialize", legacyOptions{Chain: true, Split: SplitFine, PH: true, AlignWords: 8}},
 }
 
 func TestPipelineMatchesLegacyOptimize(t *testing.T) {
@@ -132,32 +145,39 @@ func TestPipelineMatchesLegacyOptimize(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		p := progtest.RandProgram(r, 1+r.Intn(9))
 		pf := progtest.RandProfile(r, p, 5+r.Intn(25), 400)
-		for _, c := range goldenVariants() {
-			want, wantRep, err := legacyOptimize(p, pf, c.Opts)
+		for _, c := range goldenVariants {
+			want, wantRep, err := legacyOptimize(p, pf, c.opts)
 			if err != nil {
-				t.Fatalf("seed %d %s: legacy: %v", seed, c.Name, err)
+				t.Fatalf("seed %d %s: legacy: %v", seed, c.layout, err)
 			}
-			got, gotRep, err := Optimize(p, pf, c.Opts)
+			pl, err := ComboPipeline(c.layout)
+			if strings.ContainsAny(c.layout, ",:") { // a raw spec, told apart the way expt does
+				pl, err = ParsePipeline(c.layout)
+			}
 			if err != nil {
-				t.Fatalf("seed %d %s: pipeline: %v", seed, c.Name, err)
+				t.Fatalf("seed %d %s: %v", seed, c.layout, err)
+			}
+			got, gotRep, err := pl.Run(p, pf)
+			if err != nil {
+				t.Fatalf("seed %d %s: pipeline: %v", seed, c.layout, err)
 			}
 			if !reflect.DeepEqual(got.Order, want.Order) {
-				t.Fatalf("seed %d %s: block order diverged", seed, c.Name)
+				t.Fatalf("seed %d %s: block order diverged", seed, c.layout)
 			}
 			if !reflect.DeepEqual(got.Addr, want.Addr) {
-				t.Fatalf("seed %d %s: addresses diverged", seed, c.Name)
+				t.Fatalf("seed %d %s: addresses diverged", seed, c.layout)
 			}
 			if !reflect.DeepEqual(got.Occ, want.Occ) {
-				t.Fatalf("seed %d %s: occupancies diverged", seed, c.Name)
+				t.Fatalf("seed %d %s: occupancies diverged", seed, c.layout)
 			}
 			if got.PadWords != want.PadWords {
-				t.Fatalf("seed %d %s: pad words %d != %d", seed, c.Name, got.PadWords, want.PadWords)
+				t.Fatalf("seed %d %s: pad words %d != %d", seed, c.layout, got.PadWords, want.PadWords)
 			}
 			if got.LongBranches != want.LongBranches {
-				t.Fatalf("seed %d %s: long branches %d != %d", seed, c.Name, got.LongBranches, want.LongBranches)
+				t.Fatalf("seed %d %s: long branches %d != %d", seed, c.layout, got.LongBranches, want.LongBranches)
 			}
 			if !reflect.DeepEqual(gotRep, wantRep) {
-				t.Fatalf("seed %d %s: report %+v != %+v", seed, c.Name, *gotRep, *wantRep)
+				t.Fatalf("seed %d %s: report %+v != %+v", seed, c.layout, *gotRep, *wantRep)
 			}
 		}
 	}

@@ -297,7 +297,7 @@ func (pl Pipeline) String() string {
 // Run executes the pipeline over the program and profile and returns the
 // materialized layout and report. A materialize pass is run implicitly if
 // the pipeline ends without one. Edge weights are estimated first when the
-// profile is sampling-based, exactly as Optimize always did.
+// profile is sampling-based, the way Spike does.
 func (pl Pipeline) Run(p *program.Program, pf *profile.Profile) (*program.Layout, *Report, error) {
 	return pl.RunFused(p, pf, nil, nil)
 }
@@ -369,11 +369,13 @@ func (p splitPass) Run(st *LayoutState) error {
 	return nil
 }
 
-// porderPass orders the placement units.
-type porderPass struct{ mode OrderMode }
+// porderPass orders the placement units: Pettis–Hansen ordering of the hot
+// units with the cold ones appended in link order (ph), or the original
+// binary's link order throughout.
+type porderPass struct{ ph bool }
 
 func (p porderPass) Name() string {
-	if p.mode == OrderPettisHansen {
+	if p.ph {
 		return "porder:ph"
 	}
 	return "porder:orig"
@@ -384,33 +386,22 @@ func (p porderPass) Run(st *LayoutState) error {
 		return fmt.Errorf("units already ordered")
 	}
 	st.EnsureUnits()
-	switch p.mode {
-	case OrderOriginal:
+	if !p.ph {
 		st.UnitOrder = OriginalOrder(st.Units)
-	case OrderPettisHansen:
-		hot := PettisHansen(st.Prog, st.Prof, st.Units)
-		seen := make([]bool, len(st.Units))
-		for _, i := range hot {
-			seen[i] = true
-		}
-		order := append([]int(nil), hot...)
-		var cold []int
-		for i := range st.Units {
-			if !seen[i] {
-				cold = append(cold, i)
-			}
-		}
-		sort.SliceStable(cold, func(a, b int) bool {
-			ua, ub := st.Units[cold[a]], st.Units[cold[b]]
-			if ua.Proc != ub.Proc {
-				return ua.Proc < ub.Proc
-			}
-			return ua.Seq < ub.Seq
-		})
-		st.UnitOrder = append(order, cold...)
-	default:
-		return fmt.Errorf("unknown order mode %d", p.mode)
+		return nil
 	}
+	hot := PettisHansen(st.Prog, st.Prof, st.Units)
+	seen := make([]bool, len(st.Units))
+	for _, i := range hot {
+		seen[i] = true
+	}
+	order := append([]int(nil), hot...)
+	for _, i := range OriginalOrder(st.Units) {
+		if !seen[i] {
+			order = append(order, i)
+		}
+	}
+	st.UnitOrder = order
 	return nil
 }
 
@@ -476,8 +467,10 @@ func (materializePass) Run(st *LayoutState) error {
 	l, err := program.Materialize(st.Prog, order, program.MaterializeOptions{
 		AlignWords: align,
 		AlignAt:    alignAt,
-		Hotness:    st.Prof.Count,
-		GapBefore:  st.GapBefore,
+		FallFirst: func(b *program.Block) bool {
+			return st.Prof.Count(b.Fall) > st.Prof.Count(b.Taken)
+		},
+		GapBefore: st.GapBefore,
 	})
 	if err != nil {
 		return err
@@ -521,9 +514,9 @@ func init() {
 	mustRegister("porder", "order placement units: ph (Pettis\u2013Hansen call-graph ordering) or orig (link order)", func(arg string) (Pass, error) {
 		switch arg {
 		case "", "ph":
-			return porderPass{OrderPettisHansen}, nil
+			return porderPass{ph: true}, nil
 		case "orig", "original":
-			return porderPass{OrderOriginal}, nil
+			return porderPass{}, nil
 		}
 		return nil, fmt.Errorf("unknown order mode %q (ph|orig)", arg)
 	})

@@ -132,7 +132,7 @@ func TestParsePipelineRoundTrip(t *testing.T) {
 		"chain,split:fine,porder:ph,cfa:4096/1024,materialize",
 		"chain,split:none,ipchain:8,porder:ph,materialize",
 		"chain,split:none,txfuse:15,porder:ph,materialize",
-		core.IPChainSpec,
+		"chain,split:none,ipchain,porder:ph,materialize",
 	}
 	for _, spec := range canonical {
 		pl, err := core.ParsePipeline(spec)
@@ -200,48 +200,6 @@ func TestPipelineStageOrderEnforced(t *testing.T) {
 		}
 		if _, _, err := pl.Run(p, pf); err == nil {
 			t.Fatalf("expected stage-order error running %q", spec)
-		}
-	}
-}
-
-func TestComboPipelinesMatchOptimize(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	p := progtest.RandProgram(r, 7)
-	pf := progtest.RandProfile(r, p, 20, 300)
-	for _, c := range core.Combos() {
-		pl, err := core.ComboPipeline(c.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantRep, err := core.Optimize(p, pf, c.Opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotRep, err := pl.Run(p, pf)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		if !reflect.DeepEqual(got.Addr, want.Addr) || !reflect.DeepEqual(got.Order, want.Order) {
-			t.Fatalf("%s: combo pipeline diverged from Optimize", c.Name)
-		}
-		if !reflect.DeepEqual(gotRep, wantRep) {
-			t.Fatalf("%s: reports diverged: %+v != %+v", c.Name, *gotRep, *wantRep)
-		}
-	}
-	if _, err := core.ComboPipeline("nope"); err == nil {
-		t.Fatal("expected error for unknown combo")
-	}
-	for _, name := range []string{"hotcold", "cfa", "ipchain"} {
-		pl, err := core.ComboPipeline(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		l, _, err := pl.Run(p, pf)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := l.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }

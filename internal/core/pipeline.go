@@ -2,72 +2,48 @@ package core
 
 import (
 	"fmt"
-
-	"codelayout/internal/profile"
-	"codelayout/internal/program"
+	"slices"
 )
 
-// OrderMode selects the procedure-ordering pass.
-type OrderMode int
-
-const (
-	// OrderOriginal keeps units in the original binary's link order.
-	OrderOriginal OrderMode = iota
-	// OrderPettisHansen applies Pettis–Hansen ordering to the hot units and
-	// appends cold units afterwards.
-	OrderPettisHansen
-)
-
-func (m OrderMode) String() string {
-	if m == OrderPettisHansen {
-		return "pettis-hansen"
-	}
-	return "original"
-}
-
-// Options selects the optimization combination, mirroring the combinations
-// of Figure 7: base, porder, chain, chain+split, chain+porder, all.
-type Options struct {
-	// Chain enables basic block chaining within procedures.
-	Chain bool
-	// Split selects how procedures are cut into placement units.
-	Split SplitMode
-	// Order selects the unit ordering pass.
-	Order OrderMode
-	// AlignWords pads unit starts; 0 defaults to 4 (16-byte alignment).
-	AlignWords int
-	// CFA, if non-nil, reserves a conflict-free instruction-cache area for
-	// the hottest units (the software-trace-cache style optimization the
-	// paper found unprofitable for OLTP).
-	CFA *CFAOptions
-}
-
-// Combo names a standard optimization combination from the paper.
+// Combo names one hand-built layout. Spec is its whole description: the
+// pipeline spec ParsePipeline reads and the parsed pipeline prints back.
 type Combo struct {
 	Name string
-	Opts Options
+	Spec string
 }
 
-// Combos returns the paper's Figure 7 / Figure 15 combinations in order.
-func Combos() []Combo {
-	return []Combo{
-		{"base", Options{}},
-		{"porder", Options{Order: OrderPettisHansen}},
-		{"chain", Options{Chain: true}},
-		{"chain+split", Options{Chain: true, Split: SplitFine}},
-		{"chain+porder", Options{Chain: true, Order: OrderPettisHansen}},
-		{"all", Options{Chain: true, Split: SplitFine, Order: OrderPettisHansen}},
-	}
+// combos is the one list of hand-built layouts: the paper's Figure 7 /
+// Figure 15 combinations in order, then the extensions measured next to
+// them — Spike-distribution hot/cold splitting, the reserved conflict-free
+// cache area (the software-trace-cache style optimization the paper found
+// unprofitable for OLTP), inter-procedural call chaining, and
+// per-transaction-kind program fusion. Run "fusion" through
+// Pipeline.RunFused to supply kind roots and a procedure cloner; plain Run
+// derives roots from the profile and skips cloning.
+var combos = []Combo{
+	{"base", "split:none,porder:orig,materialize"},
+	{"porder", "split:none,porder:ph,materialize"},
+	{"chain", "chain,split:none,porder:orig,materialize"},
+	{"chain+split", "chain,split:fine,porder:orig,materialize"},
+	{"chain+porder", "chain,split:none,porder:ph,materialize"},
+	{"all", "chain,split:fine,porder:ph,materialize"},
+	{"hotcold", "chain,split:hotcold,porder:ph,materialize"},
+	{"cfa", "chain,split:fine,porder:ph,cfa:65536/16384,materialize"},
+	{"ipchain", "chain,split:none,ipchain,porder:ph,materialize"},
+	{"fusion", "chain,split:none,txfuse,porder:ph,materialize"},
 }
 
-// ComboByName returns the named combination.
-func ComboByName(name string) (Combo, error) {
-	for _, c := range Combos() {
+// Combos returns the hand-built layouts in table order.
+func Combos() []Combo { return slices.Clone(combos) }
+
+// ComboPipeline resolves a combo name to its pass pipeline.
+func ComboPipeline(name string) (Pipeline, error) {
+	for _, c := range combos {
 		if c.Name == name {
-			return c, nil
+			return ParsePipeline(c.Spec)
 		}
 	}
-	return Combo{}, fmt.Errorf("core: unknown optimization combo %q", name)
+	return nil, fmt.Errorf("core: unknown optimization combo %q", name)
 }
 
 // Report summarizes what the optimizer did.
@@ -87,80 +63,4 @@ type Report struct {
 	// fusion budget caps.
 	ClonedProcs int
 	CloneWords  int64
-}
-
-// PipelineFor assembles the pass pipeline implementing the given options:
-// chaining (if enabled), splitting, ordering, CFA planning (if configured),
-// alignment and materialization, in the fixed Spike stage order.
-func PipelineFor(o Options) (Pipeline, error) {
-	var pl Pipeline
-	if o.Chain {
-		pl = append(pl, chainPass{})
-	}
-	pl = append(pl, splitPass{mode: o.Split})
-	switch o.Order {
-	case OrderOriginal, OrderPettisHansen:
-		pl = append(pl, porderPass{o.Order})
-	default:
-		return nil, fmt.Errorf("core: unknown order mode %d", o.Order)
-	}
-	if o.CFA != nil {
-		pl = append(pl, cfaPass{*o.CFA})
-	}
-	if o.AlignWords != 0 {
-		pl = append(pl, alignPass{o.AlignWords})
-	}
-	return append(pl, materializePass{}), nil
-}
-
-// ComboPipeline resolves a combo name to its pass pipeline. It knows the
-// paper's six combinations (ComboByName) plus the extensions measurable next
-// to them: "hotcold" (Spike-distribution splitting), "cfa" (the reserved
-// conflict-free area), "ipchain" (inter-procedural call chaining) and
-// "fusion" (per-transaction-kind program fusion).
-func ComboPipeline(name string) (Pipeline, error) {
-	switch name {
-	case "hotcold":
-		return PipelineFor(Options{Chain: true, Split: SplitHotCold, Order: OrderPettisHansen})
-	case "cfa":
-		return PipelineFor(Options{Chain: true, Split: SplitFine, Order: OrderPettisHansen,
-			CFA: &CFAOptions{CacheBytes: 64 << 10, ReservedBytes: 16 << 10}})
-	case "ipchain":
-		return ParsePipeline(IPChainSpec)
-	case "fusion":
-		return ParsePipeline(TxFuseSpec)
-	}
-	c, err := ComboByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return PipelineFor(c.Opts)
-}
-
-// IPChainSpec is the pipeline spec of the "ipchain" combo: chain+porder with
-// the inter-procedural call-chaining pass merging caller/callee units along
-// hot call edges before Pettis–Hansen ordering.
-const IPChainSpec = "chain,split:none,ipchain,porder:ph,materialize"
-
-// TxFuseSpec is the pipeline spec of the "fusion" combo: chain+porder with
-// the transaction-program fusion pass collapsing each kind's hot call chain
-// into one straight-line placement unit before Pettis–Hansen ordering. Run
-// it through Pipeline.RunFused to supply kind roots and a procedure cloner;
-// plain Run derives roots from the profile and skips cloning.
-const TxFuseSpec = "chain,split:none,txfuse,porder:ph,materialize"
-
-// Optimize produces a layout of the program under the given options. The
-// profile may be sampling-based (block counts only); edge weights are then
-// estimated the way Spike does. The base combination (zero Options with no
-// chaining) reproduces the original binary's layout modulo alignment.
-//
-// Optimize is a compatibility wrapper: it assembles the pass pipeline with
-// PipelineFor and runs it. Custom stage sequences go through ParsePipeline
-// or a hand-built Pipeline instead.
-func Optimize(p *program.Program, pf *profile.Profile, o Options) (*program.Layout, *Report, error) {
-	pl, err := PipelineFor(o)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pl.Run(p, pf)
 }

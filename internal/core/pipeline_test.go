@@ -1,31 +1,73 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"codelayout/internal/core"
+	"codelayout/internal/profile"
 	"codelayout/internal/program"
 	"codelayout/internal/progtest"
 )
 
-func TestCombosCoverPaper(t *testing.T) {
-	names := []string{"base", "porder", "chain", "chain+split", "chain+porder", "all"}
-	combos := core.Combos()
-	if len(combos) != len(names) {
-		t.Fatalf("combos = %d", len(combos))
+// runSpec parses a pipeline spec and runs it.
+func runSpec(spec string, p *program.Program, pf *profile.Profile) (*program.Layout, *core.Report, error) {
+	pl, err := core.ParsePipeline(spec)
+	if err != nil {
+		return nil, nil, err
 	}
-	for i, n := range names {
-		if combos[i].Name != n {
-			t.Fatalf("combo %d = %q, want %q", i, combos[i].Name, n)
+	return pl.Run(p, pf)
+}
+
+// TestCombosCoverPaper: the combo table is the one list of hand-built
+// layouts — the paper's six in Figure 7 order, then the four extensions —
+// and a row's spec is the pipeline, not a description of it: it parses,
+// prints back as itself, and is what ComboPipeline(name) resolves to. The
+// literal rows are the strings every "optimized with:" line, memo key and
+// README row was recorded with.
+func TestCombosCoverPaper(t *testing.T) {
+	want := []core.Combo{
+		{Name: "base", Spec: "split:none,porder:orig,materialize"},
+		{Name: "porder", Spec: "split:none,porder:ph,materialize"},
+		{Name: "chain", Spec: "chain,split:none,porder:orig,materialize"},
+		{Name: "chain+split", Spec: "chain,split:fine,porder:orig,materialize"},
+		{Name: "chain+porder", Spec: "chain,split:none,porder:ph,materialize"},
+		{Name: "all", Spec: "chain,split:fine,porder:ph,materialize"},
+		{Name: "hotcold", Spec: "chain,split:hotcold,porder:ph,materialize"},
+		{Name: "cfa", Spec: "chain,split:fine,porder:ph,cfa:65536/16384,materialize"},
+		{Name: "ipchain", Spec: "chain,split:none,ipchain,porder:ph,materialize"},
+		{Name: "fusion", Spec: "chain,split:none,txfuse,porder:ph,materialize"},
+	}
+	got := core.Combos()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("combo table = %v, want %v", got, want)
+	}
+	seen := make(map[string]bool)
+	for _, c := range got {
+		if seen[c.Name] {
+			t.Errorf("combo %q listed twice", c.Name)
+		}
+		seen[c.Name] = true
+		pl, err := core.ParsePipeline(c.Spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if pl.String() != c.Spec {
+			t.Errorf("%s: spec %q prints back as %q", c.Name, c.Spec, pl.String())
+		}
+		byName, err := core.ComboPipeline(c.Name)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if byName.String() != c.Spec {
+			t.Errorf("ComboPipeline(%q) = %q, want the row's %q", c.Name, byName.String(), c.Spec)
 		}
 	}
-	if _, err := core.ComboByName("all"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.ComboByName("nope"); err == nil {
-		t.Fatal("expected error")
+	if _, err := core.ComboPipeline("nope"); err == nil {
+		t.Fatal("expected error for unknown combo")
 	}
 }
 
@@ -35,7 +77,7 @@ func TestOptimizeAllCombosValid(t *testing.T) {
 		p := progtest.RandProgram(r, 1+r.Intn(6))
 		pf := progtest.RandProfile(r, p, 15, 250)
 		for _, combo := range core.Combos() {
-			l, rep, err := core.Optimize(p, pf, combo.Opts)
+			l, rep, err := runSpec(combo.Spec, p, pf)
 			if err != nil {
 				t.Logf("seed %d %s: %v", seed, combo.Name, err)
 				return false
@@ -60,7 +102,11 @@ func TestOptimizeBaseMatchesSourceOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	p := progtest.RandProgram(r, 5)
 	pf := progtest.RandProfile(r, p, 10, 200)
-	l, _, err := core.Optimize(p, pf, core.Options{})
+	pl, err := core.ComboPipeline("base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := pl.Run(p, pf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +124,7 @@ func TestSplitModesPartitionBlocks(t *testing.T) {
 		p := progtest.RandProgram(r, 1+r.Intn(5))
 		pf := progtest.RandProfile(r, p, 10, 200)
 		for _, mode := range []core.SplitMode{core.SplitNone, core.SplitFine, core.SplitHotCold} {
-			l, _, err := core.Optimize(p, pf, core.Options{Chain: true, Split: mode})
+			l, _, err := runSpec("chain,split:"+mode.String(), p, pf)
 			if err != nil || l.Validate() != nil {
 				t.Logf("seed %d mode %v: %v", seed, mode, err)
 				return false
@@ -97,7 +143,7 @@ func TestOptimizeAllPacksHotCodeFirst(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	p := progtest.RandProgram(r, 8)
 	pf := progtest.RandProfile(r, p, 25, 400)
-	l, _, err := core.Optimize(p, pf, core.Options{Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen})
+	l, _, err := runSpec("chain,split:fine,porder:ph", p, pf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +187,7 @@ func TestCFAPlanKeepsHotCodeOutOfReservedSets(t *testing.T) {
 	pf := progtest.RandProfile(r, p, 30, 400)
 	const cacheBytes = 4096
 	const reservedBytes = 1024
-	opts := core.Options{
-		Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-		CFA: &core.CFAOptions{CacheBytes: cacheBytes, ReservedBytes: reservedBytes},
-	}
-	l, rep, err := core.Optimize(p, pf, opts)
+	l, rep, err := runSpec(fmt.Sprintf("chain,split:fine,porder:ph,cfa:%d/%d", cacheBytes, reservedBytes), p, pf)
 	if err != nil {
 		t.Fatal(err)
 	}

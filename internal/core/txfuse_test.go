@@ -90,7 +90,6 @@ func TestPassCoverageProperty(t *testing.T) {
 	for _, c := range core.Combos() {
 		specs = append(specs, c.Name)
 	}
-	specs = append(specs, "hotcold", "cfa", "ipchain", "fusion")
 	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		p := progtest.RandProgram(r, 8)
@@ -250,7 +249,7 @@ func TestTxFuseBudgetCutsCloning(t *testing.T) {
 	p, pf, roots := fuseFixture()
 	inputBlocks := len(p.Blocks)
 	cl := &testCloner{p: p}
-	pl, err := core.ParsePipeline(core.TxFuseSpec)
+	pl, err := core.ComboPipeline("fusion")
 	if err != nil {
 		t.Fatal(err)
 	}

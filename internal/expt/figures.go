@@ -8,8 +8,8 @@ import (
 	"codelayout/internal/stats"
 )
 
-// combos are the Figure 7 / Figure 15 optimization combinations in paper
-// order.
+// comboNames are the Figure 7 / Figure 15 optimization combinations in paper
+// order (rows of core.Combos()).
 var comboNames = []string{"base", "porder", "chain", "chain+split", "chain+porder", "all"}
 
 // comboNamesExt appends the combinations this reproduction measures next to

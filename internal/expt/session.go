@@ -363,16 +363,14 @@ func (s *Session) PipelineSpec(name string) (string, error) {
 }
 
 // Layout returns (building if needed) a named app layout trained under the
-// session's train config. Known names: base, every combo
-// core.ComboPipeline knows (porder, chain, chain+split, chain+porder, all,
-// hotcold, cfa, ipchain, fusion) and dcpi-all. A name containing pass
-// separators (",", ":") is treated as a raw pipeline spec and built through
-// core.ParsePipeline. Any pipeline containing txfuse — the "fusion" combo
-// or a raw spec — runs over a specialized copy of the app image
-// (AppImageFor returns it) so shared procedures can be cloned into each
-// transaction kind's fused unit. Raw specs flow through Measure and
-// MeasureBatch too, which is how the search engine evaluates genome
-// populations as one memoized parallel wave.
+// session's train config. Known names: base, every row of core.Combos() and
+// dcpi-all. A name containing pass separators (",", ":") is treated as a raw
+// pipeline spec and built through core.ParsePipeline. Any pipeline
+// containing txfuse — the "fusion" combo or a raw spec — runs over a
+// specialized copy of the app image (AppImageFor returns it) so shared
+// procedures can be cloned into each transaction kind's fused unit. Raw
+// specs flow through Measure and MeasureBatch too, which is how the search
+// engine evaluates genome populations as one memoized parallel wave.
 func (s *Session) Layout(name string) (*program.Layout, error) {
 	return s.src.layout(s.tc, name, false)
 }

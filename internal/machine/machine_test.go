@@ -297,9 +297,11 @@ func TestOptimizedLayoutRunsAndReducesMisses(t *testing.T) {
 			}
 
 			// Optimize.
-			optL, rep, err := core.Optimize(app.Prog, px.Profile, core.Options{
-				Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-			})
+			pl, err := core.ComboPipeline("all")
+			if err != nil {
+				t.Fatal(err)
+			}
+			optL, rep, err := pl.Run(app.Prog, px.Profile)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -358,7 +360,11 @@ func TestSequenceLengthImprovesWithChaining(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	optL, _, err := core.Optimize(app.Prog, px.Profile, core.Options{Chain: true})
+	pl, err := core.ComboPipeline("chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	optL, _, err := pl.Run(app.Prog, px.Profile)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,9 +74,7 @@ func trainReadOnlyLayout(t *testing.T, app *codegen.Image, appL *program.Layout,
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	l, _, err := core.Optimize(app.Prog, px.Profile, core.Options{
-		Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-	})
+	l, err := coreOptimize(app, px.Profile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +122,11 @@ func kindP99(t *testing.T, m *machine.Machine, kind string) uint64 {
 }
 
 func coreOptimize(app *codegen.Image, pf *profile.Profile) (*program.Layout, error) {
-	l, _, err := core.Optimize(app.Prog, pf, core.Options{
-		Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen,
-	})
+	pl, err := core.ComboPipeline("all")
+	if err != nil {
+		return nil, err
+	}
+	l, _, err := pl.Run(app.Prog, pf)
 	return l, err
 }
 

@@ -155,7 +155,11 @@ func TestOptimizeWithSamplingProfile(t *testing.T) {
 	p := progtest.RandProgram(r, 4)
 	exact := progtest.RandProfile(r, p, 20, 300)
 	sampled := &profile.Profile{Name: "s", BlockCount: exact.BlockCount}
-	l, _, err := core.Optimize(p, sampled, core.Options{Chain: true, Split: core.SplitFine, Order: core.OrderPettisHansen})
+	pl, err := core.ComboPipeline("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := pl.Run(p, sampled)
 	if err != nil {
 		t.Fatal(err)
 	}

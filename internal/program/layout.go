@@ -47,6 +47,10 @@ type Layout struct {
 	// exit). NoBlock elsewhere.
 	CondFirst []BlockID
 
+	// AlignWords is the alignment the layout was materialized with: every
+	// AlignAt block starts on a multiple of this many words (zero: none).
+	AlignWords int
+
 	// AlignAt marks blocks that begin an alignment unit (procedure or
 	// segment starts).
 	AlignAt map[BlockID]bool
@@ -70,10 +74,10 @@ type MaterializeOptions struct {
 	// AlignAt marks the blocks that begin alignment units. If nil, every
 	// procedure's first block in placement order begins a unit.
 	AlignAt map[BlockID]bool
-	// Hotness, if non-nil, returns the execution count of a block; it is
-	// used to pick the cheap exit of a branch pair. If nil the taken arm is
-	// tested first.
-	Hotness func(BlockID) uint64
+	// FallFirst, if non-nil, reports whether a branch pair materialized for
+	// conditional block b tests b's Fall arm first, making it the cheap
+	// exit. If nil the taken arm is tested first.
+	FallFirst func(b *Block) bool
 	// GapBefore inserts an explicit gap of the given number of bytes before
 	// a block, on top of any alignment. The CFA optimization uses gaps to
 	// keep ordinary code out of the reserved conflict-free cache region.
@@ -88,13 +92,14 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 	}
 	n := len(p.Blocks)
 	l := &Layout{
-		Prog:      p,
-		Order:     order,
-		Addr:      make([]uint64, n),
-		Occ:       make([]int32, n),
-		Adj:       make([]BlockID, n),
-		Exit:      make([]Exit, n),
-		CondFirst: make([]BlockID, n),
+		Prog:       p,
+		Order:      order,
+		Addr:       make([]uint64, n),
+		Occ:        make([]int32, n),
+		Adj:        make([]BlockID, n),
+		Exit:       make([]Exit, n),
+		CondFirst:  make([]BlockID, n),
+		AlignWords: opts.AlignWords,
 	}
 	for i := range l.Adj {
 		l.Adj[i] = NoBlock
@@ -161,7 +166,7 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 			default:
 				term = 2
 				first := b.Taken
-				if opts.Hotness != nil && opts.Hotness(b.Fall) > opts.Hotness(b.Taken) {
+				if opts.FallFirst != nil && opts.FallFirst(b) {
 					first = b.Fall
 				}
 				l.CondFirst[id] = first

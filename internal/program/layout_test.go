@@ -62,7 +62,7 @@ func TestMaterializeBranchPair(t *testing.T) {
 	order := []program.BlockID{b[0].ID, b[3].ID, b[1].ID, b[2].ID}
 	hot := map[program.BlockID]uint64{b[2].ID: 100, b[1].ID: 1}
 	l := mustMaterialize(t, p, order, program.MaterializeOptions{
-		Hotness: func(id program.BlockID) uint64 { return hot[id] },
+		FallFirst: func(b *program.Block) bool { return hot[b.Fall] > hot[b.Taken] },
 	})
 	if l.Occ[b[0].ID] != 4+2 {
 		t.Fatalf("branch pair occ = %d", l.Occ[b[0].ID])

@@ -10,16 +10,21 @@ import (
 	"slices"
 )
 
-// layoutFile is the serializable form of a layout: the placement decisions,
-// not the derived addresses (which Materialize recomputes). This is what
-// cmd/spike writes and the simulators load. Equal layouts encode to equal
-// bytes: gob writes a map in iteration order, so the two maps of a layout
-// are stored as sequences sorted by block.
+// layoutFile is the serializable form of a layout: the placement decisions
+// Materialize was given, not the addresses it derived from them (loading
+// re-materializes, and arrives at the same layout). This is what cmd/spike
+// writes and the simulators load. Equal layouts encode to equal bytes: gob
+// writes a map in iteration order, so the two maps of a layout are stored as
+// sequences sorted by block.
 type layoutFile struct {
 	ProgramName string
 	Order       []BlockID
 	AlignAt     []BlockID
 	AlignWords  int
+	// FallFirst lists, in block order, the conditional blocks whose branch
+	// pair tests the Fall arm first (CondFirst); every other pair tests the
+	// taken arm first.
+	FallFirst []BlockID
 	// GapBefore is read from files written before Gaps replaced it; toFile
 	// leaves it nil.
 	GapBefore map[BlockID]uint64
@@ -33,11 +38,16 @@ type layoutGap struct {
 }
 
 // toFile extracts the serializable placement from a layout.
-func (l *Layout) toFile(alignWords int) *layoutFile {
+func (l *Layout) toFile() *layoutFile {
 	f := &layoutFile{
 		ProgramName: l.Prog.Name,
 		Order:       l.Order,
-		AlignWords:  alignWords,
+		AlignWords:  l.AlignWords,
+	}
+	for _, b := range l.Prog.Blocks {
+		if first := l.CondFirst[b.ID]; first != NoBlock && first == b.Fall {
+			f.FallFirst = append(f.FallFirst, b.ID)
+		}
 	}
 	for b, on := range l.AlignAt {
 		if on {
@@ -53,16 +63,17 @@ func (l *Layout) toFile(alignWords int) *layoutFile {
 }
 
 // SaveLayout writes the placement with encoding/gob.
-func SaveLayout(w io.Writer, l *Layout, alignWords int) error {
+func SaveLayout(w io.Writer, l *Layout) error {
 	bw := bufio.NewWriter(w)
-	if err := gob.NewEncoder(bw).Encode(l.toFile(alignWords)); err != nil {
+	if err := gob.NewEncoder(bw).Encode(l.toFile()); err != nil {
 		return fmt.Errorf("layout: encode: %w", err)
 	}
 	return bw.Flush()
 }
 
-// LoadLayout reads a placement and re-materializes it over the program.
-func LoadLayout(r io.Reader, p *Program, hotness func(BlockID) uint64) (*Layout, error) {
+// LoadLayout reads a placement and re-materializes it over the program: the
+// result equals the layout that was saved.
+func LoadLayout(r io.Reader, p *Program) (*Layout, error) {
 	var f layoutFile
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&f); err != nil {
 		return nil, fmt.Errorf("layout: decode: %w", err)
@@ -81,26 +92,29 @@ func LoadLayout(r io.Reader, p *Program, hotness func(BlockID) uint64) (*Layout,
 			gaps[g.Block] = g.Bytes
 		}
 	}
-	align := f.AlignWords
-	if align == 0 {
-		align = 4
+	if f.AlignWords < 0 {
+		return nil, fmt.Errorf("layout: negative alignment %d", f.AlignWords)
+	}
+	fallFirst := make(map[BlockID]bool, len(f.FallFirst))
+	for _, b := range f.FallFirst {
+		fallFirst[b] = true
 	}
 	return Materialize(p, f.Order, MaterializeOptions{
-		AlignWords: align,
+		AlignWords: f.AlignWords,
 		AlignAt:    alignAt,
 		GapBefore:  gaps,
-		Hotness:    hotness,
+		FallFirst:  func(b *Block) bool { return fallFirst[b.ID] },
 	})
 }
 
 // SaveLayoutFile writes the placement to a file.
-func SaveLayoutFile(path string, l *Layout, alignWords int) error {
+func SaveLayoutFile(path string, l *Layout) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := SaveLayout(f, l, alignWords); err != nil {
+	if err := SaveLayout(f, l); err != nil {
 		return err
 	}
 	return f.Close()
@@ -113,5 +127,5 @@ func LoadLayoutFile(path string, p *Program) (*Layout, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return LoadLayout(f, p, nil)
+	return LoadLayout(f, p)
 }

@@ -25,10 +25,10 @@ func TestLayoutSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := program.SaveLayout(&buf, l, 4); err != nil {
+	if err := program.SaveLayout(&buf, l); err != nil {
 		t.Fatal(err)
 	}
-	got, err := program.LoadLayout(&buf, p, nil)
+	got, err := program.LoadLayout(&buf, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,19 +71,19 @@ func TestSaveLayoutIsByteStable(t *testing.T) {
 		t.Fatalf("layout has %d alignment units and %d gaps; the test needs several of each", len(l.AlignAt), len(l.GapBefore))
 	}
 	var first bytes.Buffer
-	if err := program.SaveLayout(&first, l, 4); err != nil {
+	if err := program.SaveLayout(&first, l); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
 		var again bytes.Buffer
-		if err := program.SaveLayout(&again, l, 4); err != nil {
+		if err := program.SaveLayout(&again, l); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(first.Bytes(), again.Bytes()) {
 			t.Fatalf("save %d of one layout differs from the first", i+2)
 		}
 	}
-	got, err := program.LoadLayout(&first, p, nil)
+	got, err := program.LoadLayout(&first, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestLoadLayoutReadsMapGapFiles(t *testing.T) {
 	}{p.Name, order, []program.BlockID{order[0]}, 4, opts.GapBefore}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := program.LoadLayout(&buf, p, nil)
+	got, err := program.LoadLayout(&buf, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +135,12 @@ func TestLoadLayoutRejectsWrongProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := program.SaveLayout(&buf, l, 4); err != nil {
+	if err := program.SaveLayout(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 	other := progtest.RandProgram(rand.New(rand.NewSource(14)), 3)
 	other.Name = "different"
-	if _, err := program.LoadLayout(&buf, other, nil); err == nil {
+	if _, err := program.LoadLayout(&buf, other); err == nil {
 		t.Fatal("expected program-name mismatch error")
 	}
 }

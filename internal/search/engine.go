@@ -219,24 +219,28 @@ type Result struct {
 	Table *stats.Table
 }
 
-// handBuiltSeeds are the hand-built pipelines the initial population starts
-// from — the paper's strongest combo plus this repo's two extensions, then
-// the splitting/CFA variants. Seeding them (with elitism) guarantees the
-// winner is never worse than the best hand-built combo on the search
-// objective.
+// seedNames are the rows of core's combo table the initial population
+// starts from — the paper's strongest combo plus this repo's two extensions,
+// then the splitting/CFA variants — and baselineNames the rows the evolved
+// winner is compared against.
+var (
+	seedNames     = []string{"all", "ipchain", "fusion", "hotcold", "cfa"}
+	baselineNames = []string{"base", "ipchain", "fusion"}
+)
+
+// handBuiltSeeds resolves seedNames to genomes. Seeding them (with elitism)
+// guarantees the winner is never worse than the best hand-built combo on the
+// search objective.
 func handBuiltSeeds() ([]Genome, error) {
-	specs := []string{
-		"chain,split:fine,porder:ph,materialize", // the paper's "all"
-		core.IPChainSpec,
-		core.TxFuseSpec,
-		"chain,split:hotcold,porder:ph,materialize",
-		"chain,split:fine,porder:ph,cfa:65536/16384,materialize",
-	}
-	out := make([]Genome, 0, len(specs))
-	for _, s := range specs {
-		g, err := ParseGenome(s)
+	out := make([]Genome, 0, len(seedNames))
+	for _, name := range seedNames {
+		pl, err := core.ComboPipeline(name)
 		if err != nil {
-			return nil, fmt.Errorf("search: hand-built seed %q: %w", s, err)
+			return nil, fmt.Errorf("search: hand-built seed: %w", err)
+		}
+		g, err := ParseGenome(pl.String())
+		if err != nil {
+			return nil, fmt.Errorf("search: hand-built seed %q: %w", name, err)
 		}
 		out = append(out, g)
 	}
@@ -366,7 +370,6 @@ func Run(o expt.Options, cfg Config) (*Result, error) {
 
 	// Score the hand-built reference combos first: "base" anchors the
 	// fitness normalization, ipchain/fusion are the bars to beat.
-	baselineNames := []string{"base", "ipchain", "fusion"}
 	for i, s := range ev.sessions {
 		if err := s.MeasureBatch(baselineNames, ev.cpus, cfg.Workers); err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package search
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,8 +14,8 @@ func TestGenomeValidation(t *testing.T) {
 		"materialize", // the do-nothing layout is a legal point
 		"chain,materialize",
 		"chain,split:fine,porder:ph,materialize",
-		core.IPChainSpec,
-		core.TxFuseSpec,
+		"chain,split:none,ipchain,porder:ph,materialize",
+		"chain,split:none,txfuse,porder:ph,materialize",
 		"chain,split:hotcold@4,ipchain:8,porder:orig,cfa:65536/16384,align:8,materialize",
 		"split:none,txfuse:15,porder:ph,materialize",
 	}
@@ -149,22 +150,34 @@ func TestOperatorsPreserveLegality(t *testing.T) {
 	}
 }
 
-// TestHandBuiltSeedsValidate keeps the seed list in sync with the registry.
+// TestHandBuiltSeedsValidate: the seeds and the baselines are rows of core's
+// combo table, named not re-typed — each seed genome is its row's spec, the
+// two extension combos are among the seeds, and every baseline is a row.
 func TestHandBuiltSeedsValidate(t *testing.T) {
+	table := make(map[string]string)
+	for _, c := range core.Combos() {
+		table[c.Name] = c.Spec
+	}
 	seeds, err := handBuiltSeeds()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seeds) < 3 {
-		t.Fatalf("want at least the three combo seeds, got %d", len(seeds))
+	if len(seeds) != len(seedNames) {
+		t.Fatalf("%d seeds for %d names", len(seeds), len(seedNames))
 	}
-	specs := make(map[string]bool)
-	for _, g := range seeds {
-		specs[g.Spec()] = true
+	for i, name := range seedNames {
+		if spec, ok := table[name]; !ok || seeds[i].Spec() != spec {
+			t.Errorf("seed %q = %q, want the combo table's %q", name, seeds[i].Spec(), spec)
+		}
 	}
-	for _, want := range []string{core.IPChainSpec, core.TxFuseSpec} {
-		if !specs[want] {
+	for _, want := range []string{"ipchain", "fusion"} {
+		if !slices.Contains(seedNames, want) {
 			t.Errorf("seed list is missing the hand-built combo %q", want)
+		}
+	}
+	for _, name := range baselineNames {
+		if _, ok := table[name]; !ok {
+			t.Errorf("baseline %q is not a row of the combo table", name)
 		}
 	}
 }

@@ -120,7 +120,11 @@ func TestLayoutPreservesBlockSequence(t *testing.T) {
 	seen := map[string]bool{}
 	var specs []string
 	fuses := 0
-	fused, err := search.ParseGenome(core.TxFuseSpec)
+	fusion, err := core.ComboPipeline("fusion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused, err := search.ParseGenome(fusion.String())
 	if err != nil {
 		t.Fatal(err)
 	}

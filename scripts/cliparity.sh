@@ -3,7 +3,7 @@
 # that share one flag surface (oltpgen, pixie, oltpbench, layoutlab) print:
 # the stdout of one invocation per oltpbench mode and layoutlab extension
 # table (CI runs this script as its end-to-end smoke of them), the
-# offline/in-process parity pair and the hash of the layout file it writes, a
+# offline/in-process parity pairs and the hash of a layout file they write, a
 # no-flag run of each, and each command's flag-name set. A refactor must
 # leave all of it byte-identical (store-hit ages, which depend on wall time,
 # are masked).
@@ -57,9 +57,26 @@ run reopt-warm oltpbench "${reopt[@]}"
 img=(-quick -libscale 0.3 -cold 400000)
 run parity-oltpgen oltpgen -out pimg -libscale 0.3 -cold 400000
 run parity-pixie pixie "${img[@]}" -runseed 2008 -txns 300 -cpus 2 -out par.prof -kout par.kprof
-run parity-spike spike -prog pimg/app.prog -profile par.prof -combo all -out par.layout
-run parity-offline oltpbench "${img[@]}" -cpus 2 -stall 40 -layout par.layout
-run parity-inprocess oltpbench "${img[@]}" -cpus 2 -stall 40 -opt all -train-txns 300
+
+# pair TAG OPT SPIKE-ARGS...: the layout file spike writes, replayed by
+# oltpbench -layout, must print what oltpbench -opt OPT prints in-process,
+# bar the two lines that say where the layout came from.
+pair() {
+	local tag=$1 opt=$2
+	shift 2
+	run "parity$tag-spike" spike -prog pimg/app.prog -profile par.prof "$@" -out "par$tag.layout"
+	run "parity$tag-offline" oltpbench "${img[@]}" -cpus 2 -stall 40 -layout "par$tag.layout"
+	run "parity$tag-inprocess" oltpbench "${img[@]}" -cpus 2 -stall 40 -opt "$opt" -train-txns 300
+	diff "$out/parity$tag-offline.out" <(grep -v -e '^trained on:' -e '^optimized with:' "$out/parity$tag-inprocess.out")
+}
+# "all" keeps most conditionals next to an arm; "porder" (whole procedures,
+# source block order) leaves many branch pairs whose cheap arm the profile
+# picked, and align:8 is a layout not materialized at the default alignment:
+# the file carries both.
+align8=chain,split:fine,porder:ph,align:8,materialize
+pair "" all -combo all
+pair -porder porder -combo porder
+pair -align8 "$align8" -passes "$align8"
 # The layouts spike wrote are a digest of the profiles pixie wrote: equal
 # block and edge counts give equal layouts, and equal layouts equal files.
 sha256sum par.layout >"$out/parity-layout.sha256"
