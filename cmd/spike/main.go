@@ -3,7 +3,8 @@
 // fine-grain procedure splitting, and Pettis–Hansen procedure ordering.
 //
 // The optimizer is a pass pipeline; a combo name is a row of core's combo
-// table (name → pipeline spec), and -passes runs an arbitrary spec instead.
+// table (name → pipeline spec) or "base", the original binary no pipeline
+// builds, and -passes runs an arbitrary spec instead.
 // The file -out writes is the layout that was built — oltpbench -layout
 // replays it exactly, whatever the combo or align:N:
 //
@@ -30,7 +31,7 @@ import (
 )
 
 func main() {
-	var comboNames []string
+	comboNames := []string{"base"}
 	for _, c := range core.Combos() {
 		comboNames = append(comboNames, c.Name)
 	}
@@ -62,42 +63,45 @@ func main() {
 		fatal(err)
 	}
 
-	name := *combo
-	var pl core.Pipeline
-	if *passes != "" {
-		name = "custom"
-		pl, err = core.ParsePipeline(*passes)
-		if err != nil {
-			// The core error already lists the registered passes.
-			fatal(fmt.Errorf("bad -passes spec %q: %w", *passes, err))
-		}
-	} else {
-		pl, err = core.ComboPipeline(name)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
 	base, err := program.BaselineLayout(p)
 	if err != nil {
 		fatal(err)
 	}
-	l, rep, err := pl.Run(p, pf)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s: passes %s\n", name, pl)
-	fmt.Printf("%s: %d chains, %d units (%d hot), hot text %.1f KB\n",
-		name, rep.Chains, rep.Units, rep.HotUnits,
-		float64(rep.HotWords*isa.WordBytes)/1024)
-	if rep.FusedKinds > 0 {
-		fmt.Printf("%s: fused %d transaction kinds (%d procedures cloned, %.1f KB growth)\n",
-			name, rep.FusedKinds, rep.ClonedProcs,
-			float64(rep.CloneWords*isa.WordBytes)/1024)
+	name, l := *combo, base
+	if *passes == "" && name == "base" {
+		fmt.Println("base: the original binary, no passes")
+	} else {
+		var pl core.Pipeline
+		if *passes != "" {
+			name = "custom"
+			pl, err = core.ParsePipeline(*passes)
+			if err != nil {
+				// The core error already lists the registered passes.
+				err = fmt.Errorf("bad -passes spec %q: %w", *passes, err)
+			}
+		} else {
+			pl, err = core.ComboPipeline(name)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		var rep *core.Report
+		if l, rep, err = pl.Run(p, pf); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("%s: passes %s\n", name, pl)
+		fmt.Printf("%s: %d chains, %d units (%d hot), hot text %.1f KB\n",
+			name, rep.Chains, rep.Units, rep.HotUnits,
+			float64(rep.HotWords*isa.WordBytes)/1024)
+		if rep.FusedKinds > 0 {
+			fmt.Printf("%s: fused %d transaction kinds (%d procedures cloned, %.1f KB growth)\n",
+				name, rep.FusedKinds, rep.ClonedProcs,
+				float64(rep.CloneWords*isa.WordBytes)/1024)
+		}
 	}
 	fmt.Printf("image: %.2f MB -> %.2f MB (padding %.1f KB, %d long branches)\n",
 		float64(base.TotalBytes())/(1<<20), float64(l.TotalBytes())/(1<<20),
-		float64(rep.PadWords*isa.WordBytes)/1024, rep.LongBranches)
+		float64(l.PadWords*isa.WordBytes)/1024, l.LongBranches)
 	if *out != "" {
 		if err := program.SaveLayoutFile(*out, l); err != nil {
 			fatal(err)

@@ -64,9 +64,10 @@ type (
 	Combo = core.Combo
 )
 
-// Combos returns the hand-built layouts in order: the paper's six (base,
-// porder, chain, chain+split, chain+porder, all), then hotcold, cfa, ipchain
-// and fusion.
+// Combos returns the hand-built layouts in order: the paper's five pipelines
+// (porder, chain, chain+split, chain+porder, all; the figures' "base" is the
+// original binary, BaselineLayout, not a pipeline), then hotcold, cfa,
+// ipchain and fusion.
 func Combos() []Combo { return core.Combos() }
 
 // ComboPipeline resolves a combo name to its pass pipeline.

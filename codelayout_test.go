@@ -72,12 +72,13 @@ func TestFacadePassPipeline(t *testing.T) {
 	}
 }
 
-// TestFacadeCombosMatchPaper: the table leads with the paper's six in Figure
-// 7 order, and the README's combo table is that table — one "| `name` |
+// TestFacadeCombosMatchPaper: the table leads with the paper's five pipelines
+// in Figure 7 order ("base", the figure's first row, is the original binary
+// and no pipeline), and the README's combo table is that table — one "| `name` |
 // `spec` |" row per combo, in order, and no row the table lacks.
 func TestFacadeCombosMatchPaper(t *testing.T) {
 	combos := codelayout.Combos()
-	want := []string{"base", "porder", "chain", "chain+split", "chain+porder", "all"}
+	want := []string{"porder", "chain", "chain+split", "chain+porder", "all"}
 	for i, n := range want {
 		if combos[i].Name != n {
 			t.Fatalf("combo %d = %q, want %q", i, combos[i].Name, n)

@@ -11,6 +11,7 @@ import (
 // parsed pipeline's String() is a fixed point: it parses back to the same
 // passes. Seeded from every row of the combo table.
 func FuzzParsePipeline(f *testing.F) {
+	f.Add("split:none,porder:orig,materialize") // the source-order pipeline: no combo row, still a spec
 	for _, c := range core.Combos() {
 		f.Add(c.Spec)
 	}

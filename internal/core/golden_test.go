@@ -122,13 +122,14 @@ func legacyOptimize(p *program.Program, pf *profile.Profile, o legacyOptions) (*
 }
 
 // goldenVariants are the layouts whose pipeline output must be identical to
-// the legacy path: the paper's six combos and the hotcold extension by table
-// name, a small-cache cfa geometry and a non-default alignment by spec.
+// the legacy path: the paper's combos and the hotcold extension by table
+// name; the source-order pipeline, a small-cache cfa geometry and a
+// non-default alignment by spec.
 var goldenVariants = []struct {
 	layout string // combo name or pipeline spec
 	opts   legacyOptions
 }{
-	{"base", legacyOptions{}},
+	{"split:none,porder:orig,materialize", legacyOptions{}},
 	{"porder", legacyOptions{PH: true}},
 	{"chain", legacyOptions{Chain: true}},
 	{"chain+split", legacyOptions{Chain: true, Split: SplitFine}},

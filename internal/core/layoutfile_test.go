@@ -13,7 +13,7 @@ import (
 
 // TestLayoutFileRoundTrip: a layout file is the layout that was saved, not a
 // placement order to lay out again under defaults. Every row of the combo
-// table, a non-default alignment and a small cfa geometry (gaps that land on
+// table, the source-order pipeline, a non-default alignment and a small cfa geometry (gaps that land on
 // random programs) load back equal in everything the emitter and the
 // reports read — including which arm each branch pair tests first, which
 // the profile decided and the file must carry.
@@ -23,6 +23,7 @@ func TestLayoutFileRoundTrip(t *testing.T) {
 		specs = append(specs, c.Spec)
 	}
 	specs = append(specs,
+		"split:none,porder:orig,materialize",
 		"chain,split:fine,porder:ph,align:8,materialize",
 		"chain,split:fine,porder:ph,cfa:4096/1024,align:2,materialize")
 	fallFirst := 0

@@ -20,8 +20,11 @@ type Combo struct {
 // per-transaction-kind program fusion. Run "fusion" through
 // Pipeline.RunFused to supply kind roots and a procedure cloner; plain Run
 // derives roots from the profile and skips cloning.
+//
+// The figures' "base" is not a row: it is the original binary
+// (program.BaselineLayout), which no pipeline builds. The source-order
+// pipeline stays spellable as "split:none,porder:orig,materialize".
 var combos = []Combo{
-	{"base", "split:none,porder:orig,materialize"},
 	{"porder", "split:none,porder:ph,materialize"},
 	{"chain", "chain,split:none,porder:orig,materialize"},
 	{"chain+split", "chain,split:fine,porder:orig,materialize"},

@@ -59,15 +59,11 @@ func ablCFA(s *Session) ([]*stats.Table, error) {
 // ablProfile — layout quality when the profile comes from DCPI-style PC
 // sampling instead of exact Pixie instrumentation.
 func ablProfile(s *Session) ([]*stats.Table, error) {
-	px, err := s.Measure("all", s.Opt.CPUs)
+	base, px, err := s.baseAndAll(s.Opt.CPUs)
 	if err != nil {
 		return nil, err
 	}
 	dc, err := s.Measure("dcpi-all", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
-	base, err := s.Measure("base", s.Opt.CPUs)
 	if err != nil {
 		return nil, err
 	}

@@ -77,25 +77,20 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One session per training mix over the shared source; the drifted-to
-	// mix's session also runs every evaluation.
-	o.Train.Workload = spec.Old
-	stale, err := NewSessionFrom(src, o)
-	if err != nil {
-		return nil, err
-	}
-	o.Workload, o.Train.Workload = spec.New, spec.New
-	s, err := NewSessionFrom(src, o)
-	if err != nil {
-		return nil, err
-	}
+	// Train each mix once over the shared source; the drifted-to mix's
+	// session runs every evaluation.
 	var entries []*pstore.Entry
-	for _, ts := range []*Session{stale, s} {
-		run, err := src.train(ts.tc)
+	for _, w := range []workload.Workload{spec.Old, spec.New} {
+		o.Train.Workload = w
+		run, err := src.train(o.resolveTrain())
 		if err != nil {
-			return nil, fmt.Errorf("expt: blend training %q: %w", ts.tc.Workload.Name(), err)
+			return nil, fmt.Errorf("expt: blend training %q: %w", w.Name(), err)
 		}
 		entries = append(entries, run.Entry)
+	}
+	s, err := src.cell(o, func(o *Options) { o.Workload, o.Train.Workload = spec.New, spec.New })
+	if err != nil {
+		return nil, err
 	}
 
 	pipeline, err := core.ComboPipeline("all")
@@ -129,13 +124,11 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 			return nil, fmt.Errorf("expt: blend ratio %v: %w", r, err)
 		}
 		cell := BlendCell{
-			Ratio:     r,
-			MissRatio: m.App4W[64].MissRate(),
-			P50:       m.Res.Latency.P50,
-			P99:       m.Res.Latency.P99,
-		}
-		if m.Res.Committed > 0 {
-			cell.InstrPerTxn = float64(m.Res.BusyInstrs) / float64(m.Res.Committed)
+			Ratio:       r,
+			MissRatio:   m.App4W[64].MissRate(),
+			InstrPerTxn: instrPerTxn(m),
+			P50:         m.Res.Latency.P50,
+			P99:         m.Res.Latency.P99,
 		}
 		res.Cells = append(res.Cells, cell)
 		t.AddRow(fmt.Sprintf("%.2f", r), stats.Pct(cell.MissRatio),

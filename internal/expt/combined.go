@@ -9,42 +9,29 @@ import (
 )
 
 // fig12 — combined application + operating system instruction streams.
-func fig12(s *Session) ([]*stats.Table, error) {
+func fig12(base, opt *Measure) []*stats.Table {
 	var out []*stats.Table
-	for _, name := range []string{"base", "all"} {
-		m, err := s.Measure(name, s.Opt.CPUs)
-		if err != nil {
-			return nil, err
-		}
-		title := "Figure 12(a): combined streams, baseline binary (128B, 4-way)"
-		if name == "all" {
-			title = "Figure 12(b): combined streams, optimized binary (128B, 4-way)"
-		}
-		t := stats.NewTable(title, append([]string{"stream"}, sizeCols()...)...)
-		rows := []struct {
-			label string
-			get   func(size int) uint64
+	titles := [2]string{
+		"Figure 12(a): combined streams, baseline binary (128B, 4-way)",
+		"Figure 12(b): combined streams, optimized binary (128B, 4-way)",
+	}
+	for i, m := range [2]*Measure{base, opt} {
+		t := stats.NewTable(titles[i], append([]string{"stream"}, sizeCols()...)...)
+		for _, r := range []struct {
+			label  string
+			bySize map[int]*cache.Stats
 		}{
-			{"all (combined)", func(sz int) uint64 { return m.Comb4W[sz].Misses }},
-			{"application (isolated)", func(sz int) uint64 { return m.App4W[sz].Misses }},
-			{"kernel (isolated)", func(sz int) uint64 { return m.Kern4W[sz].Misses }},
-		}
-		for _, r := range rows {
+			{"all (combined)", m.Comb4W},
+			{"application (isolated)", m.App4W},
+			{"kernel (isolated)", m.Kern4W},
+		} {
 			row := []interface{}{r.label}
 			for _, size := range CacheSizesKB {
-				row = append(row, r.get(size))
+				row = append(row, r.bySize[size].Misses)
 			}
 			t.AddRow(row...)
 		}
 		out = append(out, t)
-	}
-	base, err := s.Measure("base", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := s.Measure("all", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
 	}
 	cmp := stats.NewTable("Figure 12 summary: combined-miss reduction", "size", "combined opt/base", "isolated app opt/base")
 	for _, size := range CacheSizesKB {
@@ -54,22 +41,18 @@ func fig12(s *Session) ([]*stats.Table, error) {
 	}
 	cmp.Note("paper: 45-60% combined reduction vs 55-65% app-only at 64-128KB")
 	out = append(out, cmp)
-	return out, nil
+	return out
 }
 
 // fig13 — interference between application and kernel streams.
-func fig13(s *Session) ([]*stats.Table, error) {
+func fig13(base, opt *Measure) []*stats.Table {
 	var out []*stats.Table
-	for _, name := range []string{"base", "all"} {
-		m, err := s.Measure(name, s.Opt.CPUs)
-		if err != nil {
-			return nil, err
-		}
-		title := "Figure 13(a): interference, baseline binary (128KB/128B/4-way)"
-		if name == "all" {
-			title = "Figure 13(b): interference, optimized binary (128KB/128B/4-way)"
-		}
-		t := stats.NewTable(title,
+	titles := [2]string{
+		"Figure 13(a): interference, baseline binary (128KB/128B/4-way)",
+		"Figure 13(b): interference, optimized binary (128KB/128B/4-way)",
+	}
+	for i, m := range [2]*Measure{base, opt} {
+		t := stats.NewTable(titles[i],
 			"missing process", "on kernel-owned line", "on application-owned line", "cold", "total")
 		appRow := m.Intf.VictimBy[cache.OwnerApp]
 		kernRow := m.Intf.VictimBy[cache.OwnerKernel]
@@ -83,19 +66,11 @@ func fig13(s *Session) ([]*stats.Table, error) {
 		out = append(out, t)
 	}
 	out[0].Note("paper: application misses are mostly self-interference; kernel misses are mostly app-inflicted")
-	return out, nil
+	return out
 }
 
 // fig14 — iTLB and L2 behavior.
-func fig14(s *Session) ([]*stats.Table, error) {
-	base, err := s.Measure("base", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := s.Measure("all", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
+func fig14(base, opt *Measure) []*stats.Table {
 	t := stats.NewTable("Figure 14: iTLB and L2 misses (64-entry iTLB, 1.5MB 6-way L2)",
 		"structure", "base", "optimized", "opt/base")
 	t.AddRow("iTLB", base.ITLB64, opt.ITLB64, pctOf(opt.ITLB64, base.ITLB64))
@@ -104,10 +79,12 @@ func fig14(s *Session) ([]*stats.Table, error) {
 	t.AddRow("L2 data misses", base.Mem.L2Misses[1], opt.Mem.L2Misses[1],
 		pctOf(opt.Mem.L2Misses[1], base.Mem.L2Misses[1]))
 	t.Note("paper: all three drop; L2 data misses drop because packed code displaces fewer data lines")
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
-// countsFor assembles the cycle-model inputs from a measure.
+// counts21264 assembles the cycle-model inputs of the 21264 platform from a
+// measure. The SimOS 21364 model reads the same ones: its L1I is the same
+// 64KB 2-way cache, over the same memory system and 64-entry iTLB.
 func counts21264(m *Measure) perfmodel.Counts {
 	return perfmodel.Counts{
 		Instructions: m.Res.BusyInstrs,
@@ -157,30 +134,18 @@ func fig15(s *Session) ([]*stats.Table, error) {
 }
 
 // footprint — the Section 4.1 in-text packing results.
-func footprintExp(s *Session) ([]*stats.Table, error) {
-	base, err := s.Measure("base", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := s.Measure("all", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
+func footprintExp(base, opt *Measure) []*stats.Table {
 	t := stats.NewTable("Text §4.1: code packing", "metric", "base", "optimized")
 	t.AddRow("footprint in 128B lines (KB)", float64(base.Foot.Bytes())/1024, float64(opt.Foot.Bytes())/1024)
 	t.AddRow("unique pages touched", base.Foot.Pages(), opt.Foot.Pages())
 	t.AddRow("unused fetched instructions", stats.Pct(base.Word.UnusedFetchedFrac()), stats.Pct(opt.Word.UnusedFetchedFrac()))
 	t.Note("paper: 500KB -> 315KB (37% smaller); unused fetched instructions 46% -> 21%")
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
 // hw21164 — the Section 5 in-text 21164 hardware-counter results.
 func hw21164Exp(s *Session) ([]*stats.Table, error) {
-	base, err := s.Measure("base", 1)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := s.Measure("all", 1)
+	base, opt, err := s.baseAndAll(1)
 	if err != nil {
 		return nil, err
 	}
@@ -208,11 +173,7 @@ func speedupExp(s *Session) ([]*stats.Table, error) {
 		"platform", "speedup (x)")
 	row := func(label string, plat perfmodel.Platform,
 		counts func(*Measure) perfmodel.Counts, cpus int) error {
-		base, err := s.Measure("base", cpus)
-		if err != nil {
-			return err
-		}
-		opt, err := s.Measure("all", cpus)
+		base, opt, err := s.baseAndAll(cpus)
 		if err != nil {
 			return err
 		}
@@ -226,7 +187,7 @@ func speedupExp(s *Session) ([]*stats.Table, error) {
 	if err := row("21164, 1 processor", perfmodel.Alpha21164, counts21164, 1); err != nil {
 		return nil, err
 	}
-	if err := row(fmt.Sprintf("21364-sim, %d processors", s.Opt.CPUs), perfmodel.Alpha21364Sim, countsSimos, s.Opt.CPUs); err != nil {
+	if err := row(fmt.Sprintf("21364-sim, %d processors", s.Opt.CPUs), perfmodel.Alpha21364Sim, counts21264, s.Opt.CPUs); err != nil {
 		return nil, err
 	}
 	if err := row(fmt.Sprintf("21164, %d processors", s.Opt.CPUs), perfmodel.Alpha21164, counts21164, s.Opt.CPUs); err != nil {
@@ -234,17 +195,6 @@ func speedupExp(s *Session) ([]*stats.Table, error) {
 	}
 	t.Note("paper: 1.33x on 21264 and 21164 single-processor, 1.37x in SimOS, 1.25x on 4 processors")
 	return []*stats.Table{t}, nil
-}
-
-func countsSimos(m *Measure) perfmodel.Counts {
-	return perfmodel.Counts{
-		Instructions: m.Res.BusyInstrs,
-		L1IMisses:    m.HW21264.Misses, // 64KB 2-way, the SimOS L1I
-		L1DMisses:    m.Mem.L1DMisses,
-		L2Misses:     m.Mem.L2Misses[0] + m.Mem.L2Misses[1],
-		CommMisses:   m.Mem.CommRead + m.Mem.CommWrite,
-		ITLBMisses:   m.ITLB64,
-	}
 }
 
 // kernopt — optimizing the kernel's layout too (§5: small gains).
@@ -263,8 +213,8 @@ func kernoptExp(s *Session) ([]*stats.Table, error) {
 		t.AddRow(fmt.Sprintf("combined misses %dKB", size),
 			plain.Comb4W[size].Misses, kopt.Comb4W[size].Misses)
 	}
-	cyc := perfmodel.Cycles(perfmodel.Alpha21364Sim, countsSimos(plain))
-	cycK := perfmodel.Cycles(perfmodel.Alpha21364Sim, countsSimos(kopt))
+	cyc := perfmodel.Cycles(perfmodel.Alpha21364Sim, counts21264(plain))
+	cycK := perfmodel.Cycles(perfmodel.Alpha21364Sim, counts21264(kopt))
 	t.AddRow("cycles (21364-sim)", cyc, cycK)
 	if cycK < cyc {
 		t.AddRow("additional speedup", "-", fmt.Sprintf("%.1f%%", 100*(float64(cyc)/float64(cycK)-1)))

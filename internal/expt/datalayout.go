@@ -26,17 +26,16 @@ type DataLayoutSpec struct {
 	UniformOnly bool
 }
 
+// regime is one key-draw regime of the record-layout table.
+type regime struct {
+	name string
+	wl   workload.Workload
+}
+
 // dataLayoutRegimes returns the regimes the table runs: the workload as
 // given, plus its skewed variant when it has a skew knob and is not already
 // skewed. Order-entry has no skew knob, so it gets the uniform row only.
-func dataLayoutRegimes(o Options, spec DataLayoutSpec) []struct {
-	name string
-	wl   workload.Workload
-} {
-	type regime = struct {
-		name string
-		wl   workload.Workload
-	}
+func dataLayoutRegimes(o Options, spec DataLayoutSpec) []regime {
 	regimes := []regime{{name: "uniform", wl: o.Workload}}
 	if spec.UniformOnly {
 		return regimes
@@ -100,44 +99,29 @@ func DataLayoutTable(o Options, spec DataLayoutSpec) (*stats.Table, error) {
 		"regime", "record layout", "L1D refs", "L1D misses", "miss %", "instr/txn", "p50", "p99")
 
 	for _, r := range regimes {
-		eo := o
-		eo.Workload = r.wl
-		eo.RecordLayout = "interleaved"
-		sI, err := NewSessionFrom(src, eo)
-		if err != nil {
-			return nil, err
-		}
-		og := eo
-		og.RecordLayout = "grouped"
-		sG, err := NewSessionFrom(src, og)
-		if err != nil {
-			return nil, err
-		}
-		mI, err := sI.Reading(SinkMem).Measure("base", cpus)
-		if err != nil {
-			return nil, fmt.Errorf("regime %s interleaved: %w", r.name, err)
-		}
-		mG, err := sG.Reading(SinkMem).Measure("base", cpus)
-		if err != nil {
-			return nil, fmt.Errorf("regime %s grouped: %w", r.name, err)
-		}
-		for _, row := range []struct {
-			layout string
-			m      *Measure
-		}{{"interleaved", mI}, {"grouped", mG}} {
-			m := row.m
+		var ms [2]*Measure // interleaved, grouped
+		for i, rl := range []string{"interleaved", "grouped"} {
+			s, err := src.cell(o, func(o *Options) { o.Workload, o.RecordLayout = r.wl, rl })
+			if err != nil {
+				return nil, err
+			}
+			m, err := s.Reading(SinkMem).Measure("base", cpus)
+			if err != nil {
+				return nil, fmt.Errorf("regime %s %s: %w", r.name, rl, err)
+			}
+			ms[i] = m
 			miss := 0.0
 			if m.Mem.L1DAccesses > 0 {
 				miss = float64(m.Mem.L1DMisses) / float64(m.Mem.L1DAccesses)
 			}
-			t.AddRow(r.name, row.layout,
+			t.AddRow(r.name, rl,
 				m.Mem.L1DAccesses, m.Mem.L1DMisses, stats.Pct(miss),
-				fmt.Sprintf("%.0f", newSweepRow(m, cpus).perTxn),
+				fmt.Sprintf("%.0f", instrPerTxn(m)),
 				m.Res.Latency.P50, m.Res.Latency.P99)
 		}
 		t.Notef("%s: grouped Δ L1D misses %s, Δ p99 %s vs interleaved", r.name,
-			delta(float64(mI.Mem.L1DMisses), float64(mG.Mem.L1DMisses)),
-			delta(float64(mI.Res.Latency.P99), float64(mG.Res.Latency.P99)))
+			delta(float64(ms[0].Mem.L1DMisses), float64(ms[1].Mem.L1DMisses)),
+			delta(float64(ms[0].Res.Latency.P99), float64(ms[1].Res.Latency.P99)))
 	}
 	t.Note("grouped = hot fields (by trained field-access profile) packed contiguously at the record head; same record width, same instruction stream")
 	return t, nil

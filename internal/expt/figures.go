@@ -9,13 +9,35 @@ import (
 )
 
 // comboNames are the Figure 7 / Figure 15 optimization combinations in paper
-// order (rows of core.Combos()).
+// order: the original binary, then rows of core.Combos().
 var comboNames = []string{"base", "porder", "chain", "chain+split", "chain+porder", "all"}
 
 // comboNamesExt appends the combinations this reproduction measures next to
 // the paper's six: the inter-procedural call-chaining pass and the
 // per-transaction-kind program fusion pass.
 var comboNamesExt = append(append([]string(nil), comboNames...), "ipchain", "fusion")
+
+// baseAndAll measures the pair most tables compare: the original binary and
+// the fully optimized layout.
+func (s *Session) baseAndAll(cpus int) (base, opt *Measure, err error) {
+	if base, err = s.Measure("base", cpus); err != nil {
+		return nil, nil, err
+	}
+	opt, err = s.Measure("all", cpus)
+	return base, opt, err
+}
+
+// ofPair adapts a table builder that reads nothing but that pair, measured at
+// the session's processor count, to an Experiment's Run.
+func ofPair(build func(base, opt *Measure) []*stats.Table) func(*Session) ([]*stats.Table, error) {
+	return func(s *Session) ([]*stats.Table, error) {
+		base, opt, err := s.baseAndAll(s.Opt.CPUs)
+		if err != nil {
+			return nil, err
+		}
+		return build(base, opt), nil
+	}
+}
 
 func pctOf(opt, base uint64) string {
 	if base == 0 {
@@ -57,18 +79,14 @@ func fig03(s *Session) ([]*stats.Table, error) {
 }
 
 // fig04 — application icache misses across cache and line sizes.
-func fig04(s *Session) ([]*stats.Table, error) {
+func fig04(base, opt *Measure) []*stats.Table {
 	var out []*stats.Table
-	for _, name := range []string{"base", "all"} {
-		m, err := s.Measure(name, s.Opt.CPUs)
-		if err != nil {
-			return nil, err
-		}
-		title := "Figure 4(a): application icache misses, baseline binary (direct-mapped)"
-		if name == "all" {
-			title = "Figure 4(b): application icache misses, optimized binary (direct-mapped)"
-		}
-		t := stats.NewTable(title, append([]string{"line\\size"}, sizeCols()...)...)
+	titles := [2]string{
+		"Figure 4(a): application icache misses, baseline binary (direct-mapped)",
+		"Figure 4(b): application icache misses, optimized binary (direct-mapped)",
+	}
+	for i, m := range [2]*Measure{base, opt} {
+		t := stats.NewTable(titles[i], append([]string{"line\\size"}, sizeCols()...)...)
 		for _, line := range LineSizes {
 			row := []interface{}{fmt.Sprintf("%dB", line)}
 			for _, size := range CacheSizesKB {
@@ -78,7 +96,7 @@ func fig04(s *Session) ([]*stats.Table, error) {
 		}
 		out = append(out, t)
 	}
-	return out, nil
+	return out
 }
 
 func sizeCols() []string {
@@ -90,15 +108,7 @@ func sizeCols() []string {
 }
 
 // fig05 — relative misses of the optimized binary over the baseline.
-func fig05(s *Session) ([]*stats.Table, error) {
-	base, err := s.Measure("base", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := s.Measure("all", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
+func fig05(base, opt *Measure) []*stats.Table {
 	t := stats.NewTable("Figure 5: optimized/baseline application misses (%), direct-mapped",
 		append([]string{"line\\size"}, sizeCols()...)...)
 	for _, line := range LineSizes {
@@ -109,19 +119,11 @@ func fig05(s *Session) ([]*stats.Table, error) {
 		t.AddRow(row...)
 	}
 	t.Note("paper: 55-65% reduction (i.e. 35-45% relative) at 64-128KB with 128B lines")
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
 // fig06 — associativity impact at 128-byte lines.
-func fig06(s *Session) ([]*stats.Table, error) {
-	base, err := s.Measure("base", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := s.Measure("all", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
+func fig06(base, opt *Measure) []*stats.Table {
 	t := stats.NewTable("Figure 6: associativity impact (application misses, 128B lines)",
 		"size", "base DM", "base 4-way", "opt DM", "opt 4-way")
 	for _, size := range CacheSizesKB {
@@ -130,7 +132,7 @@ func fig06(s *Session) ([]*stats.Table, error) {
 			opt.AppDM[size][128].Misses, opt.App4W[size].Misses)
 	}
 	t.Note("paper: associativity gains are small next to layout gains at 32-128KB")
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
 // fig07 — impact of each optimization combination.
@@ -156,15 +158,7 @@ func fig07(s *Session) ([]*stats.Table, error) {
 }
 
 // fig08 — sequentially executed instructions.
-func fig08(s *Session) ([]*stats.Table, error) {
-	base, err := s.Measure("base", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := s.Measure("all", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
+func fig08(base, opt *Measure) []*stats.Table {
 	a := stats.NewTable("Figure 8(a): average sequentially executed instructions", "setup", "avg length")
 	avgBB := 0.0
 	if base.AppRuns.Runs > 0 {
@@ -184,57 +178,33 @@ func fig08(s *Session) ([]*stats.Table, error) {
 		stats.Pct(base.Seq.Hist.Frac(34)),
 		stats.Pct(opt.Seq.Hist.Frac(34)))
 	b.Note("paper: optimized cuts 1-instruction sequences from 21% to 15% and spikes near 17")
-	return []*stats.Table{a, b}, nil
+	return []*stats.Table{a, b}
 }
 
 // fig09 — unique words used before replacement.
-func fig09(s *Session) ([]*stats.Table, error) {
-	base, err := s.Measure("base", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := s.Measure("all", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
+func fig09(base, opt *Measure) []*stats.Table {
 	t := stats.NewTable("Figure 9: unique words used before replacement (128KB/128B/4-way, % of replacements)",
 		"words", "base", "optimized")
 	for w := 1; w <= 32; w++ {
 		t.AddRow(w, stats.Pct(base.Word.WordsUsed.Frac(w)), stats.Pct(opt.Word.WordsUsed.Frac(w)))
 	}
 	t.Note("paper: optimized uses all 32 words in >60% of replaced lines")
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
 // fig10 — times an individual word is used before replacement.
-func fig10(s *Session) ([]*stats.Table, error) {
-	base, err := s.Measure("base", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := s.Measure("all", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
+func fig10(base, opt *Measure) []*stats.Table {
 	t := stats.NewTable("Figure 10: word reuse before replacement (128KB/128B/4-way, % of words loaded)",
 		"uses", "base", "optimized")
 	for n := 0; n <= 15; n++ {
 		t.AddRow(n, stats.Pct(base.Word.WordReuse.Frac(n)), stats.Pct(opt.Word.WordReuse.Frac(n)))
 	}
 	t.Note("paper: base leaves >half of fetched words unused; optimized raises multi-use words")
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }
 
 // fig11 — cache line lifetimes.
-func fig11(s *Session) ([]*stats.Table, error) {
-	base, err := s.Measure("base", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := s.Measure("all", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
-	}
+func fig11(base, opt *Measure) []*stats.Table {
 	t := stats.NewTable("Figure 11: cache line lifetimes (128KB/128B/4-way, % of replacements)",
 		"log2(cache cycles)", "base", "optimized")
 	maxB := len(base.Word.Lifetime.Counts)
@@ -249,5 +219,5 @@ func fig11(s *Session) ([]*stats.Table, error) {
 		t.AddRow(bkt, stats.Pct(bf), stats.Pct(of))
 	}
 	t.Note("paper: average lifetime improves by over 2x")
-	return []*stats.Table{t}, nil
+	return []*stats.Table{t}
 }

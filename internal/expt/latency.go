@@ -29,21 +29,8 @@ type LatencySpec struct {
 // Group-commit and auto-tuning settings come from o, so the same tables
 // serve fixed windows, AutoGCFlushCount and AutoGCTargetP99 runs.
 func LatencyTables(o Options, spec LatencySpec) ([]*stats.Table, error) {
-	if len(spec.Workloads) == 0 {
-		return nil, fmt.Errorf("expt: latency tables need at least one workload")
-	}
-	if len(spec.Shards) == 0 {
-		spec.Shards = []int{1}
-	}
-	if spec.Layout == "" {
-		spec.Layout = "all"
-	}
-	if err := checkAxes(spec.Workloads, spec.Shards); err != nil {
-		return nil, err
-	}
 	cpus := o.CPUs
-	o.Workload = spec.Workloads[0]
-	src, err := NewProfileSource(o, spec.Workloads[1:]...)
+	src, cells, err := openMatrix(o, "latency tables need", spec.Workloads, spec.Shards, &spec.Layout)
 	if err != nil {
 		return nil, err
 	}
@@ -64,45 +51,40 @@ func LatencyTables(o Options, spec LatencySpec) ([]*stats.Table, error) {
 			"workload", "shards", "kind", "txns", "p50 fuse", "p50 ipc", "Δp50", "p99 fuse", "p99 ipc", "Δp99")
 	}
 
-	for _, wl := range spec.Workloads {
-		for _, n := range spec.Shards {
-			eo := o
-			eo.Workload = wl
-			eo.Shards = n
-			s, err := NewSessionFrom(src, eo)
+	for _, c := range cells {
+		s, err := src.cell(o, func(o *Options) { o.Workload, o.Shards = c.w, c.shards })
+		if err != nil {
+			return nil, err
+		}
+		s = s.Reading(NoSinks) // latency is the machine's own
+		layouts := []string{"base"}
+		if spec.Layout != "base" {
+			layouts = append(layouts, spec.Layout)
+		}
+		if fuse != nil {
+			layouts = append(layouts, "ipchain")
+		}
+		byLayout := make(map[string]*Measure, len(layouts))
+		for _, layout := range layouts {
+			m, err := s.Measure(layout, cpus)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("latency %s layout=%s: %w", cellLabel(c.w.Name(), c.shards), layout, err)
 			}
-			s = s.Reading(NoSinks) // latency is the machine's own
-			layouts := []string{"base"}
-			if spec.Layout != "base" {
-				layouts = append(layouts, spec.Layout)
+			byLayout[layout] = m
+			name := "orig"
+			if layout != "base" {
+				name = layout
 			}
-			if fuse != nil {
-				layouts = append(layouts, "ipchain")
+			l := m.Res.Latency
+			sum.AddRow(c.w.Name(), c.shards, name, l.N,
+				fmt.Sprintf("%.0f", l.Mean), l.P50, l.P95, l.P99, l.Max)
+			for _, k := range m.Latency {
+				kinds.AddRow(c.w.Name(), c.shards, name, k.Shard, k.Kind,
+					k.Summary.N, k.Summary.P50, k.Summary.P95, k.Summary.P99, k.Summary.Max)
 			}
-			cell := make(map[string]*Measure, len(layouts))
-			for _, layout := range layouts {
-				m, err := s.Measure(layout, cpus)
-				if err != nil {
-					return nil, fmt.Errorf("latency %s/s%d layout=%s: %w", wl.Name(), n, layout, err)
-				}
-				cell[layout] = m
-				name := "orig"
-				if layout != "base" {
-					name = layout
-				}
-				l := m.Res.Latency
-				sum.AddRow(wl.Name(), shardKey(n), name, l.N,
-					fmt.Sprintf("%.0f", l.Mean), l.P50, l.P95, l.P99, l.Max)
-				for _, c := range m.Latency {
-					kinds.AddRow(wl.Name(), shardKey(n), name, c.Shard, c.Kind,
-						c.Summary.N, c.Summary.P50, c.Summary.P95, c.Summary.P99, c.Summary.Max)
-				}
-			}
-			if fuse != nil {
-				addFusionRows(fuse, wl.Name(), shardKey(n), cell["fusion"], cell["ipchain"])
-			}
+		}
+		if fuse != nil {
+			addFusionRows(fuse, c.w.Name(), c.shards, byLayout["fusion"], byLayout["ipchain"])
 		}
 	}
 	sum.Note("latency = request generation through successful commit on the simulated clock (1 instr-time ≈ 1 ns); deadlock retries and group-commit waits included")
@@ -131,7 +113,8 @@ func addFusionRows(t *stats.Table, wl string, shards int, fuse, ipc *Measure) {
 		}
 		f50, f99 := f.Quantile(0.50), f.Quantile(0.99)
 		i50, i99 := i.Quantile(0.50), i.Quantile(0.99)
-		t.AddRow(wl, shards, kind, f.N, f50, i50, deltaPct(f50, i50), f99, i99, deltaPct(f99, i99))
+		t.AddRow(wl, shards, kind, f.N, f50, i50, delta(float64(i50), float64(f50)),
+			f99, i99, delta(float64(i99), float64(f99)))
 	}
 }
 
@@ -150,11 +133,4 @@ func kindHists(m *Measure) (map[string]*stats.Log2Hist, []string) {
 		h.Merge(c.Hist)
 	}
 	return out, order
-}
-
-func deltaPct(a, b uint64) string {
-	if b == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%+.1f%%", 100*(float64(a)-float64(b))/float64(b))
 }

@@ -18,19 +18,19 @@ type Experiment struct {
 
 var registry = []Experiment{
 	{"fig03", "Figure 3", "Execution profile of the unoptimized binary", fig03},
-	{"fig04", "Figure 4", "Application icache misses across cache and line sizes", fig04},
-	{"fig05", "Figure 5", "Relative misses, optimized over baseline", fig05},
-	{"fig06", "Figure 6", "Associativity impact", fig06},
+	{"fig04", "Figure 4", "Application icache misses across cache and line sizes", ofPair(fig04)},
+	{"fig05", "Figure 5", "Relative misses, optimized over baseline", ofPair(fig05)},
+	{"fig06", "Figure 6", "Associativity impact", ofPair(fig06)},
 	{"fig07", "Figure 7", "Impact of each optimization combination", fig07},
-	{"fig08", "Figure 8", "Sequentially executed instructions", fig08},
-	{"fig09", "Figure 9", "Unique word usage before replacement", fig09},
-	{"fig10", "Figure 10", "Word reuse before replacement", fig10},
-	{"fig11", "Figure 11", "Cache line lifetimes", fig11},
-	{"fig12", "Figure 12", "Combined application and kernel streams", fig12},
-	{"fig13", "Figure 13", "Application/kernel interference", fig13},
-	{"fig14", "Figure 14", "iTLB and L2 cache behavior", fig14},
+	{"fig08", "Figure 8", "Sequentially executed instructions", ofPair(fig08)},
+	{"fig09", "Figure 9", "Unique word usage before replacement", ofPair(fig09)},
+	{"fig10", "Figure 10", "Word reuse before replacement", ofPair(fig10)},
+	{"fig11", "Figure 11", "Cache line lifetimes", ofPair(fig11)},
+	{"fig12", "Figure 12", "Combined application and kernel streams", ofPair(fig12)},
+	{"fig13", "Figure 13", "Application/kernel interference", ofPair(fig13)},
+	{"fig14", "Figure 14", "iTLB and L2 cache behavior", ofPair(fig14)},
 	{"fig15", "Figure 15", "Relative execution time per optimization", fig15},
-	{"footprint", "§4.1 text", "Code packing: footprint and unused fetches", footprintExp},
+	{"footprint", "§4.1 text", "Code packing: footprint and unused fetches", ofPair(footprintExp)},
 	{"hw21164", "§5 text", "21164 hardware-counter results", hw21164Exp},
 	{"speedup", "§5 text", "Overall speedups (1P, 4P, SimOS)", speedupExp},
 	{"kernopt", "§5 text", "Kernel layout optimization", kernoptExp},

@@ -60,67 +60,25 @@ func (r *RobustnessResult) Cell(trainW string, trainShards int, evalW string, ev
 	return nil
 }
 
-// cellLabel names one workload × shard-count cell of a matrix table.
-func cellLabel(w string, shards int) string { return fmt.Sprintf("%s/s%d", w, shards) }
-
-// checkAxes rejects a workload × shard-count matrix that lists a cell twice
-// (shard counts 0 and 1 are the same single-engine machine): a table over it
-// would repeat one measurement under several labels.
-func checkAxes(wls []workload.Workload, shards []int) error {
-	var cells []string
-	for _, w := range wls {
-		for _, n := range shards {
-			cells = append(cells, cellLabel(w.Name(), shardKey(n)))
-		}
-	}
-	if d, ok := dup(cells); ok {
-		return fmt.Errorf("expt: cell %s is listed twice", d)
-	}
-	return nil
-}
-
 // Robustness runs the train×eval matrix in one process over one shared
 // ProfileSource, one session per (train cell, eval cell) pair: training runs
 // and layouts are memoized on the source by train spec, so no pair can
 // collide and the whole matrix reuses each training run across eval cells.
 func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
-	if len(spec.Workloads) == 0 {
-		return nil, fmt.Errorf("expt: robustness needs at least one workload")
-	}
-	if len(spec.Shards) == 0 {
-		spec.Shards = []int{1}
-	}
-	if spec.Layout == "" {
-		spec.Layout = "all"
-	}
-	if err := checkAxes(spec.Workloads, spec.Shards); err != nil {
-		return nil, err
-	}
 	cpus := o.CPUs
-	o.Workload = spec.Workloads[0]
-	src, err := NewProfileSource(o, spec.Workloads[1:]...)
+	src, cells, err := openMatrix(o, "robustness needs", spec.Workloads, spec.Shards, &spec.Layout)
 	if err != nil {
 		return nil, err
-	}
-
-	type axis struct {
-		w      workload.Workload
-		shards int
-	}
-	var cells []axis
-	for _, w := range spec.Workloads {
-		for _, n := range spec.Shards {
-			cells = append(cells, axis{w, shardKey(n)})
-		}
 	}
 
 	// session opens the session of one (eval, train) pair over the shared
 	// source: layouts are memoized there by train spec, so each is trained
 	// and built once for the whole matrix.
 	session := func(eval, train axis) (*Session, error) {
-		o.Workload, o.Shards = eval.w, eval.shards
-		o.Train.Workload, o.Train.Shards = train.w, train.shards
-		return NewSessionFrom(src, o)
+		return src.cell(o, func(o *Options) {
+			o.Workload, o.Shards = eval.w, eval.shards
+			o.Train.Workload, o.Train.Shards = train.w, train.shards
+		})
 	}
 	res := &RobustnessResult{}
 	reads := SinkApp4W(64) // the one cache the matrix reports
@@ -146,10 +104,6 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 				return nil, fmt.Errorf("train %s/s%d eval %s/s%d: %w",
 					train.w.Name(), train.shards, eval.w.Name(), eval.shards, err)
 			}
-			perTxn := 0.0
-			if m.Res.Committed > 0 {
-				perTxn = float64(m.Res.BusyInstrs) / float64(m.Res.Committed)
-			}
 			res.Cells = append(res.Cells, RobustnessCell{
 				TrainWorkload: train.w.Name(),
 				TrainShards:   train.shards,
@@ -158,7 +112,7 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 				SelfTrained:   ti == ei,
 				MissRatio:     m.App4W[64].MissRate(),
 				BaseMissRatio: baseMiss,
-				InstrPerTxn:   perTxn,
+				InstrPerTxn:   instrPerTxn(m),
 			})
 		}
 	}
@@ -206,20 +160,13 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 				worst = c
 			}
 		}
-		if self == nil {
-			continue
-		}
 		if worst == nil {
 			sum.AddRow(cellLabel(eval.w.Name(), eval.shards), stats.Pct(self.BaseMissRatio),
 				stats.Pct(self.MissRatio), "-", "-", "-")
 			continue
 		}
-		drift := "-"
-		if self.MissRatio > 0 {
-			drift = fmt.Sprintf("%+.1f%%", 100*(worst.MissRatio/self.MissRatio-1))
-		}
 		sum.AddRow(cellLabel(eval.w.Name(), eval.shards), stats.Pct(self.BaseMissRatio),
-			stats.Pct(self.MissRatio), stats.Pct(worst.MissRatio), drift,
+			stats.Pct(self.MissRatio), stats.Pct(worst.MissRatio), delta(self.MissRatio, worst.MissRatio),
 			cellLabel(worst.TrainWorkload, worst.TrainShards))
 	}
 	sum.Note("drift = worst transplanted layout's misses over the self-trained layout's; the profile-drift cost of reusing stale layouts")
@@ -241,32 +188,6 @@ type ShardSweepSpec struct {
 	// columns and the on/off deltas. Single-shard rows have no router to
 	// skip and report only the off side.
 	FastPath bool
-}
-
-// sweepRow aggregates one (shards, layout) measurement for the table.
-type sweepRow struct {
-	perTxn, perM float64
-	m            *Measure
-}
-
-func newSweepRow(m *Measure, cpus int) sweepRow {
-	r := sweepRow{m: m}
-	if m.Res.Committed > 0 {
-		r.perTxn = float64(m.Res.BusyInstrs) / float64(m.Res.Committed)
-	}
-	if wall := m.Res.BusyInstrs + m.Res.IdleInstrs; wall > 0 {
-		r.perM = float64(m.Res.Committed) / (float64(wall) / 1e6) * float64(cpus)
-	}
-	return r
-}
-
-// delta renders the relative change from off to on (negative = improvement
-// for cost metrics).
-func delta(off, on float64) string {
-	if off == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%+.1f%%", 100*(on/off-1))
 }
 
 // ShardSweepTable runs the configured shard-count sweep, self-training at
@@ -295,36 +216,31 @@ func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
 		return nil, err
 	}
 
-	title := fmt.Sprintf("Shard sweep: %s, %d cpus, group commit %s (self-trained per shard count)",
-		src.opt.Workload.Name(), cpus, o.AutoGroupCommit)
+	versus := ""
 	cols := []string{"shards", "layout", "instr/txn", "txns/Minstr", "blocked-on-log", "log flushes", "cross-shard", "app miss %", "kern miss %"}
+	reads := SinkApp4W(64) | SinkKern4W(64)
+	note := "per-shard group commit and the router split the log force across engines; blocked-on-log falls as shards rise"
 	if spec.FastPath {
-		title = fmt.Sprintf("Shard sweep: %s, %d cpus, group commit %s, fast path off vs on (self-trained per shard count)",
-			src.opt.Workload.Name(), cpus, o.AutoGroupCommit)
+		versus = ", fast path off vs on"
 		cols = []string{"shards", "layout",
 			"instr/txn off", "instr/txn on", "Δinstr",
 			"p99 off", "p99 on", "Δp99",
 			"blocked-on-log", "predicted", "mispredicted", "cross-shard"}
-	}
-	t := stats.NewTable(title, cols...)
-	reads := SinkApp4W(64) | SinkKern4W(64)
-	if spec.FastPath {
 		reads = NoSinks // the off/on columns are all the machine's own
+		note = "on-side runs share the off side's image and seed; Δ columns are on/off-1, negative = the fast path wins"
 	}
+	t := stats.NewTable(fmt.Sprintf("Shard sweep: %s, %d cpus, group commit %s%s (self-trained per shard count)",
+		src.opt.Workload.Name(), cpus, o.AutoGroupCommit, versus), cols...)
+	t.Note(note)
 
 	for _, n := range shardCounts {
-		eo := o
-		eo.Shards = n
-		eo.PredictFastPath = false
-		off, err := NewSessionFrom(src, eo)
+		off, err := src.cell(o, func(o *Options) { o.Shards, o.PredictFastPath = n, false })
 		if err != nil {
 			return nil, err
 		}
 		var on *Session
 		if spec.FastPath && shardKey(n) > 1 {
-			po := eo
-			po.PredictFastPath = true
-			if on, err = NewSessionFrom(src, po); err != nil {
+			if on, err = src.cell(o, func(o *Options) { o.Shards, o.PredictFastPath = n, true }); err != nil {
 				return nil, err
 			}
 		}
@@ -333,18 +249,21 @@ func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("shards=%d layout=%s: %w", n, layout, err)
 			}
-			rOff := newSweepRow(mOff, cpus)
 			if !spec.FastPath {
+				// Committed txns per million instruction-times of wall clock.
+				perM := 0.0
+				if wall := mOff.Res.BusyInstrs + mOff.Res.IdleInstrs; wall > 0 {
+					perM = float64(mOff.Res.Committed) / (float64(wall) / 1e6) * float64(cpus)
+				}
 				t.AddRow(shardKey(n), layout,
-					fmt.Sprintf("%.0f", rOff.perTxn),
-					fmt.Sprintf("%.2f", rOff.perM),
+					fmt.Sprintf("%.0f", instrPerTxn(mOff)), fmt.Sprintf("%.2f", perM),
 					mOff.Res.LogBlockedInstr, mOff.Res.LogFlushes, mOff.Res.CrossShard,
 					stats.Pct(mOff.App4W[64].MissRate()), stats.Pct(mOff.Kern4W[64].MissRate()))
 				continue
 			}
 			if on == nil {
 				t.AddRow(shardKey(n), layout,
-					fmt.Sprintf("%.0f", rOff.perTxn), "-", "-",
+					fmt.Sprintf("%.0f", instrPerTxn(mOff)), "-", "-",
 					mOff.Res.Latency.P99, "-", "-",
 					mOff.Res.LogBlockedInstr, "-", "-", mOff.Res.CrossShard)
 				continue
@@ -353,19 +272,13 @@ func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("shards=%d layout=%s fastpath: %w", n, layout, err)
 			}
-			rOn := newSweepRow(mOn, cpus)
 			t.AddRow(shardKey(n), layout,
-				fmt.Sprintf("%.0f", rOff.perTxn), fmt.Sprintf("%.0f", rOn.perTxn),
-				delta(rOff.perTxn, rOn.perTxn),
+				fmt.Sprintf("%.0f", instrPerTxn(mOff)), fmt.Sprintf("%.0f", instrPerTxn(mOn)),
+				delta(instrPerTxn(mOff), instrPerTxn(mOn)),
 				mOff.Res.Latency.P99, mOn.Res.Latency.P99,
 				delta(float64(mOff.Res.Latency.P99), float64(mOn.Res.Latency.P99)),
 				mOn.Res.LogBlockedInstr, mOn.Res.Predicted, mOn.Res.Mispredicted, mOn.Res.CrossShard)
 		}
-	}
-	if spec.FastPath {
-		t.Note("on-side runs share the off side's image and seed; Δ columns are on/off-1, negative = the fast path wins")
-	} else {
-		t.Note("per-shard group commit and the router split the log force across engines; blocked-on-log falls as shards rise")
 	}
 	return t, nil
 }

@@ -91,7 +91,7 @@ func TestProfileStoreWarmSkipsTraining(t *testing.T) {
 // TestProfileStoreHitReported: the source must surface the served entry so
 // commands can report its age, and a no-store source must report nothing.
 func TestProfileStoreHitReported(t *testing.T) {
-	store, err := pstore.Open("") // memory-only
+	store, err := pstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestProfileStoreHitReported(t *testing.T) {
 		t.Fatal("store-backed source reports no store stats")
 	}
 
-	// A second source sharing the same Store (one process, shared LRU).
+	// A second source sharing the same Store (one process, one directory).
 	s2, err := expt.NewSession(o)
 	if err != nil {
 		t.Fatal(err)
@@ -130,9 +130,9 @@ func TestProfileStoreHitReported(t *testing.T) {
 	if hit.App == nil || hit.Kern == nil || len(hit.KindFreq) == 0 {
 		t.Fatalf("hit entry incomplete: %+v", hit)
 	}
-	// The store was handed the first source's record as is and hands it on
-	// as is: one entry, never a field-by-field copy.
-	if first, _ := s1.Profile(); hit.App != first {
+	// The store is the directory: the second source got the file the first
+	// one's record was written to, profiles exact.
+	if first, _ := s1.Profile(); hit.App.Fingerprint() != first.Fingerprint() {
 		t.Fatal("the entry served to the second source is not the record the first one trained")
 	}
 

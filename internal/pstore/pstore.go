@@ -2,9 +2,11 @@
 // cached artifacts keyed by their resolved train spec and image identity,
 // so a layout server restarted against the same workload skips retraining
 // entirely (the "profile once, serve everywhere" loop). Entries hold the
-// app/kernel/DCPI profiles plus the observed transaction-kind mix; an
-// in-memory LRU fronts an on-disk directory of content-hashed files written
-// atomically (temp file + rename). Loads are corruption-tolerant: a file
+// app/kernel/DCPI profiles plus the observed transaction-kind mix; the store
+// is a directory of content-hashed files written atomically (temp file +
+// rename), and holds nothing else — a process that wants a run twice keeps it
+// itself (expt's ProfileSource memoizes every training run it loads). Loads
+// are corruption-tolerant: a file
 // that fails to decode or whose embedded fingerprints disagree with its
 // contents is evicted from disk and reported as a miss — the caller
 // retrains, never crashes.
@@ -13,7 +15,6 @@ package pstore
 import (
 	"bufio"
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
@@ -37,9 +38,6 @@ var ErrCorrupt = errors.New("pstore: corrupt entry")
 // magic prefixes every store file; bump the version on wire changes so old
 // files read as corrupt (and therefore retrain) instead of misdecoding.
 const magic = "PSTOREv1\n"
-
-// DefaultLRUSize is the default capacity of the in-memory front.
-const DefaultLRUSize = 64
 
 // Key identifies one training run. Spec is the resolved train spec string
 // (workload, shards, seed, txns, cpus, fast-path and friends — see
@@ -149,54 +147,34 @@ func unflattenFields(keys []string, reads, writes []uint64) (map[string]map[stri
 
 // Stats counts store traffic since Open.
 type Stats struct {
-	Hits      uint64 // Get served from LRU or disk
+	Hits      uint64 // Get served from the directory
 	Misses    uint64 // Get found nothing usable
 	Evictions uint64 // corrupt files removed from disk
 	PutErrors uint64 // best-effort persists that failed
 }
 
-// Store is a persistent profile store with an in-memory LRU front. The
-// zero-value-like memory-only form (Open with dir "") never touches disk.
-// All methods are safe for concurrent use.
+// Store is a persistent profile store: a directory of entry files plus the
+// traffic counters of this handle. All methods are safe for concurrent use.
 type Store struct {
 	dir string
 
 	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recent; values are *Entry
-	byKey map[Key]*list.Element
 	stats Stats
 }
 
-// Open returns a store over dir, creating it if needed. An empty dir makes
-// a memory-only store (the LRU is the whole store).
+// Open returns a store over dir, creating it if needed.
 func Open(dir string) (*Store, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("pstore: open %s: %w", dir, err)
-		}
+	if dir == "" {
+		return nil, errors.New("pstore: open: no directory given")
 	}
-	return &Store{
-		dir:   dir,
-		cap:   DefaultLRUSize,
-		order: list.New(),
-		byKey: make(map[Key]*list.Element),
-	}, nil
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("pstore: open %s: %w", dir, err)
+	}
+	return &Store{dir: dir}, nil
 }
 
-// Dir returns the backing directory ("" for memory-only stores).
+// Dir returns the backing directory.
 func (s *Store) Dir() string { return s.dir }
-
-// SetLRUSize adjusts the in-memory front's capacity (minimum 1).
-func (s *Store) SetLRUSize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cap = n
-	s.trimLocked()
-}
 
 // Stats returns a snapshot of the traffic counters.
 func (s *Store) Stats() Stats {
@@ -205,95 +183,47 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Get returns the stored entry for k, consulting the LRU first and then the
-// backing directory. Corrupt disk files are deleted and counted as
-// evictions; every failure mode degrades to (nil, false) — a miss.
-func (s *Store) Get(k Key) (*Entry, bool) {
+// count applies one update to the traffic counters.
+func (s *Store) count(update func(*Stats)) {
 	s.mu.Lock()
-	if el, ok := s.byKey[k]; ok {
-		s.order.MoveToFront(el)
-		s.stats.Hits++
-		e := el.Value.(*Entry)
-		s.mu.Unlock()
-		return e, true
-	}
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	update(&s.stats)
+}
 
-	if s.dir == "" {
-		s.miss()
-		return nil, false
-	}
+// Get returns the stored entry for k, read from the backing directory.
+// Corrupt files are deleted and counted as evictions; every failure mode
+// degrades to (nil, false) — a miss.
+func (s *Store) Get(k Key) (*Entry, bool) {
 	path := filepath.Join(s.dir, k.Filename())
 	e, err := ReadEntry(path)
 	switch {
 	case err == nil && e.Key() == k:
-		s.mu.Lock()
-		s.insertLocked(e)
-		s.stats.Hits++
-		s.mu.Unlock()
+		s.count(func(st *Stats) { st.Hits++ })
 		return e, true
 	case errors.Is(err, os.ErrNotExist):
-		s.miss()
+		s.count(func(st *Stats) { st.Misses++ })
 		return nil, false
 	default:
 		// Corrupt (or valid bytes filed under the wrong name, which is the
 		// same betrayal): evict the file and retrain.
 		os.Remove(path)
-		s.mu.Lock()
-		s.stats.Evictions++
-		s.stats.Misses++
-		s.mu.Unlock()
+		s.count(func(st *Stats) { st.Evictions++; st.Misses++ })
 		return nil, false
 	}
 }
 
-// Put stores the entry in the LRU and, for disk-backed stores, persists it
-// atomically (write to a temp file in the same directory, fsync, rename).
-// Persistence is best-effort: a write failure is counted but the in-memory
-// entry still serves this process.
+// Put persists the entry atomically (write to a temp file in the same
+// directory, fsync, rename). A write failure is counted and returned; callers
+// for whom persistence is best-effort drop the error.
 func (s *Store) Put(e *Entry) error {
 	if e.App == nil || e.Kern == nil {
 		return fmt.Errorf("pstore: put %s: entry missing app or kernel profile", e.Spec)
 	}
-	s.mu.Lock()
-	s.insertLocked(e)
-	s.mu.Unlock()
-
-	if s.dir == "" {
-		return nil
-	}
 	if err := s.writeFile(e); err != nil {
-		s.mu.Lock()
-		s.stats.PutErrors++
-		s.mu.Unlock()
+		s.count(func(st *Stats) { st.PutErrors++ })
 		return fmt.Errorf("pstore: put %s: %w", e.Spec, err)
 	}
 	return nil
-}
-
-func (s *Store) miss() {
-	s.mu.Lock()
-	s.stats.Misses++
-	s.mu.Unlock()
-}
-
-func (s *Store) insertLocked(e *Entry) {
-	k := e.Key()
-	if el, ok := s.byKey[k]; ok {
-		el.Value = e
-		s.order.MoveToFront(el)
-		return
-	}
-	s.byKey[k] = s.order.PushFront(e)
-	s.trimLocked()
-}
-
-func (s *Store) trimLocked() {
-	for s.order.Len() > s.cap {
-		el := s.order.Back()
-		s.order.Remove(el)
-		delete(s.byKey, el.Value.(*Entry).Key())
-	}
 }
 
 func (s *Store) writeFile(e *Entry) error {

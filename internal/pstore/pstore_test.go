@@ -76,32 +76,45 @@ func TestStoreRoundTripDisk(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 0 {
 		t.Fatalf("stats = %+v, want 1 hit 0 misses", st)
 	}
-	// Second Get hits the LRU, not the disk: removing the file must not
-	// matter.
-	os.Remove(filepath.Join(dir, e.Key().Filename()))
-	if _, ok := s2.Get(e.Key()); !ok {
-		t.Fatal("LRU front missed after disk file removed")
-	}
 }
 
-func TestStoreMemoryOnly(t *testing.T) {
-	s, err := pstore.Open("")
+// TestStoreIsTheDirectory pins that a Store holds nothing the directory does
+// not: a Put is a hit through a second Store over the same directory, and once
+// the file is gone the Store that wrote it misses too.
+func TestStoreIsTheDirectory(t *testing.T) {
+	dir := t.TempDir()
+	writer, err := pstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := pstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := testEntry("spec", 3)
-	if _, ok := s.Get(e.Key()); ok {
+	if _, ok := writer.Get(e.Key()); ok {
 		t.Fatal("empty store hit")
 	}
-	if err := s.Put(e); err != nil {
+	if err := writer.Put(e); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(e.Key()); !ok {
-		t.Fatal("memory store missed after put")
+	if _, ok := reader.Get(e.Key()); !ok {
+		t.Fatal("a second store over the directory missed what the first put")
 	}
-	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
+	if err := os.Remove(filepath.Join(dir, e.Key().Filename())); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := writer.Get(e.Key()); ok {
+		t.Fatal("the store served an entry whose file is gone")
+	}
+	if st := writer.Stats(); st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("writer stats = %+v, want 0 hits 2 misses", st)
+	}
+}
+
+func TestOpenRejectsEmptyDir(t *testing.T) {
+	if s, err := pstore.Open(""); err == nil {
+		t.Fatalf("Open(\"\") = %+v, want an error: there is no memory-only store", s)
 	}
 }
 
@@ -167,43 +180,6 @@ func TestReadEntryMissingFile(t *testing.T) {
 	}
 }
 
-func TestStoreLRUEviction(t *testing.T) {
-	s, _ := pstore.Open("")
-	s.SetLRUSize(2)
-	a, b, c := testEntry("a", 1), testEntry("b", 2), testEntry("c", 3)
-	for _, e := range []*pstore.Entry{a, b, c} {
-		if err := s.Put(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := s.Get(a.Key()); ok {
-		t.Fatal("oldest entry survived past capacity in a memory-only store")
-	}
-	if _, ok := s.Get(b.Key()); !ok {
-		t.Fatal("recent entry evicted")
-	}
-	if _, ok := s.Get(c.Key()); !ok {
-		t.Fatal("newest entry evicted")
-	}
-}
-
-func TestStoreLRUFallsBackToDisk(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := pstore.Open(dir)
-	s.SetLRUSize(1)
-	a, b := testEntry("a", 1), testEntry("b", 2)
-	if err := s.Put(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(b); err != nil {
-		t.Fatal(err)
-	}
-	// a fell out of the LRU but is still on disk.
-	if _, ok := s.Get(a.Key()); !ok {
-		t.Fatal("entry evicted from LRU not re-read from disk")
-	}
-}
-
 func TestKeyFilenameDistinct(t *testing.T) {
 	seen := map[string]pstore.Key{}
 	for _, k := range []pstore.Key{
@@ -224,7 +200,6 @@ func TestKeyFilenameDistinct(t *testing.T) {
 func TestStoreConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := pstore.Open(dir)
-	s.SetLRUSize(4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -96,6 +96,16 @@ type WorkloadWeight struct {
 	Weight   float64
 }
 
+// The breeding constants: elite genomes survive each generation unchanged
+// (never more than the population holds), selection is a tournament of
+// tournamentSize, and a child is bred from two parents before mutation —
+// rather than mutated from one — with probability crossoverP.
+const (
+	elite          = 2
+	tournamentSize = 3
+	crossoverP     = 0.6
+)
+
 // Config parameterizes a search run. Zero fields take the documented
 // defaults, so Config{} is a small but sane smoke-scale search.
 type Config struct {
@@ -114,16 +124,9 @@ type Config struct {
 	// training workload. Empty defaults to the session options' workload
 	// at weight 1.
 	Workloads []WorkloadWeight
-	// Elite genomes survive each generation unchanged (default 2).
-	Elite int
 	// Plateau stops the search after this many consecutive generations
 	// without fitness improvement; 0 disables early stop.
 	Plateau int
-	// Tournament is the selection tournament size (default 3).
-	Tournament int
-	// CrossoverP is the probability a child is bred from two parents before
-	// mutation rather than mutated from one (default 0.6).
-	CrossoverP float64
 	// Workers bounds each evaluation wave's measurement pool
 	// (expt.Session.MeasureBatch); <= 0 keys off GOMAXPROCS. Worker count
 	// never changes results, only wall time.
@@ -144,18 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Objective == "" {
 		c.Objective = ObjectiveInstrPerTxn
-	}
-	if c.Elite <= 0 {
-		c.Elite = 2
-	}
-	if c.Elite > c.Population {
-		c.Elite = c.Population
-	}
-	if c.Tournament <= 0 {
-		c.Tournament = 3
-	}
-	if c.CrossoverP == 0 {
-		c.CrossoverP = 0.6
 	}
 	return c
 }
@@ -485,7 +476,7 @@ func Run(o expt.Options, cfg Config) (*Result, error) {
 		// Breed the next generation: elite genomes survive unchanged (and
 		// re-evaluate for free off the cache), the rest are tournament-bred.
 		next := make([]Genome, 0, len(pop))
-		for i := 0; i < cfg.Elite && i < len(ranked); i++ {
+		for i := 0; i < elite && i < len(ranked); i++ {
 			g, err := ParseGenome(ranked[i].Spec)
 			if err != nil {
 				return nil, err
@@ -494,7 +485,7 @@ func Run(o expt.Options, cfg Config) (*Result, error) {
 		}
 		tournament := func() Genome {
 			winner := -1
-			for k := 0; k < cfg.Tournament; k++ {
+			for k := 0; k < tournamentSize; k++ {
 				c := rng.Intn(len(ranked))
 				if winner == -1 || c < winner {
 					winner = c
@@ -505,7 +496,7 @@ func Run(o expt.Options, cfg Config) (*Result, error) {
 		}
 		for len(next) < cfg.Population {
 			var child Genome
-			if rng.Float64() < cfg.CrossoverP {
+			if rng.Float64() < crossoverP {
 				child = Crossover(tournament(), tournament(), rng)
 				if rng.Float64() < 0.5 {
 					child = Mutate(child, rng)

@@ -40,6 +40,7 @@ run shardsweep layoutlab -table shardsweep -shards 1,4,16 -quick -txns 50 -layou
 run latency-fusion layoutlab -table latency -quick -matrix tpcb,ordere -shardlist 1 -layout fusion -stall 40 -txns 50
 run fuse-oltpgen oltpgen -out fimg -workload tpcb -libscale 0.3 -cold 400000
 run fuse-pixie pixie -workload tpcb -libscale 0.3 -cold 400000 -txns 200 -warmup 20 -cpus 2 -out fuse.prof -kout fuse.kprof
+run list-passes spike -list-passes
 run fuse-spike spike -prog fimg/app.prog -profile fuse.prof -passes chain,split:none,txfuse,porder:ph,materialize
 run fastpath oltpbench -workload tpcb -quick -shards 4 -txns 150 -warmup 40 -fastpath -percentiles
 run store-cold layoutlab -run fig04 -txns 50 -profile-store pgostore
@@ -53,7 +54,7 @@ run reopt-cold oltpbench "${reopt[@]}"
 run reopt-warm oltpbench "${reopt[@]}"
 
 # Offline/in-process parity: the four-command pipeline and oltpbench -opt
-# are one computation (the CI step diffs the two reports).
+# are one computation (pair diffs the two reports).
 img=(-quick -libscale 0.3 -cold 400000)
 run parity-oltpgen oltpgen -out pimg -libscale 0.3 -cold 400000
 run parity-pixie pixie "${img[@]}" -runseed 2008 -txns 300 -cpus 2 -out par.prof -kout par.kprof
@@ -72,9 +73,11 @@ pair() {
 # "all" keeps most conditionals next to an arm; "porder" (whole procedures,
 # source block order) leaves many branch pairs whose cheap arm the profile
 # picked, and align:8 is a layout not materialized at the default alignment:
-# the file carries both.
+# the file carries both. "base" is the original binary on both paths, no
+# pipeline and no say for the profile.
 align8=chain,split:fine,porder:ph,align:8,materialize
 pair "" all -combo all
+pair -base base -combo base
 pair -porder porder -combo porder
 pair -align8 "$align8" -passes "$align8"
 # The layouts spike wrote are a digest of the profiles pixie wrote: equal
