@@ -1,6 +1,8 @@
 package expt
 
 import (
+	"fmt"
+
 	"codelayout/internal/cache"
 	"codelayout/internal/machine"
 	"codelayout/internal/mem"
@@ -122,21 +124,16 @@ const (
 	numStreams
 )
 
-var streamFilter = [numStreams]func(trace.Sink) trace.Sink{
-	appStream:  trace.AppOnly,
-	kernStream: trace.KernelOnly,
-	combStream: func(s trace.Sink) trace.Sink { return s },
-}
-
-// sinkGroup is one row of the battery: the set bits that ask for it, the
-// fetch stream it observes, and build, which makes its simulators for one run
-// of set on a cpus-processor machine and returns the fetch sink, the data
-// sink if it has one, and the collector that files its results in the
-// Measure.
+// sinkGroup is one row of the battery: its name in errors, the set bits that
+// ask for it, the fetch stream it observes, and build, which makes its
+// simulators for one run of set on a cpus-processor machine and returns the
+// fetch sink of each CPU, the data sink if it has one, and the collector that
+// files its results in the Measure.
 type sinkGroup struct {
+	name   string
 	in     SinkSet
 	stream stream
-	build  func(cpus int, set SinkSet) (trace.Sink, trace.DataSink, func(*Measure))
+	build  func(cpus int, set SinkSet) ([]trace.Sink, trace.DataSink, func(*Measure))
 }
 
 // sinkGroups is the battery, every group listed once.
@@ -147,12 +144,12 @@ var sinkGroups = func() []sinkGroup {
 	// simulated as one cache.Family of the members a run asks for — one
 	// walk per fetched line in which every member still reads exactly what
 	// a cache of its own would.
-	family := func(bit func(i int) SinkSet, st stream, cfg func(sizeKB int) cache.Config, file func(m *Measure, sizeKB int, st *cache.Stats)) {
+	family := func(name string, bit func(i int) SinkSet, st stream, cfg func(sizeKB int) cache.Config, file func(m *Measure, sizeKB int, st *cache.Stats)) {
 		var in SinkSet
 		for i := range CacheSizesKB {
 			in |= bit(i)
 		}
-		gs = append(gs, sinkGroup{in, st, func(cpus int, set SinkSet) (trace.Sink, trace.DataSink, func(*Measure)) {
+		gs = append(gs, sinkGroup{name, in, st, func(cpus int, set SinkSet) ([]trace.Sink, trace.DataSink, func(*Measure)) {
 			var sizes []int
 			var cfgs []cache.Config
 			for i, size := range CacheSizesKB {
@@ -161,14 +158,14 @@ var sinkGroups = func() []sinkGroup {
 					cfgs = append(cfgs, cfg(size))
 				}
 			}
-			fams := newPerCPU(cpus, func() *cache.Family {
+			fams, sinks := perCPU(cpus, func() *cache.Family {
 				f, err := cache.NewFamily(cfgs...)
 				if err != nil {
 					panic(err) // the rows below are constants
 				}
 				return f
 			})
-			return fams, nil, func(m *Measure) {
+			return sinks, nil, func(m *Measure) {
 				merged := make([]*cache.Stats, len(cfgs))
 				for i, c := range cfgs {
 					merged[i] = cache.NewStats(c)
@@ -186,7 +183,7 @@ var sinkGroups = func() []sinkGroup {
 		}})
 	}
 	for _, line := range LineSizes {
-		family(func(int) SinkSet { return SinkAppDM }, appStream,
+		family(fmt.Sprintf("AppDM/%dB", line), func(int) SinkSet { return SinkAppDM }, appStream,
 			func(size int) cache.Config { return cache.Config{SizeBytes: size << 10, LineBytes: line, Assoc: 1} },
 			func(m *Measure, size int, st *cache.Stats) {
 				if m.AppDM[size] == nil {
@@ -195,32 +192,44 @@ var sinkGroups = func() []sinkGroup {
 				m.AppDM[size][line] = st
 			})
 	}
-	fourWay := func(first SinkSet, st stream, wordsKB int, file func(m *Measure, sizeKB int, st *cache.Stats)) {
-		family(func(i int) SinkSet { return first << i }, st,
+	fourWay := func(name string, first SinkSet, st stream, wordsKB int, file func(m *Measure, sizeKB int, st *cache.Stats)) {
+		family(name, func(i int) SinkSet { return first << i }, st,
 			func(size int) cache.Config {
 				return cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4, WordStats: size == wordsKB}
 			}, file)
 	}
 	// The 128KB application cache tracks words: it is Word, and word tracking
 	// never changes a hit or a victim. The 128KB combined cache is Intf.
-	fourWay(sinkApp4W, appStream, 128, func(m *Measure, size int, st *cache.Stats) {
+	fourWay("App4W", sinkApp4W, appStream, 128, func(m *Measure, size int, st *cache.Stats) {
 		put(&m.App4W, size, st)
 		if size == 128 {
 			m.Word = st
 		}
 	})
-	fourWay(sinkComb4W, combStream, 0, func(m *Measure, size int, st *cache.Stats) {
+	fourWay("Comb4W", sinkComb4W, combStream, 0, func(m *Measure, size int, st *cache.Stats) {
 		put(&m.Comb4W, size, st)
 		if size == 128 {
 			m.Intf = st
 		}
 	})
-	fourWay(sinkKern4W, kernStream, 0, func(m *Measure, size int, st *cache.Stats) { put(&m.Kern4W, size, st) })
+	fourWay("Kern4W", sinkKern4W, kernStream, 0, func(m *Measure, size int, st *cache.Stats) { put(&m.Kern4W, size, st) })
 
+	// single is a group of one sink that keeps the CPUs apart itself, or
+	// does not tell them apart.
+	single := func(name string, in SinkSet, st stream, mk func() (trace.Sink, func(*Measure))) sinkGroup {
+		return sinkGroup{name, in, st, func(cpus int, _ SinkSet) ([]trace.Sink, trace.DataSink, func(*Measure)) {
+			s, collect := mk()
+			sinks := make([]trace.Sink, cpus)
+			for i := range sinks {
+				sinks[i] = s
+			}
+			return sinks, nil, collect
+		}}
+	}
 	itlb := func(entries int, file func(*Measure, uint64)) sinkGroup {
-		return sinkGroup{SinkITLB, combStream, func(cpus int, _ SinkSet) (trace.Sink, trace.DataSink, func(*Measure)) {
-			tlbs := newPerCPU(cpus, func() *tlb.TLB { return tlb.New(entries) })
-			return tlbs, nil, func(m *Measure) {
+		return sinkGroup{fmt.Sprintf("ITLB%d", entries), SinkITLB, combStream, func(cpus int, _ SinkSet) ([]trace.Sink, trace.DataSink, func(*Measure)) {
+			tlbs, sinks := perCPU(cpus, func() *tlb.TLB { return tlb.New(entries) })
+			return sinks, nil, func(m *Measure) {
 				var n uint64
 				for _, one := range tlbs {
 					n += one.Misses
@@ -231,16 +240,16 @@ var sinkGroups = func() []sinkGroup {
 	}
 	// memory is an L1I per CPU whose misses feed the unified L2 of a memory
 	// system that also takes the data references.
-	memory := func(in SinkSet, l1i cache.Config, sys mem.Config, file func(*Measure, *cache.Stats, mem.Stats)) sinkGroup {
-		return sinkGroup{in, combStream, func(cpus int, _ SinkSet) (trace.Sink, trace.DataSink, func(*Measure)) {
+	memory := func(name string, in SinkSet, l1i cache.Config, sys mem.Config, file func(*Measure, *cache.Stats, mem.Stats)) sinkGroup {
+		return sinkGroup{name, in, combStream, func(cpus int, _ SinkSet) ([]trace.Sink, trace.DataSink, func(*Measure)) {
 			sys := sys // builds run concurrently
 			sys.CPUs = cpus
 			ms := mem.NewSystem(sys)
-			l1is := newPerCPU(cpus, func() *cache.ICache { return cache.New(l1i) })
+			l1is, sinks := perCPU(cpus, func() *cache.ICache { return cache.New(l1i) })
 			for cpu, ic := range l1is {
 				ic.OnMiss(func(lineAddr uint64, kernel bool) { ms.FetchMiss(lineAddr, cpu) })
 			}
-			return l1is, ms, func(m *Measure) {
+			return sinks, ms, func(m *Measure) {
 				merged := cache.NewStats(l1i)
 				for _, ic := range l1is {
 					ic.Finalize()
@@ -251,27 +260,27 @@ var sinkGroups = func() []sinkGroup {
 		}}
 	}
 	return append(gs,
-		sinkGroup{SinkSeq, appStream, func(int, SinkSet) (trace.Sink, trace.DataSink, func(*Measure)) {
+		single("Seq", SinkSeq, appStream, func() (trace.Sink, func(*Measure)) {
 			s := trace.NewSeqLen()
-			return s, nil, func(m *Measure) { s.Flush(); m.Seq = s }
-		}},
-		sinkGroup{SinkFoot, appStream, func(int, SinkSet) (trace.Sink, trace.DataSink, func(*Measure)) {
+			return s, func(m *Measure) { s.Flush(); m.Seq = s }
+		}),
+		single("Foot", SinkFoot, appStream, func() (trace.Sink, func(*Measure)) {
 			f := trace.NewFootprint(128)
-			return f, nil, func(m *Measure) { m.Foot = f }
-		}},
-		sinkGroup{SinkRuns, appStream, func(int, SinkSet) (trace.Sink, trace.DataSink, func(*Measure)) {
+			return f, func(m *Measure) { m.Foot = f }
+		}),
+		single("AppRuns", SinkRuns, appStream, func() (trace.Sink, func(*Measure)) {
 			c := &trace.Counter{}
-			return c, nil, func(m *Measure) { m.AppRuns = *c }
-		}},
-		sinkGroup{SinkRuns, combStream, func(int, SinkSet) (trace.Sink, trace.DataSink, func(*Measure)) {
+			return c, func(m *Measure) { m.AppRuns = *c }
+		}),
+		single("AllRuns", SinkRuns, combStream, func() (trace.Sink, func(*Measure)) {
 			c := &trace.Counter{}
-			return c, nil, func(m *Measure) { m.AllRuns = *c }
-		}},
+			return c, func(m *Measure) { m.AllRuns = *c }
+		}),
 		itlb(64, func(m *Measure, n uint64) { m.ITLB64 = n }),
 		itlb(48, func(m *Measure, n uint64) { m.ITLB48 = n }),
-		memory(SinkMem, cache.Config{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 2}, mem.DefaultConfig(0),
+		memory("Mem", SinkMem, cache.Config{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 2}, mem.DefaultConfig(0),
 			func(m *Measure, l1i *cache.Stats, st mem.Stats) { m.HW21264, m.Mem = l1i, st }),
-		memory(SinkBoard, cache.Config{SizeBytes: 8 << 10, LineBytes: 32, Assoc: 1},
+		memory("Board", SinkBoard, cache.Config{SizeBytes: 8 << 10, LineBytes: 32, Assoc: 1},
 			mem.Config{
 				L1DSizeBytes: 8 << 10, L1DLineBytes: 32, L1DAssoc: 1,
 				L2SizeBytes: 2 << 20, L2LineBytes: 64, L2Assoc: 1,
@@ -279,6 +288,17 @@ var sinkGroups = func() []sinkGroup {
 			func(m *Measure, l1i *cache.Stats, st mem.Stats) { m.HW21164, m.Board = l1i, st }),
 	)
 }()
+
+// perCPU makes one simulator per CPU and lists them again as the fetch sinks
+// a lane indexes with a run's CPU.
+func perCPU[S trace.Sink](cpus int, mk func() S) ([]S, []trace.Sink) {
+	sims, sinks := make([]S, cpus), make([]trace.Sink, cpus)
+	for i := range sims {
+		sims[i] = mk()
+		sinks[i] = sims[i]
+	}
+	return sims, sinks
+}
 
 // put stores v under k, making the map on first use: a Measure's maps stay
 // nil until a requested group files something in them.
@@ -288,46 +308,3 @@ func put[V any](m *map[int]V, k int, v V) {
 	}
 	(*m)[k] = v
 }
-
-// attachBattery builds the groups of set for the machine cfg describes —
-// the one place the battery is sized, from cfg.CPUs — attaches them as
-// cfg's sinks, one filtered tee per observed stream, and returns their
-// collectors.
-func attachBattery(cfg *machine.Config, set SinkSet) []func(*Measure) {
-	var tees [numStreams]trace.Tee
-	var collect []func(*Measure)
-	for _, g := range sinkGroups {
-		if g.in&set == 0 {
-			continue
-		}
-		fetch, data, c := g.build(cfg.CPUs, set)
-		tees[g.stream] = append(tees[g.stream], fetch)
-		if data != nil {
-			cfg.DataSinks = append(cfg.DataSinks, data)
-		}
-		collect = append(collect, c)
-	}
-	for st, tee := range tees {
-		if len(tee) > 0 {
-			cfg.Sinks = append(cfg.Sinks, streamFilter[st](tee))
-		}
-	}
-	return collect
-}
-
-// perCPU routes each fetch run to its CPU's own simulator. A run from a CPU
-// beyond it means the battery was not sized from the machine it is attached
-// to: the index panics, where a clamp would fold the run into another CPU's
-// statistics.
-type perCPU[S trace.Sink] []S
-
-func newPerCPU[S trace.Sink](cpus int, mk func() S) perCPU[S] {
-	p := make(perCPU[S], cpus)
-	for i := range p {
-		p[i] = mk()
-	}
-	return p
-}
-
-// Fetch implements trace.Sink.
-func (p perCPU[S]) Fetch(r trace.FetchRun) { p[r.CPU].Fetch(r) }

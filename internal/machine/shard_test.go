@@ -273,6 +273,9 @@ func TestConfigValidation(t *testing.T) {
 		{"app layout of another program", func(c *machine.Config) { c.AppImage = app.Specialize() }, "AppLayout lays out a different program"},
 		{"kernel layout of another program", func(c *machine.Config) { c.KernLayout = appL }, "KernLayout lays out a different program"},
 		{"negative cpus", func(c *machine.Config) { c.CPUs = -1 }, "CPUs"},
+		// trace.FetchRun.CPU is a uint8 sized for MaxCPUs; a 65-CPU run
+		// used to die mid-run in a process panic.
+		{"too many cpus", func(c *machine.Config) { c.CPUs = trace.MaxCPUs + 1 }, "CPUs = 65 exceeds the maximum of 64"},
 		{"negative procs", func(c *machine.Config) { c.ProcsPerCPU = -2 }, "ProcsPerCPU"},
 		{"negative shards", func(c *machine.Config) { c.Shards = -1 }, "Shards"},
 		{"too many shards", func(c *machine.Config) { c.Shards = machine.MaxShards + 1 }, "exceeds the maximum"},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"codelayout/internal/db"
+	"codelayout/internal/trace"
 )
 
 // MaxShards bounds the shard count. The shards' page-address windows share
@@ -43,6 +44,11 @@ func (c Config) Validate() error {
 	}
 	if c.CPUs < 0 {
 		return fmt.Errorf("machine: CPUs = %d; must be >= 1 (0 selects the default)", c.CPUs)
+	}
+	// A fetch run names its CPU in a uint8 and per-CPU sinks hold MaxCPUs
+	// slots: one CPU more would alias CPU 0 in every trace event.
+	if c.CPUs > trace.MaxCPUs {
+		return fmt.Errorf("machine: CPUs = %d exceeds the maximum of %d", c.CPUs, trace.MaxCPUs)
 	}
 	if c.ProcsPerCPU < 0 {
 		return fmt.Errorf("machine: ProcsPerCPU = %d; must be >= 1 (0 selects the default)", c.ProcsPerCPU)
