@@ -172,7 +172,7 @@ func BenchmarkCrossWorkloadOptimize(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				optL, _, err := pl.Run(img.Prog, px.Profile)
+				optL, _, err := pl.Run(img.Prog, px.Profile())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -555,7 +555,7 @@ func BenchmarkContinuousPGO(b *testing.B) {
 		if _, err := tm.Run(); err != nil {
 			b.Fatal(err)
 		}
-		trainedL, err := optimize(px.Profile)
+		trainedL, err := optimize(px.Profile())
 		if err != nil {
 			b.Fatal(err)
 		}

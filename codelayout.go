@@ -96,7 +96,10 @@ func RegisteredPasses() []string { return core.RegisteredPasses() }
 func BaselineLayout(p *Program) (*Layout, error) { return program.BaselineLayout(p) }
 
 // NewPixie creates an exact (instrumentation) profile collector for the
-// program; attach it as a machine's AppCollector.
+// program; attach it as a machine's AppCollector or an emitter's Collector.
+// It counts into per-block slots, not into a profile: px.Profile() returns
+// what was counted since NewPixie or the last px.Reset() as a profile of the
+// caller's own, and is the only way to read it.
 func NewPixie(p *Program, name string) *profile.Pixie { return profile.NewPixie(p, name) }
 
 // Workload surface.

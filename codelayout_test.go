@@ -157,15 +157,16 @@ func TestFacadeMachineRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Committed != 20 || px.Profile.TotalBlocks() == 0 {
-		t.Fatalf("committed=%d profileBlocks=%d", res.Committed, px.Profile.TotalBlocks())
+	prof := px.Profile()
+	if res.Committed != 20 || prof.TotalBlocks() == 0 {
+		t.Fatalf("committed=%d profileBlocks=%d", res.Committed, prof.TotalBlocks())
 	}
 	// The collected profile should drive a working optimization.
 	pl, err := codelayout.ComboPipeline("all")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := pl.Run(img.Prog, px.Profile)
+	opt, _, err := pl.Run(img.Prog, prof)
 	if err != nil {
 		t.Fatal(err)
 	}

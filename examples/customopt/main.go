@@ -78,7 +78,9 @@ func main() {
 	train := newRun(img, base, 100)
 	train.em.Collector = px
 	train.txns(300)
-	prof := px.Profile
+	// Read once, after the run: Profile() builds the edge map from the
+	// collector's counters, and every pipeline below shares the result.
+	prof := px.Profile()
 
 	type candidate struct {
 		name string

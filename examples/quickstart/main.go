@@ -61,12 +61,13 @@ func main() {
 		em.RunAuto("dispatch")
 	}
 
-	// Optimize with the full pipeline.
+	// Optimize with the full pipeline over what the collector counted
+	// (px.Profile() is the one way to read it).
 	pl, err := codelayout.ComboPipeline("all")
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt, rep, err := pl.Run(img.Prog, px.Profile)
+	opt, rep, err := pl.Run(img.Prog, px.Profile())
 	if err != nil {
 		log.Fatal(err)
 	}

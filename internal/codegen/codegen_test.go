@@ -111,7 +111,7 @@ func TestEmitterLayoutInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, _, err := pl.Run(img.Prog, px1.Profile)
+	opt, _, err := pl.Run(img.Prog, px1.Profile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,17 +128,18 @@ func TestEmitterLayoutInvariance(t *testing.T) {
 		eb.Collector = pb
 		driveScript(eb, 4, false, 2)
 
-		for b := range pa.Profile.BlockCount {
-			if pa.Profile.BlockCount[b] != pb.Profile.BlockCount[b] {
+		fa, fb := pa.Profile(), pb.Profile()
+		for b := range fa.BlockCount {
+			if fa.BlockCount[b] != fb.BlockCount[b] {
 				t.Fatalf("seed %d: block %d count %d != %d under optimized layout",
-					seed, b, pa.Profile.BlockCount[b], pb.Profile.BlockCount[b])
+					seed, b, fa.BlockCount[b], fb.BlockCount[b])
 			}
 		}
-		if len(pa.Profile.EdgeCount) != len(pb.Profile.EdgeCount) {
+		if len(fa.EdgeCount) != len(fb.EdgeCount) {
 			t.Fatalf("seed %d: edge sets differ", seed)
 		}
-		for k, n := range pa.Profile.EdgeCount {
-			if pb.Profile.EdgeCount[k] != n {
+		for k, n := range fa.EdgeCount {
+			if fb.EdgeCount[k] != n {
 				t.Fatalf("seed %d: edge %d count differs", seed, k)
 			}
 		}
@@ -293,8 +294,9 @@ func TestAutoPickRespectsWeights(t *testing.T) {
 	}
 	rareEntry := img.Prog.FindProc("rare").Entry()
 	hotEntry := img.Prog.FindProc("hot").Entry()
-	rareN := px.Profile.Count(rareEntry)
-	hotN := px.Profile.Count(hotEntry)
+	pf := px.Profile()
+	rareN := pf.Count(rareEntry)
+	hotN := pf.Count(hotEntry)
 	if rareN+hotN != 2000 {
 		t.Fatalf("picks = %d", rareN+hotN)
 	}

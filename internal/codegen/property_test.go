@@ -102,7 +102,7 @@ func TestRandomImagesWalkAndOptimizeProperty(t *testing.T) {
 			if !e.Idle() {
 				t.Fatalf("seed %d: walker stuck", seed)
 			}
-			return px.Profile
+			return px.Profile()
 		}
 		prof := walk(base, seed*3+1)
 		for _, combo := range core.Combos() {

@@ -297,7 +297,8 @@ func (pl Pipeline) String() string {
 // Run executes the pipeline over the program and profile and returns the
 // materialized layout and report. A materialize pass is run implicitly if
 // the pipeline ends without one. Edge weights are estimated first when the
-// profile is sampling-based, the way Spike does.
+// profile is sampling-based, the way Spike does. A profile that counts blocks
+// the program does not have is an error, not a layout.
 func (pl Pipeline) Run(p *program.Program, pf *profile.Profile) (*program.Layout, *Report, error) {
 	return pl.RunFused(p, pf, nil, nil)
 }
@@ -307,6 +308,9 @@ func (pl Pipeline) Run(p *program.Program, pf *profile.Profile) (*program.Layout
 // the state for the txfuse pass. The cloner must mutate the same program p
 // (codegen's specialized images do); passes other than txfuse ignore both.
 func (pl Pipeline) RunFused(p *program.Program, pf *profile.Profile, roots []KindRoot, cl ProcCloner) (*program.Layout, *Report, error) {
+	if err := pf.CheckProgram(p); err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
+	}
 	pf.EnsureEdges(p)
 	st := &LayoutState{Prog: p, Prof: pf, Report: &Report{}, KindRoots: roots, Cloner: cl}
 	for _, pass := range pl {

@@ -101,6 +101,53 @@ func TestOptimizeAllCombosValid(t *testing.T) {
 	}
 }
 
+// TestPipelineRejectsForeignProfile: a profile that counts blocks the program
+// does not have was gathered on another program; laying out with it is an
+// error that says so, through Run and RunFused alike. A profile of fewer
+// blocks cannot be told apart and still runs.
+func TestPipelineRejectsForeignProfile(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	p := progtest.RandProgram(r, 3)
+	p.Name = "small"
+	n := p.NumBlocks()
+	pl, err := core.ComboPipeline("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := progtest.RandProfile(r, p, 10, 200)
+
+	longer := own.Clone()
+	longer.BlockCount = append(longer.BlockCount, 0, 7)
+	edgeOut := own.Clone()
+	edgeOut.AddEdge(2, program.BlockID(n), 5)
+	edgeOut.AddEdge(program.BlockID(n+3), 1, 5)
+	for _, tc := range []struct {
+		pf   *profile.Profile
+		want string
+	}{
+		{longer, fmt.Sprintf(`core: profile "randwalk" counts %d blocks, program "small" has %d: it is a profile of another program`, n+2, n)},
+		{edgeOut, fmt.Sprintf(`core: profile "randwalk" counts an edge 2→%d, program "small" has %d blocks: it is a profile of another program`, n, n)},
+	} {
+		if _, _, err := pl.Run(p, tc.pf); err == nil || err.Error() != tc.want {
+			t.Errorf("Run: error %v, want %s", err, tc.want)
+		}
+		if _, _, err := pl.RunFused(p, tc.pf, nil, nil); err == nil || err.Error() != tc.want {
+			t.Errorf("RunFused: error %v, want %s", err, tc.want)
+		}
+	}
+
+	shorter := own.Clone()
+	shorter.BlockCount = shorter.BlockCount[:n-1]
+	for k := range shorter.EdgeCount {
+		if src, dst := program.SplitEdgeKey(k); int(src) == n-1 || int(dst) == n-1 {
+			delete(shorter.EdgeCount, k)
+		}
+	}
+	if _, _, err := pl.Run(p, shorter); err != nil {
+		t.Errorf("a profile of fewer blocks: %v", err)
+	}
+}
+
 func TestOptimizeBaseMatchesSourceOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	p := progtest.RandProgram(r, 5)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"sort"
 
 	"codelayout/internal/profile"
@@ -64,41 +63,38 @@ func PettisHansen(p *program.Program, pf *profile.Profile, units []Unit) []int {
 		}
 	}
 
-	// Group state: each hot unit starts as its own group.
-	parent := make(map[int32]int32, len(hotIdx))
-	lists := make(map[int32][]int32, len(hotIdx))
-	adj := make(map[int32]map[int32]uint64, len(hotIdx))
+	// Group state, indexed by unit: each hot unit starts as its own group.
+	parent := make([]int32, len(units))
+	lists := make([][]int32, len(units))
+	adj := make([]map[int32]uint64, len(units))
 	for _, i := range hotIdx {
 		gi := int32(i)
 		parent[gi] = gi
 		lists[gi] = []int32{gi}
 		adj[gi] = make(map[int32]uint64)
 	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
+
+	// Max-heap of candidate merges with lazy invalidation. before is a total
+	// order up to identical entries, so the pop sequence depends on the
+	// multiset pushed, never on the order of the pushes.
+	h := make(edgeHeap, 0, len(orig))
 	for pr, w := range orig {
 		adj[pr.a][pr.b] += w
 		adj[pr.b][pr.a] += w
+		h.push(heapEdge{w: w, a: pr.a, b: pr.b})
 	}
-
-	// Max-heap of candidate merges with lazy invalidation.
-	h := &edgeHeap{}
-	for pr, w := range orig {
-		heap.Push(h, heapEdge{w: w, a: pr.a, b: pr.b})
-	}
-	sort.Sort(h) // heap.Init equivalent but deterministic start
-	heap.Init(h)
 
 	originalWeight := func(a, b int32) uint64 { return orig[norm(a, b)] }
 
-	for h.Len() > 0 {
-		e := heap.Pop(h).(heapEdge)
+	for len(h) > 0 {
+		e := h.pop()
 		ga, gb := find(e.a), find(e.b)
 		if ga == gb {
 			continue
@@ -113,7 +109,7 @@ func PettisHansen(p *program.Program, pf *profile.Profile, units []Unit) []int {
 			revL, revR bool
 			score      uint64
 		}
-		combos := []combo{
+		combos := [...]combo{
 			{false, false, originalWeight(L[len(L)-1], R[0])},
 			{false, true, originalWeight(L[len(L)-1], R[len(R)-1])},
 			{true, false, originalWeight(L[0], R[0])},
@@ -132,21 +128,23 @@ func PettisHansen(p *program.Program, pf *profile.Profile, units []Unit) []int {
 			reverse(R)
 		}
 		lists[ga] = append(L, R...)
-		delete(lists, gb)
+		lists[gb] = nil
 		parent[gb] = ga
 
-		// Fold gb's adjacency into ga's and refresh heap entries.
-		for n, w := range adj[gb] {
-			gn := find(n)
-			if gn == ga || w == 0 {
+		// Fold gb's adjacency into ga's and refresh heap entries. Neighbor
+		// keys are always live group representatives: a merged group is
+		// deleted from every neighbor right here.
+		for gn, w := range adj[gb] {
+			if gn == ga {
 				continue
 			}
-			adj[ga][gn] += w
-			adj[gn][ga] = adj[ga][gn]
+			sum := adj[ga][gn] + w
+			adj[ga][gn] = sum
+			adj[gn][ga] = sum
 			delete(adj[gn], gb)
-			heap.Push(h, heapEdge{w: adj[ga][gn], a: ga, b: gn})
+			h.push(heapEdge{w: sum, a: ga, b: gn})
 		}
-		delete(adj, gb)
+		adj[gb] = nil
 		delete(adj[ga], gb)
 	}
 
@@ -159,6 +157,9 @@ func PettisHansen(p *program.Program, pf *profile.Profile, units []Unit) []int {
 	}
 	var groups []group
 	for rep, list := range lists {
+		if list == nil {
+			continue
+		}
 		var w uint64
 		min := list[0]
 		for _, u := range list {
@@ -167,7 +168,7 @@ func PettisHansen(p *program.Program, pf *profile.Profile, units []Unit) []int {
 				min = u
 			}
 		}
-		groups = append(groups, group{rep, w, min})
+		groups = append(groups, group{int32(rep), w, min})
 	}
 	sort.Slice(groups, func(i, j int) bool {
 		if groups[i].weight != groups[j].weight {
@@ -195,24 +196,53 @@ type heapEdge struct {
 	a, b int32
 }
 
+// before orders merges heaviest first, ties by endpoints.
+func (e heapEdge) before(o heapEdge) bool {
+	if e.w != o.w {
+		return e.w > o.w
+	}
+	if e.a != o.a {
+		return e.a < o.a
+	}
+	return e.b < o.b
+}
+
+// edgeHeap is a binary heap of merges, the one before sorts first on top.
 type edgeHeap []heapEdge
 
-func (h edgeHeap) Len() int { return len(h) }
-func (h edgeHeap) Less(i, j int) bool {
-	if h[i].w != h[j].w {
-		return h[i].w > h[j].w
+func (h *edgeHeap) push(e heapEdge) {
+	s := append(*h, e)
+	*h = s
+	for i := len(s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !s[i].before(s[up]) {
+			break
+		}
+		s[i], s[up] = s[up], s[i]
+		i = up
 	}
-	if h[i].a != h[j].a {
-		return h[i].a < h[j].a
-	}
-	return h[i].b < h[j].b
 }
-func (h edgeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *edgeHeap) Push(x interface{}) { *h = append(*h, x.(heapEdge)) }
-func (h *edgeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *edgeHeap) pop() heapEdge {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		kid := 2*i + 1
+		if kid >= n {
+			break
+		}
+		if r := kid + 1; r < n && s[r].before(s[kid]) {
+			kid = r
+		}
+		if !s[kid].before(s[i]) {
+			break
+		}
+		s[i], s[kid] = s[kid], s[i]
+		i = kid
+	}
+	return top
 }

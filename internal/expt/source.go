@@ -431,7 +431,7 @@ func (ps *ProfileSource) runTraining(tc TrainConfig, spec string) (*trainRun, er
 		KernLayout:             ps.baseKern,
 		AppCollector:           px,
 		KernCollector:          kx,
-		Sinks:                  []trace.Sink{trace.AppOnly(dcpi)},
+		Sinks:                  []trace.Sink{dcpi},
 	}
 	m, err := machine.New(cfg)
 	if err != nil {
@@ -446,6 +446,6 @@ func (ps *ProfileSource) runTraining(tc TrainConfig, spec string) (*trainRun, er
 	return &trainRun{res: res, Entry: &pstore.Entry{
 		Spec: key.Spec, Image: key.Image, CreatedAt: time.Now(),
 		KindFreq: m.KindFrequencies(), Fields: m.FieldProfile(),
-		App: px.Profile, Kern: kx.Profile, DCPI: dcpi.Finish("dcpi-train"),
+		App: px.Profile(), Kern: kx.Profile(), DCPI: dcpi.Finish("dcpi-train"),
 	}}, nil
 }

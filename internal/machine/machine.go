@@ -536,9 +536,9 @@ func New(cfg Config) (*Machine, error) {
 				// reset to a clean window when drift is detected, so the
 				// retrainer only ever sees post-drift behavior.
 				if col != nil {
-					col = multiCollector{m.ro, col}
+					col = multiCollector{m.ro.px, col}
 				} else {
-					col = m.ro
+					col = m.ro.px
 				}
 			}
 			if col != nil {

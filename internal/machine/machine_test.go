@@ -292,7 +292,8 @@ func TestOptimizedLayoutRunsAndReducesMisses(t *testing.T) {
 			if _, err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if px.Profile.TotalBlocks() == 0 {
+			prof := px.Profile()
+			if prof.TotalBlocks() == 0 {
 				t.Fatal("empty profile")
 			}
 
@@ -301,7 +302,7 @@ func TestOptimizedLayoutRunsAndReducesMisses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			optL, rep, err := pl.Run(app.Prog, px.Profile)
+			optL, rep, err := pl.Run(app.Prog, prof)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -364,7 +365,7 @@ func TestSequenceLengthImprovesWithChaining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optL, _, err := pl.Run(app.Prog, px.Profile)
+	optL, _, err := pl.Run(app.Prog, px.Profile())
 	if err != nil {
 		t.Fatal(err)
 	}

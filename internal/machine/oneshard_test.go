@@ -131,7 +131,8 @@ func TestOneEngineIsTheOnePartitionCase(t *testing.T) {
 				if err := m.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
-				if px.Profile.TotalBlocks() == 0 {
+				pf := px.Profile()
+				if pf.TotalBlocks() == 0 {
 					t.Fatal("the profile saw no blocks")
 				}
 				for _, model := range []string{"shard_route", "dist_commit"} {
@@ -139,7 +140,7 @@ func TestOneEngineIsTheOnePartitionCase(t *testing.T) {
 					if fn == nil {
 						t.Fatalf("image has no %s model to count", model)
 					}
-					if n := px.Profile.Count(fn.Proc.Entry()); n != 0 {
+					if n := pf.Count(fn.Proc.Entry()); n != 0 {
 						t.Fatalf("%s executed %d times on one engine", model, n)
 					}
 				}

@@ -40,8 +40,8 @@ type reoptState struct {
 	// ref is the reference kind mix (the training mix, or the first
 	// measured window when the training mix is unknown).
 	ref map[string]float64
-	// px observes every app block transition; its profile is reset when
-	// drift is detected so retraining sees only post-drift behavior.
+	// px observes every app block transition; it is reset when drift is
+	// detected so retraining sees only post-drift behavior.
 	px *profile.Pixie
 	// windowKinds counts measured commits per kind since the last check.
 	windowKinds map[string]uint64
@@ -59,11 +59,6 @@ type reoptState struct {
 	// recent swap (Result.PostSwapP99).
 	postSwap *latRec
 }
-
-// Block implements codegen.Collector: the online profile sees every app
-// block transition (px.Profile is swapped for a fresh one at drift
-// detection, which this indirection survives).
-func (ro *reoptState) Block(prev, cur program.BlockID) { ro.px.Block(prev, cur) }
 
 func newReoptState(cfg Config) *reoptState {
 	th := cfg.DriftThreshold
@@ -113,11 +108,11 @@ func (m *Machine) reoptTick() error {
 		if KindDistance(live, ro.ref) > ro.threshold {
 			// Drift. Start a clean profile window; the retrain one period
 			// from now sees only the new mix.
-			ro.px.Profile = profile.New("online", m.cfg.AppImage.Prog)
+			ro.px.Reset()
 			ro.phase = roCollect
 		}
 	case roCollect:
-		l, err := m.cfg.Reoptimize(ro.px.Profile.Clone())
+		l, err := m.cfg.Reoptimize(ro.px.Profile())
 		if err != nil {
 			return fmt.Errorf("machine: reoptimize: %w", err)
 		}

@@ -74,7 +74,7 @@ func trainReadOnlyLayout(t *testing.T, app *codegen.Image, appL *program.Layout,
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	l, err := coreOptimize(app, px.Profile)
+	l, err := coreOptimize(app, px.Profile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,6 +192,81 @@ func TestReoptRecoversP99AfterDrift(t *testing.T) {
 	}
 	t.Logf("baseline update p99 = %d (overall %d); reopt: pre-swap p99 = %d, post-swap p99 = %d, reopts = %d, swap stall = %d",
 		baseUpdateP99, baseRes.Latency.P99, reRes.PreSwapP99, reRes.PostSwapP99, reRes.Reopts, reRes.SwapStallInstr)
+}
+
+// transitionLog is an AppCollector that keeps every measured-phase block
+// transition in machine order.
+type transitionLog [][2]program.BlockID
+
+func (tl *transitionLog) Block(src, b program.BlockID) {
+	*tl = append(*tl, [2]program.BlockID{src, b})
+}
+
+// TestReoptProfileIsTheDriftWindow: the profile the retrainer is handed is
+// the online collector's window since drift was detected — measured edges
+// and all, nothing from before the reset — and equals, by fingerprint, what a
+// map collector counts over the same transitions. (A collector read without
+// its edges passes every other test here: EnsureEdges estimates them and the
+// swap still lands.)
+func TestReoptProfileIsTheDriftWindow(t *testing.T) {
+	app, appL, kern, kernL := reoptImages(t)
+	trained, trainFreq := trainReadOnlyLayout(t, app, appL, kern, kernL)
+	readEntry := app.Fns["ycsb_read"].Proc.Entry()
+
+	cfg := servingConfig(app, trained, kern, kernL)
+	cfg.Transactions = 360 // the shift at 180, one window to notice, one to collect
+	cfg.ReoptimizeEveryTxns = 60
+	cfg.TrainKindFreq = trainFreq
+	var log transitionLog
+	cfg.AppCollector = &log
+	calls := 0
+	cfg.Reoptimize = func(pf *profile.Profile) (*program.Layout, error) {
+		calls++
+		if !pf.HasEdges() {
+			t.Error("Reoptimize was handed a profile with no measured edges")
+		}
+		// The window lies inside the measured phase, where the gated log and
+		// the ungated online collector see the same transitions: it is the
+		// log's last TotalBlocks entries.
+		n := int(pf.TotalBlocks())
+		if n == 0 || n >= len(log) {
+			t.Fatalf("online profile holds %d block executions, the measured phase so far %d: not a window that began at a reset", n, len(log))
+		}
+		before, window := log[:len(log)-n], log[len(log)-n:]
+		ref := profile.New(pf.Name, app.Prog)
+		for _, tr := range window {
+			ref.AddBlock(tr[1], 1)
+			if tr[0] != program.NoBlock {
+				ref.AddEdge(tr[0], tr[1], 1)
+			}
+		}
+		if got, want := pf.Fingerprint(), ref.Fingerprint(); got != want {
+			t.Errorf("online profile fingerprint %x, a map collector over the same %d transitions gives %x", got, n, want)
+		}
+		// The mix was all reads until the shift and the reset came a whole
+		// window after it: reads ran before the window and none inside it.
+		reads := 0
+		for _, tr := range before {
+			if tr[1] == readEntry {
+				reads++
+			}
+		}
+		if reads == 0 || pf.Count(readEntry) != 0 {
+			t.Errorf("read transactions: %d before the window, %d counted in it; want some and none", reads, pf.Count(readEntry))
+		}
+		return coreOptimize(app, pf)
+	}
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || res.Reopts != 1 {
+		t.Fatalf("forced drift: %d Reoptimize calls, %d swaps; want one of each", calls, res.Reopts)
+	}
 }
 
 // TestReoptDisabledBitIdentical: ReoptimizeEveryTxns = 0 must leave the run

@@ -30,7 +30,7 @@ func New(name string, p *program.Program) *Profile {
 	return &Profile{
 		Name:       name,
 		BlockCount: make([]uint64, p.NumBlocks()),
-		EdgeCount:  make(map[uint64]uint64, p.NumBlocks()*2),
+		EdgeCount:  make(map[uint64]uint64),
 	}
 }
 
@@ -148,6 +148,31 @@ func (pf *Profile) EnsureEdges(p *program.Program) {
 			}
 		}
 	}
+}
+
+// CheckProgram returns an error when the profile cannot have been gathered
+// on p: it counts blocks, or edges between blocks, that p does not have. A
+// profile of a program with fewer blocks than p passes — telling that one
+// apart takes the program's fingerprint in the profile file.
+func (pf *Profile) CheckProgram(p *program.Program) error {
+	n := p.NumBlocks()
+	if len(pf.BlockCount) > n {
+		return fmt.Errorf("profile %q counts %d blocks, program %q has %d: it is a profile of another program",
+			pf.Name, len(pf.BlockCount), p.Name, n)
+	}
+	bad, found := uint64(0), false
+	for k := range pf.EdgeCount {
+		src, dst := program.SplitEdgeKey(k)
+		if (src < 0 || int(src) >= n || dst < 0 || int(dst) >= n) && (!found || k < bad) {
+			bad, found = k, true
+		}
+	}
+	if found {
+		src, dst := program.SplitEdgeKey(bad)
+		return fmt.Errorf("profile %q counts an edge %d→%d, program %q has %d blocks: it is a profile of another program",
+			pf.Name, src, dst, p.Name, n)
+	}
+	return nil
 }
 
 // HottestBlocks returns block IDs sorted by descending count (ties by ID),

@@ -17,7 +17,7 @@ func TestPixieCountsBlocksAndEdges(t *testing.T) {
 	p := progtest.RandProgram(r, 3)
 	px := profile.NewPixie(p, "test")
 	progtest.Walk(r, p, 500, func(prev, cur program.BlockID) { px.Block(prev, cur) })
-	pf := px.Profile
+	pf := px.Profile()
 	if pf.TotalBlocks() == 0 {
 		t.Fatal("no blocks recorded")
 	}
