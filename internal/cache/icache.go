@@ -214,8 +214,8 @@ func (c *ICache) OnMiss(cb func(lineAddr uint64, kernel bool)) { c.missCB = cb }
 func (c *ICache) Fetch(r trace.FetchRun) { c.FetchWords(r.Addr, r.Words, r.Kernel) }
 
 // FetchWords is Fetch on the run's bare coordinates, and returns the number
-// of misses the run took — what an inline stall model charges to a CPU clock
-// as it fetches, without building a trace.FetchRun nobody else will read.
+// of misses the run took — the number the machine's inline Pair is held to,
+// run by run.
 func (c *ICache) FetchWords(addr uint64, words int32, kernel bool) (misses int) {
 	end := addr + uint64(words)*isa.WordBytes
 	before := c.stats.Misses

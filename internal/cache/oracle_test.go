@@ -249,6 +249,83 @@ type recorder []trace.FetchRun
 
 func (r *recorder) Fetch(run trace.FetchRun) { *r = append(*r, run) }
 
+// checkPairAgainstICache replays runs through a Pair and through the general
+// two-way ICache of the same geometry (itself held to the map-and-list
+// reference above) and requires the miss count of every run to agree: the
+// machine charges each run's misses to a clock that decides what runs next,
+// so equal totals would not be enough. It returns the ICache's statistics.
+func checkPairAgainstICache(t testing.TB, sizeBytes, lineBytes int, runs []trace.FetchRun) *cache.Stats {
+	t.Helper()
+	pair := cache.NewPair(sizeBytes, lineBytes)
+	ic := cache.New(cache.Config{SizeBytes: sizeBytes, LineBytes: lineBytes, Assoc: 2})
+	total := 0
+	for i, r := range runs {
+		got, want := pair.Misses(r.Addr, r.Words), ic.FetchWords(r.Addr, r.Words, r.Kernel)
+		if got != want {
+			t.Fatalf("%s: run %d of %d (%#x, %d words): the pair missed %d lines, the ICache %d",
+				ic.Config(), i, len(runs), r.Addr, r.Words, got, want)
+		}
+		total += got
+	}
+	if st := ic.Stats(); uint64(total) != st.Misses {
+		t.Fatalf("%s: %d misses summed over the runs, %d in the ICache's statistics", ic.Config(), total, st.Misses)
+	}
+	return ic.Stats()
+}
+
+// TestPairMatchesICacheOnRandomRuns: the machine's geometry and smaller ones,
+// on looping streams several times the cache, runs of up to 40 words (three
+// 64-byte lines).
+func TestPairMatchesICacheOnRandomRuns(t *testing.T) {
+	for _, g := range [][2]int{{64 << 10, 64}, {4 << 10, 64}, {4 << 10, 16}, {2 << 10, 128}, {512, 256}} {
+		rng := rand.New(rand.NewSource(int64(g[0] + g[1])))
+		st := checkPairAgainstICache(t, g[0], g[1], randomRuns(rng, 50_000, 4*uint64(g[0])))
+		if st.Misses == 0 || st.Misses == st.Accesses {
+			t.Errorf("%s: %d misses of %d accesses; the trace does not exercise replacement", st.Config, st.Misses, st.Accesses)
+		}
+	}
+}
+
+// TestPairMatchesICacheOnMachineRuns: the inline L1I's own geometry on a
+// machine-recorded stream, application and kernel runs interleaved as one CPU
+// fetched them.
+func TestPairMatchesICacheOnMachineRuns(t *testing.T) {
+	all, _ := machineRuns(t)
+	checkPairAgainstICache(t, 64<<10, 64, all)
+	// The recorded image is small beside 64 KB; a cache it wraps many times
+	// over makes the same stream exercise replacement.
+	checkPairAgainstICache(t, 4<<10, 64, all)
+}
+
+// FuzzPair turns bytes into a two-way geometry (any power-of-two set count
+// and line size) and a fetch stream whose runs span up to sixteen lines, and
+// requires the pair to miss, run by run, where the ICache misses.
+func FuzzPair(f *testing.F) {
+	f.Add([]byte{0x00, 0, 0, 8, 0, 1, 0, 8, 0x80, 0, 0, 40, 1, 0x10, 0, 3, 0})
+	f.Add([]byte{0x25, 0xff, 0xff, 255, 1, 0, 0, 0, 0, 0xff, 0xfe, 255, 0})
+	// One set of 64-byte lines; lines A, B, A, C, A, B. The second A hits the
+	// second way and must move to the first, or C evicts A instead of B.
+	f.Add([]byte{0x04, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0, 32, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		line := 4 << (int(data[0]&0x0f) % 7) // 4 B (one word) to 256 B
+		sets := 1 << (int(data[0]>>4) % 8)   // 1 to 128 sets
+		var runs []trace.FetchRun
+		// Four bytes a run: a word address inside 256KB, a length of up to
+		// 256 words, and the owner.
+		for data = data[1:]; len(data) >= 4; data = data[4:] {
+			runs = append(runs, trace.FetchRun{
+				Addr:   (uint64(data[0])<<8 | uint64(data[1])) * isa.WordBytes,
+				Words:  1 + int32(data[2]),
+				Kernel: data[3]&1 != 0,
+			})
+		}
+		checkPairAgainstICache(t, 2*sets*line, line, runs)
+	})
+}
+
 // familyOf lists the configs of one family: sizes in the given order, at one
 // line size and associativity, the member of wordsSize tracking words.
 func familyOf(sizes []int, line, assoc, wordsSize int) []cache.Config {

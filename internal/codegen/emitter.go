@@ -4,9 +4,29 @@ import (
 	"fmt"
 	"math/rand"
 
+	"codelayout/internal/cache"
 	"codelayout/internal/isa"
 	"codelayout/internal/program"
 )
+
+// Front is the fetch front end of one CPU, as data the walk updates itself:
+// every emitter that fetches on the CPU (its processes' and its kernel's)
+// points at the same Front, so a run costs the walk a few loads and stores
+// and no call out of the package.
+type Front struct {
+	// Clock is the CPU's time in instruction-times: every fetched word
+	// advances it by one, every L1I miss by Penalty.
+	Clock uint64
+	// Wake is the clock value (the next timer interrupt) at which an emitter
+	// with an Attention callback calls it.
+	Wake uint64
+	// Stall is the running total of miss penalties charged to Clock.
+	Stall uint64
+	// Penalty is the stall one L1I miss charges; L1I is the CPU's inline
+	// instruction cache, nil when fetch stalls are not modeled.
+	Penalty uint64
+	L1I     *cache.Pair
+}
 
 // Collector receives logical block transitions (the Pixie instrumentation
 // hook). prev is NoBlock at top-level entries.
@@ -26,12 +46,30 @@ type Collector interface {
 // a diagnostic, so model drift is caught immediately in tests.
 //
 // The walk is a table walk: a block exit reads the image's steps[id] and the
-// layout's Addr[id] and Exit[id], nothing else. It emits one run per block
-// exit and never merges address-adjacent runs, because the machine hangs
-// timer interrupts, quantum expiry and the measuring gate on run boundaries.
+// layout's Place[id], nothing else. It emits one run per block exit and never
+// merges address-adjacent runs, because the machine hangs timer interrupts,
+// quantum expiry and the measuring gate on run boundaries.
+//
+// A run is, in this order: Front.Clock and Budget move by its words; the
+// Front's L1I is probed and its misses stall the clock; Sink sees the run;
+// Attention is called if the clock reached Front.Wake or Budget ran out. Only
+// then does the walk arrive at the successor and report the transition to
+// Collector — a process that yields inside Attention reports it after it
+// resumes.
 type Emitter struct {
-	// Sink receives each fetched address run.
+	// Sink, if non-nil, receives each fetched address run.
 	Sink func(addr uint64, words int32)
+	// Front is the front end the runs are fetched through. NewEmitter gives
+	// the emitter one of its own (no cache, a clock nobody reads); the machine
+	// points the emitters of a CPU at that CPU's.
+	Front *Front
+	// Budget is the emitter's scheduling quantum: every fetched word takes one
+	// from it.
+	Budget int64
+	// Attention, if non-nil, is called after a run that left Front.Clock at or
+	// past Front.Wake, or Budget at or below zero, and again after every run
+	// while either still holds.
+	Attention func()
 	// Collector, if non-nil, receives exact block/edge counts (Pixie).
 	Collector Collector
 	// Rng resolves auto branches, loops and picks.
@@ -41,10 +79,9 @@ type Emitter struct {
 	OnSyscall func(name string)
 
 	img   *Image
-	steps []step         // img.steps
-	decs  []decision     // img.decs
-	addr  []uint64       // l.Addr
-	exit  []program.Exit // l.Exit
+	steps []step          // img.steps
+	decs  []decision      // img.decs
+	place []program.Place // l.Place
 
 	stack []eframe
 	cur   program.BlockID
@@ -54,7 +91,8 @@ type Emitter struct {
 	// deferred Leave calls would otherwise fire mid-model; Reset re-arms.
 	unwinding bool
 
-	// Instructions counts words emitted through Sink.
+	// Instructions counts every word the emitter fetched since it was made,
+	// with a Sink attached or not.
 	Instructions uint64
 }
 
@@ -77,6 +115,7 @@ func NewEmitter(img *Image, l *program.Layout, seed int64) *Emitter {
 	img.seal()
 	e := &Emitter{
 		Rng:   rand.New(rand.NewSource(seed)),
+		Front: new(Front),
 		img:   img,
 		steps: img.steps,
 		decs:  img.decs,
@@ -100,7 +139,7 @@ func (e *Emitter) SetLayout(l *program.Layout) {
 	if l.Prog != e.img.Prog {
 		panic("codegen: SetLayout with a layout of a different program")
 	}
-	e.addr, e.exit = l.Addr, l.Exit
+	e.place = l.Place
 }
 
 // AbortUnwind implements db.Aborter: it suppresses all probe events until
@@ -118,19 +157,34 @@ func (e *Emitter) Reset() {
 	e.cur = program.NoBlock
 }
 
+// emit fetches one run. advance carries the same lines in its loop for the
+// exits it resolves itself; the order of the steps is the Emitter's contract.
 func (e *Emitter) emit(addr uint64, words int32) {
 	if words <= 0 {
 		return
 	}
 	e.Instructions += uint64(words)
+	f := e.Front
+	f.Clock += uint64(words)
+	e.Budget -= int64(words)
+	if f.L1I != nil {
+		if miss := f.L1I.Misses(addr, words); miss > 0 {
+			stall := uint64(miss) * f.Penalty
+			f.Clock += stall
+			f.Stall += stall
+		}
+	}
 	if e.Sink != nil {
 		e.Sink(addr, words)
 	}
+	if e.Attention != nil && (f.Clock >= f.Wake || e.Budget <= 0) {
+		e.Attention()
+	}
 }
 
-// transition emits block id's run of words words and arrives at succ.
-func (e *Emitter) transition(id program.BlockID, words int32, succ program.BlockID) {
-	e.emit(e.addr[id], words)
+// transition emits block id's run of words words at addr and arrives at succ.
+func (e *Emitter) transition(id program.BlockID, addr uint64, words int32, succ program.BlockID) {
+	e.emit(addr, words)
 	e.cur = succ
 	if succ != program.NoBlock && e.Collector != nil {
 		e.Collector.Block(id, succ)
@@ -141,18 +195,19 @@ func (e *Emitter) transition(id program.BlockID, words int32, succ program.Block
 // the Fall successor, or the single way out of a return, indirect jump or
 // halt. exitTaken leaves by the Taken successor.
 func (e *Emitter) exitTo(id program.BlockID, s *step, succ program.BlockID) {
-	e.transition(id, s.body()+e.exit[id].Fall(), succ)
+	w := e.place[id]
+	e.transition(id, w.Addr(), s.body()+w.Exit().Fall(), succ)
 }
 
-func (e *Emitter) exitFall(id program.BlockID, s *step) { e.exitTo(id, s, s.fall) }
-
 func (e *Emitter) exitTaken(id program.BlockID, s *step) {
-	e.transition(id, s.body()+e.exit[id].Taken(), s.taken)
+	w := e.place[id]
+	e.transition(id, w.Addr(), s.body()+w.Exit().Taken(), s.taken)
 }
 
 // enterCall emits call block id's run and pushes the callee frame.
 func (e *Emitter) enterCall(id program.BlockID, s *step) {
-	e.emit(e.addr[id], s.body()+e.exit[id].Fall())
+	w := e.place[id]
+	e.emit(w.Addr(), s.body()+w.Exit().Fall())
 	e.stack = append(e.stack, eframe{
 		fn:        program.ProcID(s.aux),
 		auto:      s.auto(),
@@ -169,7 +224,8 @@ func (e *Emitter) enterCall(id program.BlockID, s *step) {
 // popRet emits return block id's run, pops the frame, and resumes at the
 // continuation (through the landing branch if the layout needed one).
 func (e *Emitter) popRet(id program.BlockID, s *step) {
-	e.emit(e.addr[id], s.body()+e.exit[id].Fall())
+	w := e.place[id]
+	e.emit(w.Addr(), s.body()+w.Exit().Fall())
 	f := e.stack[len(e.stack)-1]
 	e.stack = e.stack[:len(e.stack)-1]
 	if f.cont == program.NoBlock {
@@ -177,9 +233,9 @@ func (e *Emitter) popRet(id program.BlockID, s *step) {
 		e.cur = program.NoBlock
 		return
 	}
-	if e.exit[f.callBlock].Landing() {
+	if call := e.place[f.callBlock]; call.Exit().Landing() {
 		// Block layout: [body][call][landing branch].
-		e.emit(e.addr[f.callBlock]+uint64(e.steps[f.callBlock].body()+1)*isa.WordBytes, 1)
+		e.emit(call.Addr()+uint64(e.steps[f.callBlock].body()+1)*isa.WordBytes, 1)
 	}
 	e.cur = f.cont
 	if e.Collector != nil {
@@ -187,24 +243,32 @@ func (e *Emitter) popRet(id program.BlockID, s *step) {
 	}
 }
 
-// advance walks the CFG until it needs an engine event (or goes idle).
+// advance walks the CFG until it needs an engine event (or goes idle). The
+// straight-line exits — fall-through, branch, a conditional the PRNG resolves
+// — are most of every walk, and their run is fetched here in the loop: one
+// steps row, one placement word, the Front, and no call unless a Sink or a
+// Collector is attached or the run needs Attention.
 func (e *Emitter) advance() {
+	f := e.Front
 	for e.cur != program.NoBlock {
 		id := e.cur
 		s := &e.steps[id]
+		w := e.place[id]
+		var words int32
+		var succ program.BlockID
 		switch s.kind() {
 		case isa.TermFallThrough:
-			e.exitFall(id, s)
+			words, succ = w.Exit().Fall(), s.fall
 		case isa.TermBranch:
-			e.exitTaken(id, s)
+			words, succ = w.Exit().Taken(), s.taken
 		case isa.TermCond:
 			if !s.auto() {
 				return // wait for Branch
 			}
 			if e.Rng.Float64() < e.decs[s.aux].prob {
-				e.exitFall(id, s)
+				words, succ = w.Exit().Fall(), s.fall
 			} else {
-				e.exitTaken(id, s)
+				words, succ = w.Exit().Taken(), s.taken
 			}
 		case isa.TermIndirect:
 			if !s.auto() {
@@ -217,6 +281,7 @@ func (e *Emitter) advance() {
 				k++
 			}
 			e.exitTo(id, s, j.targets[k])
+			continue
 		case isa.TermCall:
 			if !s.auto() {
 				return // wait for Enter
@@ -225,6 +290,7 @@ func (e *Emitter) advance() {
 				panic(fmt.Sprintf("codegen: auto call depth exceeded at %s", e.img.fnByProc[s.aux].Name))
 			}
 			e.enterCall(id, s)
+			continue
 		case isa.TermRet:
 			if len(e.stack) == 0 {
 				e.exitTo(id, s, program.NoBlock)
@@ -234,9 +300,33 @@ func (e *Emitter) advance() {
 				return // wait for Leave
 			}
 			e.popRet(id, s)
+			continue
 		case isa.TermHalt:
 			e.exitTo(id, s, program.NoBlock)
 			return
+		}
+		if words += s.body(); words > 0 {
+			e.Instructions += uint64(words)
+			f.Clock += uint64(words)
+			e.Budget -= int64(words)
+			addr := w.Addr()
+			if f.L1I != nil {
+				if miss := f.L1I.Misses(addr, words); miss > 0 {
+					stall := uint64(miss) * f.Penalty
+					f.Clock += stall
+					f.Stall += stall
+				}
+			}
+			if e.Sink != nil {
+				e.Sink(addr, words)
+			}
+			if e.Attention != nil && (f.Clock >= f.Wake || e.Budget <= 0) {
+				e.Attention()
+			}
+		}
+		e.cur = succ
+		if succ != program.NoBlock && e.Collector != nil {
+			e.Collector.Block(id, succ)
 		}
 	}
 }
@@ -315,7 +405,7 @@ func (e *Emitter) Branch(site string, taken bool) {
 	}
 	s := e.siteStep(site, isa.TermCond)
 	if taken {
-		e.exitFall(e.cur, s)
+		e.exitTo(e.cur, s, s.fall)
 	} else {
 		e.exitTaken(e.cur, s)
 	}

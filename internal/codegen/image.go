@@ -91,7 +91,7 @@ func (img *Image) noteOf(b program.BlockID) int32 {
 
 // step is one block as the emitter walks it: everything advance needs to
 // leave the block, in one 16-byte row, so a block exit reads steps[id] plus
-// the layout's Addr[id] and Exit[id] and chases no pointer. The row is kept
+// the layout's placement word Place[id] and chases no pointer. The row is kept
 // this small because every specialized image a search candidate builds owns a
 // table: at 32 bytes a row the tables of one search-mix run were 9 MB of RSS.
 type step struct {

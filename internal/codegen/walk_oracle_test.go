@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"codelayout/internal/cache"
 	"codelayout/internal/isa"
 	"codelayout/internal/program"
 	"codelayout/internal/progtest"
@@ -16,7 +17,8 @@ import (
 // the reference the emitter is held to: annotations in Go maps keyed by
 // block, *program.Block chased per step, run lengths asked of
 // Layout.ExecWords and Layout.LandingRun. It has the emitter's semantics and
-// none of its diagnostics.
+// none of its diagnostics. Its front end is the per-run callback path the
+// emitter's Front replaced (refFront, called from emit after the sink).
 type refWalker struct {
 	img      *Image
 	l        *program.Layout
@@ -29,6 +31,90 @@ type refWalker struct {
 	stack    []refFrame
 	cur      program.BlockID
 	instr    uint64
+	front    *refFront
+}
+
+// frontShape is one drawn front end: a timer period, a quantum, a miss
+// penalty over a small two-way L1I, and the seed of the coin that decides
+// whether an expired quantum is re-armed (a process inside a critical section
+// keeps running on an empty budget, and is asked again after every run).
+type frontShape struct {
+	interval, penalty uint64
+	quantum           int64
+	coin              int64
+}
+
+const frontCacheBytes, frontLineBytes = 1 << 10, 32
+
+func randFrontShape(r *rand.Rand) frontShape {
+	return frontShape{
+		interval: uint64(1 + r.Intn(200)),
+		penalty:  uint64(r.Intn(3) * 20),
+		quantum:  int64(1 + r.Intn(300)),
+		coin:     r.Int63(),
+	}
+}
+
+// refFront is the reference front end: the clock, quantum, timer and general
+// ICache of the machine's old appFetch, in its order.
+type refFront struct {
+	shape       frontShape
+	clock, wake uint64
+	stall       uint64
+	budget      int64
+	l1i         *cache.ICache
+	coin        *rand.Rand
+	attended    func(clock uint64)
+}
+
+func newRefFront(shape frontShape, attended func(clock uint64)) *refFront {
+	return &refFront{
+		shape: shape, wake: shape.interval, budget: shape.quantum, attended: attended,
+		l1i:  cache.New(cache.Config{SizeBytes: frontCacheBytes, LineBytes: frontLineBytes, Assoc: 2}),
+		coin: rand.New(rand.NewSource(shape.coin)),
+	}
+}
+
+func (f *refFront) fetch(addr uint64, words int32) {
+	f.clock += uint64(words)
+	f.budget -= int64(words)
+	if miss := f.l1i.FetchWords(addr, words, false); miss > 0 {
+		f.clock += uint64(miss) * f.shape.penalty
+		f.stall += uint64(miss) * f.shape.penalty
+	}
+}
+
+// check is the tail of appFetch: the timer, then the quantum.
+func (f *refFront) check() {
+	timer, quantum := f.clock >= f.wake, f.budget <= 0
+	if !timer && !quantum {
+		return
+	}
+	f.attended(f.clock)
+	if timer {
+		f.wake += f.shape.interval
+	}
+	if quantum && f.coin.Intn(2) == 0 {
+		f.budget = f.shape.quantum
+	}
+}
+
+// attachFront gives the emitter the same front end as data: a Front with the
+// pair cache, a Budget, and an Attention callback that re-arms as refFront.check
+// does.
+func attachFront(e *Emitter, shape frontShape, attended func(clock uint64)) {
+	f := &Front{Wake: shape.interval, Penalty: shape.penalty, L1I: cache.NewPair(frontCacheBytes, frontLineBytes)}
+	e.Front, e.Budget = f, shape.quantum
+	coin := rand.New(rand.NewSource(shape.coin))
+	e.Attention = func() {
+		attended(f.Clock)
+		if f.Clock >= f.Wake {
+			f.Wake += shape.interval
+		}
+		if e.Budget <= 0 && coin.Intn(2) == 0 {
+			e.Budget = shape.quantum
+		}
+	}
 }
 
 type refFrame struct {
@@ -60,7 +146,9 @@ func newRefWalker(img *Image, l *program.Layout, rng *rand.Rand) *refWalker {
 func (w *refWalker) emit(addr uint64, words int32) {
 	if words > 0 {
 		w.instr += uint64(words)
+		w.front.fetch(addr, words)
 		w.sink(addr, words)
+		w.front.check()
 	}
 }
 
@@ -288,36 +376,6 @@ func randLayout(t testing.TB, r *rand.Rand, p *program.Program) *program.Layout 
 	return l
 }
 
-// checkExitBits holds the layout's byte per block to the reference rules.
-func checkExitBits(t testing.TB, l *program.Layout) {
-	for _, b := range l.Prog.Blocks {
-		x := l.Exit[b.ID]
-		want := func(what string, got int32, succ program.BlockID) {
-			if w := l.ExecWords(b, succ) - b.Body; got != w {
-				t.Fatalf("block %d (%s): Exit %s = %d words, ExecWords says %d", b.ID, b.Kind, what, got, w)
-			}
-		}
-		switch b.Kind {
-		case isa.TermFallThrough, isa.TermCall:
-			want("fall", x.Fall(), b.Fall)
-		case isa.TermCond:
-			want("fall", x.Fall(), b.Fall)
-			want("taken", x.Taken(), b.Taken)
-		case isa.TermBranch:
-			want("taken", x.Taken(), b.Taken)
-		case isa.TermIndirect:
-			for _, tgt := range b.Targets {
-				want("only", x.Fall(), tgt)
-			}
-		default:
-			want("only", x.Fall(), program.NoBlock)
-		}
-		if _, _, ok := l.LandingRun(b.ID); ok != x.Landing() {
-			t.Fatalf("block %d: Exit landing = %v, LandingRun ok = %v", b.ID, x.Landing(), ok)
-		}
-	}
-}
-
 // walker is what the scripted engine drives: the emitter, or the reference.
 type walker interface {
 	Enter(fn string)
@@ -334,13 +392,24 @@ type countingSource struct {
 
 func (c *countingSource) Int63() int64 { c.draws++; return c.Source.Int63() }
 
-// walkLog is everything one walk did that the other must repeat.
+// walkLog is everything one walk did that the other must repeat. Attn holds,
+// per attention call, how many runs and how many block transitions had been
+// reported when it came (the run that raised it is in, its transition is not)
+// and the clock it came at.
 type walkLog struct {
 	Runs   [][2]uint64 // addr, words
 	Blocks [][2]program.BlockID
+	Attn   [][3]uint64 // runs, transitions, clock
 	Instr  uint64
 	Draws  int
 	Ended  string // how the walk stopped: "" or the panic it raised
+	// Front state when the walk stopped.
+	Clock, Wake, Stall uint64
+	Budget             int64
+}
+
+func (log *walkLog) attended(clock uint64) {
+	log.Attn = append(log.Attn, [3]uint64{uint64(len(log.Runs)), uint64(len(log.Blocks)), clock})
 }
 
 const walkBudget = 4000 // block events per walk; random CFGs loop forever
@@ -410,7 +479,7 @@ func autoClosed(img *Image) []bool {
 }
 
 // logged runs play under the budget and records what came out.
-func logged(src *countingSource, instr func() uint64, play func(sink func(uint64, int32), block func(prev, cur program.BlockID))) (log walkLog) {
+func logged(src *countingSource, instr func() uint64, play func(log *walkLog, sink func(uint64, int32), block func(prev, cur program.BlockID))) (log walkLog) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -421,7 +490,7 @@ func logged(src *countingSource, instr func() uint64, play func(sink func(uint64
 		}
 		log.Instr, log.Draws = instr(), src.draws
 	}()
-	play(func(addr uint64, words int32) {
+	play(&log, func(addr uint64, words int32) {
 		log.Runs = append(log.Runs, [2]uint64{addr, uint64(words)})
 	}, func(prev, cur program.BlockID) {
 		if len(log.Blocks) >= walkBudget {
@@ -440,26 +509,40 @@ func (f collectorFunc) Block(prev, cur program.BlockID) { f(prev, cur) }
 // plain and fused — under the random layout layoutSeed generates, the table
 // walk and the reference walker, given the same PRNG seed and the same
 // engine, produce the same fetch runs, the same Collector calls, the same
-// instruction count and the same number of PRNG draws, and end the same way.
+// instruction count and the same number of PRNG draws, and end the same way —
+// and, fetching through a drawn front end (the emitter's Front against the
+// reference's per-run callback), ask for attention after the same runs, before
+// the same transitions, at the same clocks, and leave the same clock, timer,
+// stall total and budget behind.
 func checkWalk(t testing.TB, progSeed, layoutSeed, walkSeed int64) {
 	r := rand.New(rand.NewSource(progSeed))
 	base := randAnnotatedImage(r, progtest.RandProgram(r, 1+r.Intn(5)))
 	for _, img := range []*Image{base, fuse(t, r, base)} {
 		l := randLayout(t, rand.New(rand.NewSource(layoutSeed)), img.Prog)
-		checkExitBits(t, l)
+		if err := progtest.CheckPlacement(l); err != nil {
+			t.Fatal(err)
+		}
+		shape := randFrontShape(rand.New(rand.NewSource(walkSeed + 2)))
 
 		e := NewEmitter(img, l, 0)
 		esrc := &countingSource{Source: rand.NewSource(walkSeed)}
 		e.Rng = rand.New(esrc)
-		got := logged(esrc, func() uint64 { return e.Instructions }, func(sink func(uint64, int32), block func(prev, cur program.BlockID)) {
+		got := logged(esrc, func() uint64 { return e.Instructions }, func(log *walkLog, sink func(uint64, int32), block func(prev, cur program.BlockID)) {
 			e.Sink, e.Collector = sink, collectorFunc(block)
+			attachFront(e, shape, log.attended)
+			defer func() {
+				log.Clock, log.Wake, log.Stall, log.Budget = e.Front.Clock, e.Front.Wake, e.Front.Stall, e.Budget
+			}()
 			playEngine(img, e, func() (program.BlockID, string) { return e.cur, e.frameName() }, rand.New(rand.NewSource(walkSeed+1)))
 		})
 
 		rsrc := &countingSource{Source: rand.NewSource(walkSeed)}
 		ref := newRefWalker(img, l, rand.New(rsrc))
-		want := logged(rsrc, func() uint64 { return ref.instr }, func(sink func(uint64, int32), block func(prev, cur program.BlockID)) {
+		want := logged(rsrc, func() uint64 { return ref.instr }, func(log *walkLog, sink func(uint64, int32), block func(prev, cur program.BlockID)) {
 			ref.sink, ref.block = sink, block
+			f := newRefFront(shape, log.attended)
+			ref.front = f
+			defer func() { log.Clock, log.Wake, log.Stall, log.Budget = f.clock, f.wake, f.stall, f.budget }()
 			playEngine(img, ref, func() (program.BlockID, string) {
 				if len(ref.stack) == 0 {
 					return ref.cur, ""
@@ -475,10 +558,16 @@ func checkWalk(t testing.TB, progSeed, layoutSeed, walkSeed int64) {
 					break
 				}
 			}
-			t.Fatalf("seeds %d/%d/%d (%d blocks): table walk and reference disagree:\n got %d runs %d blocks instr %d draws %d ended %q\nwant %d runs %d blocks instr %d draws %d ended %q",
+			for i := range want.Attn {
+				if i >= len(got.Attn) || got.Attn[i] != want.Attn[i] {
+					t.Errorf("first differing attention call: #%d", i)
+					break
+				}
+			}
+			t.Fatalf("seeds %d/%d/%d (%d blocks): table walk and reference disagree:\n got %d runs %d blocks %d attention calls instr %d draws %d clock %d wake %d stall %d budget %d ended %q\nwant %d runs %d blocks %d attention calls instr %d draws %d clock %d wake %d stall %d budget %d ended %q",
 				progSeed, layoutSeed, walkSeed, len(img.Prog.Blocks),
-				len(got.Runs), len(got.Blocks), got.Instr, got.Draws, got.Ended,
-				len(want.Runs), len(want.Blocks), want.Instr, want.Draws, want.Ended)
+				len(got.Runs), len(got.Blocks), len(got.Attn), got.Instr, got.Draws, got.Clock, got.Wake, got.Stall, got.Budget, got.Ended,
+				len(want.Runs), len(want.Blocks), len(want.Attn), want.Instr, want.Draws, want.Clock, want.Wake, want.Stall, want.Budget, want.Ended)
 		}
 	}
 }
@@ -506,6 +595,20 @@ func FuzzEmitterWalk(f *testing.F) {
 func TestStepFitsBudget(t *testing.T) {
 	if size := reflect.TypeOf(step{}).Size(); size > 16 {
 		t.Fatalf("step is %d bytes; the budget is 16", size)
+	}
+}
+
+// TestBlockExitReadsTwentyFourBytes pins what a block exit loads: one 16-byte
+// steps row of the image and one 8-byte placement word of the layout. Every
+// specialized image owns a steps table and every candidate layout a search
+// retains owns its words (a 16-byte {addr, exit} row walked no faster and
+// added 10 MB to search-mix's peak RSS).
+func TestBlockExitReadsTwentyFourBytes(t *testing.T) {
+	if size := reflect.TypeOf(step{}).Size(); size != 16 {
+		t.Errorf("step is %d bytes, want 16", size)
+	}
+	if size := reflect.TypeOf(program.Place(0)).Size(); size != 8 {
+		t.Errorf("program.Place is %d bytes, want 8", size)
 	}
 }
 

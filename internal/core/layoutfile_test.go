@@ -52,7 +52,7 @@ func TestLayoutFileRoundTrip(t *testing.T) {
 				{"Addr", got.Addr, l.Addr},
 				{"Occ", got.Occ, l.Occ},
 				{"Adj", got.Adj, l.Adj},
-				{"Exit", got.Exit, l.Exit},
+				{"Place", got.Place, l.Place},
 				{"CondFirst", got.CondFirst, l.CondFirst},
 				{"AlignWords", got.AlignWords, l.AlignWords},
 				{"AlignAt", got.AlignAt, l.AlignAt},

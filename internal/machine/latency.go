@@ -192,8 +192,8 @@ func modeledWait99(w, g, L float64) float64 {
 func (m *Machine) tuneGroupCommitP99() {
 	var elapsed uint64
 	for _, c := range m.cpus {
-		if c.clock > elapsed {
-			elapsed = c.clock
+		if c.front.Clock > elapsed {
+			elapsed = c.front.Clock
 		}
 	}
 	L := float64(m.cfg.LogWriteDelayInstr)

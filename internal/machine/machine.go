@@ -338,7 +338,6 @@ type proc struct {
 	client   *rand.Rand
 	state    procState
 	wakeAt   uint64
-	budget   int64
 
 	// next resumes the process until its next yield (false once it has
 	// returned) and stop unwinds it; yield is the process's side of the
@@ -386,16 +385,17 @@ func (p *proc) inTxn() bool {
 }
 
 type cpu struct {
-	id        int
-	clock     uint64
-	runq      runQueue
-	kern      *codegen.Emitter
-	nextTimer uint64
+	id int
+	// front is the CPU's fetch front end: its clock, the next timer interrupt
+	// (Wake) and, when Config.FetchStallPenaltyInstr is set, the inline L1I.
+	// The kernel emitter and every process emitter of the CPU point at it and
+	// move the clock themselves as they fetch; the scheduler moves it across
+	// idle gaps.
+	front codegen.Front
+	runq  runQueue
+	kern  *codegen.Emitter
 	// blocked-IO procs pinned here, for wake scanning.
 	blocked []*proc
-	// l1i is the inline per-CPU instruction cache of the fetch-stall model
-	// (nil unless Config.FetchStallPenaltyInstr is set).
-	l1i *cache.ICache
 }
 
 // Machine is one configured simulation.
@@ -416,6 +416,9 @@ type Machine struct {
 	ran     bool
 
 	measuring bool
+	// atOpen holds the fetch totals at the moment the measuring gate opened;
+	// the measured instruction counts are what the totals gained since.
+	atOpen fetchTotals
 	// warmupOver flips (permanently) at the warmup/measured switch, so the
 	// post-run drain cannot be mistaken for warmup by the latency recorder.
 	warmupOver    bool
@@ -495,13 +498,16 @@ func New(cfg Config) (*Machine, error) {
 	}
 
 	for c := 0; c < cfg.CPUs; c++ {
-		cp := &cpu{id: c, nextTimer: cfg.TimerIntervalInstr, runq: runQueue{buf: make([]*proc, cfg.ProcsPerCPU)}}
+		cp := &cpu{id: c, runq: runQueue{buf: make([]*proc, cfg.ProcsPerCPU)}}
+		cp.front.Wake = cfg.TimerIntervalInstr
 		if cfg.FetchStallPenaltyInstr > 0 {
-			cp.l1i = cache.New(cache.Config{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 2})
+			cp.front.Penalty = cfg.FetchStallPenaltyInstr
+			cp.front.L1I = cache.NewPair(64<<10, 64)
 		}
+		// The kernel fetches on the CPU's clock and through its cache but is
+		// never preempted: no Attention.
 		cp.kern = codegen.NewEmitter(cfg.KernImage, cfg.KernLayout, cfg.Seed*7919+int64(c))
-		kcpu := cp
-		cp.kern.Sink = func(addr uint64, words int32) { m.kernelFetch(kcpu, addr, words) }
+		cp.kern.Front = &cp.front
 		if cfg.KernCollector != nil {
 			cp.kern.Collector = &gatedCollector{m: m, next: cfg.KernCollector}
 		}
@@ -523,10 +529,10 @@ func New(cfg Config) (*Machine, error) {
 				state:  stRunnable,
 			}
 			p.emit = codegen.NewEmitter(cfg.AppImage, cfg.AppLayout, cfg.Seed*17+int64(pid))
-			pp := p
-			p.emit.Sink = func(addr uint64, words int32) { m.appFetch(pp, addr, words) }
-			p.emit.OnData = func(addr uint64, bytes int, write bool) { m.data(pp, addr, bytes, write) }
-			p.emit.OnSyscall = func(name string) { m.syscall(pp, name) }
+			p.emit.Front = &p.cpu.front
+			p.emit.Attention = func() { m.attend(p) }
+			p.emit.OnData = func(addr uint64, bytes int, write bool) { m.data(p, addr, bytes, write) }
+			p.emit.OnSyscall = func(name string) { m.syscall(p, name) }
 			var col codegen.Collector
 			if cfg.AppCollector != nil {
 				col = &gatedCollector{m: m, next: cfg.AppCollector}
@@ -576,8 +582,8 @@ func (m *Machine) tuneGroupCommit() {
 func (m *Machine) tuneGroupCommitFlush() {
 	var elapsed uint64
 	for _, c := range m.cpus {
-		if c.clock > elapsed {
-			elapsed = c.clock
+		if c.front.Clock > elapsed {
+			elapsed = c.front.Clock
 		}
 	}
 	maxWindow := 2 * m.cfg.LogWriteDelayInstr
@@ -667,58 +673,91 @@ func (mc multiCollector) Block(prev, cur program.BlockID) {
 
 // ---- Emitter hooks (run inside the current process's coroutine) ----
 
-func (m *Machine) appFetch(p *proc, addr uint64, words int32) {
-	c := p.cpu
-	c.clock += uint64(words)
-	p.budget -= int64(words)
-	if c.l1i != nil {
-		m.fetchStall(c, addr, words, false)
-	}
-	if m.measuring {
-		m.res.AppInstrs += uint64(words)
-		if len(m.cfg.Sinks) > 0 {
-			trace.Tee(m.cfg.Sinks).Fetch(trace.FetchRun{Addr: addr, Words: words, CPU: uint8(c.id), PID: uint16(p.id)})
-		}
-	}
-	if c.clock >= c.nextTimer {
-		c.nextTimer += m.cfg.TimerIntervalInstr
-		c.kern.RunAuto(kernel.SvcTimer)
+// attend is a process emitter's Attention callback: the run just fetched took
+// the CPU clock to the next timer interrupt or the process's quantum to zero.
+// It is the only call the walk makes into the machine on a run nobody
+// observes.
+func (m *Machine) attend(p *proc) {
+	f := &p.cpu.front
+	if f.Clock >= f.Wake {
+		f.Wake += m.cfg.TimerIntervalInstr
+		p.cpu.kern.RunAuto(kernel.SvcTimer)
 	}
 	// Preemption defers while the session holds an index latch (critical
 	// section); the process yields at the next fetch after releasing it.
-	if p.budget <= 0 && !p.inCritical() {
+	if p.emit.Budget <= 0 && !p.inCritical() {
 		p.doYield(yieldMsg{kind: yQuantum})
 	}
 }
 
-func (m *Machine) kernelFetch(c *cpu, addr uint64, words int32) {
-	c.clock += uint64(words)
-	if c.l1i != nil {
-		m.fetchStall(c, addr, words, true)
+// fetchTotals is what the machine has fetched since it was built: the words
+// of every process emitter, of every kernel emitter, and the stall every
+// front charged.
+type fetchTotals struct{ app, kern, stall uint64 }
+
+func (m *Machine) fetchTotals() fetchTotals {
+	var t fetchTotals
+	for _, p := range m.procs {
+		t.app += p.emit.Instructions
 	}
-	if m.measuring {
-		m.res.KernelInstrs += uint64(words)
-		if len(m.cfg.Sinks) > 0 {
-			r := trace.FetchRun{Addr: addr, Words: words, CPU: uint8(c.id), Kernel: true}
+	for _, c := range m.cpus {
+		t.kern += c.kern.Instructions
+		t.stall += c.front.Stall
+	}
+	return t
+}
+
+// openGate starts the measured phase. Like closeGate it runs in the
+// scheduler, with every process parked in a yield, so the fetch totals it
+// reads are on a run boundary of every emitter. The emitters get a Sink only
+// now, and only if the run has sinks to feed.
+func (m *Machine) openGate() {
+	m.measuring, m.warmupOver = true, true
+	m.atOpen = m.fetchTotals()
+	if len(m.cfg.Sinks) == 0 {
+		return
+	}
+	sinks := trace.Tee(m.cfg.Sinks)
+	for _, p := range m.procs {
+		cpu, pid := uint8(p.cpu.id), uint16(p.id)
+		p.emit.Sink = func(addr uint64, words int32) {
+			sinks.Fetch(trace.FetchRun{Addr: addr, Words: words, CPU: cpu, PID: pid})
+		}
+	}
+	for _, c := range m.cpus {
+		cpu := uint8(c.id)
+		c.kern.Sink = func(addr uint64, words int32) {
+			r := trace.FetchRun{Addr: addr, Words: words, CPU: cpu, Kernel: true}
 			if m.running != nil {
 				r.PID = uint16(m.running.id)
 			}
-			trace.Tee(m.cfg.Sinks).Fetch(r)
+			sinks.Fetch(r)
 		}
 	}
 }
 
-// fetchStall runs the fetch through the CPU's inline L1I and charges its
-// misses to the CPU clock. The sink-less path stops here: a trace.FetchRun is
-// built only for cfg.Sinks.
-func (m *Machine) fetchStall(c *cpu, addr uint64, words int32, kernel bool) {
-	if miss := c.l1i.FetchWords(addr, words, kernel); miss > 0 {
-		stall := uint64(miss) * m.cfg.FetchStallPenaltyInstr
-		c.clock += stall
-		if m.measuring {
-			m.res.FetchStallInstr += stall
+// closeGate ends the measured phase, if it is open: the measured instruction
+// counts are read into the result and the sinks come off the emitters. It
+// returns the result so far, which is what Run reports beside an error.
+func (m *Machine) closeGate() Result {
+	if !m.measuring {
+		return m.res
+	}
+	m.measuring = false
+	now := m.fetchTotals()
+	m.res.AppInstrs = now.app - m.atOpen.app
+	m.res.KernelInstrs = now.kern - m.atOpen.kern
+	m.res.FetchStallInstr = now.stall - m.atOpen.stall
+	m.res.BusyInstrs = m.res.AppInstrs + m.res.KernelInstrs
+	if len(m.cfg.Sinks) > 0 { // what openGate attached, nothing else
+		for _, p := range m.procs {
+			p.emit.Sink = nil
+		}
+		for _, c := range m.cpus {
+			c.kern.Sink = nil
 		}
 	}
+	return m.res
 }
 
 func (m *Machine) data(p *proc, addr uint64, bytes int, write bool) {
@@ -764,7 +803,7 @@ func (m *Machine) syscall(p *proc, name string) {
 			// process keeps the CPU (and the latch) while the read's
 			// latency is charged to the clock, so no other process can
 			// observe a half-modified tree.
-			p.cpu.clock += m.cfg.PreadDelayInstr
+			p.cpu.front.Clock += m.cfg.PreadDelayInstr
 		} else {
 			p.doYield(yieldMsg{kind: yBlockIO, ioDelay: m.cfg.PreadDelayInstr})
 		}
@@ -796,7 +835,7 @@ func (e *machineEnv) Wait(q *db.WaitQueue) {
 		// blocked-on-log time until the leader's flush releases them.
 		p.logParked = true
 		p.logParkMeasured = m.measuring
-		p.logParkAt = p.cpu.clock
+		p.logParkAt = p.cpu.front.Clock
 	}
 	p.doYield(yieldMsg{kind: yWait})
 }
@@ -806,7 +845,7 @@ func (e *machineEnv) Wait(q *db.WaitQueue) {
 // checks) it returns 0, which the engine treats as "no clock".
 func (e *machineEnv) Now() uint64 {
 	if p := (*Machine)(e).running; p != nil {
-		return p.cpu.clock
+		return p.cpu.front.Clock
 	}
 	return 0
 }
@@ -830,8 +869,8 @@ func (e *machineEnv) Wake(q *db.WaitQueue) {
 		if p.logParked {
 			// Charged only for waits lying entirely inside the measured
 			// phase (parked and woken while measuring).
-			if m.measuring && p.logParkMeasured && p.cpu.clock > p.logParkAt {
-				m.res.LogBlockedInstr += p.cpu.clock - p.logParkAt
+			if m.measuring && p.logParkMeasured && p.cpu.front.Clock > p.logParkAt {
+				m.res.LogBlockedInstr += p.cpu.front.Clock - p.logParkAt
 			}
 			p.logParked = false
 		}
@@ -865,7 +904,7 @@ func (p *proc) run(m *Machine, yield func(yieldMsg) bool) {
 		// every block along the way (locks, group-commit windows, log
 		// writes, CPU queueing) are part of the transaction's latency.
 		home := m.inst.Home(in)
-		start := p.cpu.clock
+		start := p.cpu.front.Clock
 		startMeasured := m.measuring
 		p.forceSlow = false
 		// A deadlock victim aborts (its locks release, unblocking the
@@ -877,7 +916,7 @@ func (p *proc) run(m *Machine, yield func(yieldMsg) bool) {
 		for !p.tryTxn(m, in, home) {
 			p.doYield(yieldMsg{kind: yQuantum})
 		}
-		m.recordLatency(home, m.kindOf(in), startMeasured, p.cpu.clock-start)
+		m.recordLatency(home, m.kindOf(in), startMeasured, p.cpu.front.Clock-start)
 		if m.fastInst != nil {
 			// Online training: fold the committed transaction's observed
 			// outcome back into the model (and emit the modeled table

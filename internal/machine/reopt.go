@@ -137,7 +137,7 @@ func (m *Machine) reoptTick() error {
 // argument that makes drain() safe.
 func (m *Machine) reoptPark(p *proc) {
 	p.state = stRunnable
-	m.ro.parked[p] = p.cpu.clock
+	m.ro.parked[p] = p.cpu.front.Clock
 	if len(m.ro.parked) == len(m.procs) {
 		m.reoptSwap()
 	}
@@ -152,17 +152,17 @@ func (m *Machine) reoptSwap() {
 	ro := m.ro
 	var fence uint64
 	for _, c := range m.cpus {
-		if c.clock > fence {
-			fence = c.clock
+		if c.front.Clock > fence {
+			fence = c.front.Clock
 		}
 	}
 	for _, c := range m.cpus {
-		if c.clock < fence {
-			gap := fence - c.clock
+		if c.front.Clock < fence {
+			gap := fence - c.front.Clock
 			if m.measuring {
 				m.res.IdleInstrs += gap
 			}
-			c.clock = fence
+			c.front.Clock = fence
 		}
 	}
 	order := make([]*proc, 0, len(ro.parked))

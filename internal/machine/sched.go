@@ -25,18 +25,17 @@ func (m *Machine) Run() (Result, error) {
 	defer m.killAll()
 
 	if m.cfg.WarmupTxns == 0 {
-		m.measuring = true
-		m.warmupOver = true
+		m.openGate()
 	}
 	steps := 0
 	for m.committed < m.cfg.Transactions {
 		steps++
 		if steps > maxSchedulerSteps {
-			return m.res, fmt.Errorf("machine: scheduler step limit exceeded")
+			return m.closeGate(), fmt.Errorf("machine: scheduler step limit exceeded")
 		}
 		c, p, msg, err := m.step(nil)
 		if err != nil {
-			return m.res, err
+			return m.closeGate(), err
 		}
 		if p == nil {
 			continue // clocks advanced past an idle gap
@@ -46,14 +45,13 @@ func (m *Machine) Run() (Result, error) {
 				m.committed++
 				if m.ro != nil {
 					if err := m.reoptTick(); err != nil {
-						return m.res, err
+						return m.closeGate(), err
 					}
 				}
 			} else {
 				m.warmCommitted++
 				if m.warmCommitted >= m.cfg.WarmupTxns {
-					m.measuring = true
-					m.warmupOver = true
+					m.openGate()
 					if m.cfg.AutoGroupCommit != AutoGCOff {
 						m.tuneGroupCommit()
 					}
@@ -72,6 +70,9 @@ func (m *Machine) Run() (Result, error) {
 		}
 	}
 
+	// Quiesce below runs outside the measured phase: the gate closes first,
+	// so drained work perturbs no result field and reaches no sink.
+	m.closeGate()
 	m.res.Committed = uint64(m.committed)
 	for _, e := range m.engs {
 		m.res.GroupedCommits += e.WAL.GroupedCommits
@@ -80,17 +81,14 @@ func (m *Machine) Run() (Result, error) {
 		m.res.Deadlocks += e.Deadlocks
 		m.res.BufMisses += e.Pool.Misses
 	}
-	m.res.BusyInstrs = m.res.AppInstrs + m.res.KernelInstrs
 	m.res.Latency = m.latencySummary()
 	if m.ro != nil && m.ro.postSwap != nil {
 		m.res.PostSwapP99 = m.ro.postSwap.summary().P99
 	}
-	// Quiesce: run every surviving process to its next transaction boundary
-	// outside the measured phase, so the database holds no in-flight
-	// transactions (workload invariant checks audit a consistent state, the
-	// way TPC consistency audits run against a quiesced system). Result
-	// fields are captured above, so drained work does not perturb them.
-	m.measuring = false
+	// Quiesce: run every surviving process to its next transaction boundary,
+	// so the database holds no in-flight transactions (workload invariant
+	// checks audit a consistent state, the way TPC consistency audits run
+	// against a quiesced system).
 	if err := m.drain(); err != nil {
 		return m.res, err
 	}
@@ -118,11 +116,11 @@ func (m *Machine) step(skip func(*proc) bool) (*cpu, *proc, yieldMsg, error) {
 	if c.runq.n == 0 {
 		// Idle until this CPU's next IO completion.
 		next := c.earliestWake()
-		if next > c.clock {
+		if next > c.front.Clock {
 			if m.measuring {
-				m.res.IdleInstrs += next - c.clock
+				m.res.IdleInstrs += next - c.front.Clock
 			}
-			c.clock = next
+			c.front.Clock = next
 		}
 		return c, nil, none, nil
 	}
@@ -131,7 +129,7 @@ func (m *Machine) step(skip func(*proc) bool) (*cpu, *proc, yieldMsg, error) {
 		return c, nil, none, nil
 	}
 	p.state = stRunning
-	p.budget = int64(m.cfg.QuantumInstr)
+	p.emit.Budget = int64(m.cfg.QuantumInstr)
 	m.running = p
 	msg, alive := p.next()
 	m.running = nil
@@ -146,7 +144,7 @@ func (m *Machine) step(skip func(*proc) bool) (*cpu, *proc, yieldMsg, error) {
 		c.runq.pushBack(p)
 	case yBlockIO:
 		p.state = stBlockedIO
-		p.wakeAt = c.clock + msg.ioDelay
+		p.wakeAt = c.front.Clock + msg.ioDelay
 		c.blocked = append(c.blocked, p)
 		c.kern.RunAuto(kernel.SvcSwitch)
 	case yWait:
@@ -198,7 +196,7 @@ func (m *Machine) pickCPU() *cpu {
 		var at uint64
 		switch {
 		case c.runq.n > 0:
-			at = c.clock
+			at = c.front.Clock
 		case len(c.blocked) > 0:
 			at = c.earliestWake()
 		default:
@@ -230,7 +228,7 @@ func (m *Machine) wakeExpired(c *cpu) {
 		var first *proc
 		at := -1
 		for i, p := range c.blocked {
-			if p.wakeAt <= c.clock && (first == nil || p.wakeAt < first.wakeAt ||
+			if p.wakeAt <= c.front.Clock && (first == nil || p.wakeAt < first.wakeAt ||
 				(p.wakeAt == first.wakeAt && p.id < first.id)) {
 				first, at = p, i
 			}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"codelayout/internal/db"
 	"codelayout/internal/trace"
@@ -58,6 +59,11 @@ func (c Config) Validate() error {
 	}
 	if c.WarmupTxns < 0 {
 		return fmt.Errorf("machine: WarmupTxns = %d; must be >= 0", c.WarmupTxns)
+	}
+	// The quantum is a signed budget the emitter counts down: a value past
+	// MaxInt64 would start negative and preempt the process on every run.
+	if c.QuantumInstr > math.MaxInt64 {
+		return fmt.Errorf("machine: QuantumInstr = %d exceeds the maximum of %d", c.QuantumInstr, int64(math.MaxInt64))
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("machine: Shards = %d; must be >= 1 (0 selects the default of one shard)", c.Shards)

@@ -38,9 +38,10 @@ type Layout struct {
 	// transfer to be elided or flipped onto it), or NoBlock.
 	Adj []BlockID
 
-	// Exit[b] is what leaving block b fetches beyond its body under this
-	// layout — the emitter's per-block view of the terminator rules above.
-	Exit []Exit
+	// Place[b] is block b's placement word: Addr[b] and what leaving b fetches
+	// beyond its body under this layout — the emitter's per-block view of the
+	// terminator rules above, in the one word it reads on a block exit.
+	Place []Place
 
 	// CondFirst[b], for a conditional block with no adjacent arm, names the
 	// successor tested by the first branch of the branch pair (the cheaper
@@ -97,7 +98,7 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 		Addr:       make([]uint64, n),
 		Occ:        make([]int32, n),
 		Adj:        make([]BlockID, n),
-		Exit:       make([]Exit, n),
+		Place:      make([]Place, n),
 		CondFirst:  make([]BlockID, n),
 		AlignWords: opts.AlignWords,
 	}
@@ -137,11 +138,13 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 	for i, id := range order {
 		b := p.Blocks[id]
 		var next BlockID = NoBlock
-		if i+1 < len(order) && !alignAt[order[i+1]] {
+		if i+1 < len(order) && !alignAt[order[i+1]] && opts.GapBefore[order[i+1]] == 0 {
 			// A block at an alignment boundary may still be a fall-through
 			// target; padding would break contiguity, so treat unit starts
 			// as non-adjacent. (Units begin procedures/segments, which are
-			// entered by explicit transfers anyway.)
+			// entered by explicit transfers anyway.) A gap breaks contiguity
+			// the same way; CFA only puts one before a unit start, a layout
+			// file can put one anywhere.
 			next = order[i+1]
 		}
 		// term is the terminator words the block occupies; fall and taken
@@ -193,28 +196,52 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 		case isa.TermRet, isa.TermIndirect, isa.TermHalt:
 			term, fall = 1, 1
 		}
-		l.Exit[id] = newExit(fall, taken, landing)
+		l.Place[id] = Place(newExit(fall, taken, landing)) << placeAddrBits
 		l.Occ[id] = b.Body + term
 	}
 
-	// Assign addresses.
+	// Assign addresses. Gaps come straight from a layout file, so every step
+	// is checked: an address stays a whole number of words and, with the
+	// block it starts, below placeLimit.
 	addr := p.TextBase
-	align := uint64(opts.AlignWords) * isa.WordBytes
+	skip := func(id BlockID, bytes uint64) error {
+		if bytes >= placeLimit-addr {
+			return fmt.Errorf("layout: block %d does not fit the %d-bit address space: %d bytes after %#x", id, placeAddrBits, bytes, addr)
+		}
+		addr += bytes
+		return nil
+	}
+	if addr >= placeLimit || addr%isa.WordBytes != 0 {
+		return nil, fmt.Errorf("layout: text base %#x is not a word address below %#x", addr, uint64(placeLimit))
+	}
+	// An alignment wider than the address space pads the first unit it moves
+	// out of it; clamped to that width the byte count below cannot wrap.
+	align := min(uint64(opts.AlignWords), placeLimit/isa.WordBytes) * isa.WordBytes
 	l.GapBefore = opts.GapBefore
 	for _, id := range order {
 		if gap := opts.GapBefore[id]; gap > 0 {
+			if gap%isa.WordBytes != 0 {
+				return nil, fmt.Errorf("layout: gap of %d bytes before block %d is not a whole number of %d-byte words", gap, id, isa.WordBytes)
+			}
+			if err := skip(id, gap); err != nil {
+				return nil, err
+			}
 			l.PadWords += int64(gap / isa.WordBytes)
-			addr += gap
 		}
 		if align > 0 && alignAt[id] {
 			if rem := addr % align; rem != 0 {
 				pad := align - rem
+				if err := skip(id, pad); err != nil {
+					return nil, err
+				}
 				l.PadWords += int64(pad / isa.WordBytes)
-				addr += pad
 			}
 		}
 		l.Addr[id] = addr
-		addr += uint64(l.Occ[id]) * isa.WordBytes
+		l.Place[id] |= Place(addr)
+		if err := skip(id, uint64(l.Occ[id])*isa.WordBytes); err != nil {
+			return nil, err
+		}
 	}
 
 	// Count long branches (direct transfers beyond ISA reach).
@@ -239,12 +266,30 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 	return l, nil
 }
 
-// Exit packs, one byte per block, the terminator words each way out of the
-// block fetches after its body (0: elided, 1: one branch, 2: the second
-// branch of a pair) and whether a call block is followed by a landing
-// branch. It is the form the emitter reads on every block exit; ExecWords
-// and LandingRun answer the same questions from Adj and CondFirst and are
-// what the tests hold it equal to.
+// Place is one block's placement word: its address in the low placeAddrBits
+// bits and its Exit above them, so a block exit reads one 8-byte word of the
+// layout. Materialize builds it with the addresses and it lives and dies with
+// the Layout (a cache of words beside the layouts would outlive every
+// candidate a search discards).
+type Place uint64
+
+const (
+	placeAddrBits = 56
+	placeLimit    = 1 << placeAddrBits // addresses lie below it
+)
+
+// Addr returns the address of the block's first word.
+func (w Place) Addr() uint64 { return uint64(w) & (placeLimit - 1) }
+
+// Exit returns what leaving the block fetches beyond its body.
+func (w Place) Exit() Exit { return Exit(w >> placeAddrBits) }
+
+// Exit packs, in five bits, the terminator words each way out of the block
+// fetches after its body (0: elided, 1: one branch, 2: the second branch of
+// a pair) and whether a call block is followed by a landing branch. It is the
+// form the emitter reads on every block exit; ExecWords and LandingRun answer
+// the same questions from Adj and CondFirst and are what the tests hold it
+// equal to.
 type Exit uint8
 
 const (
@@ -321,7 +366,7 @@ func (l *Layout) ExecWords(b *Block, succ BlockID) int32 {
 // executed when control returns to call block b's continuation, or ok=false
 // when the continuation is adjacent and no landing branch exists.
 func (l *Layout) LandingRun(b BlockID) (addr uint64, words int32, ok bool) {
-	if !l.Exit[b].Landing() {
+	if !l.Place[b].Exit().Landing() {
 		return 0, 0, false
 	}
 	// Block layout: [body][call][landing branch].
@@ -397,10 +442,10 @@ func (l *Layout) Validate() error {
 			want++
 			if adj == NoBlock {
 				want++
-				if !l.Exit[b.ID].Landing() {
+				if !l.Place[b.ID].Exit().Landing() {
 					return fmt.Errorf("layout: call block %d missing landing flag", b.ID)
 				}
-			} else if l.Exit[b.ID].Landing() {
+			} else if l.Place[b.ID].Exit().Landing() {
 				return fmt.Errorf("layout: call block %d has landing flag with adjacent continuation", b.ID)
 			}
 		case isa.TermRet, isa.TermIndirect, isa.TermHalt:

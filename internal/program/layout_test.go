@@ -100,8 +100,8 @@ func TestMaterializeCallLanding(t *testing.T) {
 
 	// Continuation adjacent: call takes 1 word, no landing.
 	l := mustMaterialize(t, p, []program.BlockID{cb.ID, cont.ID, other.ID, ce.ID}, program.MaterializeOptions{})
-	if l.Occ[cb.ID] != 3+1 || l.Exit[cb.ID].Landing() {
-		t.Fatalf("adjacent continuation: occ=%d landing=%v", l.Occ[cb.ID], l.Exit[cb.ID].Landing())
+	if l.Occ[cb.ID] != 3+1 || l.Place[cb.ID].Exit().Landing() {
+		t.Fatalf("adjacent continuation: occ=%d landing=%v", l.Occ[cb.ID], l.Place[cb.ID].Exit().Landing())
 	}
 	if _, _, ok := l.LandingRun(cb.ID); ok {
 		t.Fatal("unexpected landing run")
@@ -109,8 +109,8 @@ func TestMaterializeCallLanding(t *testing.T) {
 
 	// Continuation moved away: call needs a landing branch.
 	l = mustMaterialize(t, p, []program.BlockID{cb.ID, other.ID, cont.ID, ce.ID}, program.MaterializeOptions{})
-	if l.Occ[cb.ID] != 3+2 || !l.Exit[cb.ID].Landing() {
-		t.Fatalf("split continuation: occ=%d landing=%v", l.Occ[cb.ID], l.Exit[cb.ID].Landing())
+	if l.Occ[cb.ID] != 3+2 || !l.Place[cb.ID].Exit().Landing() {
+		t.Fatalf("split continuation: occ=%d landing=%v", l.Occ[cb.ID], l.Place[cb.ID].Exit().Landing())
 	}
 	addr, words, ok := l.LandingRun(cb.ID)
 	if !ok || words != 1 {

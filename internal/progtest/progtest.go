@@ -4,6 +4,7 @@
 package progtest
 
 import (
+	"fmt"
 	"math/rand"
 
 	"codelayout/internal/isa"
@@ -161,4 +162,50 @@ func RandProfile(r *rand.Rand, p *program.Program, walks, steps int) *profile.Pr
 		})
 	}
 	return pf
+}
+
+// CheckPlacement holds the layout's placement word per block to the reference
+// rules: it decodes to Addr[b], its exit bits price each way out of the block
+// as ExecWords does, and its landing bit marks the calls whose continuation is
+// not adjacent.
+func CheckPlacement(l *program.Layout) error {
+	for _, b := range l.Prog.Blocks {
+		w := l.Place[b.ID]
+		if w.Addr() != l.Addr[b.ID] {
+			return fmt.Errorf("block %d: placement word holds address %#x, Addr %#x", b.ID, w.Addr(), l.Addr[b.ID])
+		}
+		x := w.Exit()
+		want := func(what string, got int32, succ program.BlockID) error {
+			if words := l.ExecWords(b, succ) - b.Body; got != words {
+				return fmt.Errorf("block %d (%s): Exit %s = %d words, ExecWords says %d", b.ID, b.Kind, what, got, words)
+			}
+			return nil
+		}
+		var err error
+		switch b.Kind {
+		case isa.TermFallThrough, isa.TermCall:
+			err = want("fall", x.Fall(), b.Fall)
+		case isa.TermCond:
+			if err = want("fall", x.Fall(), b.Fall); err == nil {
+				err = want("taken", x.Taken(), b.Taken)
+			}
+		case isa.TermBranch:
+			err = want("taken", x.Taken(), b.Taken)
+		case isa.TermIndirect:
+			for _, tgt := range b.Targets {
+				if err = want("only", x.Fall(), tgt); err != nil {
+					break
+				}
+			}
+		default:
+			err = want("only", x.Fall(), program.NoBlock)
+		}
+		if err != nil {
+			return err
+		}
+		if split := b.Kind == isa.TermCall && l.Adj[b.ID] == program.NoBlock; split != x.Landing() {
+			return fmt.Errorf("block %d (%s, adjacent to %d): Exit landing = %v", b.ID, b.Kind, l.Adj[b.ID], x.Landing())
+		}
+	}
+	return nil
 }
