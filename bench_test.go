@@ -585,9 +585,7 @@ func BenchmarkContinuousPGO(b *testing.B) {
 				}
 			}
 			cfg := serving()
-			cfg.ReoptimizeEveryTxns = 60
-			cfg.TrainKindFreq = trainFreq
-			cfg.Reoptimize = optimize
+			cfg.Reopt = &machine.Reoptimizer{Every: 60, TrainMix: trainFreq, Retrain: optimize}
 			mRe, err := machine.New(cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -6,7 +6,8 @@
 // four commands share (expt.BindFlags), and measured through the
 // machine.Config an expt session lowers those options to — the one
 // layoutlab's tables measure through; this command only adds its sinks, a
-// -layout file and the -reopt hooks.
+// -layout file and, under -reopt, a machine.Reoptimizer (period -reopt,
+// threshold -drift, the training mix, the same pipeline as its Retrain).
 //
 // With -opt it first trains in-process — profiling a (possibly different)
 // workload at a (possibly different) shard count under the baseline layout,
@@ -107,12 +108,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cfg.ReoptimizeEveryTxns = f.Reopt
-		cfg.DriftThreshold = f.Drift
-		cfg.TrainKindFreq = trainFreq
-		cfg.Reoptimize = func(pf *profile.Profile) (*program.Layout, error) {
-			l, _, err := pl.Run(app.Prog, pf)
-			return l, err
+		cfg.Reopt = &machine.Reoptimizer{
+			Every: f.Reopt, Drift: f.Drift, TrainMix: trainFreq,
+			Retrain: func(pf *profile.Profile) (*program.Layout, error) {
+				l, _, err := pl.Run(app.Prog, pf)
+				return l, err
+			},
 		}
 	}
 

@@ -60,7 +60,7 @@ func TestBaseComboIsTheSessionBase(t *testing.T) {
 		got, want any
 	}{
 		{"Order", got.Order, want.Order},
-		{"Addr", got.Addr, want.Addr},
+		{"Place", got.Place, want.Place},
 		{"CondFirst", got.CondFirst, want.CondFirst},
 		{"AlignWords", got.AlignWords, want.AlignWords},
 	} {

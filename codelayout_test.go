@@ -55,8 +55,8 @@ func TestFacadePassPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b := range l.Addr {
-		if l.Addr[b] != want.Addr[b] {
+	for b := range l.Place {
+		if l.Place[b].Addr() != want.Place[b].Addr() {
 			t.Fatalf("spec and combo diverged at block %d", b)
 		}
 	}

@@ -83,7 +83,7 @@ func TestEmitterRunsScript(t *testing.T) {
 		t.Fatal("no instructions emitted")
 	}
 	// Every run must lie inside the text segment.
-	end := l.Addr[l.Order[len(l.Order)-1]] + uint64(l.Occ[l.Order[len(l.Order)-1]])*isa.WordBytes
+	end := l.Addr(l.Order[len(l.Order)-1]) + uint64(l.Occ(l.Order[len(l.Order)-1]))*isa.WordBytes
 	for _, r := range runs {
 		if r.Addr < img.Prog.TextBase || r.End() > end {
 			t.Fatalf("run %#x+%d outside text", r.Addr, r.Words)

@@ -153,7 +153,7 @@ func (w *refWalker) emit(addr uint64, words int32) {
 }
 
 func (w *refWalker) transition(b *program.Block, succ program.BlockID) {
-	w.emit(w.l.Addr[b.ID], w.l.ExecWords(b, succ))
+	w.emit(w.l.Addr(b.ID), w.l.ExecWords(b, succ))
 	w.cur = succ
 	if succ != program.NoBlock {
 		w.block(b.ID, succ)
@@ -162,14 +162,14 @@ func (w *refWalker) transition(b *program.Block, succ program.BlockID) {
 
 func (w *refWalker) enterCall(b *program.Block) {
 	callee := w.img.FnOf(b.Callee)
-	w.emit(w.l.Addr[b.ID], w.l.ExecWords(b, b.Fall))
+	w.emit(w.l.Addr(b.ID), w.l.ExecWords(b, b.Fall))
 	w.stack = append(w.stack, refFrame{callee.EventName(), callee.Auto, b.ID, b.Fall})
 	w.cur = callee.Proc.Entry()
 	w.block(b.ID, w.cur)
 }
 
 func (w *refWalker) popRet(b *program.Block) {
-	w.emit(w.l.Addr[b.ID], w.l.ExecWords(b, program.NoBlock))
+	w.emit(w.l.Addr(b.ID), w.l.ExecWords(b, program.NoBlock))
 	f := w.stack[len(w.stack)-1]
 	w.stack = w.stack[:len(w.stack)-1]
 	if w.cur = f.cont; f.cont == program.NoBlock {
@@ -609,6 +609,25 @@ func TestBlockExitReadsTwentyFourBytes(t *testing.T) {
 	}
 	if size := reflect.TypeOf(program.Place(0)).Size(); size != 8 {
 		t.Errorf("program.Place is %d bytes, want 8", size)
+	}
+}
+
+// TestLayoutKeepsTwentyBytesPerBlock pins what a layout stores per block: its
+// per-block slices are Order, Adj, CondFirst and the placement words, 20
+// bytes. Addresses and occupancies are decoded from the words, not kept
+// beside them (they were 12 more bytes a block for every retained candidate).
+func TestLayoutKeepsTwentyBytesPerBlock(t *testing.T) {
+	lt := reflect.TypeOf(program.Layout{})
+	var perBlock uintptr
+	var slices []string
+	for i := 0; i < lt.NumField(); i++ {
+		if f := lt.Field(i); f.Type.Kind() == reflect.Slice {
+			perBlock += f.Type.Elem().Size()
+			slices = append(slices, f.Name)
+		}
+	}
+	if perBlock != 20 {
+		t.Errorf("program.Layout's per-block slices %v take %d bytes a block, want 20", slices, perBlock)
 	}
 }
 

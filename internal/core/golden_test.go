@@ -165,11 +165,8 @@ func TestPipelineMatchesLegacyOptimize(t *testing.T) {
 			if !reflect.DeepEqual(got.Order, want.Order) {
 				t.Fatalf("seed %d %s: block order diverged", seed, c.layout)
 			}
-			if !reflect.DeepEqual(got.Addr, want.Addr) {
-				t.Fatalf("seed %d %s: addresses diverged", seed, c.layout)
-			}
-			if !reflect.DeepEqual(got.Occ, want.Occ) {
-				t.Fatalf("seed %d %s: occupancies diverged", seed, c.layout)
+			if !reflect.DeepEqual(got.Place, want.Place) {
+				t.Fatalf("seed %d %s: placement words (addresses, occupancies) diverged", seed, c.layout)
 			}
 			if got.PadWords != want.PadWords {
 				t.Fatalf("seed %d %s: pad words %d != %d", seed, c.layout, got.PadWords, want.PadWords)

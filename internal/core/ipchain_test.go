@@ -125,7 +125,7 @@ func TestIPChainChangesHotUnitAdjacency(t *testing.T) {
 	adjacent := func(l *program.Layout) bool {
 		fEntry := p.Entry(f.ID)
 		mainTail := p.Proc(main.ID).Blocks[len(p.Proc(main.ID).Blocks)-1]
-		return l.Addr[fEntry] == l.End(mainTail)
+		return l.Addr(fEntry) == l.End(mainTail)
 	}
 
 	phPl, err := core.ComboPipeline("chain+porder")

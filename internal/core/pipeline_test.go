@@ -199,8 +199,8 @@ func TestOptimizeAllPacksHotCodeFirst(t *testing.T) {
 	for _, b := range p.Blocks {
 		if pf.Count(b.ID) > 0 {
 			sawHot = true
-			if l.Addr[b.ID] > maxHot {
-				maxHot = l.Addr[b.ID]
+			if l.Addr(b.ID) > maxHot {
+				maxHot = l.Addr(b.ID)
 			}
 		}
 	}
@@ -216,8 +216,8 @@ func TestOptimizeAllPacksHotCodeFirst(t *testing.T) {
 		if cold {
 			sawCold = true
 			for _, bid := range pr.Blocks {
-				if l.Addr[bid] < minColdProcAddr {
-					minColdProcAddr = l.Addr[bid]
+				if l.Addr(bid) < minColdProcAddr {
+					minColdProcAddr = l.Addr(bid)
 				}
 			}
 		}
@@ -251,7 +251,7 @@ func TestCFAPlanKeepsHotCodeOutOfReservedSets(t *testing.T) {
 		if pf.Count(b.ID) == 0 {
 			continue
 		}
-		addr := l.Addr[b.ID]
+		addr := l.Addr(b.ID)
 		if addr < reservedEnd {
 			continue // inside the conflict-free area itself
 		}

@@ -113,8 +113,8 @@ func TestIPChainLayoutRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	same := true
-	for b := range l.Addr {
-		if l.Addr[b] != ph.Addr[b] {
+	for b := range l.Place {
+		if l.Place[b].Addr() != ph.Place[b].Addr() {
 			same = false
 			break
 		}

@@ -57,8 +57,9 @@ func fig03(s *Session) ([]*stats.Table, error) {
 	static := make([]int64, prog.NumBlocks())
 	dyn := make([]uint64, prog.NumBlocks())
 	for i := range prog.Blocks {
-		static[i] = int64(base.Occ[i]) * isa.WordBytes
-		dyn[i] = prof.Count(program.BlockID(i)) * uint64(base.Occ[i])
+		b := program.BlockID(i)
+		static[i] = int64(base.Occ(b)) * isa.WordBytes
+		dyn[i] = prof.Count(b) * uint64(base.Occ(b))
 	}
 	pts := stats.CumulativeProfile(static, dyn)
 

@@ -409,7 +409,6 @@ func (f *Flags) resolveTables() error {
 func (f *Flags) NewSession() (*Session, error) {
 	so := f.Opt
 	so.Seed = f.imageSeed
-	so.GroupCommitWindowInstr, so.PerCommitLogFlush = 0, false
 	src, err := NewProfileSource(so, f.Extra...)
 	if err != nil {
 		return nil, err

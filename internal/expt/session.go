@@ -53,11 +53,11 @@ type Options struct {
 	// Shards is the partitioned-engine count behind the shard router; 0 or
 	// 1 runs the single shared engine (see machine.Config.Shards).
 	Shards int
-	// GroupCommitWindowInstr is the per-shard group-commit batching window
-	// (0 = flush as soon as a leader arrives; see machine.Config).
+	// GroupCommitWindowInstr is the measured runs' per-shard group-commit
+	// window (0 = flush as soon as a leader arrives; training is ungrouped).
 	GroupCommitWindowInstr uint64
-	// PerCommitLogFlush disables group commit (the baseline the
-	// group-commit comparisons run against).
+	// PerCommitLogFlush disables group commit in measured runs (the
+	// baseline the group-commit comparisons run against).
 	PerCommitLogFlush bool
 	// AutoGroupCommit auto-tunes the per-shard windows from warmup
 	// observations (machine.AutoGCFlushCount or machine.AutoGCTargetP99).

@@ -185,12 +185,13 @@ func NewProfileSource(o Options, extra ...workload.Workload) (*ProfileSource, er
 // storeKey is a training run's identity in the persistent store: the resolved
 // train spec, every option that shapes the profiling run beyond the spec, and
 // the content fingerprints of both program images (a profile indexes the
-// blocks of one specific build).
+// blocks of one specific build). Training runs ungrouped, so "gc0/pcfalse" is
+// a constant; it stays in the key because existing store directories were
+// written with it and must still hit.
 func (ps *ProfileSource) storeKey(spec string) pstore.Key {
 	return pstore.Key{
-		Spec: fmt.Sprintf("%s|p%d/gc%d/pc%t/fp%t/dcpi%d",
-			spec, ps.opt.ProcsPerCPU, ps.opt.GroupCommitWindowInstr,
-			ps.opt.PerCommitLogFlush, ps.opt.PredictFastPath, ps.opt.DCPIPeriod),
+		Spec: fmt.Sprintf("%s|p%d/gc0/pcfalse/fp%t/dcpi%d",
+			spec, ps.opt.ProcsPerCPU, ps.opt.PredictFastPath, ps.opt.DCPIPeriod),
 		Image: ps.imageID,
 	}
 }
@@ -415,23 +416,21 @@ func (ps *ProfileSource) runTraining(tc TrainConfig, spec string) (*trainRun, er
 	kx := profile.NewPixie(ps.kernImg.Prog, "kprofile")
 	dcpi := profile.NewDCPI(ps.baseApp, ps.opt.DCPIPeriod)
 	cfg := machine.Config{
-		CPUs:                   tc.CPUs,
-		ProcsPerCPU:            ps.opt.ProcsPerCPU,
-		Seed:                   tc.Seed,
-		Shards:                 tc.Shards,
-		GroupCommitWindowInstr: ps.opt.GroupCommitWindowInstr,
-		PerCommitLogFlush:      ps.opt.PerCommitLogFlush,
-		PredictFastPath:        ps.opt.PredictFastPath && shardKey(tc.Shards) > 1,
-		WarmupTxns:             tc.WarmupTxns,
-		Transactions:           tc.Txns,
-		Workload:               tc.Workload,
-		AppImage:               ps.appImg,
-		AppLayout:              ps.baseApp,
-		KernImage:              ps.kernImg,
-		KernLayout:             ps.baseKern,
-		AppCollector:           px,
-		KernCollector:          kx,
-		Sinks:                  []trace.Sink{dcpi},
+		CPUs:            tc.CPUs,
+		ProcsPerCPU:     ps.opt.ProcsPerCPU,
+		Seed:            tc.Seed,
+		Shards:          tc.Shards,
+		PredictFastPath: ps.opt.PredictFastPath && shardKey(tc.Shards) > 1,
+		WarmupTxns:      tc.WarmupTxns,
+		Transactions:    tc.Txns,
+		Workload:        tc.Workload,
+		AppImage:        ps.appImg,
+		AppLayout:       ps.baseApp,
+		KernImage:       ps.kernImg,
+		KernLayout:      ps.baseKern,
+		AppCollector:    px,
+		KernCollector:   kx,
+		Sinks:           []trace.Sink{dcpi},
 	}
 	m, err := machine.New(cfg)
 	if err != nil {

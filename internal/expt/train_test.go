@@ -145,8 +145,8 @@ func TestTrainEvalMemoSeparation(t *testing.T) {
 		t.Fatal("layouts trained under different train configs share a memo entry")
 	}
 	sameAddrs := true
-	for b := range selfL.Addr {
-		if selfL.Addr[b] != crossL.Addr[b] {
+	for b := range selfL.Place {
+		if selfL.Place[b].Addr() != crossL.Place[b].Addr() {
 			sameAddrs = false
 			break
 		}

@@ -101,10 +101,11 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		app, appL, kern, kernL := testImages(t, reoptWorkload(0))
 		cfg := configFor(reoptWorkload(20), app, appL, kern, kernL)
 		cfg.Transactions = 200
-		cfg.ReoptimizeEveryTxns = 20
-		cfg.TrainKindFreq = map[string]float64{"read": 1}
-		cfg.Reoptimize = func(*profile.Profile) (*program.Layout, error) {
-			return nil, errors.New("trainer unavailable")
+		cfg.Reopt = &machine.Reoptimizer{
+			Every: 20, TrainMix: map[string]float64{"read": 1},
+			Retrain: func(*profile.Profile) (*program.Layout, error) {
+				return nil, errors.New("trainer unavailable")
+			},
 		}
 		return cfg
 	}

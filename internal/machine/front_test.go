@@ -180,13 +180,12 @@ func TestFrontMatchesReferenceAcrossHotSwap(t *testing.T) {
 	seen := checkFront(t, func() machine.Config {
 		cfg := servingConfig(app, trained, kern, kernL)
 		cfg.Transactions = 500
-		cfg.ReoptimizeEveryTxns = 60
-		cfg.TrainKindFreq = trainFreq
 		retrain := reoptimizer(t, app, &swaps)
-		cfg.Reoptimize = func(pf *profile.Profile) (l *program.Layout, err error) {
-			retrained, err = retrain(pf)
-			return retrained, err
-		}
+		cfg.Reopt = &machine.Reoptimizer{Every: 60, TrainMix: trainFreq,
+			Retrain: func(pf *profile.Profile) (l *program.Layout, err error) {
+				retrained, err = retrain(pf)
+				return retrained, err
+			}}
 		return cfg
 	})
 	if swaps < 4 || seen.res.Reopts == 0 {
@@ -216,9 +215,9 @@ func TestFrontMatchesReferenceAcrossHotSwap(t *testing.T) {
 // runStarts is every address a fetched run can start at under l: a block's
 // first word, or the landing branch behind a call.
 func runStarts(l *program.Layout) map[uint64]bool {
-	starts := make(map[uint64]bool, 2*len(l.Addr))
-	for b, addr := range l.Addr {
-		starts[addr] = true
+	starts := make(map[uint64]bool, 2*len(l.Place))
+	for b, w := range l.Place {
+		starts[w.Addr()] = true
 		if landing, _, ok := l.LandingRun(program.BlockID(b)); ok {
 			starts[landing] = true
 		}

@@ -31,7 +31,6 @@ import (
 	"codelayout/internal/db"
 	"codelayout/internal/kernel"
 	"codelayout/internal/predict"
-	"codelayout/internal/profile"
 	"codelayout/internal/program"
 	"codelayout/internal/shard"
 	"codelayout/internal/stats"
@@ -89,11 +88,9 @@ type Config struct {
 	// Transactions is the measured committed-transaction count.
 	Transactions int
 
-	// Workload is the transaction mix to load and run; required.
+	// Workload is the transaction mix to load and run; required. Each shard's
+	// buffer pool holds its share of the loaded data plus room to grow.
 	Workload workload.Workload
-	// BufferPoolPages sizes each shard's cache; 0 = large enough for
-	// everything.
-	BufferPoolPages int
 
 	// RecordLayouts, when set, installs a physical record layout per table
 	// (table name → field definitions) on every engine before the workload
@@ -163,29 +160,10 @@ type Config struct {
 	// measured phase the model has seen the mix.
 	Predictor workload.Predictor
 
-	// ReoptimizeEveryTxns enables continuous re-optimization: every N
-	// measured commits the machine compares the live transaction-kind mix
-	// against the training mix (TrainKindFreq, or the first measured
-	// window) and, once the L1 distance exceeds DriftThreshold, retrains
-	// through the Reoptimize hook on a clean window of the online profile
-	// and hot-swaps every app emitter to the new layout at an epoch fence —
-	// all processes parked at a transaction boundary, where strict 2PL
-	// guarantees no locks are held and every emitter is idle. 0 disables
-	// the loop entirely; disabled runs are bit-identical to builds without
-	// the feature.
-	ReoptimizeEveryTxns int
-	// DriftThreshold is the L1 kind-mix distance (0..2) that triggers a
-	// retrain; 0 selects DefaultDriftThreshold.
-	DriftThreshold float64
-	// Reoptimize retrains the app layout from the accumulated online
-	// profile (a private copy; the hook may keep it). It runs on the
-	// scheduler's goroutine between transactions, modeling a background
-	// trainer whose result lands one check period after drift detection.
-	// Required when ReoptimizeEveryTxns > 0.
-	Reoptimize func(*profile.Profile) (*program.Layout, error)
-	// TrainKindFreq is the kind mix the current layout was trained on (the
-	// drift reference). Unset, the first measured window stands in.
-	TrainKindFreq map[string]float64
+	// Reopt turns on continuous re-optimization (see Reoptimizer); nil
+	// leaves it off, and such runs are bit-identical to builds without the
+	// feature.
+	Reopt *Reoptimizer
 
 	// AppImage/AppLayout and KernImage/KernLayout are the binaries to run.
 	AppImage   *codegen.Image
@@ -229,12 +207,6 @@ func (c Config) withDefaults() Config {
 	if c.PreadDelayInstr == 0 {
 		c.PreadDelayInstr = 250_000
 	}
-	if c.BufferPoolPages == 0 {
-		// Hold every loaded table plus headroom for tables that grow during
-		// the run (history, orders), reproducing the paper's cached setup.
-		// Each shard holds roughly 1/Shards of the data.
-		c.BufferPoolPages = c.Workload.DataPages()/c.Shards + 4096
-	}
 	return c
 }
 
@@ -276,7 +248,7 @@ type Result struct {
 	// stalled on L1 instruction-cache misses (zero unless
 	// Config.FetchStallPenaltyInstr enables the inline fetch-stall model).
 	FetchStallInstr uint64
-	// Reopts counts completed layout hot-swaps (Config.ReoptimizeEveryTxns).
+	// Reopts counts completed layout hot-swaps (Config.Reopt).
 	Reopts uint64
 	// SwapStallInstr is the instruction-time processes spent parked at
 	// epoch fences waiting for the layout swap — the measured cost of the
@@ -427,7 +399,7 @@ type Machine struct {
 	res           Result
 
 	// ro carries the continuous re-optimization loop; nil unless
-	// Config.ReoptimizeEveryTxns > 0, and every hook checks for nil first,
+	// Config.Reopt is set, and every hook checks for nil first,
 	// so disabled runs take exactly the historical paths.
 	ro *reoptState
 
@@ -454,9 +426,13 @@ func New(cfg Config) (*Machine, error) {
 		m.warmLat = append(m.warmLat, &stats.Log2Hist{})
 	}
 	graph := m.graph
+	// Each shard's pool holds its share of every loaded table plus headroom
+	// for tables that grow during the run (history, orders), reproducing the
+	// paper's cached setup.
+	pool := cfg.Workload.DataPages()/cfg.Shards + 4096
 	for i := 0; i < cfg.Shards; i++ {
 		m.engs = append(m.engs, db.NewEngine(db.Config{
-			BufferPoolPages:   cfg.BufferPoolPages,
+			BufferPoolPages:   pool,
 			Env:               (*machineEnv)(m),
 			Shard:             i,
 			Graph:             graph,
@@ -514,8 +490,8 @@ func New(cfg Config) (*Machine, error) {
 		m.cpus = append(m.cpus, cp)
 	}
 
-	if cfg.ReoptimizeEveryTxns > 0 {
-		m.ro = newReoptState(cfg)
+	if cfg.Reopt != nil {
+		m.ro = newReoptState(*cfg.Reopt, cfg.AppImage.Prog)
 	}
 
 	pid := 0

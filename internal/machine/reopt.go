@@ -11,10 +11,32 @@ import (
 )
 
 // DefaultDriftThreshold is the L1 kind-mix distance past which the
-// re-optimizer retrains (Config.DriftThreshold = 0 selects it). The L1
+// re-optimizer retrains (Reoptimizer.Drift = 0 selects it). The L1
 // distance between two normalized mixes ranges from 0 (identical) to 2
 // (disjoint); 0.3 means roughly 15% of transactions changed kind.
 const DefaultDriftThreshold = 0.3
+
+// Reoptimizer is a run's continuous re-optimization loop (Config.Reopt):
+// every Every measured commits the machine compares the live kind mix with
+// TrainMix (or the first measured window) and, past Drift, retrains through
+// Retrain on a clean window of the online profile and hot-swaps every app
+// emitter to the new layout at an epoch fence — all processes parked at a
+// transaction boundary, where strict 2PL guarantees no locks are held.
+type Reoptimizer struct {
+	// Every is the check period in measured commits; at least 1.
+	Every int
+	// Drift is the L1 kind-mix distance in [0, 2] that triggers a retrain;
+	// 0 selects DefaultDriftThreshold.
+	Drift float64
+	// TrainMix is the kind mix the current layout was trained on (the drift
+	// reference). Unset, the first measured window stands in.
+	TrainMix map[string]float64
+	// Retrain builds the app layout from the online profile (a private copy
+	// it may keep); required. It runs on the scheduler's goroutine between
+	// transactions, modeling a background trainer whose result lands one
+	// check period after drift detection.
+	Retrain func(*profile.Profile) (*program.Layout, error)
+}
 
 // reoptPhase is the drift monitor's state.
 type reoptPhase int
@@ -34,8 +56,7 @@ const (
 // consumes, and the epoch fence that parks every process at a transaction
 // boundary so the app layout can be swapped under idle emitters.
 type reoptState struct {
-	every     int     // check period, in measured commits
-	threshold float64 // L1 drift trigger
+	Reoptimizer // Drift defaulted
 
 	// ref is the reference kind mix (the training mix, or the first
 	// measured window when the training mix is unknown).
@@ -60,25 +81,23 @@ type reoptState struct {
 	postSwap *latRec
 }
 
-func newReoptState(cfg Config) *reoptState {
-	th := cfg.DriftThreshold
-	if th == 0 {
-		th = DefaultDriftThreshold
+func newReoptState(r Reoptimizer, app *program.Program) *reoptState {
+	if r.Drift == 0 {
+		r.Drift = DefaultDriftThreshold
 	}
 	ro := &reoptState{
-		every:       cfg.ReoptimizeEveryTxns,
-		threshold:   th,
-		px:          profile.NewPixie(cfg.AppImage.Prog, "online"),
+		Reoptimizer: r,
+		px:          profile.NewPixie(app, "online"),
 		windowKinds: make(map[string]uint64),
 		parked:      make(map[*proc]uint64),
 	}
-	if len(cfg.TrainKindFreq) > 0 {
-		ro.ref = normalizeFreq(cfg.TrainKindFreq)
+	if len(r.TrainMix) > 0 {
+		ro.ref = normalize(r.TrainMix)
 	}
 	return ro
 }
 
-// reoptTick runs after every measured commit; every `every` commits it
+// reoptTick runs after every measured commit; every Reopt.Every commits it
 // closes the window and advances the drift monitor. Returning an error
 // aborts the run (a retrainer that cannot produce a layout is a
 // configuration bug, not drift).
@@ -88,11 +107,11 @@ func (m *Machine) reoptTick() error {
 		return nil // a swap is already in flight; the fence counts nothing
 	}
 	ro.sinceCheck++
-	if ro.sinceCheck < ro.every {
+	if ro.sinceCheck < ro.Every {
 		return nil
 	}
 	ro.sinceCheck = 0
-	live := normalizeCounts(ro.windowKinds)
+	live := normalize(ro.windowKinds)
 	ro.windowKinds = make(map[string]uint64)
 	if len(live) == 0 {
 		return nil
@@ -105,14 +124,14 @@ func (m *Machine) reoptTick() error {
 			ro.ref = live
 			return nil
 		}
-		if KindDistance(live, ro.ref) > ro.threshold {
+		if KindDistance(live, ro.ref) > ro.Drift {
 			// Drift. Start a clean profile window; the retrain one period
 			// from now sees only the new mix.
 			ro.px.Reset()
 			ro.phase = roCollect
 		}
 	case roCollect:
-		l, err := m.cfg.Reoptimize(ro.px.Profile())
+		l, err := ro.Retrain(ro.px.Profile())
 		if err != nil {
 			return fmt.Errorf("machine: reoptimize: %w", err)
 		}
@@ -195,7 +214,7 @@ func (m *Machine) KindFrequencies() map[string]float64 {
 	for k, r := range m.lat {
 		counts[k.kind] += r.hist.N
 	}
-	return normalizeCounts(counts)
+	return normalize(counts)
 }
 
 // KindDistance is the L1 distance between two normalized kind-frequency
@@ -213,32 +232,19 @@ func KindDistance(a, b map[string]float64) float64 {
 	return d
 }
 
-func normalizeCounts(counts map[string]uint64) map[string]float64 {
-	var total uint64
-	for _, n := range counts {
+// normalize scales a kind mix (counts or frequencies) to sum to 1; nil when
+// it sums to nothing.
+func normalize[N uint64 | float64](mix map[string]N) map[string]float64 {
+	var total N
+	for _, n := range mix {
 		total += n
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(counts))
-	for kind, n := range counts {
-		out[kind] = float64(n) / float64(total)
-	}
-	return out
-}
-
-func normalizeFreq(freq map[string]float64) map[string]float64 {
-	var total float64
-	for _, f := range freq {
-		total += f
 	}
 	if total <= 0 {
 		return nil
 	}
-	out := make(map[string]float64, len(freq))
-	for kind, f := range freq {
-		out[kind] = f / total
+	out := make(map[string]float64, len(mix))
+	for kind, n := range mix {
+		out[kind] = float64(n) / float64(total)
 	}
 	return out
 }

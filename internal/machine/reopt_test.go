@@ -1,6 +1,8 @@
 package machine_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"codelayout/internal/appmodel"
@@ -159,9 +161,7 @@ func TestReoptRecoversP99AfterDrift(t *testing.T) {
 
 	retrained := 0
 	reopt := servingConfig(app, trained, kern, kernL)
-	reopt.ReoptimizeEveryTxns = 60
-	reopt.TrainKindFreq = trainFreq
-	reopt.Reoptimize = reoptimizer(t, app, &retrained)
+	reopt.Reopt = &machine.Reoptimizer{Every: 60, TrainMix: trainFreq, Retrain: reoptimizer(t, app, &retrained)}
 	mRe, err := machine.New(reopt)
 	if err != nil {
 		t.Fatal(err)
@@ -215,12 +215,10 @@ func TestReoptProfileIsTheDriftWindow(t *testing.T) {
 
 	cfg := servingConfig(app, trained, kern, kernL)
 	cfg.Transactions = 360 // the shift at 180, one window to notice, one to collect
-	cfg.ReoptimizeEveryTxns = 60
-	cfg.TrainKindFreq = trainFreq
 	var log transitionLog
 	cfg.AppCollector = &log
 	calls := 0
-	cfg.Reoptimize = func(pf *profile.Profile) (*program.Layout, error) {
+	retrain := func(pf *profile.Profile) (*program.Layout, error) {
 		calls++
 		if !pf.HasEdges() {
 			t.Error("Reoptimize was handed a profile with no measured edges")
@@ -256,6 +254,7 @@ func TestReoptProfileIsTheDriftWindow(t *testing.T) {
 		}
 		return coreOptimize(app, pf)
 	}
+	cfg.Reopt = &machine.Reoptimizer{Every: 60, TrainMix: trainFreq, Retrain: retrain}
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -269,9 +268,10 @@ func TestReoptProfileIsTheDriftWindow(t *testing.T) {
 	}
 }
 
-// TestReoptDisabledBitIdentical: ReoptimizeEveryTxns = 0 must leave the run
-// bit-identical to one that never heard of re-optimization, even with the
-// other knobs populated.
+// TestReoptDisabledBitIdentical: a nil Reopt is the only way to leave the
+// loop off, and a loop that watches every commit but never retrains (Drift 2:
+// no mix lies further than that) must leave the run bit-identical to it — the
+// online profile and the drift monitor cost no simulated time.
 func TestReoptDisabledBitIdentical(t *testing.T) {
 	app, appL, kern, kernL := reoptImages(t)
 	plain := servingConfig(app, appL, kern, kernL)
@@ -285,13 +285,11 @@ func TestReoptDisabledBitIdentical(t *testing.T) {
 	}
 
 	armed := servingConfig(app, appL, kern, kernL)
-	armed.ReoptimizeEveryTxns = 0 // disabled
-	armed.DriftThreshold = 0.5
-	armed.TrainKindFreq = map[string]float64{"read": 1}
-	armed.Reoptimize = func(pf *profile.Profile) (*program.Layout, error) {
-		t.Error("Reoptimize called with ReoptimizeEveryTxns = 0")
-		return nil, nil
-	}
+	armed.Reopt = &machine.Reoptimizer{Every: 60, Drift: 2, TrainMix: map[string]float64{"read": 1},
+		Retrain: func(pf *profile.Profile) (*program.Layout, error) {
+			t.Error("Retrain called past a drift threshold of 2")
+			return nil, nil
+		}}
 	mA, err := machine.New(armed)
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +299,7 @@ func TestReoptDisabledBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resP != resA {
-		t.Fatalf("disabled re-optimization changed the run:\n plain: %+v\n armed: %+v", resP, resA)
+		t.Fatalf("a re-optimizer that never retrains changed the run:\n plain: %+v\n armed: %+v", resP, resA)
 	}
 }
 
@@ -313,9 +311,7 @@ func TestReoptDeterministic(t *testing.T) {
 	run := func() machine.Result {
 		n := 0
 		cfg := servingConfig(app, trained, kern, kernL)
-		cfg.ReoptimizeEveryTxns = 60
-		cfg.TrainKindFreq = trainFreq
-		cfg.Reoptimize = reoptimizer(t, app, &n)
+		cfg.Reopt = &machine.Reoptimizer{Every: 60, TrainMix: trainFreq, Retrain: reoptimizer(t, app, &n)}
 		m, err := machine.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -341,12 +337,11 @@ func TestReoptStableMixNoSwap(t *testing.T) {
 	cfg := servingConfig(app, appL, kern, kernL)
 	cfg.Workload = reoptWorkload(0) // no shift
 	cfg.Transactions = 300
-	cfg.ReoptimizeEveryTxns = 60
-	cfg.TrainKindFreq = map[string]float64{"read": 1}
-	cfg.Reoptimize = func(pf *profile.Profile) (*program.Layout, error) {
-		t.Error("Reoptimize called on a stable mix")
-		return coreOptimize(app, pf)
-	}
+	cfg.Reopt = &machine.Reoptimizer{Every: 60, TrainMix: map[string]float64{"read": 1},
+		Retrain: func(pf *profile.Profile) (*program.Layout, error) {
+			t.Error("Retrain called on a stable mix")
+			return coreOptimize(app, pf)
+		}}
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -360,34 +355,43 @@ func TestReoptStableMixNoSwap(t *testing.T) {
 	}
 }
 
+// TestReoptValidation: every Reoptimizer that cannot run is refused before
+// any engine loads, naming the field; NaN compares false with everything, so
+// a range check written the other way round lets it through.
 func TestReoptValidation(t *testing.T) {
-	app, appL, kern, kernL := reoptImages(t)
-	ok := servingConfig(app, appL, kern, kernL)
-
-	bad := ok
-	bad.ReoptimizeEveryTxns = 50 // no hook
-	if _, err := machine.New(bad); err == nil {
-		t.Error("ReoptimizeEveryTxns without Reoptimize: want error")
+	wl := reoptWorkload(0)
+	app, appL, kern, kernL := testImages(t, wl)
+	ok := func() *machine.Reoptimizer {
+		return &machine.Reoptimizer{Every: 50, TrainMix: map[string]float64{"read": 1},
+			Retrain: func(*profile.Profile) (*program.Layout, error) { return nil, nil }}
 	}
-	bad = ok
-	bad.ReoptimizeEveryTxns = -1
-	if _, err := machine.New(bad); err == nil {
-		t.Error("negative ReoptimizeEveryTxns: want error")
+	cases := []struct {
+		name string
+		mut  func(*machine.Reoptimizer)
+		want string
+	}{
+		{"zero period", func(r *machine.Reoptimizer) { r.Every = 0 }, "Reopt.Every = 0"},
+		{"negative period", func(r *machine.Reoptimizer) { r.Every = -1 }, "Reopt.Every = -1"},
+		{"no hook", func(r *machine.Reoptimizer) { r.Retrain = nil }, "Reopt.Retrain is required"},
+		{"drift above 2", func(r *machine.Reoptimizer) { r.Drift = 2.5 }, "Reopt.Drift = 2.5"},
+		{"negative drift", func(r *machine.Reoptimizer) { r.Drift = -0.1 }, "Reopt.Drift = -0.1"},
+		{"NaN drift", func(r *machine.Reoptimizer) { r.Drift = math.NaN() }, "Reopt.Drift = NaN"},
+		{"negative mix", func(r *machine.Reoptimizer) { r.TrainMix["read"] = -1 }, `Reopt.TrainMix["read"] = -1`},
+		{"NaN mix", func(r *machine.Reoptimizer) { r.TrainMix["update"] = math.NaN() }, `Reopt.TrainMix["update"] = NaN`},
 	}
-	bad = ok
-	bad.DriftThreshold = 2.5
-	if _, err := machine.New(bad); err == nil {
-		t.Error("DriftThreshold > 2: want error")
+	for _, tc := range cases {
+		cfg := configFor(wl, app, appL, kern, kernL)
+		cfg.Reopt = ok()
+		tc.mut(cfg.Reopt)
+		_, err := machine.New(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
-	bad = ok
-	bad.DriftThreshold = -0.1
-	if _, err := machine.New(bad); err == nil {
-		t.Error("negative DriftThreshold: want error")
-	}
-	bad = ok
-	bad.TrainKindFreq = map[string]float64{"read": -1}
-	if _, err := machine.New(bad); err == nil {
-		t.Error("negative TrainKindFreq: want error")
+	cfg := configFor(wl, app, appL, kern, kernL)
+	cfg.Reopt = ok()
+	if _, err := machine.New(cfg); err != nil {
+		t.Fatalf("valid Reoptimizer rejected: %v", err)
 	}
 }
 

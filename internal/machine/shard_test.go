@@ -281,8 +281,6 @@ func TestConfigValidation(t *testing.T) {
 		{"too many shards", func(c *machine.Config) { c.Shards = machine.MaxShards + 1 }, "exceeds the maximum"},
 		{"negative transactions", func(c *machine.Config) { c.Transactions = -5 }, "Transactions"},
 		{"negative warmup", func(c *machine.Config) { c.WarmupTxns = -5 }, "WarmupTxns"},
-		{"negative pool", func(c *machine.Config) { c.BufferPoolPages = -1 }, "BufferPoolPages"},
-		{"starved pool", func(c *machine.Config) { c.BufferPoolPages = 2 }, "pin working set"},
 		{"window vs per-commit", func(c *machine.Config) {
 			c.PerCommitLogFlush = true
 			c.GroupCommitWindowInstr = 50_000

@@ -18,11 +18,6 @@ const MaxShards = 64
 // db.ShardPageStride windows; above it the region is divided evenly.
 const wideShardThreshold = 16
 
-// minBufferPoolPages is the smallest explicit pool that cannot wedge the
-// run: pages pinned concurrently by a transaction (tree root-to-leaf path
-// plus heap pages) must always find a free frame.
-const minBufferPoolPages = 16
-
 // Validate checks a configuration before any engine is built, so
 // misconfigurations surface as errors here instead of panics (or wedged
 // scheduler loops) deep inside a run. Zero values that withDefaults fills
@@ -104,27 +99,22 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine: AutoGroupCommit conflicts with GroupCommitWindowInstr = %d (the window is picked from warmup observations; set one or the other)",
 			c.GroupCommitWindowInstr)
 	}
-	if c.ReoptimizeEveryTxns < 0 {
-		return fmt.Errorf("machine: ReoptimizeEveryTxns = %d; must be >= 0 (0 disables re-optimization)", c.ReoptimizeEveryTxns)
-	}
-	if c.ReoptimizeEveryTxns > 0 && c.Reoptimize == nil {
-		return fmt.Errorf("machine: ReoptimizeEveryTxns = %d needs a Reoptimize hook to retrain with", c.ReoptimizeEveryTxns)
-	}
-	if c.DriftThreshold < 0 || c.DriftThreshold > 2 {
-		return fmt.Errorf("machine: DriftThreshold = %v; the L1 kind-mix distance lies in [0, 2] (0 selects the default %v)",
-			c.DriftThreshold, DefaultDriftThreshold)
-	}
-	for kind, f := range c.TrainKindFreq {
-		if f < 0 || f != f {
-			return fmt.Errorf("machine: TrainKindFreq[%q] = %v; frequencies must be non-negative", kind, f)
+	if r := c.Reopt; r != nil {
+		// Every range check is written so that NaN fails it.
+		switch {
+		case r.Every < 1:
+			return fmt.Errorf("machine: Reopt.Every = %d; must be >= 1 (a nil Reopt disables re-optimization)", r.Every)
+		case r.Retrain == nil:
+			return fmt.Errorf("machine: Reopt.Retrain is required: the hook the loop retrains with")
+		case !(r.Drift >= 0 && r.Drift <= 2):
+			return fmt.Errorf("machine: Reopt.Drift = %v; the L1 kind-mix distance lies in [0, 2] (0 selects the default %v)",
+				r.Drift, DefaultDriftThreshold)
 		}
-	}
-	if c.BufferPoolPages < 0 {
-		return fmt.Errorf("machine: BufferPoolPages = %d; must be >= 0 (0 sizes from the workload)", c.BufferPoolPages)
-	}
-	if c.BufferPoolPages > 0 && c.BufferPoolPages < minBufferPoolPages {
-		return fmt.Errorf("machine: BufferPoolPages = %d conflicts with the engine's pin working set (need >= %d, or 0 to size from the workload)",
-			c.BufferPoolPages, minBufferPoolPages)
+		for kind, f := range r.TrainMix {
+			if !(f >= 0) {
+				return fmt.Errorf("machine: Reopt.TrainMix[%q] = %v; frequencies must be non-negative", kind, f)
+			}
+		}
 	}
 	return nil
 }

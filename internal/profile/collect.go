@@ -165,7 +165,7 @@ func NewDCPI(l *program.Layout, period uint64) *DCPI {
 	}
 	all := make([]ba, 0, l.Prog.NumBlocks())
 	for id := range l.Prog.Blocks {
-		all = append(all, ba{l.Addr[id], program.BlockID(id)})
+		all = append(all, ba{l.Addr(program.BlockID(id)), program.BlockID(id)})
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].addr < all[j].addr })
 	for _, e := range all {

@@ -103,7 +103,7 @@ func (pf *Profile) DynWords(l *program.Layout) uint64 {
 		}
 		blk := l.Prog.Blocks[b]
 		words := uint64(blk.Body)
-		if l.Occ[b] > blk.Body {
+		if l.Occ(program.BlockID(b)) > blk.Body {
 			words++ // first terminator word; branch-pair second words are rare
 		}
 		t += n * words

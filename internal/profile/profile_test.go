@@ -121,7 +121,7 @@ func TestDCPISamplingApproximatesPixie(t *testing.T) {
 	for b, n := range exact.BlockCount {
 		blk := p.Blocks[b]
 		for i := uint64(0); i < n; i++ {
-			d.Fetch(trace.FetchRun{Addr: layout.Addr[b], Words: blk.Body + 1})
+			d.Fetch(trace.FetchRun{Addr: layout.Addr(program.BlockID(b)), Words: blk.Body + 1})
 		}
 	}
 	got := d.Finish("sampled")

@@ -66,12 +66,12 @@ func (p *Program) Dump(w io.Writer, l *Layout) {
 		blocks := pr.Blocks
 		if l != nil {
 			blocks = append([]BlockID(nil), pr.Blocks...)
-			sort.Slice(blocks, func(i, j int) bool { return l.Addr[blocks[i]] < l.Addr[blocks[j]] })
+			sort.Slice(blocks, func(i, j int) bool { return l.Addr(blocks[i]) < l.Addr(blocks[j]) })
 		}
 		for _, id := range blocks {
 			b := p.Blocks[id]
 			if l != nil {
-				fmt.Fprintf(w, "  %#010x b%-5d body=%-3d %v", l.Addr[id], id, b.Body, b.Kind)
+				fmt.Fprintf(w, "  %#010x b%-5d body=%-3d %v", l.Addr(id), id, b.Body, b.Kind)
 			} else {
 				fmt.Fprintf(w, "  b%-5d body=%-3d %v", id, b.Body, b.Kind)
 			}

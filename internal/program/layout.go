@@ -26,21 +26,16 @@ type Layout struct {
 	// Order is the placement order of every block.
 	Order []BlockID
 
-	// Addr[b] is the virtual address of block b's first word.
-	Addr []uint64
-
-	// Occ[b] is the number of words block b occupies, including materialized
-	// terminator words but excluding alignment padding.
-	Occ []int32
-
 	// Adj[b] is the successor of b reached by pure fall-through under this
 	// layout (the physically next block when the terminator allows the
 	// transfer to be elided or flipped onto it), or NoBlock.
 	Adj []BlockID
 
-	// Place[b] is block b's placement word: Addr[b] and what leaving b fetches
-	// beyond its body under this layout — the emitter's per-block view of the
-	// terminator rules above, in the one word it reads on a block exit.
+	// Place[b] is block b's placement word: its address and what leaving b
+	// fetches beyond its body under this layout — the emitter's per-block view
+	// of the terminator rules above, in the one word it reads on a block exit.
+	// Addr and Occ decode the block's address and size from it; the layout
+	// keeps no other copy of them.
 	Place []Place
 
 	// CondFirst[b], for a conditional block with no adjacent arm, names the
@@ -95,8 +90,6 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 	l := &Layout{
 		Prog:       p,
 		Order:      order,
-		Addr:       make([]uint64, n),
-		Occ:        make([]int32, n),
 		Adj:        make([]BlockID, n),
 		Place:      make([]Place, n),
 		CondFirst:  make([]BlockID, n),
@@ -121,7 +114,6 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 	}
 	l.AlignAt = alignAt
 
-	pos := make([]int, n) // placement index per block
 	seen := make([]bool, n)
 	for i, id := range order {
 		if id < 0 || int(id) >= n {
@@ -131,78 +123,11 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 			return nil, fmt.Errorf("layout: block %d placed twice", id)
 		}
 		seen[id] = true
-		pos[id] = i
 	}
 
-	// Decide terminator materialization from adjacency.
-	for i, id := range order {
-		b := p.Blocks[id]
-		var next BlockID = NoBlock
-		if i+1 < len(order) && !alignAt[order[i+1]] && opts.GapBefore[order[i+1]] == 0 {
-			// A block at an alignment boundary may still be a fall-through
-			// target; padding would break contiguity, so treat unit starts
-			// as non-adjacent. (Units begin procedures/segments, which are
-			// entered by explicit transfers anyway.) A gap breaks contiguity
-			// the same way; CFA only puts one before a unit start, a layout
-			// file can put one anywhere.
-			next = order[i+1]
-		}
-		// term is the terminator words the block occupies; fall and taken
-		// are the ones an exit by that successor fetches.
-		var term, fall, taken int32
-		landing := false
-		switch b.Kind {
-		case isa.TermFallThrough:
-			if b.Fall == next {
-				l.Adj[id] = next
-			} else {
-				term, fall = 1, 1
-			}
-		case isa.TermCond:
-			term, fall, taken = 1, 1, 1
-			switch {
-			case b.Fall == next:
-				l.Adj[id] = next
-			case b.Taken == next:
-				// Polarity flip: the original taken arm falls through.
-				l.Adj[id] = next
-			default:
-				term = 2
-				first := b.Taken
-				if opts.FallFirst != nil && opts.FallFirst(b) {
-					first = b.Fall
-				}
-				l.CondFirst[id] = first
-				if first == b.Fall {
-					taken = 2
-				} else {
-					fall = 2
-				}
-			}
-		case isa.TermBranch:
-			if b.Taken == next {
-				l.Adj[id] = next
-			} else {
-				term, taken = 1, 1
-			}
-		case isa.TermCall:
-			term, fall = 1, 1
-			if b.Fall == next {
-				l.Adj[id] = next
-			} else {
-				term = 2
-				landing = true
-			}
-		case isa.TermRet, isa.TermIndirect, isa.TermHalt:
-			term, fall = 1, 1
-		}
-		l.Place[id] = Place(newExit(fall, taken, landing)) << placeAddrBits
-		l.Occ[id] = b.Body + term
-	}
-
-	// Assign addresses. Gaps come straight from a layout file, so every step
-	// is checked: an address stays a whole number of words and, with the
-	// block it starts, below placeLimit.
+	// Addresses advance through the order and every step is checked: gaps
+	// come straight from a layout file, so an address must stay a whole number
+	// of words and, with the block it starts, below placeLimit.
 	addr := p.TextBase
 	skip := func(id BlockID, bytes uint64) error {
 		if bytes >= placeLimit-addr {
@@ -218,7 +143,68 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 	// out of it; clamped to that width the byte count below cannot wrap.
 	align := min(uint64(opts.AlignWords), placeLimit/isa.WordBytes) * isa.WordBytes
 	l.GapBefore = opts.GapBefore
-	for _, id := range order {
+	for i, id := range order {
+		// Decide terminator materialization from adjacency.
+		b := p.Blocks[id]
+		var next BlockID = NoBlock
+		if i+1 < len(order) && !alignAt[order[i+1]] && opts.GapBefore[order[i+1]] == 0 {
+			// A block at an alignment boundary may still be a fall-through
+			// target; padding would break contiguity, so treat unit starts
+			// as non-adjacent. (Units begin procedures/segments, which are
+			// entered by explicit transfers anyway.) A gap breaks contiguity
+			// the same way; CFA only puts one before a unit start, a layout
+			// file can put one anywhere.
+			next = order[i+1]
+		}
+		// fall and taken are the terminator words an exit by that successor
+		// fetches; the block occupies the longer of the two (plus a landing
+		// branch), which is how Occ decodes it.
+		var fall, taken int32
+		landing := false
+		switch b.Kind {
+		case isa.TermFallThrough:
+			if b.Fall == next {
+				l.Adj[id] = next
+			} else {
+				fall = 1
+			}
+		case isa.TermCond:
+			fall, taken = 1, 1
+			switch {
+			case b.Fall == next:
+				l.Adj[id] = next
+			case b.Taken == next:
+				// Polarity flip: the original taken arm falls through.
+				l.Adj[id] = next
+			default:
+				first := b.Taken
+				if opts.FallFirst != nil && opts.FallFirst(b) {
+					first = b.Fall
+				}
+				l.CondFirst[id] = first
+				if first == b.Fall {
+					taken = 2
+				} else {
+					fall = 2
+				}
+			}
+		case isa.TermBranch:
+			if b.Taken == next {
+				l.Adj[id] = next
+			} else {
+				taken = 1
+			}
+		case isa.TermCall:
+			fall = 1
+			if b.Fall == next {
+				l.Adj[id] = next
+			} else {
+				landing = true
+			}
+		case isa.TermRet, isa.TermIndirect, isa.TermHalt:
+			fall = 1
+		}
+
 		if gap := opts.GapBefore[id]; gap > 0 {
 			if gap%isa.WordBytes != 0 {
 				return nil, fmt.Errorf("layout: gap of %d bytes before block %d is not a whole number of %d-byte words", gap, id, isa.WordBytes)
@@ -237,9 +223,8 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 				l.PadWords += int64(pad / isa.WordBytes)
 			}
 		}
-		l.Addr[id] = addr
-		l.Place[id] |= Place(addr)
-		if err := skip(id, uint64(l.Occ[id])*isa.WordBytes); err != nil {
+		l.Place[id] = Place(newExit(fall, taken, landing))<<placeAddrBits | Place(addr)
+		if err := skip(id, uint64(l.Occ(id))*isa.WordBytes); err != nil {
 			return nil, err
 		}
 	}
@@ -253,8 +238,8 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 			if l.Adj[b.ID] == e.Dst {
 				return // elided or fall-through
 			}
-			src := int64(l.Addr[b.ID]) + int64(b.Body)*isa.WordBytes
-			d := int64(l.Addr[e.Dst]) - src
+			src := int64(l.Addr(b.ID)) + int64(b.Body)*isa.WordBytes
+			d := int64(l.Addr(e.Dst)) - src
 			if d < 0 {
 				d = -d
 			}
@@ -318,17 +303,32 @@ func (x Exit) Taken() int32 { return int32(x >> exitTakenShift & exitWordsMask) 
 // adjacent, so a return to it executes a landing branch first.
 func (x Exit) Landing() bool { return x&exitLanding != 0 }
 
+// Addr returns the virtual address of block b's first word.
+func (l *Layout) Addr(b BlockID) uint64 { return l.Place[b].Addr() }
+
+// Occ returns the number of words block b occupies: its body, the longer of
+// its two exits' terminator words and a call's landing branch. Alignment
+// padding is not included.
+func (l *Layout) Occ(b BlockID) int32 {
+	x := l.Place[b].Exit()
+	occ := l.Prog.Blocks[b].Body + max(x.Fall(), x.Taken())
+	if x.Landing() {
+		occ++
+	}
+	return occ
+}
+
 // End returns the address one past the last word of block b.
 func (l *Layout) End(b BlockID) uint64 {
-	return l.Addr[b] + uint64(l.Occ[b])*isa.WordBytes
+	return l.Addr(b) + uint64(l.Occ(b))*isa.WordBytes
 }
 
 // TotalWords returns the total size of the laid-out text in words, including
 // padding.
 func (l *Layout) TotalWords() int64 {
-	var w int64 = l.PadWords
-	for _, occ := range l.Occ {
-		w += int64(occ)
+	w := l.PadWords
+	for b := range l.Place {
+		w += int64(l.Occ(BlockID(b)))
 	}
 	return w
 }
@@ -370,7 +370,7 @@ func (l *Layout) LandingRun(b BlockID) (addr uint64, words int32, ok bool) {
 		return 0, 0, false
 	}
 	// Block layout: [body][call][landing branch].
-	return l.Addr[b] + uint64(l.Prog.Blocks[b].Body+1)*isa.WordBytes, 1, true
+	return l.Addr(b) + uint64(l.Prog.Blocks[b].Body+1)*isa.WordBytes, 1, true
 }
 
 // Validate checks layout invariants: every block placed once, addresses
@@ -389,7 +389,7 @@ func (l *Layout) Validate() error {
 		}
 		seen[id] = true
 		if prev != NoBlock {
-			gap := int64(l.Addr[id]) - int64(l.End(prev))
+			gap := int64(l.Addr(id)) - int64(l.End(prev))
 			if gap < 0 {
 				return fmt.Errorf("layout: block %d overlaps predecessor %d", id, prev)
 			}
@@ -402,7 +402,7 @@ func (l *Layout) Validate() error {
 	for _, b := range p.Blocks {
 		adj := l.Adj[b.ID]
 		if adj != NoBlock {
-			if l.Addr[adj] != l.End(b.ID) {
+			if l.Addr(adj) != l.End(b.ID) {
 				return fmt.Errorf("layout: block %d claims adjacency to %d but addresses disagree", b.ID, adj)
 			}
 			switch b.Kind {
@@ -451,8 +451,8 @@ func (l *Layout) Validate() error {
 		case isa.TermRet, isa.TermIndirect, isa.TermHalt:
 			want++
 		}
-		if l.Occ[b.ID] != want {
-			return fmt.Errorf("layout: block %d occupancy %d, want %d", b.ID, l.Occ[b.ID], want)
+		if occ := l.Occ(b.ID); occ != want {
+			return fmt.Errorf("layout: block %d occupancy %d, want %d", b.ID, occ, want)
 		}
 	}
 	return nil

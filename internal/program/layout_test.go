@@ -33,23 +33,23 @@ func TestBaselineLayoutDiamond(t *testing.T) {
 	}
 	// Source order: e, t, f, x.
 	// e: cond with fall (f) NOT adjacent but taken (t) adjacent -> flip, 1 term word.
-	if l.Occ[b[0].ID] != 4+1 {
-		t.Fatalf("entry occ = %d", l.Occ[b[0].ID])
+	if l.Occ(b[0].ID) != 4+1 {
+		t.Fatalf("entry occ = %d", l.Occ(b[0].ID))
 	}
 	if l.Adj[b[0].ID] != b[1].ID {
 		t.Fatalf("entry adj = %d", l.Adj[b[0].ID])
 	}
 	// t: branch to x, not adjacent (f in between) -> 1 word.
-	if l.Occ[b[1].ID] != 3+1 {
-		t.Fatalf("t occ = %d", l.Occ[b[1].ID])
+	if l.Occ(b[1].ID) != 3+1 {
+		t.Fatalf("t occ = %d", l.Occ(b[1].ID))
 	}
 	// f: fall to x, adjacent -> elided.
-	if l.Occ[b[2].ID] != 5 {
-		t.Fatalf("f occ = %d", l.Occ[b[2].ID])
+	if l.Occ(b[2].ID) != 5 {
+		t.Fatalf("f occ = %d", l.Occ(b[2].ID))
 	}
 	// x: ret -> 1 word.
-	if l.Occ[b[3].ID] != 2+1 {
-		t.Fatalf("x occ = %d", l.Occ[b[3].ID])
+	if l.Occ(b[3].ID) != 2+1 {
+		t.Fatalf("x occ = %d", l.Occ(b[3].ID))
 	}
 	if l.TotalWords() != 5+4+5+3 {
 		t.Fatalf("total words = %d", l.TotalWords())
@@ -64,8 +64,8 @@ func TestMaterializeBranchPair(t *testing.T) {
 	l := mustMaterialize(t, p, order, program.MaterializeOptions{
 		FallFirst: func(b *program.Block) bool { return hot[b.Fall] > hot[b.Taken] },
 	})
-	if l.Occ[b[0].ID] != 4+2 {
-		t.Fatalf("branch pair occ = %d", l.Occ[b[0].ID])
+	if l.Occ(b[0].ID) != 4+2 {
+		t.Fatalf("branch pair occ = %d", l.Occ(b[0].ID))
 	}
 	if l.CondFirst[b[0].ID] != b[2].ID {
 		t.Fatalf("cond first should favor hot fall arm, got %d", l.CondFirst[b[0].ID])
@@ -100,8 +100,8 @@ func TestMaterializeCallLanding(t *testing.T) {
 
 	// Continuation adjacent: call takes 1 word, no landing.
 	l := mustMaterialize(t, p, []program.BlockID{cb.ID, cont.ID, other.ID, ce.ID}, program.MaterializeOptions{})
-	if l.Occ[cb.ID] != 3+1 || l.Place[cb.ID].Exit().Landing() {
-		t.Fatalf("adjacent continuation: occ=%d landing=%v", l.Occ[cb.ID], l.Place[cb.ID].Exit().Landing())
+	if l.Occ(cb.ID) != 3+1 || l.Place[cb.ID].Exit().Landing() {
+		t.Fatalf("adjacent continuation: occ=%d landing=%v", l.Occ(cb.ID), l.Place[cb.ID].Exit().Landing())
 	}
 	if _, _, ok := l.LandingRun(cb.ID); ok {
 		t.Fatal("unexpected landing run")
@@ -109,14 +109,14 @@ func TestMaterializeCallLanding(t *testing.T) {
 
 	// Continuation moved away: call needs a landing branch.
 	l = mustMaterialize(t, p, []program.BlockID{cb.ID, other.ID, cont.ID, ce.ID}, program.MaterializeOptions{})
-	if l.Occ[cb.ID] != 3+2 || !l.Place[cb.ID].Exit().Landing() {
-		t.Fatalf("split continuation: occ=%d landing=%v", l.Occ[cb.ID], l.Place[cb.ID].Exit().Landing())
+	if l.Occ(cb.ID) != 3+2 || !l.Place[cb.ID].Exit().Landing() {
+		t.Fatalf("split continuation: occ=%d landing=%v", l.Occ(cb.ID), l.Place[cb.ID].Exit().Landing())
 	}
 	addr, words, ok := l.LandingRun(cb.ID)
 	if !ok || words != 1 {
 		t.Fatalf("landing run: ok=%v words=%d", ok, words)
 	}
-	if want := l.Addr[cb.ID] + uint64(3+1)*isa.WordBytes; addr != want {
+	if want := l.Addr(cb.ID) + uint64(3+1)*isa.WordBytes; addr != want {
 		t.Fatalf("landing addr = %#x, want %#x", addr, want)
 	}
 }
@@ -129,13 +129,13 @@ func TestMaterializeAlignmentAndGaps(t *testing.T) {
 		AlignAt:    map[program.BlockID]bool{b[0].ID: true, b[3].ID: true},
 		GapBefore:  map[program.BlockID]uint64{b[3].ID: 64},
 	})
-	if l.Addr[b[0].ID]%16 != 0 {
-		t.Fatalf("unit start not aligned: %#x", l.Addr[b[0].ID])
+	if l.Addr(b[0].ID)%16 != 0 {
+		t.Fatalf("unit start not aligned: %#x", l.Addr(b[0].ID))
 	}
-	if l.Addr[b[3].ID]%16 != 0 {
-		t.Fatalf("gapped unit start not aligned: %#x", l.Addr[b[3].ID])
+	if l.Addr(b[3].ID)%16 != 0 {
+		t.Fatalf("gapped unit start not aligned: %#x", l.Addr(b[3].ID))
 	}
-	if gap := l.Addr[b[3].ID] - l.End(b[2].ID); gap < 64 {
+	if gap := l.Addr(b[3].ID) - l.End(b[2].ID); gap < 64 {
 		t.Fatalf("gap = %d, want >= 64", gap)
 	}
 	if l.PadWords < 16 {
@@ -234,8 +234,8 @@ func TestExecWordsBoundsProperty(t *testing.T) {
 					return
 				}
 				w := l.ExecWords(b, e.Dst)
-				if w < b.Body || w > l.Occ[b.ID] {
-					t.Logf("seed %d: block %d exec %d outside [%d,%d]", seed, b.ID, w, b.Body, l.Occ[b.ID])
+				if w < b.Body || w > l.Occ(b.ID) {
+					t.Logf("seed %d: block %d exec %d outside [%d,%d]", seed, b.ID, w, b.Body, l.Occ(b.ID))
 					ok = false
 				}
 			})

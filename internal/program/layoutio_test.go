@@ -41,8 +41,8 @@ func TestLayoutSaveLoadRoundTrip(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for id := range p.Blocks {
-		if got.Addr[id] != l.Addr[id] || got.Occ[id] != l.Occ[id] {
+	for _, b := range p.Blocks {
+		if id := b.ID; got.Addr(id) != l.Addr(id) || got.Occ(id) != l.Occ(id) {
 			t.Fatalf("block %d: addr/occ differ after roundtrip", id)
 		}
 	}
@@ -93,8 +93,8 @@ func TestSaveLayoutIsByteStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := range p.Blocks {
-		if got.Addr[id] != l.Addr[id] {
+	for _, b := range p.Blocks {
+		if id := b.ID; got.Addr(id) != l.Addr(id) {
 			t.Fatalf("block %d: address differs after roundtrip", id)
 		}
 	}
@@ -200,7 +200,7 @@ func TestUnplaceableGapsAreErrors(t *testing.T) {
 		check := func(how string, l *program.Layout, err error) {
 			t.Helper()
 			if err == nil {
-				t.Errorf("%s through %s: accepted, block %d at %#x", c.name, how, at, l.Addr[at])
+				t.Errorf("%s through %s: accepted, block %d at %#x", c.name, how, at, l.Addr(at))
 				return
 			}
 			if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), fmt.Sprintf("block %d ", c.block)) {

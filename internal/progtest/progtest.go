@@ -164,16 +164,16 @@ func RandProfile(r *rand.Rand, p *program.Program, walks, steps int) *profile.Pr
 	return pf
 }
 
-// CheckPlacement holds the layout's placement word per block to the reference
-// rules: it decodes to Addr[b], its exit bits price each way out of the block
-// as ExecWords does, and its landing bit marks the calls whose continuation is
-// not adjacent.
+// CheckPlacement holds the layout's placement word per block to rules it
+// derives itself: its exit bits price each way out of the block as ExecWords
+// does from Adj and CondFirst, its landing bit marks the calls whose
+// continuation is not adjacent, and its address is where a walk of Order puts
+// the block — after the gap before it, padded to AlignWords when it starts an
+// alignment unit, past its predecessor's words (the occupancy those exit bits
+// give).
 func CheckPlacement(l *program.Layout) error {
 	for _, b := range l.Prog.Blocks {
 		w := l.Place[b.ID]
-		if w.Addr() != l.Addr[b.ID] {
-			return fmt.Errorf("block %d: placement word holds address %#x, Addr %#x", b.ID, w.Addr(), l.Addr[b.ID])
-		}
 		x := w.Exit()
 		want := func(what string, got int32, succ program.BlockID) error {
 			if words := l.ExecWords(b, succ) - b.Body; got != words {
@@ -203,9 +203,30 @@ func CheckPlacement(l *program.Layout) error {
 		if err != nil {
 			return err
 		}
+		if b.Kind != isa.TermCond && min(x.Fall(), x.Taken()) != 0 {
+			return fmt.Errorf("block %d (%s): Exit prices two ways out (%d, %d words), the block has one", b.ID, b.Kind, x.Fall(), x.Taken())
+		}
 		if split := b.Kind == isa.TermCall && l.Adj[b.ID] == program.NoBlock; split != x.Landing() {
 			return fmt.Errorf("block %d (%s, adjacent to %d): Exit landing = %v", b.ID, b.Kind, l.Adj[b.ID], x.Landing())
 		}
+	}
+	// Materialize clamps the alignment to the placement word's 56 address
+	// bits; a wider one cannot have padded any block of a layout it returned.
+	align := min(uint64(l.AlignWords), 1<<56/isa.WordBytes) * isa.WordBytes
+	addr, pad := l.Prog.TextBase, int64(0)
+	for _, id := range l.Order {
+		at := addr + l.GapBefore[id]
+		if align > 0 && l.AlignAt[id] && at%align != 0 {
+			at += align - at%align
+		}
+		pad += int64((at - addr) / isa.WordBytes)
+		if got := l.Addr(id); got != at {
+			return fmt.Errorf("block %d: placement word holds address %#x, the walk of the order puts it at %#x", id, got, at)
+		}
+		addr = at + uint64(l.Occ(id))*isa.WordBytes
+	}
+	if pad != l.PadWords {
+		return fmt.Errorf("layout pads %d words, the walk of the order %d", l.PadWords, pad)
 	}
 	return nil
 }
