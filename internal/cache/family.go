@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"codelayout/internal/isa"
 	"codelayout/internal/trace"
 )
 
@@ -21,7 +22,12 @@ import (
 //
 // Every Stats field of every member therefore equals what separate ICaches
 // over the same stream produce. Members that track word usage need the frame
-// and are visited for every line.
+// and are visited for every line; after the walk the line is MRU in each of
+// them, so the frame is their mruFrame.
+//
+// Most fetched lines already are the MRU of their set in the smallest member.
+// FetchWords probes that member's MRU tag inline, before any call, and such a
+// line skips the walk altogether.
 type Family struct {
 	members   []*ICache // in configured order
 	walk      []*ICache // smallest first
@@ -62,23 +68,32 @@ func NewFamily(cfgs ...Config) (*Family, error) {
 }
 
 // Fetch implements trace.Sink.
-func (f *Family) Fetch(r trace.FetchRun) {
-	first := r.Addr >> f.lineShift
-	last := (r.End() - 1) >> f.lineShift
-	for ln := first; ln <= last; ln++ {
-		f.accesses++
-		for _, m := range f.walk {
-			if _, mru := m.lookup(ln, r.Kernel, f.accesses); mru {
-				break
+func (f *Family) Fetch(r trace.FetchRun) { f.FetchWords(r.Addr, r.Words, r.Kernel) }
+
+// FetchWords is Fetch on the run's bare coordinates.
+func (f *Family) FetchWords(addr uint64, words int32, kernel bool) {
+	end := addr + uint64(words)*isa.WordBytes
+	small := f.walk[0]
+	tags, mru, setMask := small.tags, small.mru, small.setMask
+	now := f.accesses
+	for ln, last := addr>>f.lineShift, (end-1)>>f.lineShift; ln <= last; ln++ {
+		now++
+		frame := ln & setMask
+		if mru != nil {
+			frame = uint64(mru[frame])
+		}
+		if tags[frame] != ln+1 {
+			for _, m := range f.walk {
+				if _, hit := m.lookup(ln, kernel, now); hit {
+					break
+				}
 			}
 		}
-		// The line is now the MRU of its set in every member, so this
-		// lookup only finds the frame.
 		for _, m := range f.words {
-			frame, _ := m.lookup(ln, r.Kernel, f.accesses)
-			m.markWords(frame, ln, r.Addr, r.End())
+			m.markWords(m.mruFrame(ln), ln, addr, end)
 		}
 	}
+	f.accesses = now
 }
 
 // Finalize is ICache.Finalize for every member.
@@ -94,7 +109,7 @@ func (f *Family) Stats() []*Stats {
 	out := make([]*Stats, len(f.members))
 	for i, m := range f.members {
 		m.stats.Accesses = f.accesses
-		out[i] = m.stats
+		out[i] = &m.stats
 	}
 	return out
 }

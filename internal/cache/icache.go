@@ -157,10 +157,12 @@ type ICache struct {
 
 	// Frame state, flattened as set*assoc+way. The access clock is
 	// stats.Accesses.
-	tags    []uint64 // line number + 1; 0 = invalid
+	tags  []uint64 // line number + 1; 0 = invalid
+	owner []Owner
+	// Word usage (WordStats only): frames × lineWords saturating counters,
+	// and each frame's fill time, which only a line's lifetime reads.
+	wordCnt []uint8
 	fillAt  []uint64
-	owner   []Owner
-	wordCnt []uint8 // frames × lineWords saturating counters (WordStats)
 	// Replacement order, kept only when there is a choice of victim
 	// (assoc > 1): lastUse orders the frames of a set, mru[set] is the frame
 	// of its most recently used line.
@@ -168,7 +170,7 @@ type ICache struct {
 	mru     []uint32
 	missCB  func(lineAddr uint64, kernel bool)
 
-	stats *Stats
+	stats Stats
 }
 
 // New creates an instruction cache simulator. It panics on a config that
@@ -185,9 +187,8 @@ func New(cfg Config) *ICache {
 		assoc:     cfg.Assoc,
 		lineWords: cfg.LineBytes / isa.WordBytes,
 		tags:      make([]uint64, numSets*cfg.Assoc),
-		fillAt:    make([]uint64, numSets*cfg.Assoc),
 		owner:     make([]Owner, numSets*cfg.Assoc),
-		stats:     NewStats(cfg),
+		stats:     *NewStats(cfg),
 	}
 	if cfg.Assoc > 1 {
 		c.lastUse = make([]uint64, numSets*cfg.Assoc)
@@ -198,6 +199,7 @@ func New(cfg Config) *ICache {
 	}
 	if cfg.WordStats {
 		c.wordCnt = make([]uint8, numSets*cfg.Assoc*c.lineWords)
+		c.fillAt = make([]uint64, numSets*cfg.Assoc)
 	}
 	return c
 }
@@ -215,18 +217,34 @@ func (c *ICache) Fetch(r trace.FetchRun) { c.FetchWords(r.Addr, r.Words, r.Kerne
 
 // FetchWords is Fetch on the run's bare coordinates, and returns the number
 // of misses the run took — the number the machine's inline Pair is held to,
-// run by run.
+// run by run. A line that already is its set's most recently used — most
+// lines of most runs — costs one probe of mruFrame and no lookup.
 func (c *ICache) FetchWords(addr uint64, words int32, kernel bool) (misses int) {
 	end := addr + uint64(words)*isa.WordBytes
 	before := c.stats.Misses
+	now := c.stats.Accesses
 	for ln, last := addr>>c.lineShift, (end-1)>>c.lineShift; ln <= last; ln++ {
-		c.stats.Accesses++
-		frame, _ := c.lookup(ln, kernel, c.stats.Accesses)
+		now++
+		frame := c.mruFrame(ln)
+		if c.tags[frame] != ln+1 {
+			frame, _ = c.lookup(ln, kernel, now)
+		}
 		if c.wordCnt != nil {
 			c.markWords(frame, ln, addr, end)
 		}
 	}
+	c.stats.Accesses = now
 	return int(c.stats.Misses - before)
+}
+
+// mruFrame is the frame of the most recently used line of line's set: the
+// set's only frame when the cache is direct-mapped.
+func (c *ICache) mruFrame(line uint64) int {
+	set := line & c.setMask
+	if c.mru == nil {
+		return int(set)
+	}
+	return int(c.mru[set])
 }
 
 // markWords counts one use of each word of line ln, held in frame, that the
@@ -269,13 +287,17 @@ func (c *ICache) lookup(line uint64, kernel bool, now uint64) (frame int, mru bo
 		return f, true
 	}
 	base := set * c.assoc
+	ways := c.tags[base : base+c.assoc]
+	for w, t := range ways {
+		if t == tag {
+			c.lastUse[base+w] = now
+			c.mru[set] = uint32(base + w)
+			return base + w, false
+		}
+	}
 	victim := base
 	for f := base; f < base+c.assoc; f++ {
 		switch {
-		case c.tags[f] == tag:
-			c.lastUse[f] = now
-			c.mru[set] = uint32(f)
-			return f, false
 		case c.tags[f] == 0:
 			victim = f
 		case c.tags[victim] != 0 && c.lastUse[f] < c.lastUse[victim]:
@@ -304,11 +326,11 @@ func (c *ICache) replace(f int, line uint64, kernel bool, now uint64) {
 		c.retire(f, now)
 	}
 	c.tags[f] = line + 1
-	c.fillAt[f] = now
 	c.owner[f] = miss
 	c.stats.Fills++
 	if c.wordCnt != nil {
 		clear(c.wordCnt[f*c.lineWords : (f+1)*c.lineWords])
+		c.fillAt[f] = now
 		c.stats.FetchedWords += uint64(c.lineWords)
 	}
 	if c.missCB != nil {
@@ -351,4 +373,4 @@ func (c *ICache) Finalize() {
 }
 
 // Stats returns the accumulated statistics.
-func (c *ICache) Stats() *Stats { return c.stats }
+func (c *ICache) Stats() *Stats { return &c.stats }

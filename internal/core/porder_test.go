@@ -144,7 +144,7 @@ func TestPettisHansenIsPermutation(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(4))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -168,6 +168,11 @@ func TestPettisHansenDeterministic(t *testing.T) {
 	}
 }
 
+// TestPettisHansenPlacesHeaviestPairAdjacent: the merge takes the heaviest
+// edge first, so some pair of units joined by the maximum weight ends up
+// adjacent. Ties are real — seed 3548165921352553714 has three pairs at
+// weight 25 around one unit, and only one of them can be adjacent — so the
+// check asks for some pair of maximum weight, not a particular one.
 func TestPettisHansenPlacesHeaviestPairAdjacent(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -178,7 +183,7 @@ func TestPettisHansenPlacesHeaviestPairAdjacent(t *testing.T) {
 		if len(order) < 2 {
 			return true
 		}
-		// Find the heaviest inter-unit pair in the original graph.
+		// Weigh every inter-unit pair in the original graph.
 		unitOf := make(map[program.BlockID]int)
 		for i, u := range units {
 			for _, b := range u.Blocks {
@@ -199,12 +204,9 @@ func TestPettisHansenPlacesHeaviestPairAdjacent(t *testing.T) {
 				w[pair{ua, ub}] += pf.Edge(e.Src, e.Dst)
 			})
 		}
-		var best pair
 		var bw uint64
-		for pr, x := range w {
-			if x > bw {
-				best, bw = pr, x
-			}
+		for _, x := range w {
+			bw = max(bw, x)
 		}
 		if bw == 0 {
 			return true
@@ -213,22 +215,25 @@ func TestPettisHansenPlacesHeaviestPairAdjacent(t *testing.T) {
 		for i, u := range order {
 			posOf[u] = i
 		}
-		pa, oka := posOf[best.a]
-		pb, okb := posOf[best.b]
-		if !oka || !okb {
-			return true // one side cold
+		var heaviest []pair
+		for pr, x := range w {
+			if x != bw {
+				continue
+			}
+			heaviest = append(heaviest, pr)
+			pa, oka := posOf[pr.a]
+			pb, okb := posOf[pr.b]
+			if !oka || !okb || pa-pb == 1 || pb-pa == 1 {
+				return true // adjacent, or one side cold
+			}
 		}
-		d := pa - pb
-		if d < 0 {
-			d = -d
-		}
-		if d != 1 {
-			t.Logf("seed %d: heaviest pair (%d,%d,w=%d) at distance %d in %v", seed, best.a, best.b, bw, d, order)
-			return false
-		}
-		return true
+		t.Logf("seed %d: no pair of weight %d (%v) is adjacent in %v", seed, bw, heaviest, order)
+		return false
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
+	if !check(3548165921352553714) {
+		t.Error("seed 3548165921352553714 (three pairs tied at the maximum weight)")
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Fatal(err)
 	}
 }

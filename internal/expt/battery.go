@@ -226,18 +226,17 @@ var sinkGroups = func() []sinkGroup {
 			return sinks, nil, collect
 		}}
 	}
-	itlb := func(entries int, file func(*Measure, uint64)) sinkGroup {
-		return sinkGroup{fmt.Sprintf("ITLB%d", entries), SinkITLB, combStream, func(cpus int, _ SinkSet) ([]trace.Sink, trace.DataSink, func(*Measure)) {
-			tlbs, sinks := perCPU(cpus, func() *tlb.TLB { return tlb.New(entries) })
-			return sinks, nil, func(m *Measure) {
-				var n uint64
-				for _, one := range tlbs {
-					n += one.Misses
-				}
-				file(m, n)
+	// itlb is both iTLBs: one 64-entry LRU stack per CPU, whose hits below
+	// depth 48 are the 48-entry iTLB's misses beyond its own.
+	itlb := sinkGroup{"ITLB", SinkITLB, combStream, func(cpus int, _ SinkSet) ([]trace.Sink, trace.DataSink, func(*Measure)) {
+		tlbs, sinks := perCPU(cpus, func() *tlb.TLB { return tlb.New(64) })
+		return sinks, nil, func(m *Measure) {
+			for _, one := range tlbs {
+				m.ITLB64 += one.Misses
+				m.ITLB48 += one.MissesAt(48)
 			}
-		}}
-	}
+		}
+	}}
 	// memory is an L1I per CPU whose misses feed the unified L2 of a memory
 	// system that also takes the data references.
 	memory := func(name string, in SinkSet, l1i cache.Config, sys mem.Config, file func(*Measure, *cache.Stats, mem.Stats)) sinkGroup {
@@ -276,8 +275,7 @@ var sinkGroups = func() []sinkGroup {
 			c := &trace.Counter{}
 			return c, func(m *Measure) { m.AllRuns = *c }
 		}),
-		itlb(64, func(m *Measure, n uint64) { m.ITLB64 = n }),
-		itlb(48, func(m *Measure, n uint64) { m.ITLB48 = n }),
+		itlb,
 		memory("Mem", SinkMem, cache.Config{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 2}, mem.DefaultConfig(0),
 			func(m *Measure, l1i *cache.Stats, st mem.Stats) { m.HW21264, m.Mem = l1i, st }),
 		memory("Board", SinkBoard, cache.Config{SizeBytes: 8 << 10, LineBytes: 32, Assoc: 1},

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"codelayout/internal/cache"
 	"codelayout/internal/machine"
 	"codelayout/internal/trace"
 )
@@ -71,9 +72,14 @@ type lane struct {
 	mask  uint8
 	want  uint8
 	fetch []trace.Sink
-	data  trace.DataSink
-	in    chan *chunk
-	err   error // the group's first panic; read once the lane has exited
+	// fams and l1is are fetch again, typed, when every sink of the group is
+	// a cache family or every one a cache: feed calls those directly on a
+	// run's bare coordinates, not through the interface.
+	fams []*cache.Family
+	l1is []*cache.ICache
+	data trace.DataSink
+	in   chan *chunk
+	err  error // the group's first panic; read once the lane has exited
 }
 
 // attachBattery builds the groups of set for the machine cfg describes — the
@@ -93,6 +99,7 @@ func attachBattery(cfg *machine.Config, set SinkSet) (*eventLog, []func(*Measure
 		t := fetchTest[g.stream]
 		l.lanes = append(l.lanes, &lane{
 			group: g.name, mask: t.mask, want: t.want, fetch: fetch, data: data,
+			fams: every[*cache.Family](fetch), l1is: every[*cache.ICache](fetch),
 			in: make(chan *chunk, logChunks), // every chunk in circulation fits: a hand-off never blocks
 		})
 		collectors = append(collectors, collect)
@@ -208,11 +215,32 @@ func (ln *lane) feed(evs []event) (err error) {
 	}()
 	for i := range evs {
 		e := &evs[i]
-		if e.flags&ln.mask == ln.want {
-			ln.fetch[e.cpu].Fetch(trace.FetchRun{Addr: e.addr, Words: e.n, CPU: e.cpu, PID: e.pid, Kernel: e.flags&evKernel != 0})
-		} else if e.flags&evData != 0 && ln.data != nil {
-			ln.data.Data(trace.DataRef{Addr: e.addr, Bytes: e.n, CPU: e.cpu, PID: e.pid, Write: e.flags&evWrite != 0, Kernel: e.flags&evKernel != 0})
+		kernel := e.flags&evKernel != 0
+		switch {
+		case e.flags&ln.mask != ln.want:
+			if e.flags&evData != 0 && ln.data != nil {
+				ln.data.Data(trace.DataRef{Addr: e.addr, Bytes: e.n, CPU: e.cpu, PID: e.pid, Write: e.flags&evWrite != 0, Kernel: kernel})
+			}
+		case ln.fams != nil:
+			ln.fams[e.cpu].FetchWords(e.addr, e.n, kernel)
+		case ln.l1is != nil:
+			ln.l1is[e.cpu].FetchWords(e.addr, e.n, kernel)
+		default:
+			ln.fetch[e.cpu].Fetch(trace.FetchRun{Addr: e.addr, Words: e.n, CPU: e.cpu, PID: e.pid, Kernel: kernel})
 		}
 	}
 	return nil
+}
+
+// every returns sinks as Ts when every one of them is a T, and nil otherwise.
+func every[T trace.Sink](sinks []trace.Sink) []T {
+	out := make([]T, len(sinks))
+	for i, s := range sinks {
+		t, ok := s.(T)
+		if !ok {
+			return nil
+		}
+		out[i] = t
+	}
+	return out
 }

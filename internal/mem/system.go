@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+
 	"codelayout/internal/trace"
 )
 
@@ -92,6 +94,7 @@ func NewSystem(cfg Config) *System {
 // FetchMiss feeds an L1 instruction-cache miss into the unified L2 of the
 // given CPU. Wire it as the ICache miss callback.
 func (s *System) FetchMiss(lineAddr uint64, cpu int) {
+	s.checkCPU(cpu)
 	s.l2Access(cpu, lineAddr, KindInstr)
 }
 
@@ -99,9 +102,7 @@ func (s *System) FetchMiss(lineAddr uint64, cpu int) {
 // go to the unified L2; writes maintain the sharing directory.
 func (s *System) Data(r trace.DataRef) {
 	cpu := int(r.CPU)
-	if cpu >= len(s.l1d) {
-		cpu = len(s.l1d) - 1
-	}
+	s.checkCPU(cpu)
 	l1 := s.l1d[cpu]
 	first := l1.lineOf(r.Addr)
 	last := l1.lineOf(r.Addr + uint64(r.Bytes) - 1)
@@ -118,6 +119,15 @@ func (s *System) Data(r trace.DataRef) {
 		s.Stats.L1DMisses++
 		s.share[addr>>dirShift] |= 1 << uint(cpu)
 		s.l2Access(cpu, addr, KindData)
+	}
+}
+
+// checkCPU panics on a reference from a CPU the system does not have: the
+// caller sized the system for another machine, and folding the reference
+// into some other CPU's caches would only hide that.
+func (s *System) checkCPU(cpu int) {
+	if cpu < 0 || cpu >= s.cfg.CPUs {
+		panic(fmt.Sprintf("mem: reference from cpu %d in a %d-cpu system", cpu, s.cfg.CPUs))
 	}
 }
 

@@ -107,3 +107,32 @@ func TestMoreCPUsMoreCommunication(t *testing.T) {
 		t.Fatalf("comm: 1cpu=%d 4cpu=%d", one, four)
 	}
 }
+
+// TestForeignCPUPanics: a reference from a CPU the system lacks panics,
+// naming the CPU and the system's size, whether it is a data reference or an
+// instruction miss, instead of landing in another CPU's caches.
+func TestForeignCPUPanics(t *testing.T) {
+	panicMsg := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	s := mem.NewSystem(smallConfig(2))
+	s.Data(dref(1, 0x1000, 8, true))
+	s.FetchMiss(0x2000, 1)
+	const want = "mem: reference from cpu 2 in a 2-cpu system"
+	for name, f := range map[string]func(){
+		"Data":      func() { s.Data(dref(2, 0x1000, 8, false)) },
+		"FetchMiss": func() { s.FetchMiss(0x2000, 2) },
+	} {
+		if got := panicMsg(f); got != want {
+			t.Errorf("%s from cpu 2: panic %v, want %q", name, got, want)
+		}
+	}
+	if got := panicMsg(func() { s.FetchMiss(0x2000, -1) }); got != "mem: reference from cpu -1 in a 2-cpu system" {
+		t.Errorf("FetchMiss from cpu -1: panic %v", got)
+	}
+	if s.Stats.L1DAccesses != 1 || s.Stats.L2Accesses != [2]uint64{1, 1} {
+		t.Errorf("a rejected reference was counted: %+v", s.Stats)
+	}
+}

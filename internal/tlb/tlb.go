@@ -9,104 +9,63 @@ import (
 )
 
 // TLB is a fully associative, LRU translation buffer at page granularity.
+//
+// Its pages are one LRU stack, most recent first, and it counts each hit by
+// its depth in the stack. A fully associative LRU buffer of n entries holds
+// exactly the n most recently used pages (Mattson et al.'s stack property),
+// so a hit at depth d is a miss for every smaller buffer of n ≤ d entries:
+// one TLB answers MissesAt for every size up to its own.
 type TLB struct {
-	Entries int
-
-	slots    map[uint64]*node
-	head     *node // most recent
-	tail     *node // least recent
-	free     []*node
 	Accesses uint64
 	Misses   uint64
+
+	stack []uint64 // page + 1, most recent first; 0 = empty
+	depth []uint64 // depth[d]: hits on the page at stack[d], d ≥ 1
 }
 
-type node struct {
-	page       uint64
-	prev, next *node
-}
-
-// New creates a TLB with the given number of entries.
+// New creates a TLB with the given number of entries, at least one.
 func New(entries int) *TLB {
-	t := &TLB{Entries: entries, slots: make(map[uint64]*node, entries)}
-	return t
+	return &TLB{stack: make([]uint64, entries), depth: make([]uint64, entries)}
 }
 
 // Fetch implements trace.Sink: every page the run touches is translated.
 // A repeat access to the most recently used page — the common case — is a
-// hit that leaves the LRU order as it is, so it skips the lookup.
+// hit that leaves the stack as it is, so it skips the search.
 func (t *TLB) Fetch(r trace.FetchRun) {
-	first := r.Addr / isa.PageBytes
-	last := (r.End() - 1) / isa.PageBytes
-	for pg := first; pg <= last; pg++ {
+	for pg, last := r.Addr/isa.PageBytes, (r.End()-1)/isa.PageBytes; pg <= last; pg++ {
 		t.Accesses++
-		if t.head != nil && t.head.page == pg {
-			continue
+		if t.stack[0] != pg+1 {
+			t.translate(pg + 1)
 		}
-		t.translate(pg)
 	}
 }
 
-// Translate records a translation of the page containing addr.
-func (t *TLB) Translate(addr uint64) bool {
-	t.Accesses++
-	return t.translate(addr / isa.PageBytes)
-}
-
-func (t *TLB) translate(pg uint64) bool {
-	if n, ok := t.slots[pg]; ok {
-		t.touch(n)
-		return true
+// translate moves tag to the top of the stack. An empty slot holds 0, which
+// no tag equals, so a miss searches the whole stack and then drops its
+// bottom slot: the least recently used page, or an empty slot.
+func (t *TLB) translate(tag uint64) {
+	d := 1
+	for d < len(t.stack) && t.stack[d] != tag {
+		d++
 	}
-	t.Misses++
-	var n *node
-	if len(t.slots) >= t.Entries {
-		n = t.tail
-		t.unlink(n)
-		delete(t.slots, n.page)
-	} else if len(t.free) > 0 {
-		n = t.free[len(t.free)-1]
-		t.free = t.free[:len(t.free)-1]
+	if d < len(t.stack) {
+		t.depth[d]++
 	} else {
-		n = &node{}
+		t.Misses++
+		d--
 	}
-	n.page = pg
-	t.slots[pg] = n
-	t.pushFront(n)
-	return false
+	copy(t.stack[1:d+1], t.stack[:d])
+	t.stack[0] = tag
 }
 
-func (t *TLB) touch(n *node) {
-	if t.head == n {
-		return
+// MissesAt returns the misses a TLB of entries entries, 1 ≤ entries ≤ the
+// size t was made with, takes on the same translations.
+func (t *TLB) MissesAt(entries int) uint64 {
+	n := t.Misses
+	for _, hits := range t.depth[entries:] {
+		n += hits
 	}
-	t.unlink(n)
-	t.pushFront(n)
-}
-
-func (t *TLB) unlink(n *node) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		t.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		t.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (t *TLB) pushFront(n *node) {
-	n.next = t.head
-	n.prev = nil
-	if t.head != nil {
-		t.head.prev = n
-	}
-	t.head = n
-	if t.tail == nil {
-		t.tail = n
-	}
+	return n
 }
 
 // MissRate returns misses per translation.

@@ -1,6 +1,7 @@
 package tlb_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -138,43 +139,97 @@ func (t *refTLB) translate(pg uint64) {
 	t.pages = append(t.pages, pg)
 }
 
-// TestTLBMatchesReferenceList drives a TLB and the reference with random
-// references — short runs that mostly stay on the page of the one before
-// (the fast path), runs that cross one page boundary or several, from four
-// CPUs, and Translate calls between them — and requires equal access and
-// miss counts after every reference.
+// refSizes is one reference list of every size from 1 to entries.
+type refSizes []*refTLB
+
+func newRefSizes(entries int) refSizes {
+	refs := make(refSizes, entries)
+	for i := range refs {
+		refs[i] = &refTLB{entries: i + 1}
+	}
+	return refs
+}
+
+// fetch translates every page r touches in every list.
+func (refs refSizes) fetch(r trace.FetchRun) {
+	for pg := r.Addr / isa.PageBytes; pg <= (r.End()-1)/isa.PageBytes; pg++ {
+		for _, ref := range refs {
+			ref.translate(pg)
+		}
+	}
+}
+
+// check reports the first size whose reference list disagrees with tb: on
+// accesses and misses at tb's own size, on MissesAt below it.
+func (refs refSizes) check(tb *tlb.TLB) error {
+	if own := refs[len(refs)-1]; tb.Accesses != own.accesses || tb.Misses != own.misses {
+		return fmt.Errorf("%d entries: tlb %d misses of %d, reference %d of %d", own.entries, tb.Misses, tb.Accesses, own.misses, own.accesses)
+	}
+	for _, ref := range refs {
+		if got := tb.MissesAt(ref.entries); got != ref.misses {
+			return fmt.Errorf("MissesAt(%d) = %d, a %d-entry reference list took %d", ref.entries, got, ref.entries, ref.misses)
+		}
+	}
+	return nil
+}
+
+// TestTLBMatchesReferenceList drives one 64-entry TLB and a reference list
+// of every size from 1 to 64 with random runs — short ones that mostly stay
+// on the page of the one before (the fast path), and ones that cross one page
+// boundary or several — over working sets smaller than, near and beyond 64
+// pages. After every run the TLB's own accesses and misses equal the 64-entry
+// list's, and MissesAt(n) equals the n-entry list's misses for every n.
 func TestTLBMatchesReferenceList(t *testing.T) {
-	for _, entries := range []int{1, 2, 8, 48, 64} {
-		rng := rand.New(rand.NewSource(int64(entries)))
-		tb, ref := tlb.New(entries), &refTLB{entries: entries}
-		pages := uint64(2 * entries)
+	for _, pages := range []uint64{6, 50, 70, 160} {
+		rng := rand.New(rand.NewSource(int64(pages)))
+		tb, refs := tlb.New(64), newRefSizes(64)
 		addr := uint64(0)
-		for i := 0; i < 20_000; i++ {
+		for i := 0; i < 10_000; i++ {
 			if rng.Intn(4) == 0 {
 				addr = uint64(rng.Int63n(int64(pages*isa.PageBytes/isa.WordBytes))) * isa.WordBytes
 			}
-			if rng.Intn(10) == 0 {
-				tb.Translate(addr)
-				ref.translate(addr / isa.PageBytes)
-			} else {
-				words := int32(1 + rng.Intn(40))
-				if rng.Intn(50) == 0 {
-					words = int32(rng.Intn(3 * isa.PageBytes / isa.WordBytes))
-				}
-				r := trace.FetchRun{Addr: addr, Words: max(words, 1), CPU: uint8(rng.Intn(4))}
-				tb.Fetch(r)
-				for pg := r.Addr / isa.PageBytes; pg <= (r.End()-1)/isa.PageBytes; pg++ {
-					ref.translate(pg)
-				}
-				addr = r.End()
+			words := int32(1 + rng.Intn(40))
+			if rng.Intn(50) == 0 {
+				words = int32(1 + rng.Intn(3*isa.PageBytes/isa.WordBytes))
 			}
-			if tb.Accesses != ref.accesses || tb.Misses != ref.misses {
-				t.Fatalf("%d entries, reference %d: tlb %d misses of %d, reference %d of %d",
-					entries, i, tb.Misses, tb.Accesses, ref.misses, ref.accesses)
+			r := trace.FetchRun{Addr: addr, Words: words}
+			tb.Fetch(r)
+			refs.fetch(r)
+			addr = r.End()
+			if err := refs.check(tb); err != nil {
+				t.Fatalf("%d pages, run %d: %v", pages, i, err)
 			}
 		}
-		if ref.misses == 0 || ref.misses == ref.accesses {
-			t.Errorf("%d entries: %d misses of %d; the stream does not exercise replacement", entries, ref.misses, ref.accesses)
+		for _, ref := range refs {
+			if ref.entries < int(pages) && (ref.misses <= pages || ref.misses == ref.accesses) {
+				t.Errorf("%d pages, %d entries: %d misses of %d; the stream does not exercise replacement", pages, ref.entries, ref.misses, ref.accesses)
+			}
 		}
 	}
+}
+
+// FuzzTLB: for any TLB size and any runs — three bytes each: a page among 64,
+// an offset into it, and a length of up to 251 words or of several pages —
+// the TLB agrees after every run with a reference list of every size up to
+// its own.
+func FuzzTLB(f *testing.F) {
+	f.Add(uint8(3), []byte{0, 0, 1, 1, 0, 1, 2, 0, 1, 0, 0, 1, 3, 0, 1, 2, 0, 1})
+	f.Add(uint8(0), []byte{5, 255, 200, 5, 255, 255, 6, 0, 1})
+	f.Add(uint8(63), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1, 2, 3, 60, 61, 62, 63, 0, 252})
+	f.Fuzz(func(t *testing.T, size uint8, data []byte) {
+		entries := 1 + int(size)%64
+		tb, refs := tlb.New(entries), newRefSizes(entries)
+		for i := 0; i+3 <= len(data) && i < 3*512; i += 3 {
+			words := int32(data[i+2]) + 1
+			if data[i+2] > 251 {
+				words = int32(data[i+2]-251) * isa.PageBytes / isa.WordBytes
+			}
+			r := trace.FetchRun{Addr: uint64(data[i]%64)*isa.PageBytes + uint64(data[i+1])*isa.PageBytes/256, Words: words}
+			tb.Fetch(r)
+			refs.fetch(r)
+			if err := refs.check(tb); err != nil {
+				t.Fatalf("run %d %+v: %v", i/3, r, err)
+			}
+		}
+	})
 }

@@ -33,8 +33,11 @@ type FetchRun struct {
 	Kernel bool
 }
 
-// End returns the address one past the last fetched word.
-func (r FetchRun) End() uint64 { return r.Addr + uint64(r.Words)*isa.WordBytes }
+// End returns the address one past the last fetched word. It takes a
+// pointer: a FetchRun has too many fields to live in registers, and a copy of
+// one is written field by field and read back whole, which stalls the load on
+// every run a sink sees.
+func (r *FetchRun) End() uint64 { return r.Addr + uint64(r.Words)*isa.WordBytes }
 
 // DataRef is a data memory reference issued by the workload (buffer pool
 // page touches, log writes, private working storage).
