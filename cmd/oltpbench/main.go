@@ -1,13 +1,14 @@
 // oltpbench runs an OLTP workload on the simulated multiprocessor and
-// reports throughput and memory-system behavior, optionally recording the
-// instruction/data trace for offline replay with cmd/icachesim.
+// reports throughput and memory-system behavior.
 //
 // The run is described by expt.Options, filled from the flag surface the
 // four commands share (expt.BindFlags), and measured through the
 // machine.Config an expt session lowers those options to — the one
-// layoutlab's tables measure through; this command only adds its sinks, a
-// -layout file and, under -reopt, a machine.Reoptimizer (period -reopt,
-// threshold -drift, the training mix, the same pipeline as its Retrain).
+// layoutlab's tables measure through; this command only adds a -layout file
+// and, under -reopt, a machine.Reoptimizer (period -reopt, threshold -drift,
+// the training mix, the same pipeline as its Retrain). The icache and fetch
+// sequence lines are battery groups (expt.SinkComb4W(64), expt.SinkSeq): the
+// per-CPU combined cache of Figure 12 and the application stream of Figure 8.
 //
 // With -opt it first trains in-process — profiling a (possibly different)
 // workload at a (possibly different) shard count under the baseline layout,
@@ -15,7 +16,7 @@
 // layout, so profile-transplant runs work standalone. -opt takes any layout
 // name a session knows:
 //
-//	oltpbench -workload tpcb -txns 500 -cpus 4 -layout app.layout -trace run.trace
+//	oltpbench -workload tpcb -txns 500 -cpus 4 -layout app.layout
 //	oltpbench -workload ordere -quick
 //	oltpbench -workload ordere -shards 4 -gcwindow 60000
 //	oltpbench -workload tpcb -shards 4 -gcauto
@@ -31,21 +32,16 @@ import (
 	"os"
 	"time"
 
-	"codelayout/internal/cache"
 	"codelayout/internal/core"
 	"codelayout/internal/expt"
 	"codelayout/internal/isa"
 	"codelayout/internal/machine"
 	"codelayout/internal/profile"
 	"codelayout/internal/program"
-	"codelayout/internal/trace"
 )
 
 func main() {
-	var (
-		pctiles   = flag.Bool("percentiles", false, "report per-transaction latency percentiles (overall and per shard × kind)")
-		tracePath = flag.String("trace", "", "write the measured trace to this file")
-	)
+	pctiles := flag.Bool("percentiles", false, "report per-transaction latency percentiles (overall and per shard × kind)")
 	f := expt.BindFlags(flag.CommandLine, expt.Oltpbench)
 	flag.Parse()
 	if err := f.Resolve(); err != nil {
@@ -117,38 +113,11 @@ func main() {
 		}
 	}
 
-	ic := cache.New(cache.Config{SizeBytes: 64 << 10, LineBytes: 128, Assoc: 4})
-	seq := trace.NewSeqLen()
-	cfg.Sinks = []trace.Sink{ic, seq}
-	var tw *trace.Writer
-	if *tracePath != "" {
-		tf, err := os.Create(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		defer tf.Close()
-		tw, err = trace.NewWriter(tf)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Sinks = append(cfg.Sinks, tw)
-		cfg.DataSinks = append(cfg.DataSinks, tw)
-	}
-
-	m, err := machine.New(cfg)
+	m, err := expt.MeasureConfig(cfg, expt.SinkComb4W(64)|expt.SinkSeq, "the run")
 	if err != nil {
 		fatal(err)
 	}
-	res, err := m.Run()
-	if err != nil {
-		fatal(err)
-	}
-	if tw != nil {
-		if err := tw.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace written to %s\n", *tracePath)
-	}
+	res := m.Res
 
 	fmt.Printf("workload:         %s\n", o.Workload.Name())
 	if o.Shards > 1 {
@@ -157,7 +126,7 @@ func main() {
 			o.Shards, part.Key, part.CrossShardPct, res.CrossShard, res.Aborted)
 	}
 	if o.AutoGroupCommit != machine.AutoGCOff {
-		fmt.Printf("gc windows:       %v (auto-tuned, mode %s)\n", m.GroupCommitWindows(), o.AutoGroupCommit)
+		fmt.Printf("gc windows:       %v (auto-tuned, mode %s)\n", m.GCWindows, o.AutoGroupCommit)
 	}
 	if o.PredictFastPath {
 		fmt.Printf("fast path:        %d predicted local, %d mispredicted (aborted and retried distributed)\n",
@@ -168,9 +137,9 @@ func main() {
 		res.AppInstrs, res.KernelInstrs, res.KernelFrac()*100)
 	fmt.Printf("per transaction:  %.0f instructions\n",
 		float64(res.BusyInstrs)/float64(res.Committed))
-	fmt.Printf("icache 64KB/128B/4-way: %d misses (%.3f%% of line accesses)\n",
-		ic.Stats().Misses, ic.Stats().MissRate()*100)
-	fmt.Printf("mean fetch sequence:    %.2f instructions\n", seq.Hist.Mean())
+	ic := m.Comb4W[64]
+	fmt.Printf("icache 64KB/128B/4-way: %d misses (%.3f%% of line accesses)\n", ic.Misses, ic.MissRate()*100)
+	fmt.Printf("mean app sequence:      %.2f instructions\n", m.Seq.Hist.Mean())
 	if o.FetchStallPenaltyInstr > 0 {
 		fmt.Printf("fetch stalls:     %d instr-times (%d per L1I miss)\n", res.FetchStallInstr, o.FetchStallPenaltyInstr)
 	}
@@ -189,15 +158,13 @@ func main() {
 		l := res.Latency
 		fmt.Printf("latency (instr-times): mean=%.0f p50=%d p95=%d p99=%d max=%d over %d txns\n",
 			l.Mean, l.P50, l.P95, l.P99, l.Max, l.N)
-		for _, c := range m.LatencyByKind() {
+		for _, c := range m.Latency {
 			s := c.Summary
 			fmt.Printf("  shard %d %-14s n=%-6d p50=%-10d p95=%-10d p99=%-10d max=%d\n",
 				c.Shard, c.Kind, s.N, s.P50, s.P95, s.P99, s.Max)
 		}
 	}
-	if err := m.CheckInvariants(); err != nil {
-		fatal(err)
-	}
+	// MeasureConfig audited the workload's invariants after the drain.
 	fmt.Println("invariants:       ok")
 }
 

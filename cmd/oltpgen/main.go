@@ -56,7 +56,7 @@ func main() {
 	fmt.Printf("wrote %s: %d procs (%d cold), %.1f MB static\n",
 		kernPath, kst.Procs, kst.ColdProcs, float64(kst.BodyWords*4)/(1<<20))
 	fmt.Println("note: emitter-driven runs rebuild images from the same seed;")
-	fmt.Println("these files serve cmd/spike and cmd/icachesim offline analysis.")
+	fmt.Println("these files serve cmd/spike offline analysis.")
 }
 
 func fatal(err error) {

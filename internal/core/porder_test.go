@@ -168,11 +168,12 @@ func TestPettisHansenDeterministic(t *testing.T) {
 	}
 }
 
-// TestPettisHansenPlacesHeaviestPairAdjacent: the merge takes the heaviest
-// edge first, so some pair of units joined by the maximum weight ends up
-// adjacent. Ties are real — seed 3548165921352553714 has three pairs at
-// weight 25 around one unit, and only one of them can be adjacent — so the
-// check asks for some pair of maximum weight, not a particular one.
+// TestPettisHansenPlacesHeaviestPairAdjacent: the merge pops the heaviest
+// pair of hot units first — among pairs tied at that weight, the one
+// heapEdge.before orders first: lowest unit a, then lowest b — and merges only
+// concatenate or reverse chains, so that pair is adjacent in the order. Ties
+// are real: seed 3548165921352553714 has three pairs at weight 25 around one
+// unit, and only the first of them may be the adjacent one.
 func TestPettisHansenPlacesHeaviestPairAdjacent(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -183,7 +184,11 @@ func TestPettisHansenPlacesHeaviestPairAdjacent(t *testing.T) {
 		if len(order) < 2 {
 			return true
 		}
-		// Weigh every inter-unit pair in the original graph.
+		// Weigh every pair of hot (ordered) units in the original graph.
+		posOf := make(map[int]int)
+		for i, u := range order {
+			posOf[u] = i
+		}
 		unitOf := make(map[program.BlockID]int)
 		for i, u := range units {
 			for _, b := range u.Blocks {
@@ -194,8 +199,11 @@ func TestPettisHansenPlacesHeaviestPairAdjacent(t *testing.T) {
 		w := make(map[pair]uint64)
 		for _, b := range p.Blocks {
 			p.SuccEdges(b, func(e program.Edge) {
-				ua, ub := unitOf[e.Src], unitOf[e.Dst]
-				if ua == ub {
+				ua, oka := unitOf[e.Src]
+				ub, okb := unitOf[e.Dst]
+				_, hotA := posOf[ua]
+				_, hotB := posOf[ub]
+				if !oka || !okb || !hotA || !hotB || ua == ub {
 					return
 				}
 				if ua > ub {
@@ -204,30 +212,26 @@ func TestPettisHansenPlacesHeaviestPairAdjacent(t *testing.T) {
 				w[pair{ua, ub}] += pf.Edge(e.Src, e.Dst)
 			})
 		}
+		var first pair
 		var bw uint64
-		for _, x := range w {
-			bw = max(bw, x)
+		for pr, x := range w {
+			if x > bw || x == bw && (pr.a < first.a || pr.a == first.a && pr.b < first.b) {
+				first, bw = pr, x
+			}
 		}
 		if bw == 0 {
 			return true
 		}
-		posOf := make(map[int]int)
-		for i, u := range order {
-			posOf[u] = i
+		if d := posOf[first.a] - posOf[first.b]; d == 1 || d == -1 {
+			return true
 		}
-		var heaviest []pair
+		var tied []pair
 		for pr, x := range w {
-			if x != bw {
-				continue
-			}
-			heaviest = append(heaviest, pr)
-			pa, oka := posOf[pr.a]
-			pb, okb := posOf[pr.b]
-			if !oka || !okb || pa-pb == 1 || pb-pa == 1 {
-				return true // adjacent, or one side cold
+			if x == bw {
+				tied = append(tied, pr)
 			}
 		}
-		t.Logf("seed %d: no pair of weight %d (%v) is adjacent in %v", seed, bw, heaviest, order)
+		t.Logf("seed %d: the first pair popped, %v of weight %d (tied: %v), is not adjacent in %v", seed, first, bw, tied, order)
 		return false
 	}
 	if !check(3548165921352553714) {

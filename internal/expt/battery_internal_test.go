@@ -92,7 +92,7 @@ type boomSink struct{}
 
 func (boomSink) Fetch(trace.FetchRun) { panic("boom in a simulator") }
 
-// TestBatteryLeavesNoGoroutine: the lanes live inside runMeasured. However
+// TestBatteryLeavesNoGoroutine: the lanes live inside MeasureConfig. However
 // the run ends — measured, refused by machine.New, a process panic, a failed
 // invariant audit, a simulator panicking on its lane — the call returns (a
 // hang fails the test's timeout), every failure is an error naming the run,
@@ -140,7 +140,7 @@ func TestBatteryLeavesNoGoroutine(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			m, err := runMeasured(tc.cfg, tc.set, "the run")
+			m, err := MeasureConfig(tc.cfg, tc.set, "the run")
 			switch {
 			case tc.wantErr == "" && (err != nil || m.Res.Committed != uint64(s.Opt.Transactions)):
 				t.Fatalf("measure %+v, error %v", m, err)
@@ -151,7 +151,7 @@ func TestBatteryLeavesNoGoroutine(t *testing.T) {
 			// take a moment more to retire the goroutine itself.
 			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
-					t.Fatalf("%d goroutine(s) outlive runMeasured", runtime.NumGoroutine()-before)
+					t.Fatalf("%d goroutine(s) outlive MeasureConfig", runtime.NumGoroutine()-before)
 				}
 			}
 		})

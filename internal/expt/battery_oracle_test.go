@@ -124,7 +124,7 @@ func TestBatteryMatchesSynchronous(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, set := range sets {
-				got, err := runMeasured(cfg, set, fmt.Sprintf("set %#x", set))
+				got, err := MeasureConfig(cfg, set, fmt.Sprintf("set %#x", set))
 				if err != nil {
 					t.Fatal(err)
 				}

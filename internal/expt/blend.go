@@ -119,7 +119,7 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 			return nil, err
 		}
 		cfg.AppLayout = l
-		m, err := runMeasured(cfg, SinkApp4W(64), fmt.Sprintf("blended layout/kbase/%dcpu", o.CPUs))
+		m, err := MeasureConfig(cfg, SinkApp4W(64), fmt.Sprintf("blended layout/kbase/%dcpu", o.CPUs))
 		if err != nil {
 			return nil, fmt.Errorf("expt: blend ratio %v: %w", r, err)
 		}

@@ -256,3 +256,61 @@ func TestFlagsReject(t *testing.T) {
 		}
 	}
 }
+
+// cliparityArgs are the command lines scripts/cliparity.sh runs through the
+// four commands that share the flag surface, its shell variables expanded
+// (the offline runs of its parity pairs differ only in the layout file name:
+// one stands for all four).
+var cliparityArgs = []string{
+	"-workload ordere -quick -shards 1 -txns 120 -warmup 20 -percentiles",
+	"-workload ordere -quick -shards 4 -txns 120 -warmup 20 -gcauto",
+	"-table robustness -matrix tpcb,ycsb -shardlist 1,2 -txns 50",
+	"-table latency -quick -matrix tpcb,ycsb -shardlist 1,2 -txns 50",
+	"-workload tpcb -quick -shards 2 -txns 120 -warmup 30 -gcp99 -percentiles",
+	"-table shardsweep -shards 1,4,16 -quick -txns 50 -layout base",
+	"-table latency -quick -matrix tpcb,ordere -shardlist 1 -layout fusion -stall 40 -txns 50",
+	"-out fimg -workload tpcb -libscale 0.3 -cold 400000",
+	"-workload tpcb -libscale 0.3 -cold 400000 -txns 200 -warmup 20 -cpus 2 -out fuse.prof -kout fuse.kprof",
+	"-workload tpcb -quick -shards 4 -txns 150 -warmup 40 -fastpath -percentiles",
+	"-run fig04 -txns 50 -profile-store pgostore",
+	"-table search -matrix tpcb -population 5 -generations 2 -search-seed 7 -txns 50 -memostats",
+	"-table blend -ratios 0,1 -txns 50",
+	"-table datalayout -quick -txns 50",
+	"-workload ycsb -quick -txns 100 -warmup 20 -readpct 0",
+	"-workload ycsb -quick -txns 200 -warmup 20 -cpus 1 -procs 4 -train-txns 200 -opt all -reopt 50 -stall 40 -profile-store pgostore-ob",
+	"-out pimg -libscale 0.3 -cold 400000",
+	"-quick -libscale 0.3 -cold 400000 -runseed 2008 -txns 300 -cpus 2 -out par.prof -kout par.kprof",
+	"-quick -libscale 0.3 -cold 400000 -cpus 2 -stall 40 -layout par.layout",
+	"-quick -libscale 0.3 -cold 400000 -cpus 2 -stall 40 -opt all -train-txns 300",
+	"-quick -libscale 0.3 -cold 400000 -cpus 2 -stall 40 -opt base -train-txns 300",
+	"-quick -libscale 0.3 -cold 400000 -cpus 2 -stall 40 -opt porder -train-txns 300",
+	"-quick -libscale 0.3 -cold 400000 -cpus 2 -stall 40 -opt chain,split:fine,porder:ph,align:8,materialize -train-txns 300",
+	"-quick -txns 100 -warmup 20 -cpus 2",
+	"",
+}
+
+// FuzzFlagsResolve: any command line (arguments separated by NUL, which no
+// real argument holds) given to any of the four commands parses and resolves
+// to an error or to a run description with a workload — never a panic, and,
+// Resolve building nothing, never an image build or a simulation. A line
+// naming -profile-store is dropped: resolving it creates the directory.
+func FuzzFlagsResolve(f *testing.F) {
+	for _, args := range cliparityArgs {
+		f.Add(strings.Join(strings.Fields(args), "\x00"))
+	}
+	f.Fuzz(func(t *testing.T, argv string) {
+		if strings.Contains(argv, "profile-store") {
+			t.Skip("-profile-store creates a directory")
+		}
+		var args []string
+		if argv != "" {
+			args = strings.Split(argv, "\x00")
+		}
+		for _, cmd := range []expt.Command{expt.Oltpgen, expt.Pixie, expt.Oltpbench, expt.Layoutlab} {
+			fl, err := parseFlags(cmd, args...)
+			if err == nil && fl.Opt.Workload == nil {
+				t.Fatalf("command %d accepted %q with no workload", cmd, args)
+			}
+		}
+	})
+}

@@ -404,8 +404,8 @@ func (s *Session) fastPath() bool {
 // MachineConfig lowers the session's options and a named layout (baseline
 // kernel layout) to the machine.Config a measurement of that layout runs —
 // the one place Options becomes a machine.Config. The sinks are left empty:
-// Measure attaches the sink groups its reader asked for, a command its own
-// caches and trace writers.
+// Measure (or MeasureConfig, for a config edited after this call) attaches
+// the sink groups its reader asked for.
 func (s *Session) MachineConfig(layout string, cpus int) (machine.Config, error) {
 	return s.machineConfig(layout, "kbase", cpus)
 }
@@ -470,18 +470,19 @@ func (s *Session) MeasureKern(layout, kern string, cpus int) (*Measure, error) {
 		if err != nil {
 			return nil, err
 		}
-		return runMeasured(cfg, s.sinks, fmt.Sprintf("%s/%s/%dcpu (train %s)", layout, kern, cpus, s.tc.Spec()))
+		return MeasureConfig(cfg, s.sinks, fmt.Sprintf("%s/%s/%dcpu (train %s)", layout, kern, cpus, s.tc.Spec()))
 	})
 }
 
-// runMeasured is the tail every measurement shares: attach a fresh battery
+// MeasureConfig is the tail every measurement shares: attach a fresh battery
 // of the sink groups in set to cfg, run the machine, audit the workload's
 // invariants after drain-to-quiescence — a measurement of a run that
 // corrupted the database is not a measurement — and collect the battery into
 // a Measure. The battery's lanes live inside the call: however the run ends,
 // the log is closed and every lane has exited before it returns. what names
-// the run in errors.
-func runMeasured(cfg machine.Config, set SinkSet, what string) (*Measure, error) {
+// the run in errors. It is exported for a caller that edits the config a
+// session lowered (oltpbench's -layout file and -reopt) before measuring it.
+func MeasureConfig(cfg machine.Config, set SinkSet, what string) (*Measure, error) {
 	log, collect := attachBattery(&cfg, set)
 	mach, err := machine.New(cfg)
 	if err != nil {

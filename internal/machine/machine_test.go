@@ -103,6 +103,7 @@ func TestEndToEndRuns(t *testing.T) {
 			if kf <= 0.02 || kf >= 0.80 {
 				t.Fatalf("kernel fraction = %f, implausible", kf)
 			}
+			seq.Flush()
 			if seq.Hist.N == 0 {
 				t.Fatal("no sequences measured")
 			}
@@ -381,6 +382,7 @@ func TestSequenceLengthImprovesWithChaining(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
+		seq.Flush()
 		return seq.Hist.Mean()
 	}
 	base := seqFor(appL)

@@ -5,7 +5,6 @@ import (
 	"iter"
 
 	"codelayout/internal/kernel"
-	"codelayout/internal/trace"
 )
 
 // maxSchedulerSteps is a failsafe against livelock in buggy configurations.
@@ -91,11 +90,6 @@ func (m *Machine) Run() (Result, error) {
 	// against a quiesced system).
 	if err := m.drain(); err != nil {
 		return m.res, err
-	}
-	for _, s := range m.cfg.Sinks {
-		if f, ok := s.(trace.Flusher); ok {
-			f.Flush()
-		}
 	}
 	return m.res, nil
 }

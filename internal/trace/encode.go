@@ -18,8 +18,9 @@ const (
 	recData  = 0x02
 )
 
-// Writer streams fetch runs and data refs to a binary trace file, so traces
-// recorded by cmd/oltpbench can be replayed by cmd/icachesim.
+// Writer streams fetch runs and data refs to a binary trace file that a
+// Reader replays. Its one client outside the tests is bench/probes.go, which
+// times encoding and replay.
 type Writer struct {
 	w       *bufio.Writer
 	lastEnd [MaxCPUs]uint64

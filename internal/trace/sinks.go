@@ -45,7 +45,8 @@ func (s *SeqLen) Fetch(r FetchRun) {
 	s.curEnd[c] = r.End()
 }
 
-// Flush closes all open sequences.
+// Flush closes all open sequences; call it once the stream has ended,
+// before reading Hist.
 func (s *SeqLen) Flush() {
 	for c := range s.open {
 		if s.open[c] {

@@ -60,12 +60,6 @@ type DataSink interface {
 	Data(r DataRef)
 }
 
-// Flusher is implemented by sinks that buffer state across runs (for example
-// the sequence-length sink) and must be flushed before reading results.
-type Flusher interface {
-	Flush()
-}
-
 // Tee fans a fetch stream out to several sinks.
 type Tee []Sink
 
@@ -73,15 +67,6 @@ type Tee []Sink
 func (t Tee) Fetch(r FetchRun) {
 	for _, s := range t {
 		s.Fetch(r)
-	}
-}
-
-// Flush flushes every sink that implements Flusher.
-func (t Tee) Flush() {
-	for _, s := range t {
-		if f, ok := s.(Flusher); ok {
-			f.Flush()
-		}
 	}
 }
 
@@ -95,13 +80,6 @@ type Filter struct {
 func (f *Filter) Fetch(r FetchRun) {
 	if f.Keep(r) {
 		f.Next.Fetch(r)
-	}
-}
-
-// Flush implements Flusher.
-func (f *Filter) Flush() {
-	if fl, ok := f.Next.(Flusher); ok {
-		fl.Flush()
 	}
 }
 

@@ -18,7 +18,7 @@ golden=$root/testdata/cliparity
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 bin=$work/bin
-go -C "$root" build -o "$bin/" ./cmd/oltpgen ./cmd/pixie ./cmd/spike ./cmd/oltpbench ./cmd/layoutlab ./cmd/icachesim
+go -C "$root" build -o "$bin/" ./cmd/oltpgen ./cmd/pixie ./cmd/spike ./cmd/oltpbench ./cmd/layoutlab
 
 out=$work/out
 mkdir -p "$out" "$work/run"
@@ -84,9 +84,8 @@ pair -align8 "$align8" -passes "$align8"
 # block and edge counts give equal layouts, and equal layouts equal files.
 sha256sum par.layout >"$out/parity-layout.sha256"
 
-# Trace replay: a recorded two-CPU run through icachesim's size × line grid.
-run icachesim-trace oltpbench -quick -txns 100 -warmup 20 -cpus 2 -trace t.bin
-run icachesim icachesim -trace t.bin -sizes 32,64,128,256,512 -lines 64,128 -assoc 4
+# A two-CPU run: its icache line is the per-CPU 64KB/128B/4-way battery cache.
+run twocpu oltpbench -quick -txns 100 -warmup 20 -cpus 2
 
 # No-flag runs.
 run noflag-oltpgen oltpgen
