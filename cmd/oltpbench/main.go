@@ -4,8 +4,10 @@
 // The run is described by expt.Options, filled from the flag surface the
 // four commands share (expt.BindFlags), and measured through the
 // machine.Config an expt session lowers those options to — the one
-// layoutlab's tables measure through; this command only adds a -layout file
-// and, under -reopt, a machine.Reoptimizer (period -reopt, threshold -drift,
+// layoutlab's tables measure through; this command only adds a -layout file,
+// a fixed group-commit window or per-commit flushing (-gcwindow, -percommit:
+// the measured run's alone, training runs ungrouped) and, under -reopt, a
+// machine.Reoptimizer (period -reopt, threshold -drift,
 // the training mix, the same pipeline as its Retrain). The icache and fetch
 // sequence lines are battery groups (expt.SinkComb4W(64), expt.SinkSeq): the
 // per-CPU combined cache of Figure 12 and the application stream of Figure 8.
@@ -82,6 +84,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	cfg.GroupCommitWindowInstr, cfg.PerCommitLogFlush = f.GCWindow, f.PerCommit
 	app := cfg.AppImage
 	if f.Layout != "" {
 		// A fusing pipeline clones procedures into a specialized copy of the

@@ -67,7 +67,7 @@ func ablProfile(s *Session) ([]*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable(fmt.Sprintf("Ablation: profile source (DCPI period %d)", s.Opt.DCPIPeriod),
+	t := stats.NewTable(fmt.Sprintf("Ablation: profile source (DCPI period %d)", dcpiPeriod),
 		"profile", "64KB misses", "128KB misses", "vs base @128KB")
 	t.AddRow("none (base)", base.App4W[64].Misses, base.App4W[128].Misses, "100%")
 	t.AddRow("Pixie (exact)", px.App4W[64].Misses, px.App4W[128].Misses,

@@ -4,9 +4,73 @@ import (
 	"fmt"
 
 	"codelayout/internal/cache"
-	"codelayout/internal/perfmodel"
 	"codelayout/internal/stats"
 )
+
+// The cycle model converts instruction and miss counts into non-idle
+// execution cycles for the paper's hardware platforms. The paper's metric is
+// non-idle cycles (elapsed time comparisons are meaningless once the
+// optimized workload becomes more I/O bound), and its result is *relative*
+// execution time per optimization combination (Figure 15), which this model
+// reproduces; absolute cycle counts are not meaningful.
+
+// platform describes one machine's memory-system cost structure, all in CPU
+// cycles.
+type platform struct {
+	name string
+	// l1iMiss and l1dMiss are charged per L1 instruction- and data-cache miss
+	// that hits the next level; l2Miss is the additional charge when the
+	// unified cache misses to memory, commMiss the additional charge for a
+	// dirty remote (2–3 hop) transfer, itlbMiss the software refill cost.
+	l1iMiss, l1dMiss, l2Miss, commMiss, itlbMiss uint64
+}
+
+// The three platforms of the paper's evaluation.
+var (
+	// alpha21264 models the AlphaServer DS20 (600 MHz, 64KB 2-way L1s,
+	// board cache).
+	alpha21264 = platform{name: "21264 (64KB, 2-way)",
+		l1iMiss: 14, l1dMiss: 14, l2Miss: 90, commMiss: 110, itlbMiss: 40}
+	// alpha21164 models the AlphaServer 4100 (300 MHz, 8KB direct-mapped
+	// L1s, 2MB board cache).
+	alpha21164 = platform{name: "21164 (8KB, 1-way)",
+		l1iMiss: 8, l1dMiss: 8, l2Miss: 50, commMiss: 60, itlbMiss: 30}
+	// alpha21364Sim models the SimOS configuration: 1 GHz single-issue, 64KB
+	// 2-way L1s, 1.5MB 6-way L2, 12ns L2 hit, 80ns local memory.
+	alpha21364Sim = platform{name: "21364-sim (1GHz)",
+		l1iMiss: 12, l1dMiss: 12, l2Miss: 80, commMiss: 175, itlbMiss: 40}
+)
+
+// cycleCounts aggregates one run's events.
+type cycleCounts struct {
+	instructions uint64
+	l1iMisses    uint64
+	l1dMisses    uint64
+	l2Misses     uint64 // unified cache misses (instruction + data)
+	commMisses   uint64 // remote dirty transfers
+	itlbMisses   uint64
+}
+
+// cycles returns the modeled non-idle cycle count: single-issue base CPI of
+// 1 plus stall components.
+func (p platform) cycles(c cycleCounts) uint64 {
+	return c.instructions +
+		c.l1iMisses*p.l1iMiss +
+		c.l1dMisses*p.l1dMiss +
+		c.l2Misses*p.l2Miss +
+		c.commMisses*p.commMiss +
+		c.itlbMisses*p.itlbMiss
+}
+
+// relative returns cycles(c) / cycles(base) — the Figure 15 y-axis (relative
+// execution time in non-idle cycles, as a fraction); 0 for an empty base.
+func (p platform) relative(c, base cycleCounts) float64 {
+	b := p.cycles(base)
+	if b == 0 {
+		return 0
+	}
+	return float64(p.cycles(c)) / float64(b)
+}
 
 // fig12 — combined application + operating system instruction streams.
 func fig12(base, opt *Measure) []*stats.Table {
@@ -85,25 +149,25 @@ func fig14(base, opt *Measure) []*stats.Table {
 // counts21264 assembles the cycle-model inputs of the 21264 platform from a
 // measure. The SimOS 21364 model reads the same ones: its L1I is the same
 // 64KB 2-way cache, over the same memory system and 64-entry iTLB.
-func counts21264(m *Measure) perfmodel.Counts {
-	return perfmodel.Counts{
-		Instructions: m.Res.BusyInstrs,
-		L1IMisses:    m.HW21264.Misses,
-		L1DMisses:    m.Mem.L1DMisses,
-		L2Misses:     m.Mem.L2Misses[0] + m.Mem.L2Misses[1],
-		CommMisses:   m.Mem.CommRead + m.Mem.CommWrite,
-		ITLBMisses:   m.ITLB64,
+func counts21264(m *Measure) cycleCounts {
+	return cycleCounts{
+		instructions: m.Res.BusyInstrs,
+		l1iMisses:    m.HW21264.Misses,
+		l1dMisses:    m.Mem.L1DMisses,
+		l2Misses:     m.Mem.L2Misses[0] + m.Mem.L2Misses[1],
+		commMisses:   m.Mem.CommRead + m.Mem.CommWrite,
+		itlbMisses:   m.ITLB64,
 	}
 }
 
-func counts21164(m *Measure) perfmodel.Counts {
-	return perfmodel.Counts{
-		Instructions: m.Res.BusyInstrs,
-		L1IMisses:    m.HW21164.Misses,
-		L1DMisses:    m.Board.L1DMisses,
-		L2Misses:     m.Board.L2Misses[0] + m.Board.L2Misses[1],
-		CommMisses:   m.Board.CommRead + m.Board.CommWrite,
-		ITLBMisses:   m.ITLB48,
+func counts21164(m *Measure) cycleCounts {
+	return cycleCounts{
+		instructions: m.Res.BusyInstrs,
+		l1iMisses:    m.HW21164.Misses,
+		l1dMisses:    m.Board.L1DMisses,
+		l2Misses:     m.Board.L2Misses[0] + m.Board.L2Misses[1],
+		commMisses:   m.Board.CommRead + m.Board.CommWrite,
+		itlbMisses:   m.ITLB48,
 	}
 }
 
@@ -111,7 +175,7 @@ func counts21164(m *Measure) perfmodel.Counts {
 // hardware platforms (single-processor runs, as in the paper).
 func fig15(s *Session) ([]*stats.Table, error) {
 	t := stats.NewTable("Figure 15: relative execution time (non-idle cycles, %, 1 processor)",
-		"combo", perfmodel.Alpha21264.Name, perfmodel.Alpha21164.Name)
+		"combo", alpha21264.name, alpha21164.name)
 	base, err := s.Measure("base", 1)
 	if err != nil {
 		return nil, err
@@ -126,8 +190,8 @@ func fig15(s *Session) ([]*stats.Table, error) {
 			return nil, err
 		}
 		t.AddRow(name,
-			fmt.Sprintf("%.1f", 100*perfmodel.Relative(perfmodel.Alpha21264, counts21264(m), b264)),
-			fmt.Sprintf("%.1f", 100*perfmodel.Relative(perfmodel.Alpha21164, counts21164(m), b164)))
+			fmt.Sprintf("%.1f", 100*alpha21264.relative(counts21264(m), b264)),
+			fmt.Sprintf("%.1f", 100*alpha21164.relative(counts21164(m), b164)))
 	}
 	t.Note("paper: 'all' lands near 75% on both platforms (1.33x), consistent across generations")
 	return []*stats.Table{t}, nil
@@ -171,26 +235,25 @@ func hw21164Exp(s *Session) ([]*stats.Table, error) {
 func speedupExp(s *Session) ([]*stats.Table, error) {
 	t := stats.NewTable("Text §5: overall speedup of the fully optimized binary",
 		"platform", "speedup (x)")
-	row := func(label string, plat perfmodel.Platform,
-		counts func(*Measure) perfmodel.Counts, cpus int) error {
+	row := func(label string, plat platform, counts func(*Measure) cycleCounts, cpus int) error {
 		base, opt, err := s.baseAndAll(cpus)
 		if err != nil {
 			return err
 		}
-		rel := perfmodel.Relative(plat, counts(opt), counts(base))
+		rel := plat.relative(counts(opt), counts(base))
 		t.AddRow(label, fmt.Sprintf("%.2f", 1/rel))
 		return nil
 	}
-	if err := row("21264, 1 processor", perfmodel.Alpha21264, counts21264, 1); err != nil {
+	if err := row("21264, 1 processor", alpha21264, counts21264, 1); err != nil {
 		return nil, err
 	}
-	if err := row("21164, 1 processor", perfmodel.Alpha21164, counts21164, 1); err != nil {
+	if err := row("21164, 1 processor", alpha21164, counts21164, 1); err != nil {
 		return nil, err
 	}
-	if err := row(fmt.Sprintf("21364-sim, %d processors", s.Opt.CPUs), perfmodel.Alpha21364Sim, counts21264, s.Opt.CPUs); err != nil {
+	if err := row(fmt.Sprintf("21364-sim, %d processors", s.Opt.CPUs), alpha21364Sim, counts21264, s.Opt.CPUs); err != nil {
 		return nil, err
 	}
-	if err := row(fmt.Sprintf("21164, %d processors", s.Opt.CPUs), perfmodel.Alpha21164, counts21164, s.Opt.CPUs); err != nil {
+	if err := row(fmt.Sprintf("21164, %d processors", s.Opt.CPUs), alpha21164, counts21164, s.Opt.CPUs); err != nil {
 		return nil, err
 	}
 	t.Note("paper: 1.33x on 21264 and 21164 single-processor, 1.37x in SimOS, 1.25x on 4 processors")
@@ -213,8 +276,8 @@ func kernoptExp(s *Session) ([]*stats.Table, error) {
 		t.AddRow(fmt.Sprintf("combined misses %dKB", size),
 			plain.Comb4W[size].Misses, kopt.Comb4W[size].Misses)
 	}
-	cyc := perfmodel.Cycles(perfmodel.Alpha21364Sim, counts21264(plain))
-	cycK := perfmodel.Cycles(perfmodel.Alpha21364Sim, counts21264(kopt))
+	cyc := alpha21364Sim.cycles(counts21264(plain))
+	cycK := alpha21364Sim.cycles(counts21264(kopt))
 	t.AddRow("cycles (21364-sim)", cyc, cycK)
 	if cycK < cyc {
 		t.AddRow("additional speedup", "-", fmt.Sprintf("%.1f%%", 100*(float64(cyc)/float64(cycK)-1)))

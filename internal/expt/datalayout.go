@@ -2,7 +2,9 @@ package expt
 
 import (
 	"fmt"
+	"sort"
 
+	"codelayout/internal/db"
 	"codelayout/internal/stats"
 	"codelayout/internal/tpcb"
 	"codelayout/internal/workload"
@@ -99,17 +101,16 @@ func DataLayoutTable(o Options, spec DataLayoutSpec) (*stats.Table, error) {
 		"regime", "record layout", "L1D refs", "L1D misses", "miss %", "instr/txn", "p50", "p99")
 
 	for _, r := range regimes {
-		var ms [2]*Measure // interleaved, grouped
+		s, err := src.cell(o, func(o *Options) { o.Workload = r.wl })
+		if err != nil {
+			return nil, err
+		}
+		ms, err := measureRecordLayouts(s, cpus)
+		if err != nil {
+			return nil, fmt.Errorf("regime %s: %w", r.name, err)
+		}
 		for i, rl := range []string{"interleaved", "grouped"} {
-			s, err := src.cell(o, func(o *Options) { o.Workload, o.RecordLayout = r.wl, rl })
-			if err != nil {
-				return nil, err
-			}
-			m, err := s.Reading(SinkMem).Measure("base", cpus)
-			if err != nil {
-				return nil, fmt.Errorf("regime %s %s: %w", r.name, rl, err)
-			}
-			ms[i] = m
+			m := ms[i]
 			miss := 0.0
 			if m.Mem.L1DAccesses > 0 {
 				miss = float64(m.Mem.L1DMisses) / float64(m.Mem.L1DAccesses)
@@ -125,4 +126,108 @@ func DataLayoutTable(o Options, spec DataLayoutSpec) (*stats.Table, error) {
 	}
 	t.Note("grouped = hot fields (by trained field-access profile) packed contiguously at the record head; same record width, same instruction stream")
 	return t, nil
+}
+
+// measureRecordLayouts measures s's base code layout twice, reading Mem: under
+// the interleaved record layout every table declares, and under the grouped
+// one decided from the field-access profile of s's training run. Training
+// itself always runs interleaved — the baseline — so the profile does not
+// depend on the layout it decides.
+func measureRecordLayouts(s *Session, cpus int) ([2]*Measure, error) {
+	var ms [2]*Measure
+	cfg, err := s.MachineConfig("base", cpus)
+	if err != nil {
+		return ms, err
+	}
+	if ms[0], err = MeasureConfig(cfg, SinkMem, "base, interleaved records"); err != nil {
+		return ms, err
+	}
+	run, err := s.src.train(s.tc)
+	if err != nil {
+		return ms, err
+	}
+	// A run that predates field tallying (an old store entry) has a nil field
+	// profile; groupedDefs then falls back to the static hints.
+	if cfg.RecordLayouts, err = groupedDefs(s.Opt.Workload, run.Fields); err != nil {
+		return ms, err
+	}
+	ms[1], err = MeasureConfig(cfg, SinkMem, "base, grouped records")
+	return ms, err
+}
+
+// The record-layout decision is the data-cache analogue of the paper's
+// hot/cold code splitting. From a workload's declared per-table field schemas
+// (workload.TableSchema) and a field-access profile (per-field read/write
+// tallies the storage engine collects during training), it groups hot fields
+// contiguously at the record head with cold fields packed behind. It changes
+// only the byte offsets records encode and decode on slotted pages; record
+// width, field set and instruction streams are preserved, so the L1D model
+// sees fewer touched lines per transaction and nothing else moves.
+
+// decideGrouped computes the grouped layout of one table: hot fields first,
+// in descending access count, then cold fields in declared order, all packed
+// contiguously so the record width is exactly the schema width. With measured
+// counts, hotness is the field's read+write tally; with nil or empty counts
+// it falls back to the schema's static hint (a field some transaction kind
+// declares it reads or writes is hot). Ties keep declared order, so the
+// decision is deterministic.
+func decideGrouped(ts workload.TableSchema, counts map[string]db.FieldAccess) []db.FieldDef {
+	type scored struct {
+		idx  int
+		hot  bool
+		heat uint64
+	}
+	rank := make([]scored, len(ts.Fields))
+	for i, f := range ts.Fields {
+		sc := scored{idx: i}
+		if a, ok := counts[f.Name]; ok && a.Total() > 0 {
+			sc.hot, sc.heat = true, a.Total()
+		} else if len(counts) == 0 && f.Hot() {
+			sc.hot = true
+		}
+		rank[i] = sc
+	}
+	sort.SliceStable(rank, func(i, j int) bool {
+		if rank[i].hot != rank[j].hot {
+			return rank[i].hot
+		}
+		return rank[i].heat > rank[j].heat
+	})
+	defs := make([]db.FieldDef, 0, len(ts.Fields))
+	off := 0
+	for _, sc := range rank {
+		f := ts.Fields[sc.idx]
+		defs = append(defs, db.FieldDef{Name: f.Name, Off: off, Width: f.Width})
+		off += f.Width
+	}
+	return defs
+}
+
+// groupedDefs computes the grouped layout of every table the workload
+// declares a schema for, keyed by table name — the value of
+// machine.Config.RecordLayouts. The workload must implement
+// workload.RecordSchemas; prof (table → field → tally, as
+// machine.Machine.FieldProfile harvests it) may be nil or miss tables, in
+// which case the static schema hints decide.
+func groupedDefs(wl workload.Workload, prof map[string]map[string]db.FieldAccess) (map[string][]db.FieldDef, error) {
+	rs, ok := wl.(workload.RecordSchemas)
+	if !ok {
+		return nil, fmt.Errorf("expt: workload %q declares no record schemas (implement workload.RecordSchemas)", wl.Name())
+	}
+	schemas := rs.RecordSchemas()
+	if len(schemas) == 0 {
+		return nil, fmt.Errorf("expt: workload %q returned no table schemas", wl.Name())
+	}
+	out := make(map[string][]db.FieldDef, len(schemas))
+	for _, ts := range schemas {
+		if err := ts.Validate(); err != nil {
+			return nil, err
+		}
+		defs := decideGrouped(ts, prof[ts.Table])
+		if err := db.ValidateFieldDefs(ts.Table, defs); err != nil {
+			return nil, err
+		}
+		out[ts.Table] = defs
+	}
+	return out, nil
 }

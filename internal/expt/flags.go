@@ -53,9 +53,12 @@ type Flags struct {
 	// LayoutFile is oltpbench's -layout: a layout file written by spike.
 	LayoutFile string
 	// Reopt and Drift are oltpbench's online re-optimization period and
-	// drift threshold.
-	Reopt int
-	Drift float64
+	// drift threshold; GCWindow and PerCommit are its -gcwindow and
+	// -percommit, which oltpbench sets on the measured run's machine.Config.
+	Reopt     int
+	Drift     float64
+	GCWindow  uint64
+	PerCommit bool
 
 	// Table is layoutlab's -table; Matrix, ShardList and Ratios are the
 	// parsed -matrix (robustness, latency and search only), -shardlist and
@@ -155,10 +158,10 @@ func BindFlags(fs *flag.FlagSet, cmd Command) *Flags {
 	}
 	if cmd == Oltpbench {
 		fs.IntVar(&o.ProcsPerCPU, "procs", o.ProcsPerCPU, "server processes per CPU")
-		fs.Uint64Var(&o.GroupCommitWindowInstr, "gcwindow", 0, "group-commit batching window in instruction-times (0 = flush as soon as a leader arrives)")
+		fs.Uint64Var(&f.GCWindow, "gcwindow", 0, "group-commit batching window in instruction-times (0 = flush as soon as a leader arrives)")
 		fs.BoolVar(&f.gcAuto, "gcauto", false, "pick each shard's group-commit window from the warmup commit arrival rate (fewest flushes)")
 		fs.BoolVar(&f.gcP99, "gcp99", false, "pick each shard's group-commit window to minimize modeled p99 latency from the warmup histogram")
-		fs.BoolVar(&o.PerCommitLogFlush, "percommit", false, "disable group commit: every commit pays its own log write")
+		fs.BoolVar(&f.PerCommit, "percommit", false, "disable group commit: every commit pays its own log write")
 		fs.StringVar(&f.Layout, "opt", "", "train in-process and optimize with this layout (e.g. all, ipchain, fusion, or a raw pass list) before measuring")
 		fs.IntVar(&o.Train.Txns, "train-txns", o.Train.Txns, "profiled transactions of the -opt training run")
 		fs.IntVar(&f.Reopt, "reopt", 0, "re-optimize the app layout online every N committed transactions when the kind mix drifts from the training mix (needs -opt; not fusion)")
@@ -403,9 +406,7 @@ func (f *Flags) resolveTables() error {
 
 // NewSession builds the profile source and a session over it, the split
 // every command shares: the source takes the image and training half of
-// the options (-seed is the image seed; training runs ungrouped, so
-// -gcwindow and -percommit shape only the measured run), the session all
-// of them.
+// the options (-seed is the image seed), the session all of them.
 func (f *Flags) NewSession() (*Session, error) {
 	so := f.Opt
 	so.Seed = f.imageSeed

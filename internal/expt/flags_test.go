@@ -138,6 +138,18 @@ func TestFlagsResolve(t *testing.T) {
 				t.Errorf("gc %v fastpath %v layout %q", f.Opt.AutoGroupCommit, f.Opt.PredictFastPath, f.Layout)
 			}
 		}},
+		// A fixed window and per-commit flushing are oltpbench's alone: they
+		// land on Flags, and the session options stay the preset's.
+		{"oltpbench group commit stays off the options", expt.Oltpbench, "-gcwindow 60000 -percommit", func(t *testing.T, f *expt.Flags) {
+			if f.GCWindow != 60000 || !f.PerCommit {
+				t.Errorf("window %d per-commit %v, want 60000 and true", f.GCWindow, f.PerCommit)
+			}
+			want := full
+			want.Train.Seed = want.Seed + 7
+			if !reflect.DeepEqual(f.Opt, want) {
+				t.Errorf("options moved: got %+v\nwant %+v", f.Opt, want)
+			}
+		}},
 		{"oltpgen never quick-scales", expt.Oltpgen, "-workload ycsb -train-workload ycsb", func(t *testing.T, f *expt.Flags) {
 			if !reflect.DeepEqual(f.Opt.Workload, ycsb.New()) || f.Extra != nil {
 				t.Errorf("workload %+v extra %v", f.Opt.Workload, f.Extra)

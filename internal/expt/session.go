@@ -27,7 +27,6 @@ import (
 	"codelayout/internal/profile"
 	"codelayout/internal/program"
 	"codelayout/internal/pstore"
-	"codelayout/internal/reclayout"
 	"codelayout/internal/tpcb"
 	"codelayout/internal/workload"
 )
@@ -36,6 +35,11 @@ import (
 // configuration, plus the TrainConfig the session's profiles come from.
 // Train fields left zero inherit the matching evaluation fields, so a plain
 // Options trains and evaluates under one configuration, as the paper does.
+//
+// A field is here because more than one caller sets it. A knob with one
+// owner stays with that owner: oltpbench sets a fixed group-commit window on
+// the machine.Config it measures, DataLayoutTable installs the grouped record
+// layout, and the DCPI sampling period is a constant.
 type Options struct {
 	Seed int64
 
@@ -53,14 +57,9 @@ type Options struct {
 	// Shards is the partitioned-engine count behind the shard router; 0 or
 	// 1 runs the single shared engine (see machine.Config.Shards).
 	Shards int
-	// GroupCommitWindowInstr is the measured runs' per-shard group-commit
-	// window (0 = flush as soon as a leader arrives; training is ungrouped).
-	GroupCommitWindowInstr uint64
-	// PerCommitLogFlush disables group commit in measured runs (the
-	// baseline the group-commit comparisons run against).
-	PerCommitLogFlush bool
-	// AutoGroupCommit auto-tunes the per-shard windows from warmup
-	// observations (machine.AutoGCFlushCount or machine.AutoGCTargetP99).
+	// AutoGroupCommit auto-tunes the measured runs' per-shard group-commit
+	// windows from warmup observations (machine.AutoGCFlushCount or
+	// machine.AutoGCTargetP99; training is ungrouped).
 	AutoGroupCommit machine.AutoGCMode
 	// PredictFastPath enables the predictive single-shard fast path (see
 	// machine.Config.PredictFastPath) on the session's sharded measurement
@@ -70,16 +69,6 @@ type Options struct {
 
 	Transactions int
 	WarmupTxns   int
-
-	// RecordLayout selects the physical record layout the measured machine
-	// installs before the workload loads: "" or "interleaved" keeps each
-	// table's declared schema order; "grouped" asks reclayout to regroup
-	// each table's hot fields contiguously at the record head, driven by
-	// the field-access profile of the session's training run (falling back
-	// to the schema's static hot hints when the profile predates field
-	// tallying). Training itself always runs interleaved — the baseline —
-	// so sessions of the two regimes share one source's training memo.
-	RecordLayout string
 
 	// FetchStallPenaltyInstr charges each L1 instruction-cache miss this
 	// many instruction-times of stall on the fetching CPU's clock (see
@@ -98,9 +87,6 @@ type Options struct {
 	LibScale      float64
 	ColdWords     int
 	KernColdWords int
-
-	// DCPIPeriod is the sampling period for the DCPI-profile ablation.
-	DCPIPeriod uint64
 
 	// ProfileStore, when non-nil, backs the source's training memo with a
 	// persistent profile store: training runs whose key (resolved train
@@ -128,7 +114,6 @@ func DefaultOptions() Options {
 		Transactions: 500, WarmupTxns: 100,
 		Workload: tpcb.New(),
 		LibScale: 1.0, ColdWords: 6_400_000, KernColdWords: 1_400_000,
-		DCPIPeriod: 256,
 	}
 }
 
@@ -248,11 +233,6 @@ func NewSessionFrom(src *ProfileSource, o Options) (*Session, error) {
 	if !src.Covers(o.Workload.Name()) {
 		return nil, fmt.Errorf("expt: eval workload %q is not modeled in the source image (covers %v); list it in NewProfileSource",
 			o.Workload.Name(), src.WorkloadNames())
-	}
-	switch o.RecordLayout {
-	case "", "interleaved", "grouped":
-	default:
-		return nil, fmt.Errorf("expt: RecordLayout = %q; must be \"interleaved\" or \"grouped\" (empty selects interleaved)", o.RecordLayout)
 	}
 	if o.PredictFastPath && shardKey(o.Shards) > 1 && src.appImg.Fns["predict_check"] == nil {
 		return nil, fmt.Errorf("expt: PredictFastPath needs the predictor models in the source image; build the ProfileSource with Options.PredictFastPath set")
@@ -419,13 +399,11 @@ func (s *Session) machineConfig(layout, kern string, cpus int) (machine.Config, 
 	if err != nil {
 		return machine.Config{}, err
 	}
-	cfg := machine.Config{
+	return machine.Config{
 		CPUs:                   cpus,
 		ProcsPerCPU:            s.Opt.ProcsPerCPU,
 		Seed:                   s.Opt.Seed,
 		Shards:                 s.Opt.Shards,
-		GroupCommitWindowInstr: s.Opt.GroupCommitWindowInstr,
-		PerCommitLogFlush:      s.Opt.PerCommitLogFlush,
 		AutoGroupCommit:        s.Opt.AutoGroupCommit,
 		PredictFastPath:        s.fastPath(),
 		FetchStallPenaltyInstr: s.Opt.FetchStallPenaltyInstr,
@@ -436,20 +414,7 @@ func (s *Session) machineConfig(layout, kern string, cpus int) (machine.Config, 
 		AppLayout:              app.layout,
 		KernImage:              s.src.kernImg,
 		KernLayout:             kernL,
-	}
-	if s.Opt.RecordLayout == "grouped" {
-		run, err := s.src.train(s.tc)
-		if err != nil {
-			return machine.Config{}, err
-		}
-		// A run that predates field tallying (an old store entry) has a nil
-		// field profile; GroupedDefs then falls back to the static hints.
-		cfg.RecordLayouts, err = reclayout.GroupedDefs(s.Opt.Workload, run.Fields)
-		if err != nil {
-			return machine.Config{}, err
-		}
-	}
-	return cfg, nil
+	}, nil
 }
 
 // Measure runs (or returns the memoized run of) the workload under the

@@ -48,6 +48,11 @@ type TrainConfig struct {
 	WarmupTxns int
 }
 
+// dcpiPeriod is the sampling period of the DCPI-style profile every training
+// run collects beside its Pixie profiles (the profile-source ablation's
+// "dcpi-all" layout is built from it).
+const dcpiPeriod = 256
+
 // shardKey normalizes a shard count for specs and memo keys (0 and 1 are the
 // same single-engine machine).
 func shardKey(shards int) int {
@@ -191,7 +196,7 @@ func NewProfileSource(o Options, extra ...workload.Workload) (*ProfileSource, er
 func (ps *ProfileSource) storeKey(spec string) pstore.Key {
 	return pstore.Key{
 		Spec: fmt.Sprintf("%s|p%d/gc0/pcfalse/fp%t/dcpi%d",
-			spec, ps.opt.ProcsPerCPU, ps.opt.PredictFastPath, ps.opt.DCPIPeriod),
+			spec, ps.opt.ProcsPerCPU, ps.opt.PredictFastPath, dcpiPeriod),
 		Image: ps.imageID,
 	}
 }
@@ -414,7 +419,7 @@ func (ps *ProfileSource) trainOrLoad(tc TrainConfig, spec string) (*trainRun, er
 func (ps *ProfileSource) runTraining(tc TrainConfig, spec string) (*trainRun, error) {
 	px := profile.NewPixie(ps.appImg.Prog, "pixie-train")
 	kx := profile.NewPixie(ps.kernImg.Prog, "kprofile")
-	dcpi := profile.NewDCPI(ps.baseApp, ps.opt.DCPIPeriod)
+	dcpi := profile.NewDCPI(ps.baseApp, dcpiPeriod)
 	cfg := machine.Config{
 		CPUs:            tc.CPUs,
 		ProcsPerCPU:     ps.opt.ProcsPerCPU,

@@ -3,6 +3,7 @@ package expt
 import (
 	"testing"
 
+	"codelayout/internal/machine"
 	"codelayout/internal/pstore"
 )
 
@@ -15,8 +16,8 @@ func TestStoreKeyIsTheOnDiskFormat(t *testing.T) {
 	want := pstore.Key{Spec: "tpcb/s4/c2/seed1998/w40/x400|p6/gc0/pcfalse/fptrue/dcpi256", Image: image}
 	for _, measured := range []func(*Options){
 		func(*Options) {},
-		func(o *Options) { o.GroupCommitWindowInstr = 60_000 },
-		func(o *Options) { o.PerCommitLogFlush = true },
+		func(o *Options) { o.AutoGroupCommit = machine.AutoGCFlushCount },
+		func(o *Options) { o.AutoGroupCommit = machine.AutoGCTargetP99 },
 	} {
 		o := QuickOptions()
 		o.Shards, o.PredictFastPath = 4, true

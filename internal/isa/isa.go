@@ -8,6 +8,11 @@
 // kinds Alpha has (conditional branch, unconditional branch, call, return,
 // indirect jump), and that direct branches have a bounded displacement. Those
 // are the properties this package pins down.
+//
+// It is a package of its own because it sits below everything else: it
+// imports nothing, and program, core, codegen, profile and the cache, TLB and
+// trace models all read it, so no one of them can own it without the others
+// importing that one.
 package isa
 
 // WordBytes is the size of one instruction in bytes (Alpha instructions are

@@ -96,8 +96,8 @@ type Config struct {
 	// (table name → field definitions) on every engine before the workload
 	// loads: the workload's loaders and accessors then encode and decode
 	// records at these byte offsets instead of the schema's declared
-	// (interleaved) ones. This is how the profile-guided record-layout pass
-	// (internal/reclayout) applies a hot/cold field grouping — only data
+	// (interleaved) ones. This is how the profile-guided record layout
+	// (expt.DataLayoutTable) applies a hot/cold field grouping — only data
 	// addresses move; instruction streams are untouched. nil keeps each
 	// workload's interleaved default.
 	RecordLayouts map[string][]db.FieldDef
@@ -590,7 +590,7 @@ func (m *Machine) GroupCommitWindows() []uint64 {
 // the run: table → field → read/write counts, merged across shards. Only
 // field-instrumented accesses (db.Table.FetchFields/UpdateFields) tally, so
 // loaders and verification readers never pollute the profile. The result is
-// what reclayout.Decide consumes to group hot fields.
+// what expt's record-layout decision consumes to group hot fields.
 func (m *Machine) FieldProfile() map[string]map[string]db.FieldAccess {
 	out := make(map[string]map[string]db.FieldAccess)
 	for _, e := range m.engs {

@@ -1,6 +1,11 @@
 // Package progtest generates random programs and profiles for property
-// tests. Several packages (program, core, codegen, machine) use it to check
+// tests. Several packages (program, core, codegen, profile) use it to check
 // invariants over arbitrary CFGs rather than hand-picked examples.
+//
+// It is test support that lives in the non-test tree because Go cannot share
+// a _test.go file between packages: the tests of program, core, codegen and
+// profile all build random programs and check placements with
+// CheckPlacement. No non-test code imports it.
 package progtest
 
 import (

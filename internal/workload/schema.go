@@ -84,7 +84,7 @@ func (f FieldSchema) Hot() bool { return len(f.ReadBy)+len(f.WrittenBy) > 0 }
 
 // RecordSchemas is implemented by workloads that declare per-table field
 // schemas, making them eligible for profile-guided record layout
-// (internal/reclayout). The returned schemas must cover every table whose
+// (expt.DataLayoutTable). The returned schemas must cover every table whose
 // encode/decode paths resolve field offsets through db.Table.FieldOffset.
 type RecordSchemas interface {
 	RecordSchemas() []TableSchema

@@ -17,6 +17,13 @@
 // transaction mixes drop in without touching the simulator or the image
 // builder. Implementations register themselves by name (see Register), the
 // way layout passes register with internal/core.
+//
+// It is a package of its own because it has two consumers that must not
+// import each other: the image builder (appmodel) reads a workload's models
+// and the simulator (machine) loads and runs it. tpcb, ordere and ycsb, and
+// the shard router and predictor under them, implement or use the interface
+// without importing either consumer. It holds no logic to test on its own;
+// each workload's tests exercise it.
 package workload
 
 import (

@@ -33,6 +33,8 @@ run() {
 
 run oneshard oltpbench -workload ordere -quick -shards 1 -txns 120 -warmup 20 -percentiles
 run sharded-gcauto oltpbench -workload ordere -quick -shards 4 -txns 120 -warmup 20 -gcauto
+run gcwindow oltpbench -workload ordere -quick -shards 4 -txns 120 -warmup 20 -gcwindow 60000
+run percommit oltpbench -workload tpcb -quick -shards 2 -txns 120 -warmup 30 -percommit
 run robustness layoutlab -table robustness -matrix tpcb,ycsb -shardlist 1,2 -txns 50
 run latency layoutlab -table latency -quick -matrix tpcb,ycsb -shardlist 1,2 -txns 50
 run gcp99 oltpbench -workload tpcb -quick -shards 2 -txns 120 -warmup 30 -gcp99 -percentiles
