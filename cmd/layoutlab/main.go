@@ -171,7 +171,7 @@ func extensionTables(f *expt.Flags) ([]*stats.Table, error) {
 		}
 		return []*stats.Table{t}, nil
 	case "blend":
-		res, err := expt.BlendTable(f.Opt, expt.BlendSpec{Ratios: f.Ratios})
+		res, err := expt.BlendTable(f.Opt, f.Blend)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,9 @@
 // functions that gives the image its OLTP-sized flat footprint, and a
 // cold-code complement that brings the static image to database-binary
 // proportions (the paper's Oracle binary is 27 MB with a ~260 KB hot
-// footprint).
+// footprint). The library, the cold code and the link order are
+// codegen.Library's, the same recipe the kernel image is built from; this
+// package holds only the layer table and the hand-written models.
 //
 // The conformance between these models and the engine's probe sequences is
 // enforced at runtime — any drift panics inside codegen.Emitter — and
@@ -14,7 +16,6 @@ package appmodel
 
 import (
 	"fmt"
-	"math/rand"
 
 	"codelayout/internal/codegen"
 	"codelayout/internal/isa"
@@ -57,33 +58,20 @@ func DefaultConfig(seed int64, w workload.Workload) Config {
 	return Config{Seed: seed, LibScale: 1.0, ColdWords: 6_400_000, Workload: w}
 }
 
-// families describes the library layers, bottom (leaf) first.
-type familySpec struct {
-	name  string
-	n     int
-	mean  int
-	calls int
-	width int
-	pools []string // families the call sites dispatch into
-}
-
-func libraryPlan(scale float64) []familySpec {
-	s := func(n int) int {
-		v := int(float64(n) * scale)
-		if v < 2 {
-			v = 2
-		}
-		return v
-	}
-	return []familySpec{
-		{name: "ut", n: s(150), mean: 80},
-		{name: "lat", n: s(40), mean: 25},
-		{name: "cmp", n: s(40), mean: 30},
-		{name: "rt", n: s(150), mean: 70, calls: 2, width: 6, pools: []string{"ut"}},
-		{name: "io", n: s(40), mean: 60, calls: 1, width: 4, pools: []string{"ut"}},
-		{name: "row", n: s(80), mean: 55, calls: 1, width: 6, pools: []string{"ut", "cmp"}},
-		{name: "sv", n: s(120), mean: 65, calls: 2, width: 6, pools: []string{"rt"}},
-		{name: "sql", n: s(100), mean: 60, calls: 2, width: 8, pools: []string{"sv", "rt"}},
+// libraryPlan is the application's library, bottom (leaf) first: utilities,
+// latches, comparators, runtime, I/O, row formatting, services and the SQL
+// layer, each layer's size multiplied by scale.
+func libraryPlan(scale float64) []codegen.LibConfig {
+	s := func(n int) int { return max(2, int(float64(n)*scale)) }
+	return []codegen.LibConfig{
+		{Prefix: "ut", N: s(150), MeanWords: 80},
+		{Prefix: "lat", N: s(40), MeanWords: 25},
+		{Prefix: "cmp", N: s(40), MeanWords: 30},
+		{Prefix: "rt", N: s(150), MeanWords: 70, CallsPerFn: 2, PickWidth: 6, Pools: []string{"ut"}},
+		{Prefix: "io", N: s(40), MeanWords: 60, CallsPerFn: 1, PickWidth: 4, Pools: []string{"ut"}},
+		{Prefix: "row", N: s(80), MeanWords: 55, CallsPerFn: 1, PickWidth: 6, Pools: []string{"ut", "cmp"}},
+		{Prefix: "sv", N: s(120), MeanWords: 65, CallsPerFn: 2, PickWidth: 6, Pools: []string{"rt"}},
+		{Prefix: "sql", N: s(100), MeanWords: 60, CallsPerFn: 2, PickWidth: 8, Pools: []string{"sv", "rt"}},
 	}
 }
 
@@ -95,49 +83,10 @@ func Build(cfg Config) (*codegen.Image, error) {
 	if cfg.LibScale == 0 {
 		cfg.LibScale = 1.0
 	}
-	r := rand.New(rand.NewSource(cfg.Seed))
+	lib := codegen.NewLibrary(cfg.Seed, libraryPlan(cfg.LibScale))
+	pick, errPath := lib.Pick, lib.ErrPath
 
-	// 1. Library layers.
-	fams := make(map[string][]string)
-	var libSpecs []codegen.FnSpec
-	for _, f := range libraryPlan(cfg.LibScale) {
-		var pool []string
-		for _, p := range f.pools {
-			pool = append(pool, fams[p]...)
-		}
-		specs, names := codegen.GenLayer(r, codegen.LibConfig{
-			Prefix:     f.name,
-			N:          f.n,
-			MeanWords:  f.mean,
-			CallsPerFn: f.calls,
-			PickWidth:  f.width,
-		}, pool)
-		libSpecs = append(libSpecs, specs...)
-		fams[f.name] = names
-	}
-
-	// pick builds an AutoPick call site into a family.
-	pick := func(family string, width int) codegen.Frag {
-		names := fams[family]
-		if len(names) == 0 {
-			panic(fmt.Sprintf("appmodel: empty family %q", family))
-		}
-		if width > len(names) {
-			width = len(names)
-		}
-		start := r.Intn(len(names) - width + 1)
-		fns := make([]string, width)
-		weights := make([]uint32, width)
-		for i := 0; i < width; i++ {
-			fns[i] = names[start+i]
-			weights[i] = uint32(1 + r.Intn(900))
-		}
-		return codegen.AutoPick{Fns: fns, Weights: weights}
-	}
-
-	errPath := func() codegen.Frag { return codegen.ErrPath(r) }
-
-	// 2. Engine routine models. Each mirrors the probe sequence of the
+	// Engine routine models. Each mirrors the probe sequence of the
 	// matching internal/db routine.
 	engine := []codegen.FnSpec{
 		{Name: "buf_get", Body: []codegen.Frag{
@@ -264,11 +213,10 @@ func Build(cfg Config) (*codegen.Image, error) {
 		}},
 	}
 
-	// 3. Workload transaction models, rooted in the engine models, plus the
+	// Workload transaction models, rooted in the engine models, plus the
 	// shard router/coordinator models (exercised only on sharded machines,
 	// but always present so one image serves every shard count).
-	env := &workload.ModelEnv{Pick: pick, ErrPath: errPath}
-	wlSpecs := cfg.Workload.Models(env)
+	wlSpecs := cfg.Workload.Models(lib)
 	imgName := "oracle-like-oltp-" + cfg.Workload.Name()
 	seen := map[string]bool{cfg.Workload.Name(): true}
 	seenFn := make(map[string]bool, len(wlSpecs))
@@ -282,7 +230,7 @@ func Build(cfg Config) (*codegen.Image, error) {
 		seen[w.Name()] = true
 		// Variants of one implementation share model functions; the first
 		// definition serves every workload that probes it by name.
-		for _, fs := range w.Models(env) {
+		for _, fs := range w.Models(lib) {
 			if seenFn[fs.Name] {
 				continue
 			}
@@ -291,56 +239,15 @@ func Build(cfg Config) (*codegen.Image, error) {
 		}
 		imgName += "+" + w.Name()
 	}
-	wlSpecs = append(wlSpecs, shard.Models(env)...)
+	wlSpecs = append(wlSpecs, shard.Models(lib)...)
 	if cfg.FastPath {
 		// Appended after everything the non-fast-path image contains, with
 		// no library picks, so the shared generation RNG stream — and hence
 		// the rest of the image — is untouched: FastPath=false stays
 		// bit-identical to the historical build.
-		wlSpecs = append(wlSpecs, predict.Models(env)...)
+		wlSpecs = append(wlSpecs, predict.Models()...)
 		imgName += "+fastpath"
 	}
 
-	// 4. Cold complement.
-	var cold []codegen.FnSpec
-	if cfg.ColdWords > 0 {
-		cold = codegen.GenCold(r, "cold", cfg.ColdWords, 1200)
-	}
-
-	// 5. Link order. Real binaries are linked object file by object file: a
-	// module's handful of exercised functions sit together, followed by
-	// that module's unexercised code. The hot footprint therefore spreads
-	// across the whole image (bad iTLB/page locality, as the paper's
-	// baseline shows) while related hot functions still share lines and
-	// pages (so whole-procedure reordering alone wins little, also as the
-	// paper shows).
-	hot := append(append(append([]codegen.FnSpec{}, engine...), wlSpecs...), libSpecs...)
-	var modules [][]codegen.FnSpec
-	for len(hot) > 0 {
-		n := 3 + r.Intn(6)
-		if n > len(hot) {
-			n = len(hot)
-		}
-		modules = append(modules, hot[:n])
-		hot = hot[n:]
-	}
-	r.Shuffle(len(modules), func(i, j int) { modules[i], modules[j] = modules[j], modules[i] })
-	var fns []codegen.FnSpec
-	ci := 0
-	for i, mod := range modules {
-		fns = append(fns, mod...)
-		// The module's cold complement follows its hot code.
-		want := (i + 1) * len(cold) / len(modules)
-		for ci < want {
-			fns = append(fns, cold[ci])
-			ci++
-		}
-	}
-	fns = append(fns, cold[ci:]...)
-
-	return codegen.Build(codegen.ImageSpec{
-		Name:     imgName,
-		TextBase: isa.AppTextBase,
-		Fns:      fns,
-	})
+	return lib.Link(imgName, isa.AppTextBase, append(engine, wlSpecs...), "cold", cfg.ColdWords, 1200)
 }

@@ -1,7 +1,6 @@
 package codegen_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"codelayout/internal/codegen"
@@ -228,30 +227,46 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func TestGenLayerAndColdBuild(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	leafSpecs, leafNames := codegen.GenLayer(r, codegen.LibConfig{
-		Prefix: "leaf", N: 20, MeanWords: 50,
-	}, nil)
-	topSpecs, _ := codegen.GenLayer(r, codegen.LibConfig{
-		Prefix: "top", N: 10, MeanWords: 40, CallsPerFn: 2, PickWidth: 4,
-	}, leafNames)
-	cold := codegen.GenCold(r, "cold", 10_000, 500)
-	fns := append(append(leafSpecs, topSpecs...), cold...)
-	img, err := codegen.Build(codegen.ImageSpec{Name: "lib", TextBase: isa.AppTextBase, Fns: fns})
+func TestLibraryLinksLayersModelsAndCold(t *testing.T) {
+	lib := codegen.NewLibrary(5, []codegen.LibConfig{
+		{Prefix: "leaf", N: 20, MeanWords: 50},
+		{Prefix: "top", N: 10, MeanWords: 40, CallsPerFn: 2, PickWidth: 4, Pools: []string{"leaf"}},
+	})
+	models := []codegen.FnSpec{{Name: "entry", Auto: true, Body: []codegen.Frag{
+		codegen.Seq(3), lib.ErrPath(), lib.Pick("top", 4), codegen.Seq(2),
+	}}}
+	img, err := lib.Link("lib", isa.AppTextBase, models, "cold", 10_000, 500)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, name := range []string{"entry", "leaf_19", "top_9", "cold_0"} {
+		if img.Fns[name] == nil {
+			t.Fatalf("image lacks %s", name)
+		}
 	}
 	st := img.Prog.ComputeStats()
 	if st.ColdProcs == 0 {
 		t.Fatal("no cold procs")
+	}
+	// Cold code follows each module, not the whole hot image.
+	firstCold, lastHot := -1, -1
+	for i, pr := range img.Prog.Procs {
+		if pr.Cold && firstCold < 0 {
+			firstCold = i
+		}
+		if !pr.Cold {
+			lastHot = i
+		}
+	}
+	if firstCold > lastHot {
+		t.Fatalf("cold code starts at proc %d, after the last hot proc %d", firstCold, lastHot)
 	}
 	// Cold code should be close to the requested amount.
 	coldWords := st.BodyWords - st.HotWords
 	if coldWords < 9_000 || coldWords > 13_000 {
 		t.Fatalf("cold words = %d", coldWords)
 	}
-	// Auto walk every top function to completion repeatedly.
+	// Auto walk the model and a top function to completion repeatedly.
 	l, err := program.BaselineLayout(img.Prog)
 	if err != nil {
 		t.Fatal(err)
@@ -259,6 +274,7 @@ func TestGenLayerAndColdBuild(t *testing.T) {
 	e := codegen.NewEmitter(img, l, 3)
 	e.Sink = func(uint64, int32) {}
 	for i := 0; i < 50; i++ {
+		e.RunAuto("entry")
 		e.RunAuto("top_3")
 	}
 	if !e.Idle() {

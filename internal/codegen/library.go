@@ -11,46 +11,73 @@ import (
 // latch and cursor utilities — that executes under the instrumented entry
 // points and gives the image its large, flat instruction footprint.
 type LibConfig struct {
-	// Prefix names the layer's functions (prefix_0, prefix_1, ...).
+	// Prefix names the layer's functions (prefix_0, prefix_1, ...) and is
+	// the family name Pick and later layers' Pools refer to.
 	Prefix string
 	// N is the number of functions in the layer.
 	N int
 	// MeanWords is the approximate straight-line size of each function.
 	MeanWords int
-	// CallsPerFn is how many call sites each function gets into the next
-	// layer (0 for leaf layers).
+	// CallsPerFn is how many call sites each function gets into its pools
+	// (0 for leaf layers).
 	CallsPerFn int
 	// PickWidth is the dispatch width of each call site: >1 uses an
 	// indirect AutoPick over that many candidates, spreading execution
-	// across the layer below.
+	// across the layers below.
 	PickWidth int
+	// Pools names the earlier layers the call sites dispatch into; their
+	// functions are concatenated in the listed order.
+	Pools []string
 }
 
-// GenLayer generates one layer of auto functions that call into pool (the
-// already-generated layer below). It returns the specs and the new layer's
-// function names.
-func GenLayer(r *rand.Rand, cfg LibConfig, pool []string) ([]FnSpec, []string) {
-	specs := make([]FnSpec, 0, cfg.N)
-	names := make([]string, 0, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		name := fmt.Sprintf("%s_%d", cfg.Prefix, i)
-		specs = append(specs, FnSpec{
+// Library is the generated half of one image and the recipe that links it:
+// the helper layers, the call sites hand-written models make into them, the
+// cold complement, and the module-clustered link order. Every random choice
+// comes from the library's one rng, so an image is a pure function of the
+// seed, the layer table and the order of the Pick and ErrPath calls.
+type Library struct {
+	r     *rand.Rand
+	fams  map[string][]string
+	specs []FnSpec // every layer's functions, bottom layer first
+}
+
+// NewLibrary generates the layers, bottom (leaf) first, from an rng seeded
+// with seed.
+func NewLibrary(seed int64, layers []LibConfig) *Library {
+	lib := &Library{r: rand.New(rand.NewSource(seed)), fams: make(map[string][]string)}
+	for _, c := range layers {
+		lib.layer(c)
+	}
+	return lib
+}
+
+// layer generates one layer of auto functions that call into its pools.
+func (lib *Library) layer(c LibConfig) {
+	var pool []string
+	for _, p := range c.Pools {
+		pool = append(pool, lib.fams[p]...)
+	}
+	names := make([]string, 0, c.N)
+	for i := 0; i < c.N; i++ {
+		name := fmt.Sprintf("%s_%d", c.Prefix, i)
+		lib.specs = append(lib.specs, FnSpec{
 			Name: name,
 			Auto: true,
-			Body: genAutoBody(r, cfg, pool),
+			Body: lib.autoBody(c, pool),
 		})
 		names = append(names, name)
 	}
-	return specs, names
+	lib.fams[c.Prefix] = names
 }
 
-// genAutoBody builds a plausible helper-function body: short straight-line
+// autoBody builds a plausible helper-function body: short straight-line
 // stretches separated by biased branches, an occasional short loop, and call
-// sites into the layer below.
-func genAutoBody(r *rand.Rand, cfg LibConfig, pool []string) []Frag {
+// sites into the layers below.
+func (lib *Library) autoBody(c LibConfig, pool []string) []Frag {
+	r := lib.r
 	var body []Frag
-	remaining := cfg.MeanWords/2 + r.Intn(cfg.MeanWords+1)
-	calls := cfg.CallsPerFn
+	remaining := c.MeanWords/2 + r.Intn(c.MeanWords+1)
+	calls := c.CallsPerFn
 	if len(pool) == 0 {
 		calls = 0
 	}
@@ -82,7 +109,7 @@ func genAutoBody(r *rand.Rand, cfg LibConfig, pool []string) []Frag {
 			body = append(body, AutoLoop{Prob: 0.55 + 0.15*r.Float64(), Head: 2, Body: []Frag{seq(6)}})
 		case 5:
 			if calls > 0 {
-				body = append(body, genCallSite(r, cfg, pool))
+				body = append(body, lib.callSite(c, pool))
 				calls--
 			} else {
 				body = append(body, seq(9))
@@ -92,29 +119,19 @@ func genAutoBody(r *rand.Rand, cfg LibConfig, pool []string) []Frag {
 			// executes, as real engine code carries everywhere. These
 			// blocks inflate the baseline's fetched-but-unused words; the
 			// fine-grain splitting pass is what gets rid of them.
-			body = append(body, ErrPath(r))
+			body = append(body, lib.ErrPath())
 		}
 	}
 	for calls > 0 {
-		body = append(body, genCallSite(r, cfg, pool))
+		body = append(body, lib.callSite(c, pool))
 		calls--
 	}
 	return body
 }
 
-// ErrPath returns an inline error-handling branch that essentially never
-// executes (probability ~1 of falling through past it). Real database code
-// is dense with these; they are what makes nearly half the fetched words of
-// an unoptimized binary useless.
-func ErrPath(r *rand.Rand) Frag {
-	return AutoIf{
-		Prob: 0.9995,
-		Else: []Frag{Seq(6 + r.Intn(28))},
-	}
-}
-
-func genCallSite(r *rand.Rand, cfg LibConfig, pool []string) Frag {
-	width := cfg.PickWidth
+func (lib *Library) callSite(c LibConfig, pool []string) Frag {
+	r := lib.r
+	width := c.PickWidth
 	if width <= 1 || len(pool) == 1 {
 		return Call{Fn: pool[r.Intn(len(pool))]}
 	}
@@ -135,13 +152,74 @@ func genCallSite(r *rand.Rand, cfg LibConfig, pool []string) Frag {
 	return AutoPick{Fns: fns, Weights: weights}
 }
 
-// GenCold generates never-executed static-image functions totaling about
-// totalWords of code, modeling the cold bulk of a large database binary.
-func GenCold(r *rand.Rand, prefix string, totalWords int, meanFnWords int) []FnSpec {
+// Pick builds an indirect call site from a hand-written model into a window
+// of up to width functions of the named layer, with uniform random weights.
+func (lib *Library) Pick(family string, width int) Frag {
+	names := lib.fams[family]
+	if len(names) == 0 {
+		panic(fmt.Sprintf("codegen: empty library family %q", family))
+	}
+	width = min(width, len(names))
+	start := lib.r.Intn(len(names) - width + 1)
+	fns := make([]string, width)
+	weights := make([]uint32, width)
+	for i := 0; i < width; i++ {
+		fns[i] = names[start+i]
+		weights[i] = uint32(1 + lib.r.Intn(900))
+	}
+	return AutoPick{Fns: fns, Weights: weights}
+}
+
+// ErrPath returns an inline error-handling branch that essentially never
+// executes (probability ~1 of falling through past it). Real database code
+// is dense with these; they are what makes nearly half the fetched words of
+// an unoptimized binary useless.
+func (lib *Library) ErrPath() Frag {
+	return AutoIf{
+		Prob: 0.9995,
+		Else: []Frag{Seq(6 + lib.r.Intn(28))},
+	}
+}
+
+// Link builds the image: the hand-written models, then every library layer,
+// then a cold complement of about coldWords never-executed words in
+// functions of about coldFnWords each, named coldPrefix_0, coldPrefix_1, ...
+//
+// The functions are linked the way real binaries are, object file by object
+// file: the models and layers are cut, in that order, into modules of three
+// to eight functions, the modules are shuffled, and each is followed by its
+// share of the cold code. The hot footprint therefore spreads across the
+// whole image (bad iTLB and page locality, as the paper's baseline shows)
+// while related hot functions still share lines and pages (so whole-procedure
+// reordering alone wins little, also as the paper shows).
+func (lib *Library) Link(name string, textBase uint64, models []FnSpec, coldPrefix string, coldWords, coldFnWords int) (*Image, error) {
+	cold := lib.cold(coldPrefix, coldWords, coldFnWords)
+	hot := append(append([]FnSpec{}, models...), lib.specs...)
+	var modules [][]FnSpec
+	for len(hot) > 0 {
+		n := min(3+lib.r.Intn(6), len(hot))
+		modules = append(modules, hot[:n])
+		hot = hot[n:]
+	}
+	lib.r.Shuffle(len(modules), func(i, j int) { modules[i], modules[j] = modules[j], modules[i] })
+	var fns []FnSpec
+	ci := 0
+	for i, mod := range modules {
+		fns = append(fns, mod...)
+		for want := (i + 1) * len(cold) / len(modules); ci < want; ci++ {
+			fns = append(fns, cold[ci])
+		}
+	}
+	fns = append(fns, cold[ci:]...)
+	return Build(ImageSpec{Name: name, TextBase: textBase, Fns: fns})
+}
+
+// cold generates never-executed functions totaling about totalWords of code,
+// modeling the cold bulk of a large database binary.
+func (lib *Library) cold(prefix string, totalWords, meanFnWords int) []FnSpec {
 	var specs []FnSpec
-	i := 0
-	for totalWords > 0 {
-		n := meanFnWords/2 + r.Intn(meanFnWords+1)
+	for i := 0; totalWords > 0; i++ {
+		n := meanFnWords/2 + lib.r.Intn(meanFnWords+1)
 		if n > totalWords {
 			n = totalWords
 		}
@@ -161,7 +239,6 @@ func GenCold(r *rand.Rand, prefix string, totalWords int, meanFnWords int) []FnS
 				Seq(n - 2*third),
 			},
 		})
-		i++
 	}
 	return specs
 }

@@ -84,9 +84,7 @@ func (e *Engine) CreateBTree(name string) *BTree {
 	leafSetSib(pg, InvalidPage)
 	pg.Dirty = true
 	e.Pool.Unpin(pg)
-	t := &BTree{Name: name, eng: e, root: root, height: 1}
-	e.trees[name] = t
-	return t
+	return &BTree{Name: name, eng: e, root: root, height: 1}
 }
 
 // Height returns the current tree height (1 = single leaf).

@@ -41,7 +41,6 @@ type Engine struct {
 
 	graph *WaitGraph
 
-	trees     map[string]*BTree
 	tables    map[string]*Table
 	pageBase  PageID
 	nextPage  PageID
@@ -129,7 +128,6 @@ func NewEngine(cfg Config) *Engine {
 		GroupCommitWindow: cfg.GroupCommitWindow,
 		PerCommitFlush:    cfg.PerCommitFlush,
 		graph:             graph,
-		trees:             make(map[string]*BTree),
 		tables:            make(map[string]*Table),
 		pageBase:          PageID(cfg.Shard) * stride,
 		nextPage:          PageID(cfg.Shard) * stride,
@@ -185,9 +183,6 @@ func (e *Engine) AllocPage() PageID {
 	e.nextPage++
 	return id
 }
-
-// Tree returns a named index.
-func (e *Engine) Tree(name string) *BTree { return e.trees[name] }
 
 // Table is a heap table: pages filled append-only, with in-place updates.
 type Table struct {

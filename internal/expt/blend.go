@@ -7,7 +7,6 @@ import (
 	"codelayout/internal/pstore"
 	"codelayout/internal/stats"
 	"codelayout/internal/workload"
-	"codelayout/internal/ycsb"
 )
 
 // BlendSpec configures the aged-profile blending sweep: two training mixes
@@ -17,9 +16,10 @@ import (
 // PGO retention question — how much of a stale profile can be kept before
 // the layout built from the blend stops serving the new traffic well.
 type BlendSpec struct {
-	// Old is the stale training mix (nil: the read-heavy 95/5 key-value
-	// mix). New is the drifted-to mix every blend is evaluated under (nil:
-	// the same store at 5/95, an update-heavy inversion).
+	// Old is the stale training mix and New the drifted-to mix every blend
+	// is evaluated under; both are required, with distinct names.
+	// layoutlab's -table blend pairs the key-value store's read-heavy 95/5
+	// mix with its 5/95 update-heavy inversion, "ycsb-upd".
 	Old, New workload.Workload
 	// Ratios are the new-mix weights swept (each blend is old*(1-r) +
 	// new*r); empty means {0, 0.25, 0.5, 0.75, 1}.
@@ -40,30 +40,13 @@ type BlendResult struct {
 	Table *stats.Table
 }
 
-// defaultBlendWorkloads is the built-in drift pair: the key-value store's
-// read-heavy default mix aging into an update-heavy inversion of itself.
-// Both mixes share one Scale so they describe the same database.
-func defaultBlendWorkloads(quick bool) (workload.Workload, workload.Workload) {
-	old := ycsb.New()
-	if quick {
-		old = old.QuickScale().(*ycsb.Workload)
-	}
-	upd := *old
-	upd.Label = "ycsb-upd"
-	upd.ReadPct = 5
-	return old, &upd
-}
-
 // BlendTable trains the two mixes once each (through the store when one is
 // configured), blends their profiles at every ratio with pstore.Blend,
 // builds the full optimization pipeline's layout from each blend, and
 // measures all of them under the drifted-to mix.
 func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
-	if (spec.Old == nil) != (spec.New == nil) {
-		return nil, fmt.Errorf("expt: blend needs both workloads or neither")
-	}
-	if spec.Old == nil {
-		spec.Old, spec.New = defaultBlendWorkloads(o.Quick)
+	if spec.Old == nil || spec.New == nil {
+		return nil, fmt.Errorf("expt: blend needs both workloads")
 	}
 	if spec.Old.Name() == spec.New.Name() {
 		return nil, fmt.Errorf("expt: blend workloads must have distinct names (both %q); set Label on one", spec.Old.Name())

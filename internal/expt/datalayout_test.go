@@ -376,7 +376,7 @@ func (w *schemaWorkload) DataPages() int                               { return 
 func (w *schemaWorkload) Partitioning() workload.Partitioning          { return workload.Partitioning{} }
 func (w *schemaWorkload) Load([]*db.Engine) (workload.Instance, error) { return nil, nil }
 func (w *schemaWorkload) RecordSchemas() []workload.TableSchema        { return w.schemas }
-func (w *schemaWorkload) Models(*workload.ModelEnv) []codegen.FnSpec   { return nil }
+func (w *schemaWorkload) Models(*codegen.Library) []codegen.FnSpec     { return nil }
 
 // noSchemaWorkload implements workload.Workload but not RecordSchemas.
 type noSchemaWorkload struct{}
@@ -386,7 +386,7 @@ func (w *noSchemaWorkload) QuickScale() workload.Workload                { retur
 func (w *noSchemaWorkload) DataPages() int                               { return 1 }
 func (w *noSchemaWorkload) Partitioning() workload.Partitioning          { return workload.Partitioning{} }
 func (w *noSchemaWorkload) Load([]*db.Engine) (workload.Instance, error) { return nil, nil }
-func (w *noSchemaWorkload) Models(*workload.ModelEnv) []codegen.FnSpec   { return nil }
+func (w *noSchemaWorkload) Models(*codegen.Library) []codegen.FnSpec     { return nil }
 
 // TestGroupedDefsRejectsSchemaless: a workload without RecordSchemas is an
 // explicit error, not a silent no-op.

@@ -60,16 +60,16 @@ type Flags struct {
 	GCWindow  uint64
 	PerCommit bool
 
-	// Table is layoutlab's -table; Matrix, ShardList and Ratios are the
-	// parsed -matrix (robustness, latency and search only), -shardlist and
-	// -ratios; Sweep and DataLayout are the shardsweep and datalayout
-	// specs the flags describe.
+	// Table is layoutlab's -table; Matrix and ShardList are the parsed
+	// -matrix (robustness, latency and search only) and -shardlist; Sweep,
+	// DataLayout and Blend are the shardsweep, datalayout and blend specs
+	// the flags describe.
 	Table      string
 	Matrix     []workload.Workload
 	ShardList  []int
-	Ratios     []float64
 	Sweep      ShardSweepSpec
 	DataLayout DataLayoutSpec
+	Blend      BlendSpec
 
 	cmd Command
 	// over holds layoutlab's overrides of its -quick/-full preset; a zero
@@ -259,10 +259,10 @@ func (f *Flags) Resolve() error {
 	return nil
 }
 
-// resolveWorkloads looks up -workload, -train-workload and (for the tables
-// that measure it) -matrix at the scale -quick/-full select, and applies
-// the mix knobs to the workloads the run measures: each knob is set on
-// every one of them that has it and rejected when none does.
+// resolveWorkloads looks up -workload, -train-workload, (for the tables that
+// measure it) -matrix and the blend table's pair at the scale -quick/-full
+// select, and applies the mix knobs to the workloads the run measures: each
+// knob is set on every one of them that has it and rejected when none does.
 func (f *Flags) resolveWorkloads() error {
 	quick := f.quick || f.cmd == Layoutlab && !f.full
 	lookup := func(name string) (workload.Workload, error) {
@@ -297,6 +297,18 @@ func (f *Flags) resolveWorkloads() error {
 			f.Matrix = append(f.Matrix, wl)
 		}
 		measured = f.Matrix
+	}
+	if f.Table == "blend" {
+		// The drift pair: the key-value store's read-heavy default mix aging
+		// into an update-heavy inversion of itself, both at one scale so they
+		// describe the same database.
+		wl, err := lookup("ycsb")
+		if err != nil {
+			return err
+		}
+		upd := *wl.(*ycsb.Workload)
+		upd.Label, upd.ReadPct = "ycsb-upd", 5
+		f.Blend.Old, f.Blend.New = wl, &upd
 	}
 
 	// -zipf and -hotfrac under -table datalayout parameterize the table's
@@ -376,7 +388,7 @@ func (f *Flags) resolveTables() error {
 		if !(r >= 0 && r <= 1) {
 			return fmt.Errorf("-ratios: weight %v outside [0, 1]", r)
 		}
-		f.Ratios = append(f.Ratios, r)
+		f.Blend.Ratios = append(f.Blend.Ratios, r)
 	}
 	// The sweep defaults to the tail-aware tuner: high shard counts starve
 	// fixed windows.

@@ -192,6 +192,20 @@ func TestFlagsResolve(t *testing.T) {
 				t.Errorf("ycsb read pct %d, want 50", w.ReadPct)
 			}
 		}},
+		// The blend pair is resolved at the preset's scale, like -workload.
+		{"layoutlab blend pair", expt.Layoutlab, "-table blend -ratios 0,1", func(t *testing.T, f *expt.Flags) {
+			upd := *ycsb.New().QuickScale().(*ycsb.Workload)
+			upd.Label, upd.ReadPct = "ycsb-upd", 5
+			want := expt.BlendSpec{Old: ycsb.New().QuickScale(), New: &upd, Ratios: []float64{0, 1}}
+			if !reflect.DeepEqual(f.Blend, want) {
+				t.Errorf("blend %+v, want %+v", f.Blend, want)
+			}
+		}},
+		{"layoutlab -full blend pair", expt.Layoutlab, "-table blend -full", func(t *testing.T, f *expt.Flags) {
+			if !reflect.DeepEqual(f.Blend.Old, ycsb.New()) || f.Blend.New.Name() != "ycsb-upd" {
+				t.Errorf("blend pair %+v / %+v", f.Blend.Old, f.Blend.New)
+			}
+		}},
 		{"profile store opens", expt.Layoutlab, "-profile-store " + t.TempDir(), func(t *testing.T, f *expt.Flags) {
 			if f.Opt.ProfileStore == nil {
 				t.Error("no store on the options")

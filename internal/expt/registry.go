@@ -2,7 +2,6 @@ package expt
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"codelayout/internal/stats"
@@ -65,22 +64,6 @@ func (s *Session) Run(id string) ([]*stats.Table, error) {
 		return nil, err
 	}
 	return e.Run(s)
-}
-
-// RunAll executes every experiment, rendering tables to w as they finish.
-func (s *Session) RunAll(w io.Writer) error {
-	for _, e := range registry {
-		fmt.Fprintf(w, "\n### %s — %s (%s)\n\n", e.ID, e.Title, e.Paper)
-		tables, err := e.Run(s)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		for _, t := range tables {
-			t.Render(w)
-			fmt.Fprintln(w)
-		}
-	}
-	return nil
 }
 
 // Summary returns a sorted one-line-per-experiment description.

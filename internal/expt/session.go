@@ -21,8 +21,10 @@ import (
 	"runtime"
 	"sync"
 
+	"codelayout/internal/appmodel"
 	"codelayout/internal/codegen"
 	"codelayout/internal/core"
+	"codelayout/internal/kernel"
 	"codelayout/internal/machine"
 	"codelayout/internal/profile"
 	"codelayout/internal/program"
@@ -95,34 +97,31 @@ type Options struct {
 	// and fresh runs are written back. Profiles are exact, so a store hit
 	// yields bit-identical layouts and measurements to retraining.
 	ProfileStore *pstore.Store
-
-	// Quick shrinks the workload and image for fast CI/bench runs while
-	// keeping every shape qualitatively intact.
-	Quick bool
 }
 
 func defaultWorkload() workload.Workload { return tpcb.New() }
 
 // DefaultOptions returns the paper-scale configuration: 4 processors, 8
 // server processes each, 40 branches, 500 measured transactions, profiles
-// trained on a separate 2000-transaction run with a different seed.
+// trained on a separate 2000-transaction run with a different seed, over the
+// images appmodel.DefaultConfig and kernel.DefaultConfig shape.
 func DefaultOptions() Options {
+	app, kern := appmodel.DefaultConfig(2001, tpcb.New()), kernel.DefaultConfig(0)
 	return Options{
-		Seed:  2001,
+		Seed:  app.Seed,
 		Train: TrainConfig{Seed: 1998, Txns: 2000},
 		CPUs:  4, ProcsPerCPU: 8,
 		Transactions: 500, WarmupTxns: 100,
-		Workload: tpcb.New(),
-		LibScale: 1.0, ColdWords: 6_400_000, KernColdWords: 1_400_000,
+		Workload: app.Workload,
+		LibScale: app.LibScale, ColdWords: app.ColdWords, KernColdWords: kern.ColdWords,
 	}
 }
 
 // QuickOptions returns a shrunken configuration for tests and default
-// bench runs. The workload shrinks through its own QuickScale, so Quick
+// bench runs. The workload shrinks through its own QuickScale, so the preset
 // works for any workload.
 func QuickOptions() Options {
 	o := DefaultOptions()
-	o.Quick = true
 	o.CPUs = 2
 	o.ProcsPerCPU = 6
 	o.Transactions = 150

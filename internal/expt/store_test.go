@@ -145,12 +145,15 @@ func TestProfileStoreHitReported(t *testing.T) {
 	}
 }
 
-// TestBlendTableQuick: the aged-profile blend sweep runs end to end on the
-// default drift pair and the fresh profile serves the drifted-to mix at
+// TestBlendTableQuick: the aged-profile blend sweep runs end to end on
+// layoutlab's drift pair and the fresh profile serves the drifted-to mix at
 // least as well as the stale one.
 func TestBlendTableQuick(t *testing.T) {
-	o := storeOpts()
-	res, err := expt.BlendTable(o, expt.BlendSpec{Ratios: []float64{0, 0.5, 1}})
+	f, err := parseFlags(expt.Layoutlab, "-table", "blend", "-ratios", "0,0.5,1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := expt.BlendTable(storeOpts(), f.Blend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +175,15 @@ func TestBlendTableQuick(t *testing.T) {
 	}
 }
 
-// TestBlendTableRejectsBadSpec: one-sided workload overrides and name
-// collisions fail fast.
+// TestBlendTableRejectsBadSpec: a missing workload and name collisions fail
+// fast.
 func TestBlendTableRejectsBadSpec(t *testing.T) {
 	o := storeOpts()
+	if _, err := expt.BlendTable(o, expt.BlendSpec{Ratios: []float64{0, 1}}); err == nil {
+		t.Error("no workloads: want error")
+	}
 	if _, err := expt.BlendTable(o, expt.BlendSpec{Old: tpcb.New()}); err == nil {
-		t.Error("one-sided workload override: want error")
+		t.Error("one workload: want error")
 	}
 	if _, err := expt.BlendTable(o, expt.BlendSpec{Old: tpcb.New(), New: tpcb.New()}); err == nil {
 		t.Error("same-name workloads: want error")

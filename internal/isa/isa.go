@@ -94,17 +94,6 @@ func (k TermKind) String() string {
 	}
 }
 
-// IsUncond reports whether the terminator is an unconditional transfer of
-// control that never falls through (the fine-grain procedure splitting rule:
-// "a code segment is ended by an unconditional branch or return").
-func (k TermKind) IsUncond() bool {
-	switch k {
-	case TermBranch, TermRet, TermIndirect, TermHalt:
-		return true
-	}
-	return false
-}
-
 // Address spaces. The application text is shared by all server processes
 // (they run the same binary, as Oracle's dedicated servers do), so its
 // instruction addresses are process-independent. Kernel text lives in a

@@ -11,7 +11,6 @@ package kernel
 
 import (
 	"fmt"
-	"math/rand"
 
 	"codelayout/internal/codegen"
 	"codelayout/internal/isa"
@@ -57,47 +56,22 @@ func DefaultConfig(seed int64) Config {
 	return Config{Seed: seed, ColdWords: 1_400_000}
 }
 
-// Build assembles the kernel image.
+// layers are the kernel's library: low-level utilities, VM, filesystem,
+// driver, scheduler and trap entry, bottom first.
+var layers = []codegen.LibConfig{
+	{Prefix: "klib", N: 70, MeanWords: 60},
+	{Prefix: "kvm", N: 40, MeanWords: 55, CallsPerFn: 1, PickWidth: 4, Pools: []string{"klib"}},
+	{Prefix: "kfs", N: 60, MeanWords: 70, CallsPerFn: 2, PickWidth: 6, Pools: []string{"klib", "kvm"}},
+	{Prefix: "kdrv", N: 40, MeanWords: 80, CallsPerFn: 1, PickWidth: 4, Pools: []string{"klib"}},
+	{Prefix: "ksch", N: 30, MeanWords: 50, CallsPerFn: 1, PickWidth: 4, Pools: []string{"klib"}},
+	{Prefix: "ktrap", N: 25, MeanWords: 40},
+}
+
+// Build assembles the kernel image: the service models over the library
+// layers, linked with the kernel's cold code.
 func Build(cfg Config) (*codegen.Image, error) {
-	r := rand.New(rand.NewSource(cfg.Seed))
-
-	// Library layers: low-level utilities, VM, filesystem, driver,
-	// scheduler.
-	fams := make(map[string][]string)
-	var layers []codegen.FnSpec
-	addLayer := func(prefix string, n, mean, calls, width int, pools ...string) {
-		var pool []string
-		for _, p := range pools {
-			pool = append(pool, fams[p]...)
-		}
-		specs, names := codegen.GenLayer(r, codegen.LibConfig{
-			Prefix: prefix, N: n, MeanWords: mean, CallsPerFn: calls, PickWidth: width,
-		}, pool)
-		layers = append(layers, specs...)
-		fams[prefix] = names
-	}
-	addLayer("klib", 70, 60, 0, 0)
-	addLayer("kvm", 40, 55, 1, 4, "klib")
-	addLayer("kfs", 60, 70, 2, 6, "klib", "kvm")
-	addLayer("kdrv", 40, 80, 1, 4, "klib")
-	addLayer("ksch", 30, 50, 1, 4, "klib")
-	addLayer("ktrap", 25, 40, 0, 0)
-
-	pick := func(family string, width int) codegen.Frag {
-		names := fams[family]
-		if width > len(names) {
-			width = len(names)
-		}
-		start := r.Intn(len(names) - width + 1)
-		fns := make([]string, width)
-		weights := make([]uint32, width)
-		for i := 0; i < width; i++ {
-			fns[i] = names[start+i]
-			weights[i] = uint32(1 + r.Intn(900))
-		}
-		return codegen.AutoPick{Fns: fns, Weights: weights}
-	}
-
+	lib := codegen.NewLibrary(cfg.Seed, layers)
+	pick := lib.Pick
 	services := []codegen.FnSpec{
 		{Name: SvcLogWrite, Auto: true, Body: []codegen.Frag{
 			codegen.Seq(18), pick("ktrap", 3),
@@ -135,39 +109,5 @@ func Build(cfg Config) (*codegen.Image, error) {
 		}},
 	}
 
-	var cold []codegen.FnSpec
-	if cfg.ColdWords > 0 {
-		cold = codegen.GenCold(r, "kcold", cfg.ColdWords, 1000)
-	}
-
-	// Module-clustered link order, like the application image: a few
-	// related hot functions, then their module's cold complement.
-	hot := append(append([]codegen.FnSpec{}, services...), layers...)
-	var modules [][]codegen.FnSpec
-	for len(hot) > 0 {
-		n := 3 + r.Intn(6)
-		if n > len(hot) {
-			n = len(hot)
-		}
-		modules = append(modules, hot[:n])
-		hot = hot[n:]
-	}
-	r.Shuffle(len(modules), func(i, j int) { modules[i], modules[j] = modules[j], modules[i] })
-	var fns []codegen.FnSpec
-	ci := 0
-	for i, mod := range modules {
-		fns = append(fns, mod...)
-		want := (i + 1) * len(cold) / len(modules)
-		for ci < want {
-			fns = append(fns, cold[ci])
-			ci++
-		}
-	}
-	fns = append(fns, cold[ci:]...)
-
-	return codegen.Build(codegen.ImageSpec{
-		Name:     "tru64-like-kernel",
-		TextBase: isa.KernelTextBase,
-		Fns:      fns,
-	})
+	return lib.Link("tru64-like-kernel", isa.KernelTextBase, services, "kcold", cfg.ColdWords, 1000)
 }

@@ -120,3 +120,23 @@ func (r *ReferenceFront) fetchStall(c *cpu, addr uint64, words int32, kernel boo
 		}
 	}
 }
+
+// Observers reports what the measuring gate has attached: the emitters,
+// process and kernel, with a Collector, the process emitters with an OnData
+// hook, and whether the gate is open.
+func (m *Machine) Observers() (collectors, onData int, open bool) {
+	for _, p := range m.procs {
+		if p.emit.Collector != nil {
+			collectors++
+		}
+		if p.emit.OnData != nil {
+			onData++
+		}
+	}
+	for _, c := range m.cpus {
+		if c.kern.Collector != nil {
+			collectors++
+		}
+	}
+	return collectors, onData, m.measuring
+}

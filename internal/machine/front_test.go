@@ -8,11 +8,13 @@ import (
 	"strings"
 	"testing"
 
+	"codelayout/internal/db"
 	"codelayout/internal/machine"
 	"codelayout/internal/profile"
 	"codelayout/internal/program"
 	"codelayout/internal/tpcb"
 	"codelayout/internal/trace"
+	"codelayout/internal/workload"
 	"codelayout/internal/ycsb"
 )
 
@@ -245,6 +247,83 @@ func TestFrontMatchesReferenceUnderDeadlockVictims(t *testing.T) {
 	})
 	if res.res.Aborted == 0 {
 		t.Fatal("the run aborted no deadlock victim")
+	}
+}
+
+// gateWorkload calls check at the start of every transaction, inside the
+// process that runs it.
+type gateWorkload struct {
+	workload.Workload
+	check func()
+}
+
+func (w gateWorkload) Load(engs []*db.Engine) (workload.Instance, error) {
+	inst, err := w.Workload.Load(engs)
+	return gateInstance{Instance: inst, check: w.check}, err
+}
+
+type gateInstance struct {
+	workload.Instance
+	check func()
+}
+
+func (g gateInstance) RunTxn(ss []*db.Session, in workload.Input) {
+	g.check()
+	g.Instance.RunTxn(ss, in)
+}
+
+type dataCount int
+
+func (c *dataCount) Data(trace.DataRef) { *c++ }
+
+// TestGateAttachesObserversOnlyWhileOpen: the measuring gate is the one place
+// observers come on and off. The run configures both collectors and a data
+// sink, yet during warmup, and in the drain after the gate closes, no emitter
+// has a Collector or an OnData hook; while the gate is open every emitter has
+// them.
+func TestGateAttachesObserversOnlyWhileOpen(t *testing.T) {
+	wl := smallWorkload(t, "tpcb")
+	app, appL, kern, kernL := testImages(t, wl)
+	var m *machine.Machine
+	var warm, open int
+	var cfg machine.Config
+	check := func() {
+		cols, onData, measuring := m.Observers()
+		procs := cfg.CPUs * cfg.ProcsPerCPU
+		switch {
+		case !measuring:
+			warm++
+			if cols != 0 || onData != 0 {
+				t.Fatalf("gate closed, yet %d emitters have a Collector and %d an OnData hook", cols, onData)
+			}
+		case cols != procs+cfg.CPUs || onData != procs:
+			t.Fatalf("gate open, yet %d of %d emitters have a Collector and %d of %d an OnData hook",
+				cols, procs+cfg.CPUs, onData, procs)
+		default:
+			open++
+		}
+	}
+	cfg = configFor(gateWorkload{Workload: wl, check: check}, app, appL, kern, kernL)
+	cfg.CPUs = 2
+	apx := profile.NewPixie(app.Prog, "app")
+	cfg.AppCollector, cfg.KernCollector = apx, profile.NewPixie(kern.Prog, "kern")
+	var refs dataCount
+	cfg.DataSinks = []trace.DataSink{&refs}
+	var err error
+	if m, err = machine.New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if warm == 0 || open == 0 {
+		t.Fatalf("%d transactions began with the gate closed, %d with it open; want both", warm, open)
+	}
+	if cols, onData, measuring := m.Observers(); cols != 0 || onData != 0 || measuring {
+		t.Fatalf("after Run: %d collectors, %d OnData hooks, gate open %v", cols, onData, measuring)
+	}
+	if refs == 0 || apx.Profile().TotalBlocks() == 0 {
+		t.Fatalf("the measured phase did not reach the observers: %d data references, %d blocks", refs, apx.Profile().TotalBlocks())
 	}
 }
 

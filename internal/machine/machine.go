@@ -484,9 +484,6 @@ func New(cfg Config) (*Machine, error) {
 		// never preempted: no Attention.
 		cp.kern = codegen.NewEmitter(cfg.KernImage, cfg.KernLayout, cfg.Seed*7919+int64(c))
 		cp.kern.Front = &cp.front
-		if cfg.KernCollector != nil {
-			cp.kern.Collector = &gatedCollector{m: m, next: cfg.KernCollector}
-		}
 		m.cpus = append(m.cpus, cp)
 	}
 
@@ -507,25 +504,8 @@ func New(cfg Config) (*Machine, error) {
 			p.emit = codegen.NewEmitter(cfg.AppImage, cfg.AppLayout, cfg.Seed*17+int64(pid))
 			p.emit.Front = &p.cpu.front
 			p.emit.Attention = func() { m.attend(p) }
-			p.emit.OnData = func(addr uint64, bytes int, write bool) { m.data(p, addr, bytes, write) }
 			p.emit.OnSyscall = func(name string) { m.syscall(p, name) }
-			var col codegen.Collector
-			if cfg.AppCollector != nil {
-				col = &gatedCollector{m: m, next: cfg.AppCollector}
-			}
-			if m.ro != nil {
-				// The online profile observes every phase ungated; it is
-				// reset to a clean window when drift is detected, so the
-				// retrainer only ever sees post-drift behavior.
-				if col != nil {
-					col = multiCollector{m.ro.px, col}
-				} else {
-					col = m.ro.px
-				}
-			}
-			if col != nil {
-				p.emit.Collector = col
-			}
+			p.emit.Collector = m.alwaysCollector()
 			for s := 0; s < cfg.Shards; s++ {
 				p.sessions = append(p.sessions, m.engs[s].NewSession(p.id, p.emit))
 			}
@@ -625,20 +605,20 @@ func (m *Machine) CheckInvariants() error {
 	return m.inst.Check(ss)
 }
 
-// gatedCollector forwards block events only during the measured phase.
-type gatedCollector struct {
-	m    *Machine
-	next codegen.Collector
-}
-
-func (g *gatedCollector) Block(prev, cur program.BlockID) {
-	if g.m.measuring {
-		g.next.Block(prev, cur)
+// alwaysCollector is what a process emitter reports its block events to
+// outside the measured phase: the online re-optimization profile, which
+// observes every phase (it is reset to a clean window when drift is
+// detected, so the retrainer only ever sees post-drift behavior), or nothing.
+func (m *Machine) alwaysCollector() codegen.Collector {
+	if m.ro == nil {
+		return nil
 	}
+	return m.ro.px
 }
 
 // multiCollector fans one emitter's block events out to several collectors
-// (the online re-optimization profile alongside a configured AppCollector).
+// (the online re-optimization profile alongside a configured AppCollector,
+// while the gate is open).
 type multiCollector []codegen.Collector
 
 func (mc multiCollector) Block(prev, cur program.BlockID) {
@@ -685,11 +665,30 @@ func (m *Machine) fetchTotals() fetchTotals {
 
 // openGate starts the measured phase. Like closeGate it runs in the
 // scheduler, with every process parked in a yield, so the fetch totals it
-// reads are on a run boundary of every emitter. The emitters get a Sink only
-// now, and only if the run has sinks to feed.
+// reads are on a run boundary of every emitter. Everything that observes the
+// measured phase is attached now, and only what the run configured: the
+// collectors, an OnData hook where there are data sinks, and a Sink where
+// there are fetch sinks.
 func (m *Machine) openGate() {
 	m.measuring, m.warmupOver = true, true
 	m.atOpen = m.fetchTotals()
+	app := m.cfg.AppCollector
+	if app != nil && m.ro != nil {
+		app = multiCollector{m.ro.px, app}
+	}
+	for _, p := range m.procs {
+		if app != nil {
+			p.emit.Collector = app
+		}
+		if len(m.cfg.DataSinks) > 0 {
+			p.emit.OnData = func(addr uint64, bytes int, write bool) { m.data(p, addr, bytes, write) }
+		}
+	}
+	if kern := m.cfg.KernCollector; kern != nil {
+		for _, c := range m.cpus {
+			c.kern.Collector = kern
+		}
+	}
 	if len(m.cfg.Sinks) == 0 {
 		return
 	}
@@ -713,8 +712,9 @@ func (m *Machine) openGate() {
 }
 
 // closeGate ends the measured phase, if it is open: the measured instruction
-// counts are read into the result and the sinks come off the emitters. It
-// returns the result so far, which is what Run reports beside an error.
+// counts are read into the result and whatever openGate attached comes off
+// the emitters. It returns the result so far, which is what Run reports
+// beside an error.
 func (m *Machine) closeGate() Result {
 	if !m.measuring {
 		return m.res
@@ -725,6 +725,12 @@ func (m *Machine) closeGate() Result {
 	m.res.KernelInstrs = now.kern - m.atOpen.kern
 	m.res.FetchStallInstr = now.stall - m.atOpen.stall
 	m.res.BusyInstrs = m.res.AppInstrs + m.res.KernelInstrs
+	for _, p := range m.procs {
+		p.emit.Collector, p.emit.OnData = m.alwaysCollector(), nil
+	}
+	for _, c := range m.cpus {
+		c.kern.Collector = nil
+	}
 	if len(m.cfg.Sinks) > 0 { // what openGate attached, nothing else
 		for _, p := range m.procs {
 			p.emit.Sink = nil
@@ -736,10 +742,9 @@ func (m *Machine) closeGate() Result {
 	return m.res
 }
 
+// data is a process emitter's OnData hook, attached by openGate only when
+// the run has data sinks.
 func (m *Machine) data(p *proc, addr uint64, bytes int, write bool) {
-	if !m.measuring {
-		return
-	}
 	d := trace.DataRef{Addr: addr, Bytes: int32(bytes), CPU: uint8(p.cpu.id), PID: uint16(p.id), Write: write}
 	for _, s := range m.cfg.DataSinks {
 		s.Data(d)

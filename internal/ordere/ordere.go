@@ -252,11 +252,6 @@ func (m *Bench) NumCustomers() int {
 	return m.Scale.Warehouses * m.Scale.DistrictsPerWarehouse * m.Scale.CustomersPerDistrict
 }
 
-// NumDistricts returns the total district count.
-func (m *Bench) NumDistricts() int {
-	return m.Scale.Warehouses * m.Scale.DistrictsPerWarehouse
-}
-
 // Kind selects the transaction type.
 type Kind int
 

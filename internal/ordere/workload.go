@@ -67,8 +67,8 @@ func (w *Workload) KindRoots() []workload.KindRoot {
 
 // Models implements workload.Workload: the New-Order and Payment transaction
 // models, mirroring site for site the probe calls RunTxn emits.
-func (w *Workload) Models(env *workload.ModelEnv) []codegen.FnSpec {
-	pick := env.Pick
+func (w *Workload) Models(lib *codegen.Library) []codegen.FnSpec {
+	pick := lib.Pick
 	return []codegen.FnSpec{
 		{Name: "no_district", Body: []codegen.Frag{
 			codegen.Seq(7), pick("sql", 6),
@@ -96,7 +96,7 @@ func (w *Workload) Models(env *workload.ModelEnv) []codegen.FnSpec {
 			codegen.Seq(3),
 		}},
 		{Name: "no_order", Body: []codegen.Frag{
-			codegen.Seq(6), env.ErrPath(), pick("sql", 5),
+			codegen.Seq(6), lib.ErrPath(), pick("sql", 5),
 			codegen.Call{Fn: "heap_insert"},
 			codegen.Call{Fn: "bt_insert"},
 			codegen.Loop{Site: "no_insline", Head: 2, Body: []codegen.Frag{
@@ -121,7 +121,7 @@ func (w *Workload) Models(env *workload.ModelEnv) []codegen.FnSpec {
 			codegen.Seq(3),
 		}},
 		{Name: "neworder_txn", Body: []codegen.Frag{
-			codegen.Seq(10), env.ErrPath(), pick("sql", 8),
+			codegen.Seq(10), lib.ErrPath(), pick("sql", 8),
 			codegen.Call{Fn: "txn_begin"},
 			codegen.Call{Fn: "no_district"},
 			codegen.Call{Fn: "no_customer"},
@@ -165,7 +165,7 @@ func (w *Workload) Models(env *workload.ModelEnv) []codegen.FnSpec {
 			codegen.Seq(3),
 		}},
 		{Name: "payment_txn", Body: []codegen.Frag{
-			codegen.Seq(9), env.ErrPath(), pick("sql", 8),
+			codegen.Seq(9), lib.ErrPath(), pick("sql", 8),
 			codegen.Call{Fn: "txn_begin"},
 			codegen.Call{Fn: "pay_warehouse"},
 			codegen.Call{Fn: "pay_district"},
@@ -178,7 +178,7 @@ func (w *Workload) Models(env *workload.ModelEnv) []codegen.FnSpec {
 		// district and history, the remote-shard customer, then two-phase
 		// commit through the shard coordinator.
 		{Name: "payment_dist", Body: []codegen.Frag{
-			codegen.Seq(10), env.ErrPath(), pick("sql", 8),
+			codegen.Seq(10), lib.ErrPath(), pick("sql", 8),
 			codegen.Call{Fn: "txn_begin"},
 			codegen.Call{Fn: "txn_begin"},
 			codegen.Call{Fn: "pay_warehouse"},

@@ -4,7 +4,6 @@ import (
 	"codelayout/internal/codegen"
 	"codelayout/internal/db"
 	"codelayout/internal/probe"
-	"codelayout/internal/workload"
 )
 
 // tableAddr places the per-shard prediction table in the shared data
@@ -40,8 +39,7 @@ func Train(pb probe.Probe, home int, remote bool) {
 // are short straight-line table probes with no library dispatch: the whole
 // point of the fast path is that deciding costs a dozen instructions where
 // routing costs hundreds.
-func Models(env *workload.ModelEnv) []codegen.FnSpec {
-	_ = env // no library picks: the decision path must stay flat and tiny
+func Models() []codegen.FnSpec {
 	return []codegen.FnSpec{
 		{Name: "predict_check", Body: []codegen.Frag{
 			codegen.Seq(4),

@@ -92,25 +92,6 @@ func (pf *Profile) TotalBlocks() uint64 {
 	return t
 }
 
-// DynWords estimates total executed instruction words under a layout (body
-// plus materialized terminator words per execution, ignoring branch-pair
-// asymmetry, which needs the per-edge exit).
-func (pf *Profile) DynWords(l *program.Layout) uint64 {
-	var t uint64
-	for b, n := range pf.BlockCount {
-		if n == 0 {
-			continue
-		}
-		blk := l.Prog.Blocks[b]
-		words := uint64(blk.Body)
-		if l.Occ(program.BlockID(b)) > blk.Body {
-			words++ // first terminator word; branch-pair second words are rare
-		}
-		t += n * words
-	}
-	return t
-}
-
 // HasEdges reports whether the profile carries measured edge counts.
 func (pf *Profile) HasEdges() bool { return len(pf.EdgeCount) > 0 }
 

@@ -149,9 +149,6 @@ func (p *Program) Block(id BlockID) *Block { return p.Blocks[id] }
 // Proc returns the procedure with the given ID.
 func (p *Program) Proc(id ProcID) *Procedure { return p.Procs[id] }
 
-// ProcOf returns the procedure containing block id.
-func (p *Program) ProcOf(id BlockID) *Procedure { return p.Procs[p.Blocks[id].Proc] }
-
 // Entry returns the entry block of procedure id.
 func (p *Program) Entry(id ProcID) BlockID { return p.Procs[id].Entry() }
 
@@ -168,12 +165,16 @@ func (p *Program) FindProc(name string) *Procedure {
 	return nil
 }
 
-// Validate checks structural invariants: every block belongs to exactly one
-// procedure, successor references are in range and respect terminator kinds,
-// and every procedure has an entry. It returns the first violation found.
+// Validate checks structural invariants: every procedure and block carries
+// its own index as its id, every block belongs to exactly one procedure,
+// successor references are in range and respect terminator kinds, and every
+// procedure has an entry. It returns the first violation found.
 func (p *Program) Validate() error {
 	seen := make([]bool, len(p.Blocks))
-	for _, pr := range p.Procs {
+	for i, pr := range p.Procs {
+		if pr.ID != ProcID(i) {
+			return fmt.Errorf("proc %q at index %d has id %d", pr.Name, i, pr.ID)
+		}
 		if len(pr.Blocks) == 0 {
 			return fmt.Errorf("proc %q: no blocks", pr.Name)
 		}
@@ -191,6 +192,9 @@ func (p *Program) Validate() error {
 		}
 	}
 	for id, b := range p.Blocks {
+		if b.ID != BlockID(id) {
+			return fmt.Errorf("block at index %d has id %d", id, b.ID)
+		}
 		if !seen[id] {
 			return fmt.Errorf("block %d not in any procedure", id)
 		}
@@ -223,7 +227,7 @@ func (p *Program) Validate() error {
 				return err
 			}
 		case isa.TermCall:
-			if b.Callee == NoProc || int(b.Callee) >= len(p.Procs) {
+			if b.Callee < 0 || int(b.Callee) >= len(p.Procs) {
 				return fmt.Errorf("block %d: bad callee %d", id, b.Callee)
 			}
 			if err := check(b.Fall, "continuation"); err != nil {

@@ -3,11 +3,14 @@ package program_test
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"codelayout/internal/appmodel"
 	"codelayout/internal/isa"
 	"codelayout/internal/program"
 	"codelayout/internal/progtest"
+	"codelayout/internal/tpcb"
 )
 
 // buildDiamond creates one procedure shaped like:
@@ -181,6 +184,71 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("block %d mismatch after roundtrip", i)
 		}
 	}
+}
+
+// FuzzReadProgram: any bytes handed to ReadProgram are an error or a program
+// that validates, lays out in source order, and re-encodes to bytes that
+// read back to the same program and encode again to the same bytes — never a
+// panic. The seeds are an application image of the quick preset's shape (what
+// oltpgen writes, scaled down), a truncated copy, and a small random program
+// for the mutator to work on.
+func FuzzReadProgram(f *testing.F) {
+	img, err := appmodel.Build(appmodel.Config{Seed: 7, LibScale: 0.4, ColdWords: 900_000, Workload: tpcb.New().QuickScale()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var app, small bytes.Buffer
+	if err := img.Prog.Encode(&app); err != nil {
+		f.Fatal(err)
+	}
+	if err := progtest.RandProgram(rand.New(rand.NewSource(5)), 4).Encode(&small); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(app.Bytes())
+	f.Add(app.Bytes()[:app.Len()/2])
+	f.Add(small.Bytes())
+	// Hand-made programs whose ids disagree with their positions.
+	for _, broken := range []func(*program.Program){
+		func(p *program.Program) { p.Procs[0].ID = 9 },
+		func(p *program.Program) { p.Blocks[0].ID = 9 },
+		func(p *program.Program) { p.Blocks[0].Kind, p.Blocks[0].Callee, p.Blocks[0].Fall = isa.TermCall, -2, 1 },
+	} {
+		p, _ := buildDiamond(&testing.T{})
+		broken(p)
+		var buf bytes.Buffer
+		if err := p.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := program.ReadProgram(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("a read program does not validate: %v", err)
+		}
+		if l, err := program.BaselineLayout(p); err == nil {
+			if err := l.Validate(); err != nil {
+				t.Fatalf("the source-order layout of a read program does not validate: %v", err)
+			}
+		}
+		var first, second bytes.Buffer
+		if err := p.Encode(&first); err != nil {
+			t.Fatal(err)
+		}
+		q, err := program.ReadProgram(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("a read program does not read back: %v", err)
+		}
+		if err := q.Encode(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) || !reflect.DeepEqual(p, q) {
+			t.Fatal("program changed across Encode → ReadProgram")
+		}
+	})
 }
 
 // TestCloneIsDeepAndGrowsAlone: a clone encodes to the same bytes as its

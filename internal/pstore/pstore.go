@@ -173,9 +173,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the backing directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns a snapshot of the traffic counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

@@ -16,7 +16,6 @@ import (
 	"codelayout/internal/codegen"
 	"codelayout/internal/db"
 	"codelayout/internal/probe"
-	"codelayout/internal/workload"
 )
 
 // Map hash-partitions partition keys over a shard count.
@@ -80,8 +79,8 @@ func Commit2PC(coord *db.Session, parts ...*db.Session) {
 // Models returns the router/coordinator code models contributed to the
 // modeled application image, mirroring site for site the probe calls Route
 // and Commit2PC emit.
-func Models(env *workload.ModelEnv) []codegen.FnSpec {
-	pick := env.Pick
+func Models(lib *codegen.Library) []codegen.FnSpec {
+	pick := lib.Pick
 	return []codegen.FnSpec{
 		{Name: "shard_route", Body: []codegen.Frag{
 			codegen.Seq(6), pick("rt", 4),
@@ -90,7 +89,7 @@ func Models(env *workload.ModelEnv) []codegen.FnSpec {
 			codegen.Seq(3),
 		}},
 		{Name: "dist_commit", Body: []codegen.Frag{
-			codegen.Seq(7), env.ErrPath(), pick("rt", 4),
+			codegen.Seq(7), lib.ErrPath(), pick("rt", 4),
 			codegen.Loop{Site: "dc_prep", Head: 3, Body: []codegen.Frag{
 				codegen.Seq(5), codegen.Call{Fn: "txn_prepare"}, codegen.Seq(2),
 			}},

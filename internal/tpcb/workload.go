@@ -94,8 +94,8 @@ func (w *Workload) KindRoots() []workload.KindRoot {
 
 // Models implements workload.Workload: the TPC-B transaction models,
 // mirroring site for site the probe calls RunTxn emits against the engine.
-func (w *Workload) Models(env *workload.ModelEnv) []codegen.FnSpec {
-	pick := env.Pick
+func (w *Workload) Models(lib *codegen.Library) []codegen.FnSpec {
+	pick := lib.Pick
 	return []codegen.FnSpec{
 		{Name: "upd_account", Body: []codegen.Frag{
 			codegen.Seq(7), pick("sql", 6),
@@ -129,7 +129,7 @@ func (w *Workload) Models(env *workload.ModelEnv) []codegen.FnSpec {
 			codegen.Seq(3),
 		}},
 		{Name: "tpcb_txn", Body: []codegen.Frag{
-			codegen.Seq(9), env.ErrPath(), pick("sql", 8),
+			codegen.Seq(9), lib.ErrPath(), pick("sql", 8),
 			codegen.Call{Fn: "txn_begin"},
 			codegen.Call{Fn: "upd_account"},
 			codegen.Call{Fn: "upd_teller"},
@@ -142,7 +142,7 @@ func (w *Workload) Models(env *workload.ModelEnv) []codegen.FnSpec {
 		// branch and history, the remote-shard account, then two-phase
 		// commit through the shard coordinator.
 		{Name: "tpcb_dist", Body: []codegen.Frag{
-			codegen.Seq(10), env.ErrPath(), pick("sql", 8),
+			codegen.Seq(10), lib.ErrPath(), pick("sql", 8),
 			codegen.Call{Fn: "txn_begin"},
 			codegen.Call{Fn: "txn_begin"},
 			codegen.Call{Fn: "upd_teller"},

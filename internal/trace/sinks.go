@@ -127,13 +127,3 @@ func (b *bitset) add(v uint64) {
 		b.n++
 	}
 }
-
-// DataTee fans a data-reference stream out to several sinks.
-type DataTee []DataSink
-
-// Data implements DataSink.
-func (t DataTee) Data(r DataRef) {
-	for _, s := range t {
-		s.Data(r)
-	}
-}

@@ -110,9 +110,10 @@ type Workload interface {
 
 	// Models returns the workload's contribution to the modeled application
 	// binary: the FnSpecs of its transaction roots and helpers, mirroring
-	// site for site the probe calls RunTxn emits. env supplies call-site
-	// builders into the image's library layers.
-	Models(env *ModelEnv) []codegen.FnSpec
+	// site for site the probe calls RunTxn emits. Their call sites into the
+	// image's helper layers come from lib (Pick, ErrPath), the library the
+	// image is linked from.
+	Models(lib *codegen.Library) []codegen.FnSpec
 }
 
 // Partitioning declares how a workload splits across engines.
@@ -224,15 +225,4 @@ type FastPath interface {
 	// RunLocal executes in on its home engine's session assuming it stays
 	// single-shard, calling Mispredict on discovery of a remote touch.
 	RunLocal(s *db.Session, in Input)
-}
-
-// ModelEnv gives workload model builders access to the image's generated
-// library layers, so workload code models dispatch into the same helper
-// families the engine models use.
-type ModelEnv struct {
-	// Pick builds an indirect call site into a named library family
-	// ("sql", "rt", "row", "cmp", ...) with the given dispatch width.
-	Pick func(family string, width int) codegen.Frag
-	// ErrPath builds an inline never-taken error-handling branch.
-	ErrPath func() codegen.Frag
 }

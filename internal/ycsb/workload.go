@@ -121,17 +121,17 @@ func (w *Workload) KindRoots() []workload.KindRoot {
 // root calls only bt_search and heap_fetch — no txn_begin, no lock_acquire,
 // no commit — which is what tilts the trained profile toward the search
 // paths.
-func (w *Workload) Models(env *workload.ModelEnv) []codegen.FnSpec {
-	pick := env.Pick
+func (w *Workload) Models(lib *codegen.Library) []codegen.FnSpec {
+	pick := lib.Pick
 	return []codegen.FnSpec{
 		{Name: "ycsb_read", Body: []codegen.Frag{
-			codegen.Seq(7), env.ErrPath(), pick("sql", 6),
+			codegen.Seq(7), lib.ErrPath(), pick("sql", 6),
 			codegen.Call{Fn: "bt_search"},
 			codegen.Call{Fn: "heap_fetch"},
 			codegen.Seq(5), pick("rt", 4),
 		}},
 		{Name: "ycsb_update", Body: []codegen.Frag{
-			codegen.Seq(8), env.ErrPath(), pick("sql", 7),
+			codegen.Seq(8), lib.ErrPath(), pick("sql", 7),
 			codegen.Call{Fn: "txn_begin"},
 			codegen.Call{Fn: "bt_search"},
 			codegen.Call{Fn: "lock_acquire"},
@@ -145,7 +145,7 @@ func (w *Workload) Models(env *workload.ModelEnv) []codegen.FnSpec {
 		// the home-shard read plus a second read on a remote shard, no
 		// two-phase commit — reads have nothing to prepare.
 		{Name: "ycsb_mget", Body: []codegen.Frag{
-			codegen.Seq(8), env.ErrPath(), pick("sql", 6),
+			codegen.Seq(8), lib.ErrPath(), pick("sql", 6),
 			codegen.Call{Fn: "ycsb_read"},
 			codegen.Call{Fn: "ycsb_read"},
 			codegen.Seq(4), pick("rt", 4),
