@@ -142,7 +142,7 @@ func (e *Emitter) SetLayout(l *program.Layout) {
 	e.place = l.Place
 }
 
-// AbortUnwind implements db.Aborter: it suppresses all probe events until
+// AbortUnwind implements probe.Probe: it suppresses all probe events until
 // Reset, modeling the engine's longjmp out of a deadlock victim — the
 // deferred Leave calls that run while the panic propagates reflect Go stack
 // unwinding, not modeled instruction fetch.

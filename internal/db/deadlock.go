@@ -9,14 +9,6 @@ import "errors"
 // aborts the process's in-flight transactions, and retries the request.
 var ErrDeadlock = errors.New("db: deadlock victim")
 
-// Aborter is implemented by probes that support abort unwinding: the engine
-// calls AbortUnwind immediately before panicking with ErrDeadlock so the
-// probe suppresses events raised by deferred calls while the panic
-// propagates (codegen.Emitter implements it).
-type Aborter interface {
-	AbortUnwind()
-}
-
 // LockRef names one lockable resource across a group of sharded engines.
 type LockRef struct {
 	Shard int

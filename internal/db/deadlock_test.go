@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"codelayout/internal/db"
+	"codelayout/internal/probe"
 )
 
 // TestDeadlockVictimPanics builds a two-session cycle by hand: s1 holds k1
@@ -54,6 +55,52 @@ func TestDeadlockVictimPanics(t *testing.T) {
 	}
 	if !eng.Locks.HeldBy(s1.Txn().ID, k2, db.LockX) {
 		t.Fatal("survivor did not acquire the contested lock")
+	}
+	s1.Commit()
+}
+
+// unwindProbe counts the abort unwinds it is told about.
+type unwindProbe struct {
+	probe.Nop
+	unwinds int
+}
+
+func (p *unwindProbe) AbortUnwind() { p.unwinds++ }
+
+// wrappedProbe is a probe wrapper that overrides nothing.
+type wrappedProbe struct{ probe.Probe }
+
+// TestDeadlockVictimUnwindsThroughProbeWrapper: a wrapper that embeds
+// probe.Probe forwards the victim's abort unwind to the probe it wraps, once.
+func TestDeadlockVictimUnwindsThroughProbeWrapper(t *testing.T) {
+	env := &fakeEnv{}
+	eng := db.NewEngine(db.Config{BufferPoolPages: 64, Env: env})
+	rec := &unwindProbe{}
+	s1 := eng.NewSession(1, nil)
+	s2 := eng.NewSession(2, wrappedProbe{rec})
+	k1, k2 := db.LockKey(1, 100), db.LockKey(1, 200)
+
+	s1.Begin()
+	s1.LockX(k1)
+	s2.Begin()
+	s2.LockX(k2)
+	env.onWait = func(q *db.WaitQueue) {
+		if eng.Deadlocks > 0 {
+			return
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != db.ErrDeadlock {
+					t.Fatalf("expected ErrDeadlock panic, got %v", r)
+				}
+			}()
+			s2.LockX(k1)
+		}()
+		s2.Abort()
+	}
+	s1.LockX(k2)
+	if eng.Deadlocks != 1 || rec.unwinds != 1 {
+		t.Fatalf("Deadlocks = %d, unwinds forwarded = %d; want 1 and 1", eng.Deadlocks, rec.unwinds)
 	}
 	s1.Commit()
 }

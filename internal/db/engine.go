@@ -59,8 +59,8 @@ type Engine struct {
 	Deadlocks uint64
 
 	// CommitGaps histograms the inter-commit gaps observed on this engine
-	// (instruction-times), recorded whenever the environment implements
-	// Clock. The group-commit auto-tuner reads the shard's commit arrival
+	// (instruction-times), recorded whenever the environment's Now tells
+	// time. The group-commit auto-tuner reads the shard's commit arrival
 	// process from it instead of assuming a uniform rate.
 	CommitGaps stats.Log2Hist
 	// lastCommitAt is the clock reading of the most recent commit (0 before
@@ -140,11 +140,7 @@ func NewEngine(cfg Config) *Engine {
 // tell time, records the gap since the engine's previous commit.
 func (e *Engine) noteCommit() {
 	e.Committed++
-	c, ok := e.Env.(Clock)
-	if !ok {
-		return
-	}
-	now := c.Now()
+	now := e.Env.Now()
 	if now == 0 {
 		return
 	}
@@ -315,9 +311,7 @@ func (s *Session) lock(key uint64, mode LockMode) {
 		s.Eng.Locks.Conflicts++
 		if g.cycles(s.PID, ref) {
 			s.Eng.Deadlocks++
-			if a, ok := s.PB.(Aborter); ok {
-				a.AbortUnwind()
-			}
+			s.PB.AbortUnwind()
 			panic(ErrDeadlock)
 		}
 		st := s.Eng.Locks.locks[key]

@@ -23,6 +23,8 @@ func (f *fakeEnv) Wait(q *db.WaitQueue) {
 
 func (f *fakeEnv) Wake(q *db.WaitQueue) { f.wakes++ }
 
+func (f *fakeEnv) Now() uint64 { return 0 }
+
 func TestLockConflictBlocksAndWakes(t *testing.T) {
 	env := &fakeEnv{}
 	eng := db.NewEngine(db.Config{BufferPoolPages: 64, Env: env})

@@ -118,23 +118,21 @@ func EncodeRec(rec LogRec) []byte {
 	return buf
 }
 
-// Env abstracts process blocking for the engine: the simulated machine
-// parks the calling process; the no-op environment runs everything
-// synchronously (single-threaded tests).
+// Env is the engine's view of the processes that run it: how a process
+// blocks, and what time it is. The simulated machine parks the calling
+// process and reads its CPU clock; NopEnv runs everything synchronously and
+// has no clock (single-threaded tests, loaders). Env is the whole contract:
+// the engine calls all three methods without testing for them.
 type Env interface {
 	// Wait parks the calling process on the queue until Wake.
 	Wait(q *WaitQueue)
 	// Wake releases processes parked on the queue (all of them; released
 	// processes re-check their predicates).
 	Wake(q *WaitQueue)
-}
-
-// Clock is optionally implemented by an Env that can tell simulated time
-// (instruction-times). An engine whose environment has a clock records the
-// inter-commit gap histogram the group-commit auto-tuner reads the arrival
-// process from; environments without one (tests, loaders) simply record
-// nothing. Now returning 0 means "no running process" and is ignored.
-type Clock interface {
+	// Now returns the running process's simulated time (instruction-times).
+	// The engine records the inter-commit gap histogram the group-commit
+	// auto-tuner reads the arrival process from; 0 means "no clock" (no
+	// running process, or an environment without time) and records nothing.
 	Now() uint64
 }
 
@@ -162,3 +160,6 @@ func (NopEnv) Wait(q *WaitQueue) {
 
 // Wake implements Env.
 func (NopEnv) Wake(*WaitQueue) {}
+
+// Now implements Env: the synchronous environment has no clock.
+func (NopEnv) Now() uint64 { return 0 }

@@ -182,7 +182,7 @@ func decideGrouped(ts workload.TableSchema, counts map[string]db.FieldAccess) []
 		sc := scored{idx: i}
 		if a, ok := counts[f.Name]; ok && a.Total() > 0 {
 			sc.hot, sc.heat = true, a.Total()
-		} else if len(counts) == 0 && f.Hot() {
+		} else if len(counts) == 0 && f.Hot {
 			sc.hot = true
 		}
 		rank[i] = sc
@@ -205,16 +205,11 @@ func decideGrouped(ts workload.TableSchema, counts map[string]db.FieldAccess) []
 
 // groupedDefs computes the grouped layout of every table the workload
 // declares a schema for, keyed by table name — the value of
-// machine.Config.RecordLayouts. The workload must implement
-// workload.RecordSchemas; prof (table → field → tally, as
+// machine.Config.RecordLayouts. prof (table → field → tally, as
 // machine.Machine.FieldProfile harvests it) may be nil or miss tables, in
 // which case the static schema hints decide.
 func groupedDefs(wl workload.Workload, prof map[string]map[string]db.FieldAccess) (map[string][]db.FieldDef, error) {
-	rs, ok := wl.(workload.RecordSchemas)
-	if !ok {
-		return nil, fmt.Errorf("expt: workload %q declares no record schemas (implement workload.RecordSchemas)", wl.Name())
-	}
-	schemas := rs.RecordSchemas()
+	schemas := wl.RecordSchemas()
 	if len(schemas) == 0 {
 		return nil, fmt.Errorf("expt: workload %q returned no table schemas", wl.Name())
 	}

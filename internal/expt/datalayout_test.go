@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"codelayout/internal/codegen"
 	"codelayout/internal/db"
 	"codelayout/internal/workload"
 )
@@ -106,12 +105,8 @@ func randomSchema(r *rand.Rand, table string) workload.TableSchema {
 			Name:  fmt.Sprintf("f%02d", i),
 			Width: 1 + r.Intn(32),
 		}
-		if r.Intn(3) == 0 {
-			f.ReadBy = []string{"txn"}
-		}
-		if r.Intn(4) == 0 {
-			f.WrittenBy = []string{"txn"}
-		}
+		read, write := r.Intn(3) == 0, r.Intn(4) == 0
+		f.Hot = read || write
 		ts.Fields = append(ts.Fields, f)
 	}
 	return ts
@@ -167,12 +162,7 @@ func FuzzDecideGrouped(f *testing.F) {
 		counts := make(map[string]db.FieldAccess)
 		for i, b := 0, data[1:]; len(b) >= 4 && i < 12; i, b = i+1, b[4:] {
 			fs := workload.FieldSchema{Name: fmt.Sprintf("f%02d", i), Width: 1 + int(b[0]%32)}
-			if b[1]&1 != 0 {
-				fs.ReadBy = []string{"txn"}
-			}
-			if b[1]&2 != 0 {
-				fs.WrittenBy = []string{"txn"}
-			}
+			fs.Hot = b[1]&3 != 0
 			ts.Fields = append(ts.Fields, fs)
 			if measured && b[2]|b[3] != 0 {
 				counts[fs.Name] = db.FieldAccess{Reads: uint64(b[2]), Writes: uint64(b[3])}
@@ -211,7 +201,7 @@ func checkGrouped(ts workload.TableSchema, counts map[string]db.FieldAccess) err
 	rankOf := func(i int) rank {
 		f := ts.Fields[i]
 		if len(counts) == 0 {
-			return rank{hot: f.Hot(), idx: i}
+			return rank{hot: f.Hot, idx: i}
 		}
 		heat := counts[f.Name].Total()
 		return rank{hot: heat > 0, heat: heat, idx: i}
@@ -330,7 +320,7 @@ func TestGroupedDefsEndToEnd(t *testing.T) {
 	ts := workload.TableSchema{Table: "acct", Fields: []workload.FieldSchema{
 		{Name: "id", Width: 8},
 		{Name: "pad", Width: 64},
-		{Name: "bal", Width: 8, ReadBy: []string{"txn"}, WrittenBy: []string{"txn"}},
+		{Name: "bal", Width: 8, Hot: true},
 	}}
 	wl := &schemaWorkload{schemas: []workload.TableSchema{ts}}
 	defs, err := groupedDefs(wl, map[string]map[string]db.FieldAccess{"acct": {"bal": {Reads: 50, Writes: 50}}})
@@ -365,33 +355,12 @@ func TestGroupedDefsEndToEnd(t *testing.T) {
 	}
 }
 
-// schemaWorkload is a minimal workload.Workload + RecordSchemas for tests.
+// schemaWorkload declares the given schemas; groupedDefs calls nothing else
+// on a workload.
 type schemaWorkload struct {
+	workload.Workload
 	schemas []workload.TableSchema
 }
 
-func (w *schemaWorkload) Name() string                                 { return "schemawl" }
-func (w *schemaWorkload) QuickScale() workload.Workload                { return w }
-func (w *schemaWorkload) DataPages() int                               { return 1 }
-func (w *schemaWorkload) Partitioning() workload.Partitioning          { return workload.Partitioning{} }
-func (w *schemaWorkload) Load([]*db.Engine) (workload.Instance, error) { return nil, nil }
-func (w *schemaWorkload) RecordSchemas() []workload.TableSchema        { return w.schemas }
-func (w *schemaWorkload) Models(*codegen.Library) []codegen.FnSpec     { return nil }
-
-// noSchemaWorkload implements workload.Workload but not RecordSchemas.
-type noSchemaWorkload struct{}
-
-func (w *noSchemaWorkload) Name() string                                 { return "noschemas" }
-func (w *noSchemaWorkload) QuickScale() workload.Workload                { return w }
-func (w *noSchemaWorkload) DataPages() int                               { return 1 }
-func (w *noSchemaWorkload) Partitioning() workload.Partitioning          { return workload.Partitioning{} }
-func (w *noSchemaWorkload) Load([]*db.Engine) (workload.Instance, error) { return nil, nil }
-func (w *noSchemaWorkload) Models(*codegen.Library) []codegen.FnSpec     { return nil }
-
-// TestGroupedDefsRejectsSchemaless: a workload without RecordSchemas is an
-// explicit error, not a silent no-op.
-func TestGroupedDefsRejectsSchemaless(t *testing.T) {
-	if _, err := groupedDefs(&noSchemaWorkload{}, nil); err == nil {
-		t.Fatal("workload without RecordSchemas must be rejected")
-	}
-}
+func (w *schemaWorkload) Name() string                          { return "schemawl" }
+func (w *schemaWorkload) RecordSchemas() []workload.TableSchema { return w.schemas }

@@ -375,21 +375,28 @@ func (ps *ProfileSource) layout(tc TrainConfig, name string, kernel bool) (*prog
 	return b.layout, nil
 }
 
-// fusionRoots resolves the kind roots of every covered workload that
-// declares them (workload.KindRoots) against an image, in sorted workload
-// order so the root list — and therefore the fused layout — is
-// deterministic.
+// fusionRoots resolves the kind roots of every covered workload against an
+// image for the txfuse pipeline's RunFused entry, in sorted workload order so
+// the root list — and therefore the fused layout — is deterministic. A
+// declared root missing from the image is an error; two kinds naming one
+// model resolve to a single root.
 func (ps *ProfileSource) fusionRoots(img *codegen.Image) ([]core.KindRoot, error) {
-	wls := make([]workload.Workload, 0, len(ps.workloads))
+	var roots []core.KindRoot
+	seen := make(map[program.ProcID]bool)
 	for _, name := range ps.WorkloadNames() {
-		wls = append(wls, ps.workloads[name])
-	}
-	roots, err := appmodel.FusionRoots(img, wls...)
-	if err != nil {
-		return nil, err
+		for _, r := range ps.workloads[name].KindRoots() {
+			fn, ok := img.Fns[r.Root]
+			if !ok {
+				return nil, fmt.Errorf("expt: fusion root %q (workload %s, kind %s) is not modeled in the image", r.Root, name, r.Kind)
+			}
+			if !seen[fn.Proc.ID] {
+				seen[fn.Proc.ID] = true
+				roots = append(roots, core.KindRoot{Kind: r.Kind, Proc: fn.Proc.ID})
+			}
+		}
 	}
 	if len(roots) == 0 {
-		return nil, fmt.Errorf("expt: the fusion layout needs a workload declaring its kind roots; none of %v does", ps.WorkloadNames())
+		return nil, fmt.Errorf("expt: the fusion layout needs kind roots; none of %v declares any", ps.WorkloadNames())
 	}
 	return roots, nil
 }

@@ -31,8 +31,7 @@ type LatencySummary struct {
 type TxnLatency struct {
 	// Shard is the home shard of the transactions in this cell.
 	Shard int
-	// Kind is the workload's transaction-kind label (workload.Labeler), or
-	// the workload name for unlabeled instances.
+	// Kind is the workload's transaction-kind label (Instance.KindOf).
 	Kind string
 	// Summary holds the cell's percentiles.
 	Summary LatencySummary

@@ -150,9 +150,8 @@ type Config struct {
 	// skip the instrumented shard router and the 2PC coordinator and run on
 	// their home engine's session alone. A misprediction aborts through the
 	// modeled txn_abort path (like a deadlock victim) and retries on the
-	// full distributed path. Requires Shards > 1, a workload implementing
-	// workload.FastPath, and an app image built with
-	// appmodel.Config.FastPath (the decision code is modeled too).
+	// full distributed path. Requires Shards > 1 and an app image built
+	// with appmodel.Config.FastPath (the decision code is modeled too).
 	PredictFastPath bool
 	// Predictor overrides the fast path's model (tests inject stubs to
 	// force mispredictions); nil uses predict.New(). The machine trains it
@@ -376,12 +375,11 @@ type Machine struct {
 	graph *db.WaitGraph
 	engs  []*db.Engine
 	inst  workload.Instance
-	// fastInst/pred drive the predictive single-shard fast path (nil
-	// unless Config.PredictFastPath).
-	fastInst workload.FastPath
-	pred     workload.Predictor
-	cpus     []*cpu
-	procs    []*proc
+	// pred drives the predictive single-shard fast path (nil unless
+	// Config.PredictFastPath).
+	pred  workload.Predictor
+	cpus  []*cpu
+	procs []*proc
 	// running is the process that holds control (nil while the scheduler
 	// does: load, between steps); ran makes Run single-use.
 	running *proc
@@ -405,11 +403,9 @@ type Machine struct {
 
 	// lat accumulates measured-phase latency per (home shard, txn kind);
 	// warmLat accumulates warmup latency per home shard for the tail-aware
-	// group-commit tuner. kindOf labels inputs (workload.Labeler, or the
-	// workload name).
+	// group-commit tuner.
 	lat     map[latKey]*latRec
 	warmLat []*stats.Log2Hist
-	kindOf  func(workload.Input) string
 }
 
 // New builds the machine: per-shard engines, the workload database
@@ -453,24 +449,10 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.inst = inst
 	if cfg.PredictFastPath {
-		fp, ok := inst.(workload.FastPath)
-		if !ok {
-			return nil, fmt.Errorf("machine: workload %q does not implement workload.FastPath (required by PredictFastPath)",
-				cfg.Workload.Name())
-		}
-		m.fastInst = fp
 		m.pred = cfg.Predictor
 		if m.pred == nil {
 			m.pred = predict.New()
 		}
-	}
-	lab, _ := inst.(workload.Labeler)
-	name := cfg.Workload.Name()
-	m.kindOf = func(in workload.Input) string {
-		if lab != nil {
-			return lab.KindOf(in)
-		}
-		return name
 	}
 
 	for c := 0; c < cfg.CPUs; c++ {
@@ -821,7 +803,7 @@ func (e *machineEnv) Wait(q *db.WaitQueue) {
 	p.doYield(yieldMsg{kind: yWait})
 }
 
-// Now implements db.Clock: the running process's CPU clock, so the engines
+// Now implements db.Env: the running process's CPU clock, so the engines
 // can timestamp commits. Outside a scheduled process (load, invariant
 // checks) it returns 0, which the engine treats as "no clock".
 func (e *machineEnv) Now() uint64 {
@@ -897,15 +879,15 @@ func (p *proc) run(m *Machine, yield func(yieldMsg) bool) {
 		for !p.tryTxn(m, in, home) {
 			p.doYield(yieldMsg{kind: yQuantum})
 		}
-		m.recordLatency(home, m.kindOf(in), startMeasured, p.cpu.front.Clock-start)
-		if m.fastInst != nil {
+		m.recordLatency(home, m.inst.KindOf(in), startMeasured, p.cpu.front.Clock-start)
+		if m.pred != nil {
 			// Online training: fold the committed transaction's observed
 			// outcome back into the model (and emit the modeled table
 			// update). Warmup transactions train too, so the model is warm
 			// when measurement starts.
 			remote := m.inst.Remote(in)
 			predict.Train(p.emit, home, remote)
-			m.pred.Observe(m.fastInst.Class(in), home, remote)
+			m.pred.Observe(m.inst.Class(in), home, remote)
 		}
 		p.doYield(yieldMsg{kind: yTxnDone})
 	}
@@ -944,14 +926,14 @@ func (p *proc) tryTxn(m *Machine, in workload.Input, home int) (ok bool) {
 			m.res.Aborted++
 		}
 	}()
-	if m.fastInst != nil && !p.forceSlow {
+	if m.pred != nil && !p.forceSlow {
 		// The fast-path decision replaces the router for predicted-local
 		// transactions: a prediction-table probe costing a dozen modeled
 		// instructions against the router's library-dispatching hundreds.
-		local := m.pred.Local(m.fastInst.Class(in), home)
+		local := m.pred.Local(m.inst.Class(in), home)
 		predict.Check(p.emit, home, local)
 		if local {
-			m.fastInst.RunLocal(p.sessions[home], in)
+			m.inst.RunLocal(p.sessions[home], in)
 			if m.measuring {
 				m.res.Predicted++
 			}

@@ -90,10 +90,6 @@ func TestOneEngineIsTheOnePartitionCase(t *testing.T) {
 					return inst
 				}
 				inst, gen := load(), perEngineGen(t, load())
-				lab, ok := inst.(workload.Labeler)
-				if !ok {
-					t.Fatalf("%T does not label its transaction kinds", inst)
-				}
 				r, plain := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
 				for i := 0; i < 2000; i++ {
 					in := inst.GenInput(r)
@@ -103,7 +99,7 @@ func TestOneEngineIsTheOnePartitionCase(t *testing.T) {
 					if home := inst.Home(in); home != 0 || inst.Remote(in) {
 						t.Fatalf("draw %d: home=%d remote=%v on one engine", i, home, inst.Remote(in))
 					}
-					if kind := lab.KindOf(in); distributedKind(kind) {
+					if kind := inst.KindOf(in); distributedKind(kind) {
 						t.Fatalf("draw %d labelled %q on one engine", i, kind)
 					}
 				}

@@ -2,6 +2,7 @@ package machine_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -99,6 +100,41 @@ func TestFastPathEndToEnd(t *testing.T) {
 			t.Logf("%s: predicted=%d mispredicted=%d cross=%d aborts=%d",
 				name, r1.Predicted, r1.Mispredicted, r1.CrossShard, r1.Aborted)
 		})
+	}
+}
+
+// TestWrappedInstanceKeepsFastPathAndKinds: an Instance wrapper that embeds
+// workload.Instance (the shape of the crash and gate wrappers) takes the fast
+// path and labels its kinds exactly as the bare instance does, under the p99
+// group-commit tuner that reads those labels.
+func TestWrappedInstanceKeepsFastPathAndKinds(t *testing.T) {
+	wl := shardWorkload(t, "ordere")
+	app, appL, kern, kernL := fastImages(t, wl)
+	run := func(w workload.Workload) (machine.Result, []machine.TxnLatency) {
+		cfg := configFor(w, app, appL, kern, kernL)
+		cfg.Shards, cfg.CPUs, cfg.ProcsPerCPU = 4, 2, 6
+		cfg.WarmupTxns, cfg.Transactions = 40, 120
+		cfg.PredictFastPath, cfg.AutoGroupCommit = true, machine.AutoGCTargetP99
+		m, err := machine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, m.LatencyByKind()
+	}
+	bare, bareLat := run(wl)
+	wrapped, wrappedLat := run(gateWorkload{Workload: wl, check: func() {}})
+	if bare.Predicted == 0 {
+		t.Fatal("the bare instance never took the fast path")
+	}
+	if bare != wrapped {
+		t.Fatalf("wrapped instance diverges:\n%+v\n%+v", bare, wrapped)
+	}
+	if !reflect.DeepEqual(bareLat, wrappedLat) {
+		t.Fatalf("wrapped instance's latency cells differ:\n%+v\n%+v", bareLat, wrappedLat)
 	}
 }
 

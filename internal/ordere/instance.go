@@ -95,7 +95,7 @@ func (sb *Instance) Remote(in workload.Input) bool {
 	return sb.whShard[req.CWarehouse] != sb.whShard[req.Warehouse]
 }
 
-// KindOf implements workload.Labeler: remote Payments run the distributed
+// KindOf implements workload.Instance: remote Payments run the distributed
 // 2PC variant and get their own latency bucket.
 func (sb *Instance) KindOf(in workload.Input) string {
 	req := in.(Input)
@@ -132,7 +132,7 @@ func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
 	shard.Commit2PC(hs, rs)
 }
 
-// Class implements workload.FastPath: New-Orders and Payments predict
+// Class implements workload.Instance: New-Orders and Payments predict
 // separately (New-Orders are always local; Payments carry the cross-shard
 // fraction), but the class must not leak the routing outcome, so local and
 // remote Payments share one class.
@@ -143,7 +143,7 @@ func (sb *Instance) Class(in workload.Input) string {
 	return "payment"
 }
 
-// RunLocal implements workload.FastPath: the plain transaction on the home
+// RunLocal implements workload.Instance: the plain transaction on the home
 // engine alone. A Payment whose customer turns out to live on another shard
 // runs its home-side warehouse and district updates for real (the modeled
 // txn_abort undo pays for them on misprediction), then discovers the miss

@@ -64,28 +64,23 @@ const (
 // quantities belong to New-Order, the YTD and balance columns to Payment —
 // so a profile-guided layout groups a different head per table.
 func Schemas() []workload.TableSchema {
-	pay := []string{"payment", "payment_dist"}
-	no := []string{"neworder"}
 	filler := rowBytes - 32
 	u := func(name string) workload.FieldSchema { return workload.FieldSchema{Name: name, Width: 8} }
-	rw := func(name string, by []string) workload.FieldSchema {
-		return workload.FieldSchema{Name: name, Width: 8, ReadBy: by, WrittenBy: by}
-	}
+	hot := func(name string) workload.FieldSchema { return workload.FieldSchema{Name: name, Width: 8, Hot: true} }
 	fill := workload.FieldSchema{Name: "filler", Width: filler}
 	return []workload.TableSchema{
 		{Table: "warehouse", Fields: []workload.FieldSchema{
-			u("id"), u("tag"), rw("ytd", pay), u("reserved"), fill}},
+			u("id"), u("tag"), hot("ytd"), u("reserved"), fill}},
 		{Table: "district", Fields: []workload.FieldSchema{
-			u("id"), u("warehouse"), rw("ytd", pay), rw("next_oid", no), fill}},
+			u("id"), u("warehouse"), hot("ytd"), hot("next_oid"), fill}},
 		{Table: "customer", Fields: []workload.FieldSchema{
-			u("id"), u("district"), rw("balance", pay),
-			{Name: "credit", Width: 8, ReadBy: no}, fill}},
+			u("id"), u("district"), hot("balance"), hot("credit"), fill}},
 		{Table: "stock", Fields: []workload.FieldSchema{
-			u("id"), u("warehouse"), rw("qty", no), rw("ytd", no), fill}},
+			u("id"), u("warehouse"), hot("qty"), hot("ytd"), fill}},
 		{Table: "orders", Fields: []workload.FieldSchema{
-			u("key"), u("customer"), rw("total", no), u("lines"), fill}},
+			u("key"), u("customer"), hot("total"), u("lines"), fill}},
 		{Table: "order_line", Fields: []workload.FieldSchema{
-			u("key"), u("item"), {Name: "amount", Width: 8, ReadBy: no}, u("qty"), fill}},
+			u("key"), u("item"), hot("amount"), u("qty"), fill}},
 	}
 }
 

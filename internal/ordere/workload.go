@@ -50,11 +50,11 @@ func (w *Workload) DataPages() int {
 	return customers/70 + stock/70 + sc.Warehouses*sc.DistrictsPerWarehouse + sc.Warehouses + 64
 }
 
-// RecordSchemas implements workload.RecordSchemas: the per-table field
+// RecordSchemas implements workload.Workload: the per-table field
 // schemas the record-layout pass groups.
 func (w *Workload) RecordSchemas() []workload.TableSchema { return Schemas() }
 
-// KindRoots implements workload.KindRoots: one entry model per transaction
+// KindRoots implements workload.Workload: one entry model per transaction
 // kind in the mix, including the distributed Payment the sharded variant
 // labels "payment_dist".
 func (w *Workload) KindRoots() []workload.KindRoot {

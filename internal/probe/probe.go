@@ -6,7 +6,9 @@
 // workload would produce on the modeled binary.
 //
 // The package contains only the interface and a no-op implementation, so the
-// engine can be used and tested standalone.
+// engine can be used and tested standalone. Probe is the whole contract: the
+// engine calls every method, AbortUnwind included, without testing for it,
+// so a wrapper that embeds a Probe forwards all of them.
 package probe
 
 // Probe receives execution events from instrumented code. Implementations
@@ -29,6 +31,11 @@ type Probe interface {
 	// Syscall reports a kernel crossing (log write, data file read, ...).
 	// The argument selects the modeled kernel service.
 	Syscall(name string)
+	// AbortUnwind reports that the instrumented code is about to panic out
+	// of the current transaction (a deadlock victim, a fast-path
+	// misprediction): the modeled engine longjmps to its abort path, so the
+	// Leave events the panic's deferred calls raise must not be modeled.
+	AbortUnwind()
 }
 
 // Nop is a Probe that does nothing; it lets the engine run at full speed
@@ -52,5 +59,8 @@ func (Nop) Data(uint64, int, bool) {}
 
 // Syscall implements Probe.
 func (Nop) Syscall(string) {}
+
+// AbortUnwind implements Probe.
+func (Nop) AbortUnwind() {}
 
 var _ Probe = Nop{}

@@ -10,6 +10,13 @@ import (
 	"slices"
 )
 
+// layoutVersion is the format version SaveLayout writes and the only one
+// LoadLayout reads. Files written before the format was versioned decode as
+// version 0. Bump it whenever a field changes meaning or goes: gob drops
+// fields the reader does not declare without a word, so an old file would
+// otherwise load as a different layout.
+const layoutVersion = 1
+
 // layoutFile is the serializable form of a layout: the placement decisions
 // Materialize was given, not the addresses it derived from them (loading
 // re-materializes, and arrives at the same layout). This is what cmd/spike
@@ -17,6 +24,7 @@ import (
 // writes a map in iteration order, so the two maps of a layout are stored as
 // sequences sorted by block.
 type layoutFile struct {
+	Version     int
 	ProgramName string
 	Order       []BlockID
 	AlignAt     []BlockID
@@ -25,9 +33,6 @@ type layoutFile struct {
 	// pair tests the Fall arm first (CondFirst); every other pair tests the
 	// taken arm first.
 	FallFirst []BlockID
-	// GapBefore is read from files written before Gaps replaced it; toFile
-	// leaves it nil.
-	GapBefore map[BlockID]uint64
 	Gaps      []layoutGap
 }
 
@@ -40,6 +45,7 @@ type layoutGap struct {
 // toFile extracts the serializable placement from a layout.
 func (l *Layout) toFile() *layoutFile {
 	f := &layoutFile{
+		Version:     layoutVersion,
 		ProgramName: l.Prog.Name,
 		Order:       l.Order,
 		AlignWords:  l.AlignWords,
@@ -78,6 +84,10 @@ func LoadLayout(r io.Reader, p *Program) (*Layout, error) {
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&f); err != nil {
 		return nil, fmt.Errorf("layout: decode: %w", err)
 	}
+	if f.Version != layoutVersion {
+		return nil, fmt.Errorf("layout: file format version %d, this build reads version %d (version 0 is a file written before versions; write it again)",
+			f.Version, layoutVersion)
+	}
 	if f.ProgramName != p.Name {
 		return nil, fmt.Errorf("layout: for program %q, not %q", f.ProgramName, p.Name)
 	}
@@ -85,7 +95,7 @@ func LoadLayout(r io.Reader, p *Program) (*Layout, error) {
 	for _, b := range f.AlignAt {
 		alignAt[b] = true
 	}
-	gaps := f.GapBefore
+	var gaps map[BlockID]uint64
 	if len(f.Gaps) > 0 {
 		gaps = make(map[BlockID]uint64, len(f.Gaps))
 		for _, g := range f.Gaps {

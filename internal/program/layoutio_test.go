@@ -100,36 +100,37 @@ func TestSaveLayoutIsByteStable(t *testing.T) {
 	}
 }
 
-// TestLoadLayoutReadsMapGapFiles: files written when the gap table was still
-// a gob map keep loading.
-func TestLoadLayoutReadsMapGapFiles(t *testing.T) {
+// TestLoadLayoutRejectsUnversionedFile: a file written before the format had
+// a version — with the gap table as a gob map, or in today's shape — is an
+// error naming its version and the one this build reads, never a layout that
+// silently lost its gaps.
+func TestLoadLayoutRejectsUnversionedFile(t *testing.T) {
 	p := progtest.RandProgram(rand.New(rand.NewSource(12)), 6)
 	order := program.SourceOrder(p)
-	opts := program.MaterializeOptions{
-		AlignWords: 4,
-		AlignAt:    map[program.BlockID]bool{order[0]: true},
-		GapBefore:  map[program.BlockID]uint64{order[len(order)/2]: 256},
-	}
-	want, err := program.Materialize(p, order, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(struct {
+	at := order[len(order)/2]
+	var mapGaps bytes.Buffer
+	if err := gob.NewEncoder(&mapGaps).Encode(struct {
 		ProgramName string
 		Order       []program.BlockID
 		AlignAt     []program.BlockID
 		AlignWords  int
 		GapBefore   map[program.BlockID]uint64
-	}{p.Name, order, []program.BlockID{order[0]}, 4, opts.GapBefore}); err != nil {
+	}{p.Name, order, []program.BlockID{order[0]}, 4, map[program.BlockID]uint64{at: 256}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := program.LoadLayout(&buf, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TotalWords() != want.TotalWords() || got.GapBefore[order[len(order)/2]] != 256 {
-		t.Fatalf("old-format file lost its gap: %d words, want %d", got.TotalWords(), want.TotalWords())
+	for _, c := range []struct {
+		name    string
+		data    []byte
+		version int
+	}{
+		{"map gaps", mapGaps.Bytes(), 0},
+		{"listed gaps", fileOfVersion(t, p, 0, 4, order[:1], at, 256), 0},
+		{"a later version", fileOfVersion(t, p, program.LayoutVersion+1, 4, order[:1], at, 256), program.LayoutVersion + 1},
+	} {
+		want := fmt.Sprintf("version %d, this build reads version %d", c.version, program.LayoutVersion)
+		if _, err := program.LoadLayout(bytes.NewReader(c.data), p); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v does not say %q", c.name, err, want)
+		}
 	}
 }
 
@@ -155,18 +156,25 @@ func TestLoadLayoutRejectsWrongProgram(t *testing.T) {
 // given alignment units and alignment, and one gap.
 func gapFile(t testing.TB, p *program.Program, alignWords int, alignAt []program.BlockID, before program.BlockID, gap uint64) []byte {
 	t.Helper()
+	return fileOfVersion(t, p, program.LayoutVersion, alignWords, alignAt, before, gap)
+}
+
+// fileOfVersion is gapFile's file with the given format version.
+func fileOfVersion(t testing.TB, p *program.Program, version, alignWords int, alignAt []program.BlockID, before program.BlockID, gap uint64) []byte {
+	t.Helper()
 	type fileGap struct {
 		Block program.BlockID
 		Bytes uint64
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(struct {
+		Version     int
 		ProgramName string
 		Order       []program.BlockID
 		AlignAt     []program.BlockID
 		AlignWords  int
 		Gaps        []fileGap
-	}{p.Name, program.SourceOrder(p), alignAt, alignWords, []fileGap{{before, gap}}}); err != nil {
+	}{version, p.Name, program.SourceOrder(p), alignAt, alignWords, []fileGap{{before, gap}}}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -257,6 +265,7 @@ func FuzzLoadLayout(f *testing.F) {
 	f.Add(whole)
 	f.Add(whole[:len(whole)/2])
 	f.Add(whole[:len(whole)-1])
+	// An unversioned file with the gap table as a gob map: rejected.
 	order := program.SourceOrder(p)
 	var legacy bytes.Buffer
 	if err := gob.NewEncoder(&legacy).Encode(struct {

@@ -118,7 +118,7 @@ func (sb *Instance) Remote(in workload.Input) bool {
 	return sb.branchShard[sb.acctBranch(req.Account)] != sb.branchShard[req.Branch]
 }
 
-// KindOf implements workload.Labeler: cross-shard requests run the
+// KindOf implements workload.Instance: cross-shard requests run the
 // distributed 2PC variant, whose commit path (forced prepare plus the
 // coordinator's forced commit) has its own latency distribution.
 func (sb *Instance) KindOf(in workload.Input) string {
@@ -154,12 +154,12 @@ func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
 	shard.Commit2PC(hs, rs)
 }
 
-// Class implements workload.FastPath: every TPC-B request has one shape;
+// Class implements workload.Instance: every TPC-B request has one shape;
 // whether it crosses shards is exactly what the predictor must guess, so the
 // class cannot depend on it.
 func (sb *Instance) Class(workload.Input) string { return "tpcb" }
 
-// RunLocal implements workload.FastPath: the classic transaction on the
+// RunLocal implements workload.Instance: the classic transaction on the
 // home engine alone. A request whose account turns out to live on another
 // shard is discovered honestly — the account search misses on the home
 // shard's tree (a modeled bt_found=false path, exactly what a real engine

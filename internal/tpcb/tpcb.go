@@ -51,11 +51,10 @@ const (
 // and filler bytes. Declaration order reproduces the historical offsets
 // (id@0, branch@8, balance@16).
 func balanceSchema(table string) workload.TableSchema {
-	kinds := []string{"tpcb", "tpcb_dist"}
 	return workload.TableSchema{Table: table, Fields: []workload.FieldSchema{
 		{Name: "id", Width: 8},
 		{Name: "branch", Width: 8},
-		{Name: "balance", Width: 8, ReadBy: kinds, WrittenBy: kinds},
+		{Name: "balance", Width: 8, Hot: true},
 		{Name: "filler", Width: rowBytes - 24},
 	}}
 }

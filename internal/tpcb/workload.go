@@ -78,11 +78,11 @@ func (w *Workload) DataPages() int {
 		w.Scale.Branches
 }
 
-// RecordSchemas implements workload.RecordSchemas: the per-table field
+// RecordSchemas implements workload.Workload: the per-table field
 // schemas the record-layout pass groups.
 func (w *Workload) RecordSchemas() []workload.TableSchema { return Schemas() }
 
-// KindRoots implements workload.KindRoots: the local mix runs tpcb_txn, the
+// KindRoots implements workload.Workload: the local mix runs tpcb_txn, the
 // cross-shard variant runs the tpcb_dist model (sharded runs label it
 // "tpcb_dist").
 func (w *Workload) KindRoots() []workload.KindRoot {

@@ -7,20 +7,19 @@ import (
 )
 
 // FieldSchema declares one record field of a table: its name, byte width,
-// and which transaction kinds read or write it at runtime. The declaration
-// order of fields in a TableSchema is the interleaved (storage-order)
-// baseline layout; a record-layout pass may permute it, so code must address
-// fields through the resolved offsets (db.Table.FieldOffset), never by
-// hard-coded byte positions.
+// and whether transactions touch it at runtime. The declaration order of
+// fields in a TableSchema is the interleaved (storage-order) baseline
+// layout; a record-layout pass may permute it, so code must address fields
+// through the resolved offsets (db.Table.FieldOffset), never by hard-coded
+// byte positions.
 type FieldSchema struct {
 	Name  string
 	Width int
-	// ReadBy and WrittenBy list the transaction kinds that touch the field
-	// on their instrumented run paths. They are the static hotness hint the
-	// record-layout decision falls back to when no measured field-access
-	// profile is available (a field touched by no kind is cold padding).
-	ReadBy    []string
-	WrittenBy []string
+	// Hot says some transaction kind reads or writes the field on its
+	// instrumented run path. It is the static hotness hint the record-layout
+	// decision falls back to when no measured field-access profile is
+	// available (a field no kind touches is cold padding).
+	Hot bool
 }
 
 // TableSchema declares a table's record shape. Fields tile the record in
@@ -76,16 +75,4 @@ func (ts TableSchema) Interleaved() []db.FieldDef {
 		off += f.Width
 	}
 	return defs
-}
-
-// Hot reports whether any transaction kind reads or writes the field — the
-// static hotness signal used when no measured profile exists.
-func (f FieldSchema) Hot() bool { return len(f.ReadBy)+len(f.WrittenBy) > 0 }
-
-// RecordSchemas is implemented by workloads that declare per-table field
-// schemas, making them eligible for profile-guided record layout
-// (expt.DataLayoutTable). The returned schemas must cover every table whose
-// encode/decode paths resolve field offsets through db.Table.FieldOffset.
-type RecordSchemas interface {
-	RecordSchemas() []TableSchema
 }

@@ -18,12 +18,19 @@
 // builder. Implementations register themselves by name (see Register), the
 // way layout passes register with internal/core.
 //
+// The seam has one shape: Workload and Instance are the whole contract, and
+// no caller tests for an optional extension. Every workload labels its
+// transaction kinds, names their entry models, declares its record schemas
+// and runs the predictive fast path, so a wrapper that embeds either
+// interface keeps all of it.
+//
 // It is a package of its own because it has two consumers that must not
 // import each other: the image builder (appmodel) reads a workload's models
 // and the simulator (machine) loads and runs it. tpcb, ordere and ycsb, and
 // the shard router and predictor under them, implement or use the interface
-// without importing either consumer. It holds no logic to test on its own;
-// each workload's tests exercise it.
+// without importing either consumer. Its own test holds every registered
+// workload to the contract's kind enumeration; each workload's tests
+// exercise the rest.
 package workload
 
 import (
@@ -69,19 +76,26 @@ type Instance interface {
 	// cross-shard conservation must hold globally even though no single
 	// shard balances.
 	Check(ss []*db.Session) error
-}
 
-// Labeler is optionally implemented by workload instances that classify
-// requests into transaction kinds. The machine keys its per-transaction
-// latency histograms by (shard, kind), so a workload that labels its inputs
-// gets a per-kind latency breakdown ("neworder" vs "payment", "read" vs
-// "update", local vs distributed); an instance without labels is tracked
-// under its workload's registry name. Labels must be a pure function of the
-// input, drawn from a small fixed set.
-type Labeler interface {
-	// KindOf returns the transaction-kind label of an input produced by the
-	// instance's own GenInput.
+	// KindOf returns the transaction-kind label of an input produced by
+	// GenInput: a pure function of the input, drawn from the Kind column of
+	// the workload's KindRoots. The machine keys its latency histograms by
+	// (shard, kind) ("neworder" vs "payment", local vs distributed).
 	KindOf(in Input) string
+
+	// Class labels an input with its fast-path prediction class. Classes
+	// are coarser than or equal to kinds: they must be computable from the
+	// client request alone, without peeking at the routing outcome (a
+	// "tpcb" request's class is "tpcb" whether or not it crosses shards).
+	Class(in Input) string
+
+	// RunLocal executes in on its home engine's session alone, without the
+	// router or the 2PC coordinator, assuming it stays single-shard (the
+	// predictive fast path). A transaction that turns out to touch a remote
+	// shard must call Mispredict the moment it discovers this — before
+	// reading or writing anything on the foreign shard's engine — so the
+	// machine can abort the home branch and rerun it distributed.
+	RunLocal(s *db.Session, in Input)
 }
 
 // Workload describes one OLTP benchmark at a specific scale.
@@ -114,6 +128,18 @@ type Workload interface {
 	// image's helper layers come from lib (Pick, ErrPath), the library the
 	// image is linked from.
 	Models(lib *codegen.Library) []codegen.FnSpec
+
+	// KindRoots returns one (kind, entry model) pair per transaction kind
+	// the instance's KindOf can produce, in a fixed deterministic order. The
+	// txfuse layout pass seeds one fused placement unit per kind at the
+	// named root and follows the profile's hottest call edges from there.
+	KindRoots() []KindRoot
+
+	// RecordSchemas returns the per-table field schemas that profile-guided
+	// record layout permutes (expt.DataLayoutTable). They must cover every
+	// table whose encode/decode paths resolve field offsets through
+	// db.Table.FieldOffset.
+	RecordSchemas() []TableSchema
 }
 
 // Partitioning declares how a workload splits across engines.
@@ -156,20 +182,10 @@ func (e *NoEnginesError) Error() string {
 
 // KindRoot names the entry model of one transaction kind: the fn whose
 // model roots the kind's hot call chain in the application image. Kind
-// matches the labels Labeler.KindOf produces; Root is the model fn name.
+// matches the labels Instance.KindOf produces; Root is the model fn name.
 type KindRoot struct {
 	Kind string
 	Root string
-}
-
-// KindRoots is implemented by workloads whose transaction kinds map to
-// named entry models. The txfuse layout pass seeds one fused placement
-// unit per kind at the named root and follows the profile's hottest call
-// edges from there, so each kind's code approaches a straight-line sweep.
-type KindRoots interface {
-	// KindRoots returns one (kind, entry model) pair per transaction kind,
-	// in a fixed deterministic order.
-	KindRoots() []KindRoot
 }
 
 // Predictor decides whether a transaction class is safe to run on the
@@ -201,28 +217,6 @@ var ErrMispredict = errors.New("workload: fast-path misprediction (transaction t
 // modeled engine longjmps, it does not return through every frame) and the
 // machine recovers ErrMispredict to abort and re-route.
 func Mispredict(pb probe.Probe) {
-	if a, ok := pb.(db.Aborter); ok {
-		a.AbortUnwind()
-	}
+	pb.AbortUnwind()
 	panic(ErrMispredict)
-}
-
-// FastPath is implemented by instances that can run predicted-single-shard
-// transactions on their home engine alone, without the router or the 2PC
-// coordinator. A transaction that turns out to touch a remote shard after
-// all must call Mispredict the moment it discovers this — before reading or
-// writing anything on the foreign shard's engine — so the machine can abort
-// the home branch and rerun it distributed.
-type FastPath interface {
-	Instance
-
-	// Class labels an input with its prediction class. Classes are coarser
-	// than or equal to Labeler kinds: they must be computable from the
-	// client request alone, without peeking at the routing outcome (a
-	// "tpcb" request's class is "tpcb" whether or not it crosses shards).
-	Class(in Input) string
-
-	// RunLocal executes in on its home engine's session assuming it stays
-	// single-shard, calling Mispredict on discovery of a remote touch.
-	RunLocal(s *db.Session, in Input)
 }

@@ -92,7 +92,7 @@ func (sb *Instance) Remote(in workload.Input) bool {
 	return req.MultiGet && sb.Map.Of(req.Key2) != sb.Map.Of(req.Key)
 }
 
-// KindOf implements workload.Labeler: scatter reads touch two shards and
+// KindOf implements workload.Instance: scatter reads touch two shards and
 // get their own latency bucket next to plain reads and updates.
 func (sb *Instance) KindOf(in workload.Input) string {
 	req := in.(Input)
@@ -124,13 +124,13 @@ func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
 	sb.Shards[remote].runRead(ss[remote], req.Key2)
 }
 
-// Class implements workload.FastPath. Scatter reads are declared in the
+// Class implements workload.Instance. Scatter reads are declared in the
 // client request itself (the second key is part of the input), so "mget" is
 // an honestly separate class the predictor learns is never local; plain
 // reads and updates are always local.
 func (sb *Instance) Class(in workload.Input) string { return sb.KindOf(in) }
 
-// RunLocal implements workload.FastPath: point operations on the home
+// RunLocal implements workload.Instance: point operations on the home
 // engine. Scatter reads can never be predicted local — their class always
 // observes remote — so reaching the mget arm means the predictor was driven
 // by a stub; unwind rather than touch the remote shard.

@@ -102,11 +102,11 @@ func (w *Workload) DataPages() int {
 	return w.Scale.Records/70 + w.Scale.Records/500 + 8
 }
 
-// RecordSchemas implements workload.RecordSchemas: the per-table field
+// RecordSchemas implements workload.Workload: the per-table field
 // schemas the record-layout pass groups.
 func (w *Workload) RecordSchemas() []workload.TableSchema { return Schemas() }
 
-// KindRoots implements workload.KindRoots: point reads, read-modify-write
+// KindRoots implements workload.Workload: point reads, read-modify-write
 // updates, and the sharded scatter read each have their own entry model.
 func (w *Workload) KindRoots() []workload.KindRoot {
 	return []workload.KindRoot{

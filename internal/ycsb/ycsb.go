@@ -63,14 +63,12 @@ type Input struct {
 // the live fields (version and value are what every operation actually
 // touches), the filler models the wide cold payload a real user row carries.
 func Schemas() []workload.TableSchema {
-	readers := []string{"read", "update", "mget"}
-	writers := []string{"update"}
 	return []workload.TableSchema{{
 		Table: "usertable",
 		Fields: []workload.FieldSchema{
 			{Name: "key", Width: 8},
-			{Name: "version", Width: 8, ReadBy: readers, WrittenBy: writers},
-			{Name: "value", Width: 8, ReadBy: readers, WrittenBy: writers},
+			{Name: "version", Width: 8, Hot: true},
+			{Name: "value", Width: 8, Hot: true},
 			{Name: "filler", Width: rowBytes - 24},
 		},
 	}}

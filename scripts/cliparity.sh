@@ -4,9 +4,11 @@
 # the stdout of one invocation per oltpbench mode and layoutlab extension
 # table (CI runs this script as its end-to-end smoke of them), the
 # offline/in-process parity pairs and the hash of a layout file they write, a
-# no-flag run of each, and each command's flag-name set. A refactor must
-# leave all of it byte-identical (store-hit ages, which depend on wall time,
-# are masked).
+# no-flag run of each, and each command's flag-name set. It also records the
+# stdout of the three examples, the programs that use the library only
+# through its public facade (customworkload registers a workload there). A
+# refactor must leave all of it byte-identical (store-hit ages, which depend
+# on wall time, are masked).
 #
 #	scripts/cliparity.sh record   # rewrite testdata/cliparity/
 #	scripts/cliparity.sh check    # diff a fresh run against it (exit 1 on drift)
@@ -18,7 +20,8 @@ golden=$root/testdata/cliparity
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 bin=$work/bin
-go -C "$root" build -o "$bin/" ./cmd/oltpgen ./cmd/pixie ./cmd/spike ./cmd/oltpbench ./cmd/layoutlab
+go -C "$root" build -o "$bin/" ./cmd/oltpgen ./cmd/pixie ./cmd/spike ./cmd/oltpbench ./cmd/layoutlab \
+	./examples/quickstart ./examples/customopt ./examples/customworkload
 
 out=$work/out
 mkdir -p "$out" "$work/run"
@@ -88,6 +91,11 @@ sha256sum par.layout >"$out/parity-layout.sha256"
 
 # A two-CPU run: its icache line is the per-CPU 64KB/128B/4-way battery cache.
 run twocpu oltpbench -quick -txns 100 -warmup 20 -cpus 2
+
+# The examples (deterministic; about half a second together).
+run example-quickstart quickstart
+run example-customopt customopt
+run example-customworkload customworkload
 
 # No-flag runs.
 run noflag-oltpgen oltpgen
