@@ -264,3 +264,68 @@ func TestCFAPlanKeepsHotCodeOutOfReservedSets(t *testing.T) {
 		t.Fatalf("%d hot blocks map into reserved sets", violations)
 	}
 }
+
+// cfaPlacedUnits runs a pipeline pass by pass over a fresh LayoutState and
+// returns the state, so a test can read the placement units next to the
+// layout they ended up in.
+func cfaPlacedUnits(t *testing.T, spec string, p *program.Program, pf *profile.Profile) *core.LayoutState {
+	t.Helper()
+	pl, err := core.ParsePipeline(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf.EnsureEdges(p)
+	st := &core.LayoutState{Prog: p, Prof: pf, Report: &core.Report{}}
+	for _, pass := range pl {
+		if err := pass.Run(st); err != nil {
+			t.Fatalf("%s: pass %s: %v", spec, pass.Name(), err)
+		}
+	}
+	return st
+}
+
+// TestCFAUnitsAvoidReservedSets is the conflict-free area's guarantee per
+// placement unit, on random programs at the default alignment: once the
+// hot prefix that fits the reserved area is placed, every later hot unit
+// that fits in cache minus reserved occupies no reserved cache set.
+func TestCFAUnitsAvoidReservedSets(t *testing.T) {
+	for _, area := range []struct{ cache, reserved uint64 }{{512, 128}, {1024, 256}} {
+		spec := fmt.Sprintf("chain,split:fine,porder:ph,cfa:%d/%d,materialize", area.cache, area.reserved)
+		checked := 0
+		for seed := int64(0); seed < 60; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			p := progtest.RandProgram(r, 12)
+			pf := progtest.RandProfile(r, p, 30, 400)
+			st := cfaPlacedUnits(t, spec, p, pf)
+			inPrefix := true
+			for _, ui := range st.UnitOrder {
+				u := st.Units[ui]
+				if len(u.Blocks) == 0 {
+					continue
+				}
+				start, end := ^uint64(0), uint64(0)
+				for _, b := range u.Blocks {
+					start = min(start, st.Layout.Addr(b)-p.TextBase)
+					end = max(end, st.Layout.End(b)-p.TextBase)
+				}
+				if inPrefix {
+					if u.Hot && end <= area.reserved {
+						continue
+					}
+					inPrefix = false
+				}
+				if !u.Hot || end-start > area.cache-area.reserved {
+					continue
+				}
+				checked++
+				if off := start % area.cache; off < area.reserved || off+(end-start) > area.cache {
+					t.Errorf("%s, seed %d: hot unit at [%#x, %#x) maps into the reserved sets", spec, seed, start, end)
+				}
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("%s: no hot unit placed after the reserved prefix", spec)
+		}
+		t.Logf("%s: %d hot units checked", spec, checked)
+	}
+}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"codelayout/internal/core"
-	"codelayout/internal/pstore"
+	"codelayout/internal/profile"
 	"codelayout/internal/stats"
 	"codelayout/internal/workload"
 )
@@ -41,9 +41,9 @@ type BlendResult struct {
 }
 
 // BlendTable trains the two mixes once each (through the store when one is
-// configured), blends their profiles at every ratio with pstore.Blend,
-// builds the full optimization pipeline's layout from each blend, and
-// measures all of them under the drifted-to mix.
+// configured), blends their app profiles at every ratio, builds the full
+// optimization pipeline's layout from each blend, and measures all of them
+// under the drifted-to mix.
 func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 	if spec.Old == nil || spec.New == nil {
 		return nil, fmt.Errorf("expt: blend needs both workloads")
@@ -62,14 +62,14 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 	}
 	// Train each mix once over the shared source; the drifted-to mix's
 	// session runs every evaluation.
-	var entries []*pstore.Entry
+	var apps []*profile.Profile
 	for _, w := range []workload.Workload{spec.Old, spec.New} {
 		o.Train.Workload = w
 		run, err := src.train(o.resolveTrain())
 		if err != nil {
 			return nil, fmt.Errorf("expt: blend training %q: %w", w.Name(), err)
 		}
-		entries = append(entries, run.Entry)
+		apps = append(apps, run.Entry.App)
 	}
 	s, err := src.cell(o, func(o *Options) { o.Workload, o.Train.Workload = spec.New, spec.New })
 	if err != nil {
@@ -86,11 +86,11 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 			spec.Old.Name(), spec.New.Name(), spec.New.Name()),
 		"new-mix weight", "app miss %", "instr/txn", "p50", "p99")
 	for _, r := range ratios {
-		blended, err := pstore.Blend(entries, []float64{1 - r, r})
+		blended, err := blendProfiles(apps, []float64{1 - r, r})
 		if err != nil {
 			return nil, fmt.Errorf("expt: blend ratio %v: %w", r, err)
 		}
-		l, _, err := pipeline.Run(src.appImg.Prog, blended.App)
+		l, _, err := pipeline.Run(src.appImg.Prog, blended)
 		if err != nil {
 			return nil, fmt.Errorf("expt: blend ratio %v layout: %w", r, err)
 		}
@@ -120,4 +120,32 @@ func BlendTable(o Options, spec BlendSpec) (*BlendResult, error) {
 	t.Note("weight 0 is the stale profile alone, weight 1 the fresh one; the knee locates how much aged profile a store can keep blending in")
 	res.Table = t
 	return res, nil
+}
+
+// blendProfiles is profile aging: it weights each profile's counts by its
+// share of the weight sum and merges them, skipping zero weights, so a
+// layout trained on yesterday's mix can be shaded toward today's without
+// retraining. The inputs are not modified.
+func blendProfiles(pfs []*profile.Profile, weights []float64) (*profile.Profile, error) {
+	var sum float64
+	for _, w := range weights {
+		sum += w
+	}
+	var out *profile.Profile
+	for i, pf := range pfs {
+		w := weights[i] / sum
+		if w == 0 {
+			continue
+		}
+		scaled := pf.Clone()
+		if err := scaled.Scale(w); err != nil {
+			return nil, err
+		}
+		if out == nil {
+			out = scaled
+		} else {
+			out.Merge(scaled)
+		}
+	}
+	return out, nil
 }

@@ -253,7 +253,7 @@ func TestFlagsReject(t *testing.T) {
 		{expt.Layoutlab, "-table blend -ratios 0,half", `bad ratio "half"`},
 		// Lists are checked before any image builds: a count the machine would
 		// reject after a cell or two has been measured, an entry listed twice
-		// (a matrix of one cell under four labels), a weight pstore.Blend
+		// (a matrix of one cell under four labels), a weight the blend
 		// would reject without naming the flag.
 		{expt.Layoutlab, "-table robustness -matrix tpcb,tpcb", `-matrix lists workload "tpcb" twice`},
 		{expt.Layoutlab, "-table robustness -matrix tpcb -shardlist 0,1", "-shardlist: shard count 0 outside [1, 64]"},

@@ -105,6 +105,24 @@ type wireEntry struct {
 	DCPIFP      uint64
 }
 
+// flattenFreq turns a kind-frequency map into the wire form's sorted
+// names and their frequencies.
+func flattenFreq(freq map[string]float64) ([]string, []float64) {
+	if len(freq) == 0 {
+		return nil, nil
+	}
+	names := make([]string, 0, len(freq))
+	for name := range freq {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	vals := make([]float64, len(names))
+	for i, name := range names {
+		vals[i] = freq[name]
+	}
+	return names, vals
+}
+
 // flattenFields turns a field-access profile into the wire form's sorted
 // parallel slices.
 func flattenFields(fields map[string]map[string]db.FieldAccess) (keys []string, reads, writes []uint64) {

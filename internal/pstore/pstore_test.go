@@ -3,7 +3,6 @@ package pstore_test
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -217,65 +216,4 @@ func TestStoreConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestBlend(t *testing.T) {
-	old := testEntry("old", 10)
-	old.KindFreq = map[string]float64{"deposit": 1.0}
-	neu := testEntry("new", 30)
-	neu.KindFreq = map[string]float64{"transfer": 1.0}
-	neu.CreatedAt = old.CreatedAt.Add(time.Hour)
-
-	blended, err := pstore.Blend([]*pstore.Entry{old, neu}, []float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Block 1 of app: old=20, new=60, weights 0.25/0.75 → 5+45 = 50.
-	if got := blended.App.Count(1); got != 50 {
-		t.Fatalf("blended app count = %d, want 50", got)
-	}
-	if got := blended.KindFreq["transfer"]; math.Abs(got-0.75) > 1e-9 {
-		t.Fatalf("blended transfer freq = %v, want 0.75", got)
-	}
-	if !blended.CreatedAt.Equal(neu.CreatedAt) {
-		t.Fatal("blend CreatedAt should be the newest constituent")
-	}
-	// Sources unmodified.
-	if old.App.Count(1) != 20 || neu.App.Count(1) != 60 {
-		t.Fatal("Blend mutated its inputs")
-	}
-	// Weight normalization: scaling all weights by a constant is a no-op.
-	same, err := pstore.Blend([]*pstore.Entry{old, neu}, []float64{100, 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.App.Fingerprint() != blended.App.Fingerprint() {
-		t.Fatal("blend is not invariant under weight scaling")
-	}
-}
-
-func TestBlendRejectsBadInput(t *testing.T) {
-	a, b := testEntry("a", 1), testEntry("b", 2)
-	cases := []struct {
-		name    string
-		entries []*pstore.Entry
-		weights []float64
-	}{
-		{"empty", nil, nil},
-		{"length mismatch", []*pstore.Entry{a, b}, []float64{1}},
-		{"negative weight", []*pstore.Entry{a, b}, []float64{1, -1}},
-		{"nan weight", []*pstore.Entry{a, b}, []float64{1, math.NaN()}},
-		{"inf weight", []*pstore.Entry{a, b}, []float64{math.Inf(1), 1}},
-		{"zero sum", []*pstore.Entry{a, b}, []float64{0, 0}},
-	}
-	for _, tc := range cases {
-		if _, err := pstore.Blend(tc.entries, tc.weights); err == nil {
-			t.Errorf("%s: want error", tc.name)
-		}
-	}
-	c := testEntry("c", 3)
-	c.Image = "other-image"
-	if _, err := pstore.Blend([]*pstore.Entry{a, c}, []float64{1, 1}); err == nil {
-		t.Error("cross-image blend: want error")
-	}
 }

@@ -405,15 +405,16 @@ func Run(o expt.Options, cfg Config) (*Result, error) {
 	plateau := 0
 
 	for gen := 1; gen <= cfg.Generations; gen++ {
-		// Deduplicate the population's specs (first-seen order) and measure
-		// the unseen ones as one parallel wave per workload.
+		// Deduplicate the population's specs (first-seen order), keeping
+		// each spec's genome to breed from, and measure the unseen ones as
+		// one parallel wave per workload.
 		specs := make([]string, 0, len(pop))
-		seen := make(map[string]bool, len(pop))
+		bySpec := make(map[string]Genome, len(pop))
 		var fresh []string
 		for _, g := range pop {
 			spec := g.Spec()
-			if !seen[spec] {
-				seen[spec] = true
+			if _, ok := bySpec[spec]; !ok {
+				bySpec[spec] = g
 				specs = append(specs, spec)
 				if _, ok := ev.cache[spec]; !ok {
 					fresh = append(fresh, spec)
@@ -477,11 +478,7 @@ func Run(o expt.Options, cfg Config) (*Result, error) {
 		// re-evaluate for free off the cache), the rest are tournament-bred.
 		next := make([]Genome, 0, len(pop))
 		for i := 0; i < elite && i < len(ranked); i++ {
-			g, err := ParseGenome(ranked[i].Spec)
-			if err != nil {
-				return nil, err
-			}
-			next = append(next, g)
+			next = append(next, bySpec[ranked[i].Spec])
 		}
 		tournament := func() Genome {
 			winner := -1
@@ -491,8 +488,7 @@ func Run(o expt.Options, cfg Config) (*Result, error) {
 					winner = c
 				}
 			}
-			g, _ := ParseGenome(ranked[winner].Spec)
-			return g
+			return bySpec[ranked[winner].Spec]
 		}
 		for len(next) < cfg.Population {
 			var child Genome

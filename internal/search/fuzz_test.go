@@ -1,15 +1,17 @@
 package search
 
 import (
+	"strings"
 	"testing"
 
 	"codelayout/internal/core"
 )
 
-// FuzzParseGenome: whatever the spec, ParseGenome returns a genome or an
-// error and never panics; a parsed genome validates, is a pipeline core
-// accepts, and its Spec() is a fixed point that parses back to itself.
-// Seeded from the hand-built pipelines every search starts from.
+// FuzzParseGenome: whatever the spec, ParseGenome returns a genome or the
+// zero Genome with an error and never panics. An accepted spec is already
+// canonical: its fields, each trimmed around the name and the argument,
+// are the genome's Spec(), a pipeline core accepts that parses back to
+// itself. Seeded from the hand-built pipelines every search starts from.
 func FuzzParseGenome(f *testing.F) {
 	seeds, err := handBuiltSeeds()
 	if err != nil {
@@ -25,15 +27,26 @@ func FuzzParseGenome(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
 		g, err := ParseGenome(spec)
 		if err != nil {
-			if g != nil {
+			if g != (Genome{}) {
 				t.Fatalf("ParseGenome(%q) returned a genome with error %v", spec, err)
 			}
 			return
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("ParseGenome(%q) returned an invalid genome: %v", spec, err)
+		var fields []string
+		for _, f := range strings.Split(spec, ",") {
+			if f = strings.TrimSpace(f); f == "" {
+				continue
+			}
+			name, arg, _ := strings.Cut(f, ":")
+			if f = strings.TrimSpace(name); strings.TrimSpace(arg) != "" {
+				f += ":" + strings.TrimSpace(arg)
+			}
+			fields = append(fields, f)
 		}
 		canon := g.Spec()
+		if norm := strings.Join(fields, ","); norm != canon {
+			t.Fatalf("ParseGenome(%q) accepted fields %q, not its Spec() %q", spec, norm, canon)
+		}
 		if _, err := core.ParsePipeline(canon); err != nil {
 			t.Fatalf("ParseGenome(%q).Spec() = %q is not a pipeline: %v", spec, canon, err)
 		}
@@ -41,7 +54,7 @@ func FuzzParseGenome(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ParseGenome(%q).Spec() = %q does not parse: %v", spec, canon, err)
 		}
-		if again.Spec() != canon {
+		if again != g {
 			t.Fatalf("ParseGenome(%q): %q re-parses to %q", spec, canon, again.Spec())
 		}
 	})

@@ -16,181 +16,89 @@ import (
 	"codelayout/internal/core"
 )
 
-// Gene is one pass invocation in a pipeline genome: a registered base pass
-// name plus its optional ":arg" parameter.
-type Gene struct {
-	Name string
-	Arg  string
+// Genome is a parameterized pipeline: one slot per structural stage of the
+// optimizer, each holding a pass spec ("split:hotcold@2", bare "ipchain") or
+// "" when the stage is absent. Spec runs the filled slots in stage order and
+// materializes last, so every Genome value is a legal pipeline and the
+// operators edit slots freely without a repair step. The zero value is the
+// do-nothing layout, "materialize". Adding a gene means adding a slot here,
+// its case in slot, and a catalog in mutate.go.
+type Genome struct {
+	chain string // chain
+	split string // split:<mode>
+	fuse  string // ipchain[:<min>] or txfuse:<budget> — at most one merges units
+	order string // porder:<mode>
+	cfa   string // cfa:<cache>/<reserved>
+	align string // align:<words>
 }
 
-// Spec renders the gene as the "name" or "name:arg" form ParsePipeline
-// accepts.
-func (g Gene) Spec() string {
-	if g.Arg == "" {
-		return g.Name
-	}
-	return g.Name + ":" + g.Arg
-}
-
-// Genome is an ordered pass list — a parameterized pipeline spec. The zero
-// value is invalid; build genomes with ParseGenome, RandomGenome, or the
-// mutation/crossover operators, all of which emit legal pipelines.
-type Genome []Gene
-
-// Spec renders the genome as the canonical comma-separated pipeline spec —
+// Spec renders the genome as its canonical comma-separated pipeline spec —
 // the genome's identity: two genomes with equal specs are the same point in
 // the search space and share one measurement.
 func (g Genome) Spec() string {
-	parts := make([]string, len(g))
-	for i, gene := range g {
-		parts[i] = gene.Spec()
+	parts := make([]string, 0, 7)
+	for _, s := range [...]string{g.chain, g.split, g.fuse, g.order, g.cfa, g.align} {
+		if s != "" {
+			parts = append(parts, s)
+		}
 	}
-	return strings.Join(parts, ",")
+	return strings.Join(append(parts, "materialize"), ",")
 }
 
-// Clone returns an independent copy of the genome.
-func (g Genome) Clone() Genome {
-	return append(Genome(nil), g...)
+// slot returns the genome's slot for a base pass name, or nil when the pass
+// has no search stage (materialize, which Spec always appends, included).
+func (g *Genome) slot(name string) *string {
+	switch name {
+	case "chain":
+		return &g.chain
+	case "split":
+		return &g.split
+	case "ipchain", "txfuse":
+		return &g.fuse
+	case "porder":
+		return &g.order
+	case "cfa":
+		return &g.cfa
+	case "align":
+		return &g.align
+	}
+	return nil
 }
 
-// ParseGenome parses a pipeline spec into a validated genome. Unknown pass
-// names surface core's *UnknownPassError (listing the registry), bad
-// arguments the pass factory's own error, and structural problems a
-// legality error from Validate.
+// ParseGenome parses a pipeline spec into a genome. Unknown pass names
+// surface core's *UnknownPassError (listing the registry), bad arguments the
+// pass factory's own error. Each field goes into its stage's slot, and the
+// spec is accepted only if it is already canonical — its fields equal the
+// Spec of the slots they filled — which rejects a missing or non-terminal
+// materialize, a repeated pass, two unit-merging passes and stages out of
+// order alike. On error the zero Genome is returned.
 func ParseGenome(spec string) (Genome, error) {
 	var g Genome
+	var fields []string
 	for _, field := range strings.Split(spec, ",") {
 		field = strings.TrimSpace(field)
 		if field == "" {
 			continue
 		}
-		name, arg := field, ""
-		if i := strings.IndexByte(field, ':'); i >= 0 {
-			name, arg = field[:i], field[i+1:]
+		name, arg, _ := strings.Cut(field, ":")
+		name, arg = strings.TrimSpace(name), strings.TrimSpace(arg)
+		if _, err := core.NewPass(field); err != nil {
+			return Genome{}, err
 		}
-		g = append(g, Gene{Name: strings.TrimSpace(name), Arg: strings.TrimSpace(arg)})
+		if arg != "" {
+			field = name + ":" + arg
+		} else {
+			field = name
+		}
+		if s := g.slot(name); s != nil {
+			*s = field
+		} else if name != "materialize" {
+			return Genome{}, fmt.Errorf("search: pass %q has no search stage; add a Genome slot to make it evolvable", name)
+		}
+		fields = append(fields, field)
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
+	if canon := g.Spec(); strings.Join(fields, ",") != canon {
+		return Genome{}, fmt.Errorf("search: genome %q is not canonical (its passes make %q): each stage runs at most once, in the order chain, split, ipchain|txfuse, porder, cfa, align, then materialize", spec, canon)
 	}
 	return g, nil
-}
-
-// stageRank orders the structural stages a legal pipeline must respect:
-// chaining before splitting, splitting before unit merging (ipchain/txfuse),
-// merging before ordering, ordering before CFA planning, materialize last.
-// align floats (it only sets a materialization parameter); a pass not in the
-// map is unknown to the legality model and rejected.
-var stageRank = map[string]int{
-	"chain":       0,
-	"split":       1,
-	"ipchain":     2,
-	"txfuse":      2,
-	"porder":      3,
-	"cfa":         4,
-	"materialize": 9,
-}
-
-// Validate checks the genome is a legal pipeline: every gene resolves
-// against the core.Pass registry (names and arguments), materialize is the
-// single terminal pass, no pass repeats, at most one unit-merging (fusion)
-// pass runs, and the structural stages appear in an order the passes
-// themselves would accept at run time.
-func (g Genome) Validate() error {
-	if len(g) == 0 {
-		return fmt.Errorf("search: empty genome")
-	}
-	if last := g[len(g)-1]; last.Name != "materialize" {
-		return fmt.Errorf("search: genome %q must end with materialize", g.Spec())
-	}
-	seen := make(map[string]bool, len(g))
-	fusions := 0
-	prevRank := -1
-	for i, gene := range g {
-		if _, err := core.NewPass(gene.Spec()); err != nil {
-			return err
-		}
-		if seen[gene.Name] {
-			return fmt.Errorf("search: genome %q repeats pass %q", g.Spec(), gene.Name)
-		}
-		seen[gene.Name] = true
-		if gene.Name == "materialize" && i != len(g)-1 {
-			return fmt.Errorf("search: genome %q has a non-terminal materialize", g.Spec())
-		}
-		if gene.Name == "ipchain" || gene.Name == "txfuse" {
-			fusions++
-		}
-		if gene.Name == "align" {
-			continue // align floats anywhere before materialize
-		}
-		rank, ok := stageRank[gene.Name]
-		if !ok {
-			return fmt.Errorf("search: pass %q has no legality rank; extend search.stageRank to make it evolvable", gene.Name)
-		}
-		if rank <= prevRank {
-			return fmt.Errorf("search: genome %q runs %q out of stage order", g.Spec(), gene.Name)
-		}
-		prevRank = rank
-	}
-	if fusions > 1 {
-		return fmt.Errorf("search: genome %q has %d unit-merging passes; at most one of ipchain/txfuse may run", g.Spec(), fusions)
-	}
-	return nil
-}
-
-// Fuses reports whether the genome contains the txfuse pass (its layouts
-// clone procedures over a specialized image).
-func (g Genome) Fuses() bool {
-	for _, gene := range g {
-		if gene.Name == "txfuse" {
-			return true
-		}
-	}
-	return false
-}
-
-// stages is the structural decomposition of a genome used by the mutation
-// and crossover operators: one slot per stage, nil when the stage is absent.
-// Reassembling slots in canonical order always yields a legal genome, which
-// is what lets the operators compose freely without a repair step.
-type stages struct {
-	chain *Gene
-	split *Gene
-	fuse  *Gene // ipchain or txfuse — at most one
-	order *Gene // porder
-	cfa   *Gene
-	align *Gene
-}
-
-func (g Genome) stages() stages {
-	var st stages
-	for i := range g {
-		gene := &g[i]
-		switch gene.Name {
-		case "chain":
-			st.chain = gene
-		case "split":
-			st.split = gene
-		case "ipchain", "txfuse":
-			st.fuse = gene
-		case "porder":
-			st.order = gene
-		case "cfa":
-			st.cfa = gene
-		case "align":
-			st.align = gene
-		}
-	}
-	return st
-}
-
-// genome reassembles the stage slots into the canonical legal pass order.
-func (st stages) genome() Genome {
-	var g Genome
-	for _, gene := range []*Gene{st.chain, st.split, st.fuse, st.order, st.cfa, st.align} {
-		if gene != nil {
-			g = append(g, Gene{Name: gene.Name, Arg: gene.Arg})
-		}
-	}
-	return append(g, Gene{Name: "materialize"})
 }

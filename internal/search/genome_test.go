@@ -1,12 +1,14 @@
 package search
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"codelayout/internal/core"
+	"codelayout/internal/progtest"
 )
 
 func TestGenomeValidation(t *testing.T) {
@@ -30,14 +32,14 @@ func TestGenomeValidation(t *testing.T) {
 		}
 	}
 	bad := map[string]string{
-		"":                                       "empty",
-		"chain":                                  "must end with materialize",
-		"chain,materialize,porder:ph":            "must end with materialize",
-		"chain,chain,materialize":                "repeats",
-		"materialize,materialize":                "non-terminal",
-		"porder:ph,chain,materialize":            "stage order",
-		"porder:ph,split:fine,materialize":       "stage order",
-		"chain,ipchain,txfuse,materialize":       "stage order",
+		"":                                       "not canonical",
+		"chain":                                  "not canonical",
+		"chain,materialize,porder:ph":            "not canonical",
+		"chain,chain,materialize":                "not canonical",
+		"materialize,materialize":                "not canonical",
+		"porder:ph,chain,materialize":            "not canonical",
+		"porder:ph,split:fine,materialize":       "not canonical",
+		"chain,ipchain,txfuse,materialize":       "not canonical",
 		"chain,bogus,materialize":                "unknown pass",
 		"chain,split:hotcold@0,materialize":      "split",
 		"chain,ipchain:nope,materialize":         "ipchain",
@@ -90,45 +92,66 @@ func errorsAs(err error, target **core.UnknownPassError) bool {
 // TestCatalogsAreLegal cross-checks every mutation-catalog value against the
 // pass registry, so a catalog typo fails in tests, not mid-search.
 func TestCatalogsAreLegal(t *testing.T) {
-	check := func(name, arg string) {
-		t.Helper()
-		spec := name
-		if arg != "" {
-			spec += ":" + arg
-		}
-		if _, err := core.NewPass(spec); err != nil {
-			t.Errorf("catalog value %q is not a legal pass: %v", spec, err)
+	for _, catalog := range [][]string{splits, ipchains, txfuses, porders, aligns, cfas} {
+		for _, spec := range catalog {
+			if _, err := core.NewPass(spec); err != nil {
+				t.Errorf("catalog value %q is not a legal pass: %v", spec, err)
+			}
 		}
 	}
-	for _, v := range splitModes {
-		check("split", v)
+}
+
+// TestSearchSpaceIsLegal enumerates every genome the catalogs can form —
+// each slot absent or any catalog value — and checks each parses back to
+// itself and runs through core's pipeline, runtime stage guards included,
+// over a small random program.
+func TestSearchSpaceIsLegal(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	p := progtest.RandProgram(r, 6)
+	pf := progtest.RandProfile(r, p, 10, 200)
+	orAbsent := func(vals ...[]string) []string {
+		return append([]string{""}, slices.Concat(vals...)...)
 	}
-	for _, v := range ipchainMins {
-		check("ipchain", v)
+	n := 0
+	for _, chain := range []string{"", "chain"} {
+		for _, split := range splits {
+			for _, fuse := range orAbsent(ipchains, txfuses) {
+				for _, order := range porders {
+					for _, cfa := range orAbsent(cfas) {
+						for _, align := range orAbsent(aligns) {
+							g := Genome{chain: chain, split: split, fuse: fuse, order: order, cfa: cfa, align: align}
+							spec := g.Spec()
+							if back, err := ParseGenome(spec); err != nil || back != g {
+								t.Fatalf("ParseGenome(%q) = %+v, %v; want the genome back", spec, back, err)
+							}
+							pl, err := core.ParsePipeline(spec)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if _, _, err := pl.Run(p, pf.Clone()); err != nil {
+								t.Fatalf("%q: %v", spec, err)
+							}
+							n++
+						}
+					}
+				}
+			}
+		}
 	}
-	for _, v := range txfuseBudgets {
-		check("txfuse", v)
-	}
-	for _, v := range porderModes {
-		check("porder", v)
-	}
-	for _, v := range alignWords {
-		check("align", v)
-	}
-	for _, v := range cfaAreas {
-		check("cfa", v)
+	if want := 2 * 6 * 13 * 2 * 4 * 5; n != want {
+		t.Fatalf("enumerated %d genomes, want %d", n, want)
 	}
 }
 
 // TestOperatorsPreserveLegality fuzzes the operators: every random genome,
-// mutation, and crossover product must validate, and Mutate must actually
-// change the spec.
+// mutation, and crossover product must parse back to itself, and Mutate must
+// actually change the spec.
 func TestOperatorsPreserveLegality(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pool := make([]Genome, 0, 64)
 	for i := 0; i < 64; i++ {
 		g := RandomGenome(rng)
-		if err := g.Validate(); err != nil {
+		if err := roundTrips(g); err != nil {
 			t.Fatalf("RandomGenome produced an illegal genome %q: %v", g.Spec(), err)
 		}
 		pool = append(pool, g)
@@ -136,7 +159,7 @@ func TestOperatorsPreserveLegality(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		parent := pool[rng.Intn(len(pool))]
 		child := Mutate(parent, rng)
-		if err := child.Validate(); err != nil {
+		if err := roundTrips(child); err != nil {
 			t.Fatalf("Mutate(%q) -> illegal %q: %v", parent.Spec(), child.Spec(), err)
 		}
 		if child.Spec() == parent.Spec() {
@@ -144,10 +167,22 @@ func TestOperatorsPreserveLegality(t *testing.T) {
 		}
 		a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
 		cross := Crossover(a, b, rng)
-		if err := cross.Validate(); err != nil {
+		if err := roundTrips(cross); err != nil {
 			t.Fatalf("Crossover(%q, %q) -> illegal %q: %v", a.Spec(), b.Spec(), cross.Spec(), err)
 		}
 	}
+}
+
+// roundTrips reports whether the genome's spec parses back to the genome.
+func roundTrips(g Genome) error {
+	back, err := ParseGenome(g.Spec())
+	if err != nil {
+		return err
+	}
+	if back != g {
+		return fmt.Errorf("parses back to %q", back.Spec())
+	}
+	return nil
 }
 
 // TestHandBuiltSeedsValidate: the seeds and the baselines are rows of core's

@@ -2,119 +2,110 @@ package search
 
 import "math/rand"
 
-// The parameter catalogs the operators draw from. Every value must be a
-// legal argument of its pass factory — genome_test cross-checks each against
-// the registry so a catalog typo fails fast, not mid-search.
+// The catalogs the operators draw slot values from, whole pass specs. Every
+// value must be a legal pass — genome_test cross-checks each against the
+// registry so a catalog typo fails fast, not mid-search.
 var (
-	splitModes = []string{"none", "fine", "hotcold", "hotcold@2", "hotcold@4", "hotcold@8"}
-	// ipchainMins are ipchain's merge thresholds (minimum call-edge weight);
-	// "" is the classic any-executed-edge merge.
-	ipchainMins = []string{"", "2", "4", "8", "16", "32"}
-	// txfuseBudgets are txfuse clone budgets in percent of pre-fusion hot words.
-	txfuseBudgets = []string{"2", "5", "8", "10", "15", "20"}
-	porderModes   = []string{"ph", "orig"}
-	alignWords    = []string{"1", "2", "8", "16"}
-	cfaAreas      = []string{"65536/8192", "65536/16384", "65536/32768"}
+	splits = []string{"split:none", "split:fine", "split:hotcold", "split:hotcold@2", "split:hotcold@4", "split:hotcold@8"}
+	// ipchains carry ipchain's merge thresholds (minimum call-edge weight);
+	// bare "ipchain" is the classic any-executed-edge merge.
+	ipchains = []string{"ipchain", "ipchain:2", "ipchain:4", "ipchain:8", "ipchain:16", "ipchain:32"}
+	// txfuses carry txfuse clone budgets in percent of pre-fusion hot words.
+	txfuses = []string{"txfuse:2", "txfuse:5", "txfuse:8", "txfuse:10", "txfuse:15", "txfuse:20"}
+	porders = []string{"porder:ph", "porder:orig"}
+	aligns  = []string{"align:1", "align:2", "align:8", "align:16"}
+	cfas    = []string{"cfa:65536/8192", "cfa:65536/16384", "cfa:65536/32768"}
 )
 
 func pick(rng *rand.Rand, vals []string) string { return vals[rng.Intn(len(vals))] }
 
 // randomFuse draws a unit-merging stage: absent, ipchain with a random merge
 // threshold, or txfuse with a random clone budget.
-func randomFuse(rng *rand.Rand) *Gene {
+func randomFuse(rng *rand.Rand) string {
 	switch rng.Intn(3) {
 	case 0:
-		return nil
+		return ""
 	case 1:
-		return &Gene{Name: "ipchain", Arg: pick(rng, ipchainMins)}
+		return pick(rng, ipchains)
 	default:
-		return &Gene{Name: "txfuse", Arg: pick(rng, txfuseBudgets)}
+		return pick(rng, txfuses)
 	}
 }
 
 // RandomGenome draws a uniform-ish random point of the search space: each
 // structural stage present or absent with a fixed probability, parameters
-// drawn from the catalogs. The result is always a legal pipeline.
+// drawn from the catalogs.
 func RandomGenome(rng *rand.Rand) Genome {
-	var st stages
+	var g Genome
 	if rng.Float64() < 0.85 {
-		st.chain = &Gene{Name: "chain"}
+		g.chain = "chain"
 	}
-	st.split = &Gene{Name: "split", Arg: pick(rng, splitModes)}
-	st.fuse = randomFuse(rng)
-	st.order = &Gene{Name: "porder", Arg: pick(rng, porderModes)}
+	g.split = pick(rng, splits)
+	g.fuse = randomFuse(rng)
+	g.order = pick(rng, porders)
 	if rng.Float64() < 0.25 {
-		st.cfa = &Gene{Name: "cfa", Arg: pick(rng, cfaAreas)}
+		g.cfa = pick(rng, cfas)
 	}
 	if rng.Float64() < 0.25 {
-		st.align = &Gene{Name: "align", Arg: pick(rng, alignWords)}
+		g.align = pick(rng, aligns)
 	}
-	return st.genome()
+	return g
 }
 
 // Mutate returns a mutated copy of the genome: one randomly chosen stage
 // edit (toggle a stage, swap a fusion pass, or re-draw a parameter),
-// retried until the spec actually changes. The result is always legal — the
-// operators edit the stage decomposition and reassemble in canonical order,
-// so no repair pass is needed.
+// retried until the genome actually changes.
 func Mutate(g Genome, rng *rand.Rand) Genome {
-	before := g.Spec()
 	for attempt := 0; attempt < 32; attempt++ {
-		st := g.stages()
+		out := g
 		switch rng.Intn(6) {
 		case 0: // toggle basic-block chaining
-			if st.chain == nil {
-				st.chain = &Gene{Name: "chain"}
+			if out.chain == "" {
+				out.chain = "chain"
 			} else {
-				st.chain = nil
+				out.chain = ""
 			}
 		case 1: // re-draw the split mode / hot threshold
-			st.split = &Gene{Name: "split", Arg: pick(rng, splitModes)}
+			out.split = pick(rng, splits)
 		case 2: // swap or reparameterize the unit-merging stage
-			st.fuse = randomFuse(rng)
+			out.fuse = randomFuse(rng)
 		case 3: // flip the ordering variant
-			st.order = &Gene{Name: "porder", Arg: pick(rng, porderModes)}
+			out.order = pick(rng, porders)
 		case 4: // toggle or reparameterize the conflict-free area
-			if st.cfa == nil || rng.Intn(2) == 0 {
-				st.cfa = &Gene{Name: "cfa", Arg: pick(rng, cfaAreas)}
+			if out.cfa == "" || rng.Intn(2) == 0 {
+				out.cfa = pick(rng, cfas)
 			} else {
-				st.cfa = nil
+				out.cfa = ""
 			}
 		case 5: // toggle or reparameterize the unit alignment
-			if st.align == nil || rng.Intn(2) == 0 {
-				st.align = &Gene{Name: "align", Arg: pick(rng, alignWords)}
+			if out.align == "" || rng.Intn(2) == 0 {
+				out.align = pick(rng, aligns)
 			} else {
-				st.align = nil
+				out.align = ""
 			}
 		}
-		if out := st.genome(); out.Spec() != before {
+		if out != g {
 			return out
 		}
 	}
-	return g.Clone() // pathological rng stream; keep the parent
+	return g // pathological rng stream; keep the parent
 }
 
-// Crossover mixes two parents stage-wise: each structural stage is inherited
-// from one parent or the other (absence included), reassembled in canonical
-// order — always legal, no repair needed.
+// Crossover mixes two parents stage-wise: each slot is inherited from one
+// parent or the other, absence included.
 func Crossover(a, b Genome, rng *rand.Rand) Genome {
-	sa, sb := a.stages(), b.stages()
-	var st stages
-	choose := func(x, y *Gene) *Gene {
-		src := x
+	choose := func(x, y string) string {
 		if rng.Intn(2) == 1 {
-			src = y
+			return y
 		}
-		if src == nil {
-			return nil
-		}
-		return &Gene{Name: src.Name, Arg: src.Arg}
+		return x
 	}
-	st.chain = choose(sa.chain, sb.chain)
-	st.split = choose(sa.split, sb.split)
-	st.fuse = choose(sa.fuse, sb.fuse)
-	st.order = choose(sa.order, sb.order)
-	st.cfa = choose(sa.cfa, sb.cfa)
-	st.align = choose(sa.align, sb.align)
-	return st.genome()
+	return Genome{
+		chain: choose(a.chain, b.chain),
+		split: choose(a.split, b.split),
+		fuse:  choose(a.fuse, b.fuse),
+		order: choose(a.order, b.order),
+		cfa:   choose(a.cfa, b.cfa),
+		align: choose(a.align, b.align),
+	}
 }
