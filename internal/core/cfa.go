@@ -21,9 +21,6 @@ type CFAOptions struct {
 	ReservedBytes int
 }
 
-// cfaAlign mirrors the pipeline's default unit alignment (4 words).
-const cfaAlign = 4 * isa.WordBytes
-
 // planCFA computes explicit gaps so that hot units beyond the reserved-area
 // budget never map into the reserved cache sets. It mirrors Materialize's
 // address arithmetic (gap first, then alignment) so the planned and final
@@ -34,8 +31,11 @@ func planCFA(p *program.Program, units []Unit, unitOrder []int, o CFAOptions) (m
 	if o.CacheBytes <= 0 || o.ReservedBytes <= 0 || o.ReservedBytes >= o.CacheBytes {
 		return gaps, 0
 	}
+	// Units are planned at the default alignment, whatever the pipeline
+	// materializes with (ROADMAP item 7).
+	align := uint64(program.DefaultAlignWords) * isa.WordBytes
 	cache := uint64(o.CacheBytes)
-	reserved := roundUp(uint64(o.ReservedBytes), cfaAlign)
+	reserved := roundUp(uint64(o.ReservedBytes), align)
 
 	addr := uint64(0) // offset from (cache-aligned) text base
 	var reservedWords int64
@@ -46,7 +46,7 @@ func planCFA(p *program.Program, units []Unit, unitOrder []int, o CFAOptions) (m
 			continue
 		}
 		bytes := uint64(unitWords(p, u)) * isa.WordBytes
-		aligned := roundUp(addr, cfaAlign)
+		aligned := roundUp(addr, align)
 
 		if inReserved {
 			if u.Hot && aligned+bytes <= reserved {

@@ -4,6 +4,12 @@
 // Pettis–Hansen procedure ordering — plus the hot/cold splitting variant
 // shipped in the Spike distribution and the CFA (reserved conflict-free
 // area) optimization the paper evaluated and discarded.
+//
+// Each layout rule has one home. Basic-block chaining and inter-procedural
+// call chaining share one greedy linker (linkChains). The terminator, edge
+// and alignment rules are package program's: unit sizes come from
+// program.TermWords, edges from Program.SuccEdges and FlowEdges, and the
+// default unit alignment is program.DefaultAlignWords.
 package core
 
 import (
@@ -27,89 +33,30 @@ func ChainProc(p *program.Program, pr *program.Procedure, pf *profile.Profile) [
 	entry := pr.Entry()
 
 	// Local indexes for the proc's blocks.
-	local := make(map[program.BlockID]int, len(pr.Blocks))
+	local := make(map[program.BlockID]int32, len(pr.Blocks))
 	for i, b := range pr.Blocks {
-		local[b] = i
+		local[b] = int32(i)
 	}
-
-	type edgeW struct {
-		e program.Edge
-		w uint64
-	}
-	var edges []edgeW
+	var links []link
 	for _, bid := range pr.Blocks {
-		b := p.Block(bid)
-		p.FlowEdges(b, func(e program.Edge) {
-			if e.Dst == e.Src {
-				return // self-loop cannot be sequentialized
+		p.FlowEdges(p.Block(bid), func(e program.Edge) {
+			if e.Dst == e.Src || e.Dst == entry {
+				return // a self-loop cannot be sequentialized; the entry stays a chain head
 			}
-			edges = append(edges, edgeW{e, pf.Edge(e.Src, e.Dst)})
+			links = append(links, link{w: pf.Edge(e.Src, e.Dst),
+				a: int32(e.Src), b: int32(e.Dst), from: local[e.Src], to: local[e.Dst]})
 		})
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.w != b.w {
-			return a.w > b.w
-		}
-		if a.e.Src != b.e.Src {
-			return a.e.Src < b.e.Src
-		}
-		return a.e.Dst < b.e.Dst
-	})
-
-	next := make([]program.BlockID, len(pr.Blocks))
-	prev := make([]program.BlockID, len(pr.Blocks))
-	for i := range next {
-		next[i] = program.NoBlock
-		prev[i] = program.NoBlock
-	}
-	// Union-find over local indexes to reject cycles.
-	parent := make([]int, len(pr.Blocks))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-
-	for _, ew := range edges {
-		src, dst := ew.e.Src, ew.e.Dst
-		if dst == entry {
-			continue // the entry must stay a chain head
-		}
-		ls, ok1 := local[src]
-		ld, ok2 := local[dst]
-		if !ok1 || !ok2 {
-			continue
-		}
-		if next[ls] != program.NoBlock || prev[ld] != program.NoBlock {
-			continue
-		}
-		rs, rd := find(ls), find(ld)
-		if rs == rd {
-			continue // would close a cycle
-		}
-		next[ls] = dst
-		prev[ld] = src
-		parent[rs] = rd
-	}
+	next, prev := linkChains(len(pr.Blocks), links)
 
 	var chains []Chain
 	for i, bid := range pr.Blocks {
-		if prev[i] != program.NoBlock {
+		if prev[i] != -1 {
 			continue
 		}
 		ch := Chain{bid}
-		cur := i
-		for next[cur] != program.NoBlock {
-			nb := next[cur]
-			ch = append(ch, nb)
-			cur = local[nb]
+		for cur := next[i]; cur != -1; cur = next[cur] {
+			ch = append(ch, pr.Blocks[cur])
 		}
 		chains = append(chains, ch)
 	}
@@ -127,6 +74,56 @@ func ChainProc(p *program.Program, pr *program.Procedure, pf *profile.Profile) [
 		return a[0] < b[0]
 	})
 	return chains
+}
+
+// link is a candidate join for linkChains: node from's chain continues into
+// node to's, worth w. a and b order candidates of equal weight.
+type link struct {
+	w        uint64
+	a, b     int32
+	from, to int32
+}
+
+// linkChains is the greedy linker basic-block chaining and call chaining
+// share. It sorts links heaviest first (ties by a, then b) and takes a link
+// when from is still a chain tail, to is still a chain head and the two lie
+// on different chains. It returns each of the n nodes' chain successor and
+// predecessor, -1 at a chain's tail and head.
+func linkChains(n int, links []link) (next, prev []int32) {
+	sort.Slice(links, func(i, j int) bool {
+		x, y := links[i], links[j]
+		if x.w != y.w {
+			return x.w > y.w
+		}
+		if x.a != y.a {
+			return x.a < y.a
+		}
+		return x.b < y.b
+	})
+	next, prev = make([]int32, n), make([]int32, n)
+	parent := make([]int32, n) // union-find over chains, to reject cycles
+	for i := range next {
+		next[i], prev[i], parent[i] = -1, -1, int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, l := range links {
+		if next[l.from] != -1 || prev[l.to] != -1 {
+			continue
+		}
+		rf, rt := find(l.from), find(l.to)
+		if rf == rt {
+			continue // would close a cycle
+		}
+		next[l.from], prev[l.to] = l.to, l.from
+		parent[rf] = rt
+	}
+	return next, prev
 }
 
 // SourceChains returns the unchained block order of a procedure as a single

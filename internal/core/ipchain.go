@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
-	"codelayout/internal/isa"
 	"codelayout/internal/profile"
 	"codelayout/internal/program"
 )
@@ -32,81 +30,19 @@ func CallChainUnits(p *program.Program, pf *profile.Profile, units []Unit, minWe
 	if minWeight == 0 {
 		minWeight = 1
 	}
-	// headOf maps a unit's first block to the unit index, so a call edge to a
-	// callee entry can find the unit that starts with that entry.
-	headOf := make(map[program.BlockID]int, len(units))
-	for i, u := range units {
-		if len(u.Blocks) > 0 {
-			headOf[u.Blocks[0]] = i
-		}
-	}
-
-	type callEdge struct {
-		w        uint64
-		from, to int
-	}
-	var edges []callEdge
+	headOf := unitHeads(units)
+	var links []link
 	for i, u := range units {
 		if !u.Hot {
 			continue
 		}
-		for _, bid := range u.Blocks {
-			b := p.Block(bid)
-			if b.Kind != isa.TermCall || b.Callee == program.NoProc {
-				continue
+		unitCalls(p, u.Blocks, headOf, func(call, entry program.BlockID, j int) {
+			if w := pf.Edge(call, entry); w >= minWeight && j != i && units[j].Hot {
+				links = append(links, link{w: w, a: int32(i), b: int32(j), from: int32(i), to: int32(j)})
 			}
-			entry := p.Entry(b.Callee)
-			if entry == program.NoBlock {
-				continue
-			}
-			w := pf.Edge(bid, entry)
-			if w < minWeight {
-				continue
-			}
-			j, ok := headOf[entry]
-			if !ok || j == i || !units[j].Hot {
-				continue
-			}
-			edges = append(edges, callEdge{w, i, j})
-		}
+		})
 	}
-	sort.Slice(edges, func(a, b int) bool {
-		x, y := edges[a], edges[b]
-		if x.w != y.w {
-			return x.w > y.w
-		}
-		if x.from != y.from {
-			return x.from < y.from
-		}
-		return x.to < y.to
-	})
-
-	next := make([]int, len(units))
-	prev := make([]int, len(units))
-	parent := make([]int, len(units))
-	for i := range units {
-		next[i], prev[i], parent[i] = -1, -1, i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range edges {
-		if next[e.from] != -1 || prev[e.to] != -1 {
-			continue
-		}
-		rf, rt := find(e.from), find(e.to)
-		if rf == rt {
-			continue // would close a cycle of units
-		}
-		next[e.from] = e.to
-		prev[e.to] = e.from
-		parent[rf] = rt
-	}
+	next, prev := linkChains(len(units), links)
 
 	merged := make([]Unit, 0, len(units))
 	for i, u := range units {

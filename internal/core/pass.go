@@ -34,8 +34,8 @@ type LayoutState struct {
 	// until an ordering pass or EnsureOrder runs).
 	UnitOrder []int
 
-	// AlignWords pads unit starts at materialization; 0 means the default
-	// 4-word (16-byte) alignment.
+	// AlignWords pads unit starts at materialization; 0 means
+	// program.DefaultAlignWords.
 	AlignWords int
 
 	// GapBefore carries explicit address-space gaps for Materialize (the CFA
@@ -466,7 +466,7 @@ func (materializePass) Run(st *LayoutState) error {
 	}
 	align := st.AlignWords
 	if align == 0 {
-		align = 4
+		align = program.DefaultAlignWords
 	}
 	l, err := program.Materialize(st.Prog, order, program.MaterializeOptions{
 		AlignWords: align,
@@ -527,7 +527,11 @@ func init() {
 	mustRegister("cfa", "reserve a conflict-free instruction-cache area for the hottest units (cachebytes/reservedbytes)", func(arg string) (Pass, error) {
 		o := CFAOptions{CacheBytes: 64 << 10, ReservedBytes: 16 << 10}
 		if arg != "" {
-			if _, err := fmt.Sscanf(arg, "%d/%d", &o.CacheBytes, &o.ReservedBytes); err != nil {
+			cache, reserved, _ := strings.Cut(arg, "/")
+			var err1, err2 error
+			o.CacheBytes, err1 = strconv.Atoi(cache)
+			o.ReservedBytes, err2 = strconv.Atoi(reserved)
+			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("want cachebytes/reservedbytes, got %q", arg)
 			}
 		}
@@ -537,8 +541,8 @@ func init() {
 		}
 		return cfaPass{o}, nil
 	})
-	mustRegister("align", "set the unit-start alignment in words used at materialization (default 4)", func(arg string) (Pass, error) {
-		words := 4
+	mustRegister("align", "set the unit-start alignment in words used at materialization (default "+strconv.Itoa(program.DefaultAlignWords)+")", func(arg string) (Pass, error) {
+		words := program.DefaultAlignWords
 		if arg != "" {
 			var err error
 			if words, err = strconv.Atoi(arg); err != nil {

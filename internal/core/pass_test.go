@@ -173,6 +173,7 @@ func TestParsePipelineBadArgs(t *testing.T) {
 		"", "split:coarse", "porder:random", "align:0", "align:x",
 		"cfa:1024/4096", "chain:x", "materialize:x", "ipchain:x",
 		"split:hotcold@0", "split:hotcold@x", "txfuse:101", "txfuse:x",
+		"cfa:512/128junk", "cfa:512/128/7", "cfa:512", "cfa:x/128",
 	} {
 		if _, err := core.ParsePipeline(spec); err == nil {
 			t.Fatalf("expected error for spec %q", spec)

@@ -71,12 +71,7 @@ func (p txfusePass) Run(st *LayoutState) error {
 	st.fused = true
 	prog, pf := st.Prog, st.Prof
 
-	headOf := make(map[program.BlockID]int, len(st.Units))
-	for i, u := range st.Units {
-		if len(u.Blocks) > 0 {
-			headOf[u.Blocks[0]] = i
-		}
-	}
+	headOf := unitHeads(st.Units)
 	roots := st.KindRoots
 	if len(roots) == 0 {
 		roots = deriveRoots(st, headOf)
@@ -112,40 +107,25 @@ func (p txfusePass) Run(st *LayoutState) error {
 		inWant := map[int]bool{g.rootUnit: true}
 		var walk func(ui int)
 		walk = func(ui int) {
-			for _, bid := range st.Units[ui].Blocks {
-				b := prog.Block(bid)
-				if b.Kind != isa.TermCall || b.Callee == program.NoProc {
-					continue
-				}
-				entry := prog.Entry(b.Callee)
-				w := pf.Edge(bid, entry)
-				if w < threshold {
-					continue
-				}
-				j, ok := headOf[entry]
-				if !ok || !st.Units[j].Hot || inWant[j] {
-					continue
+			unitCalls(prog, st.Units[ui].Blocks, headOf, func(call, entry program.BlockID, j int) {
+				if pf.Edge(call, entry) < threshold || !st.Units[j].Hot || inWant[j] {
+					return
 				}
 				inWant[j] = true
 				g.want = append(g.want, j)
 				walk(j)
-			}
+			})
 		}
 		walk(g.rootUnit)
 		// Claims: total call-edge weight into each wanted unit from the
 		// whole group (root plus every wanted unit).
 		scan := append([]int{g.rootUnit}, g.want...)
 		for _, ui := range scan {
-			for _, bid := range st.Units[ui].Blocks {
-				b := prog.Block(bid)
-				if b.Kind != isa.TermCall || b.Callee == program.NoProc {
-					continue
+			unitCalls(prog, st.Units[ui].Blocks, headOf, func(call, entry program.BlockID, j int) {
+				if inWant[j] && j != g.rootUnit {
+					g.claim[j] += pf.Edge(call, entry)
 				}
-				entry := prog.Entry(b.Callee)
-				if j, ok := headOf[entry]; ok && inWant[j] && j != g.rootUnit {
-					g.claim[j] += pf.Edge(bid, entry)
-				}
-			}
+			})
 		}
 	}
 
@@ -352,39 +332,25 @@ func transferProfile(st *LayoutState, orig *program.Procedure, remap map[program
 			pf.AddBlock(remap[ob], m)
 			pf.BlockCount[ob] -= m
 		}
-		b := prog.Block(ob)
-		for _, succ := range blockSuccs(b) {
-			w := pf.Edge(ob, succ)
-			if w == 0 {
-				continue
+		prog.SuccEdges(prog.Block(ob), func(e program.Edge) {
+			if e.Kind == program.EdgeCall {
+				// The clone's call edges keep no weight, so ordering sees no
+				// affinity from a cloned caller to its callee: a known defect
+				// (ROADMAP item 7) whose fix deletes this skip.
+				return
 			}
-			m := w * claim / inflow
+			m := pf.Edge(ob, e.Dst) * claim / inflow
 			if m == 0 {
-				continue
+				return
 			}
-			ns, ok := remap[succ]
+			ns, ok := remap[e.Dst]
 			if !ok {
-				ns = succ // call edge or cross-procedure branch
+				ns = e.Dst // cross-procedure branch
 			}
 			pf.AddEdge(remap[ob], ns, m)
-			pf.EdgeCount[program.EdgeKey(ob, succ)] -= m
-		}
+			pf.EdgeCount[program.EdgeKey(ob, e.Dst)] -= m
+		})
 	}
-}
-
-// blockSuccs lists a block's outgoing profile-edge destinations: flow
-// successors plus, for calls, the callee entry (the edge the collector
-// records at enterCall).
-func blockSuccs(b *program.Block) []program.BlockID {
-	var out []program.BlockID
-	if b.Fall != program.NoBlock {
-		out = append(out, b.Fall)
-	}
-	if b.Taken != program.NoBlock {
-		out = append(out, b.Taken)
-	}
-	out = append(out, b.Targets...)
-	return out
 }
 
 // deriveRoots guesses kind roots when the pipeline runs program-only (no
@@ -395,15 +361,11 @@ func deriveRoots(st *LayoutState, headOf map[program.BlockID]int) []KindRoot {
 	prog, pf := st.Prog, st.Prof
 	called := make(map[int]bool)
 	for _, u := range st.Units {
-		for _, bid := range u.Blocks {
-			b := prog.Block(bid)
-			if b.Kind != isa.TermCall || b.Callee == program.NoProc {
-				continue
-			}
-			if j, ok := headOf[prog.Entry(b.Callee)]; ok && pf.Edge(bid, prog.Entry(b.Callee)) > 0 {
+		unitCalls(prog, u.Blocks, headOf, func(call, entry program.BlockID, j int) {
+			if pf.Edge(call, entry) > 0 {
 				called[j] = true
 			}
-		}
+		})
 	}
 	type cand struct {
 		ui int

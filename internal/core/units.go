@@ -128,34 +128,34 @@ func unitWords(p *program.Program, u Unit) int64 {
 		if i+1 < len(u.Blocks) {
 			next = u.Blocks[i+1]
 		}
-		w += int64(b.Body) + int64(termWordsFor(b, next))
+		w += int64(b.Body) + int64(program.TermWords(b, next))
 	}
 	return w
 }
 
-func termWordsFor(b *program.Block, next program.BlockID) int32 {
-	switch b.Kind {
-	case isa.TermFallThrough:
-		if b.Fall == next {
-			return 0
+// unitHeads maps each non-empty unit's first block to the unit's index, so a
+// call can find the unit its callee's entry starts.
+func unitHeads(units []Unit) map[program.BlockID]int {
+	headOf := make(map[program.BlockID]int, len(units))
+	for i, u := range units {
+		if len(u.Blocks) > 0 {
+			headOf[u.Blocks[0]] = i
 		}
-		return 1
-	case isa.TermCond:
-		if b.Fall == next || b.Taken == next {
-			return 1
+	}
+	return headOf
+}
+
+// unitCalls visits, in block order, every call in blocks whose callee entry
+// starts a unit of headOf: the call block, the callee entry and that unit.
+func unitCalls(p *program.Program, blocks []program.BlockID, headOf map[program.BlockID]int, visit func(call, entry program.BlockID, unit int)) {
+	for _, bid := range blocks {
+		b := p.Block(bid)
+		if b.Kind != isa.TermCall || b.Callee == program.NoProc {
+			continue
 		}
-		return 2
-	case isa.TermBranch:
-		if b.Taken == next {
-			return 0
+		entry := p.Entry(b.Callee)
+		if j, ok := headOf[entry]; ok {
+			visit(bid, entry, j)
 		}
-		return 1
-	case isa.TermCall:
-		if b.Fall == next {
-			return 1
-		}
-		return 2
-	default: // Ret, Indirect, Halt
-		return 1
 	}
 }

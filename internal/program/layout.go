@@ -62,6 +62,10 @@ type Layout struct {
 	LongBranches int
 }
 
+// DefaultAlignWords is the unit-start alignment, in words, of the baseline
+// layout and of an optimized one that sets none (16 bytes).
+const DefaultAlignWords = 4
+
 // MaterializeOptions configures layout materialization.
 type MaterializeOptions struct {
 	// AlignWords pads the start of each alignment unit to a multiple of this
@@ -95,11 +99,6 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 		CondFirst:  make([]BlockID, n),
 		AlignWords: opts.AlignWords,
 	}
-	for i := range l.Adj {
-		l.Adj[i] = NoBlock
-		l.CondFirst[i] = NoBlock
-	}
-
 	alignAt := opts.AlignAt
 	if alignAt == nil {
 		alignAt = make(map[BlockID]bool)
@@ -156,54 +155,8 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 			// file can put one anywhere.
 			next = order[i+1]
 		}
-		// fall and taken are the terminator words an exit by that successor
-		// fetches; the block occupies the longer of the two (plus a landing
-		// branch), which is how Occ decodes it.
-		var fall, taken int32
-		landing := false
-		switch b.Kind {
-		case isa.TermFallThrough:
-			if b.Fall == next {
-				l.Adj[id] = next
-			} else {
-				fall = 1
-			}
-		case isa.TermCond:
-			fall, taken = 1, 1
-			switch {
-			case b.Fall == next:
-				l.Adj[id] = next
-			case b.Taken == next:
-				// Polarity flip: the original taken arm falls through.
-				l.Adj[id] = next
-			default:
-				first := b.Taken
-				if opts.FallFirst != nil && opts.FallFirst(b) {
-					first = b.Fall
-				}
-				l.CondFirst[id] = first
-				if first == b.Fall {
-					taken = 2
-				} else {
-					fall = 2
-				}
-			}
-		case isa.TermBranch:
-			if b.Taken == next {
-				l.Adj[id] = next
-			} else {
-				taken = 1
-			}
-		case isa.TermCall:
-			fall = 1
-			if b.Fall == next {
-				l.Adj[id] = next
-			} else {
-				landing = true
-			}
-		case isa.TermRet, isa.TermIndirect, isa.TermHalt:
-			fall = 1
-		}
+		x, adj, first := exitOf(b, next, opts.FallFirst)
+		l.Adj[id], l.CondFirst[id] = adj, first
 
 		if gap := opts.GapBefore[id]; gap > 0 {
 			if gap%isa.WordBytes != 0 {
@@ -223,7 +176,7 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 				l.PadWords += int64(pad / isa.WordBytes)
 			}
 		}
-		l.Place[id] = Place(newExit(fall, taken, landing))<<placeAddrBits | Place(addr)
+		l.Place[id] = Place(x)<<placeAddrBits | Place(addr)
 		if err := skip(id, uint64(l.Occ(id))*isa.WordBytes); err != nil {
 			return nil, err
 		}
@@ -249,6 +202,71 @@ func Materialize(p *Program, order []BlockID, opts MaterializeOptions) (*Layout,
 		})
 	}
 	return l, nil
+}
+
+// exitOf applies the terminator rules of Layout to block b placed directly
+// before next (NoBlock: nothing adjacent). It returns what each way out of b
+// fetches beyond its body, the successor b falls through to (or NoBlock) and,
+// for a conditional with no adjacent arm, the arm its branch pair tests first
+// (fallFirst as in MaterializeOptions; NoBlock elsewhere).
+func exitOf(b *Block, next BlockID, fallFirst func(*Block) bool) (x Exit, adj, first BlockID) {
+	// fall and taken are the terminator words an exit by that successor
+	// fetches; the block occupies the longer of the two (plus a landing
+	// branch), which is how Exit.words counts it.
+	var fall, taken int32
+	landing := false
+	adj, first = NoBlock, NoBlock
+	switch b.Kind {
+	case isa.TermFallThrough:
+		if b.Fall == next {
+			adj = next
+		} else {
+			fall = 1
+		}
+	case isa.TermCond:
+		fall, taken = 1, 1
+		switch {
+		case b.Fall == next:
+			adj = next
+		case b.Taken == next:
+			// Polarity flip: the original taken arm falls through.
+			adj = next
+		default:
+			first = b.Taken
+			if fallFirst != nil && fallFirst(b) {
+				first = b.Fall
+			}
+			if first == b.Fall {
+				taken = 2
+			} else {
+				fall = 2
+			}
+		}
+	case isa.TermBranch:
+		if b.Taken == next {
+			adj = next
+		} else {
+			taken = 1
+		}
+	case isa.TermCall:
+		fall = 1
+		if b.Fall == next {
+			adj = next
+		} else {
+			landing = true
+		}
+	case isa.TermRet, isa.TermIndirect, isa.TermHalt:
+		fall = 1
+	}
+	return newExit(fall, taken, landing), adj, first
+}
+
+// TermWords returns the terminator words block b occupies beyond its body
+// when next is placed directly after it (NoBlock: nothing adjacent) — the
+// size Materialize gives it, ahead of materializing.
+func TermWords(b *Block, next BlockID) int32 {
+	x, _, _ := exitOf(b, next, nil)
+	return x.words()
 }
 
 // Place is one block's placement word: its address in the low placeAddrBits
@@ -303,6 +321,16 @@ func (x Exit) Taken() int32 { return int32(x >> exitTakenShift & exitWordsMask) 
 // adjacent, so a return to it executes a landing branch first.
 func (x Exit) Landing() bool { return x&exitLanding != 0 }
 
+// words returns the terminator words the block occupies: the longer of its
+// two exits and a call's landing branch.
+func (x Exit) words() int32 {
+	w := max(x.Fall(), x.Taken())
+	if x.Landing() {
+		w++
+	}
+	return w
+}
+
 // Addr returns the virtual address of block b's first word.
 func (l *Layout) Addr(b BlockID) uint64 { return l.Place[b].Addr() }
 
@@ -310,12 +338,7 @@ func (l *Layout) Addr(b BlockID) uint64 { return l.Place[b].Addr() }
 // its two exits' terminator words and a call's landing branch. Alignment
 // padding is not included.
 func (l *Layout) Occ(b BlockID) int32 {
-	x := l.Place[b].Exit()
-	occ := l.Prog.Blocks[b].Body + max(x.Fall(), x.Taken())
-	if x.Landing() {
-		occ++
-	}
-	return occ
+	return l.Prog.Blocks[b].Body + l.Place[b].Exit().words()
 }
 
 // End returns the address one past the last word of block b.
@@ -472,5 +495,5 @@ func SourceOrder(p *Program) []BlockID {
 // BaselineLayout materializes the source-order layout with standard
 // procedure alignment.
 func BaselineLayout(p *Program) (*Layout, error) {
-	return Materialize(p, SourceOrder(p), MaterializeOptions{AlignWords: 4})
+	return Materialize(p, SourceOrder(p), MaterializeOptions{AlignWords: DefaultAlignWords})
 }
