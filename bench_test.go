@@ -1,6 +1,7 @@
 // Benchmarks: one per reproduced table/figure (printing the regenerated
-// rows/series on first run), plus the extension tables and the
-// BENCH_fusion/pgo/search.json writers. Per-layer timing (cache fetch, the
+// rows/series on first run), plus the cross-workload, group-commit and
+// fast-path runs and the BENCH_fusion/pgo/search.json writers (TxFuse,
+// ContinuousPGO, PipelineSearch). Per-layer timing (cache fetch, the
 // layout passes, the emitter walk, machine transactions, Pixie overhead) is
 // bench/'s ledger, not this file.
 //

@@ -36,9 +36,6 @@ func buildTestImage(t *testing.T) *codegen.Image {
 					codegen.Call{Fn: "inner"},
 					codegen.Seq(1),
 				}},
-				codegen.Switch{Site: "outer_sw", Cases: [][]codegen.Frag{
-					{codegen.Seq(2)}, {codegen.Seq(4)}, {codegen.Seq(6)},
-				}},
 				codegen.Seq(3),
 			}},
 		},
@@ -50,7 +47,7 @@ func buildTestImage(t *testing.T) *codegen.Image {
 }
 
 // driveScript runs a fixed event script against the emitter.
-func driveScript(e *codegen.Emitter, iters int, takeThen bool, swCase int) {
+func driveScript(e *codegen.Emitter, iters int, takeThen bool) {
 	e.Enter("outer")
 	for i := 0; i < iters; i++ {
 		e.Branch("outer_loop", true)
@@ -59,7 +56,6 @@ func driveScript(e *codegen.Emitter, iters int, takeThen bool, swCase int) {
 		e.Leave("inner")
 	}
 	e.Branch("outer_loop", false)
-	e.Case("outer_sw", swCase)
 	e.Leave("outer")
 }
 
@@ -74,7 +70,7 @@ func TestEmitterRunsScript(t *testing.T) {
 	e.Sink = func(addr uint64, words int32) {
 		runs = append(runs, trace.FetchRun{Addr: addr, Words: words})
 	}
-	driveScript(e, 3, true, 1)
+	driveScript(e, 3, true)
 	if !e.Idle() {
 		t.Fatal("emitter not idle after script")
 	}
@@ -104,7 +100,7 @@ func TestEmitterLayoutInvariance(t *testing.T) {
 	px1 := profile.NewPixie(img.Prog, "p1")
 	e1 := codegen.NewEmitter(img, base, 9)
 	e1.Collector = px1
-	driveScript(e1, 4, false, 2)
+	driveScript(e1, 4, false)
 
 	pl, err := core.ComboPipeline("all")
 	if err != nil {
@@ -120,12 +116,12 @@ func TestEmitterLayoutInvariance(t *testing.T) {
 		pa := profile.NewPixie(img.Prog, "a")
 		ea := codegen.NewEmitter(img, base, seed)
 		ea.Collector = pa
-		driveScript(ea, 4, false, 2)
+		driveScript(ea, 4, false)
 
 		pb := profile.NewPixie(img.Prog, "b")
 		eb := codegen.NewEmitter(img, opt, seed)
 		eb.Collector = pb
-		driveScript(eb, 4, false, 2)
+		driveScript(eb, 4, false)
 
 		fa, fb := pa.Profile(), pb.Profile()
 		for b := range fa.BlockCount {
@@ -170,11 +166,6 @@ func TestEmitterPanicsOnModelDrift(t *testing.T) {
 			e.Branch("outer_loop", true)
 			e.Enter("inner")
 			e.Leave("outer")
-		}},
-		{"case out of range", func(e *codegen.Emitter) {
-			e.Enter("outer")
-			e.Branch("outer_loop", false)
-			e.Case("outer_sw", 9)
 		}},
 		{"unknown fn", func(e *codegen.Emitter) { e.Enter("nope") }},
 	}
@@ -335,7 +326,7 @@ func TestWarmedWalkDoesNotAllocate(t *testing.T) {
 	e.Sink = func(_ uint64, w int32) { words += int64(w) }
 	cycles := map[string]func(){
 		"RunAuto":            func() { e.RunAuto("helper") },
-		"Enter/Branch/Leave": func() { driveScript(e, 3, true, 1) },
+		"Enter/Branch/Leave": func() { driveScript(e, 3, true) },
 	}
 	for name, cycle := range cycles {
 		cycle() // warm: the stack reaches its depth

@@ -36,8 +36,8 @@ type Collector interface {
 
 // Emitter replays engine events over the image's CFG under a specific
 // layout, producing the instruction address runs the modeled binary would
-// fetch. It implements the event half of probe.Probe (Enter/Leave/Branch/
-// Case); Data and Syscall are forwarded to machine hooks.
+// fetch. It implements the event half of probe.Probe (Enter/Leave/Branch);
+// Data and Syscall are forwarded to machine hooks.
 //
 // The emitter is a resumable CFG walker: it auto-advances through
 // straight-line code, PRNG-resolved branches and auto-function calls, and
@@ -271,9 +271,6 @@ func (e *Emitter) advance() {
 				words, succ = w.Exit().Taken(), s.taken
 			}
 		case isa.TermIndirect:
-			if !s.auto() {
-				return // wait for Case
-			}
 			j := &e.img.jumps[s.aux]
 			x := uint32(e.Rng.Int63n(int64(j.cum[len(j.cum)-1])))
 			k := 0
@@ -403,26 +400,12 @@ func (e *Emitter) Branch(site string, taken bool) {
 	if e.unwinding {
 		return
 	}
-	s := e.siteStep(site, isa.TermCond)
+	s := e.siteStep(site)
 	if taken {
 		e.exitTo(e.cur, s, s.fall)
 	} else {
 		e.exitTaken(e.cur, s)
 	}
-	e.advance()
-}
-
-// Case implements the probe event for Switch sites.
-func (e *Emitter) Case(site string, k int) {
-	if e.unwinding {
-		return
-	}
-	s := e.siteStep(site, isa.TermIndirect)
-	targets := e.img.jumps[s.aux].targets
-	if k < 0 || k >= len(targets) {
-		panic(fmt.Sprintf("codegen: Case(%q, %d) out of range (%d cases)", site, k, len(targets)))
-	}
-	e.exitTo(e.cur, s, targets[k])
 	e.advance()
 }
 
@@ -466,20 +449,17 @@ func (e *Emitter) RunAuto(fn string) {
 }
 
 // siteStep returns the current block's step after checking that it is the
-// kind of decision block, at the site, the engine's event names.
-func (e *Emitter) siteStep(site string, kind isa.TermKind) *step {
+// Cond block, at the site, the engine's Branch names.
+func (e *Emitter) siteStep(site string) *step {
 	if e.cur == program.NoBlock {
 		panic(fmt.Sprintf("codegen: event at site %q while idle", site))
 	}
 	s := &e.steps[e.cur]
 	at := ""
-	switch s.kind() {
-	case isa.TermCond:
+	if s.kind() == isa.TermCond {
 		at = e.decs[s.aux].site
-	case isa.TermIndirect:
-		at = e.img.jumps[s.aux].site
 	}
-	if s.kind() != kind || at != site {
+	if s.kind() != isa.TermCond || at != site {
 		panic(fmt.Sprintf("codegen: event for site %q but model at %s block b%d (site %q) in %s",
 			site, s.kind(), e.cur, at, e.frameName()))
 	}

@@ -12,6 +12,8 @@ import (
 // pass can read: the program's fingerprint; each Fn in ProcID order (name,
 // Auto, Cold, CloneOf); every block's decision annotation (site, auto, prob,
 // cumulative weights); and the sealed step and jump tables. It seals img.
+// Each jump ends with an empty string: the recorded digests were taken with
+// an engine-site slot there, empty in every pinned image.
 func Digest(img *Image, h hash.Hash) {
 	var buf [8]byte
 	put := func(v uint64) {
@@ -66,6 +68,6 @@ func Digest(img *Image, h hash.Hash) {
 			put(uint64(uint32(t)))
 		}
 		cums(j.cum)
-		str(j.site)
+		str("")
 	}
 }

@@ -48,21 +48,6 @@ type Call struct{ Fn string }
 
 func (Call) isFrag() {}
 
-// Switch is a data-dependent multi-way dispatch (indirect jump); the engine
-// reports probe.Case(Site, k).
-type Switch struct {
-	Site  string
-	Cases [][]Frag
-}
-
-func (Switch) isFrag() {}
-
-// Ret returns from the function early (a final return is added
-// automatically).
-type Ret struct{}
-
-func (Ret) isFrag() {}
-
 // AutoIf is a branch resolved by the emitter's PRNG: Then executes with
 // probability Prob. It models data-dependent variability below the
 // granularity the engine reports.

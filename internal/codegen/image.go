@@ -59,11 +59,12 @@ type Image struct {
 
 // decision annotates how a Cond or Indirect block's outcome is resolved.
 type decision struct {
-	// site names the engine decision site the block implements.
+	// site names the engine decision site a Cond block implements.
 	site string
 	// auto marks a block the emitter's PRNG resolves instead: a Cond falls
-	// through with probability prob, an Indirect picks a target by the
-	// cumulative weights cum (parallel to Block.Targets).
+	// through with probability prob, an Indirect (every one an AutoPick)
+	// picks a target by the cumulative weights cum (parallel to
+	// Block.Targets).
 	auto bool
 	prob float64
 	cum  []uint32
@@ -96,7 +97,7 @@ func (img *Image) noteOf(b program.BlockID) int32 {
 // table: at 32 bytes a row the tables of one search-mix run were 9 MB of RSS.
 type step struct {
 	// head packs the terminator kind (bits 0-2), the auto flag (bit 3: a Cond
-	// or Indirect resolved by the PRNG, or a Call whose callee is an auto
+	// resolved by the PRNG, every Indirect, or a Call whose callee is an auto
 	// function) and the body words (bits 8-31).
 	head uint32
 	fall program.BlockID
@@ -122,7 +123,6 @@ func (s *step) body() int32        { return int32(s.head >> stepBodyShift) }
 type jump struct {
 	targets []program.BlockID
 	cum     []uint32
-	site    string
 }
 
 // seal compiles the step table on first use. Every emitter over the image
@@ -145,7 +145,7 @@ func (img *Image) seal() {
 				s.aux = n
 			case isa.TermIndirect:
 				s.aux = int32(len(jumps))
-				jumps = append(jumps, jump{targets: b.Targets, cum: img.decs[n].cum, site: img.decs[n].site})
+				jumps = append(jumps, jump{targets: b.Targets, cum: img.decs[n].cum})
 			case isa.TermCall:
 				callee := img.fnByProc[b.Callee]
 				auto, s.taken, s.aux = callee.Auto, callee.Proc.Entry(), int32(b.Callee)
@@ -161,15 +161,6 @@ func (img *Image) seal() {
 
 // FnOf returns the modeled function owning the procedure.
 func (img *Image) FnOf(id program.ProcID) *Fn { return img.fnByProc[id] }
-
-// Entry returns the entry block of the named function.
-func (img *Image) Entry(name string) (program.BlockID, error) {
-	fn, ok := img.Fns[name]
-	if !ok {
-		return program.NoBlock, fmt.Errorf("codegen: unknown function %q", name)
-	}
-	return fn.Proc.Entry(), nil
-}
 
 // newImage returns an empty, unsealed image. decs[0] is the "no annotation"
 // entry every unannotated block reads: an engine decision with no site.
@@ -220,7 +211,7 @@ func (img *Image) checkAutoClosure() error {
 		for _, bid := range fn.Proc.Blocks {
 			b := img.Prog.Block(bid)
 			switch b.Kind {
-			case isa.TermCond, isa.TermIndirect:
+			case isa.TermCond:
 				if n := img.noteOf(bid); n != 0 && !img.decs[n].auto {
 					return fmt.Errorf("codegen: auto fn %q has engine site %q", fn.Name, img.decs[n].site)
 				}
@@ -292,11 +283,6 @@ func (lo *lowerer) region(frags []Frag) (program.BlockID, []patch) {
 			}
 			open.Body += int32(fr)
 
-		case Ret:
-			open.Kind = isa.TermRet
-			// Anything after Ret in the same region is unreachable.
-			return entry, nil
-
 		case If:
 			open = lo.lowerIf(open, fr.Site, 0, fr.Then, fr.Else)
 
@@ -325,15 +311,12 @@ func (lo *lowerer) region(frags []Frag) (program.BlockID, []patch) {
 			open.Fall = cont.ID
 			open = cont
 
-		case Switch:
-			open = lo.lowerSwitch(open, fr.Site, fr.Cases, nil, nil)
-
 		case AutoPick:
 			if len(fr.Fns) == 0 {
 				lo.fail("empty AutoPick")
 				return entry, nil
 			}
-			open = lo.lowerSwitch(open, "", nil, fr.Fns, fr.Weights)
+			open = lo.lowerPick(open, fr.Fns, fr.Weights)
 
 		default:
 			lo.fail("unknown fragment %T", f)
@@ -404,54 +387,36 @@ func (lo *lowerer) lowerLoop(open *program.Block, site string, prob float64, hea
 	return join
 }
 
-func (lo *lowerer) lowerSwitch(open *program.Block, site string, cases [][]Frag, pickFns []string, weights []uint32) *program.Block {
-	if site != "" && lo.auto {
-		lo.fail("engine Switch %q inside auto fn", site)
-		return open
-	}
+// lowerPick lowers an AutoPick: an indirect call dispatch through one call
+// stub per target function, weighted for the PRNG.
+func (lo *lowerer) lowerPick(open *program.Block, fns []string, weights []uint32) *program.Block {
 	open.Kind = isa.TermIndirect
 	sw := open.ID
 	join := lo.newBlock()
-	if pickFns != nil {
-		// Indirect call dispatch: one call stub per target function.
-		if weights != nil && len(weights) != len(pickFns) {
-			lo.fail("AutoPick weights/fns mismatch")
+	if weights != nil && len(weights) != len(fns) {
+		lo.fail("AutoPick weights/fns mismatch")
+		return join
+	}
+	var cum []uint32
+	var acc uint32
+	for i, name := range fns {
+		callee, ok := lo.img.Fns[name]
+		if !ok {
+			lo.fail("AutoPick of unknown fn %q", name)
 			return join
 		}
-		var cum []uint32
-		var acc uint32
-		for i, name := range pickFns {
-			callee, ok := lo.img.Fns[name]
-			if !ok {
-				lo.fail("AutoPick of unknown fn %q", name)
-				return join
-			}
-			stub := lo.newBlock()
-			stub.Kind = isa.TermCall
-			stub.Callee = callee.Proc.ID
-			stub.Fall = join.ID
-			lo.img.Prog.Block(sw).Targets = append(lo.img.Prog.Block(sw).Targets, stub.ID)
-			w := uint32(1)
-			if weights != nil {
-				w = weights[i]
-			}
-			acc += w
-			cum = append(cum, acc)
+		stub := lo.newBlock()
+		stub.Kind = isa.TermCall
+		stub.Callee = callee.Proc.ID
+		stub.Fall = join.ID
+		lo.img.Prog.Block(sw).Targets = append(lo.img.Prog.Block(sw).Targets, stub.ID)
+		w := uint32(1)
+		if weights != nil {
+			w = weights[i]
 		}
-		lo.img.annotate(sw, decision{auto: true, cum: cum})
-		return join
+		acc += w
+		cum = append(cum, acc)
 	}
-	if len(cases) == 0 {
-		lo.fail("Switch %q with no cases", site)
-		return join
-	}
-	for _, c := range cases {
-		ce, cx := lo.region(c)
-		lo.img.Prog.Block(sw).Targets = append(lo.img.Prog.Block(sw).Targets, ce)
-		for _, p := range cx {
-			p(join.ID)
-		}
-	}
-	lo.img.annotate(sw, decision{site: site})
+	lo.img.annotate(sw, decision{auto: true, cum: cum})
 	return join
 }

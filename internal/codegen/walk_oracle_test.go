@@ -200,10 +200,7 @@ func (w *refWalker) advance() {
 				w.transition(b, b.Taken)
 			}
 		case isa.TermIndirect:
-			cum, auto := w.autoCum[b.ID]
-			if !auto {
-				return
-			}
+			cum := w.autoCum[b.ID]
 			x := uint32(w.rng.Int63n(int64(cum[len(cum)-1])))
 			w.transition(b, b.Targets[sort.Search(len(cum), func(i int) bool { return cum[i] > x })])
 		case isa.TermCall:
@@ -260,19 +257,14 @@ func (w *refWalker) Branch(_ string, taken bool) {
 	w.advance()
 }
 
-func (w *refWalker) Case(_ string, k int) {
-	b := w.img.Prog.Block(w.cur)
-	w.transition(b, b.Targets[k])
-	w.advance()
-}
-
 func (w *refWalker) RunAuto(fn string) { w.enterTop(fn, true) }
 
 // ---- generated images, layouts and engines ----
 
 // randAnnotatedImage wraps a random program in an image: every procedure a
-// function (auto or engine-driven at random), every Cond and Indirect block
-// either an engine site or a PRNG decision. Build's closure rule (auto code
+// function (auto or engine-driven at random), every Cond block either an
+// engine site or a PRNG decision, every Indirect block a weighted PRNG
+// dispatch. Build's closure rule (auto code
 // reaches only auto code) is deliberately not kept: the walkers must agree on
 // anything the table can express.
 func randAnnotatedImage(r *rand.Rand, p *program.Program) *Image {
@@ -290,7 +282,7 @@ func randAnnotatedImage(r *rand.Rand, p *program.Program) *Image {
 			img.annotate(b.ID, decision{auto: true, prob: r.Float64()})
 		case b.Kind == isa.TermCond && r.Intn(4) > 0:
 			img.annotate(b.ID, decision{site: site})
-		case b.Kind == isa.TermIndirect && r.Intn(4) > 0:
+		case b.Kind == isa.TermIndirect:
 			cum := make([]uint32, len(b.Targets))
 			var acc uint32
 			for i := range cum {
@@ -301,10 +293,9 @@ func randAnnotatedImage(r *rand.Rand, p *program.Program) *Image {
 				cum[len(cum)-1] = 1
 			}
 			img.annotate(b.ID, decision{auto: true, cum: cum})
-		case b.Kind == isa.TermIndirect:
-			img.annotate(b.ID, decision{site: site})
 		}
-		// The rest stay unannotated: engine decisions with an empty site.
+		// The rest of the Cond blocks stay unannotated: engine decisions with
+		// an empty site.
 	}
 	return img
 }
@@ -381,7 +372,6 @@ type walker interface {
 	Enter(fn string)
 	Leave(fn string)
 	Branch(site string, taken bool)
-	Case(site string, k int)
 	RunAuto(fn string)
 }
 
@@ -439,8 +429,6 @@ func playEngine(img *Image, w walker, state func() (program.BlockID, string), en
 			switch b.Kind {
 			case isa.TermCond:
 				w.Branch(site, eng.Intn(2) == 0)
-			case isa.TermIndirect:
-				w.Case(site, eng.Intn(len(b.Targets)))
 			case isa.TermCall:
 				w.Enter(img.FnOf(b.Callee).EventName())
 			case isa.TermRet:
@@ -465,7 +453,7 @@ func autoClosed(img *Image) []bool {
 		for _, b := range img.Prog.Blocks {
 			open := false
 			switch b.Kind {
-			case isa.TermCond, isa.TermIndirect:
+			case isa.TermCond:
 				open = !img.decs[img.noteOf(b.ID)].auto
 			case isa.TermCall:
 				open = !closed[b.Callee]

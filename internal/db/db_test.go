@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"codelayout/internal/db"
+	"codelayout/internal/probe"
 )
 
 func newEngine(t *testing.T) (*db.Engine, *db.Session) {
@@ -278,6 +280,72 @@ func TestTxnCommitPersistsAndAbortsUndo(t *testing.T) {
 	}
 }
 
+// dataProbe records the data references a session reports.
+type dataProbe struct {
+	probe.Nop
+	refs []dataRef
+}
+
+type dataRef struct {
+	addr  uint64
+	bytes int
+	write bool
+}
+
+func (p *dataProbe) Data(addr uint64, bytes int, write bool) {
+	p.refs = append(p.refs, dataRef{addr, bytes, write})
+}
+
+// TestHeapAccessorsModelTheirDataRefs: Fetch and Update model the whole
+// record; FetchFields and UpdateFields model its length prefix plus each
+// named field, in the order named, and tally them. With no names they model
+// the prefix alone.
+func TestHeapAccessorsModelTheirDataRefs(t *testing.T) {
+	eng := db.NewEngine(db.Config{BufferPoolPages: 64})
+	pb := &dataProbe{}
+	s := eng.NewSession(1, pb)
+	tb := eng.CreateTable("t")
+	if err := tb.EnsureFields([]db.FieldDef{{Name: "a", Off: 0, Width: 4}, {Name: "b", Off: 4, Width: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	rid := tb.Insert(s, make([]byte, 12))
+	// last returns the final n references fn reported.
+	last := func(n int, fn func()) []dataRef {
+		pb.refs = pb.refs[:0]
+		fn()
+		if len(pb.refs) < n {
+			t.Fatalf("%d data references, want at least %d", len(pb.refs), n)
+		}
+		return append([]dataRef(nil), pb.refs[len(pb.refs)-n:]...)
+	}
+	base := last(1, func() { tb.Fetch(s, rid) })[0].addr
+	cases := []struct {
+		name string
+		fn   func()
+		want []dataRef
+	}{
+		{"Fetch", func() { tb.Fetch(s, rid) }, []dataRef{{base, 14, false}}},
+		{"FetchFields", func() { tb.FetchFields(s, rid, "b", "a") },
+			[]dataRef{{base, 2, false}, {base + 6, 8, false}, {base + 2, 4, false}}},
+		{"FetchFields no names", func() { tb.FetchFields(s, rid) }, []dataRef{{base, 2, false}}},
+		{"Update", func() { tb.Update(s, rid, make([]byte, 12)) },
+			[]dataRef{{db.PageAddr(rid.Page), 16, true}, {base, 14, true}}},
+		{"UpdateFields", func() { tb.UpdateFields(s, rid, make([]byte, 12), "b") },
+			[]dataRef{{db.PageAddr(rid.Page), 16, true}, {base, 2, true}, {base + 6, 8, true}}},
+		{"UpdateFields no names", func() { tb.UpdateFields(s, rid, make([]byte, 12)) },
+			[]dataRef{{db.PageAddr(rid.Page), 16, true}, {base, 2, true}}},
+	}
+	for _, tc := range cases {
+		if got := last(len(tc.want), tc.fn); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: data references %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	want := map[string]db.FieldAccess{"a": {Reads: 1}, "b": {Reads: 1, Writes: 1}}
+	if got := tb.FieldAccesses(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("field tally %v, want %v", got, want)
+	}
+}
+
 func TestGroupCommitSingleProcess(t *testing.T) {
 	eng, s := newEngine(t)
 	tb := eng.CreateTable("t")
@@ -360,14 +428,5 @@ func TestRecoveryIgnoresUnflushedTail(t *testing.T) {
 	rec, _ := pg.Record(int(rid.Slot))
 	if string(rec) != "orig" {
 		t.Fatalf("uncommitted change leaked: %q", rec)
-	}
-}
-
-func TestEncodeRecRoundtripsSizes(t *testing.T) {
-	rec := db.LogRec{LSN: 9, Txn: 3, Kind: db.LogUpdate, Page: 7, Slot: 2,
-		Before: []byte("aa"), After: []byte("bb")}
-	buf := db.EncodeRec(rec)
-	if len(buf) != 8+8+1+4+2+2+2+2+2 {
-		t.Fatalf("encoded size = %d", len(buf))
 	}
 }

@@ -201,18 +201,7 @@ func (tb *Table) Insert(s *Session, rec []byte) RID {
 }
 
 // Fetch copies the record at rid.
-func (tb *Table) Fetch(s *Session, rid RID) []byte {
-	s.PB.Enter("heap_fetch")
-	defer s.PB.Leave("heap_fetch")
-	pg := s.BufGet(rid.Page)
-	defer s.Unpin(pg)
-	rec, err := pg.Record(int(rid.Slot))
-	if err != nil {
-		panic(fmt.Sprintf("db: heap fetch %v: %v", rid, err))
-	}
-	s.PB.Data(recordAddr(pg, rid), len(rec)+2, false)
-	return clone(rec)
-}
+func (tb *Table) Fetch(s *Session, rid RID) []byte { return tb.fetch(s, rid, false, nil) }
 
 // recordAddr returns the honest simulated address of a record's length
 // prefix (its first stored byte) for the D-cache models.
@@ -228,6 +217,12 @@ func recordAddr(pg *Page, rid RID) uint64 {
 // references cost no instructions), so interleaved and grouped layouts
 // differ only in the addresses the D-cache models see.
 func (tb *Table) FetchFields(s *Session, rid RID, names ...string) []byte {
+	return tb.fetch(s, rid, true, names)
+}
+
+// fetch is the body of Fetch and FetchFields; perField selects
+// FetchFields's data references.
+func (tb *Table) fetch(s *Session, rid RID, perField bool, names []string) []byte {
 	s.PB.Enter("heap_fetch")
 	defer s.PB.Leave("heap_fetch")
 	pg := s.BufGet(rid.Page)
@@ -236,42 +231,13 @@ func (tb *Table) FetchFields(s *Session, rid RID, names ...string) []byte {
 	if err != nil {
 		panic(fmt.Sprintf("db: heap fetch %v: %v", rid, err))
 	}
-	base := recordAddr(pg, rid)
-	s.PB.Data(base, 2, false) // record header: length prefix
-	for _, name := range names {
-		f, ok := tb.fieldByName[name]
-		if !ok {
-			panic(fmt.Sprintf("db: table %q has no field %q", tb.Name, name))
-		}
-		s.PB.Data(base+2+uint64(f.Off), f.Width, false)
-		tb.tally[name].Reads++
-	}
+	tb.touch(s, recordAddr(pg, rid), len(rec), perField, names, false)
 	return clone(rec)
 }
 
 // Update rewrites the record at rid (same size), logging before/after
 // images.
-func (tb *Table) Update(s *Session, rid RID, rec []byte) {
-	s.PB.Enter("heap_update")
-	defer s.PB.Leave("heap_update")
-	pg := s.BufGet(rid.Page)
-	defer s.Unpin(pg)
-	old, err := pg.Record(int(rid.Slot))
-	if err != nil {
-		panic(fmt.Sprintf("db: heap update %v: %v", rid, err))
-	}
-	lr := LogRec{Txn: s.txnID(), Kind: LogUpdate, Page: rid.Page, Slot: rid.Slot,
-		Before: clone(old), After: clone(rec)}
-	s.LogAppend(lr)
-	if s.txn != nil {
-		s.txn.undo = append(s.txn.undo, lr)
-	}
-	if err := pg.Update(int(rid.Slot), rec); err != nil {
-		panic(err)
-	}
-	s.PB.Data(PageAddr(rid.Page), 16, true) // page header LSN
-	s.PB.Data(recordAddr(pg, rid), len(rec)+2, true)
-}
+func (tb *Table) Update(s *Session, rid RID, rec []byte) { tb.update(s, rid, rec, false, nil) }
 
 // UpdateFields is Update for schema-aware callers: the full record image is
 // still logged and written (fixed-size in-place update), but the modeled
@@ -279,6 +245,12 @@ func (tb *Table) Update(s *Session, rid RID, rec []byte) {
 // field at its resolved offset — since the unnamed bytes are unchanged.
 // Each named field is tallied as written in the field-access profile.
 func (tb *Table) UpdateFields(s *Session, rid RID, rec []byte, names ...string) {
+	tb.update(s, rid, rec, true, names)
+}
+
+// update is the body of Update and UpdateFields; perField selects
+// UpdateFields's data references.
+func (tb *Table) update(s *Session, rid RID, rec []byte, perField bool, names []string) {
 	s.PB.Enter("heap_update")
 	defer s.PB.Leave("heap_update")
 	pg := s.BufGet(rid.Page)
@@ -297,15 +269,29 @@ func (tb *Table) UpdateFields(s *Session, rid RID, rec []byte, names ...string) 
 		panic(err)
 	}
 	s.PB.Data(PageAddr(rid.Page), 16, true) // page header LSN
-	base := recordAddr(pg, rid)
-	s.PB.Data(base, 2, true)
+	tb.touch(s, recordAddr(pg, rid), len(rec), perField, names, true)
+}
+
+// touch models the data references of one access to the n-byte record whose
+// length prefix is at base: the whole record with its prefix, or (perField)
+// the prefix plus each named field, tallied as read or written.
+func (tb *Table) touch(s *Session, base uint64, n int, perField bool, names []string, write bool) {
+	if !perField {
+		s.PB.Data(base, n+2, write)
+		return
+	}
+	s.PB.Data(base, 2, write) // record header: length prefix
 	for _, name := range names {
 		f, ok := tb.fieldByName[name]
 		if !ok {
 			panic(fmt.Sprintf("db: table %q has no field %q", tb.Name, name))
 		}
-		s.PB.Data(base+2+uint64(f.Off), f.Width, true)
-		tb.tally[name].Writes++
+		s.PB.Data(base+2+uint64(f.Off), f.Width, write)
+		if write {
+			tb.tally[name].Writes++
+		} else {
+			tb.tally[name].Reads++
+		}
 	}
 }
 

@@ -1,9 +1,5 @@
 package db
 
-import (
-	"encoding/binary"
-)
-
 // LogRecKind classifies WAL records.
 type LogRecKind uint8
 
@@ -94,29 +90,6 @@ func (w *WAL) MarkFlushed(target uint64) {
 
 // CurrentLSN returns the highest assigned LSN.
 func (w *WAL) CurrentLSN() uint64 { return w.nextLSN - 1 }
-
-// EncodeRec serializes a record (used by the recovery tests and the log
-// size accounting).
-func EncodeRec(rec LogRec) []byte {
-	buf := make([]byte, 0, 32+len(rec.Before)+len(rec.After))
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], rec.LSN)
-	buf = append(buf, tmp[:]...)
-	binary.LittleEndian.PutUint64(tmp[:], rec.Txn)
-	buf = append(buf, tmp[:]...)
-	buf = append(buf, byte(rec.Kind))
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(rec.Page))
-	buf = append(buf, tmp[:4]...)
-	binary.LittleEndian.PutUint16(tmp[:2], rec.Slot)
-	buf = append(buf, tmp[:2]...)
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(rec.Before)))
-	buf = append(buf, tmp[:2]...)
-	buf = append(buf, rec.Before...)
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(rec.After)))
-	buf = append(buf, tmp[:2]...)
-	buf = append(buf, rec.After...)
-	return buf
-}
 
 // Env is the engine's view of the processes that run it: how a process
 // blocks, and what time it is. The simulated machine parks the calling

@@ -233,7 +233,7 @@ func NewSessionFrom(src *ProfileSource, o Options) (*Session, error) {
 		return nil, fmt.Errorf("expt: eval workload %q is not modeled in the source image (covers %v); list it in NewProfileSource",
 			o.Workload.Name(), src.WorkloadNames())
 	}
-	if o.PredictFastPath && shardKey(o.Shards) > 1 && src.appImg.Fns["predict_check"] == nil {
+	if fastPathOn(o.PredictFastPath, o.Shards) && src.appImg.Fns["predict_check"] == nil {
 		return nil, fmt.Errorf("expt: PredictFastPath needs the predictor models in the source image; build the ProfileSource with Options.PredictFastPath set")
 	}
 	return &Session{Opt: o, src: src, tc: o.resolveTrain(), sinks: AllSinks, measures: new(memo[measKey, *Measure])}, nil
@@ -372,19 +372,12 @@ func (s *Session) KernLayout(name string) (*program.Layout, error) {
 	return s.src.layout(s.tc, name, true)
 }
 
-// fastPath normalizes the session's fast-path setting: single-shard
-// measurements have no router to skip, so the flag is effective only on
-// sharded configurations (this also keeps shards=1 machine configs
-// bit-identical with the flag set).
-func (s *Session) fastPath() bool {
-	return s.Opt.PredictFastPath && shardKey(s.Opt.Shards) > 1
-}
-
 // MachineConfig lowers the session's options and a named layout (baseline
 // kernel layout) to the machine.Config a measurement of that layout runs —
-// the one place Options becomes a machine.Config. The sinks are left empty:
-// Measure (or MeasureConfig, for a config edited after this call) attaches
-// the sink groups its reader asked for.
+// the measurement lowering of Options; ProfileSource.runTraining is the
+// training one. The sinks are left empty: Measure (or MeasureConfig, for a
+// config edited after this call) attaches the sink groups its reader asked
+// for.
 func (s *Session) MachineConfig(layout string, cpus int) (machine.Config, error) {
 	return s.machineConfig(layout, "kbase", cpus)
 }
@@ -404,7 +397,7 @@ func (s *Session) machineConfig(layout, kern string, cpus int) (machine.Config, 
 		Seed:                   s.Opt.Seed,
 		Shards:                 s.Opt.Shards,
 		AutoGroupCommit:        s.Opt.AutoGroupCommit,
-		PredictFastPath:        s.fastPath(),
+		PredictFastPath:        fastPathOn(s.Opt.PredictFastPath, s.Opt.Shards),
 		FetchStallPenaltyInstr: s.Opt.FetchStallPenaltyInstr,
 		WarmupTxns:             s.Opt.WarmupTxns,
 		Transactions:           s.Opt.Transactions,

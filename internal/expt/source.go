@@ -62,6 +62,12 @@ func shardKey(shards int) int {
 	return shards
 }
 
+// fastPathOn is the one fast-path rule: the predictor runs when it is asked
+// for on a sharded machine. A single-shard machine has no router to skip, so
+// there the flag has no effect (and shards=1 configs stay bit-identical with
+// it set).
+func fastPathOn(requested bool, shards int) bool { return requested && shardKey(shards) > 1 }
+
 // Spec renders a fully resolved train config as the canonical memo-key
 // string. Two train configs with equal specs share one training run; any
 // difference — workload, shard count, seed, length — keys a separate run, so
@@ -205,15 +211,6 @@ func (ps *ProfileSource) storeKey(spec string) pstore.Key {
 // actually run — memo and store hits do not count, which is what the pinned
 // warm-store regression asserts on.
 func (ps *ProfileSource) TrainRunsExecuted() uint64 { return ps.trainExec.Load() }
-
-// StoreStats reports the persistent store's hit/miss counters (zero Stats
-// and false when the source has no store).
-func (ps *ProfileSource) StoreStats() (pstore.Stats, bool) {
-	if ps.store == nil {
-		return pstore.Stats{}, false
-	}
-	return ps.store.Stats(), true
-}
 
 // LastStoreHit returns the most recent entry served from the persistent
 // store (nil if every training so far was executed) — commands report its
@@ -422,7 +419,11 @@ func (ps *ProfileSource) trainOrLoad(tc TrainConfig, spec string) (*trainRun, er
 
 // runTraining executes one profiling run — Pixie instrumentation on app and
 // kernel plus a DCPI-style sampler over the same run — and is the one place a
-// training record is made: the store writes and returns this entry as is.
+// training record is made: the store writes and returns this entry as is. It
+// is the training lowering of options to a machine.Config, beside
+// Session.MachineConfig's measurement one: training runs without group
+// commit or a fetch-stall model, over the base layouts, with the collectors
+// attached.
 func (ps *ProfileSource) runTraining(tc TrainConfig, spec string) (*trainRun, error) {
 	px := profile.NewPixie(ps.appImg.Prog, "pixie-train")
 	kx := profile.NewPixie(ps.kernImg.Prog, "kprofile")
@@ -432,7 +433,7 @@ func (ps *ProfileSource) runTraining(tc TrainConfig, spec string) (*trainRun, er
 		ProcsPerCPU:     ps.opt.ProcsPerCPU,
 		Seed:            tc.Seed,
 		Shards:          tc.Shards,
-		PredictFastPath: ps.opt.PredictFastPath && shardKey(tc.Shards) > 1,
+		PredictFastPath: fastPathOn(ps.opt.PredictFastPath, tc.Shards),
 		WarmupTxns:      tc.WarmupTxns,
 		Transactions:    tc.Txns,
 		Workload:        tc.Workload,

@@ -33,8 +33,10 @@ func TestFrequencyThreshold(t *testing.T) {
 	if !m.Local("tpcb", 2) {
 		t.Fatal("20/20 local must predict local")
 	}
-	// Pull P(local) below the 0.9 threshold: 20 local / 5 remote = 0.8.
-	// Interleave so the Markov transition rows stay mixed too.
+	// Pull P(local) below the 0.9 threshold, interleaved so the Markov
+	// transition rows stay mixed too: the marginal becomes 30 local of 35
+	// (0.86), and the row after a local outcome, which decides because the
+	// last outcome is local, 24 local of 29 (0.83).
 	for i := 0; i < 5; i++ {
 		m.Observe("tpcb", 2, true)
 		for j := 0; j < 2; j++ {
@@ -43,6 +45,9 @@ func TestFrequencyThreshold(t *testing.T) {
 	}
 	if got := m.Observations("tpcb", 2); got != 35 {
 		t.Fatalf("Observations = %d, want 35", got)
+	}
+	if m.Local("tpcb", 2) {
+		t.Fatal("30/35 local, 24/29 after a local, must not predict local")
 	}
 }
 

@@ -24,8 +24,6 @@ type Probe interface {
 	// Sites are declared in the function's code model; order of Branch
 	// calls must match the model's control flow.
 	Branch(site string, taken bool)
-	// Case reports that the switch site took case k.
-	Case(site string, k int)
 	// Data reports a data memory reference.
 	Data(addr uint64, bytes int, write bool)
 	// Syscall reports a kernel crossing (log write, data file read, ...).
@@ -50,9 +48,6 @@ func (Nop) Leave(string) {}
 
 // Branch implements Probe.
 func (Nop) Branch(string, bool) {}
-
-// Case implements Probe.
-func (Nop) Case(string, int) {}
 
 // Data implements Probe.
 func (Nop) Data(uint64, int, bool) {}

@@ -103,17 +103,3 @@ func (p *Program) FlowEdges(b *Block, visit func(Edge)) {
 		visit(e)
 	})
 }
-
-// Preds computes the predecessor count of every block (over all edge kinds
-// except EdgeCall). Useful for structural checks and tests.
-func (p *Program) Preds() []int {
-	n := make([]int, len(p.Blocks))
-	for _, b := range p.Blocks {
-		p.SuccEdges(b, func(e Edge) {
-			if e.Kind != EdgeCall {
-				n[e.Dst]++
-			}
-		})
-	}
-	return n
-}

@@ -289,14 +289,3 @@ func TestCloneIsDeepAndGrowsAlone(t *testing.T) {
 		}
 	}
 }
-
-func TestPredsCountsIncomingEdges(t *testing.T) {
-	p, b := buildDiamond(t)
-	preds := p.Preds()
-	if preds[b[0].ID] != 0 {
-		t.Fatalf("entry preds = %d", preds[b[0].ID])
-	}
-	if preds[b[3].ID] != 2 {
-		t.Fatalf("join preds = %d", preds[b[3].ID])
-	}
-}

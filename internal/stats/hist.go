@@ -80,38 +80,6 @@ func (h *Hist) Merge(other *Hist) {
 	h.Sum += other.Sum
 }
 
-// Quantile returns the q-quantile of the recorded (clamped) observations:
-// the smallest bucket value v such that at least ceil(q*N) observations are
-// <= v. Observations below Min were clamped to Min when added; observations
-// above Max live in the overflow bucket, reported as Max+1. q is clamped to
-// [0, 1]; an empty histogram returns 0.
-func (h *Hist) Quantile(q float64) int {
-	if h.N == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.N)
-	if target < 1 {
-		target = 1
-	}
-	var cum float64
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		cum += float64(c)
-		if cum >= target {
-			return h.Min + i // the overflow bucket lands on Max+1
-		}
-	}
-	return h.Max + 1 // unreachable while counts are consistent with N
-}
-
 // Log2Hist buckets observations by floor(log2(v)). Bucket i counts values in
 // [2^i, 2^(i+1)). Values of zero land in bucket 0.
 type Log2Hist struct {

@@ -12,84 +12,6 @@ import (
 // qGrid is the quantile grid every property below is checked on.
 var qGrid = []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1}
 
-// clampedOracle returns the exact q-quantile of the samples as a linear
-// Hist records them: values clamped into [min, max+1] (overflow = max+1),
-// quantile = the ceil(q*n)-th smallest.
-func clampedOracle(samples []int, min, max int, q float64) int {
-	cl := make([]int, len(samples))
-	for i, v := range samples {
-		switch {
-		case v < min:
-			cl[i] = min
-		case v > max:
-			cl[i] = max + 1
-		default:
-			cl[i] = v
-		}
-	}
-	sort.Ints(cl)
-	k := int(q * float64(len(cl)))
-	if float64(k) < q*float64(len(cl)) {
-		k++
-	}
-	if k < 1 {
-		k = 1
-	}
-	return cl[k-1]
-}
-
-// TestHistQuantileMatchesOracle: over randomized seeded inputs, the linear
-// histogram's quantile is exactly the brute-force sorted-sample quantile of
-// the clamped observations, including overflow clamping, and is monotone in
-// q.
-func TestHistQuantileMatchesOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(1234))
-	for trial := 0; trial < 200; trial++ {
-		min := r.Intn(50) - 25
-		max := min + 1 + r.Intn(200)
-		h := stats.NewHist(min, max)
-		n := 1 + r.Intn(400)
-		samples := make([]int, n)
-		for i := range samples {
-			// Deliberately overshoot both bounds to exercise clamping.
-			samples[i] = min - 20 + r.Intn(max-min+60)
-			h.Add(samples[i])
-		}
-		prev := 0
-		for qi, q := range qGrid {
-			got := h.Quantile(q)
-			want := clampedOracle(samples, min, max, q)
-			if got != want {
-				t.Fatalf("trial %d [%d,%d] n=%d: Quantile(%g) = %d, oracle %d",
-					trial, min, max, n, q, got, want)
-			}
-			if qi > 0 && got < prev {
-				t.Fatalf("trial %d: Quantile(%g) = %d < Quantile(%g) = %d (not monotone)",
-					trial, q, got, qGrid[qi-1], prev)
-			}
-			prev = got
-		}
-	}
-}
-
-func TestHistQuantileEdgeCases(t *testing.T) {
-	h := stats.NewHist(10, 20)
-	if h.Quantile(0.5) != 0 {
-		t.Fatalf("empty quantile = %d, want 0", h.Quantile(0.5))
-	}
-	h.Add(5) // clamps to Min
-	if got := h.Quantile(0.5); got != 10 {
-		t.Fatalf("below-min quantile = %d, want 10", got)
-	}
-	h.AddN(1000, 99) // overflow
-	if got := h.Quantile(1); got != 21 {
-		t.Fatalf("overflow quantile = %d, want Max+1 = 21", got)
-	}
-	if got := h.Quantile(-3); got != 10 {
-		t.Fatalf("q<0 quantile = %d, want smallest = 10", got)
-	}
-}
-
 // log2Bucket mirrors the histogram's bucketing rule for the oracle.
 func log2Bucket(v uint64) int {
 	if v == 0 {

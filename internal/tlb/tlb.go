@@ -67,11 +67,3 @@ func (t *TLB) MissesAt(entries int) uint64 {
 	}
 	return n
 }
-
-// MissRate returns misses per translation.
-func (t *TLB) MissRate() float64 {
-	if t.Accesses == 0 {
-		return 0
-	}
-	return float64(t.Misses) / float64(t.Accesses)
-}

@@ -106,15 +106,6 @@ func TestTLBFastPathExactness(t *testing.T) {
 	}
 }
 
-func TestTLBMissRate(t *testing.T) {
-	tb := tlb.New(2)
-	tb.Fetch(pageRun(0, 0))
-	tb.Fetch(pageRun(0, 0))
-	if got := tb.MissRate(); got != 0.5 {
-		t.Fatalf("miss rate = %f", got)
-	}
-}
-
 // refTLB is the reference the TLB is checked against: the resident pages in
 // a slice, least recently used first, one translation per page a run
 // touches. It has no fast path and shares no code with TLB.
