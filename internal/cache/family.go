@@ -73,6 +73,7 @@ func (f *Family) Fetch(r trace.FetchRun) { f.FetchWords(r.Addr, r.Words, r.Kerne
 // FetchWords is Fetch on the run's bare coordinates.
 func (f *Family) FetchWords(addr uint64, words int32, kernel bool) {
 	end := addr + uint64(words)*isa.WordBytes
+	owner := ownerOf(kernel)
 	small := f.walk[0]
 	tags, mru, setMask := small.tags, small.mru, small.setMask
 	now := f.accesses
@@ -84,7 +85,7 @@ func (f *Family) FetchWords(addr uint64, words int32, kernel bool) {
 		}
 		if tags[frame] != ln+1 {
 			for _, m := range f.walk {
-				if _, hit := m.lookup(ln, kernel, now); hit {
+				if _, hit := m.lookup(ln, owner, now); hit {
 					break
 				}
 			}

@@ -1,8 +1,10 @@
-// Package cache implements the instruction-cache simulator used for every
-// miss study in the paper, including the specialized metrics of Section 4.2:
-// unique-word usage before replacement (Fig 9), per-word reuse counts
-// (Fig 10), cache line lifetimes in cache accesses (Fig 11), unique-line
-// footprint, and the application/kernel interference attribution of Fig 13.
+// Package cache implements the cache simulator used for every miss study in
+// the paper, including the specialized metrics of Section 4.2: unique-word
+// usage before replacement (Fig 9), per-word reuse counts (Fig 10), cache
+// line lifetimes in cache accesses (Fig 11), unique-line footprint, and the
+// application/kernel interference attribution of Fig 13. The same simulator,
+// driven one line at a time, is the memory system's L1D and unified L2
+// (package mem, Fig 14).
 package cache
 
 import (
@@ -147,7 +149,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ICache simulates one instruction cache with LRU replacement.
+// ICache simulates one cache with LRU replacement: an instruction cache fed
+// fetch runs, or — through Access and Invalidate — the memory system's L1D
+// and unified L2, where the owner slots tell instruction lines from data.
 type ICache struct {
 	cfg       Config
 	lineShift uint
@@ -221,13 +225,14 @@ func (c *ICache) Fetch(r trace.FetchRun) { c.FetchWords(r.Addr, r.Words, r.Kerne
 // lines of most runs — costs one probe of mruFrame and no lookup.
 func (c *ICache) FetchWords(addr uint64, words int32, kernel bool) (misses int) {
 	end := addr + uint64(words)*isa.WordBytes
+	owner := ownerOf(kernel)
 	before := c.stats.Misses
 	now := c.stats.Accesses
 	for ln, last := addr>>c.lineShift, (end-1)>>c.lineShift; ln <= last; ln++ {
 		now++
 		frame := c.mruFrame(ln)
 		if c.tags[frame] != ln+1 {
-			frame, _ = c.lookup(ln, kernel, now)
+			frame, _ = c.lookup(ln, owner, now)
 		}
 		if c.wordCnt != nil {
 			c.markWords(frame, ln, addr, end)
@@ -235,6 +240,48 @@ func (c *ICache) FetchWords(addr uint64, words int32, kernel bool) (misses int) 
 	}
 	c.stats.Accesses = now
 	return int(c.stats.Misses - before)
+}
+
+// Access does one access to line, filling it for owner on a miss, and reports
+// whether it hit and, on a miss, the owner of the line it displaced (OwnerNone
+// for an empty frame). It is how the memory system drives an ICache as its
+// L1D and L2: one line per reference, on the same clock and statistics as
+// FetchWords.
+func (c *ICache) Access(line uint64, owner Owner) (hit bool, victim Owner) {
+	c.stats.Accesses++
+	before := c.stats.VictimBy[owner]
+	c.lookup(line, owner, c.stats.Accesses)
+	// A miss moves exactly one cell of its VictimBy row: the victim's.
+	for v, n := range c.stats.VictimBy[owner] {
+		if n != before[v] {
+			return false, Owner(v)
+		}
+	}
+	return true, OwnerNone
+}
+
+// Invalidate drops line if it is resident, the way a coherence invalidation
+// does, and reports whether it was. Its set fills the emptied frame before
+// it displaces a resident line; the line's word usage, if tracked, retires
+// with it.
+func (c *ICache) Invalidate(line uint64) bool {
+	base := int(line&c.setMask) * c.assoc
+	for f := base; f < base+c.assoc; f++ {
+		if c.tags[f] == line+1 {
+			c.retire(f, c.stats.Accesses)
+			c.tags[f] = 0
+			return true
+		}
+	}
+	return false
+}
+
+// ownerOf is the owner a fetch run's lines are filled for.
+func ownerOf(kernel bool) Owner {
+	if kernel {
+		return OwnerKernel
+	}
+	return OwnerApp
 }
 
 // mruFrame is the frame of the most recently used line of line's set: the
@@ -268,19 +315,19 @@ func (c *ICache) markWords(frame int, ln, addr, end uint64) {
 }
 
 // lookup is the one replacement policy: it finds line in its set at access
-// time now, filling it over the least recently used frame on a miss, and
-// returns the frame that holds it and whether it already was the set's most
-// recently used line. Such an MRU hit changes no state at all — the line
-// stays where it is in the replacement order — which is what lets a Family
-// skip it; a direct-mapped hit is always one.
-func (c *ICache) lookup(line uint64, kernel bool, now uint64) (frame int, mru bool) {
+// time now, filling it for owner over the least recently used frame on a
+// miss, and returns the frame that holds it and whether it already was the
+// set's most recently used line. Such an MRU hit changes no state at all —
+// the line stays where it is in the replacement order — which is what lets a
+// Family skip it; a direct-mapped hit is always one.
+func (c *ICache) lookup(line uint64, owner Owner, now uint64) (frame int, mru bool) {
 	set := int(line & c.setMask)
 	tag := line + 1
 	if c.assoc == 1 {
 		if c.tags[set] == tag {
 			return set, true
 		}
-		c.replace(set, line, kernel, now)
+		c.replace(set, line, owner, now)
 		return set, false
 	}
 	if f := int(c.mru[set]); c.tags[f] == tag {
@@ -304,29 +351,25 @@ func (c *ICache) lookup(line uint64, kernel bool, now uint64) (frame int, mru bo
 			victim = f
 		}
 	}
-	c.replace(victim, line, kernel, now)
+	c.replace(victim, line, owner, now)
 	c.lastUse[victim] = now
 	c.mru[set] = uint32(victim)
 	return victim, false
 }
 
-// replace records a miss on line and fills frame f with it, retiring the
-// line f held.
-func (c *ICache) replace(f int, line uint64, kernel bool, now uint64) {
+// replace records owner's miss on line and fills frame f with it, retiring
+// the line f held.
+func (c *ICache) replace(f int, line uint64, owner Owner, now uint64) {
 	c.stats.Misses++
-	miss := OwnerApp
-	if kernel {
-		miss = OwnerKernel
-	}
-	c.stats.MissBy[miss]++
+	c.stats.MissBy[owner]++
 	if c.tags[f] == 0 {
-		c.stats.VictimBy[miss][OwnerNone]++
+		c.stats.VictimBy[owner][OwnerNone]++
 	} else {
-		c.stats.VictimBy[miss][c.owner[f]]++
+		c.stats.VictimBy[owner][c.owner[f]]++
 		c.retire(f, now)
 	}
 	c.tags[f] = line + 1
-	c.owner[f] = miss
+	c.owner[f] = owner
 	c.stats.Fills++
 	if c.wordCnt != nil {
 		clear(c.wordCnt[f*c.lineWords : (f+1)*c.lineWords])
@@ -334,7 +377,7 @@ func (c *ICache) replace(f int, line uint64, kernel bool, now uint64) {
 		c.stats.FetchedWords += uint64(c.lineWords)
 	}
 	if c.missCB != nil {
-		c.missCB(line<<c.lineShift, kernel)
+		c.missCB(line<<c.lineShift, owner == OwnerKernel)
 	}
 }
 

@@ -38,31 +38,38 @@ func newRefCache(cfg cache.Config) *refCache {
 }
 
 func (c *refCache) Fetch(r trace.FetchRun) {
+	who := cache.OwnerApp
+	if r.Kernel {
+		who = cache.OwnerKernel
+	}
 	var cur *refLine
 	for w := uint64(0); w < uint64(r.Words); w++ {
 		addr := r.Addr + w*isa.WordBytes
 		if line := addr / uint64(c.cfg.LineBytes); cur == nil || cur.line != line {
-			cur = c.touch(line, r.Kernel)
+			cur, _, _ = c.touch(line, who)
 		}
 		cur.uses[addr%uint64(c.cfg.LineBytes)/isa.WordBytes]++
 	}
 }
 
-func (c *refCache) touch(line uint64, kernel bool) *refLine {
+func (c *refCache) key(line uint64) uint64 {
+	return line % uint64(c.cfg.SizeBytes/c.cfg.LineBytes/c.cfg.Assoc)
+}
+
+// touch accesses line for who and returns it, whether it hit, and on a miss
+// the owner of the line it displaced (OwnerNone if the set had room).
+func (c *refCache) touch(line uint64, who cache.Owner) (l *refLine, hit bool, victim cache.Owner) {
 	c.clock++
 	c.st.Accesses++
-	key := line % uint64(c.cfg.SizeBytes/c.cfg.LineBytes/c.cfg.Assoc)
+	key := c.key(line)
 	set := c.sets[key]
 	for i, l := range set {
 		if l.line == line { // hit: move to the most recent end
 			c.sets[key] = append(append(set[:i:i], set[i+1:]...), l)
-			return l
+			return l, true, cache.OwnerNone
 		}
 	}
-	who, victim := cache.OwnerApp, cache.OwnerNone
-	if kernel {
-		who = cache.OwnerKernel
-	}
+	victim = cache.OwnerNone
 	if len(set) == c.cfg.Assoc {
 		victim = set[0].owner
 		c.retire(set[0])
@@ -72,12 +79,26 @@ func (c *refCache) touch(line uint64, kernel bool) *refLine {
 	c.st.Fills++
 	c.st.MissBy[who]++
 	c.st.VictimBy[who][victim]++
-	l := &refLine{line: line, owner: who, filled: c.clock, uses: make([]int, c.cfg.LineBytes/isa.WordBytes)}
+	l = &refLine{line: line, owner: who, filled: c.clock, uses: make([]int, c.cfg.LineBytes/isa.WordBytes)}
 	if c.cfg.WordStats {
 		c.st.FetchedWords += uint64(len(l.uses))
 	}
 	c.sets[key] = append(set, l)
-	return l
+	return l, false, victim
+}
+
+// invalidate drops line if it is resident, retiring it, and reports whether
+// it was.
+func (c *refCache) invalidate(line uint64) bool {
+	key := c.key(line)
+	for i, l := range c.sets[key] {
+		if l.line == line {
+			c.retire(l)
+			c.sets[key] = slices.Delete(c.sets[key], i, i+1)
+			return true
+		}
+	}
+	return false
 }
 
 func (c *refCache) retire(l *refLine) {
@@ -196,6 +217,113 @@ func TestICacheMatchesReferenceOnMachineRuns(t *testing.T) {
 		name := c.stream + "-" + strings.ReplaceAll(c.cfg.String(), "/", "-")
 		t.Run(name, func(t *testing.T) { checkAgainstOracle(t, c.cfg, c.runs) })
 	}
+}
+
+// accessOp is one step of a line-at-a-time stream: an access for owner, or
+// an invalidation.
+type accessOp struct {
+	line       uint64
+	owner      cache.Owner
+	invalidate bool
+}
+
+// checkAccessAgainstOracle drives Access and Invalidate and the reference
+// with ops and requires every return value to agree: hit or miss, the owner
+// of the line a miss displaced (OwnerNone for an empty frame), and whether an
+// invalidation found the line; then every statistic. A third cache takes each
+// access as a one-line FetchWords run, and must hit and displace exactly where
+// Access does. It returns how many ops hit, displaced a line and invalidated
+// one.
+func checkAccessAgainstOracle(t testing.TB, cfg cache.Config, ops []accessOp) (hits, victims, invalidated int) {
+	t.Helper()
+	ic, ref, fetched := cache.New(cfg), newRefCache(cfg), cache.New(cfg)
+	for i, op := range ops {
+		if op.invalidate {
+			got, want := ic.Invalidate(op.line), ref.invalidate(op.line)
+			if got != want {
+				t.Fatalf("%s op %d: Invalidate(%d) = %t, reference %t", cfg, i, op.line, got, want)
+			}
+			fetched.Invalidate(op.line)
+			if got {
+				invalidated++
+			}
+			continue
+		}
+		hit, victim := ic.Access(op.line, op.owner)
+		_, rhit, rvictim := ref.touch(op.line, op.owner)
+		if hit != rhit || victim != rvictim {
+			t.Fatalf("%s op %d: Access(%d, %s) = (%t, %s), reference (%t, %s)", cfg, i, op.line, op.owner, hit, victim, rhit, rvictim)
+		}
+		fetched.FetchWords(op.line*uint64(cfg.LineBytes), int32(cfg.LineBytes/isa.WordBytes), op.owner == cache.OwnerKernel)
+		if hit {
+			hits++
+		} else if victim != cache.OwnerNone {
+			victims++
+		}
+	}
+	ic.Finalize()
+	if got, want := ic.Stats(), ref.finalize(); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: Access and the reference disagree over %d ops:\n got %+v\nwant %+v", cfg, len(ops), got, want)
+	}
+	if got, want := hitsAndVictims(ic.Stats()), hitsAndVictims(fetched.Stats()); got != want {
+		t.Errorf("%s: Access and one-line FetchWords runs disagree: %v vs %v", cfg, got, want)
+	}
+	return hits, victims, invalidated
+}
+
+// TestAccessMatchesReference holds the memory system's way of driving a
+// cache — one line per access, coherence invalidations between — to the
+// reference, over the shapes it uses (direct-mapped, 2-way, 6-way) and a
+// 4-way one, one op in eight an invalidation.
+func TestAccessMatchesReference(t *testing.T) {
+	for _, cfg := range []cache.Config{
+		{SizeBytes: 1 << 10, LineBytes: 32, Assoc: 1},
+		{SizeBytes: 2 << 10, LineBytes: 64, Assoc: 2},
+		{SizeBytes: 3 << 10, LineBytes: 64, Assoc: 6},
+		{SizeBytes: 4 << 10, LineBytes: 128, Assoc: 4},
+	} {
+		rng := rand.New(rand.NewSource(int64(cfg.SizeBytes + cfg.Assoc)))
+		span := int64(4 * cfg.SizeBytes / cfg.LineBytes)
+		ops := make([]accessOp, 50_000)
+		for i := range ops {
+			ops[i] = accessOp{uint64(rng.Int63n(span)), cache.Owner(rng.Intn(2)), rng.Intn(8) == 0}
+		}
+		if hits, victims, invalidated := checkAccessAgainstOracle(t, cfg, ops); hits == 0 || victims == 0 || invalidated == 0 {
+			t.Errorf("%s: %d hits, %d victims, %d invalidations; the stream does not exercise every path", cfg, hits, victims, invalidated)
+		}
+	}
+}
+
+// FuzzAccess turns bytes into a geometry (any power-of-two set count and line
+// size, one to eight ways, words tracked or not) and a stream of accesses and
+// invalidations, and requires Access and Invalidate to agree with the
+// reference step by step.
+func FuzzAccess(f *testing.F) {
+	f.Add([]byte{0x00, 0x01, 0, 0, 0, 1, 1, 0, 0, 2, 2, 0})
+	f.Add([]byte{0x36, 0x85, 1, 0, 9, 1, 17, 0, 1, 2, 25, 1, 1, 0})
+	// One 2-way set: A, B, invalidate A, C fills A's emptied frame, so a
+	// later D displaces B.
+	f.Add([]byte{0x04, 0x01, 0, 0, 1, 0, 0, 2, 2, 0, 3, 1, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		line := 4 << (int(data[0]&0x0f) % 7) // 4 B (one word) to 256 B
+		sets := 1 << (int(data[0]>>4) % 8)   // 1 to 128 sets
+		assoc := 1 + int(data[1]&7)
+		cfg := cache.Config{SizeBytes: sets * line * assoc, LineBytes: line, Assoc: assoc, WordStats: data[1]&0x80 != 0}
+		// Two bytes an op: a line number below 1024, the owner, and whether
+		// it is an invalidation.
+		var ops []accessOp
+		for data = data[2:]; len(data) >= 2; data = data[2:] {
+			ops = append(ops, accessOp{
+				line:       uint64(data[0]) | uint64(data[1]>>6)<<8,
+				owner:      cache.Owner(data[1] & 1),
+				invalidate: data[1]&2 != 0,
+			})
+		}
+		checkAccessAgainstOracle(t, cfg, ops)
+	})
 }
 
 // machineRuns records the fetch runs of a real (tiny) TPC-B run, once for

@@ -44,9 +44,7 @@ type BufferPool struct {
 	// deterministic.
 	lru    map[PageID]uint64
 	clock  uint64
-	Hits   uint64
 	Misses uint64
-	Evicts uint64
 }
 
 // NewBufferPool creates a pool holding up to capacity pages.
@@ -65,7 +63,6 @@ func NewBufferPool(disk *Disk, capacity int) *BufferPool {
 func (bp *BufferPool) get(id PageID) (*Page, bool, error) {
 	bp.clock++
 	if pg, ok := bp.frames[id]; ok {
-		bp.Hits++
 		bp.lru[id] = bp.clock
 		pg.pin++
 		return pg, true, nil
@@ -106,7 +103,6 @@ func (bp *BufferPool) evictOne() error {
 	}
 	delete(bp.frames, victim)
 	delete(bp.lru, victim)
-	bp.Evicts++
 	return nil
 }
 

@@ -31,16 +31,14 @@ type lockState struct {
 // and woken processes re-check compatibility (no lock conversions beyond
 // S→X upgrade by a sole holder).
 //
-// Deadlock note: the TPC-B transaction acquires its locks in a globally
+// Deadlock note: on one engine TPC-B acquires its locks in a globally
 // consistent order (account, teller, branch — distinct key spaces in
-// ascending space order), which precludes cycles. A DetectOrder helper is
-// exposed so tests can assert the ordering discipline.
+// ascending space order), so its waits never form a cycle. Sharded TPC-B
+// takes a remote account last and can deadlock across shards; the machine's
+// shared WaitGraph finds such cycles and aborts a victim.
 type LockMgr struct {
-	locks map[uint64]*lockState
-
-	Acquires  uint64
+	locks     map[uint64]*lockState
 	Conflicts uint64
-	Upgrades  uint64
 }
 
 // NewLockMgr creates an empty lock manager.
@@ -69,14 +67,12 @@ func (lm *LockMgr) try(txn uint64, key uint64, mode LockMode) (granted, isNew bo
 		// S→X upgrade permitted only as sole holder.
 		if len(st.holders) == 1 {
 			st.holders[txn] = mode
-			lm.Upgrades++
 			return true, false
 		}
 		return false, false
 	}
 	if len(st.holders) == 0 {
 		st.holders[txn] = mode
-		lm.Acquires++
 		return true, true
 	}
 	if mode == LockS {
@@ -86,7 +82,6 @@ func (lm *LockMgr) try(txn uint64, key uint64, mode LockMode) (granted, isNew bo
 			}
 		}
 		st.holders[txn] = mode
-		lm.Acquires++
 		return true, true
 	}
 	return false, false

@@ -56,8 +56,6 @@ type Page struct {
 	Data []byte
 	// Dirty marks pages modified since last checkpoint write.
 	Dirty bool
-	// LSN is the log sequence number of the last change (for recovery).
-	LSN uint64
 
 	pin int
 }

@@ -175,12 +175,12 @@ func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
 	return res, nil
 }
 
-// ShardSweepSpec configures the shard-count sweep.
+// ShardSweepSpec configures the shard-count sweep. Flags.Resolve fills it
+// from layoutlab's -shards and -layout.
 type ShardSweepSpec struct {
-	// Shards are the counts to sweep; empty means {1, 2, 4, 8}.
+	// Shards are the counts to sweep; at least one.
 	Shards []int
-	// Layouts are the layout names measured at each count; empty means
-	// {"base", "all"}.
+	// Layouts are the layout names measured at each count; at least one.
 	Layouts []string
 	// FastPath adds the predictive single-shard fast path to the sweep:
 	// each sharded count is measured with the fast path off and on over
@@ -201,13 +201,8 @@ type ShardSweepSpec struct {
 // runtime toggle and the table's delta columns isolate what skipping the
 // router and coordinator buys.
 func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
-	shardCounts := spec.Shards
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1, 2, 4, 8}
-	}
-	layouts := spec.Layouts
-	if len(layouts) == 0 {
-		layouts = []string{"base", "all"}
+	if len(spec.Shards) == 0 || len(spec.Layouts) == 0 {
+		return nil, fmt.Errorf("expt: the shard sweep needs at least one shard count and one layout")
 	}
 	cpus := o.CPUs
 	o.PredictFastPath = spec.FastPath
@@ -233,7 +228,7 @@ func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
 		src.opt.Workload.Name(), cpus, o.AutoGroupCommit, versus), cols...)
 	t.Note(note)
 
-	for _, n := range shardCounts {
+	for _, n := range spec.Shards {
 		off, err := src.cell(o, func(o *Options) { o.Shards, o.PredictFastPath = n, false })
 		if err != nil {
 			return nil, err
@@ -244,7 +239,7 @@ func ShardSweepTable(o Options, spec ShardSweepSpec) (*stats.Table, error) {
 				return nil, err
 			}
 		}
-		for _, layout := range layouts {
+		for _, layout := range spec.Layouts {
 			mOff, err := off.Reading(reads).Measure(layout, cpus)
 			if err != nil {
 				return nil, fmt.Errorf("shards=%d layout=%s: %w", n, layout, err)

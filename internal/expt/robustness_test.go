@@ -159,6 +159,20 @@ func TestShardSweepTable(t *testing.T) {
 	}
 }
 
+// TestShardSweepRejectsEmptyAxes: the sweep has no defaults of its own, so
+// a spec without shard counts or layouts fails before anything builds.
+func TestShardSweepRejectsEmptyAxes(t *testing.T) {
+	o := tinyMatrixOptions()
+	for _, spec := range []expt.ShardSweepSpec{
+		{Layouts: []string{"base"}},
+		{Shards: []int{1, 2}},
+	} {
+		if _, err := expt.ShardSweepTable(o, spec); err == nil {
+			t.Errorf("%+v: want error", spec)
+		}
+	}
+}
+
 // TestShardSweepFastPathColumns drives the configurable sweep with the
 // fast-path delta columns on: the single-shard row must print the off-side
 // numbers with dashes on the on side (no predictor at one shard), and the

@@ -1,12 +1,22 @@
+// Package mem models the memory system below the L1 instruction cache: the
+// per-CPU data cache, the unified second-level cache (instructions + data,
+// the subject of Figure 14), and a minimal invalidation-based sharing model
+// that produces the data communication misses which dilute code-layout gains
+// on multiprocessor runs (Section 5). Both caches are cache.ICaches, driven
+// one line at a time.
 package mem
 
 import (
 	"fmt"
+	"math/bits"
 
+	"codelayout/internal/cache"
 	"codelayout/internal/trace"
 )
 
-// Kind classifies second-level cache lines.
+// Kind classifies second-level cache lines. A Kind is the cache.Owner its
+// lines are filled for in the L2: instruction lines take the first owner
+// slot, data lines the second.
 type Kind uint8
 
 const (
@@ -50,7 +60,7 @@ type Stats struct {
 
 	L2Accesses   [2]uint64    // by Kind
 	L2Misses     [2]uint64    // by Kind
-	L2EvictCross [2][2]uint64 // [filler kind][victim kind]
+	L2EvictCross [2][2]uint64 // [filler kind][victim kind]: the L2s' VictimBy
 
 	// CommRead/CommWrite count data-line transfers caused by sharing across
 	// CPUs (the "communication misses" that grow with processor count).
@@ -62,8 +72,10 @@ type Stats struct {
 // System is the per-machine memory hierarchy below the instruction caches.
 type System struct {
 	cfg Config
-	l1d []*assoc
-	l2  []*assoc
+	l1d []*cache.ICache
+	l2  []*cache.ICache
+	// l1dShift and l2Shift turn an address into its line number.
+	l1dShift, l2Shift uint
 	// writer tracks, per 64-byte data line, the CPU that last wrote it
 	// (+1; 0 = never written); share tracks which CPUs have fetched it
 	// since the last invalidation. Together they form a minimal
@@ -77,16 +89,21 @@ type System struct {
 // dirShift is the directory grain (64-byte lines).
 const dirShift = 6
 
-// NewSystem creates the memory system.
+// NewSystem creates the memory system. It panics on a cache geometry
+// cache.Config.Validate rejects.
 func NewSystem(cfg Config) *System {
+	l1d := cache.Config{SizeBytes: cfg.L1DSizeBytes, LineBytes: cfg.L1DLineBytes, Assoc: cfg.L1DAssoc}
+	l2 := cache.Config{SizeBytes: cfg.L2SizeBytes, LineBytes: cfg.L2LineBytes, Assoc: cfg.L2Assoc}
 	s := &System{
-		cfg:    cfg,
-		writer: make(map[uint64]uint8, 1<<16),
-		share:  make(map[uint64]uint64, 1<<16),
+		cfg:      cfg,
+		l1dShift: uint(bits.TrailingZeros(uint(cfg.L1DLineBytes))),
+		l2Shift:  uint(bits.TrailingZeros(uint(cfg.L2LineBytes))),
+		writer:   make(map[uint64]uint8, 1<<16),
+		share:    make(map[uint64]uint64, 1<<16),
 	}
 	for i := 0; i < cfg.CPUs; i++ {
-		s.l1d = append(s.l1d, newAssoc(cfg.L1DSizeBytes, cfg.L1DLineBytes, cfg.L1DAssoc))
-		s.l2 = append(s.l2, newAssoc(cfg.L2SizeBytes, cfg.L2LineBytes, cfg.L2Assoc))
+		s.l1d = append(s.l1d, cache.New(l1d))
+		s.l2 = append(s.l2, cache.New(l2))
 	}
 	return s
 }
@@ -103,17 +120,13 @@ func (s *System) FetchMiss(lineAddr uint64, cpu int) {
 func (s *System) Data(r trace.DataRef) {
 	cpu := int(r.CPU)
 	s.checkCPU(cpu)
-	l1 := s.l1d[cpu]
-	first := l1.lineOf(r.Addr)
-	last := l1.lineOf(r.Addr + uint64(r.Bytes) - 1)
-	for ln := first; ln <= last; ln++ {
-		addr := ln << l1.lineShift
+	for ln, last := r.Addr>>s.l1dShift, (r.Addr+uint64(r.Bytes)-1)>>s.l1dShift; ln <= last; ln++ {
+		addr := ln << s.l1dShift
 		if r.Write {
 			s.write(cpu, addr)
 		}
 		s.Stats.L1DAccesses++
-		hit, _, _ := l1.access(ln, 0)
-		if hit {
+		if hit, _ := s.l1d[cpu].Access(ln, cache.OwnerApp); hit {
 			continue
 		}
 		s.Stats.L1DMisses++
@@ -155,30 +168,22 @@ func (s *System) write(cpu int, lineAddr uint64) {
 		if c == cpu || others&(1<<uint(c)) == 0 {
 			continue
 		}
-		inv := false
-		if s.l1d[c].invalidate(s.l1d[c].lineOf(lineAddr)) {
-			inv = true
-		}
-		if s.l2[c].invalidate(s.l2[c].lineOf(lineAddr)) {
-			inv = true
-		}
-		if inv {
+		inL1 := s.l1d[c].Invalidate(lineAddr >> s.l1dShift)
+		if inL2 := s.l2[c].Invalidate(lineAddr >> s.l2Shift); inL1 || inL2 {
 			s.Stats.Invalidations++
 		}
 	}
 }
 
 func (s *System) l2Access(cpu int, addr uint64, kind Kind) {
-	l2 := s.l2[cpu]
-	ln := l2.lineOf(addr)
 	s.Stats.L2Accesses[kind]++
-	hit, victimMeta, hadVictim := l2.access(ln, uint8(kind))
+	hit, victim := s.l2[cpu].Access(addr>>s.l2Shift, cache.Owner(kind))
 	if hit {
 		return
 	}
 	s.Stats.L2Misses[kind]++
-	if hadVictim {
-		s.Stats.L2EvictCross[kind][victimMeta]++
+	if victim != cache.OwnerNone {
+		s.Stats.L2EvictCross[kind][victim]++
 	}
 	if kind == KindData {
 		if w := s.writer[addr>>6]; w != 0 && int(w-1) != cpu {

@@ -22,7 +22,6 @@ import (
 // engine count; the TPC-B mix is the one that exercises distributed deadlock
 // cycles.
 type Instance struct {
-	Scale    Scale
 	Map      shard.Map
 	Shards   []*Bench
 	crossPct int
@@ -42,7 +41,6 @@ func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 		return nil, fmt.Errorf("ordere: bad scale %+v", sc)
 	}
 	sb := &Instance{
-		Scale:    sc,
 		Map:      shard.Map{Shards: len(engs)},
 		crossPct: w.Partitioning().CrossShardPct,
 		whShard:  make([]int, sc.Warehouses),

@@ -399,7 +399,6 @@ func Run(o expt.Options, cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Baselines: baselines, Objective: cfg.Objective}
-	hall := make(map[string]Scored)
 	var best Scored
 	bestSet := false
 	plateau := 0
@@ -443,10 +442,6 @@ func Run(o expt.Options, cfg Config) (*Result, error) {
 			}
 			return ranked[i].Spec < ranked[j].Spec
 		})
-		for _, sc := range ranked {
-			hall[sc.Spec] = sc
-		}
-
 		genBest := ranked[0]
 		improved := !bestSet || genBest.Fitness < best.Fitness
 		if improved {
@@ -509,8 +504,10 @@ func Run(o expt.Options, cfg Config) (*Result, error) {
 	res.Unique = len(ev.cache)
 	res.Executed = ev.executed()
 	res.Memo = ev.memoStats()
-	res.HallOfFame = make([]Scored, 0, len(hall))
-	for _, sc := range hall {
+	// Every spec the cache holds was ranked in the generation that measured
+	// it: the cache is the hall.
+	res.HallOfFame = make([]Scored, 0, len(ev.cache))
+	for _, sc := range ev.cache {
 		res.HallOfFame = append(res.HallOfFame, sc)
 	}
 	sort.Slice(res.HallOfFame, func(i, j int) bool {

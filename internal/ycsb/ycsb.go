@@ -141,7 +141,6 @@ type Bench struct {
 
 	// Zipfian key-skew state (SetZipfTheta); zipfN == 0 means uniform keys.
 	zipfN     int
-	zipfTheta float64
 	zipfAlpha float64
 	zipfEta   float64
 	zipfZetan float64
@@ -201,7 +200,6 @@ func (b *Bench) SetZipfTheta(theta float64) {
 	}
 	zeta2 := 1 + 1/math.Pow(2, theta)
 	b.zipfN = n
-	b.zipfTheta = theta
 	b.zipfZetan = zetan
 	b.zipfAlpha = 1 / (1 - theta)
 	b.zipfEta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2/zetan)
