@@ -31,7 +31,7 @@ type LatencySummary struct {
 type TxnLatency struct {
 	// Shard is the home shard of the transactions in this cell.
 	Shard int
-	// Kind is the workload's transaction-kind label (Instance.KindOf).
+	// Kind is the workload's transaction-kind label (workload.Route.Kind).
 	Kind string
 	// Summary holds the cell's percentiles.
 	Summary LatencySummary
@@ -189,12 +189,7 @@ func modeledWait99(w, g, L float64) float64 {
 // window. A shard with no warmup commits (or no timed latencies) keeps the
 // immediate-flush window.
 func (m *Machine) tuneGroupCommitP99() {
-	var elapsed uint64
-	for _, c := range m.cpus {
-		if c.front.Clock > elapsed {
-			elapsed = c.front.Clock
-		}
-	}
+	elapsed := m.latestClock()
 	L := float64(m.cfg.LogWriteDelayInstr)
 	step := m.cfg.LogWriteDelayInstr / p99WindowStep
 	if step == 0 {

@@ -78,7 +78,7 @@ func TestLatencySummaryBasics(t *testing.T) {
 }
 
 // TestLatencyKindLabels: each workload's per-kind breakdown uses its
-// KindOf labels, including the distributed kinds on sharded machines.
+// Route.Kind labels, including the distributed kinds on sharded machines.
 func TestLatencyKindLabels(t *testing.T) {
 	wls := latencyWorkloads(t)
 	// ycsb expects only "read": commits are counted at completion and point

@@ -504,7 +504,7 @@ func New(cfg Config) (*Machine, error) {
 const autoGroupTarget = 4
 
 // tuneGroupCommit applies the configured auto-tuner at the warmup/measured
-// switch (called exactly once).
+// switch (called exactly once; AutoGCOff leaves the windows as they are).
 func (m *Machine) tuneGroupCommit() {
 	switch m.cfg.AutoGroupCommit {
 	case AutoGCFlushCount:
@@ -514,16 +514,20 @@ func (m *Machine) tuneGroupCommit() {
 	}
 }
 
+// latestClock returns the furthest-ahead CPU clock.
+func (m *Machine) latestClock() uint64 {
+	var latest uint64
+	for _, c := range m.cpus {
+		latest = max(latest, c.front.Clock)
+	}
+	return latest
+}
+
 // tuneGroupCommitFlush sets each shard's batching window from the commit
 // arrival rate observed during warmup. A shard that committed nothing keeps
 // the immediate-flush window — there is no arrival rate to amortize against.
 func (m *Machine) tuneGroupCommitFlush() {
-	var elapsed uint64
-	for _, c := range m.cpus {
-		if c.front.Clock > elapsed {
-			elapsed = c.front.Clock
-		}
-	}
+	elapsed := m.latestClock()
 	maxWindow := 2 * m.cfg.LogWriteDelayInstr
 	for _, e := range m.engs {
 		var w uint64
@@ -748,8 +752,9 @@ func (m *Machine) syscall(p *proc, name string) {
 	case "log_window":
 		// The group-commit leader sleeps out the batching window so
 		// concurrent commits join its flush. The window belongs to the
-		// shard whose flush this is — with auto-tuning, shards differ.
-		delay := m.cfg.GroupCommitWindowInstr
+		// shard whose flush this is (with auto-tuning, shards differ): its
+		// engine, whose leader just asked for the sleep, holds it.
+		var delay uint64
 		for _, s := range p.sessions {
 			if w, ok := s.Eng.TakeWindowPending(); ok {
 				delay = w
@@ -866,7 +871,7 @@ func (p *proc) run(m *Machine, yield func(yieldMsg) bool) {
 		// generation to successful commit, so deadlock-abort retries and
 		// every block along the way (locks, group-commit windows, log
 		// writes, CPU queueing) are part of the transaction's latency.
-		home := m.inst.Home(in)
+		rt := m.inst.Route(in)
 		start := p.cpu.front.Clock
 		startMeasured := m.measuring
 		p.forceSlow = false
@@ -876,31 +881,30 @@ func (p *proc) run(m *Machine, yield func(yieldMsg) bool) {
 		// retry: an immediate retry could re-acquire its first locks
 		// before the wounded party ever resumes, re-forming the same
 		// cycle indefinitely (victim back-off, deterministic).
-		for !p.tryTxn(m, in, home) {
+		for !p.tryTxn(m, in, rt) {
 			p.doYield(yieldMsg{kind: yQuantum})
 		}
-		m.recordLatency(home, m.inst.KindOf(in), startMeasured, p.cpu.front.Clock-start)
+		m.recordLatency(rt.Home, rt.Kind, startMeasured, p.cpu.front.Clock-start)
 		if m.pred != nil {
 			// Online training: fold the committed transaction's observed
 			// outcome back into the model (and emit the modeled table
 			// update). Warmup transactions train too, so the model is warm
 			// when measurement starts.
-			remote := m.inst.Remote(in)
-			predict.Train(p.emit, home, remote)
-			m.pred.Observe(m.inst.Class(in), home, remote)
+			predict.Train(p.emit, rt.Home, rt.Remote)
+			m.pred.Observe(rt.Class, rt.Home, rt.Remote)
 		}
 		p.doYield(yieldMsg{kind: yTxnDone})
 	}
 }
 
-// tryTxn routes and executes one transaction homed on shard home. It reports
+// tryTxn routes and executes one transaction described by rt. It reports
 // false when the attempt must be retried: the process was chosen as a
 // deadlock victim, or its fast-path attempt discovered a remote touch.
 // Either way the engine's longjmp (db.ErrDeadlock or workload.ErrMispredict)
 // is recovered here, the emitter reset, and every in-flight branch of the
 // transaction aborted through the instrumented txn_abort path; a
 // misprediction additionally pins the retry to the full distributed path.
-func (p *proc) tryTxn(m *Machine, in workload.Input, home int) (ok bool) {
+func (p *proc) tryTxn(m *Machine, in workload.Input, rt workload.Route) (ok bool) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -930,24 +934,29 @@ func (p *proc) tryTxn(m *Machine, in workload.Input, home int) (ok bool) {
 		// The fast-path decision replaces the router for predicted-local
 		// transactions: a prediction-table probe costing a dozen modeled
 		// instructions against the router's library-dispatching hundreds.
-		local := m.pred.Local(m.inst.Class(in), home)
-		predict.Check(p.emit, home, local)
+		// A local request runs through RunTxn, which touches only its home
+		// engine; a remote one runs on the home engine until it unwinds.
+		local := m.pred.Local(rt.Class, rt.Home)
+		predict.Check(p.emit, rt.Home, local)
 		if local {
-			m.inst.RunLocal(p.sessions[home], in)
+			if rt.Remote {
+				m.inst.RunMispredicted(p.sessions[rt.Home], in)
+			} else {
+				m.inst.RunTxn(p.sessions, in)
+			}
 			if m.measuring {
 				m.res.Predicted++
 			}
 			return true
 		}
 	}
-	remote := m.inst.Remote(in)
 	if len(m.engs) > 1 {
 		// One engine has no directory to consult: the router model, like
 		// the 2PC coordinator's, never fires there.
-		shard.Route(p.emit, home, remote)
+		shard.Route(p.emit, rt.Home, rt.Remote)
 	}
 	m.inst.RunTxn(p.sessions, in)
-	if remote && m.measuring {
+	if rt.Remote && m.measuring {
 		m.res.CrossShard++
 	}
 	return true

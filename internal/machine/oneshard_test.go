@@ -96,11 +96,10 @@ func TestOneEngineIsTheOnePartitionCase(t *testing.T) {
 					if want := gen(plain); !reflect.DeepEqual(in, want) {
 						t.Fatalf("draw %d: got %+v, want the per-engine draw %+v", i, in, want)
 					}
-					if home := inst.Home(in); home != 0 || inst.Remote(in) {
-						t.Fatalf("draw %d: home=%d remote=%v on one engine", i, home, inst.Remote(in))
-					}
-					if kind := inst.KindOf(in); distributedKind(kind) {
-						t.Fatalf("draw %d labelled %q on one engine", i, kind)
+					if rt := inst.Route(in); rt.Home != 0 || rt.Remote {
+						t.Fatalf("draw %d: home=%d remote=%v on one engine", i, rt.Home, rt.Remote)
+					} else if distributedKind(rt.Kind) {
+						t.Fatalf("draw %d labelled %q on one engine", i, rt.Kind)
 					}
 				}
 

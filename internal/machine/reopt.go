@@ -169,12 +169,7 @@ func (m *Machine) reoptPark(p *proc) {
 // and the processes requeue in deterministic id order.
 func (m *Machine) reoptSwap() {
 	ro := m.ro
-	var fence uint64
-	for _, c := range m.cpus {
-		if c.front.Clock > fence {
-			fence = c.front.Clock
-		}
-	}
+	fence := m.latestClock()
 	for _, c := range m.cpus {
 		if c.front.Clock < fence {
 			gap := fence - c.front.Clock

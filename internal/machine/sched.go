@@ -51,9 +51,7 @@ func (m *Machine) Run() (Result, error) {
 				m.warmCommitted++
 				if m.warmCommitted >= m.cfg.WarmupTxns {
 					m.openGate()
-					if m.cfg.AutoGroupCommit != AutoGCOff {
-						m.tuneGroupCommit()
-					}
+					m.tuneGroupCommit()
 				}
 			}
 			if m.ro != nil && m.ro.fencing {

@@ -82,28 +82,24 @@ func (sb *Instance) GenInput(r *rand.Rand) workload.Input {
 	return in
 }
 
-// Home implements workload.Instance.
-func (sb *Instance) Home(in workload.Input) int {
-	return sb.whShard[in.(Input).Warehouse]
-}
-
-// Remote implements workload.Instance.
-func (sb *Instance) Remote(in workload.Input) bool {
+// Route implements workload.Instance. Remote Payments run the distributed
+// 2PC variant and get their own latency kind. New-Orders and Payments
+// predict separately (New-Orders are always local; Payments carry the
+// cross-shard fraction), but the class must not leak the routing outcome, so
+// local and remote Payments share one class.
+func (sb *Instance) Route(in workload.Input) workload.Route {
 	req := in.(Input)
-	return sb.whShard[req.CWarehouse] != sb.whShard[req.Warehouse]
-}
-
-// KindOf implements workload.Instance: remote Payments run the distributed
-// 2PC variant and get their own latency bucket.
-func (sb *Instance) KindOf(in workload.Input) string {
-	req := in.(Input)
-	if req.Kind == NewOrder {
-		return "neworder"
+	home := sb.whShard[req.Warehouse]
+	rt := workload.Route{Home: home, Remote: sb.whShard[req.CWarehouse] != home}
+	switch {
+	case req.Kind == NewOrder:
+		rt.Kind, rt.Class = "neworder", "neworder"
+	case rt.Remote:
+		rt.Kind, rt.Class = "payment_dist", "payment"
+	default:
+		rt.Kind, rt.Class = "payment", "payment"
 	}
-	if sb.whShard[req.CWarehouse] != sb.whShard[req.Warehouse] {
-		return "payment_dist"
-	}
-	return "payment"
+	return rt
 }
 
 // RunTxn implements workload.Instance.
@@ -130,31 +126,15 @@ func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
 	shard.Commit2PC(hs, rs)
 }
 
-// Class implements workload.Instance: New-Orders and Payments predict
-// separately (New-Orders are always local; Payments carry the cross-shard
-// fraction), but the class must not leak the routing outcome, so local and
-// remote Payments share one class.
-func (sb *Instance) Class(in workload.Input) string {
-	if in.(Input).Kind == NewOrder {
-		return "neworder"
-	}
-	return "payment"
-}
-
-// RunLocal implements workload.Instance: the plain transaction on the home
-// engine alone. A Payment whose customer turns out to live on another shard
-// runs its home-side warehouse and district updates for real (the modeled
-// txn_abort undo pays for them on misprediction), then discovers the miss
-// honestly when the customer search comes up empty on the home shard's
-// tree, and unwinds through workload.Mispredict before touching any foreign
-// engine.
-func (sb *Instance) RunLocal(s *db.Session, in workload.Input) {
+// RunMispredicted implements workload.Instance: a Payment whose customer
+// turns out to live on another shard runs its home-side warehouse and
+// district updates for real (the modeled txn_abort undo pays for them),
+// then discovers the miss honestly when the customer search comes up empty
+// on the home shard's tree, and unwinds through workload.Mispredict before
+// touching any foreign engine.
+func (sb *Instance) RunMispredicted(s *db.Session, in workload.Input) {
 	req := in.(Input)
 	home := sb.whShard[req.Warehouse]
-	if req.Kind == NewOrder || sb.whShard[req.CWarehouse] == home {
-		sb.Shards[home].Run(s, req)
-		return
-	}
 	b := sb.Shards[home]
 	pb := s.PB
 	pb.Enter("payment_txn")

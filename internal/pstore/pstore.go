@@ -168,7 +168,6 @@ type Stats struct {
 	Hits      uint64 // Get served from the directory
 	Misses    uint64 // Get found nothing usable
 	Evictions uint64 // corrupt files removed from disk
-	PutErrors uint64 // best-effort persists that failed
 }
 
 // Store is a persistent profile store: a directory of entry files plus the
@@ -228,14 +227,13 @@ func (s *Store) Get(k Key) (*Entry, bool) {
 }
 
 // Put persists the entry atomically (write to a temp file in the same
-// directory, fsync, rename). A write failure is counted and returned; callers
-// for whom persistence is best-effort drop the error.
+// directory, fsync, rename). A write failure is returned; callers for whom
+// persistence is best-effort drop the error.
 func (s *Store) Put(e *Entry) error {
 	if e.App == nil || e.Kern == nil {
 		return fmt.Errorf("pstore: put %s: entry missing app or kernel profile", e.Spec)
 	}
 	if err := s.writeFile(e); err != nil {
-		s.count(func(st *Stats) { st.PutErrors++ })
 		return fmt.Errorf("pstore: put %s: %w", e.Spec, err)
 	}
 	return nil

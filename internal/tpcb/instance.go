@@ -107,25 +107,19 @@ func (sb *Instance) GenInput(r *rand.Rand) workload.Input {
 	}
 }
 
-// Home implements workload.Instance.
-func (sb *Instance) Home(in workload.Input) int {
-	return sb.branchShard[in.(Input).Branch]
-}
-
-// Remote implements workload.Instance.
-func (sb *Instance) Remote(in workload.Input) bool {
-	req := in.(Input)
-	return sb.branchShard[sb.acctBranch(req.Account)] != sb.branchShard[req.Branch]
-}
-
-// KindOf implements workload.Instance: cross-shard requests run the
+// Route implements workload.Instance. Cross-shard requests run the
 // distributed 2PC variant, whose commit path (forced prepare plus the
-// coordinator's forced commit) has its own latency distribution.
-func (sb *Instance) KindOf(in workload.Input) string {
-	if sb.Remote(in) {
-		return "tpcb_dist"
+// coordinator's forced commit) has its own latency kind. Every TPC-B request
+// has one shape; whether it crosses shards is exactly what the predictor
+// must guess, so the class cannot depend on it.
+func (sb *Instance) Route(in workload.Input) workload.Route {
+	req := in.(Input)
+	home := sb.branchShard[req.Branch]
+	rt := workload.Route{Home: home, Kind: "tpcb", Class: "tpcb"}
+	if sb.branchShard[sb.acctBranch(req.Account)] != home {
+		rt.Remote, rt.Kind = true, "tpcb_dist"
 	}
-	return "tpcb"
+	return rt
 }
 
 // RunTxn implements workload.Instance: single-shard requests run the
@@ -154,24 +148,15 @@ func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
 	shard.Commit2PC(hs, rs)
 }
 
-// Class implements workload.Instance: every TPC-B request has one shape;
-// whether it crosses shards is exactly what the predictor must guess, so the
-// class cannot depend on it.
-func (sb *Instance) Class(workload.Input) string { return "tpcb" }
-
-// RunLocal implements workload.Instance: the classic transaction on the
-// home engine alone. A request whose account turns out to live on another
-// shard is discovered honestly — the account search misses on the home
-// shard's tree (a modeled bt_found=false path, exactly what a real engine
-// would execute) — and unwinds through workload.Mispredict before touching
-// any foreign engine.
-func (sb *Instance) RunLocal(s *db.Session, in workload.Input) {
+// RunMispredicted implements workload.Instance: the classic transaction on
+// the home engine alone, until the account turns out to live on another
+// shard. The miss is discovered honestly — the account search misses on the
+// home shard's tree (a modeled bt_found=false path, exactly what a real
+// engine would execute) — and unwinds through workload.Mispredict before
+// touching any foreign engine.
+func (sb *Instance) RunMispredicted(s *db.Session, in workload.Input) {
 	req := in.(Input)
 	home := sb.branchShard[req.Branch]
-	if sb.branchShard[sb.acctBranch(req.Account)] == home {
-		sb.Shards[home].Run(s, req)
-		return
-	}
 	b := sb.Shards[home]
 	pb := s.PB
 	pb.Enter("tpcb_txn")

@@ -3,6 +3,7 @@ package workload_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"codelayout/internal/appmodel"
@@ -16,7 +17,7 @@ import (
 )
 
 // drawnKinds loads wl across the given number of engines and returns the
-// set of KindOf labels over a few thousand GenInput draws.
+// set of Route.Kind labels over a few thousand GenInput draws.
 func drawnKinds(t *testing.T, wl workload.Workload, shards int) map[string]bool {
 	t.Helper()
 	engs := make([]*db.Engine, shards)
@@ -30,13 +31,13 @@ func drawnKinds(t *testing.T, wl workload.Workload, shards int) map[string]bool 
 	r := rand.New(rand.NewSource(5))
 	seen := make(map[string]bool)
 	for i := 0; i < 4000; i++ {
-		seen[inst.KindOf(inst.GenInput(r))] = true
+		seen[inst.Route(inst.GenInput(r)).Kind] = true
 	}
 	return seen
 }
 
 // TestKindConformance: every registered workload's transaction kinds are
-// enumerable through KindRoots. On one engine KindOf yields only declared
+// enumerable through KindRoots. On one engine Route yields only declared
 // kinds; on four engines with cross-shard traffic on it yields every one of
 // them; and every declared root names a function of an app image built for
 // the workload.
@@ -69,22 +70,61 @@ func TestKindConformance(t *testing.T) {
 				seen := drawnKinds(t, wl, shards)
 				for k := range seen {
 					if !declared[k] {
-						t.Errorf("%d shards: KindOf yields %q, which KindRoots does not declare", shards, k)
+						t.Errorf("%d shards: Route yields kind %q, which KindRoots does not declare", shards, k)
 					}
 				}
 				if shards > 1 && len(seen) != len(declared) {
-					t.Errorf("%d shards: KindOf yields %v, KindRoots declares %v", shards, seen, declared)
+					t.Errorf("%d shards: Route yields kinds %v, KindRoots declares %v", shards, seen, declared)
 				}
 			}
 		})
 	}
 }
 
+// engineProbe is one engine's session probe: the emitter every session
+// shares, counting the events raised through that engine's session.
+type engineProbe struct {
+	*codegen.Emitter
+	n *int
+}
+
+func (p engineProbe) Enter(fn string)                  { *p.n++; p.Emitter.Enter(fn) }
+func (p engineProbe) Leave(fn string)                  { *p.n++; p.Emitter.Leave(fn) }
+func (p engineProbe) Branch(site string, taken bool)   { *p.n++; p.Emitter.Branch(site, taken) }
+func (p engineProbe) Data(addr uint64, n int, wr bool) { *p.n++; p.Emitter.Data(addr, n, wr) }
+func (p engineProbe) Syscall(name string)              { *p.n++; p.Emitter.Syscall(name) }
+func (p engineProbe) AbortUnwind()                     { *p.n++; p.Emitter.AbortUnwind() }
+
+// touched returns the engines whose counts are nonzero, and zeroes them.
+func touched(counts []int) []int {
+	var engs []int
+	for i, n := range counts {
+		if n > 0 {
+			engs = append(engs, i)
+		}
+		counts[i] = 0
+	}
+	return engs
+}
+
+// mispredict runs RunMispredicted and returns what it panicked with.
+func mispredict(inst workload.Instance, s *db.Session, in workload.Input) (r any) {
+	defer func() { r = recover() }()
+	inst.RunMispredicted(s, in)
+	return nil
+}
+
 // TestDefaultScaleConformance drives thousands of transactions of every
 // registered workload at its default (paper) scale through emitter-bound
 // sessions on 1, 2 and 4 engines, deep enough for every B-tree to split
 // repeatedly mid-run — a regression test for probe/model drift that only
-// appears past the quick scales. The emitter must be idle after every
+// appears past the quick scales. Each request's Route must match the
+// engines it touches: RunTxn raises events on Home alone for a local
+// request, and on Home and exactly one other engine for a remote one. Every
+// remote request first takes the mispredicted fast path, which must unwind
+// with ErrMispredict having touched only Home, and is then recovered the
+// way the machine recovers it (emitter reset, every open branch aborted)
+// before RunTxn reruns it. The emitter must be idle after every
 // transaction, there must be remote traffic exactly when there is more than
 // one engine, and the workload's consistency check must pass at the end.
 func TestDefaultScaleConformance(t *testing.T) {
@@ -109,6 +149,10 @@ func TestDefaultScaleConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			kinds := make(map[string]bool)
+			for _, kr := range wl.KindRoots() {
+				kinds[kr.Kind] = true
+			}
 			l, err := program.BaselineLayout(img.Prog)
 			if err != nil {
 				t.Fatal(err)
@@ -119,9 +163,11 @@ func TestDefaultScaleConformance(t *testing.T) {
 					em.Sink = func(uint64, int32) {}
 					engs := make([]*db.Engine, engines)
 					ss, check := make([]*db.Session, engines), make([]*db.Session, engines)
+					counts := make([]int, engines)
 					for i := range engs {
 						engs[i] = db.NewEngine(db.Config{BufferPoolPages: wl.DataPages() + 4096, Shard: i})
-						ss[i], check[i] = engs[i].NewSession(1, em), engs[i].NewSession(2, nil)
+						ss[i] = engs[i].NewSession(1, engineProbe{Emitter: em, n: &counts[i]})
+						check[i] = engs[i].NewSession(2, nil)
 					}
 					inst, err := wl.Load(engs)
 					if err != nil {
@@ -131,10 +177,34 @@ func TestDefaultScaleConformance(t *testing.T) {
 					remote := 0
 					for i := 0; i < txns; i++ {
 						in := inst.GenInput(r)
-						if inst.Remote(in) {
+						rt := inst.Route(in)
+						if !kinds[rt.Kind] {
+							t.Fatalf("txn %d: kind %q is not among the KindRoots kinds", i, rt.Kind)
+						}
+						if rt.Remote {
 							remote++
+							if p := mispredict(inst, ss[rt.Home], in); p != workload.ErrMispredict {
+								t.Fatalf("txn %d: RunMispredicted panicked with %v, want ErrMispredict", i, p)
+							}
+							if got := touched(counts); !slices.Equal(got, []int{rt.Home}) {
+								t.Fatalf("txn %d: RunMispredicted touched engines %v, want only home %d", i, got, rt.Home)
+							}
+							em.Reset()
+							for _, s := range ss {
+								if s.Txn() != nil {
+									s.Abort()
+								}
+							}
+							touched(counts)
+						}
+						want := 1
+						if rt.Remote {
+							want = 2
 						}
 						inst.RunTxn(ss, in)
+						if got := touched(counts); len(got) != want || !slices.Contains(got, rt.Home) {
+							t.Fatalf("txn %d: RunTxn of %+v touched engines %v", i, rt, got)
+						}
 						if !em.Idle() {
 							t.Fatalf("txn %d: emitter not idle", i)
 						}

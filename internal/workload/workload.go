@@ -29,8 +29,9 @@
 // and the simulator (machine) loads and runs it. tpcb, ordere and ycsb, and
 // the shard router and predictor under them, implement or use the interface
 // without importing either consumer. Its own test holds every registered
-// workload to the contract's kind enumeration; each workload's tests
-// exercise the rest.
+// workload to the contract's kind enumeration and checks each request's
+// Route against the engines RunTxn and RunMispredicted actually touch; each
+// workload's tests exercise the rest.
 package workload
 
 import (
@@ -55,20 +56,28 @@ type Instance interface {
 	// remote shard.
 	GenInput(r *rand.Rand) Input
 
-	// Home returns the shard owning in's partition key (always 0 on one
-	// engine).
-	Home(in Input) int
-
-	// Remote reports whether in also touches a shard other than Home(in)
-	// (never on one engine).
-	Remote(in Input) bool
+	// Route describes in: where it runs, what kind it is and which
+	// prediction class it belongs to. It is a pure function of the input;
+	// the machine calls it once per request.
+	Route(in Input) Route
 
 	// RunTxn executes in over the per-shard sessions (ss[i] bound to
 	// engine i; all sessions of one process share one probe), committing
-	// through two-phase commit when the transaction touched two shards. It
-	// is the instrumented top-level entry whose model roots the
-	// application call graph; in must be a value produced by GenInput.
+	// through two-phase commit when the transaction touched two shards. A
+	// request that is not Remote touches only its Home engine. It is the
+	// instrumented top-level entry whose model roots the application call
+	// graph; in must be a value produced by GenInput.
 	RunTxn(ss []*db.Session, in Input)
+
+	// RunMispredicted runs a request the predictive fast path wrongly
+	// guessed local: the machine calls it only for a request whose Route is
+	// Remote and whose class the predictor expected to stay single-shard,
+	// with s the session on its Home engine. It runs the transaction there,
+	// without the router or the 2PC coordinator, until it discovers the
+	// remote touch, and then calls Mispredict — before reading or writing
+	// anything on a foreign engine — so the machine can abort the home
+	// branch and rerun it distributed. It never returns normally.
+	RunMispredicted(s *db.Session, in Input)
 
 	// Check verifies the workload's consistency invariants (e.g. TPC-B
 	// balance conservation) over the union of shards, through
@@ -76,26 +85,26 @@ type Instance interface {
 	// cross-shard conservation must hold globally even though no single
 	// shard balances.
 	Check(ss []*db.Session) error
+}
 
-	// KindOf returns the transaction-kind label of an input produced by
-	// GenInput: a pure function of the input, drawn from the Kind column of
-	// the workload's KindRoots. The machine keys its latency histograms by
+// Route is what the machine needs to know about one request before running
+// it, as Instance.Route derives it from the input.
+type Route struct {
+	// Home is the shard owning the request's partition key (always 0 on
+	// one engine).
+	Home int
+	// Remote reports whether the request also touches a shard other than
+	// Home (never on one engine).
+	Remote bool
+	// Kind is the transaction-kind label, drawn from the Kind column of the
+	// workload's KindRoots. The machine keys its latency histograms by
 	// (shard, kind) ("neworder" vs "payment", local vs distributed).
-	KindOf(in Input) string
-
-	// Class labels an input with its fast-path prediction class. Classes
-	// are coarser than or equal to kinds: they must be computable from the
-	// client request alone, without peeking at the routing outcome (a
-	// "tpcb" request's class is "tpcb" whether or not it crosses shards).
-	Class(in Input) string
-
-	// RunLocal executes in on its home engine's session alone, without the
-	// router or the 2PC coordinator, assuming it stays single-shard (the
-	// predictive fast path). A transaction that turns out to touch a remote
-	// shard must call Mispredict the moment it discovers this — before
-	// reading or writing anything on the foreign shard's engine — so the
-	// machine can abort the home branch and rerun it distributed.
-	RunLocal(s *db.Session, in Input)
+	Kind string
+	// Class is the fast-path prediction class. Classes are coarser than or
+	// equal to kinds: they must be computable from the client request
+	// alone, without the routing outcome (a "tpcb" request's class is
+	// "tpcb" whether or not it crosses shards).
+	Class string
 }
 
 // Workload describes one OLTP benchmark at a specific scale.
@@ -130,7 +139,7 @@ type Workload interface {
 	Models(lib *codegen.Library) []codegen.FnSpec
 
 	// KindRoots returns one (kind, entry model) pair per transaction kind
-	// the instance's KindOf can produce, in a fixed deterministic order. The
+	// the instance's Route can produce, in a fixed deterministic order. The
 	// txfuse layout pass seeds one fused placement unit per kind at the
 	// named root and follows the profile's hottest call edges from there.
 	KindRoots() []KindRoot
@@ -182,7 +191,7 @@ func (e *NoEnginesError) Error() string {
 
 // KindRoot names the entry model of one transaction kind: the fn whose
 // model roots the kind's hot call chain in the application image. Kind
-// matches the labels Instance.KindOf produces; Root is the model fn name.
+// matches the labels Route.Kind carries; Root is the model fn name.
 type KindRoot struct {
 	Kind string
 	Root string

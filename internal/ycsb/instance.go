@@ -81,28 +81,22 @@ func (sb *Instance) GenInput(r *rand.Rand) workload.Input {
 	return in
 }
 
-// Home implements workload.Instance.
-func (sb *Instance) Home(in workload.Input) int {
-	return sb.Map.Of(in.(Input).Key)
-}
-
-// Remote implements workload.Instance.
-func (sb *Instance) Remote(in workload.Input) bool {
+// Route implements workload.Instance. Scatter reads touch two shards and
+// get their own kind next to plain reads and updates. The class is the
+// kind: scatter reads are declared in the client request itself (the second
+// key is part of the input), so "mget" is an honestly separate class the
+// predictor learns is never local; plain reads and updates are always local.
+func (sb *Instance) Route(in workload.Input) workload.Route {
 	req := in.(Input)
-	return req.MultiGet && sb.Map.Of(req.Key2) != sb.Map.Of(req.Key)
-}
-
-// KindOf implements workload.Instance: scatter reads touch two shards and
-// get their own latency bucket next to plain reads and updates.
-func (sb *Instance) KindOf(in workload.Input) string {
-	req := in.(Input)
+	home := sb.Map.Of(req.Key)
+	kind := "update"
 	switch {
 	case req.MultiGet:
-		return "mget"
+		kind = "mget"
 	case req.Kind == Read:
-		return "read"
+		kind = "read"
 	}
-	return "update"
+	return workload.Route{Home: home, Remote: req.MultiGet && sb.Map.Of(req.Key2) != home, Kind: kind, Class: kind}
 }
 
 // RunTxn implements workload.Instance: everything is shard-local except
@@ -124,22 +118,12 @@ func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
 	sb.Shards[remote].runRead(ss[remote], req.Key2)
 }
 
-// Class implements workload.Instance. Scatter reads are declared in the
-// client request itself (the second key is part of the input), so "mget" is
-// an honestly separate class the predictor learns is never local; plain
-// reads and updates are always local.
-func (sb *Instance) Class(in workload.Input) string { return sb.KindOf(in) }
-
-// RunLocal implements workload.Instance: point operations on the home
-// engine. Scatter reads can never be predicted local — their class always
-// observes remote — so reaching the mget arm means the predictor was driven
-// by a stub; unwind rather than touch the remote shard.
-func (sb *Instance) RunLocal(s *db.Session, in workload.Input) {
-	req := in.(Input)
-	if req.MultiGet {
-		workload.Mispredict(s.PB)
-	}
-	sb.Shards[sb.Map.Of(req.Key)].Run(s, req)
+// RunMispredicted implements workload.Instance. Only a scatter read is
+// Remote, and its class always observes remote, so reaching here means the
+// predictor was driven by a stub; the request declares its second key up
+// front, so it unwinds before any work.
+func (sb *Instance) RunMispredicted(s *db.Session, in workload.Input) {
+	workload.Mispredict(s.PB)
 }
 
 // Check implements workload.Instance: the per-record invariant is

@@ -266,7 +266,7 @@ func TestShardedPartitionAndScatter(t *testing.T) {
 	scatter := 0
 	for i := 0; i < 1500; i++ {
 		in := sb.GenInput(r)
-		if sb.Remote(in) {
+		if sb.Route(in).Remote {
 			scatter++
 		}
 		sb.RunTxn(ss, in)
@@ -312,7 +312,7 @@ func TestScatterDrawNeedsARemoteKey(t *testing.T) {
 				r, plain := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
 				for i := 0; i < 500; i++ {
 					in := inst.GenInput(r)
-					if inst.Remote(in) || inst.KindOf(in) == "mget" {
+					if rt := inst.Route(in); rt.Remote || rt.Kind == "mget" {
 						t.Errorf("draw %d: scatter read %+v with no remote key to read", i, in)
 						return
 					}
