@@ -36,7 +36,10 @@ func PageAddr(id PageID) uint64 { return DataBase + uint64(id)*PageBytes }
 // Slotted page layout:
 //
 //	0   u16 nslots
-//	2   u16 free offset (start of free space)
+//	2   u16 free offset: NewPage writes 8 (the header's end) and nothing
+//	        maintains or reads it after; a page read from disk that was never
+//	        written has 0 there. The free space is recomputed from the slot
+//	        table (Page.recordEnd).
 //	4   u16 flags
 //	6   u16 reserved
 //	8.. slot table: u16 record offset per slot (0xFFFF = dead)
@@ -52,8 +55,12 @@ const (
 
 // Page is one slotted page image.
 type Page struct {
-	ID   PageID
-	Data []byte
+	ID PageID
+	// lowWater caches recordEnd; 0 means unknown (no record starts inside
+	// the header). It fills the padding after ID: an int would make Page 56
+	// bytes, which the allocator rounds to 64.
+	lowWater int32
+	Data     []byte
 	// Dirty marks pages modified since last checkpoint write.
 	Dirty bool
 
@@ -75,8 +82,13 @@ func (p *Page) NumSlots() int { return int(p.u16(offNumSlots)) }
 
 func (p *Page) slotOff(slot int) int { return pageHdrBytes + slot*slotBytes }
 
-// recordEnd returns the lowest byte offset used by record storage.
+// recordEnd returns the lowest byte offset used by record storage. Only the
+// first call after the page was read or a record deleted scans the slot
+// table; Insert keeps the mark from then on.
 func (p *Page) recordEnd() int {
+	if p.lowWater != 0 {
+		return int(p.lowWater)
+	}
 	n := p.NumSlots()
 	end := PageBytes
 	for s := 0; s < n; s++ {
@@ -85,6 +97,7 @@ func (p *Page) recordEnd() int {
 			end = off
 		}
 	}
+	p.lowWater = int32(end)
 	return end
 }
 
@@ -107,6 +120,7 @@ func (p *Page) Insert(rec []byte) (int, error) {
 	copy(p.Data[off+2:], rec)
 	p.setU16(p.slotOff(slot), uint16(off))
 	p.setU16(offNumSlots, uint16(slot+1))
+	p.lowWater = int32(off)
 	p.Dirty = true
 	return slot, nil
 }
@@ -155,6 +169,7 @@ func (p *Page) Delete(slot int) error {
 		return fmt.Errorf("page %d: slot %d out of range", p.ID, slot)
 	}
 	p.setU16(p.slotOff(slot), deadSlot)
+	p.lowWater = 0 // a dead lowest record raises the mark
 	p.Dirty = true
 	return nil
 }

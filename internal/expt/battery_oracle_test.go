@@ -65,10 +65,8 @@ func measureSynchronous(cfg machine.Config, set SinkSet) (*Measure, error) {
 	return meas, nil
 }
 
-// tinySession is a session over wl at a scale where one run takes tens of
-// milliseconds and still fills dozens of chunks.
-func tinySession(t *testing.T, wl workload.Workload, tune func(*Options)) *Session {
-	t.Helper()
+// tinySessionOptions are the options of tinySession.
+func tinySessionOptions(wl workload.Workload, tune func(*Options)) Options {
 	o := QuickOptions()
 	o.Workload = wl
 	o.Transactions, o.WarmupTxns, o.Train.Txns = 30, 8, 100
@@ -77,7 +75,14 @@ func tinySession(t *testing.T, wl workload.Workload, tune func(*Options)) *Sessi
 	if tune != nil {
 		tune(&o)
 	}
-	s, err := NewSession(o)
+	return o
+}
+
+// tinySession is a session over wl at a scale where one run takes tens of
+// milliseconds and still fills dozens of chunks.
+func tinySession(t *testing.T, wl workload.Workload, tune func(*Options)) *Session {
+	t.Helper()
+	s, err := NewSession(tinySessionOptions(wl, tune))
 	if err != nil {
 		t.Fatal(err)
 	}

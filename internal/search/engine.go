@@ -127,9 +127,9 @@ type Config struct {
 	// Plateau stops the search after this many consecutive generations
 	// without fitness improvement; 0 disables early stop.
 	Plateau int
-	// Workers bounds each evaluation wave's measurement pool
-	// (expt.Session.MeasureBatch); <= 0 keys off GOMAXPROCS. Worker count
-	// never changes results, only wall time.
+	// Workers bounds the measurement pool each generation's evaluation
+	// shares across all workloads (expt.MeasureAll); <= 0 keys off
+	// GOMAXPROCS. Worker count never changes results, only wall time.
 	Workers int
 	// Progress, when non-nil, is called once per evaluated generation.
 	Progress func(GenerationStat)
@@ -252,14 +252,12 @@ type evaluator struct {
 }
 
 // measureWave measures every spec on every session as one parallel memoized
-// wave and returns each spec's Scored. Duplicate specs and previously
+// batch and returns each spec's Scored. Duplicate specs and previously
 // measured (spec × workload) cells cost nothing — the session memo and its
 // in-flight dedup collapse them.
 func (ev *evaluator) measureWave(specs []string) ([]Scored, error) {
-	for _, s := range ev.sessions {
-		if err := s.MeasureBatch(specs, ev.cpus, ev.workers); err != nil {
-			return nil, err
-		}
+	if err := expt.MeasureAll(ev.sessions, specs, ev.cpus, ev.workers); err != nil {
+		return nil, err
 	}
 	out := make([]Scored, 0, len(specs))
 	for _, spec := range specs {
@@ -361,10 +359,10 @@ func Run(o expt.Options, cfg Config) (*Result, error) {
 
 	// Score the hand-built reference combos first: "base" anchors the
 	// fitness normalization, ipchain/fusion are the bars to beat.
+	if err := expt.MeasureAll(ev.sessions, baselineNames, ev.cpus, ev.workers); err != nil {
+		return nil, err
+	}
 	for i, s := range ev.sessions {
-		if err := s.MeasureBatch(baselineNames, ev.cpus, cfg.Workers); err != nil {
-			return nil, err
-		}
 		m, err := s.Measure("base", ev.cpus)
 		if err != nil {
 			return nil, err
@@ -405,8 +403,8 @@ func Run(o expt.Options, cfg Config) (*Result, error) {
 
 	for gen := 1; gen <= cfg.Generations; gen++ {
 		// Deduplicate the population's specs (first-seen order), keeping
-		// each spec's genome to breed from, and measure the unseen ones as
-		// one parallel wave per workload.
+		// each spec's genome to breed from, and measure the unseen ones on
+		// every workload as one parallel batch.
 		specs := make([]string, 0, len(pop))
 		bySpec := make(map[string]Genome, len(pop))
 		var fresh []string

@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -41,51 +42,55 @@ func tinyYCSB() workload.Workload {
 }
 
 // TestSearchDeterminism pins the engine's reproducibility contract: the same
-// seed, population and generations produce a bit-identical winner spec and
-// fitness trajectory across runs — including across different evaluation
-// worker-pool sizes, because the rng is only consumed serially and fitness
-// comes from memoized deterministic simulations.
+// seed, population and generations produce a bit-identical Result — winner,
+// baselines, hall of fame, trajectory, memo counters and rendered table —
+// across runs, including across evaluation worker-pool sizes over the
+// three-workload matrix, because the rng is only consumed serially, fitness
+// comes from memoized deterministic simulations and every memo counts one
+// hit or one miss per call whichever worker makes it. The memo counters are
+// also pinned: they are the ones one measurement batch per workload
+// produced, which the single batch per generation must keep.
 func TestSearchDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
-	run := func(workers int) *search.Result {
+	run := func(workers int, seed int64) *search.Result {
 		res, err := search.Run(tinyOptions(tinyTPCB()), search.Config{
-			Population:  5,
-			Generations: 3,
-			Seed:        11,
+			Population:  6,
+			Generations: 4,
+			Seed:        seed,
 			Workers:     workers,
+			Workloads: []search.WorkloadWeight{
+				{Workload: tinyTPCB(), Weight: 2},
+				{Workload: tinyOrdere(), Weight: 1},
+				{Workload: tinyYCSB(), Weight: 1},
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(1), run(4)
-	if a.Winner.Spec != b.Winner.Spec || a.Winner.Fitness != b.Winner.Fitness {
-		t.Fatalf("winners differ across worker pools:\n  1 worker:  %q %.6f\n  4 workers: %q %.6f",
-			a.Winner.Spec, a.Winner.Fitness, b.Winner.Spec, b.Winner.Fitness)
+	want := run(1, 11)
+	wantMemo := expt.MemoStats{
+		Measure: expt.MemoCounters{Hits: 60, Misses: 48, Entries: 48},
+		Layout:  expt.MemoCounters{Hits: 79, Misses: 17, Entries: 17},
+		Train:   expt.MemoCounters{Hits: 38, Misses: 1, Entries: 1},
 	}
-	if len(a.Trajectory) != len(b.Trajectory) {
-		t.Fatalf("trajectory lengths differ: %d vs %d", len(a.Trajectory), len(b.Trajectory))
+	if want.Memo != wantMemo {
+		t.Errorf("memo counters %+v, want %+v", want.Memo, wantMemo)
 	}
-	for i := range a.Trajectory {
-		ga, gb := a.Trajectory[i], b.Trajectory[i]
-		if ga.GenBest.Spec != gb.GenBest.Spec || ga.GenBest.Fitness != gb.GenBest.Fitness ||
-			ga.Best.Spec != gb.Best.Spec || ga.Best.Fitness != gb.Best.Fitness {
-			t.Fatalf("gen %d diverges across worker pools:\n  1 worker:  %q %.6f (best %q %.6f)\n  4 workers: %q %.6f (best %q %.6f)",
-				ga.Gen, ga.GenBest.Spec, ga.GenBest.Fitness, ga.Best.Spec, ga.Best.Fitness,
-				gb.GenBest.Spec, gb.GenBest.Fitness, gb.Best.Spec, gb.Best.Fitness)
+	for _, workers := range []int{2, 4} {
+		got := run(workers, 11)
+		if got.Table.String() != want.Table.String() {
+			t.Errorf("%d workers: table differs from 1 worker's:\n%s\nvs\n%s", workers, got.Table, want.Table)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d workers: result differs from 1 worker's:\n%+v\nvs\n%+v", workers, got, want)
 		}
 	}
 	// Same engine, different seed: the breeding stream must actually change.
-	c, err := search.Run(tinyOptions(tinyTPCB()), search.Config{
-		Population: 5, Generations: 3, Seed: 12, Workers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = c // winners may legitimately coincide; this run just proves a different seed completes
+	_ = run(1, 12) // winners may legitimately coincide; this run just proves a different seed completes
 }
 
 // TestSearchBeatsHandBuilt is the pinned acceptance test: at a fixed seed the
