@@ -381,24 +381,47 @@ func (r *recorder) Fetch(run trace.FetchRun) { *r = append(*r, run) }
 // two-way ICache of the same geometry (itself held to the map-and-list
 // reference above) and requires the miss count of every run to agree: the
 // machine charges each run's misses to a clock that decides what runs next,
-// so equal totals would not be enough. It returns the ICache's statistics.
-func checkPairAgainstICache(t testing.TB, sizeBytes, lineBytes int, runs []trace.FetchRun) *cache.Stats {
+// so equal totals would not be enough. Before each run it also holds the
+// pair's Hit to its definition, kept here as each set's last-touched line:
+// Hit is true exactly when the run lies in one line and that line is the last
+// its set touched, and then both caches must miss nothing. It returns the
+// ICache's statistics and the number of runs Hit was true for.
+func checkPairAgainstICache(t testing.TB, sizeBytes, lineBytes int, runs []trace.FetchRun) (*cache.Stats, int) {
 	t.Helper()
 	pair := cache.NewPair(sizeBytes, lineBytes)
 	ic := cache.New(cache.Config{SizeBytes: sizeBytes, LineBytes: lineBytes, Assoc: 2})
-	total := 0
+	sets := uint64(sizeBytes / (2 * lineBytes))
+	last := make(map[uint64]uint64) // set -> line last touched there
+	total, hits := 0, 0
 	for i, r := range runs {
+		first, end := r.Addr/uint64(lineBytes), (r.Addr+uint64(r.Words)*isa.WordBytes-1)/uint64(lineBytes)
+		mru, ok := last[first%sets]
+		wantHit := first == end && ok && mru == first
+		hit := pair.Hit(r.Addr, r.Words)
+		if hit != wantHit {
+			t.Fatalf("%s: run %d of %d (%#x, %d words): Hit = %v, want %v (lines %d-%d, set's last line %d, %v)",
+				ic.Config(), i, len(runs), r.Addr, r.Words, hit, wantHit, first, end, mru, ok)
+		}
 		got, want := pair.Misses(r.Addr, r.Words), ic.FetchWords(r.Addr, r.Words, r.Kernel)
 		if got != want {
 			t.Fatalf("%s: run %d of %d (%#x, %d words): the pair missed %d lines, the ICache %d",
 				ic.Config(), i, len(runs), r.Addr, r.Words, got, want)
+		}
+		if hit && got != 0 {
+			t.Fatalf("%s: run %d of %d (%#x, %d words): Hit, yet %d misses", ic.Config(), i, len(runs), r.Addr, r.Words, got)
+		}
+		for ln := first; ln <= end; ln++ {
+			last[ln%sets] = ln
+		}
+		if hit {
+			hits++
 		}
 		total += got
 	}
 	if st := ic.Stats(); uint64(total) != st.Misses {
 		t.Fatalf("%s: %d misses summed over the runs, %d in the ICache's statistics", ic.Config(), total, st.Misses)
 	}
-	return ic.Stats()
+	return ic.Stats(), hits
 }
 
 // TestPairMatchesICacheOnRandomRuns: the machine's geometry and smaller ones,
@@ -407,9 +430,12 @@ func checkPairAgainstICache(t testing.TB, sizeBytes, lineBytes int, runs []trace
 func TestPairMatchesICacheOnRandomRuns(t *testing.T) {
 	for _, g := range [][2]int{{64 << 10, 64}, {4 << 10, 64}, {4 << 10, 16}, {2 << 10, 128}, {512, 256}} {
 		rng := rand.New(rand.NewSource(int64(g[0] + g[1])))
-		st := checkPairAgainstICache(t, g[0], g[1], randomRuns(rng, 50_000, 4*uint64(g[0])))
+		st, hits := checkPairAgainstICache(t, g[0], g[1], randomRuns(rng, 50_000, 4*uint64(g[0])))
 		if st.Misses == 0 || st.Misses == st.Accesses {
 			t.Errorf("%s: %d misses of %d accesses; the trace does not exercise replacement", st.Config, st.Misses, st.Accesses)
+		}
+		if hits == 0 {
+			t.Errorf("%s: Hit was never true; the trace does not exercise it", st.Config)
 		}
 	}
 }
@@ -419,10 +445,12 @@ func TestPairMatchesICacheOnRandomRuns(t *testing.T) {
 // fetched them.
 func TestPairMatchesICacheOnMachineRuns(t *testing.T) {
 	all, _ := machineRuns(t)
-	checkPairAgainstICache(t, 64<<10, 64, all)
-	// The recorded image is small beside 64 KB; a cache it wraps many times
-	// over makes the same stream exercise replacement.
-	checkPairAgainstICache(t, 4<<10, 64, all)
+	for _, size := range []int{64 << 10, 4 << 10} {
+		// The recorded image is small beside 64 KB; a cache it wraps many
+		// times over makes the same stream exercise replacement.
+		_, hits := checkPairAgainstICache(t, size, 64, all)
+		t.Logf("%d KB: Hit on %d of %d runs (%.1f%%)", size>>10, hits, len(all), 100*float64(hits)/float64(len(all)))
+	}
 }
 
 // FuzzPair turns bytes into a two-way geometry (any power-of-two set count

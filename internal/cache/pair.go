@@ -16,6 +16,9 @@ import (
 // first changes nothing; a hit on the second swaps them; a miss drops the
 // second and puts the new line first. That is exact LRU, so a Pair misses on
 // exactly the runs an ICache of the same geometry misses on.
+//
+// Most runs lie in one line that is already first in its set. Hit answers
+// that case inline, and a caller asks Misses only for the rest.
 type Pair struct {
 	lineShift uint
 	setMask   uint64
@@ -34,6 +37,16 @@ func NewPair(sizeBytes, lineBytes int) *Pair {
 		setMask:   uint64(numSets - 1),
 		sets:      make([][2]uint64, numSets),
 	}
+}
+
+// Hit reports whether the run of words words at addr lies in one line that is
+// its set's most recently used, the one case in which Misses would return 0
+// and change nothing. It is small enough to inline, so a walk that calls
+// Misses only when Hit is false pays no call on most runs; a fast path inside
+// Misses would not inline with its slow path beside it.
+func (c *Pair) Hit(addr uint64, words int32) bool {
+	ln := addr >> c.lineShift
+	return (addr+uint64(words)*isa.WordBytes-1)>>c.lineShift == ln && c.sets[ln&c.setMask][0] == ln+1
 }
 
 // Misses fetches the run of words words at addr and returns how many of the

@@ -2,7 +2,6 @@ package codegen
 
 import (
 	"fmt"
-	"math/rand"
 
 	"codelayout/internal/cache"
 	"codelayout/internal/isa"
@@ -56,6 +55,10 @@ type Collector interface {
 // then does the walk arrive at the successor and report the transition to
 // Collector — a process that yields inside Attention reports it after it
 // resumes.
+//
+// With nothing attached, the common block exit calls nothing: the PRNG is a
+// concrete copy of math/rand's source whose draw inlines, and the L1I is
+// asked Pair.Hit inline and Pair.Misses only when that is false.
 type Emitter struct {
 	// Sink, if non-nil, receives each fetched address run.
 	Sink func(addr uint64, words int32)
@@ -72,11 +75,13 @@ type Emitter struct {
 	Attention func()
 	// Collector, if non-nil, receives exact block/edge counts (Pixie).
 	Collector Collector
-	// Rng resolves auto branches, loops and picks.
-	Rng *rand.Rand
 	// OnData and OnSyscall forward the corresponding probe events.
 	OnData    func(addr uint64, bytes int, write bool)
 	OnSyscall func(name string)
+
+	// rng resolves auto branches, loops and picks: the draws of
+	// rand.New(rand.NewSource(seed)), without a call per draw.
+	rng walkRand
 
 	img   *Image
 	steps []step          // img.steps
@@ -114,13 +119,13 @@ const maxAutoDepth = 512
 func NewEmitter(img *Image, l *program.Layout, seed int64) *Emitter {
 	img.seal()
 	e := &Emitter{
-		Rng:   rand.New(rand.NewSource(seed)),
 		Front: new(Front),
 		img:   img,
 		steps: img.steps,
 		decs:  img.decs,
 		cur:   program.NoBlock,
 	}
+	e.rng.seed(seed)
 	e.SetLayout(l)
 	return e
 }
@@ -167,8 +172,8 @@ func (e *Emitter) emit(addr uint64, words int32) {
 	f := e.Front
 	f.Clock += uint64(words)
 	e.Budget -= int64(words)
-	if f.L1I != nil {
-		if miss := f.L1I.Misses(addr, words); miss > 0 {
+	if l1 := f.L1I; l1 != nil && !l1.Hit(addr, words) {
+		if miss := l1.Misses(addr, words); miss > 0 {
 			stall := uint64(miss) * f.Penalty
 			f.Clock += stall
 			f.Stall += stall
@@ -265,14 +270,18 @@ func (e *Emitter) advance() {
 			if !s.auto() {
 				return // wait for Branch
 			}
-			if e.Rng.Float64() < e.decs[s.aux].prob {
+			u, ok := e.rng.float64Fast()
+			if !ok {
+				u = e.rng.Float64()
+			}
+			if u < e.decs[s.aux].prob {
 				words, succ = w.Exit().Fall(), s.fall
 			} else {
 				words, succ = w.Exit().Taken(), s.taken
 			}
 		case isa.TermIndirect:
 			j := &e.img.jumps[s.aux]
-			x := uint32(e.Rng.Int63n(int64(j.cum[len(j.cum)-1])))
+			x := uint32(e.rng.Int63n(int64(j.cum[len(j.cum)-1])))
 			k := 0
 			for j.cum[k] <= x {
 				k++
@@ -307,8 +316,8 @@ func (e *Emitter) advance() {
 			f.Clock += uint64(words)
 			e.Budget -= int64(words)
 			addr := w.Addr()
-			if f.L1I != nil {
-				if miss := f.L1I.Misses(addr, words); miss > 0 {
+			if l1 := f.L1I; l1 != nil && !l1.Hit(addr, words) {
+				if miss := l1.Misses(addr, words); miss > 0 {
 					stall := uint64(miss) * f.Penalty
 					f.Clock += stall
 					f.Stall += stall

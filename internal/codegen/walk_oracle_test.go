@@ -375,6 +375,9 @@ type walker interface {
 	RunAuto(fn string)
 }
 
+// countingSource counts the reference walker's draws from math/rand. The
+// emitter's count is its generator's own (walkRand.draws), so nothing is
+// added to its walk to count them.
 type countingSource struct {
 	rand.Source
 	draws int
@@ -467,7 +470,7 @@ func autoClosed(img *Image) []bool {
 }
 
 // logged runs play under the budget and records what came out.
-func logged(src *countingSource, instr func() uint64, play func(log *walkLog, sink func(uint64, int32), block func(prev, cur program.BlockID))) (log walkLog) {
+func logged(draws func() int, instr func() uint64, play func(log *walkLog, sink func(uint64, int32), block func(prev, cur program.BlockID))) (log walkLog) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -476,7 +479,7 @@ func logged(src *countingSource, instr func() uint64, play func(log *walkLog, si
 		default:
 			log.Ended = fmt.Sprint(r)
 		}
-		log.Instr, log.Draws = instr(), src.draws
+		log.Instr, log.Draws = instr(), draws()
 	}()
 	play(&log, func(addr uint64, words int32) {
 		log.Runs = append(log.Runs, [2]uint64{addr, uint64(words)})
@@ -512,10 +515,8 @@ func checkWalk(t testing.TB, progSeed, layoutSeed, walkSeed int64) {
 		}
 		shape := randFrontShape(rand.New(rand.NewSource(walkSeed + 2)))
 
-		e := NewEmitter(img, l, 0)
-		esrc := &countingSource{Source: rand.NewSource(walkSeed)}
-		e.Rng = rand.New(esrc)
-		got := logged(esrc, func() uint64 { return e.Instructions }, func(log *walkLog, sink func(uint64, int32), block func(prev, cur program.BlockID)) {
+		e := NewEmitter(img, l, walkSeed)
+		got := logged(func() int { return int(e.rng.draws()) }, func() uint64 { return e.Instructions }, func(log *walkLog, sink func(uint64, int32), block func(prev, cur program.BlockID)) {
 			e.Sink, e.Collector = sink, collectorFunc(block)
 			attachFront(e, shape, log.attended)
 			defer func() {
@@ -526,7 +527,7 @@ func checkWalk(t testing.TB, progSeed, layoutSeed, walkSeed int64) {
 
 		rsrc := &countingSource{Source: rand.NewSource(walkSeed)}
 		ref := newRefWalker(img, l, rand.New(rsrc))
-		want := logged(rsrc, func() uint64 { return ref.instr }, func(log *walkLog, sink func(uint64, int32), block func(prev, cur program.BlockID)) {
+		want := logged(func() int { return rsrc.draws }, func() uint64 { return ref.instr }, func(log *walkLog, sink func(uint64, int32), block func(prev, cur program.BlockID)) {
 			ref.sink, ref.block = sink, block
 			f := newRefFront(shape, log.attended)
 			ref.front = f

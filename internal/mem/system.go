@@ -80,7 +80,9 @@ type System struct {
 	// (+1; 0 = never written); share tracks which CPUs have fetched it
 	// since the last invalidation. Together they form a minimal
 	// memory-side directory for classifying communication misses and for
-	// invalidating remote copies on writes.
+	// invalidating remote copies on writes. Both grow with the lines a run
+	// touches and are not presized: a figure measurement builds a system
+	// per group, and sizing each for 64 K lines doubled what it allocated.
 	writer map[uint64]uint8
 	share  map[uint64]uint64
 	Stats  Stats
@@ -98,8 +100,8 @@ func NewSystem(cfg Config) *System {
 		cfg:      cfg,
 		l1dShift: uint(bits.TrailingZeros(uint(cfg.L1DLineBytes))),
 		l2Shift:  uint(bits.TrailingZeros(uint(cfg.L2LineBytes))),
-		writer:   make(map[uint64]uint8, 1<<16),
-		share:    make(map[uint64]uint64, 1<<16),
+		writer:   make(map[uint64]uint8),
+		share:    make(map[uint64]uint64),
 	}
 	for i := 0; i < cfg.CPUs; i++ {
 		s.l1d = append(s.l1d, cache.New(l1d))
@@ -186,7 +188,7 @@ func (s *System) l2Access(cpu int, addr uint64, kind Kind) {
 		s.Stats.L2EvictCross[kind][victim]++
 	}
 	if kind == KindData {
-		if w := s.writer[addr>>6]; w != 0 && int(w-1) != cpu {
+		if w := s.writer[addr>>dirShift]; w != 0 && int(w-1) != cpu {
 			s.Stats.CommRead++
 		}
 	}
