@@ -72,8 +72,12 @@ func innerSet(p *Page, i int, k uint64, child PageID) {
 	binary.LittleEndian.PutUint32(p.Data[btHdr+4+i*innerEntry+8:], uint32(child))
 }
 
-// CreateBTree allocates an empty index.
+// CreateBTree allocates an empty index and registers it by name. A name
+// already in the catalog panics, as in CreateTable.
 func (e *Engine) CreateBTree(name string) *BTree {
+	if _, dup := e.btrees[name]; dup {
+		panic(fmt.Sprintf("db: shard %d: B-tree %q created twice", e.Shard, name))
+	}
 	root := e.AllocPage()
 	pg, _, err := e.Pool.get(root)
 	if err != nil {
@@ -84,7 +88,9 @@ func (e *Engine) CreateBTree(name string) *BTree {
 	leafSetSib(pg, InvalidPage)
 	pg.Dirty = true
 	e.Pool.Unpin(pg)
-	return &BTree{Name: name, eng: e, root: root, height: 1}
+	t := &BTree{Name: name, eng: e, root: root, height: 1}
+	e.btrees[name] = t
+	return t
 }
 
 // Height returns the current tree height (1 = single leaf).

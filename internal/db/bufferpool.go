@@ -52,8 +52,8 @@ func NewBufferPool(disk *Disk, capacity int) *BufferPool {
 	return &BufferPool{
 		disk:     disk,
 		capacity: capacity,
-		frames:   make(map[PageID]*Page, capacity),
-		lru:      make(map[PageID]uint64, capacity),
+		frames:   make(map[PageID]*Page),
+		lru:      make(map[PageID]uint64),
 	}
 }
 

@@ -35,7 +35,7 @@ type WaitGraph struct {
 func NewWaitGraph() *WaitGraph {
 	return &WaitGraph{
 		waits:   make(map[int]LockRef),
-		holders: make(map[LockRef][]int, 1<<10),
+		holders: make(map[LockRef][]int),
 	}
 }
 

@@ -42,14 +42,17 @@ type Engine struct {
 	graph *WaitGraph
 
 	tables    map[string]*Table
+	btrees    map[string]*BTree
 	pageBase  PageID
 	nextPage  PageID
 	pageLimit PageID
 	nextTxn   uint64
 
 	// fieldHints holds per-table physical record layouts installed before
-	// the workload loads (SetFieldHints); CreateTable applies them.
+	// the workload loads (SetFieldHints); CreateTable applies them. hintsKey
+	// is their canonical spelling, the Hints of the engine's Geometry.
 	fieldHints map[string][]FieldDef
+	hintsKey   string
 
 	// Committed counts committed transactions.
 	Committed uint64
@@ -129,6 +132,7 @@ func NewEngine(cfg Config) *Engine {
 		PerCommitFlush:    cfg.PerCommitFlush,
 		graph:             graph,
 		tables:            make(map[string]*Table),
+		btrees:            make(map[string]*BTree),
 		pageBase:          PageID(cfg.Shard) * stride,
 		nextPage:          PageID(cfg.Shard) * stride,
 		pageLimit:         cfg.PageLimit,
@@ -180,6 +184,19 @@ func (e *Engine) AllocPage() PageID {
 	return id
 }
 
+// Checkpoint writes every dirty page back to disk, forces the log and drops
+// the records it covered: the disk holds their effects now, so recovery
+// starts from it and needs only later records. LSNs and the log-buffer
+// offset count on from where they were. Take it at quiescence, with no
+// transaction in flight (Recover redoes; it never undoes). The workload
+// loaders end with one, so a measured run starts from a clean pool and an
+// empty log.
+func (e *Engine) Checkpoint() {
+	e.Pool.FlushAll()
+	e.WAL.MarkFlushed(e.WAL.CurrentLSN())
+	e.WAL.Records = nil
+}
+
 // Table is a heap table: pages filled append-only, with in-place updates.
 type Table struct {
 	Name  string
@@ -196,8 +213,13 @@ type Table struct {
 
 // CreateTable registers an empty heap table. A field hint installed for the
 // name (SetFieldHints) becomes the table's physical record layout, winning
-// over the loader's interleaved default.
+// over the loader's interleaved default. A name already in the catalog is a
+// loader bug and panics: replacing the entry would orphan the first table's
+// pages.
 func (e *Engine) CreateTable(name string) *Table {
+	if _, dup := e.tables[name]; dup {
+		panic(fmt.Sprintf("db: shard %d: table %q created twice", e.Shard, name))
+	}
 	t := &Table{Name: name, eng: e}
 	if defs, ok := e.fieldHints[name]; ok {
 		t.setFields(defs)
@@ -206,8 +228,11 @@ func (e *Engine) CreateTable(name string) *Table {
 	return t
 }
 
-// Table returns a named heap table.
+// Table returns a named heap table (nil if none was created).
 func (e *Engine) Table(name string) *Table { return e.tables[name] }
+
+// BTree returns a named B+tree index (nil if none was created).
+func (e *Engine) BTree(name string) *BTree { return e.btrees[name] }
 
 // Session is one server process's handle on the engine. PB receives the
 // instrumentation events that drive the modeled instruction stream.

@@ -2,7 +2,10 @@ package db
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // FieldDef places one named record field at a byte offset within a table's
@@ -29,7 +32,8 @@ type FieldAccess struct {
 func (a FieldAccess) Total() uint64 { return a.Reads + a.Writes }
 
 // ValidateFieldDefs checks a physical layout: distinct names, positive
-// widths, non-negative offsets, and no byte overlap between fields.
+// widths, fields that start at a non-negative offset and end within a page,
+// and no byte overlap between fields.
 func ValidateFieldDefs(table string, defs []FieldDef) error {
 	if len(defs) == 0 {
 		return fmt.Errorf("db: table %q: empty field layout", table)
@@ -47,6 +51,9 @@ func ValidateFieldDefs(table string, defs []FieldDef) error {
 		}
 		if f.Off < 0 {
 			return fmt.Errorf("db: table %q field %q: negative offset %d", table, f.Name, f.Off)
+		}
+		if f.Off > PageBytes-f.Width {
+			return fmt.Errorf("db: table %q field %q: [%d,+%d) ends past the %d-byte page", table, f.Name, f.Off, f.Width, PageBytes)
 		}
 		if names[f.Name] {
 			return fmt.Errorf("db: table %q: duplicate field %q", table, f.Name)
@@ -84,6 +91,15 @@ func (e *Engine) SetFieldHints(hints map[string][]FieldDef) error {
 	for table, defs := range hints {
 		e.fieldHints[table] = defs
 	}
+	var b strings.Builder
+	for _, table := range slices.Sorted(maps.Keys(e.fieldHints)) {
+		fmt.Fprintf(&b, "%q:", table)
+		for _, f := range e.fieldHints[table] {
+			fmt.Fprintf(&b, "%q@%d+%d,", f.Name, f.Off, f.Width)
+		}
+		b.WriteByte(';')
+	}
+	e.hintsKey = b.String()
 	return nil
 }
 

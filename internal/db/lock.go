@@ -43,7 +43,7 @@ type LockMgr struct {
 
 // NewLockMgr creates an empty lock manager.
 func NewLockMgr() *LockMgr {
-	return &LockMgr{locks: make(map[uint64]*lockState, 1<<12)}
+	return &LockMgr{locks: make(map[uint64]*lockState)}
 }
 
 // LockKey composes a lockable key from a key space and a row identifier.

@@ -8,6 +8,14 @@
 // the instruction stream the equivalent compiled binary would fetch. All
 // probe calls are structural no-ops under probe.Nop, so the engine is fully
 // usable (and tested) standalone.
+//
+// A loaded database is a value: Engine.CopyFrom fills an empty engine of the
+// same Geometry (shard, page window, pool capacity, field hints) with
+// another engine's pages, log, catalog and counters, sharing what the engine
+// never edits in place (disk images, log records, page lists) and copying
+// the resident frames. The workloads load each database once through their
+// own loader and copy it after that (workload.Images), so a simulation
+// starts from a copy indistinguishable from a fresh load.
 package db
 
 import (

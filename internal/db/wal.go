@@ -34,7 +34,7 @@ type LogRec struct {
 // together when the leader's write completes — the machine simulates the
 // blocking at the probe.Syscall crossing.
 type WAL struct {
-	Records []LogRec // stable (flushed) prefix + buffered tail
+	Records []LogRec // since the last checkpoint: stable (flushed) prefix + buffered tail
 	nextLSN uint64
 
 	// FlushedLSN is the highest LSN known stable.

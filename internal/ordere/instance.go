@@ -30,7 +30,9 @@ type Instance struct {
 	remoteBy [][]uint64 // shard → warehouses on other shards
 }
 
-// Load implements workload.Workload.
+// Load implements workload.Workload. The database depends only on the scale
+// and the engines' geometry: the workload loads it once per such key and
+// copies it after that (workload.Images).
 func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 	if len(engs) == 0 {
 		return nil, &workload.NoEnginesError{Workload: w.Name()}
@@ -40,9 +42,19 @@ func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 		sc.CustomersPerDistrict <= 0 || sc.Items <= 0 {
 		return nil, fmt.Errorf("ordere: bad scale %+v", sc)
 	}
+	sb, err := w.images.Load(fmt.Sprintf("%+v", sc), engs,
+		func(engs []*db.Engine) (*Instance, error) { return load(sc, engs) }, (*Instance).bind)
+	if err != nil {
+		return nil, err
+	}
+	sb.crossPct = w.Partitioning().CrossShardPct
+	return sb, nil
+}
+
+// load partitions the database by warehouse and loads each engine's share.
+func load(sc Scale, engs []*db.Engine) (*Instance, error) {
 	sb := &Instance{
 		Map:      shard.Map{Shards: len(engs)},
-		crossPct: w.Partitioning().CrossShardPct,
 		whShard:  make([]int, sc.Warehouses),
 		remoteBy: make([][]uint64, len(engs)),
 	}
@@ -64,6 +76,18 @@ func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 		sb.Shards = append(sb.Shards, b)
 	}
 	return sb, nil
+}
+
+// bind returns a copy of sb over engs, engines holding a copy of sb's
+// database: the partition tables are shared (nothing writes them after the
+// load) and each shard's Bench is rebound to its engine.
+func (sb *Instance) bind(engs []*db.Engine) *Instance {
+	c := *sb
+	c.Shards = make([]*Bench, len(engs))
+	for i, b := range sb.Shards {
+		c.Shards[i] = b.bind(engs[i])
+	}
+	return &c
 }
 
 // GenInput implements workload.Instance: the per-engine generator, except

@@ -169,27 +169,17 @@ type Bench struct {
 // start empty on every engine; New-Orders are always warehouse-local, so
 // they fill only their home shard's tables.
 func loadOwned(eng *db.Engine, sc Scale, own func(warehouse uint64) bool) (*Bench, error) {
-	m := &Bench{Eng: eng, Scale: sc}
 	s := eng.NewSession(0, nil)
-
-	m.WhTable = eng.CreateTable("warehouse")
-	m.DistTable = eng.CreateTable("district")
-	m.CustTable = eng.CreateTable("customer")
-	m.StockTable = eng.CreateTable("stock")
-	m.OrderTable = eng.CreateTable("orders")
-	m.LineTable = eng.CreateTable("order_line")
-	m.HistTable = eng.CreateTable("oe_history")
-	m.Customers = eng.CreateBTree("customer_pk")
-	m.StockIdx = eng.CreateBTree("stock_pk")
-	m.Orders = eng.CreateBTree("order_pk")
-	m.OrderLines = eng.CreateBTree("order_line_pk")
-
-	tables := map[string]*db.Table{
-		"warehouse": m.WhTable, "district": m.DistTable, "customer": m.CustTable,
-		"stock": m.StockTable, "orders": m.OrderTable, "order_line": m.LineTable,
+	for _, name := range []string{"warehouse", "district", "customer", "stock", "orders", "order_line", "oe_history"} {
+		eng.CreateTable(name)
 	}
+	for _, name := range []string{"customer_pk", "stock_pk", "order_pk", "order_line_pk"} {
+		eng.CreateBTree(name)
+	}
+	m := (&Bench{Scale: sc}).bind(eng)
+
 	for _, ts := range Schemas() {
-		if err := tables[ts.Table].EnsureFields(ts.Interleaved()); err != nil {
+		if err := eng.Table(ts.Table).EnsureFields(ts.Interleaved()); err != nil {
 			return nil, err
 		}
 	}
@@ -237,9 +227,22 @@ func loadOwned(eng *db.Engine, sc Scale, own func(warehouse uint64) bool) (*Benc
 			return nil, err
 		}
 	}
-	eng.Pool.FlushAll()
-	eng.WAL.MarkFlushed(eng.WAL.CurrentLSN())
+	eng.Checkpoint()
 	return m, nil
+}
+
+// bind returns a copy of m whose engine handles name eng's tables and
+// B-trees. The row-ID tables and the owned list are shared: nothing writes
+// them after the load.
+func (m *Bench) bind(eng *db.Engine) *Bench {
+	c := *m
+	c.Eng = eng
+	c.WhTable, c.DistTable, c.CustTable = eng.Table("warehouse"), eng.Table("district"), eng.Table("customer")
+	c.StockTable, c.OrderTable = eng.Table("stock"), eng.Table("orders")
+	c.LineTable, c.HistTable = eng.Table("order_line"), eng.Table("oe_history")
+	c.Customers, c.StockIdx = eng.BTree("customer_pk"), eng.BTree("stock_pk")
+	c.Orders, c.OrderLines = eng.BTree("order_pk"), eng.BTree("order_line_pk")
+	return &c
 }
 
 // NumCustomers returns the total customer count.

@@ -16,6 +16,8 @@ type Workload struct {
 	// machines; 0 uses workload.DefaultCrossShardPct, negative disables
 	// it.
 	CrossShardPct int
+
+	images workload.Images[*Instance]
 }
 
 // New returns the order-entry workload at default scale.

@@ -33,7 +33,9 @@ type Instance struct {
 	remoteBy    [][]uint64 // shard → branches on other shards
 }
 
-// Load implements workload.Workload.
+// Load implements workload.Workload. The database depends only on the scale
+// and the engines' geometry: the workload loads it once per such key and
+// copies it after that (workload.Images).
 func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 	if len(engs) == 0 {
 		return nil, &workload.NoEnginesError{Workload: w.Name()}
@@ -42,11 +44,24 @@ func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 		return nil, err
 	}
 	sc := w.Scale
+	sb, err := w.images.Load(fmt.Sprintf("%+v", sc), engs,
+		func(engs []*db.Engine) (*Instance, error) { return load(sc, engs) }, (*Instance).bind)
+	if err != nil {
+		return nil, err
+	}
+	sb.crossPct = w.Partitioning().CrossShardPct
+	sb.hotFrac = w.HotAccountFrac
+	for _, b := range sb.Shards {
+		b.HotAccountFrac = w.HotAccountFrac
+	}
+	return sb, nil
+}
+
+// load partitions the database by branch and loads each engine's share.
+func load(sc Scale, engs []*db.Engine) (*Instance, error) {
 	sb := &Instance{
-		Scale:    sc,
-		Map:      shard.Map{Shards: len(engs)},
-		crossPct: w.Partitioning().CrossShardPct,
-		hotFrac:  w.HotAccountFrac,
+		Scale: sc,
+		Map:   shard.Map{Shards: len(engs)},
 
 		branchShard: make([]int, sc.Branches),
 		localBy:     make([][]uint64, len(engs)),
@@ -69,10 +84,21 @@ func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.HotAccountFrac = w.HotAccountFrac
 		sb.Shards = append(sb.Shards, b)
 	}
 	return sb, nil
+}
+
+// bind returns a copy of sb over engs, engines holding a copy of sb's
+// database: the partition tables are shared (nothing writes them after the
+// load) and each shard's Bench is rebound to its engine.
+func (sb *Instance) bind(engs []*db.Engine) *Instance {
+	c := *sb
+	c.Shards = make([]*Bench, len(engs))
+	for i, b := range sb.Shards {
+		c.Shards[i] = b.bind(engs[i])
+	}
+	return &c
 }
 
 // acctBranch returns the branch an account belongs to.

@@ -111,20 +111,19 @@ type Bench struct {
 // loadOwned creates one engine's slice of the database — the branches
 // satisfying own, their tellers and accounts, and the per-engine indexes
 // over them — through an uninstrumented session (the paper starts profiling
-// only after setup and warmup), then checkpoints the loaded pages and marks
-// the log flushed, so measured runs start clean. A shard's engine holds only
+// only after setup and warmup), then checkpoints it (db.Engine.Checkpoint:
+// pages on disk, the load's log records dropped), so measured runs start
+// clean. A shard's engine holds only
 // its partition, while IDs stay global so routed transactions address rows
 // the same way at every shard count.
 func loadOwned(eng *db.Engine, sc Scale, own func(branch uint64) bool) (*Bench, error) {
-	b := &Bench{Eng: eng, Scale: sc}
 	s := eng.NewSession(0, nil)
-
-	b.AcctTable = eng.CreateTable("account")
-	b.TellerTable = eng.CreateTable("teller")
-	b.BranchTable = eng.CreateTable("branch")
-	b.HistTable = eng.CreateTable("history")
-	b.Accounts = eng.CreateBTree("account_pk")
-	b.Tellers = eng.CreateBTree("teller_pk")
+	for _, name := range []string{"account", "teller", "branch", "history"} {
+		eng.CreateTable(name)
+	}
+	eng.CreateBTree("account_pk")
+	eng.CreateBTree("teller_pk")
+	b := (&Bench{Scale: sc}).bind(eng)
 
 	// The interleaved schema layout is the default; an engine field hint
 	// (a grouped record layout) installed before load wins, and the
@@ -168,9 +167,20 @@ func loadOwned(eng *db.Engine, sc Scale, own func(branch uint64) bool) (*Bench, 
 			return nil, err
 		}
 	}
-	eng.Pool.FlushAll()
-	eng.WAL.MarkFlushed(eng.WAL.CurrentLSN())
+	eng.Checkpoint()
 	return b, nil
+}
+
+// bind returns a copy of b whose engine handles name eng's tables and
+// B-trees. The row-ID tables and the owned list are shared: nothing writes
+// them after the load.
+func (b *Bench) bind(eng *db.Engine) *Bench {
+	c := *b
+	c.Eng = eng
+	c.AcctTable, c.TellerTable = eng.Table("account"), eng.Table("teller")
+	c.BranchTable, c.HistTable = eng.Table("branch"), eng.Table("history")
+	c.Accounts, c.Tellers = eng.BTree("account_pk"), eng.BTree("teller_pk")
+	return &c
 }
 
 // NumAccounts returns the total account count.

@@ -24,6 +24,8 @@ type Workload struct {
 	// sharded machines). 0 keeps the classic uniform draw — and leaves runs
 	// bit-identical to a workload that never heard of skew.
 	HotAccountFrac float64
+
+	images workload.Images[*Instance]
 }
 
 // New returns the TPC-B workload at the paper's 40-branch scale.

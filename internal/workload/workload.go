@@ -128,7 +128,14 @@ type Workload interface {
 	// sessions, hash-partitioned across the engines — engine i receives the
 	// rows whose partition key maps to shard i — and returns the routed
 	// instance. One engine is the one-partition case; none is a
-	// NoEnginesError.
+	// NoEnginesError. The engines must be empty.
+	//
+	// The database depends only on the workload's scale and the engines'
+	// geometry and field hints (db.Geometry) — never on a seed or the
+	// engines' Env clock — so the workload loads it once per such key and
+	// copies it into the engines of every later Load (Images,
+	// db.Engine.CopyFrom). The workload value retains these templates for
+	// as long as it lives.
 	Load(engs []*db.Engine) (Instance, error)
 
 	// Models returns the workload's contribution to the modeled application

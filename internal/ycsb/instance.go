@@ -28,7 +28,9 @@ type Instance struct {
 	hasRemote []bool
 }
 
-// Load implements workload.Workload.
+// Load implements workload.Workload. The store depends only on the scale
+// and the engines' geometry: the workload loads it once per such key and
+// copies it after that (workload.Images).
 func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 	if len(engs) == 0 {
 		return nil, &workload.NoEnginesError{Workload: w.Name()}
@@ -36,25 +38,55 @@ func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 	if err := w.validate(); err != nil {
 		return nil, err
 	}
+	sc := w.Scale
+	sb, err := w.images.Load(fmt.Sprintf("%+v", sc), engs,
+		func(engs []*db.Engine) (*Instance, error) { return load(sc, engs) }, (*Instance).bind)
+	if err != nil {
+		return nil, err
+	}
+	sb.crossPct = w.Partitioning().CrossShardPct
+	readPct := w.ReadPct
+	if readPct < 0 {
+		readPct = DefaultReadPct
+	}
+	for _, b := range sb.Shards {
+		// Shards[0] is the shared generator; the others carry the knobs for
+		// consistency.
+		b.ReadPct = readPct
+		b.ShiftAfterGens, b.ShiftReadPct = w.ShiftAfterGens, w.ShiftReadPct
+		b.SetZipfTheta(w.ZipfTheta)
+	}
+	return sb, nil
+}
+
+// load partitions the store by key and loads each engine's share.
+func load(sc Scale, engs []*db.Engine) (*Instance, error) {
 	sb := &Instance{
-		Scale:    w.Scale,
-		Map:      shard.Map{Shards: len(engs)},
-		crossPct: w.Partitioning().CrossShardPct,
+		Scale: sc,
+		Map:   shard.Map{Shards: len(engs)},
 	}
 	for i, eng := range engs {
 		sh := i
-		b, err := loadOwned(eng, w.Scale, w.ReadPct, func(key uint64) bool { return sb.Map.Of(key) == sh })
+		b, err := loadOwned(eng, sc, func(key uint64) bool { return sb.Map.Of(key) == sh })
 		if err != nil {
 			return nil, err
 		}
-		// Shards[0] is the shared generator; the others carry the knobs for
-		// consistency.
-		b.ShiftAfterGens, b.ShiftReadPct = w.ShiftAfterGens, w.ShiftReadPct
-		b.SetZipfTheta(w.ZipfTheta)
 		sb.Shards = append(sb.Shards, b)
-		sb.hasRemote = append(sb.hasRemote, len(b.owned) < w.Scale.Records)
+		sb.hasRemote = append(sb.hasRemote, len(b.owned) < sc.Records)
 	}
 	return sb, nil
+}
+
+// bind returns a copy of sb over engs, engines holding a copy of sb's
+// store: the partition facts are shared (nothing writes them after the
+// load) and each shard's Bench is rebound to its engine.
+func (sb *Instance) bind(engs []*db.Engine) *Instance {
+	c := *sb
+	c.Shards = make([]*Bench, len(engs))
+	for i, b := range sb.Shards {
+		c.Shards[i] = b.bind(engs[i])
+	}
+	return &c
 }
 
 // GenInput implements workload.Instance: the per-engine generator, except

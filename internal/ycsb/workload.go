@@ -43,6 +43,8 @@ type Workload struct {
 	// point for a given seed, which the re-optimization tests rely on.
 	ShiftAfterGens int
 	ShiftReadPct   int
+
+	images workload.Images[*Instance]
 }
 
 // New returns the YCSB-style workload at default scale (95/5 read/update).

@@ -153,16 +153,13 @@ type Bench struct {
 
 // loadOwned creates one engine's slice of the store — the keys satisfying
 // own — through an uninstrumented session and leaves it checkpointed, like
-// the TPC-B loader. The scale and readPct have passed Workload.validate; a
-// negative readPct selects DefaultReadPct (95), 0 is a valid pure-update mix.
-func loadOwned(eng *db.Engine, sc Scale, readPct int, own func(key uint64) bool) (*Bench, error) {
-	if readPct < 0 {
-		readPct = DefaultReadPct
-	}
-	b := &Bench{Eng: eng, Scale: sc, ReadPct: readPct}
+// the TPC-B loader. The scale has passed Workload.validate; Load sets the
+// mix knobs.
+func loadOwned(eng *db.Engine, sc Scale, own func(key uint64) bool) (*Bench, error) {
 	s := eng.NewSession(0, nil)
-	b.UserTable = eng.CreateTable("usertable")
-	b.Users = eng.CreateBTree("user_pk")
+	eng.CreateTable("usertable")
+	eng.CreateBTree("user_pk")
+	b := (&Bench{Scale: sc}).bind(eng)
 	if err := b.UserTable.EnsureFields(Schemas()[0].Interleaved()); err != nil {
 		return nil, err
 	}
@@ -178,9 +175,17 @@ func loadOwned(eng *db.Engine, sc Scale, readPct int, own func(key uint64) bool)
 			return nil, err
 		}
 	}
-	eng.Pool.FlushAll()
-	eng.WAL.MarkFlushed(eng.WAL.CurrentLSN())
+	eng.Checkpoint()
 	return b, nil
+}
+
+// bind returns a copy of b whose engine handles name eng's table and
+// B-tree. The owned list is shared: nothing writes it after the load.
+func (b *Bench) bind(eng *db.Engine) *Bench {
+	c := *b
+	c.Eng = eng
+	c.UserTable, c.Users = eng.Table("usertable"), eng.BTree("user_pk")
+	return &c
 }
 
 // SetZipfTheta switches key generation from uniform to the YCSB Zipfian
