@@ -904,7 +904,11 @@ func (p *proc) run(m *Machine, yield func(yieldMsg) bool) {
 // is recovered here, the emitter reset, and every in-flight branch of the
 // transaction aborted through the instrumented txn_abort path; a
 // misprediction additionally pins the retry to the full distributed path.
+// Only RunMispredicted may raise ErrMispredict: the routines' missing-row
+// branches raise it, so from RunTxn it means a row is really missing, and
+// the run crashes instead of retrying.
 func (p *proc) tryTxn(m *Machine, in workload.Input, rt workload.Route) (ok bool) {
+	mispredicted := false
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -913,6 +917,9 @@ func (p *proc) tryTxn(m *Machine, in workload.Input, rt workload.Route) (ok bool
 		switch r {
 		case db.ErrDeadlock:
 		case workload.ErrMispredict:
+			if !mispredicted {
+				panic(fmt.Errorf("%w raised outside RunMispredicted (%s request on shard %d)", workload.ErrMispredict, rt.Kind, rt.Home))
+			}
 			p.forceSlow = true
 			if m.measuring {
 				m.res.Mispredicted++
@@ -940,6 +947,7 @@ func (p *proc) tryTxn(m *Machine, in workload.Input, rt workload.Route) (ok bool
 		predict.Check(p.emit, rt.Home, local)
 		if local {
 			if rt.Remote {
+				mispredicted = true
 				m.inst.RunMispredicted(p.sessions[rt.Home], in)
 			} else {
 				m.inst.RunTxn(p.sessions, in)

@@ -195,6 +195,31 @@ func TestForcedMispredictRetriesDistributed(t *testing.T) {
 	}
 }
 
+// TestStrayMispredictFailsTheRun: workload.ErrMispredict is the fast path's
+// unwind and means nothing outside RunMispredicted. Anywhere else it is a
+// missing row, so a one-shard run with no predictor whose RunTxn raises it
+// must fail naming the misprediction, not count it and retry.
+func TestStrayMispredictFailsTheRun(t *testing.T) {
+	wl := smallWorkload(t, "tpcb")
+	app, appL, kern, kernL := testImages(t, wl)
+	raised := false
+	check := func() {
+		if !raised {
+			raised = true
+			panic(workload.ErrMispredict)
+		}
+	}
+	cfg := configFor(gateWorkload{Workload: wl, check: check}, app, appL, kern, kernL)
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run()
+	if err == nil || !strings.Contains(err.Error(), "misprediction") {
+		t.Fatalf("Run error = %v (result %+v), want the stray misprediction", err, res)
+	}
+}
+
 // TestFastPathValidation: the fast path must be rejected fast on
 // misconfiguration — a single shard, or an app image built without the
 // predictor models.

@@ -42,19 +42,15 @@ func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 		sc.CustomersPerDistrict <= 0 || sc.Items <= 0 {
 		return nil, fmt.Errorf("ordere: bad scale %+v", sc)
 	}
-	sb, err := w.images.Load(fmt.Sprintf("%+v", sc), engs,
-		func(engs []*db.Engine) (*Instance, error) { return load(sc, engs) }, (*Instance).bind)
+	shards, err := w.images.Load(fmt.Sprintf("%+v", sc), engs,
+		func(eng *db.Engine, own func(uint64) bool) (*Bench, error) { return loadOwned(eng, sc, own) }, (*Bench).bind)
 	if err != nil {
 		return nil, err
 	}
-	sb.crossPct = w.Partitioning().CrossShardPct
-	return sb, nil
-}
-
-// load partitions the database by warehouse and loads each engine's share.
-func load(sc Scale, engs []*db.Engine) (*Instance, error) {
 	sb := &Instance{
 		Map:      shard.Map{Shards: len(engs)},
+		Shards:   shards,
+		crossPct: w.Partitioning().CrossShardPct,
 		whShard:  make([]int, sc.Warehouses),
 		remoteBy: make([][]uint64, len(engs)),
 	}
@@ -67,27 +63,7 @@ func load(sc Scale, engs []*db.Engine) (*Instance, error) {
 			}
 		}
 	}
-	for i, eng := range engs {
-		sh := i
-		b, err := loadOwned(eng, sc, func(warehouse uint64) bool { return sb.whShard[warehouse] == sh })
-		if err != nil {
-			return nil, err
-		}
-		sb.Shards = append(sb.Shards, b)
-	}
 	return sb, nil
-}
-
-// bind returns a copy of sb over engs, engines holding a copy of sb's
-// database: the partition tables are shared (nothing writes them after the
-// load) and each shard's Bench is rebound to its engine.
-func (sb *Instance) bind(engs []*db.Engine) *Instance {
-	c := *sb
-	c.Shards = make([]*Bench, len(engs))
-	for i, b := range sb.Shards {
-		c.Shards[i] = b.bind(engs[i])
-	}
-	return &c
 }
 
 // GenInput implements workload.Instance: the per-engine generator, except
@@ -126,53 +102,28 @@ func (sb *Instance) Route(in workload.Input) workload.Route {
 	return rt
 }
 
-// RunTxn implements workload.Instance.
+// RunTxn implements workload.Instance: a Payment runs on its home shard and
+// its customer's, which are one shard unless the customer is remote.
 func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
 	req := in.(Input)
 	home := sb.whShard[req.Warehouse]
-	custShard := sb.whShard[req.CWarehouse]
-	if req.Kind == NewOrder || custShard == home {
+	if req.Kind == NewOrder {
 		sb.Shards[home].Run(ss[home], req)
 		return
 	}
-	hs, rs := ss[home], ss[custShard]
-	hb, rb := sb.Shards[home], sb.Shards[custShard]
-	pb := hs.PB
-	pb.Enter("payment_dist")
-	defer pb.Leave("payment_dist")
-	pb.Data(hs.ScratchAddr(1024), 256, true)
-	hs.Begin()
-	rs.Begin()
-	hb.payWarehouse(hs, req)
-	hb.payDistrict(hs, req)
-	rb.payCustomer(rs, req)
-	hb.payHistory(hs, req)
-	shard.Commit2PC(hs, rs)
+	cust := sb.whShard[req.CWarehouse]
+	payment(sb.Shards[home], ss[home], sb.Shards[cust], ss[cust], req)
 }
 
-// RunMispredicted implements workload.Instance: a Payment whose customer
-// turns out to live on another shard runs its home-side warehouse and
-// district updates for real (the modeled txn_abort undo pays for them),
-// then discovers the miss honestly when the customer search comes up empty
-// on the home shard's tree, and unwinds through workload.Mispredict before
-// touching any foreign engine.
+// RunMispredicted implements workload.Instance: the local Payment on the
+// home engine alone. It runs the warehouse and district updates for real
+// (the modeled txn_abort undo pays for them), then discovers the miss
+// honestly when the customer search comes up empty on the home shard's
+// tree, and unwinds through workload.Mispredict before touching any foreign
+// engine.
 func (sb *Instance) RunMispredicted(s *db.Session, in workload.Input) {
 	req := in.(Input)
-	home := sb.whShard[req.Warehouse]
-	b := sb.Shards[home]
-	pb := s.PB
-	pb.Enter("payment_txn")
-	defer pb.Leave("payment_txn")
-	pb.Data(s.ScratchAddr(1024), 256, true)
-	s.Begin()
-	b.payWarehouse(s, req)
-	b.payDistrict(s, req)
-	pb.Enter("pay_customer")
-	defer pb.Leave("pay_customer")
-	if _, ok := b.Customers.Search(s, b.custGlobal(req)); ok {
-		panic(fmt.Sprintf("ordere: remote customer %d found on home shard %d", b.custGlobal(req), home))
-	}
-	workload.Mispredict(pb)
+	sb.Shards[sb.whShard[req.Warehouse]].Run(s, req)
 }
 
 // Check implements workload.Instance: every order's total equals the sum of

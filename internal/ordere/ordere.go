@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"codelayout/internal/db"
+	"codelayout/internal/shard"
 	"codelayout/internal/workload"
 )
 
@@ -319,7 +320,7 @@ func (m *Bench) Run(s *db.Session, in Input) {
 	if in.Kind == NewOrder {
 		m.runNewOrder(s, in)
 	} else {
-		m.runPayment(s, in)
+		payment(m, s, m, s, in)
 	}
 }
 
@@ -464,16 +465,34 @@ func (m *Bench) noTotal(s *db.Session, okey uint64, orid db.RID) {
 
 // ---- Payment ----
 
-func (m *Bench) runPayment(s *db.Session, in Input) {
-	s.PB.Enter("payment_txn")
-	defer s.PB.Leave("payment_txn")
-	s.PB.Data(s.ScratchAddr(1024), 256, true)
-	s.Begin()
-	m.payWarehouse(s, in)
-	m.payDistrict(s, in)
-	m.payCustomer(s, in)
-	m.payHistory(s, in)
-	s.Commit()
+// payment runs one Payment: the warehouse, district and history on the home
+// shard hb through hs, the customer on cb through cs. A local Payment (cs ==
+// hs) commits on its one engine under payment_txn; a distributed one begins
+// a branch on each engine and commits them through two-phase commit under
+// payment_dist. A remote Payment the fast path guessed local runs as a local
+// one on its home engine and unwinds in payCustomer.
+func payment(hb *Bench, hs *db.Session, cb *Bench, cs *db.Session, in Input) {
+	dist := cs != hs
+	root := "payment_txn"
+	if dist {
+		root = "payment_dist"
+	}
+	hs.PB.Enter(root)
+	defer hs.PB.Leave(root)
+	hs.PB.Data(hs.ScratchAddr(1024), 256, true)
+	hs.Begin()
+	if dist {
+		cs.Begin()
+	}
+	hb.payWarehouse(hs, in)
+	hb.payDistrict(hs, in)
+	cb.payCustomer(cs, in)
+	hb.payHistory(hs, in)
+	if dist {
+		shard.Commit2PC(hs, cs)
+	} else {
+		hs.Commit()
+	}
 }
 
 func (m *Bench) payWarehouse(s *db.Session, in Input) {
@@ -505,7 +524,9 @@ func (m *Bench) payCustomer(s *db.Session, in Input) {
 	cg := m.custGlobal(in)
 	packed, ok := m.Customers.Search(s, cg)
 	if !ok {
-		panic(fmt.Sprintf("ordere: customer %d missing", cg))
+		// The customer lives on another shard: a fast-path Payment that
+		// was wrongly predicted local.
+		workload.Mispredict(s.PB)
 	}
 	s.LockX(db.LockKey(lockSpaceCustomer, cg))
 	rid := db.UnpackRID(packed)

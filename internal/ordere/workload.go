@@ -17,7 +17,7 @@ type Workload struct {
 	// it.
 	CrossShardPct int
 
-	images workload.Images[*Instance]
+	images workload.Images[*Bench]
 }
 
 // New returns the order-entry workload at default scale.

@@ -44,24 +44,17 @@ func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 		return nil, err
 	}
 	sc := w.Scale
-	sb, err := w.images.Load(fmt.Sprintf("%+v", sc), engs,
-		func(engs []*db.Engine) (*Instance, error) { return load(sc, engs) }, (*Instance).bind)
+	shards, err := w.images.Load(fmt.Sprintf("%+v", sc), engs,
+		func(eng *db.Engine, own func(uint64) bool) (*Bench, error) { return loadOwned(eng, sc, own) }, (*Bench).bind)
 	if err != nil {
 		return nil, err
 	}
-	sb.crossPct = w.Partitioning().CrossShardPct
-	sb.hotFrac = w.HotAccountFrac
-	for _, b := range sb.Shards {
-		b.HotAccountFrac = w.HotAccountFrac
-	}
-	return sb, nil
-}
-
-// load partitions the database by branch and loads each engine's share.
-func load(sc Scale, engs []*db.Engine) (*Instance, error) {
 	sb := &Instance{
-		Scale: sc,
-		Map:   shard.Map{Shards: len(engs)},
+		Scale:    sc,
+		Map:      shard.Map{Shards: len(engs)},
+		Shards:   shards,
+		crossPct: w.Partitioning().CrossShardPct,
+		hotFrac:  w.HotAccountFrac,
 
 		branchShard: make([]int, sc.Branches),
 		localBy:     make([][]uint64, len(engs)),
@@ -78,27 +71,10 @@ func load(sc Scale, engs []*db.Engine) (*Instance, error) {
 			}
 		}
 	}
-	for i, eng := range engs {
-		sh := i
-		b, err := loadOwned(eng, sc, func(branch uint64) bool { return sb.branchShard[branch] == sh })
-		if err != nil {
-			return nil, err
-		}
-		sb.Shards = append(sb.Shards, b)
+	for _, b := range shards {
+		b.HotAccountFrac = w.HotAccountFrac
 	}
 	return sb, nil
-}
-
-// bind returns a copy of sb over engs, engines holding a copy of sb's
-// database: the partition tables are shared (nothing writes them after the
-// load) and each shard's Bench is rebound to its engine.
-func (sb *Instance) bind(engs []*db.Engine) *Instance {
-	c := *sb
-	c.Shards = make([]*Bench, len(engs))
-	for i, b := range sb.Shards {
-		c.Shards[i] = b.bind(engs[i])
-	}
-	return &c
 }
 
 // acctBranch returns the branch an account belongs to.
@@ -182,20 +158,7 @@ func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
 // touching any foreign engine.
 func (sb *Instance) RunMispredicted(s *db.Session, in workload.Input) {
 	req := in.(Input)
-	home := sb.branchShard[req.Branch]
-	b := sb.Shards[home]
-	pb := s.PB
-	pb.Enter("tpcb_txn")
-	defer pb.Leave("tpcb_txn")
-	pb.Data(s.ScratchAddr(1024), 256, true)
-	s.Begin()
-	pb.Enter("upd_account")
-	defer pb.Leave("upd_account")
-	pb.Data(s.ScratchAddr(0), 192, true)
-	if _, ok := b.Accounts.Search(s, req.Account); ok {
-		panic(fmt.Sprintf("tpcb: remote account %d found on home shard %d", req.Account, home))
-	}
-	workload.Mispredict(pb)
+	sb.Shards[sb.branchShard[req.Branch]].Run(s, req)
 }
 
 // Check implements workload.Instance: TPC-B balance conservation over the

@@ -269,7 +269,9 @@ func (b *Bench) updAccount(s *db.Session, acct uint64, delta int64) int64 {
 	s.PB.Data(s.ScratchAddr(0), 192, true) // cursor/bind state
 	packed, ok := b.Accounts.Search(s, acct)
 	if !ok {
-		panic(fmt.Sprintf("tpcb: account %d missing", acct))
+		// The account lives on another shard: a fast-path transaction
+		// that was wrongly predicted local.
+		workload.Mispredict(s.PB)
 	}
 	rid := db.UnpackRID(packed)
 	s.LockX(db.LockKey(lockSpaceAccount, acct))

@@ -25,7 +25,7 @@ type Workload struct {
 	// bit-identical to a workload that never heard of skew.
 	HotAccountFrac float64
 
-	images workload.Images[*Instance]
+	images workload.Images[*Bench]
 }
 
 // New returns the TPC-B workload at the paper's 40-branch scale.

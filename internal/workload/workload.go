@@ -76,7 +76,10 @@ type Instance interface {
 	// without the router or the 2PC coordinator, until it discovers the
 	// remote touch, and then calls Mispredict — before reading or writing
 	// anything on a foreign engine — so the machine can abort the home
-	// branch and rerun it distributed. It never returns normally.
+	// branch and rerun it distributed. It never returns normally. It is
+	// normally the local routine itself, whose branch for a row missing
+	// from the home engine calls Mispredict; the machine accepts
+	// ErrMispredict from this method alone.
 	RunMispredicted(s *db.Session, in Input)
 
 	// Check verifies the workload's consistency invariants (e.g. TPC-B
@@ -134,8 +137,10 @@ type Workload interface {
 	// geometry and field hints (db.Geometry) — never on a seed or the
 	// engines' Env clock — so the workload loads it once per such key and
 	// copies it into the engines of every later Load (Images,
-	// db.Engine.CopyFrom). The workload value retains these templates for
-	// as long as it lives.
+	// db.Engine.CopyFrom). The workload hands Images a per-engine loader
+	// and a bind for its per-shard handle, and builds the instance around
+	// the shards Images returns. The workload value retains these
+	// templates for as long as it lives.
 	Load(engs []*db.Engine) (Instance, error)
 
 	// Models returns the workload's contribution to the modeled application
@@ -225,7 +230,8 @@ type Predictor interface {
 // transaction predicted single-shard discovered mid-run that it needs a
 // remote shard. The machine recovers it exactly like db.ErrDeadlock — abort
 // every open branch through the modeled txn_abort path, then retry — except
-// the retry is forced onto the slow distributed path.
+// the retry is forced onto the slow distributed path. Raised anywhere but
+// Instance.RunMispredicted it crashes the run.
 var ErrMispredict = errors.New("workload: fast-path misprediction (transaction touches a remote shard)")
 
 // Mispredict unwinds a fast-path transaction that turned out to need a

@@ -39,17 +39,23 @@ func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 		return nil, err
 	}
 	sc := w.Scale
-	sb, err := w.images.Load(fmt.Sprintf("%+v", sc), engs,
-		func(engs []*db.Engine) (*Instance, error) { return load(sc, engs) }, (*Instance).bind)
+	shards, err := w.images.Load(fmt.Sprintf("%+v", sc), engs,
+		func(eng *db.Engine, own func(uint64) bool) (*Bench, error) { return loadOwned(eng, sc, own) }, (*Bench).bind)
 	if err != nil {
 		return nil, err
 	}
-	sb.crossPct = w.Partitioning().CrossShardPct
+	sb := &Instance{
+		Scale:    sc,
+		Map:      shard.Map{Shards: len(engs)},
+		Shards:   shards,
+		crossPct: w.Partitioning().CrossShardPct,
+	}
 	readPct := w.ReadPct
 	if readPct < 0 {
 		readPct = DefaultReadPct
 	}
-	for _, b := range sb.Shards {
+	for _, b := range shards {
+		sb.hasRemote = append(sb.hasRemote, len(b.owned) < sc.Records)
 		// Shards[0] is the shared generator; the others carry the knobs for
 		// consistency.
 		b.ReadPct = readPct
@@ -57,36 +63,6 @@ func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 		b.SetZipfTheta(w.ZipfTheta)
 	}
 	return sb, nil
-}
-
-// load partitions the store by key and loads each engine's share.
-func load(sc Scale, engs []*db.Engine) (*Instance, error) {
-	sb := &Instance{
-		Scale: sc,
-		Map:   shard.Map{Shards: len(engs)},
-	}
-	for i, eng := range engs {
-		sh := i
-		b, err := loadOwned(eng, sc, func(key uint64) bool { return sb.Map.Of(key) == sh })
-		if err != nil {
-			return nil, err
-		}
-		sb.Shards = append(sb.Shards, b)
-		sb.hasRemote = append(sb.hasRemote, len(b.owned) < sc.Records)
-	}
-	return sb, nil
-}
-
-// bind returns a copy of sb over engs, engines holding a copy of sb's
-// store: the partition facts are shared (nothing writes them after the
-// load) and each shard's Bench is rebound to its engine.
-func (sb *Instance) bind(engs []*db.Engine) *Instance {
-	c := *sb
-	c.Shards = make([]*Bench, len(engs))
-	for i, b := range sb.Shards {
-		c.Shards[i] = b.bind(engs[i])
-	}
-	return &c
 }
 
 // GenInput implements workload.Instance: the per-engine generator, except

@@ -44,7 +44,7 @@ type Workload struct {
 	ShiftAfterGens int
 	ShiftReadPct   int
 
-	images workload.Images[*Instance]
+	images workload.Images[*Bench]
 }
 
 // New returns the YCSB-style workload at default scale (95/5 read/update).
