@@ -35,8 +35,8 @@ type Collector interface {
 
 // Emitter replays engine events over the image's CFG under a specific
 // layout, producing the instruction address runs the modeled binary would
-// fetch. It implements the event half of probe.Probe (Enter/Leave/Branch);
-// Data and Syscall are forwarded to machine hooks.
+// fetch. It implements probe.Probe: Enter/Leave/Branch drive the walk, Data
+// is forwarded to a machine hook.
 //
 // The emitter is a resumable CFG walker: it auto-advances through
 // straight-line code, PRNG-resolved branches and auto-function calls, and
@@ -75,9 +75,8 @@ type Emitter struct {
 	Attention func()
 	// Collector, if non-nil, receives exact block/edge counts (Pixie).
 	Collector Collector
-	// OnData and OnSyscall forward the corresponding probe events.
-	OnData    func(addr uint64, bytes int, write bool)
-	OnSyscall func(name string)
+	// OnData forwards the probe's data references.
+	OnData func(addr uint64, bytes int, write bool)
 
 	// rng resolves auto branches, loops and picks: the draws of
 	// rand.New(rand.NewSource(seed)), without a call per draw.
@@ -425,16 +424,6 @@ func (e *Emitter) Data(addr uint64, bytes int, write bool) {
 	}
 	if e.OnData != nil {
 		e.OnData(addr, bytes, write)
-	}
-}
-
-// Syscall forwards a kernel crossing to the machine hook.
-func (e *Emitter) Syscall(name string) {
-	if e.unwinding {
-		return
-	}
-	if e.OnSyscall != nil {
-		e.OnSyscall(name)
 	}
 }
 

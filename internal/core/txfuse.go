@@ -336,7 +336,7 @@ func transferProfile(st *LayoutState, orig *program.Procedure, remap map[program
 			if e.Kind == program.EdgeCall {
 				// The clone's call edges keep no weight, so ordering sees no
 				// affinity from a cloned caller to its callee: a known defect
-				// (ROADMAP item 7) whose fix deletes this skip.
+				// (ROADMAP item 8(b)) whose fix deletes this skip.
 				return
 			}
 			m := pf.Edge(ob, e.Dst) * claim / inflow

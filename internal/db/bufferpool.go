@@ -6,7 +6,7 @@ import (
 
 // Disk is the stable storage behind the buffer pool. The simulated disk
 // keeps page images in memory; reads and writes are instantaneous here —
-// I/O latency is charged by the machine at the probe.Syscall crossings.
+// I/O latency is charged by the machine behind the engine's Env.
 type Disk struct {
 	pages map[PageID][]byte
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"codelayout/internal/probe"
-	"codelayout/internal/stats"
 )
 
 // Engine is the shared database instance (the SGA): buffer pool, WAL, lock
@@ -24,20 +23,6 @@ type Engine struct {
 	// shards' buffer pools, log buffers and lock tables occupy disjoint
 	// regions of the modeled address space.
 	Shard int
-	// GroupCommitWindow > 0 makes the flush leader sleep that many
-	// instruction-times before writing, so concurrent commits batch into
-	// one flush; 0 flushes as soon as a leader arrives.
-	GroupCommitWindow uint64
-	// PerCommitFlush disables group commit: every committer performs (or
-	// queues for) its own physical log write. The baseline the group-commit
-	// benches compare against.
-	PerCommitFlush bool
-
-	// windowPending marks that this engine's flush leader just requested a
-	// log_window sleep, so the environment can attribute the sleep to this
-	// engine's (possibly per-shard auto-tuned) window. See
-	// TakeWindowPending.
-	windowPending bool
 
 	graph *WaitGraph
 
@@ -60,15 +45,6 @@ type Engine struct {
 	Aborted uint64
 	// Deadlocks counts victim aborts forced by deadlock detection.
 	Deadlocks uint64
-
-	// CommitGaps histograms the inter-commit gaps observed on this engine
-	// (instruction-times), recorded whenever the environment's Now tells
-	// time. The group-commit auto-tuner reads the shard's commit arrival
-	// process from it instead of assuming a uniform rate.
-	CommitGaps stats.Log2Hist
-	// lastCommitAt is the clock reading of the most recent commit (0 before
-	// the first timed commit).
-	lastCommitAt uint64
 }
 
 // ShardPageStride is the default page-ID distance between consecutive
@@ -81,18 +57,14 @@ type Config struct {
 	// BufferPoolPages caps resident pages. Size it to hold the whole
 	// database to reproduce the paper's cached-tables setup.
 	BufferPoolPages int
-	// Env provides process blocking; nil means NopEnv (single process).
+	// Env is what takes time (blocking, reads, log flushes); nil means
+	// NopEnv (single process, no time).
 	Env Env
 	// Shard is the engine's index within a sharded group.
 	Shard int
 	// Graph is the waits-for graph shared by every shard of a machine for
 	// global deadlock detection; nil creates a private graph.
 	Graph *WaitGraph
-	// GroupCommitWindow is the group-commit batching window in
-	// instruction-times (0 = flush as soon as a leader arrives).
-	GroupCommitWindow uint64
-	// PerCommitFlush disables group commit (see Engine.PerCommitFlush).
-	PerCommitFlush bool
 	// PageLimit caps the engine's page allocations (0 = unlimited). A
 	// sharded group sets it to its stride so a growing shard cannot
 	// silently spill page addresses into its neighbor's modeled window.
@@ -122,55 +94,27 @@ func NewEngine(cfg Config) *Engine {
 	}
 	disk := NewDisk()
 	return &Engine{
-		Disk:              disk,
-		Pool:              NewBufferPool(disk, cfg.BufferPoolPages),
-		WAL:               NewWAL(),
-		Locks:             NewLockMgr(),
-		Env:               env,
-		Shard:             cfg.Shard,
-		GroupCommitWindow: cfg.GroupCommitWindow,
-		PerCommitFlush:    cfg.PerCommitFlush,
-		graph:             graph,
-		tables:            make(map[string]*Table),
-		btrees:            make(map[string]*BTree),
-		pageBase:          PageID(cfg.Shard) * stride,
-		nextPage:          PageID(cfg.Shard) * stride,
-		pageLimit:         cfg.PageLimit,
-		nextTxn:           1,
+		Disk:      disk,
+		Pool:      NewBufferPool(disk, cfg.BufferPoolPages),
+		WAL:       NewWAL(),
+		Locks:     NewLockMgr(),
+		Env:       env,
+		Shard:     cfg.Shard,
+		graph:     graph,
+		tables:    make(map[string]*Table),
+		btrees:    make(map[string]*BTree),
+		pageBase:  PageID(cfg.Shard) * stride,
+		nextPage:  PageID(cfg.Shard) * stride,
+		pageLimit: cfg.PageLimit,
+		nextTxn:   1,
 	}
 }
 
-// noteCommit counts a committed transaction and, when the environment can
-// tell time, records the gap since the engine's previous commit.
+// noteCommit counts a committed transaction and reports it to the
+// environment, which times the shard's commit arrivals.
 func (e *Engine) noteCommit() {
 	e.Committed++
-	now := e.Env.Now()
-	if now == 0 {
-		return
-	}
-	if e.lastCommitAt > 0 && now >= e.lastCommitAt {
-		e.CommitGaps.Add(now - e.lastCommitAt)
-	}
-	// Clocks are per-CPU and can diverge; a commit timestamped behind the
-	// engine's high-water mark is skipped rather than allowed to rewind it,
-	// so cross-CPU skew cannot fabricate a giant gap on the next commit.
-	if now > e.lastCommitAt {
-		e.lastCommitAt = now
-	}
-}
-
-// TakeWindowPending reports whether this engine's flush leader just emitted
-// a log_window syscall and, if so, returns the engine's batching window and
-// clears the mark. The machine uses it to charge the correct per-shard
-// window when shards are tuned independently; exactly one engine of the
-// running process can be pending, since a process commits one log force at a
-// time.
-func (e *Engine) TakeWindowPending() (uint64, bool) {
-	if !e.windowPending {
-		return 0, false
-	}
-	e.windowPending = false
-	return e.GroupCommitWindow, true
+	e.Env.Committed(e.Shard)
 }
 
 // AllocPage reserves a fresh page ID.
@@ -269,8 +213,8 @@ func (s *Session) EndCritical() { s.crit-- }
 func (s *Session) InCritical() bool { return s.crit > 0 }
 
 // BufGet pins a page through the instrumented buffer-manager path: the
-// hit/miss outcome is reported, and a miss crosses into the kernel for the
-// read.
+// hit/miss outcome is reported, and a miss reads the page through the
+// environment (Env.Pread).
 func (s *Session) BufGet(id PageID) *Page {
 	s.PB.Enter("buf_get")
 	defer s.PB.Leave("buf_get")
@@ -282,7 +226,7 @@ func (s *Session) BufGet(id PageID) *Page {
 	if hit {
 		s.PB.Data(PageAddr(id), 32, false)
 	} else {
-		s.PB.Syscall("pread")
+		s.Eng.Env.Pread()
 		s.PB.Data(PageAddr(id), 256, true)
 	}
 	return pg
@@ -342,7 +286,6 @@ func (s *Session) lock(key uint64, mode LockMode) {
 		st := s.Eng.Locks.locks[key]
 		st.waiting++
 		g.setWait(s.PID, ref)
-		s.PB.Syscall("lock_sleep")
 		s.Eng.Env.Wait(st.queue)
 		g.clearWait(s.PID)
 		st.waiting--

@@ -48,8 +48,8 @@ func (e *Engine) empty() bool {
 //     access tally and its page list (shared like the records);
 //   - the page and transaction counters and the commit statistics.
 //
-// e keeps its own runtime fields: Env, the wait graph, the group-commit
-// settings and the log's wait queue. src is only read, so many engines may
+// e keeps its own runtime fields: Env, the wait graph and the log's wait
+// queue. src is only read, so many engines may
 // copy one src at once. The lock table is not part of a database: CopyFrom
 // refuses a src holding lock state, as it refuses an e that is not empty or
 // whose geometry differs.
@@ -111,17 +111,14 @@ func (e *Engine) copyFrom(src *Engine, frozen bool) error {
 	e.nextPage, e.nextTxn = src.nextPage, src.nextTxn
 	e.Committed, e.Aborted, e.Deadlocks = src.Committed, src.Aborted, src.Deadlocks
 	e.Locks.Conflicts = src.Locks.Conflicts
-	e.CommitGaps = src.CommitGaps
-	e.CommitGaps.Counts = slices.Clone(src.CommitGaps.Counts)
-	e.lastCommitAt = src.lastCommitAt
 	return nil
 }
 
 // Clone returns a new engine of e's geometry holding a copy of e's database
-// (CopyFrom), with NewEngine's runtime defaults: NopEnv, a private wait graph
-// and no group-commit window. A loader keeps one as the template later loads
-// copy, so nothing may write the clone: a clean frame of it holds its disk
-// image itself, and a checkpointed database costs one copy of its pages.
+// (CopyFrom), with NewEngine's runtime defaults: NopEnv and a private wait
+// graph. A loader keeps one as the template later loads copy, so nothing may
+// write the clone: a clean frame of it holds its disk image itself, and a
+// checkpointed database costs one copy of its pages.
 func (e *Engine) Clone() (*Engine, error) {
 	c := NewEngine(Config{BufferPoolPages: e.Pool.capacity, Shard: e.Shard, PageLimit: e.pageLimit})
 	c.pageBase, c.nextPage = e.pageBase, e.pageBase

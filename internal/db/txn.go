@@ -106,12 +106,15 @@ func (s *Session) CommitPrepared() {
 }
 
 // logForce implements group commit: the first committer whose LSN is not yet
-// stable becomes the leader and performs the log write (a blocking kernel
-// crossing); committers arriving while a flush is in flight park and are
-// released together when the leader finishes. With a group-commit window
-// configured, the leader additionally sleeps the window before writing, so
-// commits arriving in that window join the batch instead of queuing behind
-// it — the per-shard log daemon's amortized flush.
+// stable becomes the leader and performs the log write (Env.LogWrite, a
+// blocking kernel crossing); committers arriving while a flush is in flight
+// park and are released together when the leader finishes. Before picking
+// its target the leader asks the environment to hold the flush
+// (Env.HoldFlush): with a batching window the leader, standing in for the
+// shard's log daemon, sleeps it out while later commits append behind it and
+// join the batch instead of queuing behind it; with per-commit flushing it
+// writes only its own commit's prefix, so every committer pays its own
+// physical write (the pre-group-commit baseline the benches compare against).
 func (s *Session) logForce(lsn uint64) {
 	s.PB.Enter("log_flush")
 	defer s.PB.Leave("log_flush")
@@ -129,28 +132,17 @@ func (s *Session) logForce(lsn uint64) {
 		if leader {
 			led = true
 			w.Flushing = true
-			if !s.Eng.PerCommitFlush && s.Eng.GroupCommitWindow > 0 {
-				// The leader stands in for the shard's log daemon: it
-				// sleeps out the batching window while later commits
-				// append behind it. The pending mark tells the
-				// environment whose (per-shard) window this sleep is.
-				s.Eng.windowPending = true
-				s.PB.Syscall("log_window")
-			}
+			perCommit := s.Eng.Env.HoldFlush(s.Eng.Shard)
 			target := w.CurrentLSN()
-			if s.Eng.PerCommitFlush {
-				// Per-commit flushing: write only this commit's prefix,
-				// so every committer pays its own physical write (the
-				// pre-group-commit baseline the benches compare against).
+			if perCommit {
 				target = lsn
 			}
-			s.PB.Syscall("log_write")
+			s.Eng.Env.LogWrite()
 			w.MarkFlushed(target)
 			w.Flushing = false
 			s.Eng.Env.Wake(w.Waiters)
 		} else {
 			waited = true
-			s.PB.Syscall("log_wait")
 			s.Eng.Env.Wait(w.Waiters)
 		}
 	}

@@ -32,7 +32,7 @@ type LogRec struct {
 // buffer; a commit forces the buffer to stable storage. While one process's
 // flush is in flight, other committers join the group and are released
 // together when the leader's write completes — the machine simulates the
-// blocking at the probe.Syscall crossing.
+// blocking behind the engine's Env.
 type WAL struct {
 	Records []LogRec // since the last checkpoint: stable (flushed) prefix + buffered tail
 	nextLSN uint64
@@ -91,22 +91,32 @@ func (w *WAL) MarkFlushed(target uint64) {
 // CurrentLSN returns the highest assigned LSN.
 func (w *WAL) CurrentLSN() uint64 { return w.nextLSN - 1 }
 
-// Env is the engine's view of the processes that run it: how a process
-// blocks, and what time it is. The simulated machine parks the calling
-// process and reads its CPU clock; NopEnv runs everything synchronously and
-// has no clock (single-threaded tests, loaders). Env is the whole contract:
-// the engine calls all three methods without testing for them.
+// Env is the engine's only channel for anything that takes time: a process
+// blocking on a queue, a data-file read, the group-commit window and the
+// physical log write. The engine never reads a clock. The simulated machine
+// runs each crossing's kernel service at the exact point the engine calls
+// it, charges its latency to the running process, and owns the group-commit
+// policy (HoldFlush) and the commit arrival record (Committed) its tuners
+// read. NopEnv takes no time at all (single-threaded tests, loaders). Env is
+// the whole contract: the engine calls every method without testing for it.
 type Env interface {
 	// Wait parks the calling process on the queue until Wake.
 	Wait(q *WaitQueue)
 	// Wake releases processes parked on the queue (all of them; released
 	// processes re-check their predicates).
 	Wake(q *WaitQueue)
-	// Now returns the running process's simulated time (instruction-times).
-	// The engine records the inter-commit gap histogram the group-commit
-	// auto-tuner reads the arrival process from; 0 means "no clock" (no
-	// running process, or an environment without time) and records nothing.
-	Now() uint64
+	// Pread reads a page that missed in the buffer pool from the data file.
+	Pread()
+	// HoldFlush is called by a flush leader before it picks its target: the
+	// environment may hold the leader for the shard's batching window, so
+	// commits appended meanwhile join the flush. It reports whether the
+	// shard flushes per commit, in which case the leader writes only its
+	// own commit's prefix.
+	HoldFlush(shard int) (perCommit bool)
+	// LogWrite is the leader's physical log write.
+	LogWrite()
+	// Committed reports a commit on the shard's engine.
+	Committed(shard int)
 }
 
 // WaitQueue identifies a blocking point (group commit, a lock, ...). The
@@ -120,9 +130,10 @@ type WaitQueue struct {
 // NewWaitQueue creates a named queue.
 func NewWaitQueue(name string) *WaitQueue { return &WaitQueue{Name: name} }
 
-// NopEnv is the synchronous environment: Wait panics if it would ever be
-// reached with a predicate that cannot progress, so single-threaded tests
-// use engines configured to avoid blocking (they never conflict).
+// NopEnv is the synchronous environment: nothing takes time, a leader
+// flushes at once and batches (no window, no per-commit flushing), and Wait
+// panics, because with a single process nothing could wake it — so
+// single-threaded tests use engines that never conflict.
 type NopEnv struct{}
 
 // Wait implements Env; with a single process nothing can wake us, so this
@@ -134,5 +145,14 @@ func (NopEnv) Wait(q *WaitQueue) {
 // Wake implements Env.
 func (NopEnv) Wake(*WaitQueue) {}
 
-// Now implements Env: the synchronous environment has no clock.
-func (NopEnv) Now() uint64 { return 0 }
+// Pread implements Env.
+func (NopEnv) Pread() {}
+
+// HoldFlush implements Env: no window, batched flushes.
+func (NopEnv) HoldFlush(int) bool { return false }
+
+// LogWrite implements Env.
+func (NopEnv) LogWrite() {}
+
+// Committed implements Env.
+func (NopEnv) Committed(int) {}

@@ -1,8 +1,8 @@
-// Package kernel models the operating-system code image: syscall handlers
-// for the engine's kernel crossings (log writes, data reads, lock sleeps),
-// the scheduler/context-switch path, and the timer interrupt. Section 5 of
-// the paper studies how this stream interferes with the application's in
-// the instruction cache.
+// Package kernel models the operating-system code image: the services the
+// machine's db.Env runs at the engine's kernel crossings (log writes, the
+// group-commit sleep, data reads, lock sleeps), the scheduler/context-switch
+// path, and the timer interrupt. Section 5 of the paper studies how this
+// stream interferes with the application's in the instruction cache.
 //
 // Kernel services carry no engine instrumentation — they are auto functions
 // walked to completion by a codegen.Emitter when the machine crosses into
@@ -10,13 +10,11 @@
 package kernel
 
 import (
-	"fmt"
-
 	"codelayout/internal/codegen"
 	"codelayout/internal/isa"
 )
 
-// Service names the machine can invoke, mapped from probe.Syscall arguments.
+// Service names the machine can invoke.
 const (
 	SvcLogWrite  = "svc_log_write"
 	SvcLogWait   = "svc_log_wait"
@@ -25,24 +23,6 @@ const (
 	SvcTimer     = "svc_timer"
 	SvcSwitch    = "svc_switch"
 )
-
-// ServiceFor maps a probe.Syscall name to the kernel service entry point.
-func ServiceFor(syscall string) (string, error) {
-	switch syscall {
-	case "log_write":
-		return SvcLogWrite, nil
-	case "log_wait", "log_window":
-		// The group-commit window is a timed sleep through the same
-		// put-me-to-sleep path followers take.
-		return SvcLogWait, nil
-	case "pread":
-		return SvcPread, nil
-	case "lock_sleep":
-		return SvcLockSleep, nil
-	default:
-		return "", fmt.Errorf("kernel: unknown syscall %q", syscall)
-	}
-}
 
 // Config shapes the kernel image.
 type Config struct {

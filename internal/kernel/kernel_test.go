@@ -37,23 +37,6 @@ func TestBuildAndRunAllServices(t *testing.T) {
 	}
 }
 
-func TestServiceFor(t *testing.T) {
-	for syscall, want := range map[string]string{
-		"log_write":  kernel.SvcLogWrite,
-		"log_wait":   kernel.SvcLogWait,
-		"pread":      kernel.SvcPread,
-		"lock_sleep": kernel.SvcLockSleep,
-	} {
-		got, err := kernel.ServiceFor(syscall)
-		if err != nil || got != want {
-			t.Fatalf("ServiceFor(%s) = %s, %v", syscall, got, err)
-		}
-	}
-	if _, err := kernel.ServiceFor("open"); err == nil {
-		t.Fatal("expected error for unmodeled syscall")
-	}
-}
-
 func TestKernelFootprintModest(t *testing.T) {
 	img, err := kernel.Build(kernel.DefaultConfig(9))
 	if err != nil {

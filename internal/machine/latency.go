@@ -180,14 +180,14 @@ func modeledWait99(w, g, L float64) float64 {
 
 // tuneGroupCommitP99 sets each shard's batching window to the candidate
 // minimizing the modeled p99 transaction latency: the shard's measured
-// warmup latency histogram supplies the p99 baseline, the engine's observed
-// inter-commit gaps supply the arrival process, and modeledWait99 supplies
-// the commit-path delta of each candidate window. Candidates step in
-// L/p99WindowStep increments from 0 up to min(2L, warmupP99/2) — the
-// histogram caps the window so a shard never spends more than half its
-// observed tail budget sleeping in the batcher. Ties keep the smaller
-// window. A shard with no warmup commits (or no timed latencies) keeps the
-// immediate-flush window.
+// warmup latency histogram supplies the p99 baseline, the mean gap of its
+// commit arrival record (fed by Env.Committed) supplies the arrival process,
+// and modeledWait99 supplies the commit-path delta of each candidate window.
+// Candidates step in L/p99WindowStep increments from 0 up to min(2L,
+// warmupP99/2) — the histogram caps the window so a shard never spends more
+// than half its observed tail budget sleeping in the batcher. Ties keep the
+// smaller window. A shard with no warmup commits (or no timed latencies)
+// keeps the immediate-flush window.
 func (m *Machine) tuneGroupCommitP99() {
 	elapsed := m.latestClock()
 	L := float64(m.cfg.LogWriteDelayInstr)
@@ -196,12 +196,15 @@ func (m *Machine) tuneGroupCommitP99() {
 		step = 1
 	}
 	for i, e := range m.engs {
-		e.GroupCommitWindow = 0
+		m.windows[i] = 0
 		warm := m.warmLat[i]
 		if e.Committed == 0 || warm.N == 0 {
 			continue
 		}
-		g := e.CommitGaps.Mean()
+		var g float64
+		if gp := m.gaps[i]; gp.n > 0 {
+			g = gp.sum / float64(gp.n)
+		}
 		if g <= 0 && elapsed > 0 {
 			g = float64(elapsed) / float64(e.Committed)
 		}
@@ -221,6 +224,6 @@ func (m *Machine) tuneGroupCommitP99() {
 				best, bestP99 = w, p99
 			}
 		}
-		e.GroupCommitWindow = best
+		m.windows[i] = best
 	}
 }

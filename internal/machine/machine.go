@@ -2,9 +2,9 @@
 // stand-in): it runs N server processes per CPU against one or more
 // partitioned database engines, interleaves them deterministically (quantum
 // expiry, blocking log writes, lock waits, timer interrupts), crosses into
-// the modeled kernel at syscalls, and fans the resulting per-CPU
-// instruction and data streams out to the attached cache simulators and
-// collectors.
+// the modeled kernel wherever an engine's db.Env takes time, and fans the
+// resulting per-CPU instruction and data streams out to the attached cache
+// simulators and collectors.
 //
 // The workload's database is always hash-partitioned across Config.Shards
 // engines, and every transaction runs through the routed workload.Instance
@@ -25,6 +25,7 @@ package machine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"codelayout/internal/cache"
 	"codelayout/internal/codegen"
@@ -406,6 +407,13 @@ type Machine struct {
 	// group-commit tuner.
 	lat     map[latKey]*latRec
 	warmLat []*stats.Log2Hist
+
+	// windows is each shard's group-commit batching window (HoldFlush),
+	// seeded from Config.GroupCommitWindowInstr and rewritten by the
+	// tuners; gaps is each shard's commit arrival record, which the tail
+	// tuner reads.
+	windows []uint64
+	gaps    []commitGaps
 }
 
 // New builds the machine: per-shard engines, the workload database
@@ -417,9 +425,11 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	m := &Machine{cfg: cfg, graph: db.NewWaitGraph(), lat: make(map[latKey]*latRec)}
+	m := &Machine{cfg: cfg, graph: db.NewWaitGraph(), lat: make(map[latKey]*latRec),
+		windows: make([]uint64, cfg.Shards), gaps: make([]commitGaps, cfg.Shards)}
 	for i := 0; i < cfg.Shards; i++ {
 		m.warmLat = append(m.warmLat, &stats.Log2Hist{})
+		m.windows[i] = cfg.GroupCommitWindowInstr
 	}
 	graph := m.graph
 	// Each shard's pool holds its share of every loaded table plus headroom
@@ -428,14 +438,12 @@ func New(cfg Config) (*Machine, error) {
 	pool := cfg.Workload.DataPages()/cfg.Shards + 4096
 	for i := 0; i < cfg.Shards; i++ {
 		m.engs = append(m.engs, db.NewEngine(db.Config{
-			BufferPoolPages:   pool,
-			Env:               (*machineEnv)(m),
-			Shard:             i,
-			Graph:             graph,
-			GroupCommitWindow: cfg.GroupCommitWindowInstr,
-			PerCommitFlush:    cfg.PerCommitLogFlush,
-			PageLimit:         pageLimit(cfg.Shards),
-			PageStride:        pageStride(cfg.Shards),
+			BufferPoolPages: pool,
+			Env:             (*machineEnv)(m),
+			Shard:           i,
+			Graph:           graph,
+			PageLimit:       pageLimit(cfg.Shards),
+			PageStride:      pageStride(cfg.Shards),
 		}))
 	}
 	for _, e := range m.engs {
@@ -486,7 +494,6 @@ func New(cfg Config) (*Machine, error) {
 			p.emit = codegen.NewEmitter(cfg.AppImage, cfg.AppLayout, cfg.Seed*17+int64(pid))
 			p.emit.Front = &p.cpu.front
 			p.emit.Attention = func() { m.attend(p) }
-			p.emit.OnSyscall = func(name string) { m.syscall(p, name) }
 			p.emit.Collector = m.alwaysCollector()
 			for s := 0; s < cfg.Shards; s++ {
 				p.sessions = append(p.sessions, m.engs[s].NewSession(p.id, p.emit))
@@ -529,7 +536,7 @@ func (m *Machine) latestClock() uint64 {
 func (m *Machine) tuneGroupCommitFlush() {
 	elapsed := m.latestClock()
 	maxWindow := 2 * m.cfg.LogWriteDelayInstr
-	for _, e := range m.engs {
+	for i, e := range m.engs {
 		var w uint64
 		if e.Committed > 0 && elapsed > 0 {
 			gap := elapsed / e.Committed
@@ -538,19 +545,13 @@ func (m *Machine) tuneGroupCommitFlush() {
 				w = maxWindow
 			}
 		}
-		e.GroupCommitWindow = w
+		m.windows[i] = w
 	}
 }
 
 // GroupCommitWindows returns the per-shard batching windows currently in
 // force (after a run with AutoGroupCommit, the tuned values).
-func (m *Machine) GroupCommitWindows() []uint64 {
-	ws := make([]uint64, len(m.engs))
-	for i, e := range m.engs {
-		ws[i] = e.GroupCommitWindow
-	}
-	return ws
-}
+func (m *Machine) GroupCommitWindows() []uint64 { return slices.Clone(m.windows) }
 
 // FieldProfile harvests the field-access profile the engines tallied during
 // the run: table → field → read/write counts, merged across shards. Only
@@ -737,85 +738,42 @@ func (m *Machine) data(p *proc, addr uint64, bytes int, write bool) {
 	}
 }
 
-func (m *Machine) syscall(p *proc, name string) {
-	svc, err := kernel.ServiceFor(name)
-	if err != nil {
-		panic(err)
-	}
-	p.cpu.kern.RunAuto(svc)
-	switch name {
-	case "log_write":
-		if m.measuring {
-			m.res.LogBlockedInstr += m.cfg.LogWriteDelayInstr
-		}
-		p.doYield(yieldMsg{kind: yBlockIO, ioDelay: m.cfg.LogWriteDelayInstr})
-	case "log_window":
-		// The group-commit leader sleeps out the batching window so
-		// concurrent commits join its flush. The window belongs to the
-		// shard whose flush this is (with auto-tuning, shards differ): its
-		// engine, whose leader just asked for the sleep, holds it.
-		var delay uint64
-		for _, s := range p.sessions {
-			if w, ok := s.Eng.TakeWindowPending(); ok {
-				delay = w
-				break
-			}
-		}
-		if m.measuring {
-			m.res.LogBlockedInstr += delay
-		}
-		p.doYield(yieldMsg{kind: yBlockIO, ioDelay: delay})
-	case "pread":
-		if p.inCritical() {
-			// A read under an index latch completes synchronously: the
-			// process keeps the CPU (and the latch) while the read's
-			// latency is charged to the clock, so no other process can
-			// observe a half-modified tree.
-			p.cpu.front.Clock += m.cfg.PreadDelayInstr
-		} else {
-			p.doYield(yieldMsg{kind: yBlockIO, ioDelay: m.cfg.PreadDelayInstr})
-		}
-		// log_wait and lock_sleep park via Env.Wait right after.
-	}
-}
-
-// machineEnv implements db.Env on top of the scheduler.
+// machineEnv implements db.Env on top of the scheduler: each method runs its
+// kernel service on the running process's CPU at the exact point of the
+// fetch stream where the engine calls it, then charges its latency. With no
+// running process (loads, invariant audits) nothing takes time; Wait alone
+// panics, because nothing could wake it.
 type machineEnv Machine
 
 type waitList struct {
 	procs []*proc
 }
 
-// Wait implements db.Env.
+// Wait implements db.Env: the process crosses into the kernel's sleep path
+// (svc_log_wait for the group-commit queue, svc_lock_sleep for a lock's)
+// and parks until Wake.
 func (e *machineEnv) Wait(q *db.WaitQueue) {
 	m := (*Machine)(e)
 	p := m.running
 	if p == nil {
 		panic("machine: Wait with no running process")
 	}
-	if q.Tag == nil {
-		q.Tag = &waitList{}
-	}
-	wl := q.Tag.(*waitList)
-	wl.procs = append(wl.procs, p)
 	if q.Name == "log" {
+		p.cpu.kern.RunAuto(kernel.SvcLogWait)
 		// Followers parked on a group commit count toward the
 		// blocked-on-log time until the leader's flush releases them.
 		p.logParked = true
 		p.logParkMeasured = m.measuring
 		p.logParkAt = p.cpu.front.Clock
+	} else {
+		p.cpu.kern.RunAuto(kernel.SvcLockSleep)
 	}
+	if q.Tag == nil {
+		q.Tag = &waitList{}
+	}
+	wl := q.Tag.(*waitList)
+	wl.procs = append(wl.procs, p)
 	p.doYield(yieldMsg{kind: yWait})
-}
-
-// Now implements db.Env: the running process's CPU clock, so the engines
-// can timestamp commits. Outside a scheduled process (load, invariant
-// checks) it returns 0, which the engine treats as "no clock".
-func (e *machineEnv) Now() uint64 {
-	if p := (*Machine)(e).running; p != nil {
-		return p.cpu.front.Clock
-	}
-	return 0
 }
 
 // Wake implements db.Env.
@@ -844,6 +802,82 @@ func (e *machineEnv) Wake(q *db.WaitQueue) {
 		}
 	}
 	wl.procs = wl.procs[:0]
+}
+
+// Pread implements db.Env: the read crosses into svc_pread and blocks the
+// process for the read latency. A read under an index latch completes
+// synchronously: the process keeps the CPU (and the latch) while the read's
+// latency is charged to the clock, so no other process can observe a
+// half-modified tree.
+func (e *machineEnv) Pread() {
+	m := (*Machine)(e)
+	p := m.running
+	if p == nil {
+		return
+	}
+	p.cpu.kern.RunAuto(kernel.SvcPread)
+	if p.inCritical() {
+		p.cpu.front.Clock += m.cfg.PreadDelayInstr
+	} else {
+		p.doYield(yieldMsg{kind: yBlockIO, ioDelay: m.cfg.PreadDelayInstr})
+	}
+}
+
+// HoldFlush implements db.Env: the group-commit leader sleeps out its
+// shard's batching window (with auto-tuning, shards differ) through the
+// same put-me-to-sleep path followers take, so concurrent commits join its
+// flush. It reports the machine's per-commit flushing policy.
+func (e *machineEnv) HoldFlush(shard int) bool {
+	m := (*Machine)(e)
+	if p := m.running; p != nil && m.windows[shard] > 0 {
+		m.blockOnLog(p, kernel.SvcLogWait, m.windows[shard])
+	}
+	return m.cfg.PerCommitLogFlush
+}
+
+// LogWrite implements db.Env: the leader's physical log write.
+func (e *machineEnv) LogWrite() {
+	m := (*Machine)(e)
+	if p := m.running; p != nil {
+		m.blockOnLog(p, kernel.SvcLogWrite, m.cfg.LogWriteDelayInstr)
+	}
+}
+
+// blockOnLog runs the kernel service svc and blocks p for delay
+// instruction-times, which the measured phase counts as blocked on the log.
+func (m *Machine) blockOnLog(p *proc, svc string, delay uint64) {
+	p.cpu.kern.RunAuto(svc)
+	if m.measuring {
+		m.res.LogBlockedInstr += delay
+	}
+	p.doYield(yieldMsg{kind: yBlockIO, ioDelay: delay})
+}
+
+// Committed implements db.Env: it times the commit on the running process's
+// CPU clock into the shard's gap record; a commit outside a process records
+// nothing. Clocks are per-CPU and can diverge: a commit timestamped behind
+// the record's high-water mark records no gap and does not move the mark, so
+// cross-CPU skew cannot fabricate a giant gap on the next commit.
+func (e *machineEnv) Committed(shard int) {
+	p := e.running
+	if p == nil {
+		return
+	}
+	g, now := &e.gaps[shard], p.cpu.front.Clock
+	if g.last > 0 && now >= g.last {
+		g.n++
+		g.sum += float64(now - g.last)
+	}
+	g.last = max(g.last, now)
+}
+
+// commitGaps is one shard's commit arrival record: the number and sum of the
+// gaps (instruction-times) between timed commits, and the latest commit's
+// clock reading (0 before the first).
+type commitGaps struct {
+	n    uint64
+	sum  float64
+	last uint64
 }
 
 // ---- Process coroutine ----

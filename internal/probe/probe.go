@@ -1,11 +1,13 @@
-// Package probe defines the instrumentation interface between the real Go
-// database engine and the modeled code image. Engine routines report their
+// Package probe defines the code-model stream between the real Go database
+// engine and the modeled code image. Engine routines report their
 // control-flow decisions (which function they entered, which way a branch
 // went, how a loop iterated) and their data references; an emitter bound to
 // a layout turns those reports into the instruction fetch stream the
-// workload would produce on the modeled binary.
+// workload would produce on the modeled binary. The stream describes code
+// only: what takes time (blocking, reads, log writes) goes through db.Env.
 //
-// The package contains only the interface and a no-op implementation, so the
+// The package exists so that db can raise the stream without importing
+// codegen: it holds only the interface and a no-op implementation, so the
 // engine can be used and tested standalone. Probe is the whole contract: the
 // engine calls every method, AbortUnwind included, without testing for it,
 // so a wrapper that embeds a Probe forwards all of them.
@@ -26,9 +28,6 @@ type Probe interface {
 	Branch(site string, taken bool)
 	// Data reports a data memory reference.
 	Data(addr uint64, bytes int, write bool)
-	// Syscall reports a kernel crossing (log write, data file read, ...).
-	// The argument selects the modeled kernel service.
-	Syscall(name string)
 	// AbortUnwind reports that the instrumented code is about to panic out
 	// of the current transaction (a deadlock victim, a fast-path
 	// misprediction): the modeled engine longjmps to its abort path, so the
@@ -51,9 +50,6 @@ func (Nop) Branch(string, bool) {}
 
 // Data implements Probe.
 func (Nop) Data(uint64, int, bool) {}
-
-// Syscall implements Probe.
-func (Nop) Syscall(string) {}
 
 // AbortUnwind implements Probe.
 func (Nop) AbortUnwind() {}

@@ -188,6 +188,46 @@ func winnerRow(res *search.Result, wl, layout string) (float64, bool) {
 	return 0, false
 }
 
+// TestPlateauStopsEarly runs one search with Plateau: 1 and the same search
+// with the plateau off. The first must stop at the first generation that
+// does not improve on the best so far, before Generations ran, reporting
+// StoppedEarly; everything it did run is what the uninterrupted search ran
+// up to that generation.
+func TestPlateauStopsEarly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation in -short mode")
+	}
+	run := func(plateau int) *search.Result {
+		res, err := search.Run(tinyOptions(tinyTPCB()), search.Config{
+			Population:  4,
+			Generations: 4,
+			Seed:        3,
+			Plateau:     plateau,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	early, full := run(1), run(0)
+	if full.StoppedEarly || len(full.Trajectory) != 4 {
+		t.Fatalf("Plateau 0 stopped after %d of 4 generations (StoppedEarly %v)", len(full.Trajectory), full.StoppedEarly)
+	}
+	n := len(early.Trajectory)
+	if !early.StoppedEarly || n >= 4 {
+		t.Fatalf("Plateau 1 ran %d of 4 generations, StoppedEarly %v: want an early stop at this seed", n, early.StoppedEarly)
+	}
+	if n < 2 {
+		t.Fatalf("Plateau 1 stopped after generation %d, which has no best to improve on", n)
+	}
+	if last, prev := early.Trajectory[n-1], early.Trajectory[n-2]; last.GenBest.Fitness < prev.Best.Fitness {
+		t.Errorf("stopped after generation %d, which improved the best from %.4f to %.4f", n, prev.Best.Fitness, last.GenBest.Fitness)
+	}
+	if !reflect.DeepEqual(early.Trajectory, full.Trajectory[:n]) {
+		t.Errorf("Plateau 1 trajectory is not a prefix of Plateau 0's:\n%+v\nvs\n%+v", early.Trajectory, full.Trajectory[:n])
+	}
+}
+
 // TestRawSpecMatchesNamedCombo pins the expt bridge the search relies on: a
 // raw pipeline spec measured through Session.Measure produces the same
 // machine results as its named-combo equivalent.

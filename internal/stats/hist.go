@@ -105,14 +105,6 @@ func (h *Log2Hist) AddN(v uint64, n uint64) {
 	h.Sum += float64(v) * float64(n)
 }
 
-// Mean returns the average observed value.
-func (h *Log2Hist) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.N)
-}
-
 // Frac returns the fraction of observations in bucket b.
 func (h *Log2Hist) Frac(b int) float64 {
 	if h.N == 0 || b < 0 || b >= len(h.Counts) {

