@@ -126,8 +126,32 @@ func linkChains(n int, links []link) (next, prev []int32) {
 	return next, prev
 }
 
+// Chaining is the chain pass's result over one program and profile: each
+// procedure's chains, ChainProc's for a procedure that is not cold and the
+// source order for one that is. It is read-only once made: a pipeline handed
+// one (Pipeline.RunChained) installs a shallow clone of the map, and no pass
+// writes into a chain.
+type Chaining map[program.ProcID][]Chain
+
+// ChainProgram chains every procedure of p under pf: the Chaining the chain
+// pass installs.
+func ChainProgram(p *program.Program, pf *profile.Profile) Chaining {
+	ch := make(Chaining, len(p.Procs))
+	for _, pr := range p.Procs {
+		if pr.Cold {
+			ch[pr.ID] = SourceChains(pr)
+		} else {
+			ch[pr.ID] = ChainProc(p, pr, pf)
+		}
+	}
+	return ch
+}
+
 // SourceChains returns the unchained block order of a procedure as a single
-// chain (the layout the original binary has inside the procedure).
+// chain (the layout the original binary has inside the procedure). The chain
+// is the procedure's own block list, capacity-capped: no pass writes into a
+// chain, and an append copies.
 func SourceChains(pr *program.Procedure) []Chain {
-	return []Chain{Chain(append([]program.BlockID(nil), pr.Blocks...))}
+	n := len(pr.Blocks)
+	return []Chain{Chain(pr.Blocks[:n:n])}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,6 +60,10 @@ type LayoutState struct {
 
 	// fused guards against running txfuse twice over one state.
 	fused bool
+
+	// chained, if non-nil, is the chain pass's precomputed result
+	// (RunChained); the pass installs a shallow clone of it.
+	chained Chaining
 }
 
 // EnsureChains installs the source-order chains for every procedure if no
@@ -308,11 +313,20 @@ func (pl Pipeline) Run(p *program.Program, pf *profile.Profile) (*program.Layout
 // the state for the txfuse pass. The cloner must mutate the same program p
 // (codegen's specialized images do); passes other than txfuse ignore both.
 func (pl Pipeline) RunFused(p *program.Program, pf *profile.Profile, roots []KindRoot, cl ProcCloner) (*program.Layout, *Report, error) {
+	return pl.RunChained(p, pf, nil, roots, cl)
+}
+
+// RunChained is RunFused with the chain pass computed ahead: a chain pass
+// installs a shallow clone of ch instead of chaining every procedure again,
+// so a caller laying out one program under one profile many times chains
+// once. ch must be ChainProgram's result over p (or an unmodified copy of
+// it) and a profile equal to pf with its edges ensured; nil chains as usual.
+func (pl Pipeline) RunChained(p *program.Program, pf *profile.Profile, ch Chaining, roots []KindRoot, cl ProcCloner) (*program.Layout, *Report, error) {
 	if err := pf.CheckProgram(p); err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	pf.EnsureEdges(p)
-	st := &LayoutState{Prog: p, Prof: pf, Report: &Report{}, KindRoots: roots, Cloner: cl}
+	st := &LayoutState{Prog: p, Prof: pf, Report: &Report{}, KindRoots: roots, Cloner: cl, chained: ch}
 	for _, pass := range pl {
 		if err := pass.Run(st); err != nil {
 			return nil, nil, fmt.Errorf("core: pass %s: %w", pass.Name(), err)
@@ -337,11 +351,10 @@ func (chainPass) Run(st *LayoutState) error {
 	if st.Units != nil {
 		return fmt.Errorf("chain must run before units are split")
 	}
-	st.EnsureChains()
-	for _, pr := range st.Prog.Procs {
-		if !pr.Cold {
-			st.Chains[pr.ID] = ChainProc(st.Prog, pr, st.Prof)
-		}
+	if st.chained != nil {
+		st.Chains = maps.Clone(st.chained)
+	} else {
+		st.Chains = ChainProgram(st.Prog, st.Prof)
 	}
 	return nil
 }

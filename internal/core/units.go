@@ -76,8 +76,10 @@ func BuildUnitsHot(p *program.Program, pf *profile.Profile, chains map[program.P
 			}
 			units = append(units, makeUnit(pf, pr.ID, 0, blocks))
 		case SplitFine:
+			// Each unit takes its chain capacity-capped: chains may be shared
+			// between pipelines (a Chaining), so a later append must copy.
 			for i, c := range ch {
-				units = append(units, makeUnit(pf, pr.ID, i, c))
+				units = append(units, makeUnit(pf, pr.ID, i, c[:len(c):len(c)]))
 			}
 		case SplitHotCold:
 			var hot, cold []program.BlockID

@@ -9,20 +9,21 @@ var errBuildAborted = errors.New("expt: memoized build did not complete")
 
 // MemoCounters reports one memo's traffic: Hits answered without executing
 // anything, Misses that executed real work (a simulation run, a layout
-// build, a training run), and Entries currently memoized. One rule for every
-// memo: each call is exactly one hit or one miss, the call that executes the
-// build is the miss, and every other call — a finished value, a memoized
-// error, or a wait on an in-flight build — is a hit.
+// build, a training run), and Entries, the keys the memo has seen — released
+// or not. One rule for every memo: each call is exactly one hit or one miss,
+// the call that executes the build is the miss, and every other call — a
+// finished value, a memoized error, or a wait on an in-flight build — is a
+// hit. A call for a released key rebuilds it, so it is a miss.
 type MemoCounters struct {
 	Hits, Misses, Entries uint64
 }
 
 // memo is the package's one memoization mechanism: a single-flight cache
-// that runs build at most once per key and remembers its value or its error.
-// The zero value is ready to use.
+// that runs build at most once per key and remembers its value or its error
+// until the key is released. The zero value is ready to use.
 type memo[K comparable, V any] struct {
 	mu           sync.Mutex
-	entries      map[K]*memoEntry[V]
+	entries      map[K]*memoEntry[V] // a released key keeps a nil slot
 	hits, misses uint64
 }
 
@@ -40,7 +41,7 @@ type memoEntry[V any] struct {
 // (or other keys of this one).
 func (m *memo[K, V]) get(key K, build func() (V, error)) (V, error) {
 	m.mu.Lock()
-	if e, ok := m.entries[key]; ok {
+	if e := m.entries[key]; e != nil {
 		m.hits++
 		m.mu.Unlock()
 		<-e.done
@@ -60,6 +61,25 @@ func (m *memo[K, V]) get(key K, build func() (V, error)) (V, error) {
 	e.err = errBuildAborted
 	e.val, e.err = build()
 	return e.val, e.err
+}
+
+// release drops key's value (or error) but keeps its slot, so the counters
+// read as if it were still held; a later get rebuilds it as a miss. A build
+// in flight is waited for first, and callers already waiting on it still
+// receive its result. Releasing an unknown or released key does nothing.
+func (m *memo[K, V]) release(key K) {
+	m.mu.Lock()
+	e := m.entries[key]
+	m.mu.Unlock()
+	if e == nil {
+		return
+	}
+	<-e.done
+	m.mu.Lock()
+	if m.entries[key] == e {
+		m.entries[key] = nil
+	}
+	m.mu.Unlock()
 }
 
 // counters snapshots the memo's traffic.

@@ -169,6 +169,8 @@ func (o Options) resolveTrain() TrainConfig {
 // pool and concurrent callers of one key share one run. Layouts are memoized
 // on the shared ProfileSource by train spec, so sessions of one source never
 // rebuild them and layouts trained under different configs never collide.
+// Memoized values live until ReleaseAll drops them: a caller that reads each
+// measurement once, as a search does, keeps only what it has not yet scored.
 type Session struct {
 	// Opt is the session's configuration. It is read-only after
 	// construction: the measurement memo belongs to one session, so its keys
@@ -490,6 +492,10 @@ func (s *Session) MeasureBatch(layouts []string, cpus, workers int) error {
 // cores of a two-core box busy through a generation of one to three fresh
 // specs: a 6 × 3 search over tpcb+ordere+ycsb with two workers went from
 // 1.56–1.63 to 1.73–1.87 cores busy, and its median from 0.55 to 0.48 s.
+//
+// Everything a batch builds stays memoized — each measurement, and each app
+// layout with the specialized image a fused one runs over — until ReleaseAll
+// drops it.
 func MeasureAll(sessions []*Session, layouts []string, cpus, workers int) error {
 	if len(layouts) == 0 {
 		return nil
@@ -534,4 +540,21 @@ func MeasureAll(sessions []*Session, layouts []string, cpus, workers int) error 
 		}
 	}
 	return nil
+}
+
+// ReleaseAll is MeasureAll's counterpart: it drops the memoized measurement of
+// every layout on every session (as Measure keys it: the baseline kernel
+// layout, cpus, the session's sink set) and the app layouts those ran, with
+// the specialized images fused layouts carry. A memo keeps each released
+// key's slot, so MemoStats reads as if nothing were released; asking for a
+// released key again rebuilds it and counts a miss. A search releases each
+// wave once scored, so its memory is one generation's, not the run's. A
+// build still in flight is waited for.
+func ReleaseAll(sessions []*Session, layouts []string, cpus int) {
+	for _, s := range sessions {
+		for _, name := range layouts {
+			s.measures.release(measKey{layout: name, kern: "kbase", cpus: cpus, sinks: s.sinks})
+			s.src.built.release(builtKey(s.tc, name))
+		}
+	}
 }

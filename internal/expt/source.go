@@ -121,8 +121,9 @@ type ProfileSource struct {
 	trainExec atomic.Uint64 // training runs actually executed (not served by a memo or the store)
 	lastHit   atomic.Pointer[pstore.Entry]
 
-	runs  memo[string, *trainRun]       // training runs by resolved train spec
-	built memo[layoutKey, *builtLayout] // app and kernel layouts by (train spec, name)
+	runs   memo[string, *trainRun]       // training runs by resolved train spec
+	chains memo[string, core.Chaining]   // the chain pass over the app program, by train spec
+	built  memo[layoutKey, *builtLayout] // app and kernel layouts by (train spec, name)
 }
 
 // layoutKey identifies a built layout: the resolved train spec it was
@@ -131,6 +132,15 @@ type ProfileSource struct {
 type layoutKey struct {
 	train string
 	name  string
+}
+
+// builtKey is the memo key of a layout trained under a fully resolved
+// config.
+func builtKey(tc TrainConfig, name string) layoutKey {
+	if name == "base" || name == "kbase" {
+		return layoutKey{name: name} // baselines are profile-independent
+	}
+	return layoutKey{train: tc.Spec(), name: name}
 }
 
 // builtLayout is one memoized layout build: the layout, the optimizer's
@@ -261,11 +271,11 @@ func (ps *ProfileSource) train(tc TrainConfig) (*trainRun, error) {
 // same memo layer as the named combos.
 func isPipelineSpec(name string) bool { return strings.ContainsAny(name, ",:") }
 
-// pipelineFuses reports whether a parsed pipeline contains the txfuse pass
-// (whose layouts clone procedures and therefore need a specialized image).
-func pipelineFuses(pl core.Pipeline) bool {
+// pipelineHas reports whether a parsed pipeline contains the named pass, with
+// or without an argument.
+func pipelineHas(pl core.Pipeline, pass string) bool {
 	for _, p := range pl {
-		if n := p.Name(); n == "txfuse" || strings.HasPrefix(n, "txfuse:") {
+		if n := p.Name(); n == pass || strings.HasPrefix(n, pass+":") {
 			return true
 		}
 	}
@@ -293,10 +303,11 @@ func pipelineFor(name string) (core.Pipeline, error) {
 // source's own; every other name resolves through pipelineFor and runs over
 // the training run's app profile — except "dcpi-all", which runs over the
 // sampled profile, and "kopt", which lays out the kernel program from the
-// kernel profile. A pipeline containing txfuse runs over a specialized copy
-// of the image with the covered workloads' kind roots, so cloned procedures
-// become real code the simulator can fetch; the shared image is never
-// mutated.
+// kernel profile. A pipeline over the app profile that chains installs the
+// source's one chaining of it (see chaining). A pipeline containing txfuse
+// runs over a specialized copy of the image with the covered workloads' kind
+// roots, so cloned procedures become real code the simulator can fetch; the
+// shared image is never mutated.
 func (ps *ProfileSource) build(tc TrainConfig, name string, kernel bool) (*builtLayout, error) {
 	if kernel != (name == "kbase" || name == "kopt") {
 		if kernel {
@@ -304,10 +315,7 @@ func (ps *ProfileSource) build(tc TrainConfig, name string, kernel bool) (*built
 		}
 		return nil, fmt.Errorf("expt: %q is a kernel layout, not an app layout", name)
 	}
-	key := layoutKey{train: tc.Spec(), name: name}
-	if name == "base" || name == "kbase" {
-		key.train = "" // baselines are profile-independent
-	}
+	key := builtKey(tc, name)
 	return ps.built.get(key, func() (*builtLayout, error) {
 		switch name {
 		case "base":
@@ -324,24 +332,21 @@ func (ps *ProfileSource) build(tc TrainConfig, name string, kernel bool) (*built
 			return nil, err
 		}
 		img, prof := ps.appImg, run.App
+		var chains core.Chaining
 		switch name {
 		case "kopt":
 			img, prof = ps.kernImg, run.Kern
 		case "dcpi-all":
 			prof = run.DCPI
+		default:
+			if pipelineHas(pl, "chain") {
+				chains = ps.chaining(key.train, run.App)
+			}
 		}
-		// Run over a private copy of the profile. When the source carries no
-		// measured edges (sampling profiles, or a degenerate training run)
-		// the copy has no edge map at all: EnsureEdges would otherwise
-		// estimate edges into the shared map, contaminating it and racing
-		// concurrent builds.
-		pf := &profile.Profile{Name: prof.Name, BlockCount: prof.BlockCount}
-		if prof.HasEdges() {
-			pf.EdgeCount = prof.EdgeCount
-		}
+		pf := privateProfile(prof)
 		var roots []core.KindRoot
 		var cloner core.ProcCloner
-		if pipelineFuses(pl) {
+		if pipelineHas(pl, "txfuse") {
 			img = img.Specialize()
 			if roots, err = ps.fusionRoots(img); err != nil {
 				return nil, err
@@ -351,7 +356,7 @@ func (ps *ProfileSource) build(tc TrainConfig, name string, kernel bool) (*built
 			// deep.
 			pf = prof.Clone()
 		}
-		l, rep, err := pl.RunFused(img.Prog, pf, roots, cloner)
+		l, rep, err := pl.RunChained(img.Prog, pf, chains, roots, cloner)
 		if err != nil {
 			return nil, fmt.Errorf("expt: layout %q (train %s): %w", name, key.train, err)
 		}
@@ -361,6 +366,34 @@ func (ps *ProfileSource) build(tc TrainConfig, name string, kernel bool) (*built
 		}
 		return &builtLayout{layout: l, report: rep, image: img}, nil
 	})
+}
+
+// privateProfile returns a copy of prof a pipeline may run over. When prof
+// carries no measured edges (sampling profiles, or a degenerate training run)
+// the copy has no edge map at all: EnsureEdges would otherwise estimate edges
+// into the shared map, contaminating it and racing concurrent builds.
+func privateProfile(prof *profile.Profile) *profile.Profile {
+	pf := &profile.Profile{Name: prof.Name, BlockCount: prof.BlockCount}
+	if prof.HasEdges() {
+		pf.EdgeCount = prof.EdgeCount
+	}
+	return pf
+}
+
+// chaining returns (computing it once per train spec) the chain pass's result
+// over the app program and a training run's app profile, which every app
+// pipeline that chains installs instead of chaining again. A fusing pipeline
+// can share it because its specialized image starts as an unmodified copy of
+// the app program and chain runs before txfuse clones anything. (A profile
+// that does not fit the program chains harmlessly: the pipeline rejects it
+// before its chain pass runs.)
+func (ps *ProfileSource) chaining(spec string, app *profile.Profile) core.Chaining {
+	ch, _ := ps.chains.get(spec, func() (core.Chaining, error) {
+		prog, pf := ps.appImg.Prog, privateProfile(app)
+		pf.EnsureEdges(prog)
+		return core.ChainProgram(prog, pf), nil
+	})
+	return ch
 }
 
 // layout is build reduced to the layout itself.

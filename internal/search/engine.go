@@ -252,9 +252,11 @@ type evaluator struct {
 }
 
 // measureWave measures every spec on every session as one parallel memoized
-// batch and returns each spec's Scored. Duplicate specs and previously
-// measured (spec × workload) cells cost nothing — the session memo and its
-// in-flight dedup collapse them.
+// batch and returns each spec's Scored. Duplicate specs cost nothing — the
+// session memo and its in-flight dedup collapse them. Once scored, the wave's
+// measurements and layouts are released: ev.cache answers every later
+// request for a spec, so the search holds one wave's simulations and layouts
+// at a time.
 func (ev *evaluator) measureWave(specs []string) ([]Scored, error) {
 	if err := expt.MeasureAll(ev.sessions, specs, ev.cpus, ev.workers); err != nil {
 		return nil, err
@@ -282,6 +284,7 @@ func (ev *evaluator) measureWave(specs []string) ([]Scored, error) {
 		}
 		out = append(out, sc)
 	}
+	expt.ReleaseAll(ev.sessions, specs, ev.cpus)
 	return out, nil
 }
 

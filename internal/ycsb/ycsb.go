@@ -323,16 +323,32 @@ func (b *Bench) ReadRecord(s *db.Session, key uint64) (version uint64, value int
 	return b.off.rowVersion(row), b.off.rowValue(row)
 }
 
-// Check audits this engine's slice: every resident record's value must
-// equal the replayed sum of the deterministic per-version deltas — a
-// record's state is a pure function of (key, version), so any lost or
+// Check audits this engine's slice in one walk of its B-tree: the keys must
+// be exactly the owned ones — none missing, none stray — and every record's
+// value must equal the replayed sum of the deterministic per-version deltas.
+// A record's state is a pure function of (key, version), so any lost or
 // doubled update surfaces.
 func (b *Bench) Check(s *db.Session) error {
-	for _, key := range b.owned {
-		v, got := b.ReadRecord(s, key)
-		if want := expectedValue(key, v); got != want {
-			return fmt.Errorf("ycsb: record %d at version %d has value %d, want %d", key, v, got, want)
+	var err error
+	i := 0
+	b.Users.ScanRange(s, 0, math.MaxUint64, func(key, packed uint64) bool {
+		switch {
+		case i < len(b.owned) && key > b.owned[i]:
+			err = fmt.Errorf("ycsb: record %d missing", b.owned[i])
+		case i == len(b.owned) || key < b.owned[i]:
+			err = fmt.Errorf("ycsb: stray key %d in the index", key)
+		default:
+			row := b.UserTable.Fetch(s, db.UnpackRID(packed))
+			v, got := b.off.rowVersion(row), b.off.rowValue(row)
+			if want := expectedValue(key, v); got != want {
+				err = fmt.Errorf("ycsb: record %d at version %d has value %d, want %d", key, v, got, want)
+			}
 		}
+		i++
+		return err == nil
+	})
+	if err == nil && i < len(b.owned) {
+		err = fmt.Errorf("ycsb: record %d missing", b.owned[i])
 	}
-	return nil
+	return err
 }

@@ -25,7 +25,9 @@ for p in cmd/layoutlab cmd/oltpbench cmd/spike cmd/pixie cmd/oltpgen examples/qu
 	go build -gcflags=all=-l -o "$A/$(basename $p)" ./$p
 done
 go -C bench build -gcflags=all=-l -o "$A/bench" .
-for b in "$A"/*; do [ -x "$b" ] && go tool nm "$b"; done | awk '$2=="T"||$2=="t"{print $3}' |
+# A symbol is the rest of nm's line: a generic instantiated at a struct shape
+# spells the struct, spaces included.
+for b in "$A"/*; do [ -x "$b" ] && go tool nm "$b"; done | awk '$2=="T"||$2=="t"{$1=$2=""; print substr($0, 3)}' |
 	grep '^codelayout/internal/' | sed 's/\[[^]]*\]//g' | sort -u >"$A/linked.txt"
 # Every func declared outside tests, spelled as nm spells it (a value method
 # may be linked as T.M or as its (*T).M wrapper), minus the linked ones.
