@@ -228,13 +228,12 @@ func BenchmarkGroupCommit(b *testing.B) {
 		b.Fatal(err)
 	}
 	modes := []struct {
-		name      string
-		perCommit bool
-		window    uint64
+		name string
+		gc   machine.GroupCommit
 	}{
-		{"percommit", true, 0},
-		{"group", false, 0},
-		{"window40k", false, 40_000},
+		{"percommit", "percommit"},
+		{"group", machine.AutoGCOff},
+		{"window40k", "window:40000"},
 	}
 	results := map[string]machine.Result{}
 	for _, mode := range modes {
@@ -242,8 +241,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 			var res machine.Result
 			for i := 0; i < b.N; i++ {
 				m, err := machine.New(machine.Config{
-					CPUs: 4, ProcsPerCPU: 16, Seed: 7, Shards: 2,
-					PerCommitLogFlush: mode.perCommit, GroupCommitWindowInstr: mode.window,
+					CPUs: 4, ProcsPerCPU: 16, Seed: 7, Shards: 2, AutoGroupCommit: mode.gc,
 					WarmupTxns: 40, Transactions: 300,
 					Workload: wl,
 					AppImage: img, AppLayout: appL, KernImage: kimg, KernLayout: kernL,

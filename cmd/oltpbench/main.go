@@ -4,11 +4,10 @@
 // The run is described by expt.Options, filled from the flag surface the
 // four commands share (expt.BindFlags), and measured through the
 // machine.Config an expt session lowers those options to — the one
-// layoutlab's tables measure through; this command only adds a -layout file,
-// a fixed group-commit window or per-commit flushing (-gcwindow, -percommit:
-// the measured run's alone, training runs ungrouped) and, under -reopt, a
-// machine.Reoptimizer (period -reopt, threshold -drift,
-// the training mix, the same pipeline as its Retrain). The icache and fetch
+// layoutlab's tables measure through, group-commit policy (-gc; training runs
+// ungrouped) included; this command only adds a -layout file and, under
+// -reopt, a machine.Reoptimizer (period -reopt, threshold -drift, the
+// training mix, the same pipeline as its Retrain). The icache and fetch
 // sequence lines are battery groups (expt.SinkComb4W(64), expt.SinkSeq): the
 // per-CPU combined cache of Figure 12 and the application stream of Figure 8.
 //
@@ -20,9 +19,9 @@
 //
 //	oltpbench -workload tpcb -txns 500 -cpus 4 -layout app.layout
 //	oltpbench -workload ordere -quick
-//	oltpbench -workload ordere -shards 4 -gcwindow 60000
-//	oltpbench -workload tpcb -shards 4 -gcauto
-//	oltpbench -workload tpcb -shards 4 -gcp99 -percentiles
+//	oltpbench -workload ordere -shards 4 -gc window:60000
+//	oltpbench -workload tpcb -shards 4 -gc flushcount
+//	oltpbench -workload tpcb -shards 4 -gc p99 -percentiles
 //	oltpbench -workload tpcb -opt all -train-workload ycsb -train-shards 4
 //	oltpbench -workload tpcb -opt all -profile-store /var/cache/pgo   # warm store skips training
 //	oltpbench -workload ycsb -opt all -reopt 200 -stall 40            # online drift re-optimization
@@ -84,7 +83,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg.GroupCommitWindowInstr, cfg.PerCommitLogFlush = f.GCWindow, f.PerCommit
 	app := cfg.AppImage
 	if f.Layout != "" {
 		// A fusing pipeline clones procedures into a specialized copy of the
@@ -128,7 +126,7 @@ func main() {
 		fmt.Printf("shards:           %d engines by %s, %d%% cross-shard (%d cross-shard txns, %d aborts)\n",
 			o.Shards, part.Key, part.CrossShardPct, res.CrossShard, res.Aborted)
 	}
-	if o.AutoGroupCommit != machine.AutoGCOff {
+	if gc := o.AutoGroupCommit; gc == machine.AutoGCFlushCount || gc == machine.AutoGCTargetP99 {
 		fmt.Printf("gc windows:       %v (auto-tuned, mode %s)\n", m.GCWindows, o.AutoGroupCommit)
 	}
 	if o.PredictFastPath {

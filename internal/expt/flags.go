@@ -53,12 +53,9 @@ type Flags struct {
 	// LayoutFile is oltpbench's -layout: a layout file written by spike.
 	LayoutFile string
 	// Reopt and Drift are oltpbench's online re-optimization period and
-	// drift threshold; GCWindow and PerCommit are its -gcwindow and
-	// -percommit, which oltpbench sets on the measured run's machine.Config.
-	Reopt     int
-	Drift     float64
-	GCWindow  uint64
-	PerCommit bool
+	// drift threshold.
+	Reopt int
+	Drift float64
 
 	// Table is layoutlab's -table; Matrix and ShardList are the parsed
 	// -matrix (robustness, latency and search only) and -shardlist; Sweep,
@@ -82,7 +79,6 @@ type Flags struct {
 	matrix, shardlist    string
 	ratios, gc, storeDir string
 	shards               []int
-	gcAuto, gcP99        bool
 	readPct, cross       int
 	zipf, hotFrac        float64
 }
@@ -149,19 +145,19 @@ func BindFlags(fs *flag.FlagSet, cmd Command) *Flags {
 		fs.Uint64Var(&o.FetchStallPenaltyInstr, "stall", 0, "instruction-times of stall charged per L1 icache miss on the fetch clock (0 = pure fetch-bandwidth clock)")
 		fs.StringVar(&f.storeDir, "profile-store", "", "directory of the persistent profile store; training runs already in the store are loaded instead of re-run")
 		fastPath, layout := &o.PredictFastPath, &f.LayoutFile
+		f.gc = "off"
 		if cmd == Layoutlab {
 			fastPath, layout = &f.Sweep.FastPath, &f.Layout
-			f.Layout = "all"
+			// The shard sweep defaults to the tail-aware tuner: high shard
+			// counts starve fixed windows.
+			f.Layout, f.gc = "all", "p99"
 		}
 		fs.BoolVar(fastPath, "fastpath", *fastPath, "the predictive single-shard fast path (needs -shards > 1): predicted-local transactions skip the router and 2PC coordinator; layoutlab -table shardsweep measures it against the routed baseline")
 		fs.StringVar(layout, "layout", *layout, "oltpbench: optimized layout file (from spike; default baseline); layoutlab extension tables: pipeline combo to train and evaluate")
+		fs.StringVar(&f.gc, "gc", f.gc, "group-commit policy: off (leaders flush on arrival), window:N (leaders wait N instruction-times), percommit (no group commit), flushcount (tune each shard's window for fewest flushes) or p99 (tune it for modeled p99 latency); layoutlab applies it to -table shardsweep only")
 	}
 	if cmd == Oltpbench {
 		fs.IntVar(&o.ProcsPerCPU, "procs", o.ProcsPerCPU, "server processes per CPU")
-		fs.Uint64Var(&f.GCWindow, "gcwindow", 0, "group-commit batching window in instruction-times (0 = flush as soon as a leader arrives)")
-		fs.BoolVar(&f.gcAuto, "gcauto", false, "pick each shard's group-commit window from the warmup commit arrival rate (fewest flushes)")
-		fs.BoolVar(&f.gcP99, "gcp99", false, "pick each shard's group-commit window to minimize modeled p99 latency from the warmup histogram")
-		fs.BoolVar(&f.PerCommit, "percommit", false, "disable group commit: every commit pays its own log write")
 		fs.StringVar(&f.Layout, "opt", "", "train in-process and optimize with this layout (e.g. all, ipchain, fusion, or a raw pass list) before measuring")
 		fs.IntVar(&o.Train.Txns, "train-txns", o.Train.Txns, "profiled transactions of the -opt training run")
 		fs.IntVar(&f.Reopt, "reopt", 0, "re-optimize the app layout online every N committed transactions when the kind mix drifts from the training mix (needs -opt; not fusion)")
@@ -172,7 +168,6 @@ func BindFlags(fs *flag.FlagSet, cmd Command) *Flags {
 		fs.StringVar(&f.Table, "table", "", "extension table to emit: "+strings.Join(tables, ", "))
 		fs.StringVar(&f.matrix, "matrix", "tpcb,ordere,ycsb", "robustness/latency/search: comma-separated workloads to measure")
 		fs.StringVar(&f.shardlist, "shardlist", "1,4", "robustness/latency: comma-separated shard counts to measure")
-		fs.StringVar(&f.gc, "gc", "", "shardsweep: group-commit tuning mode (off, flushcount, p99; default p99)")
 		fs.IntVar(&f.cross, "cross", 0, "override the workload's cross-shard transaction percentage in [1, 100] (0 = workload default, negative disables)")
 		fs.StringVar(&f.ratios, "ratios", "", "blend: comma-separated new-mix weights to sweep (default 0,0.25,0.5,0.75,1)")
 	}
@@ -186,8 +181,6 @@ func (f *Flags) Resolve() error {
 	switch {
 	case f.quick && f.full:
 		return errors.New("-quick conflicts with -full")
-	case f.gcAuto && f.gcP99:
-		return errors.New("-gcauto and -gcp99 conflict: pick one auto-tuning mode")
 	case f.Layout != "" && f.LayoutFile != "":
 		return errors.New("-opt and -layout conflict: one trains in-process, the other loads a layout file")
 	case f.Reopt > 0 && f.Layout == "":
@@ -234,11 +227,12 @@ func (f *Flags) Resolve() error {
 	if f.cmd == Oltpbench && o.PredictFastPath && o.Shards <= 1 {
 		return errors.New("-fastpath needs -shards > 1 (a single engine has no router to skip)")
 	}
-	switch {
-	case f.gcAuto:
-		o.AutoGroupCommit = machine.AutoGCFlushCount
-	case f.gcP99:
-		o.AutoGroupCommit = machine.AutoGCTargetP99
+	gc, err := machine.ParseGroupCommit(f.gc)
+	if err != nil {
+		return fmt.Errorf("-gc: %w", err)
+	}
+	if f.cmd == Oltpbench || f.Table == "shardsweep" {
+		o.AutoGroupCommit = gc
 	}
 
 	if err := f.resolveWorkloads(); err != nil {
@@ -373,8 +367,7 @@ func knob[W workload.Workload](set func(W)) func(workload.Workload) bool {
 	}
 }
 
-// resolveTables parses layoutlab's list flags and fills the shardsweep spec;
-// under -table shardsweep, -gc picks the group-commit mode of the run.
+// resolveTables parses layoutlab's list flags and fills the shardsweep spec.
 func (f *Flags) resolveTables() error {
 	var err error
 	if f.ShardList, err = parseShards(f.shardlist); err != nil {
@@ -389,21 +382,6 @@ func (f *Flags) resolveTables() error {
 			return fmt.Errorf("-ratios: weight %v outside [0, 1]", r)
 		}
 		f.Blend.Ratios = append(f.Blend.Ratios, r)
-	}
-	// The sweep defaults to the tail-aware tuner: high shard counts starve
-	// fixed windows.
-	gc := machine.AutoGCTargetP99
-	switch f.gc {
-	case "", "p99":
-	case "off":
-		gc = machine.AutoGCOff
-	case "flushcount":
-		gc = machine.AutoGCFlushCount
-	default:
-		return fmt.Errorf("unknown -gc mode %q (have off, flushcount, p99)", f.gc)
-	}
-	if f.Table == "shardsweep" {
-		f.Opt.AutoGroupCommit = gc
 	}
 	f.Sweep.Shards = f.shards
 	if len(f.shards) == 0 {

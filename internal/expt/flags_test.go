@@ -67,7 +67,7 @@ func TestFlagsNameSets(t *testing.T) {
 	}{
 		{"oltpgen", expt.Oltpgen, "cold kcold libscale seed train-workload workload"},
 		{"pixie", expt.Pixie, "cold cpus libscale quick runseed seed shards train-shards train-workload txns warmup workload"},
-		{"oltpbench", expt.Oltpbench, "cold cpus drift fastpath gcauto gcp99 gcwindow hotfrac layout libscale opt percommit procs profile-store quick readpct reopt runseed seed shards stall train-shards train-txns train-workload txns warmup workload zipf"},
+		{"oltpbench", expt.Oltpbench, "cold cpus drift fastpath gc hotfrac layout libscale opt procs profile-store quick readpct reopt runseed seed shards stall train-shards train-txns train-workload txns warmup workload zipf"},
 		{"layoutlab", expt.Layoutlab, "cpus cross fastpath full gc hotfrac layout matrix profile-store quick ratios readpct seed shardlist shards stall table txns workload zipf"},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -81,7 +81,7 @@ func TestFlagsNameSets(t *testing.T) {
 	}
 }
 
-func wantGC(mode machine.AutoGCMode) func(*testing.T, *expt.Flags) {
+func wantGC(mode machine.GroupCommit) func(*testing.T, *expt.Flags) {
 	return func(t *testing.T, f *expt.Flags) {
 		if f.Opt.AutoGroupCommit != mode {
 			t.Errorf("group commit resolved to %v, want %v", f.Opt.AutoGroupCommit, mode)
@@ -127,7 +127,7 @@ func TestFlagsResolve(t *testing.T) {
 				t.Errorf("pixie -txns leaked into the measured count: %d", f.Opt.Transactions)
 			}
 		}},
-		{"oltpbench quick transplant", expt.Oltpbench, "-quick -workload tpcb -train-workload ycsb -gcp99 -shards 2 -fastpath -opt all", func(t *testing.T, f *expt.Flags) {
+		{"oltpbench quick transplant", expt.Oltpbench, "-quick -workload tpcb -train-workload ycsb -gc p99 -shards 2 -fastpath -opt all", func(t *testing.T, f *expt.Flags) {
 			if f.Opt.Workload.Name() != "tpcb" || len(f.Extra) != 1 || f.Extra[0] != f.Opt.Train.Workload || f.Extra[0].Name() != "ycsb" {
 				t.Errorf("workload %s, extra %v, train %v", f.Opt.Workload.Name(), f.Extra, f.Opt.Train.Workload)
 			}
@@ -138,18 +138,18 @@ func TestFlagsResolve(t *testing.T) {
 				t.Errorf("gc %v fastpath %v layout %q", f.Opt.AutoGroupCommit, f.Opt.PredictFastPath, f.Layout)
 			}
 		}},
-		// A fixed window and per-commit flushing are oltpbench's alone: they
-		// land on Flags, and the session options stay the preset's.
-		{"oltpbench group commit stays off the options", expt.Oltpbench, "-gcwindow 60000 -percommit", func(t *testing.T, f *expt.Flags) {
-			if f.GCWindow != 60000 || !f.PerCommit {
-				t.Errorf("window %d per-commit %v, want 60000 and true", f.GCWindow, f.PerCommit)
-			}
+		// Every group-commit policy lands on the options, in its canonical
+		// spelling, and nothing else moves.
+		{"oltpbench -gc lands on the options", expt.Oltpbench, "-gc window:060000", func(t *testing.T, f *expt.Flags) {
 			want := full
 			want.Train.Seed = want.Seed + 7
+			want.AutoGroupCommit = "window:60000"
 			if !reflect.DeepEqual(f.Opt, want) {
-				t.Errorf("options moved: got %+v\nwant %+v", f.Opt, want)
+				t.Errorf("got %+v\nwant %+v", f.Opt, want)
 			}
 		}},
+		{"oltpbench -gc percommit", expt.Oltpbench, "-gc percommit", wantGC("percommit")},
+		{"oltpbench -gc window:0 is off", expt.Oltpbench, "-gc window:0", wantGC(machine.AutoGCOff)},
 		{"oltpgen never quick-scales", expt.Oltpgen, "-workload ycsb -train-workload ycsb", func(t *testing.T, f *expt.Flags) {
 			if !reflect.DeepEqual(f.Opt.Workload, ycsb.New()) || f.Extra != nil {
 				t.Errorf("workload %+v extra %v", f.Opt.Workload, f.Extra)
@@ -170,8 +170,8 @@ func TestFlagsResolve(t *testing.T) {
 				t.Errorf("-cross not applied: %d", w.CrossShardPct)
 			}
 		}},
-		// -gc is the shard sweep's group-commit mode (default the p99 tuner)
-		// and no other table's.
+		// In layoutlab -gc is the shard sweep's group-commit policy (default
+		// the p99 tuner) and no other table's.
 		{"shardsweep -gc default", expt.Layoutlab, "-table shardsweep", wantGC(machine.AutoGCTargetP99)},
 		{"shardsweep -gc flushcount", expt.Layoutlab, "-table shardsweep -gc flushcount", wantGC(machine.AutoGCFlushCount)},
 		{"latency ignores -gc", expt.Layoutlab, "-table latency -gc flushcount", wantGC(machine.AutoGCOff)},
@@ -231,7 +231,6 @@ func TestFlagsReject(t *testing.T) {
 		mention string
 	}{
 		{expt.Layoutlab, "-quick -full", "-quick conflicts with -full"},
-		{expt.Oltpbench, "-gcauto -gcp99", "-gcauto and -gcp99"},
 		{expt.Oltpbench, "-fastpath", "-fastpath needs -shards > 1"},
 		{expt.Oltpbench, "-fastpath -shards 1", "-fastpath needs -shards > 1"},
 		{expt.Oltpbench, "-opt all -layout a.layout", "-opt and -layout conflict"},
@@ -241,7 +240,15 @@ func TestFlagsReject(t *testing.T) {
 		{expt.Oltpbench, "-workload ycsb -zipf 1", "-zipf = 1"},
 		{expt.Layoutlab, "-hotfrac -0.1", "-hotfrac = -0.1"},
 		{expt.Layoutlab, "-cross 101", "-cross = 101"},
-		{expt.Layoutlab, "-table shardsweep -gc sometimes", `unknown -gc mode "sometimes"`},
+		{expt.Layoutlab, "-table shardsweep -gc sometimes", `-gc: unknown group-commit policy "sometimes"`},
+		// A malformed policy fails here, not after -opt has trained and
+		// optimized: the machine's check would come only then.
+		{expt.Oltpbench, "-opt all -gc window:", "-gc: group-commit window"},
+		{expt.Oltpbench, "-opt all -gc window:-5", "-gc: group-commit window"},
+		{expt.Oltpbench, "-opt all -gc window:x", "-gc: group-commit window"},
+		{expt.Oltpbench, "-opt all -gc p95", `-gc: unknown group-commit policy "p95"`},
+		{expt.Oltpbench, "-opt all -gc percommit:1", `-gc: unknown group-commit policy "percommit:1"`},
+		{expt.Layoutlab, "-table latency -gc window:x", "-gc: group-commit window"},
 		{expt.Layoutlab, "-table nope", `unknown table "nope"`},
 		{expt.Oltpgen, "-workload nope", `unknown workload "nope"`},
 		{expt.Pixie, "-train-workload nope", `unknown workload "nope"`},
@@ -289,10 +296,10 @@ func TestFlagsReject(t *testing.T) {
 // one stands for all four).
 var cliparityArgs = []string{
 	"-workload ordere -quick -shards 1 -txns 120 -warmup 20 -percentiles",
-	"-workload ordere -quick -shards 4 -txns 120 -warmup 20 -gcauto",
+	"-workload ordere -quick -shards 4 -txns 120 -warmup 20 -gc flushcount",
 	"-table robustness -matrix tpcb,ycsb -shardlist 1,2 -txns 50",
 	"-table latency -quick -matrix tpcb,ycsb -shardlist 1,2 -txns 50",
-	"-workload tpcb -quick -shards 2 -txns 120 -warmup 30 -gcp99 -percentiles",
+	"-workload tpcb -quick -shards 2 -txns 120 -warmup 30 -gc p99 -percentiles",
 	"-table shardsweep -shards 1,4,16 -quick -txns 50 -layout base",
 	"-table latency -quick -matrix tpcb,ordere -shardlist 1 -layout fusion -stall 40 -txns 50",
 	"-out fimg -workload tpcb -libscale 0.3 -cold 400000",
@@ -323,6 +330,9 @@ var cliparityArgs = []string{
 func FuzzFlagsResolve(f *testing.F) {
 	for _, args := range cliparityArgs {
 		f.Add(strings.Join(strings.Fields(args), "\x00"))
+	}
+	for _, gc := range []string{"window:60000", "percommit", "window:0", "window:-5", "p95", "percommit:1", "window:"} {
+		f.Add("-opt\x00all\x00-gc\x00" + gc)
 	}
 	f.Fuzz(func(t *testing.T, argv string) {
 		if strings.Contains(argv, "profile-store") {

@@ -26,8 +26,8 @@ type LatencySpec struct {
 // LatencyTables measures every workload × shard count cell under the
 // original and the optimized layout and renders two tables: run-wide
 // percentiles per cell, and the per-shard × transaction-kind breakdown.
-// Group-commit and auto-tuning settings come from o, so the same tables
-// serve fixed windows, AutoGCFlushCount and AutoGCTargetP99 runs.
+// The group-commit policy comes from o, so the same tables serve every
+// machine.GroupCommit.
 func LatencyTables(o Options, spec LatencySpec) ([]*stats.Table, error) {
 	cpus := o.CPUs
 	src, cells, err := openMatrix(o, "latency tables need", spec.Workloads, spec.Shards, &spec.Layout)

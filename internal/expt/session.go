@@ -39,8 +39,7 @@ import (
 // Options trains and evaluates under one configuration, as the paper does.
 //
 // A field is here because more than one caller sets it. A knob with one
-// owner stays with that owner: oltpbench sets a fixed group-commit window on
-// the machine.Config it measures, DataLayoutTable installs the grouped record
+// owner stays with that owner: DataLayoutTable installs the grouped record
 // layout, and the DCPI sampling period is a constant.
 type Options struct {
 	Seed int64
@@ -59,10 +58,9 @@ type Options struct {
 	// Shards is the partitioned-engine count behind the shard router; 0 or
 	// 1 runs the single shared engine (see machine.Config.Shards).
 	Shards int
-	// AutoGroupCommit auto-tunes the measured runs' per-shard group-commit
-	// windows from warmup observations (machine.AutoGCFlushCount or
-	// machine.AutoGCTargetP99; training is ungrouped).
-	AutoGroupCommit machine.AutoGCMode
+	// AutoGroupCommit is the measured runs' group-commit policy (see
+	// machine.GroupCommit); training runs ungrouped.
+	AutoGroupCommit machine.GroupCommit
 	// PredictFastPath enables the predictive single-shard fast path (see
 	// machine.Config.PredictFastPath) on the session's sharded measurement
 	// runs and adds the predictor models to the source's app image.

@@ -15,7 +15,7 @@ import (
 func TestAutoGroupCommitTunesWindows(t *testing.T) {
 	wl := tpcb.NewScaled(tpcb.Scale{Branches: 48, TellersPerBranch: 4, AccountsPerBranch: 100})
 	app, appL, kern, kernL := testImages(t, wl)
-	run := func(auto machine.AutoGCMode) (machine.Result, []uint64) {
+	run := func(auto machine.GroupCommit) (machine.Result, []uint64) {
 		cfg := configFor(wl, app, appL, kern, kernL)
 		cfg.Shards = 2
 		cfg.CPUs = 4
@@ -96,25 +96,38 @@ func TestAutoGroupCommitNoWarmup(t *testing.T) {
 	}
 }
 
-// TestAutoGroupCommitValidation: the auto-tuner conflicts with a fixed
-// window and with per-commit flushing.
+// TestAutoGroupCommitValidation: New rejects a policy ParseGroupCommit
+// rejects, naming the field.
 func TestAutoGroupCommitValidation(t *testing.T) {
 	base := testSetup(t, "tpcb")
-	cases := []struct {
-		mutate func(*machine.Config)
-		want   string
-	}{
-		{func(c *machine.Config) { c.AutoGroupCommit = machine.AutoGCFlushCount; c.PerCommitLogFlush = true }, "PerCommitLogFlush"},
-		{func(c *machine.Config) {
-			c.AutoGroupCommit = machine.AutoGCFlushCount
-			c.GroupCommitWindowInstr = 50_000
-		}, "GroupCommitWindowInstr"},
-	}
-	for _, tc := range cases {
+	for _, bad := range []machine.GroupCommit{"window:", "window:-5", "window:x", "p95", "percommit:1", "Off"} {
 		cfg := base
-		tc.mutate(&cfg)
-		if _, err := machine.New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("expected error mentioning %q, got %v", tc.want, err)
+		cfg.AutoGroupCommit = bad
+		if _, err := machine.New(cfg); err == nil || !strings.Contains(err.Error(), "AutoGroupCommit") {
+			t.Errorf("AutoGroupCommit %q: want an error naming the field, got %v", bad, err)
 		}
 	}
+}
+
+// TestParseGroupCommit: every policy reads back from its own spelling, and
+// the spellings of the immediate-flush policy all parse to the zero value.
+func TestParseGroupCommit(t *testing.T) {
+	for _, p := range []machine.GroupCommit{machine.AutoGCOff, "window:40000", "percommit", machine.AutoGCFlushCount, machine.AutoGCTargetP99} {
+		if got, err := machine.ParseGroupCommit(p.String()); err != nil || got != p {
+			t.Errorf("ParseGroupCommit(%q) = %q, %v; want %q", p.String(), got, err, p)
+		}
+	}
+	for _, s := range []string{"", "off", "window:0", "window:00"} {
+		if got, err := machine.ParseGroupCommit(s); err != nil || got != machine.AutoGCOff {
+			t.Errorf("ParseGroupCommit(%q) = %q, %v; want off", s, got, err)
+		}
+	}
+	if got, err := machine.ParseGroupCommit("window:060000"); err != nil || got != "window:60000" {
+		t.Errorf("ParseGroupCommit(window:060000) = %q, %v; want window:60000", got, err)
+	}
+}
+
+// setGroupCommit applies a group-commit policy spelled the way -gc spells it.
+func setGroupCommit(c *machine.Config, spec string) {
+	c.AutoGroupCommit = machine.GroupCommit(spec)
 }

@@ -207,7 +207,7 @@ func TestAutoGCTargetP99BeatsPerCommit(t *testing.T) {
 		}
 		return res, m.GroupCommitWindows()
 	}
-	base, _ := run(func(c *machine.Config) { c.PerCommitLogFlush = true })
+	base, _ := run(func(c *machine.Config) { c.AutoGroupCommit = "percommit" })
 	tail, win := run(func(c *machine.Config) { c.AutoGroupCommit = machine.AutoGCTargetP99 })
 	if base.Latency.N == 0 || tail.Latency.N == 0 {
 		t.Fatal("no latencies recorded")

@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 
 	"codelayout/internal/cache"
 	"codelayout/internal/codegen"
@@ -39,37 +41,74 @@ import (
 	"codelayout/internal/workload"
 )
 
-// AutoGCMode selects how (and whether) the group-commit batching windows
-// are auto-tuned from warmup observations.
-type AutoGCMode int
+// GroupCommit is a run's group-commit policy, spelled name[:arg] like a
+// pass spec:
+//
+//	off         leaders flush as soon as they arrive; followers still
+//	            piggyback on the flush in flight (the zero value)
+//	window:N    leaders sleep N instruction-times before writing, so commits
+//	            arriving in the window amortize into one flush (window:0 is off)
+//	percommit   no group commit: every commit pays its own blocking log write
+//	flushcount  the flush-count tuner (AutoGCFlushCount)
+//	p99         the tail tuner (AutoGCTargetP99)
+//
+// The tuners pick each shard's window at the warmup/measured switch; warmup
+// runs with immediate flushes, and with WarmupTxns = 0 there is nothing to
+// observe and the windows stay 0. ParseGroupCommit is the one parser.
+type GroupCommit string
 
 const (
-	// AutoGCOff disables auto-tuning: the windows come from
-	// GroupCommitWindowInstr (or stay 0).
-	AutoGCOff AutoGCMode = iota
+	// AutoGCOff is the immediate-flush policy.
+	AutoGCOff GroupCommit = ""
 	// AutoGCFlushCount sizes each shard's window from its warmup commit
 	// arrival rate to batch autoGroupTarget commits per flush — the
 	// throughput-oriented tuner (fewest physical log writes).
-	AutoGCFlushCount
+	AutoGCFlushCount GroupCommit = "flushcount"
 	// AutoGCTargetP99 sizes each shard's window to minimize the modeled
 	// 99th-percentile transaction latency measured over the warmup latency
 	// histogram — the tail-oriented tuner. Lightly loaded shards keep
 	// immediate flushes; saturated shards widen the window to drain the
 	// log queue.
-	AutoGCTargetP99
+	AutoGCTargetP99 GroupCommit = "p99"
+
+	perCommit GroupCommit = "percommit"
 )
 
-// String implements fmt.Stringer (flags and reports).
-func (m AutoGCMode) String() string {
-	switch m {
-	case AutoGCOff:
-		return "off"
-	case AutoGCFlushCount:
-		return "flushcount"
-	case AutoGCTargetP99:
-		return "p99"
+// ParseGroupCommit checks a group-commit spec and returns the policy in its
+// canonical spelling: "" and "off" are AutoGCOff, and so is window:0.
+func ParseGroupCommit(s string) (GroupCommit, error) {
+	if arg, ok := strings.CutPrefix(s, "window:"); ok {
+		n, err := strconv.ParseUint(arg, 10, 64)
+		if err != nil {
+			return "", fmt.Errorf("group-commit window %q is not an instruction count", arg)
+		}
+		if n == 0 {
+			return AutoGCOff, nil
+		}
+		return GroupCommit("window:" + strconv.FormatUint(n, 10)), nil
 	}
-	return fmt.Sprintf("AutoGCMode(%d)", int(m))
+	switch g := GroupCommit(s); g {
+	case AutoGCOff, "off":
+		return AutoGCOff, nil
+	case perCommit, AutoGCFlushCount, AutoGCTargetP99:
+		return g, nil
+	}
+	return "", fmt.Errorf("unknown group-commit policy %q (have off, window:N, percommit, flushcount, p99)", s)
+}
+
+// String implements fmt.Stringer (flags and reports).
+func (g GroupCommit) String() string {
+	if g == AutoGCOff {
+		return "off"
+	}
+	return string(g)
+}
+
+// window is the fixed batching window of a valid window:N policy, 0 for
+// every other policy.
+func (g GroupCommit) window() uint64 {
+	n, _ := strconv.ParseUint(strings.TrimPrefix(string(g), "window:"), 10, 64)
+	return n
 }
 
 // Config describes one simulated run.
@@ -124,27 +163,9 @@ type Config struct {
 	// cache is separate from Config.Sinks (which observe only the measured
 	// phase, while the inline cache stays warm from load onward).
 	FetchStallPenaltyInstr uint64
-	// GroupCommitWindowInstr tunes group commit per shard: the flush
-	// leader sleeps this long before writing, so commits arriving in the
-	// window amortize into one flush. 0 makes leaders write as soon as
-	// they arrive (followers still piggyback on the flush in flight).
-	GroupCommitWindowInstr uint64
-	// PerCommitLogFlush disables group commit entirely: every commit pays
-	// its own blocking log write. The pre-group-commit baseline; conflicts
-	// with GroupCommitWindowInstr.
-	PerCommitLogFlush bool
-	// AutoGroupCommit picks each shard's batching window from warmup
-	// observations instead of a fixed GroupCommitWindowInstr. At the
-	// warmup/measured switch, AutoGCFlushCount sets every shard's window to
-	// (autoGroupTarget-1) mean inter-commit gaps capped at twice the
-	// log-write latency (minimizing flush count), while AutoGCTargetP99
-	// picks the window minimizing the modeled p99 transaction latency from
-	// the shard's warmup latency histogram and commit arrival process (see
-	// tuneGroupCommitP99). Warmup runs with an immediate-flush window; with
-	// WarmupTxns = 0 there is nothing to observe and the windows stay 0.
-	// Conflicts with PerCommitLogFlush and an explicit
-	// GroupCommitWindowInstr.
-	AutoGroupCommit AutoGCMode
+	// AutoGroupCommit is the group-commit policy (see GroupCommit); the
+	// zero value flushes as soon as a leader arrives.
+	AutoGroupCommit GroupCommit
 
 	// PredictFastPath enables the predictive single-shard fast path on
 	// sharded machines: transactions the predictor expects to stay local
@@ -409,7 +430,7 @@ type Machine struct {
 	warmLat []*stats.Log2Hist
 
 	// windows is each shard's group-commit batching window (HoldFlush),
-	// seeded from Config.GroupCommitWindowInstr and rewritten by the
+	// seeded from a window:N policy and rewritten by the
 	// tuners; gaps is each shard's commit arrival record, which the tail
 	// tuner reads.
 	windows []uint64
@@ -429,7 +450,7 @@ func New(cfg Config) (*Machine, error) {
 		windows: make([]uint64, cfg.Shards), gaps: make([]commitGaps, cfg.Shards)}
 	for i := 0; i < cfg.Shards; i++ {
 		m.warmLat = append(m.warmLat, &stats.Log2Hist{})
-		m.windows[i] = cfg.GroupCommitWindowInstr
+		m.windows[i] = cfg.AutoGroupCommit.window()
 	}
 	graph := m.graph
 	// Each shard's pool holds its share of every loaded table plus headroom
@@ -505,13 +526,13 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// autoGroupTarget is the commit-group size AutoGroupCommit aims to batch
+// autoGroupTarget is the commit-group size AutoGCFlushCount aims to batch
 // into one flush: the window is sized to span target-1 mean inter-commit
 // gaps, so on average that many later commits join the leader's write.
 const autoGroupTarget = 4
 
-// tuneGroupCommit applies the configured auto-tuner at the warmup/measured
-// switch (called exactly once; AutoGCOff leaves the windows as they are).
+// tuneGroupCommit applies the configured tuner at the warmup/measured switch
+// (called exactly once; the other policies leave the windows as they are).
 func (m *Machine) tuneGroupCommit() {
 	switch m.cfg.AutoGroupCommit {
 	case AutoGCFlushCount:
@@ -550,7 +571,7 @@ func (m *Machine) tuneGroupCommitFlush() {
 }
 
 // GroupCommitWindows returns the per-shard batching windows currently in
-// force (after a run with AutoGroupCommit, the tuned values).
+// force (after a run under a tuner, the tuned values).
 func (m *Machine) GroupCommitWindows() []uint64 { return slices.Clone(m.windows) }
 
 // FieldProfile harvests the field-access profile the engines tallied during
@@ -826,13 +847,13 @@ func (e *machineEnv) Pread() {
 // HoldFlush implements db.Env: the group-commit leader sleeps out its
 // shard's batching window (with auto-tuning, shards differ) through the
 // same put-me-to-sleep path followers take, so concurrent commits join its
-// flush. It reports the machine's per-commit flushing policy.
+// flush. It reports whether the policy is per-commit flushing.
 func (e *machineEnv) HoldFlush(shard int) bool {
 	m := (*Machine)(e)
 	if p := m.running; p != nil && m.windows[shard] > 0 {
 		m.blockOnLog(p, kernel.SvcLogWait, m.windows[shard])
 	}
-	return m.cfg.PerCommitLogFlush
+	return m.cfg.AutoGroupCommit == perCommit
 }
 
 // LogWrite implements db.Env: the leader's physical log write.

@@ -209,15 +209,14 @@ func TestDeadlockVictimAborts(t *testing.T) {
 func TestGroupCommitReducesLogBlocking(t *testing.T) {
 	wl := tpcb.NewScaled(tpcb.Scale{Branches: 48, TellersPerBranch: 4, AccountsPerBranch: 100})
 	app, appL, kern, kernL := testImages(t, wl)
-	run := func(perCommit bool, window uint64) machine.Result {
+	run := func(gc machine.GroupCommit) machine.Result {
 		cfg := configFor(wl, app, appL, kern, kernL)
 		cfg.Shards = 2
 		cfg.CPUs = 4
 		cfg.ProcsPerCPU = 16
 		cfg.WarmupTxns = 40
 		cfg.Transactions = 300
-		cfg.PerCommitLogFlush = perCommit
-		cfg.GroupCommitWindowInstr = window
+		cfg.AutoGroupCommit = gc
 		m, err := machine.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -231,9 +230,9 @@ func TestGroupCommitReducesLogBlocking(t *testing.T) {
 		}
 		return res
 	}
-	perCommit := run(true, 0)
-	group := run(false, 0)
-	windowed := run(false, 40_000)
+	perCommit := run("percommit")
+	group := run(machine.AutoGCOff)
+	windowed := run("window:40000")
 	if group.LogFlushes >= perCommit.LogFlushes {
 		t.Fatalf("group commit did not reduce flushes: group=%d percommit=%d",
 			group.LogFlushes, perCommit.LogFlushes)
@@ -281,10 +280,6 @@ func TestConfigValidation(t *testing.T) {
 		{"too many shards", func(c *machine.Config) { c.Shards = machine.MaxShards + 1 }, "exceeds the maximum"},
 		{"negative transactions", func(c *machine.Config) { c.Transactions = -5 }, "Transactions"},
 		{"negative warmup", func(c *machine.Config) { c.WarmupTxns = -5 }, "WarmupTxns"},
-		{"window vs per-commit", func(c *machine.Config) {
-			c.PerCommitLogFlush = true
-			c.GroupCommitWindowInstr = 50_000
-		}, "conflicts with GroupCommitWindowInstr"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -85,19 +85,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("machine: PredictFastPath needs the predictor models in the app image; build it with appmodel.Config.FastPath")
 		}
 	}
-	if c.PerCommitLogFlush && c.GroupCommitWindowInstr > 0 {
-		return fmt.Errorf("machine: PerCommitLogFlush conflicts with GroupCommitWindowInstr = %d (the window batches commits; per-commit flushing forbids batching)",
-			c.GroupCommitWindowInstr)
-	}
-	if c.AutoGroupCommit < AutoGCOff || c.AutoGroupCommit > AutoGCTargetP99 {
-		return fmt.Errorf("machine: AutoGroupCommit = %d is not a known AutoGCMode (have off, flushcount, p99)", int(c.AutoGroupCommit))
-	}
-	if c.AutoGroupCommit != AutoGCOff && c.PerCommitLogFlush {
-		return fmt.Errorf("machine: AutoGroupCommit conflicts with PerCommitLogFlush (auto-tuning picks batching windows; per-commit flushing forbids batching)")
-	}
-	if c.AutoGroupCommit != AutoGCOff && c.GroupCommitWindowInstr > 0 {
-		return fmt.Errorf("machine: AutoGroupCommit conflicts with GroupCommitWindowInstr = %d (the window is picked from warmup observations; set one or the other)",
-			c.GroupCommitWindowInstr)
+	if _, err := ParseGroupCommit(string(c.AutoGroupCommit)); err != nil {
+		return fmt.Errorf("machine: AutoGroupCommit: %w", err)
 	}
 	if r := c.Reopt; r != nil {
 		// Every range check is written so that NaN fails it.

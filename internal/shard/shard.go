@@ -10,6 +10,13 @@
 // with a genuinely different hot footprint: the route/2PC code joins the
 // profile, and the per-commit log force splits across per-shard group
 // commits.
+//
+// It is a package because the packages that share it cannot hold it: the
+// three workloads (tpcb, ordere, ycsb) route and commit through it and must
+// not import each other, workload.Images partitions each load by Map,
+// appmodel links the models into the image without importing any workload,
+// and machine runs every routed transaction through Route. It needs only
+// codegen, db and probe, so every one of them can import it.
 package shard
 
 import (

@@ -35,12 +35,12 @@ run() {
 }
 
 run oneshard oltpbench -workload ordere -quick -shards 1 -txns 120 -warmup 20 -percentiles
-run sharded-gcauto oltpbench -workload ordere -quick -shards 4 -txns 120 -warmup 20 -gcauto
-run gcwindow oltpbench -workload ordere -quick -shards 4 -txns 120 -warmup 20 -gcwindow 60000
-run percommit oltpbench -workload tpcb -quick -shards 2 -txns 120 -warmup 30 -percommit
+run sharded-gcauto oltpbench -workload ordere -quick -shards 4 -txns 120 -warmup 20 -gc flushcount
+run gcwindow oltpbench -workload ordere -quick -shards 4 -txns 120 -warmup 20 -gc window:60000
+run percommit oltpbench -workload tpcb -quick -shards 2 -txns 120 -warmup 30 -gc percommit
 run robustness layoutlab -table robustness -matrix tpcb,ycsb -shardlist 1,2 -txns 50
 run latency layoutlab -table latency -quick -matrix tpcb,ycsb -shardlist 1,2 -txns 50
-run gcp99 oltpbench -workload tpcb -quick -shards 2 -txns 120 -warmup 30 -gcp99 -percentiles
+run gcp99 oltpbench -workload tpcb -quick -shards 2 -txns 120 -warmup 30 -gc p99 -percentiles
 run shardsweep layoutlab -table shardsweep -shards 1,4,16 -quick -txns 50 -layout base
 run latency-fusion layoutlab -table latency -quick -matrix tpcb,ordere -shardlist 1 -layout fusion -stall 40 -txns 50
 run fuse-oltpgen oltpgen -out fimg -workload tpcb -libscale 0.3 -cold 400000
