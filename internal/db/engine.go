@@ -138,7 +138,7 @@ func (e *Engine) AllocPage() PageID {
 func (e *Engine) Checkpoint() {
 	e.Pool.FlushAll()
 	e.WAL.MarkFlushed(e.WAL.CurrentLSN())
-	e.WAL.Records = nil
+	e.WAL.chunks = nil
 }
 
 // Table is a heap table: pages filled append-only, with in-place updates.
@@ -186,7 +186,8 @@ type Session struct {
 	// PID identifies the server process (for diagnostics).
 	PID int
 
-	txn  *Txn
+	txn  *Txn // &tx inside a transaction, nil outside one
+	tx   Txn  // reused by every transaction, buffers and all
 	crit int
 }
 

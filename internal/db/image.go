@@ -42,8 +42,9 @@ func (e *Engine) empty() bool {
 //     never edits one in place);
 //   - the resident pool frames, copied, with the LRU clock of every page, the
 //     pool's clock and its miss count;
-//   - the WAL's records, shared up to their length so that e's first append
-//     copies them, its LSNs, flushed LSN, appended bytes and counters;
+//   - the WAL's record chunks, shared, the last one clipped to its length
+//     so that e's first append opens a chunk of e's own; its LSNs, flushed
+//     LSN, appended bytes and counters;
 //   - the table and B-tree catalogs, each table with its field layout, its
 //     access tally and its page list (shared like the records);
 //   - the page and transaction counters and the commit statistics.
@@ -89,7 +90,10 @@ func (e *Engine) copyFrom(src *Engine, frozen bool) error {
 	dp.clock, dp.Misses = sp.clock, sp.Misses
 
 	sw, dw := src.WAL, e.WAL
-	dw.Records = sw.Records[:len(sw.Records):len(sw.Records)]
+	dw.chunks = slices.Clone(sw.chunks)
+	if last := len(dw.chunks) - 1; last >= 0 {
+		dw.chunks[last] = slices.Clip(dw.chunks[last])
+	}
 	dw.nextLSN, dw.FlushedLSN, dw.Flushing = sw.nextLSN, sw.FlushedLSN, sw.Flushing
 	dw.Flushes, dw.GroupedCommits = sw.Flushes, sw.GroupedCommits
 	dw.TotalAppended, dw.bufBytes = sw.TotalAppended, sw.bufBytes

@@ -3,6 +3,7 @@ package db_test
 import (
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -160,15 +161,15 @@ func TestCheckpointDropsCoveredRecords(t *testing.T) {
 	lsn, off := eng.WAL.CurrentLSN(), eng.WAL.TotalAppended
 	eng.Checkpoint()
 	w := eng.WAL
-	if len(w.Records) != 0 || w.CurrentLSN() != lsn || w.FlushedLSN != lsn || w.TotalAppended != off {
+	if w.Len() != 0 || w.CurrentLSN() != lsn || w.FlushedLSN != lsn || w.TotalAppended != off {
 		t.Fatalf("after the checkpoint: %d records, LSN %d (flushed %d), offset %d; want 0, %d, %d, %d",
-			len(w.Records), w.CurrentLSN(), w.FlushedLSN, w.TotalAppended, lsn, lsn, off)
+			w.Len(), w.CurrentLSN(), w.FlushedLSN, w.TotalAppended, lsn, lsn, off)
 	}
 	s.Begin()
 	tb.Update(s, rid, []byte("new1"))
 	s.Commit()
-	if w.Records[0].LSN != lsn+1 {
-		t.Fatalf("first record after the checkpoint has LSN %d, want %d", w.Records[0].LSN, lsn+1)
+	if first := slices.Collect(w.All())[0]; first.LSN != lsn+1 {
+		t.Fatalf("first record after the checkpoint has LSN %d, want %d", first.LSN, lsn+1)
 	}
 	committed, err := db.Recover(eng.Disk, w)
 	if err != nil {

@@ -9,14 +9,18 @@ type Txn struct {
 	undo []LogRec // before-images for abort
 }
 
-// Begin starts a transaction on the session.
+// Begin starts a transaction on the session. The session reuses one Txn,
+// and its lock and undo buffers, for all its transactions: the returned
+// value is valid until the session's next Begin.
 func (s *Session) Begin() *Txn {
 	s.PB.Enter("txn_begin")
 	defer s.PB.Leave("txn_begin")
 	if s.txn != nil {
 		panic("db: nested transaction")
 	}
-	t := &Txn{ID: s.Eng.nextTxn}
+	t := &s.tx
+	t.ID = s.Eng.nextTxn
+	t.held, t.undo = t.held[:0], t.undo[:0]
 	s.Eng.nextTxn++
 	s.txn = t
 	return t
@@ -308,7 +312,7 @@ func clone(b []byte) []byte {
 // It returns the set of committed transaction IDs.
 func Recover(disk *Disk, wal *WAL) (map[uint64]bool, error) {
 	committed := make(map[uint64]bool)
-	for _, rec := range wal.Records {
+	for rec := range wal.All() {
 		if rec.LSN > wal.FlushedLSN {
 			break // tail never reached stable storage
 		}
@@ -326,7 +330,7 @@ func Recover(disk *Disk, wal *WAL) (map[uint64]bool, error) {
 		pages[id] = pg
 		return pg
 	}
-	for _, rec := range wal.Records {
+	for rec := range wal.All() {
 		if rec.LSN > wal.FlushedLSN {
 			break
 		}

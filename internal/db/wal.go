@@ -1,5 +1,7 @@
 package db
 
+import "iter"
+
 // LogRecKind classifies WAL records.
 type LogRecKind uint8
 
@@ -33,8 +35,17 @@ type LogRec struct {
 // flush is in flight, other committers join the group and are released
 // together when the leader's write completes — the machine simulates the
 // blocking behind the engine's Env.
+//
+// The records since the last checkpoint (the stable, flushed prefix and the
+// buffered tail) sit in chunks that are never copied or moved: an append
+// that finds the last chunk full opens a new one, walFirstChunk records for
+// the first and as many as the log holds for each later one, up to
+// walMaxChunk. Only the last chunk has spare capacity, and an appended
+// record is never rewritten, so copies of the log (CopyFrom) share every
+// chunk and clip the last one's capacity: their appends open chunks of their
+// own and never write into the source's.
 type WAL struct {
-	Records []LogRec // since the last checkpoint: stable (flushed) prefix + buffered tail
+	chunks  [][]LogRec
 	nextLSN uint64
 
 	// FlushedLSN is the highest LSN known stable.
@@ -56,6 +67,15 @@ type WAL struct {
 	bufBytes      int
 }
 
+// walFirstChunk and walMaxChunk bound a log chunk's capacity in records.
+// The first chunk is small, so an engine that logs little allocates little;
+// doubling the log with each later chunk keeps the chunk count logarithmic
+// up to the cap, after which a long run adds one walMaxChunk chunk at a time.
+const (
+	walFirstChunk = 8
+	walMaxChunk   = 4096
+)
+
 // NewWAL creates an empty log.
 func NewWAL() *WAL {
 	return &WAL{nextLSN: 1, Waiters: NewWaitQueue("log")}
@@ -66,12 +86,39 @@ func NewWAL() *WAL {
 func (w *WAL) Append(rec LogRec) (lsn uint64, offset int64) {
 	rec.LSN = w.nextLSN
 	w.nextLSN++
-	w.Records = append(w.Records, rec)
+	last := len(w.chunks) - 1
+	if last < 0 || len(w.chunks[last]) == cap(w.chunks[last]) {
+		w.chunks = append(w.chunks, make([]LogRec, 0, min(max(w.Len(), walFirstChunk), walMaxChunk)))
+		last++
+	}
+	w.chunks[last] = append(w.chunks[last], rec)
 	n := 32 + len(rec.Before) + len(rec.After)
 	offset = w.TotalAppended
 	w.TotalAppended += int64(n)
 	w.bufBytes += n
 	return rec.LSN, offset
+}
+
+// Len returns the number of records since the last checkpoint.
+func (w *WAL) Len() int {
+	n := 0
+	for _, c := range w.chunks {
+		n += len(c)
+	}
+	return n
+}
+
+// All yields the records since the last checkpoint in LSN order.
+func (w *WAL) All() iter.Seq[LogRec] {
+	return func(yield func(LogRec) bool) {
+		for _, c := range w.chunks {
+			for _, rec := range c {
+				if !yield(rec) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // BufferedBytes returns the size of the unflushed tail, used by the engine

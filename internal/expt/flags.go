@@ -221,6 +221,9 @@ func (f *Flags) Resolve() error {
 	if f.cmd == Oltpbench {
 		o.Train.Seed = o.Seed + 7
 	}
+	if o.FetchStallPenaltyInstr > machine.MaxFetchStallPenaltyInstr {
+		return fmt.Errorf("-stall = %d exceeds the maximum of %d instruction-times per miss", o.FetchStallPenaltyInstr, machine.MaxFetchStallPenaltyInstr)
+	}
 	if len(f.shards) == 1 {
 		o.Shards = f.shards[0]
 	}

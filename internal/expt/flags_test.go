@@ -1,12 +1,20 @@
 package expt_test
 
 import (
+	"errors"
 	"flag"
+	"fmt"
 	"io"
+	"maps"
+	"os"
 	"reflect"
+	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 
 	"codelayout/internal/expt"
 	"codelayout/internal/machine"
@@ -249,6 +257,10 @@ func TestFlagsReject(t *testing.T) {
 		{expt.Oltpbench, "-opt all -gc p95", `-gc: unknown group-commit policy "p95"`},
 		{expt.Oltpbench, "-opt all -gc percommit:1", `-gc: unknown group-commit policy "percommit:1"`},
 		{expt.Layoutlab, "-table latency -gc window:x", "-gc: group-commit window"},
+		// Past their ceilings a window or a stall penalty wraps the clock.
+		{expt.Oltpbench, "-quick -shards 2 -txns 50 -warmup 10 -gc window:18446744073709551615", "-gc: group-commit window 18446744073709551615 exceeds the maximum"},
+		{expt.Oltpbench, "-quick -shards 2 -txns 50 -warmup 10 -stall 18446744073709551615", "-stall = 18446744073709551615 exceeds the maximum"},
+		{expt.Layoutlab, "-table latency -stall 65537", "-stall = 65537 exceeds the maximum"},
 		{expt.Layoutlab, "-table nope", `unknown table "nope"`},
 		{expt.Oltpgen, "-workload nope", `unknown workload "nope"`},
 		{expt.Pixie, "-train-workload nope", `unknown workload "nope"`},
@@ -290,50 +302,315 @@ func TestFlagsReject(t *testing.T) {
 	}
 }
 
-// cliparityArgs are the command lines scripts/cliparity.sh runs through the
-// four commands that share the flag surface, its shell variables expanded
-// (the offline runs of its parity pairs differ only in the layout file name:
-// one stands for all four).
-var cliparityArgs = []string{
-	"-workload ordere -quick -shards 1 -txns 120 -warmup 20 -percentiles",
-	"-workload ordere -quick -shards 4 -txns 120 -warmup 20 -gc flushcount",
-	"-table robustness -matrix tpcb,ycsb -shardlist 1,2 -txns 50",
-	"-table latency -quick -matrix tpcb,ycsb -shardlist 1,2 -txns 50",
-	"-workload tpcb -quick -shards 2 -txns 120 -warmup 30 -gc p99 -percentiles",
-	"-table shardsweep -shards 1,4,16 -quick -txns 50 -layout base",
-	"-table latency -quick -matrix tpcb,ordere -shardlist 1 -layout fusion -stall 40 -txns 50",
-	"-out fimg -workload tpcb -libscale 0.3 -cold 400000",
-	"-workload tpcb -libscale 0.3 -cold 400000 -txns 200 -warmup 20 -cpus 2 -out fuse.prof -kout fuse.kprof",
-	"-workload tpcb -quick -shards 4 -txns 150 -warmup 40 -fastpath -percentiles",
-	"-run fig04 -txns 50 -profile-store pgostore",
-	"-table search -matrix tpcb -population 5 -generations 2 -search-seed 7 -txns 50 -memostats",
-	"-table blend -ratios 0,1 -txns 50",
-	"-table datalayout -quick -txns 50",
-	"-workload ycsb -quick -txns 100 -warmup 20 -readpct 0",
-	"-workload ycsb -quick -txns 200 -warmup 20 -cpus 1 -procs 4 -train-txns 200 -opt all -reopt 50 -stall 40 -profile-store pgostore-ob",
-	"-out pimg -libscale 0.3 -cold 400000",
-	"-quick -libscale 0.3 -cold 400000 -runseed 2008 -txns 300 -cpus 2 -out par.prof -kout par.kprof",
-	"-quick -libscale 0.3 -cold 400000 -cpus 2 -stall 40 -layout par.layout",
-	"-quick -libscale 0.3 -cold 400000 -cpus 2 -stall 40 -opt all -train-txns 300",
-	"-quick -libscale 0.3 -cold 400000 -cpus 2 -stall 40 -opt base -train-txns 300",
-	"-quick -libscale 0.3 -cold 400000 -cpus 2 -stall 40 -opt porder -train-txns 300",
-	"-quick -libscale 0.3 -cold 400000 -cpus 2 -stall 40 -opt chain,split:fine,porder:ph,align:8,materialize -train-txns 300",
-	"-quick -txns 100 -warmup 20 -cpus 2",
-	"",
+// flagCommands are the four commands that share the flag surface.
+var flagCommands = map[string]bool{"oltpgen": true, "pixie": true, "oltpbench": true, "layoutlab": true}
+
+// assignment matches a shell variable assignment: NAME=VALUE or NAME=(WORDS).
+var assignment = regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*)=(.*)$`)
+
+// cliparityArgs returns the argument lists scripts/cliparity.sh passes to the
+// four commands that share the flag surface: each of its run lines naming
+// one of them, at top level and, once per pair line, in the pair function's
+// body, with the script's variables, arrays and the pair's arguments
+// expanded. A run or pair line it cannot expand fails the test, so a new
+// line the parser does not understand cannot silently drop out.
+func cliparityArgs(tb testing.TB) [][]string {
+	tb.Helper()
+	src, err := os.ReadFile("../../scripts/cliparity.sh")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out [][]string
+	// runLine records the arguments of a run line naming a flag command.
+	runLine := func(line string, vars map[string][]string) error {
+		w, err := shellWords(strings.TrimPrefix(line, "run "), vars)
+		if err != nil {
+			return err
+		}
+		if len(w) < 2 {
+			return errors.New("run needs an output name and a command")
+		}
+		if flagCommands[w[1]] {
+			out = append(out, w[2:])
+		}
+		return nil
+	}
+	vars := map[string][]string{}
+	var fn string     // the function whose body the line is in; "" at top level
+	var pair []string // the pair function's body
+	for i, line := range strings.Split(string(src), "\n") {
+		line = strings.TrimSpace(line)
+		fail := func(err error) { tb.Fatalf("scripts/cliparity.sh:%d: %s: %v", i+1, line, err) }
+		switch {
+		case fn != "":
+			if line == "}" {
+				fn = ""
+			} else if fn == "pair" {
+				pair = append(pair, line)
+			}
+		case strings.HasSuffix(line, "() {"):
+			fn = strings.TrimSuffix(line, "() {")
+		case strings.HasPrefix(line, "run "):
+			if err := runLine(line, vars); err != nil {
+				fail(err)
+			}
+		case strings.HasPrefix(line, "pair "):
+			args, err := shellWords(strings.TrimPrefix(line, "pair "), vars)
+			if err != nil {
+				fail(err)
+			}
+			if err := runPair(pair, args, vars, runLine); err != nil {
+				fail(err)
+			}
+		default:
+			// An assignment the words cannot express ($(...), ${1:-x}) leaves
+			// its variable unknown: a run line naming it fails.
+			if m := assignment.FindStringSubmatch(line); m != nil {
+				val, array := strings.CutPrefix(m[2], "(")
+				if array {
+					val, array = strings.CutSuffix(val, ")")
+				}
+				w, err := shellWords(val, vars)
+				if err == nil && (array || len(w) == 1) {
+					vars[m[1]] = w
+				} else {
+					delete(vars, m[1])
+				}
+			}
+		}
+	}
+	if len(out) == 0 {
+		tb.Fatal("scripts/cliparity.sh runs none of the flag commands")
+	}
+	return out
+}
+
+// runPair expands the pair function's body for one pair line: its local
+// assignments of the positional arguments, its shift and its run lines.
+func runPair(body, args []string, global map[string][]string, runLine func(string, map[string][]string) error) error {
+	vars := maps.Clone(global)
+	setArgs := func(a []string) {
+		vars["@"] = a
+		for i := 1; i <= 9; i++ {
+			if i <= len(a) {
+				vars[strconv.Itoa(i)] = a[i-1 : i]
+			} else {
+				delete(vars, strconv.Itoa(i))
+			}
+		}
+	}
+	setArgs(args)
+	for _, line := range body {
+		switch {
+		case strings.HasPrefix(line, "local "):
+			w, err := shellWords(strings.TrimPrefix(line, "local "), vars)
+			if err != nil {
+				return err
+			}
+			for _, a := range w {
+				name, val, ok := strings.Cut(a, "=")
+				if !ok {
+					return fmt.Errorf("local %q assigns nothing", a)
+				}
+				vars[name] = []string{val}
+			}
+		case strings.HasPrefix(line, "shift "):
+			n, err := strconv.Atoi(strings.TrimPrefix(line, "shift "))
+			if err != nil || n > len(vars["@"]) {
+				return fmt.Errorf("%s: bad shift", line)
+			}
+			setArgs(vars["@"][n:])
+		case strings.HasPrefix(line, "run "):
+			if err := runLine(line, vars); err != nil {
+				return fmt.Errorf("pair body %s: %w", line, err)
+			}
+		}
+	}
+	return nil
+}
+
+// shellWords splits a line of shell words the way bash would, for the subset
+// the script's command lines use: blanks separate words, double quotes group
+// them, a # starting a word comments the rest out, and $NAME, ${NAME}, $1
+// and (as a whole word) "${NAME[@]}" and "$@" expand from vars. Anything
+// else that means something to the shell is an error.
+func shellWords(s string, vars map[string][]string) ([]string, error) {
+	var words []string
+	var parts [][]string // the current word: literal and expanded pieces
+	spread := false      // the current word is one array expansion, so far
+	started, quoted := false, false
+	flush := func() error {
+		if !started {
+			return nil
+		}
+		if spread && len(parts) == 1 {
+			words = append(words, parts[0]...)
+		} else {
+			var b strings.Builder
+			for _, p := range parts {
+				if len(p) != 1 {
+					return fmt.Errorf("an array expansion of %d words inside a word", len(p))
+				}
+				b.WriteString(p[0])
+			}
+			words = append(words, b.String())
+		}
+		parts, spread, started = nil, false, false
+		return nil
+	}
+	for i := 0; i < len(s); {
+		c := s[i]
+		switch {
+		case c == '"':
+			quoted, started = !quoted, true
+			i++
+		case !quoted && (c == ' ' || c == '\t'):
+			if err := flush(); err != nil {
+				return nil, err
+			}
+			i++
+		case !quoted && c == '#' && !started:
+			i = len(s)
+		case c == '$':
+			name, n, isArray := varRef(s[i:])
+			if n == 0 {
+				return nil, fmt.Errorf("unsupported expansion at %q", s[i:])
+			}
+			val, ok := vars[name]
+			if !ok {
+				return nil, fmt.Errorf("unknown variable %q", name)
+			}
+			if !isArray && len(val) != 1 {
+				return nil, fmt.Errorf("array %q used as a scalar", name)
+			}
+			if !quoted && len(val) == 1 && strings.ContainsAny(val[0], " \t") {
+				return nil, fmt.Errorf("unquoted %q would split", name)
+			}
+			spread = isArray && len(parts) == 0
+			parts = append(parts, val)
+			started = true
+			i += n
+		case strings.IndexByte("\\`", c) >= 0, !quoted && strings.IndexByte("'|&;<>(){}*?[]", c) >= 0:
+			return nil, fmt.Errorf("unsupported shell syntax %q", c)
+		default:
+			parts = append(parts, []string{string(c)})
+			spread, started = false, true
+			i++
+		}
+	}
+	if quoted {
+		return nil, errors.New("unclosed quote")
+	}
+	if err := flush(); err != nil {
+		return nil, err
+	}
+	return words, nil
+}
+
+// varRef reads the variable reference at the start of s ($NAME, ${NAME},
+// ${NAME[@]}, $@ or $1): the variable's name, the reference's length in
+// bytes (0 for one shellWords does not read) and whether it expands every
+// element of an array.
+func varRef(s string) (name string, n int, array bool) {
+	ident := func(r rune) bool { return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) }
+	switch {
+	case strings.HasPrefix(s, "$@"):
+		return "@", 2, true
+	case strings.HasPrefix(s, "${"):
+		end := strings.IndexByte(s, '}')
+		if end < 0 {
+			return "", 0, false
+		}
+		inner := s[2:end]
+		name, array = strings.CutSuffix(inner, "[@]")
+		if name == "" || strings.IndexFunc(name, func(r rune) bool { return !ident(r) }) >= 0 {
+			return "", 0, false
+		}
+		return name, end + 1, array
+	case len(s) > 1 && s[1] >= '0' && s[1] <= '9':
+		return s[1:2], 2, false
+	}
+	end := 1
+	for end < len(s) && ident(rune(s[end])) {
+		end++
+	}
+	if end == 1 {
+		return "", 0, false
+	}
+	return s[1:end], end, false
+}
+
+// TestShellWords: the subset of shell words cliparityArgs reads, and the
+// syntax it refuses rather than misread.
+func TestShellWords(t *testing.T) {
+	vars := map[string][]string{"a": {"-x", "1"}, "s": {"v"}, "e": {}, "1": {"p"}}
+	for _, tc := range []struct {
+		in   string
+		want []string
+	}{
+		{`run  x "${a[@]}" -y "$s.layout" ${s} # note`, []string{"run", "x", "-x", "1", "-y", "v.layout", "v"}},
+		{`"" "${e[@]}" $1`, []string{"", "p"}},
+	} {
+		if got, err := shellWords(tc.in, vars); err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("shellWords(%s) = %q, %v; want %q", tc.in, got, err, tc.want)
+		}
+	}
+	for _, in := range []string{`$(date)`, `${1:-x}`, `"open`, `a | b`, `x "${a[@]}y"`, `$a`, `$nope`, `'q'`} {
+		if got, err := shellWords(in, vars); err == nil {
+			t.Errorf("shellWords(%s) = %q, want an error", in, got)
+		}
+	}
+}
+
+// TestCliparityArgsCoverTheScript: the parsed command lines are one per run
+// line of a flag command and two per pair line (the pair function's offline
+// and in-process oltpbench runs), and they hold the lines a hand-kept copy
+// once missed.
+func TestCliparityArgsCoverTheScript(t *testing.T) {
+	src, err := os.ReadFile("../../scripts/cliparity.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := regexp.MustCompile(`(?m)^run \S+ (oltpgen|pixie|oltpbench|layoutlab)\b`).FindAll(src, -1)
+	pairs := regexp.MustCompile(`(?m)^pair `).FindAll(src, -1)
+	args := cliparityArgs(t)
+	if want := len(runs) + 2*len(pairs); len(args) != want {
+		t.Fatalf("%d command lines parsed, want %d (%d run lines, %d pair lines)", len(args), want, len(runs), len(pairs))
+	}
+	lines := make([]string, len(args))
+	for i, a := range args {
+		lines[i] = strings.Join(a, " ")
+	}
+	for _, want := range []string{
+		"-workload ordere -quick -shards 4 -txns 120 -warmup 20 -gc window:60000",
+		"-workload tpcb -quick -shards 2 -txns 120 -warmup 30 -gc percommit",
+		"-workload ycsb -quick -txns 200 -warmup 20 -cpus 1 -procs 4 -train-txns 200 -opt all -reopt 50 -stall 40 -profile-store pgostore-ob",
+		"-quick -libscale 0.3 -cold 400000 -cpus 2 -stall 40 -layout par-align8.layout",
+		"-quick -libscale 0.3 -cold 400000 -cpus 2 -stall 40 -opt chain,split:fine,porder:ph,align:8,materialize -train-txns 300",
+		"",
+	} {
+		if !slices.Contains(lines, want) {
+			t.Errorf("no parsed command line %q", want)
+		}
+	}
 }
 
 // FuzzFlagsResolve: any command line (arguments separated by NUL, which no
 // real argument holds) given to any of the four commands parses and resolves
 // to an error or to a run description with a workload — never a panic, and,
 // Resolve building nothing, never an image build or a simulation. A line
-// naming -profile-store is dropped: resolving it creates the directory.
+// naming -profile-store is dropped, and is no seed: resolving it creates the
+// directory.
 func FuzzFlagsResolve(f *testing.F) {
-	for _, args := range cliparityArgs {
-		f.Add(strings.Join(strings.Fields(args), "\x00"))
+	for _, args := range cliparityArgs(f) {
+		if !slices.Contains(args, "-profile-store") {
+			f.Add(strings.Join(args, "\x00"))
+		}
 	}
-	for _, gc := range []string{"window:60000", "percommit", "window:0", "window:-5", "p95", "percommit:1", "window:"} {
+	for _, gc := range []string{"window:60000", "percommit", "window:0", "window:-5", "p95", "percommit:1", "window:", "window:18446744073709551615"} {
 		f.Add("-opt\x00all\x00-gc\x00" + gc)
 	}
+	f.Add("-quick\x00-shards\x002\x00-stall\x0018446744073709551615")
 	f.Fuzz(func(t *testing.T, argv string) {
 		if strings.Contains(argv, "profile-store") {
 			t.Skip("-profile-store creates a directory")

@@ -125,6 +125,15 @@ func TestParseGroupCommit(t *testing.T) {
 	if got, err := machine.ParseGroupCommit("window:060000"); err != nil || got != "window:60000" {
 		t.Errorf("ParseGroupCommit(window:060000) = %q, %v; want window:60000", got, err)
 	}
+	// A window past the ceiling would let the flushes' windows wrap the clock.
+	if got, err := machine.ParseGroupCommit("window:4294967296"); err != nil || got != "window:4294967296" {
+		t.Errorf("ParseGroupCommit at the ceiling = %q, %v", got, err)
+	}
+	for _, s := range []string{"window:4294967297", "window:18446744073709551615"} {
+		if _, err := machine.ParseGroupCommit(s); err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
+			t.Errorf("ParseGroupCommit(%q) error = %v, want the ceiling named", s, err)
+		}
+	}
 }
 
 // setGroupCommit applies a group-commit policy spelled the way -gc spells it.

@@ -361,3 +361,17 @@ func TestQuantumBeyondInt64IsRejected(t *testing.T) {
 		t.Fatalf("QuantumInstr = MaxInt64: %v", err)
 	}
 }
+
+// TestStallPenaltyCeiling: a fetch-stall penalty past its ceiling would let
+// the stall total wrap the clock; the ceiling itself is accepted.
+func TestStallPenaltyCeiling(t *testing.T) {
+	cfg := testSetup(t, "tpcb")
+	cfg.FetchStallPenaltyInstr = machine.MaxFetchStallPenaltyInstr + 1
+	if _, err := machine.New(cfg); err == nil || !strings.Contains(err.Error(), "FetchStallPenaltyInstr") {
+		t.Fatalf("New error = %v, want FetchStallPenaltyInstr rejected", err)
+	}
+	cfg.FetchStallPenaltyInstr = machine.MaxFetchStallPenaltyInstr
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("FetchStallPenaltyInstr at its ceiling: %v", err)
+	}
+}

@@ -47,7 +47,8 @@ import (
 //	off         leaders flush as soon as they arrive; followers still
 //	            piggyback on the flush in flight (the zero value)
 //	window:N    leaders sleep N instruction-times before writing, so commits
-//	            arriving in the window amortize into one flush (window:0 is off)
+//	            arriving in the window amortize into one flush (window:0 is
+//	            off; N is at most MaxGroupCommitWindow)
 //	percommit   no group commit: every commit pays its own blocking log write
 //	flushcount  the flush-count tuner (AutoGCFlushCount)
 //	p99         the tail tuner (AutoGCTargetP99)
@@ -74,6 +75,12 @@ const (
 	perCommit GroupCommit = "percommit"
 )
 
+// MaxGroupCommitWindow is the largest window:N. Every flush adds its window
+// to the leader's clock and to Result.LogBlockedInstr, so a run would need
+// 2^32 flushes, far more than any simulated run commits, before a sum of
+// windows this wide wrapped a uint64.
+const MaxGroupCommitWindow = 1 << 32
+
 // ParseGroupCommit checks a group-commit spec and returns the policy in its
 // canonical spelling: "" and "off" are AutoGCOff, and so is window:0.
 func ParseGroupCommit(s string) (GroupCommit, error) {
@@ -81,6 +88,9 @@ func ParseGroupCommit(s string) (GroupCommit, error) {
 		n, err := strconv.ParseUint(arg, 10, 64)
 		if err != nil {
 			return "", fmt.Errorf("group-commit window %q is not an instruction count", arg)
+		}
+		if n > MaxGroupCommitWindow {
+			return "", fmt.Errorf("group-commit window %d exceeds the maximum of %d instruction-times", n, uint64(MaxGroupCommitWindow))
 		}
 		if n == 0 {
 			return AutoGCOff, nil
@@ -161,7 +171,8 @@ type Config struct {
 	// runs are then bit-identical to builds without the model. The stall
 	// advances the clock but not the scheduling quantum, and the per-CPU
 	// cache is separate from Config.Sinks (which observe only the measured
-	// phase, while the inline cache stays warm from load onward).
+	// phase, while the inline cache stays warm from load onward). At most
+	// MaxFetchStallPenaltyInstr.
 	FetchStallPenaltyInstr uint64
 	// AutoGroupCommit is the group-commit policy (see GroupCommit); the
 	// zero value flushes as soon as a leader arrives.

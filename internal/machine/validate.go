@@ -18,6 +18,13 @@ const MaxShards = 64
 // db.ShardPageStride windows; above it the region is divided evenly.
 const wideShardThreshold = 16
 
+// MaxFetchStallPenaltyInstr is the largest Config.FetchStallPenaltyInstr.
+// Every L1I miss adds the penalty to its CPU's clock and to
+// Result.FetchStallInstr, so a run would need 2^48 misses, more than the
+// instructions any simulated run executes, before a sum of penalties this
+// large wrapped a uint64.
+const MaxFetchStallPenaltyInstr = 1 << 16
+
 // Validate checks a configuration before any engine is built, so
 // misconfigurations surface as errors here instead of panics (or wedged
 // scheduler loops) deep inside a run. Zero values that withDefaults fills
@@ -59,6 +66,9 @@ func (c Config) Validate() error {
 	// MaxInt64 would start negative and preempt the process on every run.
 	if c.QuantumInstr > math.MaxInt64 {
 		return fmt.Errorf("machine: QuantumInstr = %d exceeds the maximum of %d", c.QuantumInstr, int64(math.MaxInt64))
+	}
+	if c.FetchStallPenaltyInstr > MaxFetchStallPenaltyInstr {
+		return fmt.Errorf("machine: FetchStallPenaltyInstr = %d exceeds the maximum of %d", c.FetchStallPenaltyInstr, MaxFetchStallPenaltyInstr)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("machine: Shards = %d; must be >= 1 (0 selects the default of one shard)", c.Shards)

@@ -81,7 +81,7 @@ func TestCommit2PCCommitsAllParticipants(t *testing.T) {
 		t.Fatalf("logs not forced: A=%d B=%d", engA.WAL.FlushedLSN, engB.WAL.FlushedLSN)
 	}
 	var prepares, commits int
-	for _, rec := range engB.WAL.Records {
+	for rec := range engB.WAL.All() {
 		switch rec.Kind {
 		case db.LogPrepare:
 			prepares++

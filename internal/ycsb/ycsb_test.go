@@ -276,7 +276,7 @@ func TestShardedPartitionAndScatter(t *testing.T) {
 	}
 	// Scatter reads are read-only: no engine ever saw a distributed commit.
 	for i, e := range engs {
-		for _, rec := range e.WAL.Records {
+		for rec := range e.WAL.All() {
 			if rec.Kind == db.LogPrepare {
 				t.Fatalf("shard %d logged a prepare — ycsb must never 2PC", i)
 			}
