@@ -29,6 +29,7 @@ type LockRef struct {
 type WaitGraph struct {
 	waits   map[int]LockRef
 	holders map[LockRef][]int
+	spare   [][]int // emptied holder slices, for hold to reuse
 }
 
 // NewWaitGraph creates an empty graph.
@@ -41,24 +42,39 @@ func NewWaitGraph() *WaitGraph {
 
 // hold records that pid holds ref (no-op if already recorded).
 func (g *WaitGraph) hold(ref LockRef, pid int) {
-	for _, h := range g.holders[ref] {
+	hs, ok := g.holders[ref]
+	for _, h := range hs {
 		if h == pid {
 			return
 		}
 	}
-	g.holders[ref] = append(g.holders[ref], pid)
+	if n := len(g.spare); !ok && n > 0 {
+		hs = g.spare[n-1]
+		g.spare = g.spare[:n-1]
+	}
+	g.holders[ref] = append(hs, pid)
 }
 
-// unhold drops pid's hold on ref.
+// unhold drops pid's hold on ref. A ref left with no holders leaves the
+// map, its slice kept for the next hold.
 func (g *WaitGraph) unhold(ref LockRef, pid int) {
 	hs := g.holders[ref]
 	for i, h := range hs {
 		if h == pid {
-			g.holders[ref] = append(hs[:i], hs[i+1:]...)
+			hs = append(hs[:i], hs[i+1:]...)
+			if len(hs) == 0 {
+				delete(g.holders, ref)
+				g.spare = append(g.spare, hs)
+				return
+			}
+			g.holders[ref] = hs
 			return
 		}
 	}
 }
+
+// Held returns how many locks have recorded holders (tests).
+func (g *WaitGraph) Held() int { return len(g.holders) }
 
 // setWait records that pid is about to park waiting for ref.
 func (g *WaitGraph) setWait(pid int, ref LockRef) { g.waits[pid] = ref }

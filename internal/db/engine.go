@@ -186,8 +186,9 @@ type Session struct {
 	// PID identifies the server process (for diagnostics).
 	PID int
 
-	txn  *Txn // &tx inside a transaction, nil outside one
-	tx   Txn  // reused by every transaction, buffers and all
+	txn  *Txn   // &tx inside a transaction, nil outside one
+	tx   Txn    // reused by every transaction, buffers and all
+	row  []byte // Fetch's result, overwritten by the next Fetch
 	crit int
 }
 
@@ -267,8 +268,10 @@ func (s *Session) lock(key uint64, mode LockMode) {
 	}
 	ref := LockRef{Shard: s.Eng.Shard, Key: key}
 	g := s.Eng.graph
+	lm := s.Eng.Locks
 	for {
-		ok, isNew := s.Eng.Locks.try(s.txn.ID, key, mode)
+		// A refused try pins the key's state (see lockState) until unpin.
+		st, ok, isNew := lm.try(s.txn.ID, key, mode)
 		s.PB.Data(s.Eng.lockTableAddr(key), 64, true)
 		s.PB.Branch("lock_conflict", !ok)
 		if ok {
@@ -278,18 +281,17 @@ func (s *Session) lock(key uint64, mode LockMode) {
 			}
 			return
 		}
-		s.Eng.Locks.Conflicts++
+		lm.Conflicts++
 		if g.cycles(s.PID, ref) {
+			lm.unpin(key, st)
 			s.Eng.Deadlocks++
 			s.PB.AbortUnwind()
 			panic(ErrDeadlock)
 		}
-		st := s.Eng.Locks.locks[key]
-		st.waiting++
 		g.setWait(s.PID, ref)
 		s.Eng.Env.Wait(st.queue)
 		g.clearWait(s.PID)
-		st.waiting--
+		lm.unpin(key, st)
 	}
 }
 
@@ -302,13 +304,13 @@ func (s *Session) ReleaseLocks() {
 	for _, key := range t.held {
 		s.PB.Branch("lockrel_iter", true)
 		s.PB.Data(s.Eng.lockTableAddr(key), 64, true)
-		wake, err := s.Eng.Locks.release(t.ID, key)
+		q, err := s.Eng.Locks.release(t.ID, key)
 		if err != nil {
 			panic(err)
 		}
 		s.Eng.graph.unhold(LockRef{Shard: s.Eng.Shard, Key: key}, s.PID)
-		if wake {
-			s.Eng.Env.Wake(s.Eng.Locks.queueFor(key))
+		if q != nil {
+			s.Eng.Env.Wake(q)
 		}
 	}
 	s.PB.Branch("lockrel_iter", false)

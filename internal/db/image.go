@@ -52,8 +52,9 @@ func (e *Engine) empty() bool {
 // e keeps its own runtime fields: Env, the wait graph and the log's wait
 // queue. src is only read, so many engines may
 // copy one src at once. The lock table is not part of a database: CopyFrom
-// refuses a src holding lock state, as it refuses an e that is not empty or
-// whose geometry differs.
+// refuses a src holding lock state — a key some transaction holds or a
+// waiter has pinned; released keys leave the table — as it refuses an e
+// that is not empty or whose geometry differs.
 func (e *Engine) CopyFrom(src *Engine) error { return e.copyFrom(src, false) }
 
 // copyFrom is CopyFrom; frozen says nothing will ever write e, so a clean

@@ -196,7 +196,11 @@ func (tb *Table) Insert(s *Session, rec []byte) RID {
 	return rid
 }
 
-// Fetch copies the record at rid.
+// Fetch copies the record at rid into the session's row buffer and returns
+// the buffer: the slice is valid until the session's next Fetch or
+// FetchFields, which overwrites it. A caller may modify it and pass it to
+// Update (the log keeps its own images); one that needs a row past the next
+// fetch copies it or reads what it needs first.
 func (tb *Table) Fetch(s *Session, rid RID) []byte { return tb.fetch(s, rid, false, nil) }
 
 // recordAddr returns the honest simulated address of a record's length
@@ -206,9 +210,10 @@ func recordAddr(pg *Page, rid RID) uint64 {
 }
 
 // FetchFields is Fetch for schema-aware callers: it copies the whole record
-// but models only the named fields as read — one data reference for the
-// record's length prefix plus one per field at its resolved offset — and
-// tallies each into the table's field-access profile. The instruction
+// into the same row buffer, with the same lifetime, but models only the
+// named fields as read — one data reference for the record's length prefix
+// plus one per field at its resolved offset — and tallies each into the
+// table's field-access profile. The instruction
 // stream is identical to Fetch (same probe enter/leave shape; data
 // references cost no instructions), so interleaved and grouped layouts
 // differ only in the addresses the D-cache models see.
@@ -228,7 +233,8 @@ func (tb *Table) fetch(s *Session, rid RID, perField bool, names []string) []byt
 		panic(fmt.Sprintf("db: heap fetch %v: %v", rid, err))
 	}
 	tb.touch(s, recordAddr(pg, rid), len(rec), perField, names, false)
-	return clone(rec)
+	s.row = append(s.row[:0], rec...)
+	return s.row
 }
 
 // Update rewrites the record at rid (same size), logging before/after

@@ -155,6 +155,8 @@ type Config struct {
 	// QuantumInstr is the scheduling timeslice in instructions.
 	QuantumInstr uint64
 	// TimerIntervalInstr is the clock-interrupt period in instructions.
+	// It, LogWriteDelayInstr and PreadDelayInstr are each at most
+	// MaxDelayInstr.
 	TimerIntervalInstr uint64
 	// LogWriteDelayInstr is how long a log write keeps a process blocked,
 	// in instruction-times (1 instruction ≈ 1 ns at the paper's 1 GHz).

@@ -280,6 +280,12 @@ func TestConfigValidation(t *testing.T) {
 		{"too many shards", func(c *machine.Config) { c.Shards = machine.MaxShards + 1 }, "exceeds the maximum"},
 		{"negative transactions", func(c *machine.Config) { c.Transactions = -5 }, "Transactions"},
 		{"negative warmup", func(c *machine.Config) { c.WarmupTxns = -5 }, "WarmupTxns"},
+		// Past its ceiling a delay could wrap the clocks it is added to, and
+		// at 2^63 the tuners' widest window, twice the log-write delay, wraps.
+		{"timer interval past its ceiling", func(c *machine.Config) { c.TimerIntervalInstr = machine.MaxDelayInstr + 1 }, "TimerIntervalInstr = 4294967297 exceeds the maximum of 4294967296"},
+		{"log-write delay past its ceiling", func(c *machine.Config) { c.LogWriteDelayInstr = machine.MaxDelayInstr + 1 }, "LogWriteDelayInstr = 4294967297 exceeds"},
+		{"log-write delay that doubles past 2^64", func(c *machine.Config) { c.LogWriteDelayInstr = 1 << 63 }, "LogWriteDelayInstr"},
+		{"pread delay past its ceiling", func(c *machine.Config) { c.PreadDelayInstr = machine.MaxDelayInstr + 1 }, "PreadDelayInstr = 4294967297 exceeds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -297,5 +303,18 @@ func TestConfigValidation(t *testing.T) {
 	// The base configuration itself must stay valid.
 	if _, err := machine.New(base); err != nil {
 		t.Fatalf("base config rejected: %v", err)
+	}
+	// Each delay is legal at its ceiling, and so is the near-silent timer
+	// the scheduler tests use.
+	atCeiling := base
+	atCeiling.TimerIntervalInstr, atCeiling.LogWriteDelayInstr, atCeiling.PreadDelayInstr =
+		machine.MaxDelayInstr, machine.MaxDelayInstr, machine.MaxDelayInstr
+	if err := atCeiling.Validate(); err != nil {
+		t.Fatalf("delays at their ceiling rejected: %v", err)
+	}
+	quiet := base
+	quiet.TimerIntervalInstr = 100_000_000
+	if err := quiet.Validate(); err != nil {
+		t.Fatalf("TimerIntervalInstr = 100_000_000 rejected: %v", err)
 	}
 }

@@ -25,6 +25,13 @@ const wideShardThreshold = 16
 // large wrapped a uint64.
 const MaxFetchStallPenaltyInstr = 1 << 16
 
+// MaxDelayInstr is the largest Config.TimerIntervalInstr, LogWriteDelayInstr
+// and PreadDelayInstr. Each is added to a CPU clock once per timer tick, log
+// write or page read, and the group-commit tuners try windows up to twice the
+// log-write delay, so at this ceiling the doubling stays far from wrapping a
+// uint64 and a run would need 2^32 such events before their sum did.
+const MaxDelayInstr = 1 << 32
+
 // Validate checks a configuration before any engine is built, so
 // misconfigurations surface as errors here instead of panics (or wedged
 // scheduler loops) deep inside a run. Zero values that withDefaults fills
@@ -69,6 +76,18 @@ func (c Config) Validate() error {
 	}
 	if c.FetchStallPenaltyInstr > MaxFetchStallPenaltyInstr {
 		return fmt.Errorf("machine: FetchStallPenaltyInstr = %d exceeds the maximum of %d", c.FetchStallPenaltyInstr, MaxFetchStallPenaltyInstr)
+	}
+	for _, d := range [...]struct {
+		name string
+		v    uint64
+	}{
+		{"TimerIntervalInstr", c.TimerIntervalInstr},
+		{"LogWriteDelayInstr", c.LogWriteDelayInstr},
+		{"PreadDelayInstr", c.PreadDelayInstr},
+	} {
+		if d.v > MaxDelayInstr {
+			return fmt.Errorf("machine: %s = %d exceeds the maximum of %d", d.name, d.v, uint64(MaxDelayInstr))
+		}
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("machine: Shards = %d; must be >= 1 (0 selects the default of one shard)", c.Shards)

@@ -580,7 +580,10 @@ func (m *Bench) checkOrders(s *db.Session) error {
 		return true
 	})
 	for _, o := range orders {
+		// The line fetches below reuse the session's row buffer: read the
+		// order row's fields before them.
 		row := m.OrderTable.Fetch(s, o.rid)
+		total, rec := rowI(row, m.off.orderTotal), rowI(row, m.off.orderLines)
 		var sum int64
 		lines := 0
 		m.OrderLines.ScanRange(s, o.key*lineStride+1, o.key*lineStride+MaxLines,
@@ -589,10 +592,10 @@ func (m *Bench) checkOrders(s *db.Session) error {
 				lines++
 				return true
 			})
-		if total := rowI(row, m.off.orderTotal); sum != total {
+		if sum != total {
 			return fmt.Errorf("ordere: order %d total %d, lines sum to %d", o.key, total, sum)
 		}
-		if rec := rowI(row, m.off.orderLines); int64(lines) != rec {
+		if int64(lines) != rec {
 			return fmt.Errorf("ordere: order %d records %d lines, index has %d", o.key, rec, lines)
 		}
 	}
