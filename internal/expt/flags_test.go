@@ -585,6 +585,7 @@ func TestCliparityArgsCoverTheScript(t *testing.T) {
 		"-workload ordere -quick -shards 4 -txns 120 -warmup 20 -gc window:60000",
 		"-workload tpcb -quick -shards 2 -txns 120 -warmup 30 -gc percommit",
 		"-workload ycsb -quick -txns 200 -warmup 20 -cpus 1 -procs 4 -train-txns 200 -opt all -reopt 50 -stall 40 -profile-store pgostore-ob",
+		"-workload ycsb -quick -txns 200 -warmup 40 -opt all -profile-store pgostore-mix -readpct 50",
 		"-quick -libscale 0.3 -cold 400000 -cpus 2 -stall 40 -layout par-align8.layout",
 		"-quick -libscale 0.3 -cold 400000 -cpus 2 -stall 40 -opt chain,split:fine,porder:ph,align:8,materialize -train-txns 300",
 		"",

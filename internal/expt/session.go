@@ -89,11 +89,12 @@ type Options struct {
 	KernColdWords int
 
 	// ProfileStore, when non-nil, backs the source's training memo with a
-	// persistent profile store: training runs whose key (resolved train
-	// spec, training-relevant options, and the content fingerprints of both
-	// program images) is already in the store are loaded instead of re-run,
-	// and fresh runs are written back. Profiles are exact, so a store hit
-	// yields bit-identical layouts and measurements to retraining.
+	// persistent profile store: training runs whose key (the training spec
+	// the memo keys by, which spells the whole workload, and the content
+	// fingerprints of both program images) is already in the store are
+	// loaded instead of re-run, and fresh runs are written back. Profiles
+	// are exact, so a store hit yields bit-identical layouts and
+	// measurements to retraining.
 	ProfileStore *pstore.Store
 }
 
@@ -133,8 +134,8 @@ func QuickOptions() Options {
 }
 
 // resolveTrain returns o.Train with its zero fields filled from the
-// evaluation side. The result is fully resolved — its Spec() is a stable memo
-// key.
+// evaluation side. The result is fully resolved: the source's trainSpec of it
+// is a stable key.
 func (o Options) resolveTrain() TrainConfig {
 	tc := o.Train
 	if tc.Workload == nil {
@@ -271,9 +272,9 @@ func (s *Session) AppImageFor(name string) *codegen.Image {
 // KernelImage exposes the kernel image.
 func (s *Session) KernelImage() *codegen.Image { return s.src.kernImg }
 
-// TrainSpec returns the resolved spec string of the session's training
-// configuration.
-func (s *Session) TrainSpec() string { return s.tc.Spec() }
+// TrainSpec returns the spec of the session's training run: the key its
+// profiles are memoized and stored under.
+func (s *Session) TrainSpec() string { return s.src.trainSpec(s.tc) }
 
 // Train runs the session's training configuration's profiling run once (Pixie
 // instrumentation plus a DCPI-style sampler over the same run) and caches
@@ -428,7 +429,7 @@ func (s *Session) MeasureKern(layout, kern string, cpus int) (*Measure, error) {
 		if err != nil {
 			return nil, err
 		}
-		return MeasureConfig(cfg, s.sinks, fmt.Sprintf("%s/%s/%dcpu (train %s)", layout, kern, cpus, s.tc.Spec()))
+		return MeasureConfig(cfg, s.sinks, fmt.Sprintf("%s/%s/%dcpu (train %s)", layout, kern, cpus, s.TrainSpec()))
 	})
 }
 
@@ -543,16 +544,18 @@ func MeasureAll(sessions []*Session, layouts []string, cpus, workers int) error 
 // ReleaseAll is MeasureAll's counterpart: it drops the memoized measurement of
 // every layout on every session (as Measure keys it: the baseline kernel
 // layout, cpus, the session's sink set) and the app layouts those ran, with
-// the specialized images fused layouts carry. A memo keeps each released
-// key's slot, so MemoStats reads as if nothing were released; asking for a
-// released key again rebuilds it and counts a miss. A search releases each
-// wave once scored, so its memory is one generation's, not the run's. A
-// build still in flight is waited for.
+// the specialized images fused layouts carry; the baselines, the source's
+// own layouts, stay. A memo keeps each released key's slot, so MemoStats
+// reads as if nothing were released; asking for a released key again
+// rebuilds it and counts a miss. A search releases each wave once scored, so
+// its memory is one generation's, not the run's. A build still in flight is
+// waited for.
 func ReleaseAll(sessions []*Session, layouts []string, cpus int) {
 	for _, s := range sessions {
+		spec := s.TrainSpec()
 		for _, name := range layouts {
 			s.measures.release(measKey{layout: name, kern: "kbase", cpus: cpus, sinks: s.sinks})
-			s.src.built.release(builtKey(s.tc, name))
+			s.src.built.release([2]string{spec, name})
 		}
 	}
 }

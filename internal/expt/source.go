@@ -53,7 +53,7 @@ type TrainConfig struct {
 // "dcpi-all" layout is built from it).
 const dcpiPeriod = 256
 
-// shardKey normalizes a shard count for specs and memo keys (0 and 1 are the
+// shardKey normalizes a shard count for the training spec (0 and 1 are the
 // same single-engine machine).
 func shardKey(shards int) int {
 	if shards <= 1 {
@@ -67,19 +67,6 @@ func shardKey(shards int) int {
 // there the flag has no effect (and shards=1 configs stay bit-identical with
 // it set).
 func fastPathOn(requested bool, shards int) bool { return requested && shardKey(shards) > 1 }
-
-// Spec renders a fully resolved train config as the canonical memo-key
-// string. Two train configs with equal specs share one training run; any
-// difference — workload, shard count, seed, length — keys a separate run, so
-// mismatched train/eval pairs can never collide in a memo.
-func (tc TrainConfig) Spec() string {
-	name := "?"
-	if tc.Workload != nil {
-		name = tc.Workload.Name()
-	}
-	return fmt.Sprintf("%s/s%d/c%d/seed%d/w%d/x%d",
-		name, shardKey(tc.Shards), tc.CPUs, tc.Seed, tc.WarmupTxns, tc.Txns)
-}
 
 // trainRun is one memoized training run: the store's own record of it — the
 // exact Pixie profiles of the app and kernel, the DCPI-style sampling profile
@@ -96,7 +83,7 @@ type trainRun struct {
 }
 
 // ProfileSource owns the built images, their baseline layouts, and memos of
-// training runs and optimized layouts keyed by resolved TrainConfig spec.
+// training runs and optimized layouts keyed by training spec (trainSpec).
 // It is the portable-profile seam: sessions borrow the source's images, so
 // every profile the source trains — under any workload or shard count the
 // image covers — is over one shared program, and every layout it builds is
@@ -121,26 +108,23 @@ type ProfileSource struct {
 	trainExec atomic.Uint64 // training runs actually executed (not served by a memo or the store)
 	lastHit   atomic.Pointer[pstore.Entry]
 
-	runs   memo[string, *trainRun]       // training runs by resolved train spec
-	chains memo[string, core.Chaining]   // the chain pass over the app program, by train spec
-	built  memo[layoutKey, *builtLayout] // app and kernel layouts by (train spec, name)
+	// The memos key a training run by its trainSpec; the store keys it by
+	// that spec and imageID.
+	runs   memo[string, *trainRun]       // training runs
+	chains memo[string, core.Chaining]   // the chain pass over a run's app profile
+	built  memo[[2]string, *builtLayout] // layouts by (train spec, name); the baselines by ("", name)
 }
 
-// layoutKey identifies a built layout: the resolved train spec it was
-// trained from plus the layout (or kernel-layout) name. Baselines carry an
-// empty train spec — they depend on no profile.
-type layoutKey struct {
-	train string
-	name  string
-}
-
-// builtKey is the memo key of a layout trained under a fully resolved
-// config.
-func builtKey(tc TrainConfig, name string) layoutKey {
-	if name == "base" || name == "kbase" {
-		return layoutKey{name: name} // baselines are profile-independent
-	}
-	return layoutKey{train: tc.Spec(), name: name}
+// trainSpec spells a fully resolved training run: the workload's Spec and
+// every option that shapes the run — shards, CPUs, processes per CPU, the
+// fast path in effect, the DCPI period, seed, warmup and transaction count.
+// It is the run's one identity: two runs of equal specs over one image are
+// the same run, so the memos share them, the profile store serves one for
+// the other, and any difference keys a separate run.
+func (ps *ProfileSource) trainSpec(tc TrainConfig) string {
+	return fmt.Sprintf("%s/s%d/c%d/p%d/fp%t/dcpi%d/seed%d/w%d/x%d",
+		tc.Workload.Spec(), shardKey(tc.Shards), tc.CPUs, ps.opt.ProcsPerCPU,
+		fastPathOn(ps.opt.PredictFastPath, tc.Shards), dcpiPeriod, tc.Seed, tc.WarmupTxns, tc.Txns)
 }
 
 // builtLayout is one memoized layout build: the layout, the optimizer's
@@ -203,20 +187,6 @@ func NewProfileSource(o Options, extra ...workload.Workload) (*ProfileSource, er
 	return ps, nil
 }
 
-// storeKey is a training run's identity in the persistent store: the resolved
-// train spec, every option that shapes the profiling run beyond the spec, and
-// the content fingerprints of both program images (a profile indexes the
-// blocks of one specific build). Training runs ungrouped, so "gc0/pcfalse" is
-// a constant; it stays in the key because existing store directories were
-// written with it and must still hit.
-func (ps *ProfileSource) storeKey(spec string) pstore.Key {
-	return pstore.Key{
-		Spec: fmt.Sprintf("%s|p%d/gc0/pcfalse/fp%t/dcpi%d",
-			spec, ps.opt.ProcsPerCPU, ps.opt.PredictFastPath, dcpiPeriod),
-		Image: ps.imageID,
-	}
-}
-
 // TrainRunsExecuted reports how many training simulations this source has
 // actually run — memo and store hits do not count, which is what the pinned
 // warm-store regression asserts on.
@@ -260,7 +230,7 @@ func (ps *ProfileSource) train(tc TrainConfig) (*trainRun, error) {
 		return nil, fmt.Errorf("expt: train workload %q is not modeled in this image (covers %v); list it in NewProfileSource",
 			tc.Workload.Name(), ps.WorkloadNames())
 	}
-	spec := tc.Spec()
+	spec := ps.trainSpec(tc)
 	return ps.runs.get(spec, func() (*trainRun, error) { return ps.trainOrLoad(tc, spec) })
 }
 
@@ -315,7 +285,10 @@ func (ps *ProfileSource) build(tc TrainConfig, name string, kernel bool) (*built
 		}
 		return nil, fmt.Errorf("expt: %q is a kernel layout, not an app layout", name)
 	}
-	key := builtKey(tc, name)
+	key := [2]string{"", name} // the baselines depend on no profile
+	if name != "base" && name != "kbase" {
+		key[0] = ps.trainSpec(tc)
+	}
 	return ps.built.get(key, func() (*builtLayout, error) {
 		switch name {
 		case "base":
@@ -340,7 +313,7 @@ func (ps *ProfileSource) build(tc TrainConfig, name string, kernel bool) (*built
 			prof = run.DCPI
 		default:
 			if pipelineHas(pl, "chain") {
-				chains = ps.chaining(key.train, run.App)
+				chains = ps.chaining(key[0], run.App)
 			}
 		}
 		pf := privateProfile(prof)
@@ -358,7 +331,7 @@ func (ps *ProfileSource) build(tc TrainConfig, name string, kernel bool) (*built
 		}
 		l, rep, err := pl.RunChained(img.Prog, pf, chains, roots, cloner)
 		if err != nil {
-			return nil, fmt.Errorf("expt: layout %q (train %s): %w", name, key.train, err)
+			return nil, fmt.Errorf("expt: layout %q (train %s): %w", name, key[0], err)
 		}
 		if cloner != nil && l.TotalBytes() > isa.AppTextLimitBytes {
 			return nil, fmt.Errorf("expt: fused layout is %d bytes, past the %d-byte app text map; lower the txfuse clone budget",
@@ -432,11 +405,12 @@ func (ps *ProfileSource) fusionRoots(img *codegen.Image) ([]core.KindRoot, error
 }
 
 // trainOrLoad serves a training run from the persistent store when one is
-// configured and holds the key, and executes (then persists) it otherwise.
-// Stored profiles are exact, so either path yields the same record.
+// configured and holds the key — the run's spec and imageID — and executes
+// (then persists) it otherwise. Stored profiles are exact, so either path
+// yields the same record.
 func (ps *ProfileSource) trainOrLoad(tc TrainConfig, spec string) (*trainRun, error) {
 	if ps.store != nil {
-		if e, ok := ps.store.Get(ps.storeKey(spec)); ok {
+		if e, ok := ps.store.Get(pstore.Key{Spec: spec, Image: ps.imageID}); ok {
 			ps.lastHit.Store(e)
 			return &trainRun{Entry: e}, nil
 		}
@@ -487,9 +461,8 @@ func (ps *ProfileSource) runTraining(tc TrainConfig, spec string) (*trainRun, er
 		return nil, fmt.Errorf("expt: training %s: %w", spec, err)
 	}
 	ps.trainExec.Add(1)
-	key := ps.storeKey(spec)
 	return &trainRun{res: res, Entry: &pstore.Entry{
-		Spec: key.Spec, Image: key.Image, CreatedAt: time.Now(),
+		Spec: spec, Image: ps.imageID, CreatedAt: time.Now(),
 		KindFreq: m.KindFrequencies(), Fields: m.FieldProfile(),
 		App: px.Profile(), Kern: kx.Profile(), DCPI: dcpi.Finish("dcpi-train"),
 	}}, nil

@@ -8,6 +8,8 @@ import (
 	"codelayout/internal/machine"
 	"codelayout/internal/pstore"
 	"codelayout/internal/tpcb"
+	"codelayout/internal/workload"
+	"codelayout/internal/ycsb"
 )
 
 // storeOpts is a deliberately small configuration the store tests share; two
@@ -85,6 +87,67 @@ func TestProfileStoreWarmSkipsTraining(t *testing.T) {
 	}
 	if res, err := warm.TrainResult(); err != nil || res != (machine.Result{}) {
 		t.Fatalf("warm training result: %+v, %v; want zero (the store keeps profiles only)", res, err)
+	}
+}
+
+// TestProfileStoreKeysTheWholeWorkload: the store serves a run only to a run
+// of the same workload spec. Per pair, sources share one store directory; the
+// second differs from the first only in its mix (ycsb's read share) or its
+// scale (tpcb) and must train, not be served the first's profile. A third
+// source, identical to the first, hits the store and measures exactly what
+// the first, a cold retrain, measured.
+func TestProfileStoreKeysTheWholeWorkload(t *testing.T) {
+	ycsbAt := func(readPct int) func() workload.Workload {
+		return func() workload.Workload {
+			w := ycsb.New().QuickScale().(*ycsb.Workload)
+			w.ReadPct = readPct
+			return w
+		}
+	}
+	for _, c := range []struct {
+		name          string
+		first, second func() workload.Workload
+	}{
+		{"ycsb read share", ycsbAt(95), ycsbAt(50)},
+		{"tpcb scale", func() workload.Workload { return tpcb.New() }, tpcb.New().QuickScale},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			// invoke is one process: a fresh Store over the shared directory
+			// and a fresh source measuring one layout.
+			invoke := func(wl workload.Workload) (uint64, *expt.Measure, pstore.Stats) {
+				store, err := pstore.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := storeOpts()
+				o.Workload, o.ProfileStore = wl, store
+				s, err := expt.NewSession(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := s.Reading(expt.SinkComb4W(64)).Measure("all", 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s.Source().TrainRunsExecuted(), m, store.Stats()
+			}
+			trained, cold, _ := invoke(c.first())
+			if trained != 1 {
+				t.Fatalf("first source executed %d training runs, want 1", trained)
+			}
+			if trained, _, st := invoke(c.second()); trained != 1 || st.Hits != 0 {
+				t.Errorf("second source executed %d training runs with %d store hits, want 1 and 0: it was served another workload's profile",
+					trained, st.Hits)
+			}
+			trained, warm, st := invoke(c.first())
+			if trained != 0 || st.Hits != 1 {
+				t.Errorf("third source executed %d training runs with %d store hits, want 0 and 1", trained, st.Hits)
+			}
+			if !reflect.DeepEqual(cold, warm) {
+				t.Errorf("store-hit measurement diverged from the cold run's:\n cold: %+v\n warm: %+v", cold.Res, warm.Res)
+			}
+		})
 	}
 }
 

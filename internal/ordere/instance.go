@@ -40,9 +40,9 @@ func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 	sc := w.Scale
 	if sc.Warehouses <= 0 || sc.DistrictsPerWarehouse <= 0 ||
 		sc.CustomersPerDistrict <= 0 || sc.Items <= 0 {
-		return nil, fmt.Errorf("ordere: bad scale %+v", sc)
+		return nil, fmt.Errorf("ordere: bad scale %s", sc.Spec())
 	}
-	shards, err := w.images.Load(fmt.Sprintf("%+v", sc), engs,
+	shards, err := w.images.Load(sc.Spec(), engs,
 		func(eng *db.Engine, own func(uint64) bool) (*Bench, error) { return loadOwned(eng, sc, own) }, (*Bench).bind)
 	if err != nil {
 		return nil, err

@@ -38,6 +38,12 @@ func DefaultScale() Scale {
 	return Scale{Warehouses: 8, DistrictsPerWarehouse: 10, CustomersPerDistrict: 300, Items: 2000}
 }
 
+// Spec spells the scale, the part of Workload.Spec the loaded database
+// depends on ("wh8.d10.c300.i2000").
+func (sc Scale) Spec() string {
+	return fmt.Sprintf("wh%d.d%d.c%d.i%d", sc.Warehouses, sc.DistrictsPerWarehouse, sc.CustomersPerDistrict, sc.Items)
+}
+
 // Lock key spaces, in global acquisition order (warehouse before district
 // before customer before stock), which precludes deadlock cycles: every
 // transaction acquires at most one lock per space except stock, whose keys

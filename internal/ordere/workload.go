@@ -1,6 +1,8 @@
 package ordere
 
 import (
+	"fmt"
+
 	"codelayout/internal/codegen"
 	"codelayout/internal/workload"
 )
@@ -28,6 +30,12 @@ func NewScaled(sc Scale) *Workload { return &Workload{Scale: sc} }
 
 // Name implements workload.Workload.
 func (w *Workload) Name() string { return "ordere" }
+
+// Spec implements workload.Workload: the name, the scale and the cross-shard
+// percentage in effect.
+func (w *Workload) Spec() string {
+	return fmt.Sprintf("%s:%s/cross%d", w.Name(), w.Scale.Spec(), w.Partitioning().CrossShardPct)
+}
 
 // QuickScale implements workload.Workload.
 func (w *Workload) QuickScale() workload.Workload {

@@ -1,13 +1,13 @@
 // Package pstore is the persistent profile store: training runs become
-// cached artifacts keyed by their resolved train spec and image identity,
-// so a layout server restarted against the same workload skips retraining
-// entirely (the "profile once, serve everywhere" loop). Entries hold the
-// app/kernel/DCPI profiles plus the observed transaction-kind mix; the store
-// is a directory of content-hashed files written atomically (temp file +
-// rename), and holds nothing else — a process that wants a run twice keeps it
-// itself (expt's ProfileSource memoizes every training run it loads). Loads
-// are corruption-tolerant: a file
-// that fails to decode or whose embedded fingerprints disagree with its
+// cached artifacts keyed by their training spec — the workload's whole spec
+// plus the run's shape — and image identity, so a layout server restarted
+// against the same workload skips retraining entirely (the "profile once,
+// serve everywhere" loop). Entries hold the app/kernel/DCPI profiles plus the
+// observed transaction-kind mix; the store is a directory of content-hashed
+// files written atomically (temp file + rename), and holds nothing else — a
+// process that wants a run twice keeps it itself (expt's ProfileSource
+// memoizes every training run it loads). Loads are corruption-tolerant: a
+// file that fails to decode or whose embedded fingerprints disagree with its
 // contents is evicted from disk and reported as a miss — the caller
 // retrains, never crashes.
 package pstore
@@ -39,11 +39,14 @@ var ErrCorrupt = errors.New("pstore: corrupt entry")
 // files read as corrupt (and therefore retrain) instead of misdecoding.
 const magic = "PSTOREv1\n"
 
-// Key identifies one training run. Spec is the resolved train spec string
-// (workload, shards, seed, txns, cpus, fast-path and friends — see
-// expt.TrainConfig.Spec); Image fingerprints the exact program images the
+// Key identifies one training run. Spec is the run's training spec: the
+// workload's Spec (scale, mix and every knob), then shards, CPUs, processes
+// per CPU, fast path, DCPI period, seed, warmup and transaction count (see
+// expt's trainSpec). Image fingerprints the exact program images the
 // profile's block IDs index, because a profile applied to a differently
-// built image would be silently wrong, not just stale.
+// built image would be silently wrong, not just stale. Entries written under
+// an earlier spelling, which named the workload only, are never matched: each
+// retrains once.
 type Key struct {
 	Spec  string
 	Image string

@@ -44,7 +44,7 @@ func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 		return nil, err
 	}
 	sc := w.Scale
-	shards, err := w.images.Load(fmt.Sprintf("%+v", sc), engs,
+	shards, err := w.images.Load(sc.Spec(), engs,
 		func(eng *db.Engine, own func(uint64) bool) (*Bench, error) { return loadOwned(eng, sc, own) }, (*Bench).bind)
 	if err != nil {
 		return nil, err

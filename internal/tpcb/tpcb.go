@@ -31,6 +31,12 @@ func DefaultScale() Scale {
 	return Scale{Branches: 40, TellersPerBranch: 10, AccountsPerBranch: 2500}
 }
 
+// Spec spells the scale, the part of Workload.Spec the loaded database
+// depends on ("b40.t10.a2500").
+func (sc Scale) Spec() string {
+	return fmt.Sprintf("b%d.t%d.a%d", sc.Branches, sc.TellersPerBranch, sc.AccountsPerBranch)
+}
+
 // Lock key spaces.
 const (
 	lockSpaceAccount = 1

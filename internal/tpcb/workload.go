@@ -44,6 +44,12 @@ func (w *Workload) Name() string {
 	return "tpcb"
 }
 
+// Spec implements workload.Workload: the name, the scale, the cross-shard
+// percentage in effect and the hot-account fraction.
+func (w *Workload) Spec() string {
+	return fmt.Sprintf("%s:%s/cross%d/hot%g", w.Name(), w.Scale.Spec(), w.Partitioning().CrossShardPct, w.HotAccountFrac)
+}
+
 // QuickScale implements workload.Workload: a shrunken database for CI and
 // bench runs.
 func (w *Workload) QuickScale() workload.Workload {
@@ -58,7 +64,7 @@ func (w *Workload) QuickScale() workload.Workload {
 // would silently produce a nonsensical mix.
 func (w *Workload) validate() error {
 	if sc := w.Scale; sc.Branches <= 0 || sc.TellersPerBranch <= 0 || sc.AccountsPerBranch <= 0 {
-		return fmt.Errorf("tpcb: bad scale %+v", sc)
+		return fmt.Errorf("tpcb: bad scale %s", sc.Spec())
 	}
 	if w.HotAccountFrac < 0 || w.HotAccountFrac >= 1 {
 		return fmt.Errorf("tpcb: HotAccountFrac = %v; must be in [0, 1) (0 = uniform)", w.HotAccountFrac)

@@ -34,9 +34,10 @@ type image[B any] struct {
 }
 
 // Load fills engs with a database hash-partitioned across them and returns
-// one shard handle per engine, shards[i] bound to engs[i]. The caller spells
-// the workload inputs the database depends on (its scale) into key; Load
-// adds every engine's db.Geometry, so another shard count is another key.
+// one shard handle per engine, shards[i] bound to engs[i]. The caller passes
+// the scale part of its Spec as key, the only workload input the database
+// depends on; Load adds every engine's db.Geometry, so another shard count
+// is another key.
 //
 // The first call for a key runs loadShard(engs[i], own) on each engine,
 // where own accepts exactly the partition keys shard.Map gives shard i, and
@@ -52,7 +53,8 @@ func (c *Images[B]) Load(key string, engs []*db.Engine, loadShard func(eng *db.E
 	var k strings.Builder
 	k.WriteString(key)
 	for _, e := range engs {
-		fmt.Fprintf(&k, "|%+v", e.Geometry())
+		g := e.Geometry()
+		fmt.Fprintf(&k, "|s%d/p%d-%d/pool%d/%s", g.Shard, g.PageBase, g.PageLimit, g.PoolPages, g.Hints)
 	}
 	imagesMu.Lock()
 	if c.m == nil {

@@ -115,6 +115,15 @@ type Workload interface {
 	// Name is the registry name ("tpcb", "ordere", ...).
 	Name() string
 
+	// Spec spells, as name:args, everything that shapes the loaded database
+	// and the request stream: the scale, the cross-shard percentage in
+	// effect and every knob of the mix ("tpcb:b10.t5.a400/cross15/hot0").
+	// Two workloads of equal specs load the same database and draw the same
+	// requests, so Spec is the workload's part of every key a run is
+	// memoized or stored under; the scale part (the args up to the first
+	// "/") keys the loaded databases (Images).
+	Spec() string
+
 	// QuickScale returns a shrunken copy of the workload for fast CI and
 	// bench runs, preserving every qualitative shape.
 	QuickScale() Workload
@@ -133,14 +142,14 @@ type Workload interface {
 	// instance. One engine is the one-partition case; none is a
 	// NoEnginesError. The engines must be empty.
 	//
-	// The database depends only on the workload's scale and the engines'
-	// geometry and field hints (db.Geometry) — never on a seed or the
-	// engines' Env clock — so the workload loads it once per such key and
-	// copies it into the engines of every later Load (Images,
-	// db.Engine.CopyFrom). The workload hands Images a per-engine loader
-	// and a bind for its per-shard handle, and builds the instance around
-	// the shards Images returns. The workload value retains these
-	// templates for as long as it lives.
+	// The database depends only on the workload's scale (the scale part of
+	// Spec) and the engines' geometry and field hints (db.Geometry) — never
+	// on a seed or the engines' Env clock — so the workload loads it once per
+	// such key and copies it into the engines of every later Load (Images,
+	// db.Engine.CopyFrom). The workload hands Images a per-engine loader and
+	// a bind for its per-shard handle, and builds the instance around the
+	// shards Images returns. The workload value retains these templates for
+	// as long as it lives.
 	Load(engs []*db.Engine) (Instance, error)
 
 	// Models returns the workload's contribution to the modeled application

@@ -66,11 +66,19 @@ func (w *Workload) Name() string {
 	return "ycsb"
 }
 
+// Spec implements workload.Workload: the name (the label, if any), the
+// scale, the read share, the skew, the cross-shard percentage in effect and
+// the forced shift.
+func (w *Workload) Spec() string {
+	return fmt.Sprintf("%s:%s/read%d/zipf%g/cross%d/shift%dto%d", w.Name(), w.Scale.Spec(),
+		w.ReadPct, w.ZipfTheta, w.Partitioning().CrossShardPct, w.ShiftAfterGens, w.ShiftReadPct)
+}
+
 // validate fails fast on a scale that cannot load and on knob values that
 // would silently produce a nonsensical mix.
 func (w *Workload) validate() error {
 	if w.Scale.Records <= 0 {
-		return fmt.Errorf("ycsb: bad scale %+v", w.Scale)
+		return fmt.Errorf("ycsb: bad scale %s", w.Scale.Spec())
 	}
 	if w.ReadPct > 100 {
 		return fmt.Errorf("ycsb: ReadPct = %d; must be in [0, 100] (negative selects the default %d)", w.ReadPct, DefaultReadPct)

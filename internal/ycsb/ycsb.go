@@ -30,6 +30,10 @@ type Scale struct {
 // the buffer pool behaves like a cached OLTP store.
 func DefaultScale() Scale { return Scale{Records: 120_000} }
 
+// Spec spells the scale, the part of Workload.Spec the loaded store depends
+// on ("r120000").
+func (sc Scale) Spec() string { return fmt.Sprintf("r%d", sc.Records) }
+
 // lockSpaceUser keys user-row locks, disjoint from the other workloads'
 // lock spaces.
 const lockSpaceUser = 20

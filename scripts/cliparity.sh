@@ -57,6 +57,11 @@ run readpct0 oltpbench -workload ycsb -quick -txns 100 -warmup 20 -readpct 0
 reopt=(-workload ycsb -quick -txns 200 -warmup 20 -cpus 1 -procs 4 -train-txns 200 -opt all -reopt 50 -stall 40 -profile-store pgostore-ob)
 run reopt-cold oltpbench "${reopt[@]}"
 run reopt-warm oltpbench "${reopt[@]}"
+# The store keys a run by the whole workload spec: after a 50% read share,
+# the default mix over the same directory trains its own profile.
+mix=(-workload ycsb -quick -txns 200 -warmup 40 -opt all -profile-store pgostore-mix)
+run store-mix-50 oltpbench "${mix[@]}" -readpct 50
+run store-mix-95 oltpbench "${mix[@]}"
 
 # Offline/in-process parity: the four-command pipeline and oltpbench -opt
 # are one computation (pair diffs the two reports).
