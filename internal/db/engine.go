@@ -319,12 +319,18 @@ func (s *Session) ReleaseLocks() {
 
 // LogAppend writes a WAL record through the instrumented path.
 func (s *Session) LogAppend(rec LogRec) uint64 {
+	lsn, _ := s.logAppend(rec)
+	return lsn
+}
+
+// logAppend is LogAppend; it also returns the log's copy of rec.Before.
+func (s *Session) logAppend(rec LogRec) (lsn uint64, before []byte) {
 	s.PB.Enter("log_append")
 	defer s.PB.Leave("log_append")
-	lsn, off := s.Eng.WAL.Append(rec)
-	s.PB.Data(s.Eng.logBufAddr(off), 32+len(rec.Before)+len(rec.After), true)
+	lsn, off, before := s.Eng.WAL.Append(rec)
+	s.PB.Data(s.Eng.logBufAddr(off), walHeader+len(rec.Before)+len(rec.After), true)
 	s.PB.Branch("logbuf_high", s.Eng.WAL.BufferedBytes() > logBufHighWater)
-	return lsn
+	return lsn, before
 }
 
 // logBufHighWater models log-buffer pressure (purely an observable branch;

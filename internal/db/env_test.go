@@ -236,8 +236,8 @@ func TestScratchAddrIsPerProcess(t *testing.T) {
 
 func TestWALOffsetsPackContiguously(t *testing.T) {
 	w := db.NewWAL()
-	_, off1 := w.Append(db.LogRec{Txn: 1, Kind: db.LogUpdate, Before: make([]byte, 10), After: make([]byte, 10)})
-	_, off2 := w.Append(db.LogRec{Txn: 2, Kind: db.LogCommit})
+	_, off1, _ := w.Append(db.LogRec{Txn: 1, Kind: db.LogUpdate, Before: make([]byte, 10), After: make([]byte, 10)})
+	_, off2, _ := w.Append(db.LogRec{Txn: 2, Kind: db.LogCommit})
 	if off1 != 0 {
 		t.Fatalf("first offset = %d", off1)
 	}

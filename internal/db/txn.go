@@ -5,8 +5,17 @@ import "fmt"
 // Txn is an in-flight transaction.
 type Txn struct {
 	ID   uint64
-	held []uint64 // lock keys, release order = acquisition order
-	undo []LogRec // before-images for abort
+	held []uint64    // lock keys, release order = acquisition order
+	undo []undoEntry // the transaction's writes, undone by Abort in reverse
+}
+
+// undoEntry is one write Abort undoes: an insert (deleted) or an update
+// (restored from before, the log's copy of the before-image).
+type undoEntry struct {
+	kind   LogRecKind
+	slot   uint16
+	page   PageID
+	before []byte
 }
 
 // Begin starts a transaction on the session. The session reuses one Txn,
@@ -44,8 +53,8 @@ func (s *Session) Commit() {
 	s.Eng.noteCommit()
 }
 
-// Abort undoes the transaction's updates from its before-images, logs the
-// abort, and releases locks.
+// Abort undoes the transaction's updates from their before-images, which it
+// reads from the log, logs the abort, and releases locks.
 func (s *Session) Abort() {
 	s.PB.Enter("txn_abort")
 	defer s.PB.Leave("txn_abort")
@@ -55,15 +64,15 @@ func (s *Session) Abort() {
 	}
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		s.PB.Branch("undo_iter", true)
-		rec := t.undo[i]
-		pg := s.bufGetQuiet(rec.Page)
-		switch rec.Kind {
+		u := t.undo[i]
+		pg := s.bufGetQuiet(u.page)
+		switch u.kind {
 		case LogUpdate:
-			if err := pg.Update(int(rec.Slot), rec.Before); err != nil {
+			if err := pg.Update(int(u.slot), u.before); err != nil {
 				panic(err)
 			}
 		case LogInsert:
-			if err := pg.Delete(int(rec.Slot)); err != nil {
+			if err := pg.Delete(int(u.slot)); err != nil {
 				panic(err)
 			}
 		}
@@ -186,10 +195,9 @@ func (tb *Table) Insert(s *Session, rec []byte) RID {
 		panic(fmt.Sprintf("db: heap insert: %v", err))
 	}
 	rid := RID{Page: pgID, Slot: uint16(slot)}
-	lr := LogRec{Txn: s.txnID(), Kind: LogInsert, Page: pgID, Slot: uint16(slot), After: clone(rec)}
-	s.LogAppend(lr)
+	s.LogAppend(LogRec{Txn: s.txnID(), Kind: LogInsert, Page: pgID, Slot: uint16(slot), After: rec})
 	if s.txn != nil {
-		s.txn.undo = append(s.txn.undo, lr)
+		s.txn.undo = append(s.txn.undo, undoEntry{kind: LogInsert, slot: uint16(slot), page: pgID})
 	}
 	s.PB.Data(PageAddr(pgID), 16, true) // page header: slot count, LSN
 	s.PB.Data(PageAddr(pgID)+uint64(pg.DataOffset(slot)), len(rec)+2, true)
@@ -199,7 +207,7 @@ func (tb *Table) Insert(s *Session, rec []byte) RID {
 // Fetch copies the record at rid into the session's row buffer and returns
 // the buffer: the slice is valid until the session's next Fetch or
 // FetchFields, which overwrites it. A caller may modify it and pass it to
-// Update (the log keeps its own images); one that needs a row past the next
+// Update (the log copies its own images); one that needs a row past the next
 // fetch copies it or reads what it needs first.
 func (tb *Table) Fetch(s *Session, rid RID) []byte { return tb.fetch(s, rid, false, nil) }
 
@@ -261,11 +269,10 @@ func (tb *Table) update(s *Session, rid RID, rec []byte, perField bool, names []
 	if err != nil {
 		panic(fmt.Sprintf("db: heap update %v: %v", rid, err))
 	}
-	lr := LogRec{Txn: s.txnID(), Kind: LogUpdate, Page: rid.Page, Slot: rid.Slot,
-		Before: clone(old), After: clone(rec)}
-	s.LogAppend(lr)
+	_, before := s.logAppend(LogRec{Txn: s.txnID(), Kind: LogUpdate, Page: rid.Page, Slot: rid.Slot,
+		Before: old, After: rec})
 	if s.txn != nil {
-		s.txn.undo = append(s.txn.undo, lr)
+		s.txn.undo = append(s.txn.undo, undoEntry{kind: LogUpdate, slot: rid.Slot, page: rid.Page, before: before})
 	}
 	if err := pg.Update(int(rid.Slot), rec); err != nil {
 		panic(err)
@@ -302,12 +309,6 @@ func (s *Session) txnID() uint64 {
 		return 0
 	}
 	return s.txn.ID
-}
-
-func clone(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }
 
 // ---- Recovery ----

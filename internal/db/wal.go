@@ -1,6 +1,10 @@
 package db
 
-import "iter"
+import (
+	"encoding/binary"
+	"fmt"
+	"iter"
+)
 
 // LogRecKind classifies WAL records.
 type LogRecKind uint8
@@ -36,16 +40,19 @@ type LogRec struct {
 // together when the leader's write completes — the machine simulates the
 // blocking behind the engine's Env.
 //
-// The records since the last checkpoint (the stable, flushed prefix and the
-// buffered tail) sit in chunks that are never copied or moved: an append
-// that finds the last chunk full opens a new one, walFirstChunk records for
-// the first and as many as the log holds for each later one, up to
-// walMaxChunk. Only the last chunk has spare capacity, and an appended
-// record is never rewritten, so copies of the log (CopyFrom) share every
-// chunk and clip the last one's capacity: their appends open chunks of their
-// own and never write into the source's.
+// The log stores the bytes it models. A record is a walHeader-byte header
+// followed by its Before and After bytes, so the bytes stored since the last
+// checkpoint are exactly the growth of TotalAppended. The records sit in
+// byte chunks that are never copied, moved or rewritten: a record never
+// straddles two chunks, and an append that finds no room for its record in
+// the last chunk opens a new one, walFirstChunk bytes for the first and as
+// many as the log holds for each later one, up to walMaxChunk (or the
+// record's size, if larger). Only the last chunk has spare capacity, so
+// copies of the log (CopyFrom) share every chunk and clip the last one's
+// capacity: their appends open chunks of their own and never write into the
+// source's.
 type WAL struct {
-	chunks  [][]LogRec
+	chunks  [][]byte
 	nextLSN uint64
 
 	// FlushedLSN is the highest LSN known stable.
@@ -67,13 +74,23 @@ type WAL struct {
 	bufBytes      int
 }
 
-// walFirstChunk and walMaxChunk bound a log chunk's capacity in records.
-// The first chunk is small, so an engine that logs little allocates little;
+// walHeader is a record's header size. The header is little-endian: LSN
+// [0,8), Txn [8,16), Page [16,20), Slot [20,22), len(Before) [22,24),
+// len(After) [24,26), Kind [26], and five zero bytes.
+const walHeader = 32
+
+// maxLogImage is the longest image a log record holds: its length is a
+// 16-bit header field. A record is at most one page, so a longer image is
+// an engine bug, and Append panics on it.
+const maxLogImage = 1<<16 - 1
+
+// walFirstChunk and walMaxChunk bound a log chunk's capacity in bytes. The
+// first chunk is small, so an engine that logs little allocates little;
 // doubling the log with each later chunk keeps the chunk count logarithmic
 // up to the cap, after which a long run adds one walMaxChunk chunk at a time.
 const (
-	walFirstChunk = 8
-	walMaxChunk   = 4096
+	walFirstChunk = 512
+	walMaxChunk   = 64 << 10
 )
 
 // NewWAL creates an empty log.
@@ -81,26 +98,43 @@ func NewWAL() *WAL {
 	return &WAL{nextLSN: 1, Waiters: NewWaitQueue("log")}
 }
 
-// Append adds a record to the log buffer and returns its LSN and the byte
-// offset at which it was placed in the log buffer.
-func (w *WAL) Append(rec LogRec) (lsn uint64, offset int64) {
-	rec.LSN = w.nextLSN
-	w.nextLSN++
+// Append copies a record into the log buffer. It returns the record's LSN,
+// the byte offset at which it was placed in the log buffer, and the log's
+// copy of rec.Before (a read-only view that stays valid and unchanged for as
+// long as the caller holds it). An image longer than maxLogImage panics.
+func (w *WAL) Append(rec LogRec) (lsn uint64, offset int64, before []byte) {
+	nb, na := len(rec.Before), len(rec.After)
+	if nb > maxLogImage || na > maxLogImage {
+		panic(fmt.Sprintf("db: log images of %d and %d bytes; an image holds at most %d", nb, na, maxLogImage))
+	}
+	n := walHeader + nb + na
 	last := len(w.chunks) - 1
-	if last < 0 || len(w.chunks[last]) == cap(w.chunks[last]) {
-		w.chunks = append(w.chunks, make([]LogRec, 0, min(max(w.Len(), walFirstChunk), walMaxChunk)))
+	if last < 0 || cap(w.chunks[last])-len(w.chunks[last]) < n {
+		w.chunks = append(w.chunks, make([]byte, 0, max(min(max(w.storedBytes(), walFirstChunk), walMaxChunk), n)))
 		last++
 	}
-	w.chunks[last] = append(w.chunks[last], rec)
-	n := 32 + len(rec.Before) + len(rec.After)
+	lsn = w.nextLSN
+	w.nextLSN++
+	c := w.chunks[last]
+	at := len(c) + walHeader
+	c = binary.LittleEndian.AppendUint64(c, lsn)
+	c = binary.LittleEndian.AppendUint64(c, rec.Txn)
+	c = binary.LittleEndian.AppendUint32(c, uint32(rec.Page))
+	c = binary.LittleEndian.AppendUint16(c, rec.Slot)
+	c = binary.LittleEndian.AppendUint16(c, uint16(nb))
+	c = binary.LittleEndian.AppendUint16(c, uint16(na))
+	c = append(c, byte(rec.Kind), 0, 0, 0, 0, 0)
+	c = append(c, rec.Before...)
+	c = append(c, rec.After...)
+	w.chunks[last] = c
 	offset = w.TotalAppended
 	w.TotalAppended += int64(n)
 	w.bufBytes += n
-	return rec.LSN, offset
+	return lsn, offset, view(c, at, nb)
 }
 
-// Len returns the number of records since the last checkpoint.
-func (w *WAL) Len() int {
+// storedBytes returns the bytes the log holds since the last checkpoint.
+func (w *WAL) storedBytes() int {
 	n := 0
 	for _, c := range w.chunks {
 		n += len(c)
@@ -108,14 +142,52 @@ func (w *WAL) Len() int {
 	return n
 }
 
-// All yields the records since the last checkpoint in LSN order.
+// view returns c[at:at+n] with its capacity capped, or nil when n is 0.
+func view(c []byte, at, n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	return c[at : at+n : at+n]
+}
+
+// decode reads the record at the start of b and returns it with its size.
+// Its images are views of b (nil when empty).
+func decode(b []byte) (LogRec, int) {
+	nb := int(binary.LittleEndian.Uint16(b[22:]))
+	na := int(binary.LittleEndian.Uint16(b[24:]))
+	return LogRec{
+		LSN:    binary.LittleEndian.Uint64(b),
+		Txn:    binary.LittleEndian.Uint64(b[8:]),
+		Page:   PageID(binary.LittleEndian.Uint32(b[16:])),
+		Slot:   binary.LittleEndian.Uint16(b[20:]),
+		Kind:   LogRecKind(b[26]),
+		Before: view(b, walHeader, nb),
+		After:  view(b, walHeader+nb, na),
+	}, walHeader + nb + na
+}
+
+// Len returns the number of records since the last checkpoint.
+func (w *WAL) Len() int {
+	n := 0
+	for range w.All() {
+		n++
+	}
+	return n
+}
+
+// All yields the records since the last checkpoint in LSN order, decoded
+// from the log's bytes. A yielded record's Before and After are read-only
+// views of the log with their capacity capped; an empty image, whether it
+// was appended nil or empty, reads back as nil.
 func (w *WAL) All() iter.Seq[LogRec] {
 	return func(yield func(LogRec) bool) {
 		for _, c := range w.chunks {
-			for _, rec := range c {
+			for off := 0; off < len(c); {
+				rec, n := decode(c[off:])
 				if !yield(rec) {
 					return
 				}
+				off += n
 			}
 		}
 	}

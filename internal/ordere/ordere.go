@@ -13,10 +13,11 @@
 package ordere
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"codelayout/internal/db"
 	"codelayout/internal/shard"
@@ -303,17 +304,16 @@ func (m *Bench) Gen(r *rand.Rand) Input {
 	if r.Intn(100) < newOrderPct {
 		in.Kind = NewOrder
 		n := 5 + r.Intn(MaxLines-4)
-		seen := make(map[uint64]bool, n)
+		in.Lines = make([]Line, 0, n)
 		for i := 0; i < n; i++ {
 			item := uint64(r.Intn(sc.Items))
-			if seen[item] {
+			if slices.ContainsFunc(in.Lines, func(l Line) bool { return l.Item == item }) {
 				continue // dedupe: one stock row per item per order
 			}
-			seen[item] = true
 			in.Lines = append(in.Lines, Line{Item: item, Qty: 1 + r.Int63n(10)})
 		}
 		// Ascending item order keeps stock lock acquisition deadlock-free.
-		sort.Slice(in.Lines, func(i, j int) bool { return in.Lines[i].Item < in.Lines[j].Item })
+		slices.SortFunc(in.Lines, func(a, b Line) int { return cmp.Compare(a.Item, b.Item) })
 	} else {
 		in.Kind = Payment
 		in.Amount = 1 + r.Int63n(5000)
