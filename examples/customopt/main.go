@@ -22,6 +22,7 @@ import (
 	"codelayout/internal/db"
 	"codelayout/internal/tpcb"
 	"codelayout/internal/trace"
+	"codelayout/internal/workload"
 
 	"math/rand"
 )
@@ -126,6 +127,7 @@ type run struct {
 	inst codelayout.WorkloadInstance
 	sess []*db.Session
 	rng  *rand.Rand
+	in   workload.Input // the previous request, refilled by the next GenInput
 }
 
 func newRun(img *codelayout.Image, l *codelayout.Layout, seed int64) *run {
@@ -141,6 +143,7 @@ func newRun(img *codelayout.Image, l *codelayout.Layout, seed int64) *run {
 
 func (r *run) txns(n int) {
 	for i := 0; i < n; i++ {
-		r.inst.RunTxn(r.sess, r.inst.GenInput(r.rng))
+		r.in = r.inst.GenInput(r.rng, r.in)
+		r.inst.RunTxn(r.sess, r.in)
 	}
 }

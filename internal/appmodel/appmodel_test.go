@@ -126,7 +126,7 @@ func TestEngineModelConformance(t *testing.T) {
 			ss := []*db.Session{eng.NewSession(1, em)}
 			r := rand.New(rand.NewSource(4))
 			for i := 0; i < 100; i++ {
-				inst.RunTxn(ss, inst.GenInput(r))
+				inst.RunTxn(ss, inst.GenInput(r, nil))
 				if !em.Idle() {
 					t.Fatalf("txn %d: emitter not idle after transaction", i)
 				}

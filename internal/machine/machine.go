@@ -342,8 +342,11 @@ type proc struct {
 	sessions []*db.Session
 	emit     *codegen.Emitter
 	client   *rand.Rand
-	state    procState
-	wakeAt   uint64
+	// in is the process's request, refilled in place by each GenInput:
+	// nothing reads a request once its transaction has committed.
+	in     workload.Input
+	state  procState
+	wakeAt uint64
 
 	// next resumes the process until its next yield (false once it has
 	// returned) and stop unwinds it; yield is the process's side of the
@@ -934,12 +937,12 @@ func (p *proc) run(m *Machine, yield func(yieldMsg) bool) {
 		}
 	}()
 	for {
-		in := m.inst.GenInput(p.client)
+		p.in = m.inst.GenInput(p.client, p.in)
 		// Latency is stamped on the process's CPU clock from request
 		// generation to successful commit, so deadlock-abort retries and
 		// every block along the way (locks, group-commit windows, log
 		// writes, CPU queueing) are part of the transaction's latency.
-		rt := m.inst.Route(in)
+		rt := m.inst.Route(p.in)
 		start := p.cpu.front.Clock
 		startMeasured := m.measuring
 		p.forceSlow = false
@@ -949,7 +952,7 @@ func (p *proc) run(m *Machine, yield func(yieldMsg) bool) {
 		// retry: an immediate retry could re-acquire its first locks
 		// before the wounded party ever resumes, re-forming the same
 		// cycle indefinitely (victim back-off, deterministic).
-		for !p.tryTxn(m, in, rt) {
+		for !p.tryTxn(m, p.in, rt) {
 			p.doYield(yieldMsg{kind: yQuantum})
 		}
 		m.recordLatency(rt.Home, rt.Kind, startMeasured, p.cpu.front.Clock-start)

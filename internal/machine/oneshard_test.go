@@ -45,11 +45,11 @@ func perEngineGen(t *testing.T, inst workload.Instance) func(*rand.Rand) workloa
 	t.Helper()
 	switch v := inst.(type) {
 	case *tpcb.Instance:
-		return func(r *rand.Rand) workload.Input { return v.Shards[0].Gen(r) }
+		return func(r *rand.Rand) workload.Input { in := v.Shards[0].Gen(r); return &in }
 	case *ordere.Instance:
-		return func(r *rand.Rand) workload.Input { return v.Shards[0].Gen(r) }
+		return func(r *rand.Rand) workload.Input { in := new(ordere.Input); v.Shards[0].Gen(r, in); return in }
 	case *ycsb.Instance:
-		return func(r *rand.Rand) workload.Input { return v.Shards[0].Gen(r) }
+		return func(r *rand.Rand) workload.Input { in := v.Shards[0].Gen(r); return &in }
 	}
 	t.Fatalf("instance %T has no per-engine generator known to this test", inst)
 	return nil
@@ -92,7 +92,7 @@ func TestOneEngineIsTheOnePartitionCase(t *testing.T) {
 				inst, gen := load(), perEngineGen(t, load())
 				r, plain := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
 				for i := 0; i < 2000; i++ {
-					in := inst.GenInput(r)
+					in := inst.GenInput(r, nil)
 					if want := gen(plain); !reflect.DeepEqual(in, want) {
 						t.Fatalf("draw %d: got %+v, want the per-engine draw %+v", i, in, want)
 					}

@@ -69,10 +69,14 @@ func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 // GenInput implements workload.Instance: the per-engine generator, except
 // that a CrossShardPct fraction of Payments take their customer from a
 // remote shard's warehouse. With no remote warehouse the draw is skipped
-// before it touches the RNG.
-func (sb *Instance) GenInput(r *rand.Rand) workload.Input {
-	home := sb.Shards[0] // generators share one Scale; any bench works
-	in := home.Gen(r)
+// before it touches the RNG. The request is a *Input, prev's when prev is
+// one, refilled by Bench.Gen.
+func (sb *Instance) GenInput(r *rand.Rand, prev workload.Input) workload.Input {
+	in, _ := prev.(*Input)
+	if in == nil {
+		in = new(Input)
+	}
+	sb.Shards[0].Gen(r, in) // generators share one Scale; any bench works
 	if in.Kind == Payment {
 		remotes := sb.remoteBy[sb.whShard[in.Warehouse]]
 		if len(remotes) > 0 && r.Intn(100) < sb.crossPct {
@@ -88,7 +92,7 @@ func (sb *Instance) GenInput(r *rand.Rand) workload.Input {
 // cross-shard fraction), but the class must not leak the routing outcome, so
 // local and remote Payments share one class.
 func (sb *Instance) Route(in workload.Input) workload.Route {
-	req := in.(Input)
+	req := in.(*Input)
 	home := sb.whShard[req.Warehouse]
 	rt := workload.Route{Home: home, Remote: sb.whShard[req.CWarehouse] != home}
 	switch {
@@ -105,7 +109,7 @@ func (sb *Instance) Route(in workload.Input) workload.Route {
 // RunTxn implements workload.Instance: a Payment runs on its home shard and
 // its customer's, which are one shard unless the customer is remote.
 func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
-	req := in.(Input)
+	req := *in.(*Input)
 	home := sb.whShard[req.Warehouse]
 	if req.Kind == NewOrder {
 		sb.Shards[home].Run(ss[home], req)
@@ -122,7 +126,7 @@ func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
 // tree, and unwinds through workload.Mispredict before touching any foreign
 // engine.
 func (sb *Instance) RunMispredicted(s *db.Session, in workload.Input) {
-	req := in.(Input)
+	req := *in.(*Input)
 	sb.Shards[sb.whShard[req.Warehouse]].Run(s, req)
 }
 

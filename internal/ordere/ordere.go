@@ -291,11 +291,15 @@ type Input struct {
 // newOrderPct is the New-Order share of the mix (the rest are Payments).
 const newOrderPct = 60
 
-// Gen draws one request: 60% New-Order / 40% Payment, uniform warehouse,
-// district and customer, 5-15 uniformly drawn items per order.
-func (m *Bench) Gen(r *rand.Rand) Input {
+// Gen draws one request into in: 60% New-Order / 40% Payment, uniform
+// warehouse, district and customer, 5-15 uniformly drawn items per order.
+// Every field is overwritten, and the lines reuse in.Lines' backing array
+// (given room for MaxLines lines the first time), so a caller that keeps
+// one Input draws requests without allocating.
+func (m *Bench) Gen(r *rand.Rand, in *Input) {
 	sc := m.Scale
-	in := Input{
+	lines := in.Lines[:0]
+	*in = Input{
 		Warehouse: uint64(r.Intn(sc.Warehouses)),
 		District:  uint64(r.Intn(sc.DistrictsPerWarehouse)),
 		Customer:  uint64(r.Intn(sc.CustomersPerDistrict)),
@@ -304,21 +308,23 @@ func (m *Bench) Gen(r *rand.Rand) Input {
 	if r.Intn(100) < newOrderPct {
 		in.Kind = NewOrder
 		n := 5 + r.Intn(MaxLines-4)
-		in.Lines = make([]Line, 0, n)
+		if cap(lines) < MaxLines {
+			lines = make([]Line, 0, MaxLines)
+		}
 		for i := 0; i < n; i++ {
 			item := uint64(r.Intn(sc.Items))
-			if slices.ContainsFunc(in.Lines, func(l Line) bool { return l.Item == item }) {
+			if slices.ContainsFunc(lines, func(l Line) bool { return l.Item == item }) {
 				continue // dedupe: one stock row per item per order
 			}
-			in.Lines = append(in.Lines, Line{Item: item, Qty: 1 + r.Int63n(10)})
+			lines = append(lines, Line{Item: item, Qty: 1 + r.Int63n(10)})
 		}
 		// Ascending item order keeps stock lock acquisition deadlock-free.
-		slices.SortFunc(in.Lines, func(a, b Line) int { return cmp.Compare(a.Item, b.Item) })
+		slices.SortFunc(lines, func(a, b Line) int { return cmp.Compare(a.Item, b.Item) })
 	} else {
 		in.Kind = Payment
 		in.Amount = 1 + r.Int63n(5000)
 	}
-	return in
+	in.Lines = lines // empty for a Payment, keeping the array for the next order
 }
 
 // Run executes one request on the session.
@@ -451,7 +457,8 @@ func (m *Bench) noInsert(s *db.Session, in Input, okey uint64) db.RID {
 func (m *Bench) noTotal(s *db.Session, okey uint64, orid db.RID) {
 	s.PB.Enter("no_total")
 	defer s.PB.Leave("no_total")
-	var rids []db.RID
+	var buf [MaxLines]db.RID
+	rids := buf[:0]
 	m.OrderLines.ScanRange(s, okey*lineStride+1, okey*lineStride+MaxLines,
 		func(_, val uint64) bool {
 			rids = append(rids, db.UnpackRID(val))

@@ -58,8 +58,9 @@ func TestTransactionsKeepInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	var paid int64
 	orders, payments := 0, 0
+	var in ordere.Input
 	for i := 0; i < 300; i++ {
-		in := m.Gen(r)
+		m.Gen(r, &in)
 		m.Run(s, in)
 		if in.Kind == ordere.Payment {
 			paid += in.Amount
@@ -100,8 +101,10 @@ func TestTransactionsKeepInvariants(t *testing.T) {
 func TestCheckCatchesCorruption(t *testing.T) {
 	m, s := load(t, smallScale())
 	r := rand.New(rand.NewSource(2))
+	var in ordere.Input
 	for i := 0; i < 50; i++ {
-		m.Run(s, m.Gen(r))
+		m.Gen(r, &in)
+		m.Run(s, in)
 	}
 	// Corrupt one order-line amount behind the workload's back.
 	var victim db.RID
@@ -121,8 +124,9 @@ func TestGenInputRanges(t *testing.T) {
 	m, _ := load(t, smallScale())
 	sc := smallScale()
 	r := rand.New(rand.NewSource(3))
+	var in ordere.Input
 	for i := 0; i < 1000; i++ {
-		in := m.Gen(r)
+		m.Gen(r, &in)
 		if in.Warehouse >= uint64(sc.Warehouses) || in.District >= uint64(sc.DistrictsPerWarehouse) ||
 			in.Customer >= uint64(sc.CustomersPerDistrict) {
 			t.Fatalf("ids out of range: %+v", in)
@@ -165,7 +169,7 @@ func TestWorkloadAdapter(t *testing.T) {
 	ss := []*db.Session{eng.NewSession(1, nil)}
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 30; i++ {
-		inst.RunTxn(ss, inst.GenInput(r))
+		inst.RunTxn(ss, inst.GenInput(r, nil))
 	}
 	if err := inst.Check(ss); err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func appSequence(t *testing.T, wl workload.Workload, img *codegen.Image, l *prog
 	ss := []*db.Session{eng.NewSession(1, em)}
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 25; i++ {
-		inst.RunTxn(ss, inst.GenInput(r))
+		inst.RunTxn(ss, inst.GenInput(r, nil))
 		if !em.Idle() {
 			t.Fatalf("txn %d: emitter not idle after transaction", i)
 		}

@@ -87,10 +87,16 @@ func (sb *Instance) acctBranch(acct uint64) uint64 {
 // or, for a CrossShardPct fraction, from a remote shard's. A single
 // partition keeps the classic draw order (teller, then one global account
 // pick): the two orders consume the RNG differently, and results at every
-// engine count are pinned to theirs.
-func (sb *Instance) GenInput(r *rand.Rand) workload.Input {
+// engine count are pinned to theirs. The request is a *Input, prev's when
+// prev is one, overwritten whole.
+func (sb *Instance) GenInput(r *rand.Rand, prev workload.Input) workload.Input {
+	in, _ := prev.(*Input)
+	if in == nil {
+		in = new(Input)
+	}
 	if len(sb.Shards) == 1 {
-		return sb.Shards[0].Gen(r)
+		*in = sb.Shards[0].Gen(r)
+		return in
 	}
 	sc := sb.Scale
 	teller := uint64(r.Intn(sc.Branches * sc.TellersPerBranch))
@@ -101,12 +107,13 @@ func (sb *Instance) GenInput(r *rand.Rand) workload.Input {
 		pool = sb.remoteBy[home]
 	}
 	acctBranch := pool[r.Intn(len(pool))]
-	return Input{
+	*in = Input{
 		Account: acctBranch*uint64(sc.AccountsPerBranch) + uint64(hotIndex(r, sc.AccountsPerBranch, sb.hotFrac)),
 		Teller:  teller,
 		Branch:  branch,
 		Delta:   r.Int63n(1_999_999) - 999_999,
 	}
+	return in
 }
 
 // Route implements workload.Instance. Cross-shard requests run the
@@ -115,7 +122,7 @@ func (sb *Instance) GenInput(r *rand.Rand) workload.Input {
 // has one shape; whether it crosses shards is exactly what the predictor
 // must guess, so the class cannot depend on it.
 func (sb *Instance) Route(in workload.Input) workload.Route {
-	req := in.(Input)
+	req := in.(*Input)
 	home := sb.branchShard[req.Branch]
 	rt := workload.Route{Home: home, Kind: "tpcb", Class: "tpcb"}
 	if sb.branchShard[sb.acctBranch(req.Account)] != home {
@@ -128,7 +135,7 @@ func (sb *Instance) Route(in workload.Input) workload.Route {
 // classic transaction on their home engine; cross-shard requests run the
 // distributed variant — home teller/branch/history, remote account, 2PC.
 func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
-	req := in.(Input)
+	req := *in.(*Input)
 	home := sb.branchShard[req.Branch]
 	acctShard := sb.branchShard[sb.acctBranch(req.Account)]
 	if acctShard == home {
@@ -157,7 +164,7 @@ func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
 // engine would execute) — and unwinds through workload.Mispredict before
 // touching any foreign engine.
 func (sb *Instance) RunMispredicted(s *db.Session, in workload.Input) {
-	req := in.(Input)
+	req := *in.(*Input)
 	sb.Shards[sb.branchShard[req.Branch]].Run(s, req)
 }
 

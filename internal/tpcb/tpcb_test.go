@@ -151,7 +151,7 @@ func TestCheckInvariant(t *testing.T) {
 	b, ss := inst.Shards[0], []*db.Session{s}
 	r := rand.New(rand.NewSource(9))
 	for i := 0; i < 100; i++ {
-		inst.RunTxn(ss, inst.GenInput(r))
+		inst.RunTxn(ss, inst.GenInput(r, nil))
 	}
 	if err := inst.Check(ss); err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestWorkloadAdapter(t *testing.T) {
 	ss := []*db.Session{eng.NewSession(1, nil)}
 	r := rand.New(rand.NewSource(10))
 	for i := 0; i < 20; i++ {
-		inst.RunTxn(ss, inst.GenInput(r))
+		inst.RunTxn(ss, inst.GenInput(r, nil))
 	}
 	if err := inst.Check(ss); err != nil {
 		t.Fatal(err)

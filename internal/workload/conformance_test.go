@@ -3,22 +3,22 @@ package workload_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"codelayout/internal/appmodel"
 	"codelayout/internal/codegen"
 	"codelayout/internal/db"
-	_ "codelayout/internal/ordere"
+	"codelayout/internal/ordere"
 	"codelayout/internal/program"
 	_ "codelayout/internal/tpcb"
 	"codelayout/internal/workload"
 	"codelayout/internal/ycsb"
 )
 
-// drawnKinds loads wl across the given number of engines and returns the
-// set of Route.Kind labels over a few thousand GenInput draws.
-func drawnKinds(t *testing.T, wl workload.Workload, shards int) map[string]bool {
+// loadAcross loads wl across the given number of fresh engines.
+func loadAcross(t *testing.T, wl workload.Workload, shards int) workload.Instance {
 	t.Helper()
 	engs := make([]*db.Engine, shards)
 	for i := range engs {
@@ -28,10 +28,18 @@ func drawnKinds(t *testing.T, wl workload.Workload, shards int) map[string]bool 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return inst
+}
+
+// drawnKinds loads wl across the given number of engines and returns the
+// set of Route.Kind labels over a few thousand GenInput draws.
+func drawnKinds(t *testing.T, wl workload.Workload, shards int) map[string]bool {
+	t.Helper()
+	inst := loadAcross(t, wl, shards)
 	r := rand.New(rand.NewSource(5))
 	seen := make(map[string]bool)
 	for i := 0; i < 4000; i++ {
-		seen[inst.Route(inst.GenInput(r)).Kind] = true
+		seen[inst.Route(inst.GenInput(r, nil)).Kind] = true
 	}
 	return seen
 }
@@ -175,7 +183,7 @@ func TestDefaultScaleConformance(t *testing.T) {
 					r := rand.New(rand.NewSource(4))
 					remote := 0
 					for i := 0; i < txns; i++ {
-						in := inst.GenInput(r)
+						in := inst.GenInput(r, nil)
 						rt := inst.Route(in)
 						if !kinds[rt.Kind] {
 							t.Fatalf("txn %d: kind %q is not among the KindRoots kinds", i, rt.Kind)
@@ -217,5 +225,112 @@ func TestDefaultScaleConformance(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// reuseInstance loads the named workload at its quick scale across the given
+// number of engines, with a non-zero cross-shard share: ycsb, which has none
+// by default, gets a quarter of its reads as scatter reads.
+func reuseInstance(t *testing.T, name string, shards int) workload.Instance {
+	t.Helper()
+	wl, err := workload.New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl = wl.QuickScale()
+	if y, ok := wl.(*ycsb.Workload); ok {
+		y.CrossShardPct = 25
+	}
+	if wl.Partitioning().CrossShardPct == 0 {
+		t.Fatalf("%s: no cross-shard share to draw remote requests from", wl.Spec())
+	}
+	return loadAcross(t, wl, shards)
+}
+
+// requestText prints, field by field, the request in points at. fmt prints
+// a nil and an empty slice alike, so a request whose reused Lines are empty
+// reads the same as a fresh one whose Lines are nil.
+func requestText(in workload.Input) string {
+	return fmt.Sprintf("%T %+v", in, reflect.ValueOf(in).Elem().Interface())
+}
+
+// TestGenInputReuseDrawsTheSameStream: for every registered workload on one
+// and four engines, a stream drawn by handing each request back to the next
+// GenInput equals, draw for draw, one drawn with prev = nil from an RNG of
+// the same seed — the same Route and the same request. A reused request
+// must not keep anything of the one before it.
+func TestGenInputReuseDrawsTheSameStream(t *testing.T) {
+	for _, name := range workload.Names() {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				inst := reuseInstance(t, name, shards)
+				r, fresh := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+				var prev workload.Input
+				remote := 0
+				for i := 0; i < 4000; i++ {
+					prev = inst.GenInput(r, prev)
+					want := inst.GenInput(fresh, nil)
+					rt := inst.Route(prev)
+					if wrt := inst.Route(want); rt != wrt {
+						t.Fatalf("draw %d: reused request routes %+v, fresh one %+v", i, rt, wrt)
+					}
+					if got, want := requestText(prev), requestText(want); got != want {
+						t.Fatalf("draw %d: reused request %s, fresh one %s", i, got, want)
+					}
+					if rt.Remote {
+						remote++
+					}
+				}
+				if (remote > 0) != (shards > 1) {
+					t.Fatalf("%d remote requests on %d engine(s)", remote, shards)
+				}
+			})
+		}
+	}
+}
+
+// TestGenInputReuseAllocatesNothing: once a request exists, refilling it
+// allocates nothing, for every kind each registered workload's Route
+// yields on one and four engines, and for an order-entry New-Order with the
+// most lines an order can have. Each measured draw re-seeds the RNG, so
+// every run of it draws the one request of the chosen kind.
+func TestGenInputReuseAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, name := range workload.Names() {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				inst := reuseInstance(t, name, shards)
+				seeds := make(map[string]int64) // case → a seed whose first draw is one
+				var cases []string
+				for seed := int64(1); seed <= 3000; seed++ {
+					in := inst.GenInput(rand.New(rand.NewSource(seed)), nil)
+					c := inst.Route(in).Kind
+					if o, ok := in.(*ordere.Input); ok && len(o.Lines) == ordere.MaxLines {
+						c += fmt.Sprintf(" with %d lines", ordere.MaxLines)
+					}
+					if _, ok := seeds[c]; !ok {
+						seeds[c] = seed
+						cases = append(cases, c)
+					}
+				}
+				if want := fmt.Sprintf("neworder with %d lines", ordere.MaxLines); name == "ordere" && seeds[want] == 0 {
+					t.Fatalf("no seed draws a %s", want)
+				}
+				r := rand.New(rand.NewSource(1))
+				prev := inst.GenInput(r, nil)
+				for _, c := range cases {
+					seed := seeds[c]
+					draw := func() {
+						r.Seed(seed)
+						prev = inst.GenInput(r, prev)
+					}
+					if n := testing.AllocsPerRun(100, draw); n != 0 {
+						t.Errorf("%s (seed %d): %v allocations per reused draw, want 0", c, seed, n)
+					}
+				}
+			})
+		}
 	}
 }

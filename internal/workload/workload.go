@@ -45,7 +45,9 @@ import (
 )
 
 // Input is one transaction request drawn by GenInput and consumed by
-// RunTxn. Its concrete type is private to the workload.
+// RunTxn. Its concrete type is private to the workload; the three built-in
+// workloads make it a pointer, so a request GenInput refills in place is
+// never boxed again.
 type Input any
 
 // Instance is a workload loaded across one or more engines: the handle
@@ -53,8 +55,13 @@ type Input any
 type Instance interface {
 	// GenInput draws one transaction request from the client's RNG; with
 	// more than one engine a CrossShardPct fraction of requests touch a
-	// remote shard.
-	GenInput(r *rand.Rand) Input
+	// remote shard. prev is nil or a value this instance's GenInput
+	// returned earlier that the caller no longer uses; the result may be
+	// prev itself, overwritten, so a caller drawing one request at a time
+	// passes its previous one back and allocates nothing. The draws do not
+	// depend on prev: with or without it the same RNG yields the same
+	// requests.
+	GenInput(r *rand.Rand, prev Input) Input
 
 	// Route describes in: where it runs, what kind it is and which
 	// prediction class it belongs to. It is a pure function of the input;

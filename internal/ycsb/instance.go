@@ -68,9 +68,15 @@ func (w *Workload) Load(engs []*db.Engine) (workload.Instance, error) {
 // GenInput implements workload.Instance: the per-engine generator, except
 // that a CrossShardPct fraction of reads draws a second key from a remote
 // shard (a scatter read). A read whose home shard owns every key stays a
-// point read and consumes no extra RNG draws.
-func (sb *Instance) GenInput(r *rand.Rand) workload.Input {
-	in := sb.Shards[0].Gen(r) // generators share one Scale; any bench works
+// point read and consumes no extra RNG draws. The request is a *Input,
+// prev's when prev is one; it is overwritten whole, so a scatter read's
+// second key never carries over into the next request.
+func (sb *Instance) GenInput(r *rand.Rand, prev workload.Input) workload.Input {
+	in, _ := prev.(*Input)
+	if in == nil {
+		in = new(Input)
+	}
+	*in = sb.Shards[0].Gen(r) // generators share one Scale; any bench works
 	if in.Kind != Read || sb.crossPct == 0 {
 		return in
 	}
@@ -95,7 +101,7 @@ func (sb *Instance) GenInput(r *rand.Rand) workload.Input {
 // key is part of the input), so "mget" is an honestly separate class the
 // predictor learns is never local; plain reads and updates are always local.
 func (sb *Instance) Route(in workload.Input) workload.Route {
-	req := in.(Input)
+	req := in.(*Input)
 	home := sb.Map.Of(req.Key)
 	kind := "update"
 	switch {
@@ -111,10 +117,10 @@ func (sb *Instance) Route(in workload.Input) workload.Route {
 // scatter reads, which fetch the second key on its own shard's engine —
 // still without any transaction or 2PC.
 func (sb *Instance) RunTxn(ss []*db.Session, in workload.Input) {
-	req := in.(Input)
+	req := in.(*Input)
 	home := sb.Map.Of(req.Key)
 	if !req.MultiGet {
-		sb.Shards[home].Run(ss[home], req)
+		sb.Shards[home].Run(ss[home], *req)
 		return
 	}
 	remote := sb.Map.Of(req.Key2)

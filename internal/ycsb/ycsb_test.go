@@ -139,7 +139,7 @@ func TestWorkloadAdapter(t *testing.T) {
 	ss := []*db.Session{eng.NewSession(1, nil)}
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 200; i++ {
-		inst.RunTxn(ss, inst.GenInput(r))
+		inst.RunTxn(ss, inst.GenInput(r, nil))
 	}
 	if err := inst.Check(ss); err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestShardedPartitionAndScatter(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	scatter := 0
 	for i := 0; i < 1500; i++ {
-		in := sb.GenInput(r)
+		in := sb.GenInput(r, nil)
 		if sb.Route(in).Remote {
 			scatter++
 		}
@@ -311,12 +311,12 @@ func TestScatterDrawNeedsARemoteKey(t *testing.T) {
 				defer close(done)
 				r, plain := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
 				for i := 0; i < 500; i++ {
-					in := inst.GenInput(r)
+					in := inst.GenInput(r, nil)
 					if rt := inst.Route(in); rt.Remote || rt.Kind == "mget" {
 						t.Errorf("draw %d: scatter read %+v with no remote key to read", i, in)
 						return
 					}
-					if want := inst.Shards[0].Gen(plain); in != want {
+					if want := inst.Shards[0].Gen(plain); *in.(*ycsb.Input) != want {
 						t.Errorf("draw %d: got %+v, want the per-engine draw %+v", i, in, want)
 						return
 					}
