@@ -1,9 +1,10 @@
 // Benchmarks: one per reproduced table/figure (printing the regenerated
 // rows/series on first run), plus the cross-workload, group-commit and
-// fast-path runs and the BENCH_fusion/pgo/search.json writers (TxFuse,
-// ContinuousPGO, PipelineSearch). Per-layer timing (cache fetch, the
-// layout passes, the emitter walk, machine transactions, Pixie overhead) is
-// bench/'s ledger, not this file.
+// fast-path runs, the paper claims' verdicts across seeds (ScorecardSeeds)
+// and the BENCH_fusion/pgo/search.json writers (TxFuse, ContinuousPGO,
+// PipelineSearch). Per-layer timing (cache fetch, the layout passes, the
+// emitter walk, machine transactions, Pixie overhead) is bench/'s ledger,
+// not this file.
 //
 // The figure benches share one quick-configuration session; run
 //
@@ -34,6 +35,7 @@ import (
 	"codelayout/internal/program"
 	"codelayout/internal/pstore"
 	"codelayout/internal/search"
+	"codelayout/internal/stats"
 	"codelayout/internal/tpcb"
 	"codelayout/internal/trace"
 	"codelayout/internal/workload"
@@ -96,6 +98,67 @@ func BenchmarkText_KernelOpt(b *testing.B)           { benchFigure(b, "kernopt")
 func BenchmarkAblation_Splitting(b *testing.B)       { benchFigure(b, "abl-split") }
 func BenchmarkAblation_CFA(b *testing.B)             { benchFigure(b, "abl-cfa") }
 func BenchmarkAblation_SamplingProfile(b *testing.B) { benchFigure(b, "abl-profile") }
+
+// BenchmarkScorecardSeeds judges every paper claim in the quick configuration
+// at five seeds (Options.Seed: the images, the loaded data and the measured
+// run) and prints, per claim, how many seeds held, came near or missed, and
+// our min-max over them. A claim with a band edge strictly inside that
+// min-max is unresolved: the seeds straddle the paper's edge, so no single
+// seed's verdict stands for the configuration. Any other claim reports its
+// worst verdict.
+func BenchmarkScorecardSeeds(b *testing.B) {
+	seeds := []int64{2001, 2002, 2003, 2004, 2005}
+	for i := 0; i < b.N; i++ {
+		var runs [][]expt.Score
+		for _, seed := range seeds {
+			o := expt.QuickOptions()
+			o.Seed = seed
+			s, err := expt.NewSession(o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			scores, err := s.Scorecard()
+			if err != nil {
+				b.Fatal(err)
+			}
+			runs = append(runs, scores)
+		}
+		if i == 0 {
+			seedSpread(seeds, runs).Render(os.Stdout)
+		}
+	}
+}
+
+// seedSpread tabulates one scorecard per seed, claim by claim.
+func seedSpread(seeds []int64, runs [][]expt.Score) *stats.Table {
+	t := stats.NewTable(fmt.Sprintf("Claims across seeds %d-%d (quick)", seeds[0], seeds[len(seeds)-1]),
+		"claim", "paper", "ours min .. max", "held", "near", "missed", "verdict")
+	worst := map[expt.Verdict]int{expt.Held: 0, expt.Near: 1, expt.Missed: 2}
+	total := map[expt.Verdict]int{}
+	for c := range runs[0] {
+		first := runs[0][c]
+		lo, hi := first.Ours, first.Ours
+		n := map[expt.Verdict]int{}
+		verdict := expt.Held
+		for _, run := range runs {
+			sc := run[c]
+			lo, hi = min(lo, sc.Ours), max(hi, sc.Ours)
+			n[sc.Verdict]++
+			if worst[sc.Verdict] > worst[verdict] {
+				verdict = sc.Verdict
+			}
+		}
+		if edge := first.Band; lo < edge.Lo && edge.Lo < hi || lo < edge.Hi && edge.Hi < hi {
+			verdict = "unresolved"
+		}
+		total[verdict]++
+		t.AddRow(first.ID, first.Paper(), first.Show(lo)+" .. "+first.Show(hi),
+			n[expt.Held], n[expt.Near], n[expt.Missed], string(verdict))
+	}
+	t.Notef("%d claims: %d held, %d near, %d missed, %d unresolved",
+		len(runs[0]), total[expt.Held], total[expt.Near], total[expt.Missed], total["unresolved"])
+	return t
+}
 
 // ---- Extension tables ----
 

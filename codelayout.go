@@ -216,6 +216,6 @@ func NewSessionFrom(src *ProfileSource, o SessionOptions) (*Session, error) {
 	return expt.NewSessionFrom(src, o)
 }
 
-// ExperimentIDs lists the reproducible figures and in-text results
-// (Session.Run takes one).
+// ExperimentIDs lists the reproducible figures and in-text results, then
+// the scorecard of the paper's claims (Session.Run takes one).
 func ExperimentIDs() []string { return expt.IDs() }

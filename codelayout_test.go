@@ -177,7 +177,8 @@ func TestFacadeMachineRun(t *testing.T) {
 
 func TestFacadeExperimentIDs(t *testing.T) {
 	ids := codelayout.ExperimentIDs()
-	if len(ids) != 20 {
+	// The paper's 20 experiments, then the claims scorecard.
+	if len(ids) != 21 || ids[20] != "claims" {
 		t.Fatalf("experiments = %d", len(ids))
 	}
 }

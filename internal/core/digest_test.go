@@ -80,7 +80,7 @@ func TestPassLayoutsDigestPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, rep, err := pl.RunFused(p, pf, roots, &testCloner{p: p})
+		l, rep, err := pl.RunChained(p, pf, nil, roots, &testCloner{p: p})
 		if err != nil {
 			t.Fatalf("seed %d txfuse:100: %v", seed, err)
 		}

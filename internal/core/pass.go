@@ -305,18 +305,14 @@ func (pl Pipeline) String() string {
 // profile is sampling-based, the way Spike does. A profile that counts blocks
 // the program does not have is an error, not a layout.
 func (pl Pipeline) Run(p *program.Program, pf *profile.Profile) (*program.Layout, *Report, error) {
-	return pl.RunFused(p, pf, nil, nil)
+	return pl.RunChained(p, pf, nil, nil, nil)
 }
 
-// RunFused is the image-aware pipeline entry: it executes the pipeline with
-// transaction-kind roots and an optional procedure cloner threaded through
-// the state for the txfuse pass. The cloner must mutate the same program p
-// (codegen's specialized images do); passes other than txfuse ignore both.
-func (pl Pipeline) RunFused(p *program.Program, pf *profile.Profile, roots []KindRoot, cl ProcCloner) (*program.Layout, *Report, error) {
-	return pl.RunChained(p, pf, nil, roots, cl)
-}
-
-// RunChained is RunFused with the chain pass computed ahead: a chain pass
+// RunChained is the image-aware pipeline entry. It executes the pipeline
+// with transaction-kind roots and an optional procedure cloner threaded
+// through the state for the txfuse pass: the cloner must mutate the same
+// program p (codegen's specialized images do), and passes other than txfuse
+// ignore both. A non-nil ch is the chain pass computed ahead: a chain pass
 // installs a shallow clone of ch instead of chaining every procedure again,
 // so a caller laying out one program under one profile many times chains
 // once. ch must be ChainProgram's result over p (or an unmodified copy of

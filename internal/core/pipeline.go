@@ -18,7 +18,7 @@ type Combo struct {
 // cache area (the software-trace-cache style optimization the paper found
 // unprofitable for OLTP), inter-procedural call chaining, and
 // per-transaction-kind program fusion. Run "fusion" through
-// Pipeline.RunFused to supply kind roots and a procedure cloner; plain Run
+// Pipeline.RunChained to supply kind roots and a procedure cloner; plain Run
 // derives roots from the profile and skips cloning.
 //
 // The figures' "base" is not a row: it is the original binary

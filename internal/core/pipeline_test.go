@@ -103,7 +103,7 @@ func TestOptimizeAllCombosValid(t *testing.T) {
 
 // TestPipelineRejectsForeignProfile: a profile that counts blocks the program
 // does not have was gathered on another program; laying out with it is an
-// error that says so, through Run and RunFused alike. A profile of fewer
+// error that says so, through Run and RunChained alike. A profile of fewer
 // blocks cannot be told apart and still runs.
 func TestPipelineRejectsForeignProfile(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
@@ -131,8 +131,8 @@ func TestPipelineRejectsForeignProfile(t *testing.T) {
 		if _, _, err := pl.Run(p, tc.pf); err == nil || err.Error() != tc.want {
 			t.Errorf("Run: error %v, want %s", err, tc.want)
 		}
-		if _, _, err := pl.RunFused(p, tc.pf, nil, nil); err == nil || err.Error() != tc.want {
-			t.Errorf("RunFused: error %v, want %s", err, tc.want)
+		if _, _, err := pl.RunChained(p, tc.pf, nil, nil, nil); err == nil || err.Error() != tc.want {
+			t.Errorf("RunChained: error %v, want %s", err, tc.want)
 		}
 	}
 

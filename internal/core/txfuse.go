@@ -11,7 +11,7 @@ import (
 
 // KindRoot seeds one fused placement unit: a transaction-kind label and the
 // procedure of the kind's entry model. The image-aware pipeline entry
-// (RunFused) resolves Workload.KindRoots names to procedures and threads
+// (RunChained) resolves Workload.KindRoots names to procedures and threads
 // them here.
 type KindRoot struct {
 	Kind string

@@ -125,7 +125,7 @@ func TestPassCoverageProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		countBefore := blockCountSum(pf)
-		l, rep, err := pl.RunFused(p, pf, nil, cl)
+		l, rep, err := pl.RunChained(p, pf, nil, nil, cl)
 		if err != nil {
 			t.Fatalf("seed %d txfuse:100: %v", seed, err)
 		}
@@ -200,7 +200,7 @@ func TestTxFuseSharedCodeDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, rep, err := pl.RunFused(p, pf, roots, cl)
+	l, rep, err := pl.RunChained(p, pf, nil, roots, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestTxFuseBudgetCutsCloning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, rep, err := pl.RunFused(p, pf, roots, cl)
+	l, rep, err := pl.RunChained(p, pf, nil, roots, cl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func ablSplit(s *Session) ([]*stats.Table, error) {
 		}
 		t.AddRow(r.label, m.App4W[64].Misses, m.App4W[128].Misses, hot)
 	}
-	t.Note("paper: ordering helps only at fine granularity — it separates hot from cold segments")
+	t.Note(paperNote("abl-split"))
 	return []*stats.Table{t}, nil
 }
 
@@ -52,7 +52,7 @@ func ablCFA(s *Session) ([]*stats.Table, error) {
 	t.AddRow("all", all.AppDM[64][128].Misses, all.App4W[64].Misses, repAll.PadWords*isa.WordBytes)
 	t.AddRow("all+CFA", cfa.AppDM[64][128].Misses, cfa.App4W[64].Misses, repCFA.PadWords*isa.WordBytes)
 	t.AddRow("reserved-area code (KB)", "-", "-", repCFA.CFAReservedWords*isa.WordBytes/1024)
-	t.Note("paper: the hot-trace footprint is too large for the reserved area; CFA yields no gains on OLTP")
+	t.Note(paperNote("abl-cfa"))
 	return []*stats.Table{t}, nil
 }
 

@@ -85,7 +85,7 @@ func TestSharedChainingMatchesFreshPipelines(t *testing.T) {
 			}
 			cloner = img
 		}
-		want, wantRep, err := pl.RunFused(img.Prog, prof.Clone(), roots, cloner)
+		want, wantRep, err := pl.RunChained(img.Prog, prof.Clone(), nil, roots, cloner)
 		if err != nil {
 			t.Fatalf("%s: fresh pipeline: %v", name, err)
 		}

@@ -103,7 +103,7 @@ func fig12(base, opt *Measure) []*stats.Table {
 			pctOf(opt.Comb4W[size].Misses, base.Comb4W[size].Misses),
 			pctOf(opt.App4W[size].Misses, base.App4W[size].Misses))
 	}
-	cmp.Note("paper: 45-60% combined reduction vs 55-65% app-only at 64-128KB")
+	cmp.Note(paperNote("fig12"))
 	out = append(out, cmp)
 	return out
 }
@@ -129,7 +129,7 @@ func fig13(base, opt *Measure) []*stats.Table {
 			m.Intf.Misses)
 		out = append(out, t)
 	}
-	out[0].Note("paper: application misses are mostly self-interference; kernel misses are mostly app-inflicted")
+	out[0].Note(paperNote("fig13"))
 	return out
 }
 
@@ -142,7 +142,7 @@ func fig14(base, opt *Measure) []*stats.Table {
 		pctOf(opt.Mem.L2Misses[0], base.Mem.L2Misses[0]))
 	t.AddRow("L2 data misses", base.Mem.L2Misses[1], opt.Mem.L2Misses[1],
 		pctOf(opt.Mem.L2Misses[1], base.Mem.L2Misses[1]))
-	t.Note("paper: all three drop; L2 data misses drop because packed code displaces fewer data lines")
+	t.Note(paperNote("fig14"))
 	return []*stats.Table{t}
 }
 
@@ -193,7 +193,7 @@ func fig15(s *Session) ([]*stats.Table, error) {
 			fmt.Sprintf("%.1f", 100*alpha21264.relative(counts21264(m), b264)),
 			fmt.Sprintf("%.1f", 100*alpha21164.relative(counts21164(m), b164)))
 	}
-	t.Note("paper: 'all' lands near 75% on both platforms (1.33x), consistent across generations")
+	t.Note(paperNote("fig15"))
 	return []*stats.Table{t}, nil
 }
 
@@ -203,7 +203,7 @@ func footprintExp(base, opt *Measure) []*stats.Table {
 	t.AddRow("footprint in 128B lines (KB)", float64(base.Foot.Bytes())/1024, float64(opt.Foot.Bytes())/1024)
 	t.AddRow("unique pages touched", base.Foot.Pages(), opt.Foot.Pages())
 	t.AddRow("unused fetched instructions", stats.Pct(base.Word.UnusedFetchedFrac()), stats.Pct(opt.Word.UnusedFetchedFrac()))
-	t.Note("paper: 500KB -> 315KB (37% smaller); unused fetched instructions 46% -> 21%")
+	t.Note(paperNote("footprint"))
 	return []*stats.Table{t}
 }
 
@@ -227,8 +227,18 @@ func hw21164Exp(s *Session) ([]*stats.Table, error) {
 	bBoard := base.Board.L2Misses[0] + base.Board.L2Misses[1]
 	oBoard := opt.Board.L2Misses[0] + opt.Board.L2Misses[1]
 	t.AddRow("board cache misses (2MB direct)", bBoard, oBoard, red(oBoard, bBoard))
-	t.Note("paper: -28% icache, -43% iTLB, -39% board cache")
+	t.Note(paperNote("hw21164"))
 	return []*stats.Table{t}, nil
+}
+
+// speedup is "all"'s speedup over the base binary on plat at cpus
+// processors: base cycles over optimized cycles.
+func (s *Session) speedup(plat platform, counts func(*Measure) cycleCounts, cpus int) (float64, error) {
+	base, opt, err := s.baseAndAll(cpus)
+	if err != nil {
+		return 0, err
+	}
+	return 1 / plat.relative(counts(opt), counts(base)), nil
 }
 
 // speedup — overall execution-time improvements (§5 in-text numbers).
@@ -236,12 +246,11 @@ func speedupExp(s *Session) ([]*stats.Table, error) {
 	t := stats.NewTable("Text §5: overall speedup of the fully optimized binary",
 		"platform", "speedup (x)")
 	row := func(label string, plat platform, counts func(*Measure) cycleCounts, cpus int) error {
-		base, opt, err := s.baseAndAll(cpus)
+		x, err := s.speedup(plat, counts, cpus)
 		if err != nil {
 			return err
 		}
-		rel := plat.relative(counts(opt), counts(base))
-		t.AddRow(label, fmt.Sprintf("%.2f", 1/rel))
+		t.AddRow(label, fmt.Sprintf("%.2f", x))
 		return nil
 	}
 	if err := row("21264, 1 processor", alpha21264, counts21264, 1); err != nil {
@@ -256,17 +265,23 @@ func speedupExp(s *Session) ([]*stats.Table, error) {
 	if err := row(fmt.Sprintf("21164, %d processors", s.Opt.CPUs), alpha21164, counts21164, s.Opt.CPUs); err != nil {
 		return nil, err
 	}
-	t.Note("paper: 1.33x on 21264 and 21164 single-processor, 1.37x in SimOS, 1.25x on 4 processors")
+	t.Note(paperNote("speedup"))
 	return []*stats.Table{t}, nil
 }
 
-// kernopt — optimizing the kernel's layout too (§5: small gains).
-func kernoptExp(s *Session) ([]*stats.Table, error) {
-	plain, err := s.MeasureKern("all", "kbase", s.Opt.CPUs)
-	if err != nil {
-		return nil, err
+// kernMeasures measures the optimized application over the base kernel
+// layout and over the optimized one (§5).
+func (s *Session) kernMeasures() (plain, kopt *Measure, err error) {
+	if plain, err = s.MeasureKern("all", "kbase", s.Opt.CPUs); err != nil {
+		return nil, nil, err
 	}
-	kopt, err := s.MeasureKern("all", "kopt", s.Opt.CPUs)
+	kopt, err = s.MeasureKern("all", "kopt", s.Opt.CPUs)
+	return plain, kopt, err
+}
+
+// kernoptExp — optimizing the kernel's layout too (§5: small gains).
+func kernoptExp(s *Session) ([]*stats.Table, error) {
+	plain, kopt, err := s.kernMeasures()
 	if err != nil {
 		return nil, err
 	}
@@ -284,6 +299,6 @@ func kernoptExp(s *Session) ([]*stats.Table, error) {
 	} else {
 		t.AddRow("additional speedup", "-", fmt.Sprintf("%.1f%%", -100*(float64(cycK)/float64(cyc)-1)))
 	}
-	t.Note("paper: kernel layout optimization adds only ~3.5% (kernel is a small share of time)")
+	t.Note(paperNote("kernopt"))
 	return []*stats.Table{t}, nil
 }

@@ -23,9 +23,6 @@ type DataLayoutSpec struct {
 	// HotAccountFrac is the TPC-B skewed regime's hot-account fraction in
 	// (0, 1); 0 selects 0.1. Ignored for other workloads.
 	HotAccountFrac float64
-	// UniformOnly skips the skewed regime even when the workload has a
-	// skew knob.
-	UniformOnly bool
 }
 
 // regime is one key-draw regime of the record-layout table.
@@ -39,9 +36,6 @@ type regime struct {
 // skewed. Order-entry has no skew knob, so it gets the uniform row only.
 func dataLayoutRegimes(o Options, spec DataLayoutSpec) []regime {
 	regimes := []regime{{name: "uniform", wl: o.Workload}}
-	if spec.UniformOnly {
-		return regimes
-	}
 	switch w := o.Workload.(type) {
 	case *tpcb.Workload:
 		if w.HotAccountFrac == 0 {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"codelayout/internal/db"
+	"codelayout/internal/ordere"
 	"codelayout/internal/workload"
 )
 
@@ -67,11 +68,13 @@ func TestDataLayoutGroupedBeatsInterleaved(t *testing.T) {
 	}
 }
 
-// TestDataLayoutTableQuick exercises the report end to end (uniform regime
-// only, to keep CI time down; the skewed regime runs in the layoutlab smoke).
+// TestDataLayoutTableQuick exercises the report end to end on quick order
+// entry, which has no skew knob, so the table runs the uniform regime only
+// (the skewed regimes run in the layoutlab smoke).
 func TestDataLayoutTableQuick(t *testing.T) {
 	o := QuickOptions()
-	tbl, err := DataLayoutTable(o, DataLayoutSpec{UniformOnly: true})
+	o.Workload = ordere.New().QuickScale()
+	tbl, err := DataLayoutTable(o, DataLayoutSpec{})
 	if err != nil {
 		t.Fatalf("DataLayoutTable: %v", err)
 	}

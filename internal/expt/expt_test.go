@@ -1,6 +1,7 @@
 package expt_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -41,7 +42,7 @@ func TestRegistryIsComplete(t *testing.T) {
 	want := []string{
 		"fig03", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "footprint", "hw21164",
-		"speedup", "kernopt", "abl-split", "abl-cfa", "abl-profile",
+		"speedup", "kernopt", "abl-split", "abl-cfa", "abl-profile", "claims",
 	}
 	if len(ids) != len(want) {
 		t.Fatalf("ids = %v", ids)
@@ -167,48 +168,106 @@ func TestMeasureBatchParallel(t *testing.T) {
 	wg.Wait()
 }
 
-// TestHeadlineShapes asserts the paper's qualitative results hold in the
-// quick configuration: big app-only miss reductions at 64-128KB, smaller
-// combined reductions, porder-alone not helping much, sequences lengthening.
-func TestHeadlineShapes(t *testing.T) {
+// TestClaimsPinned pins every claim's standing in the shared tiny session
+// (its verdict and, outside the band, which side of it the value lies on),
+// and for every effect claim whether the layout moved the value the way the
+// paper says. The effects that must move the paper's way include what the
+// paper's headline rests on: app-only and combined miss reductions at 64 and
+// 128KB, longer sequences, a smaller footprint, fewer unused fetched words
+// and fewer iTLB misses. A change that flips a standing or a direction
+// updates this pin and says why in CHANGES.md.
+func TestClaimsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
-	s := session(t)
-	base, err := s.Measure("base", s.Opt.CPUs)
+	scores, err := session(t).Scorecard()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := s.Measure("all", s.Opt.CPUs)
-	if err != nil {
-		t.Fatal(err)
+	want := map[string]string{
+		"fig03/captured-by-50KB":             "missed above",
+		"fig03/needed-for-99":                "missed below",
+		"fig03/executed-footprint":           "missed below",
+		"fig03/static-binary":                "missed below",
+		"fig05/app-dm-64KB":                  "missed below",
+		"fig05/app-dm-128KB":                 "missed below",
+		"fig06/layout-beats-assoc-32KB":      "held",
+		"fig06/layout-beats-assoc-64KB":      "held",
+		"fig06/layout-beats-assoc-128KB":     "held",
+		"fig07/porder-hurts":                 "missed below",
+		"fig07/chain-largest-single":         "held",
+		"fig07/all-best":                     "held",
+		"fig08a/base-run":                    "held",
+		"fig08a/optimized-run":               "held",
+		"fig08a/basic-block":                 "near below",
+		"fig08b/one-instr-base":              "near above",
+		"fig08b/one-instr-optimized":         "near above",
+		"fig08b/spike-near-17":               "held",
+		"fig09/all-words-used":               "missed below",
+		"fig10/base-unused":                  "held",
+		"fig10/multi-use":                    "held",
+		"fig11/lifetime":                     "near below",
+		"fig12/combined-64KB":                "held",
+		"fig12/combined-128KB":               "near below",
+		"fig12/app-only-64KB":                "missed below",
+		"fig12/app-only-128KB":               "held",
+		"fig13/app-self":                     "near below",
+		"fig13/kernel-by-app":                "held",
+		"fig14/itlb":                         "held",
+		"fig14/l2-instr":                     "held",
+		"fig14/l2-data":                      "missed above",
+		"fig15/all-21264":                    "held",
+		"fig15/all-21164":                    "near above",
+		"footprint/base":                     "missed below",
+		"footprint/packed":                   "held",
+		"footprint/base-unused":              "near above",
+		"footprint/unused":                   "near above",
+		"hw21164/icache":                     "held",
+		"hw21164/itlb":                       "missed below",
+		"hw21164/board":                      "missed above",
+		"speedup/21264-1p":                   "held",
+		"speedup/21164-1p":                   "held",
+		"speedup/simos":                      "near below",
+		"speedup/21164-mp":                   "held",
+		"kernopt/added-speedup":              "missed above",
+		"abl-split/fine-beats-hotcold-64KB":  "missed above",
+		"abl-split/fine-beats-hotcold-128KB": "missed above",
+		"abl-cfa/hot-exceeds-area":           "held",
+		"abl-cfa/no-gain":                    "held",
 	}
-	for _, size := range []int{64, 128} {
-		b, o := base.App4W[size].Misses, opt.App4W[size].Misses
-		if o >= b {
-			t.Fatalf("no app miss reduction at %dKB: %d -> %d", size, b, o)
+	// against lists the effects whose layout moves the value away from the
+	// paper's direction; every other effect moves it the paper's way.
+	against := map[string]bool{
+		"fig07/porder-hurts":                 true,
+		"fig14/l2-data":                      true,
+		"hw21164/board":                      true,
+		"abl-split/fine-beats-hotcold-64KB":  true,
+		"abl-split/fine-beats-hotcold-128KB": true,
+	}
+	for _, sc := range scores {
+		where := fmt.Sprintf("%s: paper %s, ours %s", sc.ID, sc.Paper(), sc.Show(sc.Ours))
+		if got, ok := want[sc.ID]; !ok || got != standing(sc) {
+			t.Errorf("%s: %s, pinned %q", where, standing(sc), got)
 		}
-		red := 1 - float64(o)/float64(b)
-		t.Logf("app-only reduction at %dKB: %.1f%%", size, red*100)
-		if red < 0.25 {
-			t.Errorf("reduction at %dKB only %.1f%%, paper band is 55-65%%", size, red*100)
+		if sc.Kind == expt.Effect && sc.Agrees() == against[sc.ID] {
+			t.Errorf("%s: moves the paper's way = %v, pinned %v", where, sc.Agrees(), !against[sc.ID])
 		}
-		bc, oc := base.Comb4W[size].Misses, opt.Comb4W[size].Misses
-		if oc >= bc {
-			t.Fatalf("no combined reduction at %dKB", size)
-		}
+		delete(want, sc.ID)
 	}
-	if opt.Seq.Hist.Mean() <= base.Seq.Hist.Mean() {
-		t.Errorf("sequences did not lengthen: %.2f -> %.2f", base.Seq.Hist.Mean(), opt.Seq.Hist.Mean())
+	for id := range want {
+		t.Errorf("%s: pinned but not a claim", id)
 	}
-	if opt.Foot.Bytes() >= base.Foot.Bytes() {
-		t.Errorf("footprint did not shrink: %d -> %d", base.Foot.Bytes(), opt.Foot.Bytes())
+}
+
+// standing is a claim's verdict and, outside the band, the side of it the
+// value lies on: a reduction that misses by being too small and one that
+// misses by being too large are different results.
+func standing(sc expt.Score) string {
+	switch {
+	case sc.Ours < sc.Band.Lo:
+		return string(sc.Verdict) + " below"
+	case sc.Ours > sc.Band.Hi:
+		return string(sc.Verdict) + " above"
 	}
-	if opt.Word.UnusedFetchedFrac() >= base.Word.UnusedFetchedFrac() {
-		t.Errorf("unused fetched fraction did not drop: %.2f -> %.2f",
-			base.Word.UnusedFetchedFrac(), opt.Word.UnusedFetchedFrac())
-	}
-	if opt.ITLB64 >= base.ITLB64 {
-		t.Errorf("iTLB misses did not drop: %d -> %d", base.ITLB64, opt.ITLB64)
-	}
+	return string(sc.Verdict)
 }

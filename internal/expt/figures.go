@@ -46,8 +46,9 @@ func pctOf(opt, base uint64) string {
 	return fmt.Sprintf("%.1f%%", 100*float64(opt)/float64(base))
 }
 
-// fig03 — execution profile of the unoptimized application binary.
-func fig03(s *Session) ([]*stats.Table, error) {
+// execProfile is the unoptimized binary's cumulative execution profile under
+// the session's training profile (Figure 3).
+func (s *Session) execProfile() ([]stats.CumulativePoint, error) {
 	prof, err := s.Profile()
 	if err != nil {
 		return nil, err
@@ -61,7 +62,16 @@ func fig03(s *Session) ([]*stats.Table, error) {
 		static[i] = int64(base.Occ(b)) * isa.WordBytes
 		dyn[i] = prof.Count(b) * uint64(base.Occ(b))
 	}
-	pts := stats.CumulativeProfile(static, dyn)
+	return stats.CumulativeProfile(static, dyn), nil
+}
+
+// fig03 — execution profile of the unoptimized application binary.
+func fig03(s *Session) ([]*stats.Table, error) {
+	pts, err := s.execProfile()
+	if err != nil {
+		return nil, err
+	}
+	base := s.src.baseApp
 
 	t := stats.NewTable("Figure 3: execution profile of the unoptimized binary",
 		"coverage", "footprint (KB)")
@@ -75,7 +85,7 @@ func fig03(s *Session) ([]*stats.Table, error) {
 		t2.AddRow("total executed footprint (KB)", float64(pts[len(pts)-1].Bytes)/1024)
 	}
 	t2.AddRow("static binary size (MB)", float64(base.TotalBytes())/(1<<20))
-	t2.Note("paper: 50KB captures ~60%, 99% needs ~200KB, footprint ~260KB, binary 27MB")
+	t2.Note(paperNote("fig03"))
 	return []*stats.Table{t, t2}, nil
 }
 
@@ -119,7 +129,7 @@ func fig05(base, opt *Measure) []*stats.Table {
 		}
 		t.AddRow(row...)
 	}
-	t.Note("paper: 55-65% reduction (i.e. 35-45% relative) at 64-128KB with 128B lines")
+	t.Note(paperNote("fig05"))
 	return []*stats.Table{t}
 }
 
@@ -132,7 +142,7 @@ func fig06(base, opt *Measure) []*stats.Table {
 			base.AppDM[size][128].Misses, base.App4W[size].Misses,
 			opt.AppDM[size][128].Misses, opt.App4W[size].Misses)
 	}
-	t.Note("paper: associativity gains are small next to layout gains at 32-128KB")
+	t.Note(paperNote("fig06"))
 	return []*stats.Table{t}
 }
 
@@ -154,21 +164,17 @@ func fig07(s *Session) ([]*stats.Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	t.Note("paper: porder alone slightly hurts; chain is the largest single win; all is best")
+	t.Note(paperNote("fig07"))
 	return []*stats.Table{t}, nil
 }
 
 // fig08 — sequentially executed instructions.
 func fig08(base, opt *Measure) []*stats.Table {
 	a := stats.NewTable("Figure 8(a): average sequentially executed instructions", "setup", "avg length")
-	avgBB := 0.0
-	if base.AppRuns.Runs > 0 {
-		avgBB = float64(base.AppRuns.Instructions) / float64(base.AppRuns.Runs)
-	}
-	a.AddRow("dynamic basic block size", avgBB)
+	a.AddRow("dynamic basic block size", basicBlock(base))
 	a.AddRow("base", base.Seq.Hist.Mean())
 	a.AddRow("optimized", opt.Seq.Hist.Mean())
-	a.Note("paper: base 7.3, optimized >10, basic block ~5")
+	a.Note(paperNote("fig08a"))
 
 	b := stats.NewTable("Figure 8(b): sequence length distribution (% of sequences)",
 		"length", "base", "optimized")
@@ -178,7 +184,7 @@ func fig08(base, opt *Measure) []*stats.Table {
 	b.AddRow(">33",
 		stats.Pct(base.Seq.Hist.Frac(34)),
 		stats.Pct(opt.Seq.Hist.Frac(34)))
-	b.Note("paper: optimized cuts 1-instruction sequences from 21% to 15% and spikes near 17")
+	b.Note(paperNote("fig08b"))
 	return []*stats.Table{a, b}
 }
 
@@ -189,7 +195,7 @@ func fig09(base, opt *Measure) []*stats.Table {
 	for w := 1; w <= 32; w++ {
 		t.AddRow(w, stats.Pct(base.Word.WordsUsed.Frac(w)), stats.Pct(opt.Word.WordsUsed.Frac(w)))
 	}
-	t.Note("paper: optimized uses all 32 words in >60% of replaced lines")
+	t.Note(paperNote("fig09"))
 	return []*stats.Table{t}
 }
 
@@ -200,7 +206,7 @@ func fig10(base, opt *Measure) []*stats.Table {
 	for n := 0; n <= 15; n++ {
 		t.AddRow(n, stats.Pct(base.Word.WordReuse.Frac(n)), stats.Pct(opt.Word.WordReuse.Frac(n)))
 	}
-	t.Note("paper: base leaves >half of fetched words unused; optimized raises multi-use words")
+	t.Note(paperNote("fig10"))
 	return []*stats.Table{t}
 }
 
@@ -219,6 +225,6 @@ func fig11(base, opt *Measure) []*stats.Table {
 		}
 		t.AddRow(bkt, stats.Pct(bf), stats.Pct(of))
 	}
-	t.Note("paper: average lifetime improves by over 2x")
+	t.Note(paperNote("fig11"))
 	return []*stats.Table{t}
 }

@@ -36,6 +36,7 @@ var registry = []Experiment{
 	{"abl-split", "ablation", "Fine-grain vs hot/cold splitting", ablSplit},
 	{"abl-cfa", "ablation", "CFA reserved-area negative result", ablCFA},
 	{"abl-profile", "ablation", "Pixie vs DCPI profiles", ablProfile},
+	{"claims", "scorecard", "How close to the paper: each claim against its band", claimsExp},
 }
 
 // IDs lists experiment IDs in registry order.

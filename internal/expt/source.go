@@ -379,7 +379,7 @@ func (ps *ProfileSource) layout(tc TrainConfig, name string, kernel bool) (*prog
 }
 
 // fusionRoots resolves the kind roots of every covered workload against an
-// image for the txfuse pipeline's RunFused entry, in sorted workload order so
+// image for the txfuse pipeline's RunChained entry, in sorted workload order so
 // the root list — and therefore the fused layout — is deterministic. A
 // declared root missing from the image is an error; two kinds naming one
 // model resolve to a single root.
