@@ -97,6 +97,15 @@ func (f *Family) FetchWords(addr uint64, words int32, kernel bool) {
 	f.accesses = now
 }
 
+// Reset is ICache.Reset for every member, and restarts the shared clock: f
+// is then equal to what NewFamily returns for its configs.
+func (f *Family) Reset() {
+	for _, m := range f.members {
+		m.Reset()
+	}
+	f.accesses = 0
+}
+
 // Finalize is ICache.Finalize for every member.
 func (f *Family) Finalize() {
 	for _, m := range f.members {

@@ -211,6 +211,22 @@ func New(cfg Config) *ICache {
 // Config returns the cache configuration.
 func (c *ICache) Config() Config { return c.cfg }
 
+// Reset empties c and zeroes its statistics, leaving it equal to what New
+// returns for its config, but for the miss callback, which it keeps. It
+// reuses every array, so a cache simulated once per run costs its frames
+// once, not once per run.
+func (c *ICache) Reset() {
+	clear(c.tags)
+	clear(c.owner)
+	clear(c.wordCnt)
+	clear(c.fillAt)
+	clear(c.lastUse)
+	for set := range c.mru {
+		c.mru[set] = uint32(set * c.assoc)
+	}
+	c.stats = *NewStats(c.cfg)
+}
+
 // OnMiss registers a callback invoked on every miss with the line-aligned
 // address, used to feed a unified L2.
 func (c *ICache) OnMiss(cb func(lineAddr uint64, kernel bool)) { c.missCB = cb }

@@ -297,13 +297,18 @@ func TestAccessMatchesReference(t *testing.T) {
 // FuzzAccess turns bytes into a geometry (any power-of-two set count and line
 // size, one to eight ways, words tracked or not) and a stream of accesses and
 // invalidations, and requires Access and Invalidate to agree with the
-// reference step by step.
+// reference step by step. It also resets a second cache part way through the
+// stream, at a sixteenth of it that the same header byte names, and holds it
+// to checkResetAt.
 func FuzzAccess(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0, 0, 0, 1, 1, 0, 0, 2, 2, 0})
 	f.Add([]byte{0x36, 0x85, 1, 0, 9, 1, 17, 0, 1, 2, 25, 1, 1, 0})
 	// One 2-way set: A, B, invalidate A, C fills A's emptied frame, so a
 	// later D displaces B.
 	f.Add([]byte{0x04, 0x01, 0, 0, 1, 0, 0, 2, 2, 0, 3, 1, 1, 0})
+	// The same set with words tracked, reset halfway: after A, B (kernel)
+	// and A's invalidation, then C, B and D (kernel) from empty.
+	f.Add([]byte{0x04, 0xc1, 0, 0, 1, 1, 0, 2, 2, 0, 1, 0, 3, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -312,6 +317,7 @@ func FuzzAccess(f *testing.F) {
 		sets := 1 << (int(data[0]>>4) % 8)   // 1 to 128 sets
 		assoc := 1 + int(data[1]&7)
 		cfg := cache.Config{SizeBytes: sets * line * assoc, LineBytes: line, Assoc: assoc, WordStats: data[1]&0x80 != 0}
+		sixteenths := int(data[1]>>3) & 15
 		// Two bytes an op: a line number below 1024, the owner, and whether
 		// it is an invalidation.
 		var ops []accessOp
@@ -323,7 +329,41 @@ func FuzzAccess(f *testing.F) {
 			})
 		}
 		checkAccessAgainstOracle(t, cfg, ops)
+		checkResetAt(t, len(ops)*sixteenths/16, len(ops), func() *cache.ICache { return cache.New(cfg) },
+			(*cache.ICache).Reset, func(c *cache.ICache, i int) {
+				if op := ops[i]; op.invalidate {
+					c.Invalidate(op.line)
+				} else {
+					c.Access(op.line, op.owner)
+				}
+			}, (*cache.ICache).Finalize)
 	})
+}
+
+// checkResetAt feeds a simulator steps 0..cut-1 of an n-step stream and
+// resets it, after which it must equal a new simulator; then it feeds both
+// the rest of the stream and finishes them, after which they must still be
+// equal — every field, unexported ones included: nothing of what came before
+// a Reset shows after it. mk builds a new simulator, feed takes step i.
+func checkResetAt[S any](t *testing.T, cut, n int, mk func() S, reset func(S), feed func(s S, i int), finish func(S)) {
+	t.Helper()
+	used, fresh := mk(), mk()
+	for i := range cut {
+		feed(used, i)
+	}
+	reset(used)
+	if !reflect.DeepEqual(used, fresh) {
+		t.Fatalf("reset after %d of %d steps: not equal to a new simulator", cut, n)
+	}
+	for i := cut; i < n; i++ {
+		feed(used, i)
+		feed(fresh, i)
+	}
+	finish(used)
+	finish(fresh)
+	if !reflect.DeepEqual(used, fresh) {
+		t.Fatalf("reset after %d of %d steps: the rest of the stream reads differently than on a new simulator", cut, n)
+	}
 }
 
 // machineRuns records the fetch runs of a real (tiny) TPC-B run, once for
@@ -620,11 +660,15 @@ func TestNewFamilyRejects(t *testing.T) {
 
 // FuzzFamily turns bytes into a family shape and a fetch stream and requires
 // the family to read, member by member and field by field, what independent
-// ICaches over the same stream read.
+// ICaches over the same stream read. It also resets a second family part way
+// through the stream, at the fraction data[2]/5 of 52 of it, and holds it to
+// checkResetAt.
 func FuzzFamily(f *testing.F) {
 	f.Add([]byte{0x00, 0x1f, 0x02, 0, 0, 8, 0, 1, 0, 8, 0x80, 0, 0, 40, 1, 0x10, 0, 3, 0})
 	f.Add([]byte{0x16, 0x05, 0x00, 0xff, 0xff, 63, 1, 0, 0, 0, 0})
 	f.Add([]byte{0x29, 0x1b, 0x01})
+	// Two-way, every size, the smallest tracking words, reset halfway.
+	f.Add([]byte{0x01, 0x1f, 130, 0, 0, 8, 0, 1, 0, 8, 0x80, 0, 0, 40, 1, 0x10, 0, 3, 0, 0, 0, 63, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -645,6 +689,7 @@ func FuzzFamily(f *testing.F) {
 			slices.Reverse(sizes)
 		}
 		cfgs := familyOf(sizes, line, assoc, familySizes[int(data[2])%len(familySizes)])
+		cutOf52 := int(data[2]) / len(familySizes)
 		fam, err := cache.NewFamily(cfgs...)
 		if err != nil {
 			t.Fatal(err)
@@ -655,12 +700,14 @@ func FuzzFamily(f *testing.F) {
 		}
 		// Four bytes a run: a word address inside 256KB, a length of up to
 		// 64 words, and the owner.
+		var runs []trace.FetchRun
 		for data = data[3:]; len(data) >= 4; data = data[4:] {
 			r := trace.FetchRun{
 				Addr:   (uint64(data[0])<<8 | uint64(data[1])) * isa.WordBytes,
 				Words:  1 + int32(data[2]&63),
 				Kernel: data[3]&1 != 0,
 			}
+			runs = append(runs, r)
 			fam.Fetch(r)
 			for _, ic := range alone {
 				ic.Fetch(r)
@@ -673,5 +720,9 @@ func FuzzFamily(f *testing.F) {
 				t.Errorf("%s in %v:\n got %+v\nwant %+v", cfgs[i], cfgs, got, want)
 			}
 		}
+		checkResetAt(t, len(runs)*cutOf52/52, len(runs), func() *cache.Family {
+			f, _ := cache.NewFamily(cfgs...)
+			return f
+		}, (*cache.Family).Reset, func(f *cache.Family, i int) { f.Fetch(runs[i]) }, (*cache.Family).Finalize)
 	})
 }

@@ -126,14 +126,24 @@ const (
 
 // sinkGroup is one row of the battery: its name in errors, the set bits that
 // ask for it, the fetch stream it observes, and build, which makes its
-// simulators for one run of set on a cpus-processor machine and returns the
-// fetch sink of each CPU, the data sink if it has one, and the collector that
-// files its results in the Measure.
+// simulators for a run of set on a cpus-processor machine.
 type sinkGroup struct {
 	name   string
 	in     SinkSet
 	stream stream
-	build  func(cpus int, set SinkSet) ([]trace.Sink, trace.DataSink, func(*Measure))
+	build  func(cpus int, set SinkSet) sims
+}
+
+// sims is what a group's build made: the fetch sink of each CPU, the data
+// sink if the group has one, collect, which files the simulators' results in
+// a Measure, and reset, which readies them for another run of the same shape
+// once collect has run. A group whose collect hands the Measure the
+// simulators themselves has no reset: it is built again for every run.
+type sims struct {
+	fetch   []trace.Sink
+	data    trace.DataSink
+	collect func(*Measure)
+	reset   func()
 }
 
 // sinkGroups is the battery, every group listed once.
@@ -149,7 +159,7 @@ var sinkGroups = func() []sinkGroup {
 		for i := range CacheSizesKB {
 			in |= bit(i)
 		}
-		gs = append(gs, sinkGroup{name, in, st, func(cpus int, set SinkSet) ([]trace.Sink, trace.DataSink, func(*Measure)) {
+		gs = append(gs, sinkGroup{name, in, st, func(cpus int, set SinkSet) sims {
 			var sizes []int
 			var cfgs []cache.Config
 			for i, size := range CacheSizesKB {
@@ -165,7 +175,7 @@ var sinkGroups = func() []sinkGroup {
 				}
 				return f
 			})
-			return sinks, nil, func(m *Measure) {
+			collect := func(m *Measure) {
 				merged := make([]*cache.Stats, len(cfgs))
 				for i, c := range cfgs {
 					merged[i] = cache.NewStats(c)
@@ -180,6 +190,11 @@ var sinkGroups = func() []sinkGroup {
 					file(m, size, merged[i])
 				}
 			}
+			return sims{fetch: sinks, collect: collect, reset: func() {
+				for _, f := range fams {
+					f.Reset()
+				}
+			}}
 		}})
 	}
 	for _, line := range LineSizes {
@@ -215,32 +230,37 @@ var sinkGroups = func() []sinkGroup {
 	fourWay("Kern4W", sinkKern4W, kernStream, 0, func(m *Measure, size int, st *cache.Stats) { put(&m.Kern4W, size, st) })
 
 	// single is a group of one sink that keeps the CPUs apart itself, or
-	// does not tell them apart.
-	single := func(name string, in SinkSet, st stream, mk func() (trace.Sink, func(*Measure))) sinkGroup {
-		return sinkGroup{name, in, st, func(cpus int, _ SinkSet) ([]trace.Sink, trace.DataSink, func(*Measure)) {
-			s, collect := mk()
+	// does not tell them apart. mk returns the sink and the group's collect
+	// and reset.
+	single := func(name string, in SinkSet, st stream, mk func() (trace.Sink, func(*Measure), func())) sinkGroup {
+		return sinkGroup{name, in, st, func(cpus int, _ SinkSet) sims {
+			s, collect, reset := mk()
 			sinks := make([]trace.Sink, cpus)
 			for i := range sinks {
 				sinks[i] = s
 			}
-			return sinks, nil, collect
+			return sims{fetch: sinks, collect: collect, reset: reset}
 		}}
 	}
 	// itlb is both iTLBs: one 64-entry LRU stack per CPU, whose hits below
 	// depth 48 are the 48-entry iTLB's misses beyond its own.
-	itlb := sinkGroup{"ITLB", SinkITLB, combStream, func(cpus int, _ SinkSet) ([]trace.Sink, trace.DataSink, func(*Measure)) {
+	itlb := sinkGroup{"ITLB", SinkITLB, combStream, func(cpus int, _ SinkSet) sims {
 		tlbs, sinks := perCPU(cpus, func() *tlb.TLB { return tlb.New(64) })
-		return sinks, nil, func(m *Measure) {
+		return sims{fetch: sinks, collect: func(m *Measure) {
 			for _, one := range tlbs {
 				m.ITLB64 += one.Misses
 				m.ITLB48 += one.MissesAt(48)
 			}
-		}
+		}, reset: func() {
+			for _, one := range tlbs {
+				one.Reset()
+			}
+		}}
 	}}
 	// memory is an L1I per CPU whose misses feed the unified L2 of a memory
 	// system that also takes the data references.
 	memory := func(name string, in SinkSet, l1i cache.Config, sys mem.Config, file func(*Measure, *cache.Stats, mem.Stats)) sinkGroup {
-		return sinkGroup{name, in, combStream, func(cpus int, _ SinkSet) ([]trace.Sink, trace.DataSink, func(*Measure)) {
+		return sinkGroup{name, in, combStream, func(cpus int, _ SinkSet) sims {
 			sys := sys // builds run concurrently
 			sys.CPUs = cpus
 			ms := mem.NewSystem(sys)
@@ -248,32 +268,37 @@ var sinkGroups = func() []sinkGroup {
 			for cpu, ic := range l1is {
 				ic.OnMiss(func(lineAddr uint64, kernel bool) { ms.FetchMiss(lineAddr, cpu) })
 			}
-			return sinks, ms, func(m *Measure) {
+			return sims{fetch: sinks, data: ms, collect: func(m *Measure) {
 				merged := cache.NewStats(l1i)
 				for _, ic := range l1is {
 					ic.Finalize()
 					merged.Merge(ic.Stats())
 				}
 				file(m, merged, ms.Stats)
-			}
+			}, reset: func() {
+				ms.Reset()
+				for _, ic := range l1is {
+					ic.Reset() // keeps its miss callback into ms
+				}
+			}}
 		}}
 	}
 	return append(gs,
-		single("Seq", SinkSeq, appStream, func() (trace.Sink, func(*Measure)) {
+		single("Seq", SinkSeq, appStream, func() (trace.Sink, func(*Measure), func()) {
 			s := trace.NewSeqLen()
-			return s, func(m *Measure) { s.Flush(); m.Seq = s }
+			return s, func(m *Measure) { s.Flush(); m.Seq = s }, nil
 		}),
-		single("Foot", SinkFoot, appStream, func() (trace.Sink, func(*Measure)) {
+		single("Foot", SinkFoot, appStream, func() (trace.Sink, func(*Measure), func()) {
 			f := trace.NewFootprint(128)
-			return f, func(m *Measure) { m.Foot = f }
+			return f, func(m *Measure) { m.Foot = f }, nil
 		}),
-		single("AppRuns", SinkRuns, appStream, func() (trace.Sink, func(*Measure)) {
+		single("AppRuns", SinkRuns, appStream, func() (trace.Sink, func(*Measure), func()) {
 			c := &trace.Counter{}
-			return c, func(m *Measure) { m.AppRuns = *c }
+			return c, func(m *Measure) { m.AppRuns = *c }, func() { *c = trace.Counter{} }
 		}),
-		single("AllRuns", SinkRuns, combStream, func() (trace.Sink, func(*Measure)) {
+		single("AllRuns", SinkRuns, combStream, func() (trace.Sink, func(*Measure), func()) {
 			c := &trace.Counter{}
-			return c, func(m *Measure) { m.AllRuns = *c }
+			return c, func(m *Measure) { m.AllRuns = *c }, func() { *c = trace.Counter{} }
 		}),
 		itlb,
 		memory("Mem", SinkMem, cache.Config{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 2}, mem.DefaultConfig(0),

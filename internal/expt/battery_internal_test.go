@@ -2,6 +2,7 @@ package expt
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ func TestBatteryRejectsForeignCPU(t *testing.T) {
 	}
 	for _, set := range []SinkSet{SinkApp4W(64), SinkApp4W(64) | SinkApp4W(128), SinkAppDM, SinkITLB, SinkMem} {
 		cfg := machine.Config{CPUs: 2}
-		log, _ := attachBattery(&cfg, set)
+		log := attachBattery(&cfg, set)
 		if len(cfg.Sinks) != 1 || cfg.Sinks[0] != trace.Sink(log) {
 			t.Fatalf("set %#x attached %d fetch sinks, want the log alone", set, len(cfg.Sinks))
 		}
@@ -47,7 +48,7 @@ func TestBatteryRejectsForeignCPU(t *testing.T) {
 		}
 	}
 	cfg := machine.Config{CPUs: 2}
-	if log, _ := attachBattery(&cfg, NoSinks); log != nil || len(cfg.Sinks)+len(cfg.DataSinks) != 0 {
+	if log := attachBattery(&cfg, NoSinks); log != nil || len(cfg.Sinks)+len(cfg.DataSinks) != 0 {
 		t.Errorf("the empty set attached %d sinks", len(cfg.Sinks)+len(cfg.DataSinks))
 	}
 }
@@ -92,22 +93,94 @@ type boomSink struct{}
 
 func (boomSink) Fetch(trace.FetchRun) { panic("boom in a simulator") }
 
+// TestRecycledBatteryMatchesFresh: a run on a recycled battery reads what a
+// run on a new one reads. One process measures TPC-B under base, fusion, all
+// and base again with the full battery, then with App4W(64)|Mem, then with
+// the full battery again, on one CPU and then on two, so that most runs take
+// the battery the run before them of the same shape reset and put back. Each
+// Measure must equal the Measure of its layout, set and CPUs taken on a
+// battery built for that one run and never reset or reused (measureSynchronous
+// builds its own, and TestBatteryMatchesSynchronous holds MeasureConfig on a
+// new battery to it); and once every run is done, each Measure returned along
+// the way must still equal it: no later reset or run, though it reused the
+// simulators, wrote into a result handed out before it.
+func TestRecycledBatteryMatchesFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation in -short mode")
+	}
+	s := tinySession(t, tpcb.NewScaled(tpcb.Scale{Branches: 4, TellersPerBranch: 4, AccountsPerBranch: 150}), nil)
+	type key struct {
+		layout string
+		set    SinkSet
+		cpus   int
+	}
+	measure := func(k key, with func(machine.Config, SinkSet) (*Measure, error)) *Measure {
+		t.Helper()
+		cfg, err := s.machineConfig(k.layout, "kbase", k.cpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := with(cfg, k.set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	recycling := func(cfg machine.Config, set SinkSet) (*Measure, error) { return MeasureConfig(cfg, set, "the run") }
+	var order []key
+	for _, cpus := range []int{1, 2} {
+		for _, set := range []SinkSet{AllSinks, SinkApp4W(64) | SinkMem, AllSinks} {
+			for _, layout := range []string{"base", "fusion", "all", "base"} {
+				order = append(order, key{layout, set, cpus})
+			}
+		}
+	}
+	fresh := map[key]*Measure{}
+	for _, k := range order {
+		if fresh[k] == nil {
+			fresh[k] = measure(k, measureSynchronous)
+		}
+	}
+	got := make([]*Measure, len(order))
+	recycled := 0
+	for i, k := range order {
+		pool := poolOf(shape{k.cpus, k.set})
+		if b := pool.Get(); b != nil {
+			recycled++
+			pool.Put(b)
+		}
+		if got[i] = measure(k, recycling); !reflect.DeepEqual(got[i], fresh[k]) {
+			t.Errorf("run %d %+v on a recycled battery reads something else than on a new one\n got %+v\nwant %+v", i, k, got[i], fresh[k])
+		}
+	}
+	if recycled == 0 {
+		t.Errorf("none of %d runs found a battery to recycle", len(order))
+	}
+	for i, k := range order {
+		if !reflect.DeepEqual(got[i], fresh[k]) {
+			t.Errorf("run %d %+v: its Measure changed after later runs reused its battery", i, k)
+		}
+	}
+}
+
 // TestBatteryLeavesNoGoroutine: the lanes live inside MeasureConfig. However
 // the run ends — measured, refused by machine.New, a process panic, a failed
 // invariant audit, a simulator panicking on its lane — the call returns (a
 // hang fails the test's timeout), every failure is an error naming the run,
-// and no goroutine is left behind.
+// and no goroutine is left behind. A failed run drops its battery, whatever
+// its lanes left in it: after each failure, a run of the measured case's
+// shape reads exactly what the measured case read.
 func TestBatteryLeavesNoGoroutine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
 	const boomBit = AllSinks + 1
-	sinkGroups = append(sinkGroups, sinkGroup{"boom", boomBit, combStream, func(cpus int, _ SinkSet) ([]trace.Sink, trace.DataSink, func(*Measure)) {
+	sinkGroups = append(sinkGroups, sinkGroup{"boom", boomBit, combStream, func(cpus int, _ SinkSet) sims {
 		sinks := make([]trace.Sink, cpus)
 		for i := range sinks {
 			sinks[i] = boomSink{}
 		}
-		return sinks, nil, func(*Measure) {}
+		return sims{fetch: sinks, collect: func(*Measure) {}}
 	}})
 	defer func() { sinkGroups = sinkGroups[:len(sinkGroups)-1] }()
 
@@ -137,6 +210,7 @@ func TestBatteryLeavesNoGoroutine(t *testing.T) {
 			"a balance is off"},
 		{"lane panic", base, AllSinks | boomBit, "expt: measuring the run: sink group boom panicked: boom in a simulator"},
 	}
+	var measured *Measure
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
@@ -146,6 +220,18 @@ func TestBatteryLeavesNoGoroutine(t *testing.T) {
 				t.Fatalf("measure %+v, error %v", m, err)
 			case tc.wantErr != "" && (m != nil || err == nil || !strings.Contains(err.Error(), tc.wantErr)):
 				t.Fatalf("measure %v, error %v; want an error containing %q", m, err, tc.wantErr)
+			case tc.wantErr == "":
+				measured = m
+			case measured == nil:
+				t.Fatal("the measured case failed")
+			default:
+				again, err := MeasureConfig(base, AllSinks, "the run again")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(again, measured) {
+					t.Errorf("the run after the failure reads something else than the measured case\n got %+v\nwant %+v", again, measured)
+				}
 			}
 			// close waited for every lane's last statement; the runtime may
 			// take a moment more to retire the goroutine itself.

@@ -35,12 +35,12 @@ func measureSynchronous(cfg machine.Config, set SinkSet) (*Measure, error) {
 		if g.in&set == 0 {
 			continue
 		}
-		fetch, data, c := g.build(cfg.CPUs, set)
-		tees[g.stream] = append(tees[g.stream], byCPU(fetch))
-		if data != nil {
-			cfg.DataSinks = append(cfg.DataSinks, data)
+		s := g.build(cfg.CPUs, set)
+		tees[g.stream] = append(tees[g.stream], byCPU(s.fetch))
+		if s.data != nil {
+			cfg.DataSinks = append(cfg.DataSinks, s.data)
 		}
-		collect = append(collect, c)
+		collect = append(collect, s.collect)
 	}
 	for st, tee := range tees {
 		if len(tee) > 0 {

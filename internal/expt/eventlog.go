@@ -57,10 +57,43 @@ type chunk struct {
 // only read a chunk; the last to finish returns it to the free set.
 type eventLog struct {
 	cpus    int
+	bat     *battery
+	pool    *sync.Pool // where bat goes back to
 	cur     *chunk
 	free    chan *chunk
 	lanes   []*lane
 	running sync.WaitGroup
+}
+
+// battery is what a measured run attaches for its shape — the simulators of
+// each group of its set, in sinkGroups order, and the chunks of its log —
+// kept for the next run of the same shape.
+type battery struct {
+	groups []sims
+	chunks [logChunks]*chunk
+}
+
+// shape is what a battery is built for: the CPUs it keeps apart and the set
+// of groups it holds.
+type shape struct {
+	cpus int
+	set  SinkSet
+}
+
+// batteries holds finished batteries for reuse, one sync.Pool per shape: a
+// run takes one (or builds one) and, once it has succeeded and its Measure
+// holds every result, resets it and puts it back. A pool keeps what it holds
+// only until the GC empties it, so a process that stops measuring keeps no
+// battery.
+var batteries sync.Map // shape → *sync.Pool
+
+// poolOf returns the pool of batteries of shape k.
+func poolOf(k shape) *sync.Pool {
+	if p, ok := batteries.Load(k); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := batteries.LoadOrStore(k, new(sync.Pool))
+	return p.(*sync.Pool)
 }
 
 // lane is one sink group's goroutine: it sees every chunk in the order the
@@ -82,37 +115,55 @@ type lane struct {
 	err  error // the group's first panic; read once the lane has exited
 }
 
-// attachBattery builds the groups of set for the machine cfg describes — the
-// one place the battery is sized, from cfg.CPUs — starts a lane for each,
-// attaches their log as cfg's only sink and returns it with the groups'
-// collectors, which may run once the caller has closed the log. The empty set
-// attaches nothing and returns a nil log.
-func attachBattery(cfg *machine.Config, set SinkSet) (*eventLog, []func(*Measure)) {
-	l := &eventLog{cpus: cfg.CPUs}
-	var collectors []func(*Measure)
+// attachBattery readies the groups of set for the machine cfg describes —
+// the one place the battery is sized, from cfg.CPUs — taking the battery of
+// an earlier run of the same shape if one is pooled and building what it
+// lacks, starts a lane for each group, and attaches their log as cfg's only
+// sink. Once the caller has closed the log, file files the groups' results.
+// The empty set attaches nothing and returns a nil log.
+func attachBattery(cfg *machine.Config, set SinkSet) *eventLog {
+	groups := 0
+	for _, g := range sinkGroups {
+		if g.in&set != 0 {
+			groups++
+		}
+	}
+	if groups == 0 {
+		return nil
+	}
+	l := &eventLog{cpus: cfg.CPUs, pool: poolOf(shape{cfg.CPUs, set})}
+	l.bat, _ = l.pool.Get().(*battery)
+	if l.bat == nil {
+		l.bat = &battery{groups: make([]sims, groups)}
+		for i := range l.bat.chunks {
+			l.bat.chunks[i] = new(chunk)
+		}
+	}
 	anyData := false
+	i := 0
 	for _, g := range sinkGroups {
 		if g.in&set == 0 {
 			continue
 		}
-		fetch, data, collect := g.build(cfg.CPUs, set)
+		s := &l.bat.groups[i]
+		i++
+		if s.collect == nil { // a new battery, or a group built for every run
+			*s = g.build(cfg.CPUs, set)
+		}
 		t := fetchTest[g.stream]
 		l.lanes = append(l.lanes, &lane{
-			group: g.name, mask: t.mask, want: t.want, fetch: fetch, data: data,
-			fams: every[*cache.Family](fetch), l1is: every[*cache.ICache](fetch),
+			group: g.name, mask: t.mask, want: t.want, fetch: s.fetch, data: s.data,
+			fams: every[*cache.Family](s.fetch), l1is: every[*cache.ICache](s.fetch),
 			in: make(chan *chunk, logChunks), // every chunk in circulation fits: a hand-off never blocks
 		})
-		collectors = append(collectors, collect)
-		anyData = anyData || data != nil
-	}
-	if len(l.lanes) == 0 {
-		return nil, nil
+		anyData = anyData || s.data != nil
 	}
 	l.free = make(chan *chunk, logChunks) // likewise: a lane never blocks returning one
-	for i := 1; i < logChunks; i++ {
-		l.free <- new(chunk)
+	for _, c := range l.bat.chunks[1:] {
+		l.free <- c
 	}
-	l.cur = new(chunk)
+	l.cur = l.bat.chunks[0]
+	l.cur.n = 0
 	for _, ln := range l.lanes {
 		l.running.Add(1)
 		go func() {
@@ -133,7 +184,29 @@ func attachBattery(cfg *machine.Config, set SinkSet) (*eventLog, []func(*Measure
 	if anyData {
 		cfg.DataSinks = append(cfg.DataSinks, l)
 	}
-	return l, collectors
+	return l
+}
+
+// file runs every group's collector on m, then resets the battery and puts
+// it back in its pool: the simulators are the next run's only once m holds
+// all they produced. Call it only after a closed log's run succeeded; a
+// failed run drops its battery, whatever state its lanes left it in. A nil
+// log (the empty set) files nothing.
+func (l *eventLog) file(m *Measure) {
+	if l == nil {
+		return
+	}
+	for _, s := range l.bat.groups {
+		s.collect(m)
+	}
+	for i, s := range l.bat.groups {
+		if s.reset == nil {
+			l.bat.groups[i] = sims{} // m holds them: built again next run
+		} else {
+			s.reset()
+		}
+	}
+	l.pool.Put(l.bat)
 }
 
 // Fetch implements trace.Sink.

@@ -433,16 +433,17 @@ func (s *Session) MeasureKern(layout, kern string, cpus int) (*Measure, error) {
 	})
 }
 
-// MeasureConfig is the tail every measurement shares: attach a fresh battery
-// of the sink groups in set to cfg, run the machine, audit the workload's
-// invariants after drain-to-quiescence — a measurement of a run that
-// corrupted the database is not a measurement — and collect the battery into
-// a Measure. The battery's lanes live inside the call: however the run ends,
-// the log is closed and every lane has exited before it returns. what names
-// the run in errors. It is exported for a caller that edits the config a
+// MeasureConfig is the tail every measurement shares: attach a battery of
+// the sink groups in set to cfg — new, or reset by an earlier run of the same
+// CPUs and set — run the machine, audit the workload's invariants after
+// drain-to-quiescence — a measurement of a run that corrupted the database is
+// not a measurement — and collect the battery into a Measure. The battery's
+// lanes live inside the call: however the run ends, the log is closed and
+// every lane has exited before it returns. Only a run that succeeded leaves
+// its battery for the next one. what names the run in errors. It is exported for a caller that edits the config a
 // session lowered (oltpbench's -layout file and -reopt) before measuring it.
 func MeasureConfig(cfg machine.Config, set SinkSet, what string) (*Measure, error) {
-	log, collect := attachBattery(&cfg, set)
+	log := attachBattery(&cfg, set)
 	mach, err := machine.New(cfg)
 	if err != nil {
 		log.close() // the lanes saw no event: they have no failure to report
@@ -459,9 +460,7 @@ func MeasureConfig(cfg machine.Config, set SinkSet, what string) (*Measure, erro
 		return nil, fmt.Errorf("expt: measuring %s: %w", what, err)
 	}
 	meas := &Measure{Res: res, Sinks: set, Latency: mach.LatencyByKind(), GCWindows: mach.GroupCommitWindows()}
-	for _, c := range collect {
-		c(meas)
-	}
+	log.file(meas)
 	return meas, nil
 }
 

@@ -81,8 +81,9 @@ type System struct {
 	// since the last invalidation. Together they form a minimal
 	// memory-side directory for classifying communication misses and for
 	// invalidating remote copies on writes. Both grow with the lines a run
-	// touches and are not presized: a figure measurement builds a system
-	// per group, and sizing each for 64 K lines doubled what it allocated.
+	// touches and are not presized (sizing each for 64 K lines doubled what
+	// a measurement allocated); Reset empties them and keeps what they grew
+	// to, so a reused system stops growing after its first run.
 	writer map[uint64]uint8
 	share  map[uint64]uint64
 	Stats  Stats
@@ -108,6 +109,18 @@ func NewSystem(cfg Config) *System {
 		s.l2 = append(s.l2, cache.New(l2))
 	}
 	return s
+}
+
+// Reset empties every cache and the directory and zeroes Stats, leaving s
+// equal to what NewSystem returns for its config.
+func (s *System) Reset() {
+	for cpu := range s.l1d {
+		s.l1d[cpu].Reset()
+		s.l2[cpu].Reset()
+	}
+	clear(s.writer)
+	clear(s.share)
+	s.Stats = Stats{}
 }
 
 // FetchMiss feeds an L1 instruction-cache miss into the unified L2 of the

@@ -1,6 +1,7 @@
 package mem_test
 
 import (
+	"reflect"
 	"testing"
 
 	"codelayout/internal/mem"
@@ -87,6 +88,33 @@ func TestWriteBySameCPUDoesNotInvalidate(t *testing.T) {
 	s.Data(dref(0, addr, 8, true))
 	if s.Stats.CommWrite != 0 || s.Stats.Invalidations != 0 {
 		t.Fatalf("self writes caused coherence traffic: %+v", s.Stats)
+	}
+}
+
+// TestResetForgetsTheRun: after Reset the system equals a new one — caches
+// empty, Stats zero, the sharing directory empty — so a write to a line
+// another CPU wrote before the reset is a first write, not a CommWrite, and a
+// read of a line cached before it misses.
+func TestResetForgetsTheRun(t *testing.T) {
+	s := mem.NewSystem(smallConfig(2))
+	s.Data(dref(0, 0x4000, 8, true))
+	s.Data(dref(1, 0x4000, 8, true))
+	s.Data(dref(1, 0x8000, 8, false))
+	s.FetchMiss(0x2000, 0)
+	if s.Stats.CommWrite != 1 {
+		t.Fatalf("before the reset: %d comm writes, want 1", s.Stats.CommWrite)
+	}
+	s.Reset()
+	if s.Stats != (mem.Stats{}) {
+		t.Fatalf("Stats after Reset: %+v", s.Stats)
+	}
+	if !reflect.DeepEqual(s, mem.NewSystem(smallConfig(2))) {
+		t.Fatal("a reset system differs from a new one")
+	}
+	s.Data(dref(0, 0x4000, 8, true))
+	s.Data(dref(1, 0x8000, 8, false))
+	if want := (mem.Stats{L1DAccesses: 2, L1DMisses: 2, L2Accesses: [2]uint64{0, 2}, L2Misses: [2]uint64{0, 2}}); s.Stats != want {
+		t.Fatalf("after Reset: %+v, want %+v", s.Stats, want)
 	}
 }
 

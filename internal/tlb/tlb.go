@@ -28,6 +28,14 @@ func New(entries int) *TLB {
 	return &TLB{stack: make([]uint64, entries), depth: make([]uint64, entries)}
 }
 
+// Reset empties t and zeroes its counts, leaving it equal to what New
+// returns for its size.
+func (t *TLB) Reset() {
+	t.Accesses, t.Misses = 0, 0
+	clear(t.stack)
+	clear(t.depth)
+}
+
 // Fetch implements trace.Sink: every page the run touches is translated.
 // A repeat access to the most recently used page — the common case — is a
 // hit that leaves the stack as it is, so it skips the search.

@@ -3,6 +3,7 @@ package tlb_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"codelayout/internal/isa"
@@ -202,25 +203,47 @@ func TestTLBMatchesReferenceList(t *testing.T) {
 // FuzzTLB: for any TLB size and any runs — three bytes each: a page among 64,
 // an offset into it, and a length of up to 251 words or of several pages —
 // the TLB agrees after every run with a reference list of every size up to
-// its own.
+// its own. A second TLB, reset after as many quarters of the runs as the top
+// two bits of size say, equals a new one then, and again once both have
+// taken the runs after the reset.
 func FuzzTLB(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 0, 1, 1, 0, 1, 2, 0, 1, 0, 0, 1, 3, 0, 1, 2, 0, 1})
 	f.Add(uint8(0), []byte{5, 255, 200, 5, 255, 255, 6, 0, 1})
 	f.Add(uint8(63), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1, 2, 3, 60, 61, 62, 63, 0, 252})
+	f.Add(uint8(3<<6|3), []byte{0, 0, 1, 1, 0, 1, 2, 0, 1, 0, 0, 1, 3, 0, 1, 2, 0, 1}) // reset after the hit on page 0
 	f.Fuzz(func(t *testing.T, size uint8, data []byte) {
 		entries := 1 + int(size)%64
-		tb, refs := tlb.New(entries), newRefSizes(entries)
+		var runs []trace.FetchRun
 		for i := 0; i+3 <= len(data) && i < 3*512; i += 3 {
 			words := int32(data[i+2]) + 1
 			if data[i+2] > 251 {
 				words = int32(data[i+2]-251) * isa.PageBytes / isa.WordBytes
 			}
-			r := trace.FetchRun{Addr: uint64(data[i]%64)*isa.PageBytes + uint64(data[i+1])*isa.PageBytes/256, Words: words}
+			runs = append(runs, trace.FetchRun{Addr: uint64(data[i]%64)*isa.PageBytes + uint64(data[i+1])*isa.PageBytes/256, Words: words})
+		}
+		tb, refs := tlb.New(entries), newRefSizes(entries)
+		for i, r := range runs {
 			tb.Fetch(r)
 			refs.fetch(r)
 			if err := refs.check(tb); err != nil {
-				t.Fatalf("run %d %+v: %v", i/3, r, err)
+				t.Fatalf("run %d %+v: %v", i, r, err)
 			}
+		}
+		cut := len(runs) * int(size>>6) / 4
+		used, fresh := tlb.New(entries), tlb.New(entries)
+		for _, r := range runs[:cut] {
+			used.Fetch(r)
+		}
+		used.Reset()
+		if !reflect.DeepEqual(used, fresh) {
+			t.Fatalf("reset after %d of %d runs: %+v, a new TLB %+v", cut, len(runs), used, fresh)
+		}
+		for _, r := range runs[cut:] {
+			used.Fetch(r)
+			fresh.Fetch(r)
+		}
+		if !reflect.DeepEqual(used, fresh) {
+			t.Fatalf("reset after %d of %d runs: the rest reads %+v, on a new TLB %+v", cut, len(runs), used, fresh)
 		}
 	})
 }
