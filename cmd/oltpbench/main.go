@@ -30,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -95,7 +96,9 @@ func main() {
 		fmt.Printf("optimized with:   %q (%s)\n", layout, spec)
 	}
 	if f.LayoutFile != "" {
-		if cfg.AppLayout, err = program.LoadLayoutFile(f.LayoutFile, app.Prog); err != nil {
+		if cfg.AppLayout, err = program.ReadFile(f.LayoutFile, func(r io.Reader) (*program.Layout, error) {
+			return program.LoadLayout(r, app.Prog)
+		}); err != nil {
 			fatal(err)
 		}
 	}
@@ -114,7 +117,7 @@ func main() {
 		}
 	}
 
-	m, err := expt.MeasureConfig(cfg, expt.SinkComb4W(64)|expt.SinkSeq, "the run")
+	m, err := s.MeasureConfig(cfg, expt.SinkComb4W(64)|expt.SinkSeq, "the run")
 	if err != nil {
 		fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 
 	"codelayout/internal/expt"
+	"codelayout/internal/program"
 )
 
 func main() {
@@ -37,7 +38,7 @@ func main() {
 	}
 	app, kern := s.AppImage(), s.KernelImage()
 	appPath := filepath.Join(*out, "app.prog")
-	if err := app.Prog.SaveFile(appPath); err != nil {
+	if err := program.WriteFile(appPath, app.Prog.Encode); err != nil {
 		fatal(err)
 	}
 	st := app.Prog.ComputeStats()
@@ -49,7 +50,7 @@ func main() {
 		appPath, label, st.Procs, st.ColdProcs, st.Blocks, float64(st.BodyWords*4)/(1<<20))
 
 	kernPath := filepath.Join(*out, "kernel.prog")
-	if err := kern.Prog.SaveFile(kernPath); err != nil {
+	if err := program.WriteFile(kernPath, kern.Prog.Encode); err != nil {
 		fatal(err)
 	}
 	kst := kern.Prog.ComputeStats()

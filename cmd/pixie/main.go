@@ -21,6 +21,7 @@ import (
 	"os"
 
 	"codelayout/internal/expt"
+	"codelayout/internal/program"
 )
 
 func main() {
@@ -45,7 +46,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := prof.SaveFile(*out); err != nil {
+	if err := program.WriteFile(*out, prof.Encode); err != nil {
 		fatal(err)
 	}
 	train := f.Opt.Workload
@@ -59,7 +60,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := kprof.SaveFile(*kout); err != nil {
+		if err := program.WriteFile(*kout, kprof.Encode); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote kernel profile %s\n", *kout)

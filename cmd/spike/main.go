@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -46,19 +47,19 @@ func main() {
 	)
 	flag.Parse()
 	if *list {
-		for _, line := range core.PassListing() {
-			fmt.Println(line)
+		for _, d := range core.PassDocs() {
+			fmt.Printf("%-12s %s\n", d.Name, d.Doc)
 		}
 		return
 	}
 	if *progPath == "" || *profPath == "" {
 		fatal(fmt.Errorf("need -prog and -profile"))
 	}
-	p, err := program.LoadFile(*progPath)
+	p, err := program.ReadFile(*progPath, program.ReadProgram)
 	if err != nil {
 		fatal(err)
 	}
-	pf, err := profile.LoadFile(*profPath)
+	pf, err := program.ReadFile(*profPath, profile.Read)
 	if err != nil {
 		fatal(err)
 	}
@@ -103,7 +104,7 @@ func main() {
 		float64(base.TotalBytes())/(1<<20), float64(l.TotalBytes())/(1<<20),
 		float64(l.PadWords*isa.WordBytes)/1024, l.LongBranches)
 	if *out != "" {
-		if err := program.SaveLayoutFile(*out, l); err != nil {
+		if err := program.WriteFile(*out, func(w io.Writer) error { return program.SaveLayout(w, l) }); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *out)

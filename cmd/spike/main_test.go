@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -34,10 +35,10 @@ func TestBaseComboIsTheSessionBase(t *testing.T) {
 	}
 	dir := t.TempDir()
 	progPath, profPath, out := filepath.Join(dir, "app.prog"), filepath.Join(dir, "app.prof"), filepath.Join(dir, "base.layout")
-	if err := prog.SaveFile(progPath); err != nil {
+	if err := program.WriteFile(progPath, prog.Encode); err != nil {
 		t.Fatal(err)
 	}
-	if err := pf.SaveFile(profPath); err != nil {
+	if err := program.WriteFile(profPath, pf.Encode); err != nil {
 		t.Fatal(err)
 	}
 
@@ -47,7 +48,7 @@ func TestBaseComboIsTheSessionBase(t *testing.T) {
 	flag.CommandLine = flag.NewFlagSet("spike", flag.ExitOnError)
 	main()
 
-	got, err := program.LoadLayoutFile(out, prog)
+	got, err := program.ReadFile(out, func(r io.Reader) (*program.Layout, error) { return program.LoadLayout(r, prog) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +99,10 @@ func TestForeignProfileIsAnError(t *testing.T) {
 	}
 	dir := t.TempDir()
 	progPath, profPath := filepath.Join(dir, "app.prog"), filepath.Join(dir, "other.prof")
-	if err := session(0.2, 100_000).AppImage().Prog.SaveFile(progPath); err != nil {
+	if err := program.WriteFile(progPath, session(0.2, 100_000).AppImage().Prog.Encode); err != nil {
 		t.Fatal(err)
 	}
-	if err := pf.SaveFile(profPath); err != nil {
+	if err := program.WriteFile(profPath, pf.Encode); err != nil {
 		t.Fatal(err)
 	}
 

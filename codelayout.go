@@ -83,12 +83,6 @@ func ParsePipeline(spec string) (Pipeline, error) { return core.ParsePipeline(sp
 // "name:arg".
 func RegisterPass(name string, f PassFactory) error { return core.RegisterPass(name, f) }
 
-// RegisterPassDoc is RegisterPass with a one-line description shown by
-// spike -list-passes.
-func RegisterPassDoc(name, doc string, f PassFactory) error {
-	return core.RegisterPassDoc(name, doc, f)
-}
-
 // RegisteredPasses lists the registered pass names, sorted.
 func RegisteredPasses() []string { return core.RegisteredPasses() }
 

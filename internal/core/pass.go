@@ -217,18 +217,6 @@ func PassDocs() []PassDoc {
 	return docs
 }
 
-// PassListing renders one "name  description" line per registered pass,
-// sorted by name — the menu spike -list-passes prints and UnknownPassError
-// embeds, so the two listings can never drift apart.
-func PassListing() []string {
-	docs := PassDocs()
-	lines := make([]string, len(docs))
-	for i, d := range docs {
-		lines[i] = fmt.Sprintf("%-12s %s", d.Name, d.Doc)
-	}
-	return lines
-}
-
 // UnknownPassError reports a pipeline spec naming a pass that is not in the
 // registry, carrying the valid names so callers fail fast with the full menu
 // (mirroring layoutlab's unknown -table error).

@@ -48,21 +48,6 @@ func TestUnknownPassTypedError(t *testing.T) {
 	}
 }
 
-// TestPassListingMatchesDocs keeps the shared listing (spike -list-passes,
-// UnknownPassError) aligned with the registry docs.
-func TestPassListingMatchesDocs(t *testing.T) {
-	lines := core.PassListing()
-	docs := core.PassDocs()
-	if len(lines) != len(docs) {
-		t.Fatalf("%d listing lines for %d registered passes", len(lines), len(docs))
-	}
-	for i, d := range docs {
-		if !strings.HasPrefix(lines[i], d.Name) || !strings.Contains(lines[i], d.Doc) {
-			t.Errorf("listing line %q does not render pass %q (%q)", lines[i], d.Name, d.Doc)
-		}
-	}
-}
-
 // TestParameterizedThresholds checks the new pass parameters actually bite:
 // a high hotcold@N threshold marks fewer units hot, and a high ipchain:N
 // merge threshold leaves more units unmerged than the classic

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func TestBatteryRejectsForeignCPU(t *testing.T) {
 	}
 	for _, set := range []SinkSet{SinkApp4W(64), SinkApp4W(64) | SinkApp4W(128), SinkAppDM, SinkITLB, SinkMem} {
 		cfg := machine.Config{CPUs: 2}
-		log := attachBattery(&cfg, set)
+		log := attachBattery(&cfg, set, new(batteryList))
 		if len(cfg.Sinks) != 1 || cfg.Sinks[0] != trace.Sink(log) {
 			t.Fatalf("set %#x attached %d fetch sinks, want the log alone", set, len(cfg.Sinks))
 		}
@@ -48,7 +49,7 @@ func TestBatteryRejectsForeignCPU(t *testing.T) {
 		}
 	}
 	cfg := machine.Config{CPUs: 2}
-	if log := attachBattery(&cfg, NoSinks); log != nil || len(cfg.Sinks)+len(cfg.DataSinks) != 0 {
+	if log := attachBattery(&cfg, NoSinks, new(batteryList)); log != nil || len(cfg.Sinks)+len(cfg.DataSinks) != 0 {
 		t.Errorf("the empty set attached %d sinks", len(cfg.Sinks)+len(cfg.DataSinks))
 	}
 }
@@ -93,28 +94,40 @@ type boomSink struct{}
 
 func (boomSink) Fetch(trace.FetchRun) { panic("boom in a simulator") }
 
+// onList returns the batteries of shape k that s's source holds for reuse.
+func onList(s *Session, k shape) []*battery {
+	bl := &s.src.batteries
+	bl.mu.Lock()
+	defer bl.mu.Unlock()
+	return slices.Clone(bl.free[k])
+}
+
 // TestRecycledBatteryMatchesFresh: a run on a recycled battery reads what a
 // run on a new one reads. One process measures TPC-B under base, fusion, all
 // and base again with the full battery, then with App4W(64)|Mem, then with
-// the full battery again, on one CPU and then on two, so that most runs take
-// the battery the run before them of the same shape reset and put back. Each
-// Measure must equal the Measure of its layout, set and CPUs taken on a
-// battery built for that one run and never reset or reused (measureSynchronous
-// builds its own, and TestBatteryMatchesSynchronous holds MeasureConfig on a
-// new battery to it); and once every run is done, each Measure returned along
-// the way must still equal it: no later reset or run, though it reused the
-// simulators, wrote into a result handed out before it.
+// the full battery again, on one CPU and then on two, so that every run but
+// the first of each shape takes the battery the run before it of the same
+// shape reset and put back: after each run the source holds exactly one
+// battery of its shape, the same one every time. Each Measure must equal the
+// Measure of its layout, set and CPUs taken on a battery built for that one
+// run and never reset or reused (measureSynchronous builds its own, and
+// TestBatteryMatchesSynchronous holds MeasureConfig on a new battery to it);
+// and once every run is done, each Measure returned along the way must still
+// equal it: no later reset or run, though it reused the simulators, wrote
+// into a result handed out before it. A second source builds its own
+// battery, and a two-worker batch leaves at most two of a shape.
 func TestRecycledBatteryMatchesFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
-	s := tinySession(t, tpcb.NewScaled(tpcb.Scale{Branches: 4, TellersPerBranch: 4, AccountsPerBranch: 150}), nil)
+	wl := tpcb.NewScaled(tpcb.Scale{Branches: 4, TellersPerBranch: 4, AccountsPerBranch: 150})
+	s := tinySession(t, wl, nil)
 	type key struct {
 		layout string
 		set    SinkSet
 		cpus   int
 	}
-	measure := func(k key, with func(machine.Config, SinkSet) (*Measure, error)) *Measure {
+	measure := func(s *Session, k key, with func(machine.Config, SinkSet) (*Measure, error)) *Measure {
 		t.Helper()
 		cfg, err := s.machineConfig(k.layout, "kbase", k.cpus)
 		if err != nil {
@@ -126,7 +139,7 @@ func TestRecycledBatteryMatchesFresh(t *testing.T) {
 		}
 		return m
 	}
-	recycling := func(cfg machine.Config, set SinkSet) (*Measure, error) { return MeasureConfig(cfg, set, "the run") }
+	recycling := func(cfg machine.Config, set SinkSet) (*Measure, error) { return s.MeasureConfig(cfg, set, "the run") }
 	var order []key
 	for _, cpus := range []int{1, 2} {
 		for _, set := range []SinkSet{AllSinks, SinkApp4W(64) | SinkMem, AllSinks} {
@@ -138,28 +151,49 @@ func TestRecycledBatteryMatchesFresh(t *testing.T) {
 	fresh := map[key]*Measure{}
 	for _, k := range order {
 		if fresh[k] == nil {
-			fresh[k] = measure(k, measureSynchronous)
+			fresh[k] = measure(s, k, measureSynchronous)
 		}
 	}
 	got := make([]*Measure, len(order))
-	recycled := 0
+	kept := map[shape]*battery{}
 	for i, k := range order {
-		pool := poolOf(shape{k.cpus, k.set})
-		if b := pool.Get(); b != nil {
-			recycled++
-			pool.Put(b)
-		}
-		if got[i] = measure(k, recycling); !reflect.DeepEqual(got[i], fresh[k]) {
+		if got[i] = measure(s, k, recycling); !reflect.DeepEqual(got[i], fresh[k]) {
 			t.Errorf("run %d %+v on a recycled battery reads something else than on a new one\n got %+v\nwant %+v", i, k, got[i], fresh[k])
 		}
-	}
-	if recycled == 0 {
-		t.Errorf("none of %d runs found a battery to recycle", len(order))
+		sh := shape{k.cpus, k.set}
+		list := onList(s, sh)
+		if len(list) != 1 {
+			t.Fatalf("run %d %+v left %d batteries of its shape on the list, want 1", i, k, len(list))
+		}
+		if kept[sh] == nil {
+			kept[sh] = list[0]
+		} else if list[0] != kept[sh] {
+			t.Errorf("run %d %+v built a battery although the list held one of its shape", i, k)
+		}
 	}
 	for i, k := range order {
 		if !reflect.DeepEqual(got[i], fresh[k]) {
 			t.Errorf("run %d %+v: its Measure changed after later runs reused its battery", i, k)
 		}
+	}
+
+	other := tinySession(t, wl, nil)
+	k := key{"base", AllSinks, 2}
+	if m := measure(other, k, func(cfg machine.Config, set SinkSet) (*Measure, error) {
+		return other.MeasureConfig(cfg, set, "the run")
+	}); !reflect.DeepEqual(m, fresh[k]) {
+		t.Errorf("a second source's run reads something else than a new battery\n got %+v\nwant %+v", m, fresh[k])
+	}
+	if list := onList(other, shape{k.cpus, k.set}); len(list) != 1 || list[0] == kept[shape{k.cpus, k.set}] {
+		t.Errorf("a second source holds %d batteries of the shape after one run, or shares the first's", len(list))
+	}
+
+	batch := tinySession(t, wl, nil)
+	if err := batch.MeasureBatch([]string{"base", "fusion", "all", "ipchain"}, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(onList(batch, shape{2, AllSinks})); n < 1 || n > 2 {
+		t.Errorf("a two-worker batch left %d batteries of its shape, want 1 or 2", n)
 	}
 }
 
@@ -168,8 +202,9 @@ func TestRecycledBatteryMatchesFresh(t *testing.T) {
 // invariant audit, a simulator panicking on its lane — the call returns (a
 // hang fails the test's timeout), every failure is an error naming the run,
 // and no goroutine is left behind. A failed run drops its battery, whatever
-// its lanes left in it: after each failure, a run of the measured case's
-// shape reads exactly what the measured case read.
+// its lanes left in it: it leaves nothing of its shape on the list, and a run
+// of the measured case's shape after it reads exactly what the measured case
+// read.
 func TestBatteryLeavesNoGoroutine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
@@ -214,7 +249,7 @@ func TestBatteryLeavesNoGoroutine(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			m, err := MeasureConfig(tc.cfg, tc.set, "the run")
+			m, err := s.MeasureConfig(tc.cfg, tc.set, "the run")
 			switch {
 			case tc.wantErr == "" && (err != nil || m.Res.Committed != uint64(s.Opt.Transactions)):
 				t.Fatalf("measure %+v, error %v", m, err)
@@ -225,7 +260,10 @@ func TestBatteryLeavesNoGoroutine(t *testing.T) {
 			case measured == nil:
 				t.Fatal("the measured case failed")
 			default:
-				again, err := MeasureConfig(base, AllSinks, "the run again")
+				if n := len(onList(s, shape{tc.cfg.CPUs, tc.set})); n != 0 {
+					t.Errorf("the failed run left %d batteries of its shape on the list", n)
+				}
+				again, err := s.MeasureConfig(base, AllSinks, "the run again")
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -133,7 +133,7 @@ func measureRecordLayouts(s *Session, cpus int) ([2]*Measure, error) {
 	if err != nil {
 		return ms, err
 	}
-	if ms[0], err = MeasureConfig(cfg, SinkMem, "base, interleaved records"); err != nil {
+	if ms[0], err = s.MeasureConfig(cfg, SinkMem, "base, interleaved records"); err != nil {
 		return ms, err
 	}
 	run, err := s.src.train(s.tc)
@@ -145,7 +145,7 @@ func measureRecordLayouts(s *Session, cpus int) ([2]*Measure, error) {
 	if cfg.RecordLayouts, err = groupedDefs(s.Opt.Workload, run.Fields); err != nil {
 		return ms, err
 	}
-	ms[1], err = MeasureConfig(cfg, SinkMem, "base, grouped records")
+	ms[1], err = s.MeasureConfig(cfg, SinkMem, "base, grouped records")
 	return ms, err
 }
 

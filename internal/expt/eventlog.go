@@ -58,7 +58,8 @@ type chunk struct {
 type eventLog struct {
 	cpus    int
 	bat     *battery
-	pool    *sync.Pool // where bat goes back to
+	shape   shape
+	list    *batteryList // where bat goes back to
 	cur     *chunk
 	free    chan *chunk
 	lanes   []*lane
@@ -80,20 +81,39 @@ type shape struct {
 	set  SinkSet
 }
 
-// batteries holds finished batteries for reuse, one sync.Pool per shape: a
-// run takes one (or builds one) and, once it has succeeded and its Measure
-// holds every result, resets it and puts it back. A pool keeps what it holds
-// only until the GC empties it, so a process that stops measuring keeps no
-// battery.
-var batteries sync.Map // shape → *sync.Pool
+// batteryList is a profile source's free list of finished batteries, per
+// shape: a run takes one (or builds one) and, once it has succeeded and its
+// Measure holds every result, resets it and puts it back. It holds at most as
+// many batteries of a shape as runs of that shape have been in flight at once,
+// and goes with its source. The zero value is an empty list.
+type batteryList struct {
+	mu   sync.Mutex
+	free map[shape][]*battery
+}
 
-// poolOf returns the pool of batteries of shape k.
-func poolOf(k shape) *sync.Pool {
-	if p, ok := batteries.Load(k); ok {
-		return p.(*sync.Pool)
+// take removes a battery of shape k from the list, or returns nil if it holds
+// none.
+func (bl *batteryList) take(k shape) *battery {
+	bl.mu.Lock()
+	defer bl.mu.Unlock()
+	n := len(bl.free[k])
+	if n == 0 {
+		return nil
 	}
-	p, _ := batteries.LoadOrStore(k, new(sync.Pool))
-	return p.(*sync.Pool)
+	b := bl.free[k][n-1]
+	bl.free[k][n-1] = nil
+	bl.free[k] = bl.free[k][:n-1]
+	return b
+}
+
+// put returns a battery of shape k to the list.
+func (bl *batteryList) put(k shape, b *battery) {
+	bl.mu.Lock()
+	defer bl.mu.Unlock()
+	if bl.free == nil {
+		bl.free = make(map[shape][]*battery)
+	}
+	bl.free[k] = append(bl.free[k], b)
 }
 
 // lane is one sink group's goroutine: it sees every chunk in the order the
@@ -117,11 +137,11 @@ type lane struct {
 
 // attachBattery readies the groups of set for the machine cfg describes —
 // the one place the battery is sized, from cfg.CPUs — taking the battery of
-// an earlier run of the same shape if one is pooled and building what it
+// an earlier run of the same shape if list holds one and building what it
 // lacks, starts a lane for each group, and attaches their log as cfg's only
 // sink. Once the caller has closed the log, file files the groups' results.
 // The empty set attaches nothing and returns a nil log.
-func attachBattery(cfg *machine.Config, set SinkSet) *eventLog {
+func attachBattery(cfg *machine.Config, set SinkSet, list *batteryList) *eventLog {
 	groups := 0
 	for _, g := range sinkGroups {
 		if g.in&set != 0 {
@@ -131,8 +151,8 @@ func attachBattery(cfg *machine.Config, set SinkSet) *eventLog {
 	if groups == 0 {
 		return nil
 	}
-	l := &eventLog{cpus: cfg.CPUs, pool: poolOf(shape{cfg.CPUs, set})}
-	l.bat, _ = l.pool.Get().(*battery)
+	l := &eventLog{cpus: cfg.CPUs, shape: shape{cfg.CPUs, set}, list: list}
+	l.bat = list.take(l.shape)
 	if l.bat == nil {
 		l.bat = &battery{groups: make([]sims, groups)}
 		for i := range l.bat.chunks {
@@ -188,7 +208,7 @@ func attachBattery(cfg *machine.Config, set SinkSet) *eventLog {
 }
 
 // file runs every group's collector on m, then resets the battery and puts
-// it back in its pool: the simulators are the next run's only once m holds
+// it back on its list: the simulators are the next run's only once m holds
 // all they produced. Call it only after a closed log's run succeeded; a
 // failed run drops its battery, whatever state its lanes left it in. A nil
 // log (the empty set) files nothing.
@@ -206,7 +226,7 @@ func (l *eventLog) file(m *Measure) {
 			s.reset()
 		}
 	}
-	l.pool.Put(l.bat)
+	l.list.put(l.shape, l.bat)
 }
 
 // Fetch implements trace.Sink.

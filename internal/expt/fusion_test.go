@@ -34,8 +34,13 @@ func TestFusionBeatsIPChainP50(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseProcs := len(src.AppImage().Prog.Procs)
-	baseBlocks := src.AppImage().Prog.NumBlocks()
+	first, err := expt.NewSessionFrom(src, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := first.AppImage()
+	baseProcs := len(shared.Prog.Procs)
+	baseBlocks := shared.Prog.NumBlocks()
 
 	for _, wl := range []string{"tpcb", "ordere"} {
 		eo := o
@@ -82,28 +87,23 @@ func TestFusionBeatsIPChainP50(t *testing.T) {
 
 	// The fused layout stayed within the address map and ran over its own
 	// specialized image.
-	s, err := expt.NewSessionFrom(src, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := s.Layout("fusion")
+	l, err := first.Layout("fusion")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.TotalBytes() > isa.AppTextLimitBytes {
 		t.Errorf("fused layout = %d bytes, past the %d-byte app text map", l.TotalBytes(), isa.AppTextLimitBytes)
 	}
-	fimg := s.AppImageFor("fusion")
-	if fimg == src.AppImage() {
+	if first.AppImageFor("fusion") == shared {
 		t.Error("fusion measured over the shared image, not a specialized one")
 	}
 
 	// With the pass off, nothing changed: the shared image (which the
 	// FastPath predictor models live in) has exactly its original shape.
-	if got := len(src.AppImage().Prog.Procs); got != baseProcs {
+	if got := len(shared.Prog.Procs); got != baseProcs {
 		t.Errorf("shared image grew procs %d -> %d; fusion must specialize, not mutate", baseProcs, got)
 	}
-	if got := src.AppImage().Prog.NumBlocks(); got != baseBlocks {
+	if got := shared.Prog.NumBlocks(); got != baseBlocks {
 		t.Errorf("shared image grew blocks %d -> %d; fusion must specialize, not mutate", baseBlocks, got)
 	}
 }

@@ -429,21 +429,22 @@ func (s *Session) MeasureKern(layout, kern string, cpus int) (*Measure, error) {
 		if err != nil {
 			return nil, err
 		}
-		return MeasureConfig(cfg, s.sinks, fmt.Sprintf("%s/%s/%dcpu (train %s)", layout, kern, cpus, s.TrainSpec()))
+		return s.MeasureConfig(cfg, s.sinks, fmt.Sprintf("%s/%s/%dcpu (train %s)", layout, kern, cpus, s.TrainSpec()))
 	})
 }
 
 // MeasureConfig is the tail every measurement shares: attach a battery of
 // the sink groups in set to cfg — new, or reset by an earlier run of the same
-// CPUs and set — run the machine, audit the workload's invariants after
-// drain-to-quiescence — a measurement of a run that corrupted the database is
-// not a measurement — and collect the battery into a Measure. The battery's
-// lanes live inside the call: however the run ends, the log is closed and
-// every lane has exited before it returns. Only a run that succeeded leaves
-// its battery for the next one. what names the run in errors. It is exported for a caller that edits the config a
-// session lowered (oltpbench's -layout file and -reopt) before measuring it.
-func MeasureConfig(cfg machine.Config, set SinkSet, what string) (*Measure, error) {
-	log := attachBattery(&cfg, set)
+// CPUs and set over the session's source — run the machine, audit the
+// workload's invariants after drain-to-quiescence — a measurement of a run
+// that corrupted the database is not a measurement — and collect the battery
+// into a Measure. The battery's lanes live inside the call: however the run
+// ends, the log is closed and every lane has exited before it returns. Only a
+// run that succeeded leaves its battery for the next one. what names the run
+// in errors. It is exported for a caller that edits the config the session
+// lowered (oltpbench's -layout file and -reopt) before measuring it.
+func (s *Session) MeasureConfig(cfg machine.Config, set SinkSet, what string) (*Measure, error) {
+	log := attachBattery(&cfg, set, &s.src.batteries)
 	mach, err := machine.New(cfg)
 	if err != nil {
 		log.close() // the lanes saw no event: they have no failure to report

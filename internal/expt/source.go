@@ -113,6 +113,10 @@ type ProfileSource struct {
 	runs   memo[string, *trainRun]       // training runs
 	chains memo[string, core.Chaining]   // the chain pass over a run's app profile
 	built  memo[[2]string, *builtLayout] // layouts by (train spec, name); the baselines by ("", name)
+
+	// batteries keeps the simulators of finished measured runs for the next
+	// run of the same shape by any session of the source (see attachBattery).
+	batteries batteryList
 }
 
 // trainSpec spells a fully resolved training run: the workload's Spec and
@@ -196,12 +200,6 @@ func (ps *ProfileSource) TrainRunsExecuted() uint64 { return ps.trainExec.Load()
 // store (nil if every training so far was executed) — commands report its
 // age next to the hit counters.
 func (ps *ProfileSource) LastStoreHit() *pstore.Entry { return ps.lastHit.Load() }
-
-// AppImage exposes the shared application image.
-func (ps *ProfileSource) AppImage() *codegen.Image { return ps.appImg }
-
-// KernelImage exposes the shared kernel image.
-func (ps *ProfileSource) KernelImage() *codegen.Image { return ps.kernImg }
 
 // Covers reports whether the named workload's transaction models are part of
 // the source's app image (and it can therefore be trained on or evaluated).

@@ -9,7 +9,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"codelayout/internal/program"
@@ -191,27 +190,4 @@ func Read(r io.Reader) (*Profile, error) {
 		return nil, fmt.Errorf("profile: decode: %w", err)
 	}
 	return &pf, nil
-}
-
-// SaveFile writes the profile to a file.
-func (pf *Profile) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := pf.Encode(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a profile from a file.
-func LoadFile(path string) (*Profile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"codelayout/internal/profile"
+	"codelayout/internal/program"
 	"codelayout/internal/progtest"
 )
 
@@ -46,7 +47,7 @@ func TestGoldenProfileFixture(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := want.SaveFile(path); err != nil {
+		if err := program.WriteFile(path, want.Encode); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,27 +30,30 @@ func ReadProgram(r io.Reader) (*Program, error) {
 	return &p, nil
 }
 
-// SaveFile writes the program to a file.
-func (p *Program) SaveFile(path string) error {
+// WriteFile creates the file at path and writes it with encode: a program's
+// or a profile's Encode, or SaveLayout bound to its layout.
+func WriteFile(path string, encode func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := p.Encode(f); err != nil {
+	if err := encode(f); err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// LoadFile reads a program from a file written by SaveFile.
-func LoadFile(path string) (*Program, error) {
+// ReadFile reads the file at path with decode: ReadProgram, profile.Read, or
+// LoadLayout bound to the program the layout places.
+func ReadFile[T any](path string, decode func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
 	defer f.Close()
-	return ReadProgram(f)
+	return decode(f)
 }
 
 // Dump writes a human-readable listing of the program under the given layout

@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 	"slices"
 )
 
@@ -115,27 +114,4 @@ func LoadLayout(r io.Reader, p *Program) (*Layout, error) {
 		GapBefore:  gaps,
 		FallFirst:  func(b *Block) bool { return fallFirst[b.ID] },
 	})
-}
-
-// SaveLayoutFile writes the placement to a file.
-func SaveLayoutFile(path string, l *Layout) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := SaveLayout(f, l); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadLayoutFile reads a placement file and materializes it.
-func LoadLayoutFile(path string, p *Program) (*Layout, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadLayout(f, p)
 }

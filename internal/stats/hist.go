@@ -35,14 +35,7 @@ func (h *Hist) AddN(v int, n uint64) {
 	if n == 0 {
 		return
 	}
-	i := v - h.Min
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i] += n
+	h.Counts[h.bucket(v)] += n
 	h.N += n
 	h.Sum += float64(v) * float64(n)
 }
@@ -55,17 +48,20 @@ func (h *Hist) Mean() float64 {
 	return h.Sum / float64(h.N)
 }
 
-// Frac returns the fraction of observations with value v (overflow excluded
-// unless v > Max, in which case the overflow bucket fraction is returned).
+// bucket is the index of the bucket v is counted in: a value below Min in
+// the first, one past Max in the overflow bucket.
+func (h *Hist) bucket(v int) int {
+	return min(max(v-h.Min, 0), len(h.Counts)-1)
+}
+
+// Frac returns the fraction of observations in the bucket AddN(v) fills: a
+// value in [Min, Max] reads its own bucket, a value past Max the overflow
+// bucket and a value below Min the first.
 func (h *Hist) Frac(v int) float64 {
 	if h.N == 0 {
 		return 0
 	}
-	i := v - h.Min
-	if i < 0 || i >= len(h.Counts) {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.N)
+	return float64(h.Counts[h.bucket(v)]) / float64(h.N)
 }
 
 // Merge adds other into h. The histograms must have identical bounds.

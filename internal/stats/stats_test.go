@@ -32,6 +32,18 @@ func TestHistClamping(t *testing.T) {
 	if h.Counts[0] != 1 || h.Counts[len(h.Counts)-1] != 1 {
 		t.Fatalf("counts = %v", h.Counts)
 	}
+	h.Add(2)
+	h.Add(5) // Max+1 is the overflow bucket too
+	// Frac reads the bucket Add fills: below Min the first, past Max the
+	// overflow one.
+	for _, c := range []struct {
+		v    int
+		want float64
+	}{{-3, 0.25}, {0, 0.25}, {1, 0.25}, {2, 0.25}, {3, 0}, {4, 0}, {5, 0.5}, {6, 0.5}, {99, 0.5}} {
+		if got := h.Frac(c.v); got != c.want {
+			t.Errorf("Frac(%d) = %v, want %v", c.v, got, c.want)
+		}
+	}
 }
 
 func TestHistMerge(t *testing.T) {
