@@ -163,6 +163,7 @@ func reportStore(f *expt.Flags, src *expt.ProfileSource) {
 // extensionTables runs the cross-workload/cross-shard table -table names
 // (Resolve has already rejected an unknown one) from the parsed flags.
 func extensionTables(f *expt.Flags) ([]*stats.Table, error) {
+	matrix := expt.MatrixSpec{Workloads: f.Matrix, Shards: f.ShardList, Layout: f.Layout}
 	switch f.Table {
 	case "datalayout":
 		t, err := expt.DataLayoutTable(f.Opt, f.DataLayout)
@@ -177,9 +178,7 @@ func extensionTables(f *expt.Flags) ([]*stats.Table, error) {
 		}
 		return []*stats.Table{res.Table}, nil
 	case "robustness":
-		res, err := expt.Robustness(f.Opt, expt.RobustnessSpec{
-			Workloads: f.Matrix, Shards: f.ShardList, Layout: f.Layout,
-		})
+		res, err := expt.Robustness(f.Opt, matrix)
 		if err != nil {
 			return nil, err
 		}
@@ -191,9 +190,7 @@ func extensionTables(f *expt.Flags) ([]*stats.Table, error) {
 		}
 		return []*stats.Table{t}, nil
 	case "latency":
-		return expt.LatencyTables(f.Opt, expt.LatencySpec{
-			Workloads: f.Matrix, Shards: f.ShardList, Layout: f.Layout,
-		})
+		return expt.LatencyTables(f.Opt, matrix)
 	}
 	return nil, fmt.Errorf("no extension table %q", f.Table)
 }

@@ -140,8 +140,6 @@ func measureRecordLayouts(s *Session, cpus int) ([2]*Measure, error) {
 	if err != nil {
 		return ms, err
 	}
-	// A run that predates field tallying (an old store entry) has a nil field
-	// profile; groupedDefs then falls back to the static hints.
 	if cfg.RecordLayouts, err = groupedDefs(s.Opt.Workload, run.Fields); err != nil {
 		return ms, err
 	}
@@ -158,39 +156,21 @@ func measureRecordLayouts(s *Session, cpus int) ([2]*Measure, error) {
 // width, field set and instruction streams are preserved, so the L1D model
 // sees fewer touched lines per transaction and nothing else moves.
 
-// decideGrouped computes the grouped layout of one table: hot fields first,
-// in descending access count, then cold fields in declared order, all packed
-// contiguously so the record width is exactly the schema width. With measured
-// counts, hotness is the field's read+write tally; with nil or empty counts
-// it falls back to the schema's static hint (a field some transaction kind
-// declares it reads or writes is hot). Ties keep declared order, so the
-// decision is deterministic.
+// decideGrouped computes the grouped layout of one table: the schema's
+// fields stably sorted by descending read+write tally, packed contiguously
+// so the record width is exactly the schema width. Touched fields come
+// first, hottest ahead; fields with equal tallies, the untouched ones
+// included, keep declared order, so the decision is deterministic and a
+// table training never touched (nil or empty counts) keeps its declared
+// layout.
 func decideGrouped(ts workload.TableSchema, counts map[string]db.FieldAccess) []db.FieldDef {
-	type scored struct {
-		idx  int
-		hot  bool
-		heat uint64
-	}
-	rank := make([]scored, len(ts.Fields))
-	for i, f := range ts.Fields {
-		sc := scored{idx: i}
-		if a, ok := counts[f.Name]; ok && a.Total() > 0 {
-			sc.hot, sc.heat = true, a.Total()
-		} else if len(counts) == 0 && f.Hot {
-			sc.hot = true
-		}
-		rank[i] = sc
-	}
-	sort.SliceStable(rank, func(i, j int) bool {
-		if rank[i].hot != rank[j].hot {
-			return rank[i].hot
-		}
-		return rank[i].heat > rank[j].heat
+	fields := append([]workload.FieldSchema(nil), ts.Fields...)
+	sort.SliceStable(fields, func(i, j int) bool {
+		return counts[fields[i].Name].Total() > counts[fields[j].Name].Total()
 	})
-	defs := make([]db.FieldDef, 0, len(ts.Fields))
+	defs := make([]db.FieldDef, 0, len(fields))
 	off := 0
-	for _, sc := range rank {
-		f := ts.Fields[sc.idx]
+	for _, f := range fields {
 		defs = append(defs, db.FieldDef{Name: f.Name, Off: off, Width: f.Width})
 		off += f.Width
 	}
@@ -200,8 +180,8 @@ func decideGrouped(ts workload.TableSchema, counts map[string]db.FieldAccess) []
 // groupedDefs computes the grouped layout of every table the workload
 // declares a schema for, keyed by table name — the value of
 // machine.Config.RecordLayouts. prof (table → field → tally, as
-// machine.Machine.FieldProfile harvests it) may be nil or miss tables, in
-// which case the static schema hints decide.
+// machine.Machine.FieldProfile harvests it) may miss tables training never
+// touched; they keep their declared layout.
 func groupedDefs(wl workload.Workload, prof map[string]map[string]db.FieldAccess) (map[string][]db.FieldDef, error) {
 	schemas := wl.RecordSchemas()
 	if len(schemas) == 0 {

@@ -98,25 +98,21 @@ func TestDataLayoutSpecValidation(t *testing.T) {
 	}
 }
 
-// randomSchema builds a schema with 1..12 fields of width 1..32, a random
-// subset statically hot.
+// randomSchema builds a schema with 1..12 fields of width 1..32.
 func randomSchema(r *rand.Rand, table string) workload.TableSchema {
 	n := 1 + r.Intn(12)
 	ts := workload.TableSchema{Table: table}
 	for i := 0; i < n; i++ {
-		f := workload.FieldSchema{
+		ts.Fields = append(ts.Fields, workload.FieldSchema{
 			Name:  fmt.Sprintf("f%02d", i),
 			Width: 1 + r.Intn(32),
-		}
-		read, write := r.Intn(3) == 0, r.Intn(4) == 0
-		f.Hot = read || write
-		ts.Fields = append(ts.Fields, f)
+		})
 	}
 	return ts
 }
 
 // randomCounts builds a tally covering a random subset of the schema's
-// fields (empty maps exercise the static-hint fallback).
+// fields (nil and empty maps stand for a table training never touched).
 func randomCounts(r *rand.Rand, ts workload.TableSchema) map[string]db.FieldAccess {
 	counts := make(map[string]db.FieldAccess)
 	for _, f := range ts.Fields {
@@ -151,7 +147,7 @@ func TestDecideProperties(t *testing.T) {
 // FuzzDecideGrouped explores what TestDecideProperties samples: any schema
 // of up to 12 fields, with or without a measured tally, groups into a valid
 // permutation in the decision's order. Each field takes four bytes: width,
-// static hints, reads and writes.
+// an unused byte (the seeds predate its removal), reads and writes.
 func FuzzDecideGrouped(f *testing.F) {
 	f.Add([]byte{0, 7, 0, 0, 0})
 	f.Add([]byte{1, 7, 1, 10, 0, 31, 2, 10, 0, 3, 0, 0, 5})
@@ -165,7 +161,6 @@ func FuzzDecideGrouped(f *testing.F) {
 		counts := make(map[string]db.FieldAccess)
 		for i, b := 0, data[1:]; len(b) >= 4 && i < 12; i, b = i+1, b[4:] {
 			fs := workload.FieldSchema{Name: fmt.Sprintf("f%02d", i), Width: 1 + int(b[0]%32)}
-			fs.Hot = b[1]&3 != 0
 			ts.Fields = append(ts.Fields, fs)
 			if measured && b[2]|b[3] != 0 {
 				counts[fs.Name] = db.FieldAccess{Reads: uint64(b[2]), Writes: uint64(b[3])}
@@ -179,9 +174,9 @@ func FuzzDecideGrouped(f *testing.F) {
 
 // checkGrouped decides ts's grouped layout and checks it field by field: a
 // contiguous permutation of the schema's fields at their widths, the same on
-// a second call, and in the decision's order — measured-hot fields (or, with
-// no tally, statically hot ones) ahead of the rest, hotter ahead of cooler,
-// and declared order among equals.
+// a second call, and in the decision's order: descending tally first, and
+// declared order among equal tallies, so nil or empty counts keep the
+// declared order.
 func checkGrouped(ts workload.TableSchema, counts map[string]db.FieldAccess) error {
 	defs := decideGrouped(ts, counts)
 	if err := db.ValidateFieldDefs(ts.Table, defs); err != nil {
@@ -194,20 +189,11 @@ func checkGrouped(ts workload.TableSchema, counts map[string]db.FieldAccess) err
 	for i, f := range ts.Fields {
 		index[f.Name] = i
 	}
-	// rank is a field's place in the decision's order: hot before cold, then
-	// by descending heat, then by declared index.
+	// rank is a field's place in the decision's order: by descending heat,
+	// then by declared index.
 	type rank struct {
-		hot  bool
 		heat uint64
 		idx  int
-	}
-	rankOf := func(i int) rank {
-		f := ts.Fields[i]
-		if len(counts) == 0 {
-			return rank{hot: f.Hot, idx: i}
-		}
-		heat := counts[f.Name].Total()
-		return rank{hot: heat > 0, heat: heat, idx: i}
 	}
 	total := 0
 	var prev *rank
@@ -223,11 +209,9 @@ func checkGrouped(ts workload.TableSchema, counts map[string]db.FieldAccess) err
 			return fmt.Errorf("field %q at %d, want contiguous %d", d.Name, d.Off, total)
 		}
 		total += d.Width
-		r := rankOf(i)
+		r := rank{heat: counts[d.Name].Total(), idx: i}
 		if p := prev; p != nil {
-			after := p.hot != r.hot && r.hot ||
-				p.hot == r.hot && (p.heat < r.heat || p.heat == r.heat && p.idx > r.idx)
-			if after {
+			if p.heat < r.heat || p.heat == r.heat && p.idx > r.idx {
 				return fmt.Errorf("field %q (%+v) placed after %q (%+v)", d.Name, r, ts.Fields[p.idx].Name, *p)
 			}
 		}
@@ -323,7 +307,7 @@ func TestGroupedDefsEndToEnd(t *testing.T) {
 	ts := workload.TableSchema{Table: "acct", Fields: []workload.FieldSchema{
 		{Name: "id", Width: 8},
 		{Name: "pad", Width: 64},
-		{Name: "bal", Width: 8, Hot: true},
+		{Name: "bal", Width: 8},
 	}}
 	wl := &schemaWorkload{schemas: []workload.TableSchema{ts}}
 	defs, err := groupedDefs(wl, map[string]map[string]db.FieldAccess{"acct": {"bal": {Reads: 50, Writes: 50}}})

@@ -27,21 +27,36 @@ type axis struct {
 // cellLabel names one workload × shard-count cell of a matrix table.
 func cellLabel(w string, shards int) string { return fmt.Sprintf("%s/s%d", w, shards) }
 
+// MatrixSpec configures a workloads × shard-counts table, the robustness
+// matrix (Robustness) or the latency tables (LatencyTables): every listed
+// workload × shard count is one cell.
+type MatrixSpec struct {
+	// Workloads are the mixes on the table's axis; at least one. All of them
+	// join one union app image, so profiles and layouts are portable between
+	// cells.
+	Workloads []workload.Workload
+	// Shards are the shard counts on the table's axis; empty means {1}.
+	Shards []int
+	// Layout is the pipeline combo the table measures ("all" if empty).
+	Layout string
+}
+
 // openMatrix opens a workloads × shard-counts table: it defaults the shard
-// axis to {1} and *layout to "all", lists the cells workload-major, rejects a
-// cell listed twice — a table over it would repeat one measurement under
-// several labels — and builds the union-image source every cell's session
-// opens over, so layouts and profiles are portable between cells. what
-// starts the no-workload error ("robustness needs").
-func openMatrix(o Options, what string, wls []workload.Workload, shards []int, layout *string) (*ProfileSource, []axis, error) {
+// axis to {1} and spec.Layout to "all", lists the cells workload-major,
+// rejects a cell listed twice — a table over it would repeat one measurement
+// under several labels — and builds the union-image source every cell's
+// session opens over, so layouts and profiles are portable between cells.
+// what starts the no-workload error ("robustness needs").
+func openMatrix(o Options, what string, spec *MatrixSpec) (*ProfileSource, []axis, error) {
+	wls, shards := spec.Workloads, spec.Shards
 	if len(wls) == 0 {
 		return nil, nil, fmt.Errorf("expt: %s at least one workload", what)
 	}
 	if len(shards) == 0 {
 		shards = []int{1}
 	}
-	if *layout == "" {
-		*layout = "all"
+	if spec.Layout == "" {
+		spec.Layout = "all"
 	}
 	var cells []axis
 	var labels []string

@@ -4,33 +4,18 @@ import (
 	"fmt"
 
 	"codelayout/internal/stats"
-	"codelayout/internal/workload"
 )
 
-// LatencySpec configures the latency percentile tables: every listed
-// workload × shard count is measured self-trained under the baseline
-// (original) layout and under the optimized layout, and the tables report
-// p50/p95/p99/max per-transaction latency — the tail-latency view of the
+// LatencyTables measures every workload × shard count cell of spec
+// self-trained under the original ("base") and the optimized (spec.Layout)
+// layout and renders two tables: run-wide percentiles per cell, and the
+// per-shard × transaction-kind breakdown — the tail-latency view of the
 // layout win that whole-run instruction and miss-ratio aggregates hide.
-type LatencySpec struct {
-	// Workloads are the mixes to measure; at least one. All of them join
-	// one union app image, so layouts and measurements share one program.
-	Workloads []workload.Workload
-	// Shards are the shard counts to measure; empty means {1}.
-	Shards []int
-	// Layout is the optimized pipeline combo ("all" if empty), compared
-	// against the "base" (original) layout.
-	Layout string
-}
-
-// LatencyTables measures every workload × shard count cell under the
-// original and the optimized layout and renders two tables: run-wide
-// percentiles per cell, and the per-shard × transaction-kind breakdown.
 // The group-commit policy comes from o, so the same tables serve every
 // machine.GroupCommit.
-func LatencyTables(o Options, spec LatencySpec) ([]*stats.Table, error) {
+func LatencyTables(o Options, spec MatrixSpec) ([]*stats.Table, error) {
 	cpus := o.CPUs
-	src, cells, err := openMatrix(o, "latency tables need", spec.Workloads, spec.Shards, &spec.Layout)
+	src, cells, err := openMatrix(o, "latency tables need", &spec)
 	if err != nil {
 		return nil, err
 	}

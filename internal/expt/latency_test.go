@@ -78,7 +78,7 @@ func TestLatencyTablesQuick(t *testing.T) {
 	}
 	wl := tpcb.NewScaled(tpcb.Scale{Branches: 6, TellersPerBranch: 3, AccountsPerBranch: 120})
 	o := tinyOptions(wl)
-	tables, err := expt.LatencyTables(o, expt.LatencySpec{
+	tables, err := expt.LatencyTables(o, expt.MatrixSpec{
 		Workloads: []workload.Workload{wl},
 		Shards:    []int{1, 2},
 		Layout:    "all",

@@ -4,24 +4,7 @@ import (
 	"fmt"
 
 	"codelayout/internal/stats"
-	"codelayout/internal/workload"
 )
-
-// RobustnessSpec configures the train×eval robustness matrix: every listed
-// workload × shard count is both a training configuration and an evaluation
-// cell, so the matrix's diagonal is the paper's self-trained setup and every
-// off-diagonal entry is a transplanted layout — the AI-PROPELLER-style
-// profile-drift question asked across workloads and across shard counts at
-// once.
-type RobustnessSpec struct {
-	// Workloads are the mixes spanning both axes; at least one. All of
-	// them join one union app image, so their profiles are portable.
-	Workloads []workload.Workload
-	// Shards are the shard counts spanning both axes; empty means {1}.
-	Shards []int
-	// Layout is the pipeline combo trained and evaluated ("all" if empty).
-	Layout string
-}
 
 // RobustnessCell is one matrix entry: the layout trained under Train,
 // evaluated under Eval.
@@ -60,13 +43,18 @@ func (r *RobustnessResult) Cell(trainW string, trainShards int, evalW string, ev
 	return nil
 }
 
-// Robustness runs the train×eval matrix in one process over one shared
-// ProfileSource, one session per (train cell, eval cell) pair: training runs
+// Robustness runs the train×eval matrix of spec's layout: every workload ×
+// shard count of spec is both a training configuration and an evaluation
+// cell, so the matrix's diagonal is the paper's self-trained setup and every
+// off-diagonal entry is a transplanted layout — the AI-PROPELLER-style
+// profile-drift question asked across workloads and across shard counts at
+// once. It runs in one process over one shared ProfileSource, one session
+// per (train cell, eval cell) pair: training runs
 // and layouts are memoized on the source by train spec, so no pair can
 // collide and the whole matrix reuses each training run across eval cells.
-func Robustness(o Options, spec RobustnessSpec) (*RobustnessResult, error) {
+func Robustness(o Options, spec MatrixSpec) (*RobustnessResult, error) {
 	cpus := o.CPUs
-	src, cells, err := openMatrix(o, "robustness needs", spec.Workloads, spec.Shards, &spec.Layout)
+	src, cells, err := openMatrix(o, "robustness needs", &spec)
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func TestRobustnessMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
-	spec := expt.RobustnessSpec{
+	spec := expt.MatrixSpec{
 		Workloads: tinyMatrixWorkloads(),
 		Shards:    []int{1, 2},
 		Layout:    "all",
@@ -131,8 +131,9 @@ func TestTablesRejectDuplicateAxes(t *testing.T) {
 		"shard twice":     {wls[:2], []int{2, 4, 2}, "cell tpcb/s2 is listed twice"},
 		"0 and 1 are one": {wls[:1], []int{0, 1}, "cell tpcb/s1 is listed twice"},
 	} {
-		_, rerr := expt.Robustness(tinyMatrixOptions(), expt.RobustnessSpec{Workloads: tc.wls, Shards: tc.shards})
-		_, lerr := expt.LatencyTables(tinyMatrixOptions(), expt.LatencySpec{Workloads: tc.wls, Shards: tc.shards})
+		spec := expt.MatrixSpec{Workloads: tc.wls, Shards: tc.shards}
+		_, rerr := expt.Robustness(tinyMatrixOptions(), spec)
+		_, lerr := expt.LatencyTables(tinyMatrixOptions(), spec)
 		for _, err := range []error{rerr, lerr} {
 			if err == nil || !strings.Contains(err.Error(), tc.mention) {
 				t.Errorf("%s: error %v does not mention %q", name, err, tc.mention)

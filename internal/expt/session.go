@@ -46,10 +46,10 @@ type Options struct {
 
 	// Train is the training configuration: the profile every layout of the
 	// session is built from. Zero fields inherit from the evaluation side —
-	// Workload, Shards, CPUs, WarmupTxns from the same-named fields here,
-	// Seed from Seed, Txns from Transactions. To evaluate a layout trained
-	// elsewhere, set the fields that differ and open a session over a
-	// source covering both workloads (NewSessionFrom).
+	// Workload, Shards, WarmupTxns from the same-named fields here, Seed
+	// from Seed, Txns from Transactions — and training always runs on CPUs.
+	// To evaluate a layout trained elsewhere, set the fields that differ and
+	// open a session over a source covering both workloads (NewSessionFrom).
 	Train TrainConfig
 
 	CPUs        int
@@ -134,8 +134,8 @@ func QuickOptions() Options {
 }
 
 // resolveTrain returns o.Train with its zero fields filled from the
-// evaluation side. The result is fully resolved: the source's trainSpec of it
-// is a stable key.
+// evaluation side, and the evaluation's processor count. The result is fully
+// resolved: the source's trainSpec of it is a stable key.
 func (o Options) resolveTrain() TrainConfig {
 	tc := o.Train
 	if tc.Workload == nil {
@@ -150,12 +150,10 @@ func (o Options) resolveTrain() TrainConfig {
 	if tc.Txns == 0 {
 		tc.Txns = o.Transactions
 	}
-	if tc.CPUs == 0 {
-		tc.CPUs = o.CPUs
-	}
 	if tc.WarmupTxns == 0 {
 		tc.WarmupTxns = o.WarmupTxns
 	}
+	tc.cpus = o.CPUs
 	return tc
 }
 

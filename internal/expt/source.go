@@ -26,7 +26,8 @@ import (
 // so a layout can be trained under one configuration and evaluated under
 // another (the profile-drift experiments). Zero fields inherit from the
 // evaluating session's options, so the zero TrainConfig means "self-trained":
-// same workload, same shard count, same processor count as the evaluation.
+// same workload, same shard count as the evaluation. A training run always
+// has the evaluation's processor count.
 type TrainConfig struct {
 	// Workload is the transaction mix the profiling run executes; nil uses
 	// the session's evaluation workload. A non-nil workload must be covered
@@ -42,10 +43,10 @@ type TrainConfig struct {
 	// Txns is the profiled committed-transaction count; 0 inherits the
 	// session's measured transaction count.
 	Txns int
-	// CPUs is the profiling run's processor count; 0 inherits.
-	CPUs int
 	// WarmupTxns commit before profiling begins; 0 inherits.
 	WarmupTxns int
+
+	cpus int // the evaluation's processor count, set by resolveTrain
 }
 
 // dcpiPeriod is the sampling period of the DCPI-style profile every training
@@ -127,7 +128,7 @@ type ProfileSource struct {
 // the other, and any difference keys a separate run.
 func (ps *ProfileSource) trainSpec(tc TrainConfig) string {
 	return fmt.Sprintf("%s/s%d/c%d/p%d/fp%t/dcpi%d/seed%d/w%d/x%d",
-		tc.Workload.Spec(), shardKey(tc.Shards), tc.CPUs, ps.opt.ProcsPerCPU,
+		tc.Workload.Spec(), shardKey(tc.Shards), tc.cpus, ps.opt.ProcsPerCPU,
 		fastPathOn(ps.opt.PredictFastPath, tc.Shards), dcpiPeriod, tc.Seed, tc.WarmupTxns, tc.Txns)
 }
 
@@ -434,7 +435,7 @@ func (ps *ProfileSource) runTraining(tc TrainConfig, spec string) (*trainRun, er
 	kx := profile.NewPixie(ps.kernImg.Prog, "kprofile")
 	dcpi := profile.NewDCPI(ps.baseApp, dcpiPeriod)
 	cfg := machine.Config{
-		CPUs:            tc.CPUs,
+		CPUs:            tc.cpus,
 		ProcsPerCPU:     ps.opt.ProcsPerCPU,
 		Seed:            tc.Seed,
 		Shards:          tc.Shards,

@@ -1,11 +1,17 @@
 package expt_test
 
 import (
+	"bytes"
+	"encoding/gob"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"codelayout/internal/expt"
 	"codelayout/internal/machine"
+	"codelayout/internal/profile"
 	"codelayout/internal/pstore"
 	"codelayout/internal/tpcb"
 	"codelayout/internal/workload"
@@ -194,6 +200,73 @@ func TestProfileStoreHitReported(t *testing.T) {
 	// one's record was written to, profiles exact.
 	if first, _ := s1.Profile(); hit.App.Fingerprint() != first.Fingerprint() {
 		t.Fatal("the entry served to the second source is not the record the first one trained")
+	}
+}
+
+// TestProfileStoreRetrainsAnIncompleteEntry: a store file whose run lacks
+// its DCPI profile is never served. A session over that directory evicts
+// it, retrains, and builds "dcpi-all" from the new run's samples instead of
+// dereferencing the missing profile.
+func TestProfileStoreRetrainsAnIncompleteEntry(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*expt.Session, *pstore.Store) {
+		store, err := pstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := storeOpts()
+		o.ProfileStore = store
+		s, err := expt.NewSession(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, store
+	}
+	cold, _ := open()
+	if err := cold.Train(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.pstore"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("store holds %v (%v), want one entry file", files, err)
+	}
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the file without the DCPI profile and its fingerprint: gob
+	// matches fields by name, so decoding into this struct drops them.
+	var noDCPI struct {
+		Spec, Image             string
+		CreatedAt               time.Time
+		KindNames               []string
+		KindFreqs               []float64
+		FieldKeys               []string
+		FieldReads, FieldWrites []uint64
+		App, Kern               *profile.Profile
+		AppFP, KernFP           uint64
+	}
+	header := raw[:bytes.IndexByte(raw, '\n')+1]
+	if err := gob.NewDecoder(bytes.NewReader(raw[len(header):])).Decode(&noDCPI); err != nil {
+		t.Fatal(err)
+	}
+	out := bytes.NewBuffer(append([]byte(nil), header...))
+	if err := gob.NewEncoder(out).Encode(&noDCPI); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[0], out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, store := open()
+	if _, err := s.Layout("dcpi-all"); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Source().TrainRunsExecuted(); n != 1 {
+		t.Errorf("the session executed %d training runs, want 1: the incomplete entry must be retrained", n)
+	}
+	if st := store.Stats(); st.Hits != 0 || st.Evictions != 1 {
+		t.Errorf("store stats %+v, want no hit and one eviction", st)
 	}
 }
 

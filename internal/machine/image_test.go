@@ -11,19 +11,16 @@ import (
 	"codelayout/internal/workload"
 )
 
-// groupedLayouts returns a grouped record layout for every schema of wl:
-// the hot fields first, then the cold ones, each in declaration order.
+// groupedLayouts returns a non-interleaved record layout for every schema of
+// wl: its fields in reverse declaration order.
 func groupedLayouts(wl workload.Workload) map[string][]db.FieldDef {
 	out := make(map[string][]db.FieldDef)
 	for _, ts := range wl.RecordSchemas() {
 		off := 0
-		for _, hot := range []bool{true, false} {
-			for _, f := range ts.Fields {
-				if f.Hot == hot {
-					out[ts.Table] = append(out[ts.Table], db.FieldDef{Name: f.Name, Off: off, Width: f.Width})
-					off += f.Width
-				}
-			}
+		for i := len(ts.Fields) - 1; i >= 0; i-- {
+			f := ts.Fields[i]
+			out[ts.Table] = append(out[ts.Table], db.FieldDef{Name: f.Name, Off: off, Width: f.Width})
+			off += f.Width
 		}
 	}
 	return out

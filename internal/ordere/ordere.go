@@ -70,25 +70,25 @@ const (
 // 100-byte row of four u64 fields plus a wide cold filler, but each table's
 // hot fields differ — the district's order-id allocator and the stock
 // quantities belong to New-Order, the YTD and balance columns to Payment —
-// so a profile-guided layout groups a different head per table.
+// so the layout grouped from a training run's field tallies has a different
+// head per table.
 func Schemas() []workload.TableSchema {
 	filler := rowBytes - 32
-	u := func(name string) workload.FieldSchema { return workload.FieldSchema{Name: name, Width: 8} }
-	hot := func(name string) workload.FieldSchema { return workload.FieldSchema{Name: name, Width: 8, Hot: true} }
+	u64 := func(name string) workload.FieldSchema { return workload.FieldSchema{Name: name, Width: 8} }
 	fill := workload.FieldSchema{Name: "filler", Width: filler}
 	return []workload.TableSchema{
 		{Table: "warehouse", Fields: []workload.FieldSchema{
-			u("id"), u("tag"), hot("ytd"), u("reserved"), fill}},
+			u64("id"), u64("tag"), u64("ytd"), u64("reserved"), fill}},
 		{Table: "district", Fields: []workload.FieldSchema{
-			u("id"), u("warehouse"), hot("ytd"), hot("next_oid"), fill}},
+			u64("id"), u64("warehouse"), u64("ytd"), u64("next_oid"), fill}},
 		{Table: "customer", Fields: []workload.FieldSchema{
-			u("id"), u("district"), hot("balance"), hot("credit"), fill}},
+			u64("id"), u64("district"), u64("balance"), u64("credit"), fill}},
 		{Table: "stock", Fields: []workload.FieldSchema{
-			u("id"), u("warehouse"), hot("qty"), hot("ytd"), fill}},
+			u64("id"), u64("warehouse"), u64("qty"), u64("ytd"), fill}},
 		{Table: "orders", Fields: []workload.FieldSchema{
-			u("key"), u("customer"), hot("total"), u("lines"), fill}},
+			u64("key"), u64("customer"), u64("total"), u64("lines"), fill}},
 		{Table: "order_line", Fields: []workload.FieldSchema{
-			u("key"), u("item"), hot("amount"), u("qty"), fill}},
+			u64("key"), u64("item"), u64("amount"), u64("qty"), fill}},
 	}
 }
 

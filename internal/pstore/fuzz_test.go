@@ -40,17 +40,15 @@ func readBytes(tb testing.TB, raw []byte) (*Entry, error) {
 	return ReadEntry(path)
 }
 
-// FuzzReadEntry: a store file of any bytes reads back as an error wrapping
-// ErrCorrupt or as an entry that re-encodes and decodes to an equal entry —
-// never a panic.
-func FuzzReadEntry(f *testing.F) {
+// sampleEntry returns a complete entry: every profile and tally present.
+func sampleEntry() *Entry {
 	pf := func(name string, n uint64) *profile.Profile {
 		p := &profile.Profile{Name: name, BlockCount: []uint64{n, 2 * n, 0, 3 * n}, EdgeCount: map[uint64]uint64{}}
 		p.AddEdge(0, 1, n)
 		p.AddEdge(1, 3, 2*n)
 		return p
 	}
-	valid := encodeFile(f, &Entry{
+	return &Entry{
 		Spec:      "tpcb/s4/c2/seed1/w20/x200",
 		Image:     "img-abc123",
 		CreatedAt: time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC),
@@ -59,23 +57,62 @@ func FuzzReadEntry(f *testing.F) {
 		App:       pf("app", 5),
 		Kern:      pf("kern", 12),
 		DCPI:      pf("dcpi", 18),
-	})
+	}
+}
+
+// rewire returns the store file raw with its wire form edited: a file no
+// Put would write.
+func rewire(tb testing.TB, raw []byte, edit func(*wireEntry)) []byte {
+	tb.Helper()
+	var we wireEntry
+	if err := gob.NewDecoder(bytes.NewReader(raw[len(magic):])).Decode(&we); err != nil {
+		tb.Fatal(err)
+	}
+	edit(&we)
+	out := bytes.NewBufferString(magic)
+	if err := gob.NewEncoder(out).Encode(&we); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// dropDCPI strips the sampling profile and its fingerprint from a wire entry.
+func dropDCPI(we *wireEntry) { we.DCPI, we.DCPIFP = nil, 0 }
+
+// TestEntryNeedsDCPI: every training run samples, so an entry without its
+// DCPI profile is incomplete. Put refuses one, and a store file without one
+// reads as ErrCorrupt, so no reader is served a run whose "dcpi-all" layout
+// cannot be built.
+func TestEntryNeedsDCPI(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sampleEntry()
+	e.DCPI = nil
+	if err := s.Put(e); err == nil {
+		t.Error("Put stored an entry without its DCPI profile")
+	}
+	raw := rewire(t, encodeFile(t, sampleEntry()), dropDCPI)
+	if got, err := readBytes(t, raw); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ReadEntry of a file without DCPI = %+v, %v; want an error wrapping ErrCorrupt", got, err)
+	}
+}
+
+// FuzzReadEntry: a store file of any bytes reads back as an error wrapping
+// ErrCorrupt or as an entry that re-encodes and decodes to an equal entry —
+// never a panic.
+func FuzzReadEntry(f *testing.F) {
+	valid := encodeFile(f, sampleEntry())
 	f.Add(valid)
 	for _, n := range []int{0, len(magic) - 1, len(magic), len(magic) + 9, len(valid) / 2, len(valid) - 1} {
 		f.Add(valid[:n])
 	}
 	f.Add(append([]byte("PSTOREv0\n"), valid[len(magic):]...))
-	// The same entry with its application profile's fingerprint flipped.
-	var we wireEntry
-	if err := gob.NewDecoder(bytes.NewReader(valid[len(magic):])).Decode(&we); err != nil {
-		f.Fatal(err)
-	}
-	we.AppFP ^= 1
-	flipped := bytes.NewBufferString(magic)
-	if err := gob.NewEncoder(flipped).Encode(&we); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(flipped.Bytes())
+	// The same entry with its application profile's fingerprint flipped, and
+	// without its DCPI profile.
+	f.Add(rewire(f, valid, func(we *wireEntry) { we.AppFP ^= 1 }))
+	f.Add(rewire(f, valid, dropDCPI))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		e, err := readBytes(t, raw)
@@ -108,12 +145,6 @@ func sameEntry(t *testing.T, a, b *Entry) bool {
 		}
 	}
 	for _, p := range [][2]*profile.Profile{{a.App, b.App}, {a.Kern, b.Kern}, {a.DCPI, b.DCPI}} {
-		if (p[0] == nil) != (p[1] == nil) {
-			return false
-		}
-		if p[0] == nil {
-			continue
-		}
 		x, err := p[0].GobEncode()
 		if err != nil {
 			t.Fatal(err)

@@ -7,9 +7,9 @@
 // files written atomically (temp file + rename), and holds nothing else — a
 // process that wants a run twice keeps it itself (expt's ProfileSource
 // memoizes every training run it loads). Loads are corruption-tolerant: a
-// file that fails to decode or whose embedded fingerprints disagree with its
-// contents is evicted from disk and reported as a miss — the caller
-// retrains, never crashes.
+// file that fails to decode, lacks one of its three profiles or whose
+// embedded fingerprints disagree with its contents is evicted from disk and
+// reported as a miss — the caller retrains, never crashes.
 package pstore
 
 import (
@@ -32,7 +32,8 @@ import (
 )
 
 // ErrCorrupt is returned (wrapped) when a store file exists but cannot be
-// trusted: bad magic, failed decode, key mismatch, or fingerprint mismatch.
+// trusted: bad magic, failed decode, a missing profile, key mismatch, or
+// fingerprint mismatch.
 var ErrCorrupt = errors.New("pstore: corrupt entry")
 
 // magic prefixes every store file; bump the version on wire changes so old
@@ -70,12 +71,14 @@ type Entry struct {
 	KindFreq map[string]float64
 	// Fields is the field-access profile harvested from the training run
 	// (table → field → read/write tallies) — the record-layout pass's
-	// training signal. nil in entries written before the field existed; the
-	// caller then falls back to static schema hints.
+	// training signal; a table training never touched has no tallies.
 	Fields map[string]map[string]db.FieldAccess
-	App    *profile.Profile
-	Kern   *profile.Profile
-	DCPI   *profile.Profile // nil when sampling was off
+	// The run's Pixie profiles of the app and kernel and its DCPI-style
+	// sampling profile of the app. An entry needs all three: Put refuses one
+	// without and ReadEntry reports it as ErrCorrupt.
+	App  *profile.Profile
+	Kern *profile.Profile
+	DCPI *profile.Profile
 }
 
 // Key returns the entry's store key.
@@ -94,9 +97,8 @@ type wireEntry struct {
 	KindNames []string
 	KindFreqs []float64
 	// The field-access profile, flattened to parallel slices sorted by key
-	// (gob map order is random): FieldKeys[i] is "table\x00field". Absent in
-	// files written before the record-layout pass existed — they decode to
-	// empty slices and a nil Entry.Fields.
+	// (gob map order is random): FieldKeys[i] is "table\x00field". An empty
+	// profile decodes to a nil Entry.Fields.
 	FieldKeys   []string
 	FieldReads  []uint64
 	FieldWrites []uint64
@@ -233,8 +235,8 @@ func (s *Store) Get(k Key) (*Entry, bool) {
 // directory, fsync, rename). A write failure is returned; callers for whom
 // persistence is best-effort drop the error.
 func (s *Store) Put(e *Entry) error {
-	if e.App == nil || e.Kern == nil {
-		return fmt.Errorf("pstore: put %s: entry missing app or kernel profile", e.Spec)
+	if e.App == nil || e.Kern == nil || e.DCPI == nil {
+		return fmt.Errorf("pstore: put %s: entry missing its app, kernel or DCPI profile", e.Spec)
 	}
 	if err := s.writeFile(e); err != nil {
 		return fmt.Errorf("pstore: put %s: %w", e.Spec, err)
@@ -280,9 +282,7 @@ func encodeEntry(w *bufio.Writer, e *Entry) error {
 		DCPI:      e.DCPI,
 		AppFP:     e.App.Fingerprint(),
 		KernFP:    e.Kern.Fingerprint(),
-	}
-	if e.DCPI != nil {
-		we.DCPIFP = e.DCPI.Fingerprint()
+		DCPIFP:    e.DCPI.Fingerprint(),
 	}
 	we.KindNames, we.KindFreqs = flattenFreq(e.KindFreq)
 	we.FieldKeys, we.FieldReads, we.FieldWrites = flattenFields(e.Fields)
@@ -304,14 +304,11 @@ func ReadEntry(path string) (*Entry, error) {
 	if err := gob.NewDecoder(bytes.NewReader(raw[len(magic):])).Decode(&we); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, filepath.Base(path), err)
 	}
-	if we.App == nil || we.Kern == nil {
+	if we.App == nil || we.Kern == nil || we.DCPI == nil {
 		return nil, fmt.Errorf("%w: %s: missing profile payload", ErrCorrupt, filepath.Base(path))
 	}
-	if we.App.Fingerprint() != we.AppFP || we.Kern.Fingerprint() != we.KernFP {
+	if we.App.Fingerprint() != we.AppFP || we.Kern.Fingerprint() != we.KernFP || we.DCPI.Fingerprint() != we.DCPIFP {
 		return nil, fmt.Errorf("%w: %s: profile fingerprint mismatch", ErrCorrupt, filepath.Base(path))
-	}
-	if we.DCPI != nil && we.DCPI.Fingerprint() != we.DCPIFP {
-		return nil, fmt.Errorf("%w: %s: dcpi fingerprint mismatch", ErrCorrupt, filepath.Base(path))
 	}
 	if len(we.KindNames) != len(we.KindFreqs) {
 		return nil, fmt.Errorf("%w: %s: kind mix length mismatch", ErrCorrupt, filepath.Base(path))

@@ -52,15 +52,15 @@ const (
 )
 
 // balanceSchema declares the shared account/teller/branch record shape: the
-// balance is the only field the transaction paths touch at runtime, so a
-// grouped layout pulls it to the record head ahead of the cold id, branch
-// and filler bytes. Declaration order reproduces the historical offsets
+// balance is the only field the transaction paths touch at runtime, so the
+// layout grouped from a training run's field tallies pulls it to the record
+// head ahead of the cold id, branch and filler bytes. Declaration order reproduces the historical offsets
 // (id@0, branch@8, balance@16).
 func balanceSchema(table string) workload.TableSchema {
 	return workload.TableSchema{Table: table, Fields: []workload.FieldSchema{
 		{Name: "id", Width: 8},
 		{Name: "branch", Width: 8},
-		{Name: "balance", Width: 8, Hot: true},
+		{Name: "balance", Width: 8},
 		{Name: "filler", Width: rowBytes - 24},
 	}}
 }

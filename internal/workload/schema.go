@@ -6,20 +6,15 @@ import (
 	"codelayout/internal/db"
 )
 
-// FieldSchema declares one record field of a table: its name, byte width,
-// and whether transactions touch it at runtime. The declaration order of
-// fields in a TableSchema is the interleaved (storage-order) baseline
-// layout; a record-layout pass may permute it, so code must address fields
-// through the resolved offsets (db.Table.FieldOffset), never by hard-coded
-// byte positions.
+// FieldSchema declares one record field of a table: its name and byte
+// width. Which fields transactions touch is not declared here: a training
+// run measures it. The declaration order of fields in a TableSchema is the
+// interleaved (storage-order) baseline layout; a record-layout pass may
+// permute it, so code must address fields through the resolved offsets
+// (db.Table.FieldOffset), never by hard-coded byte positions.
 type FieldSchema struct {
 	Name  string
 	Width int
-	// Hot says some transaction kind reads or writes the field on its
-	// instrumented run path. It is the static hotness hint the record-layout
-	// decision falls back to when no measured field-access profile is
-	// available (a field no kind touches is cold padding).
-	Hot bool
 }
 
 // TableSchema declares a table's record shape. Fields tile the record in

@@ -71,8 +71,8 @@ func Schemas() []workload.TableSchema {
 		Table: "usertable",
 		Fields: []workload.FieldSchema{
 			{Name: "key", Width: 8},
-			{Name: "version", Width: 8, Hot: true},
-			{Name: "value", Width: 8, Hot: true},
+			{Name: "version", Width: 8},
+			{Name: "value", Width: 8},
 			{Name: "filler", Width: rowBytes - 24},
 		},
 	}}
