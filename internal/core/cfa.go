@@ -32,7 +32,7 @@ func planCFA(p *program.Program, units []Unit, unitOrder []int, o CFAOptions) (m
 		return gaps, 0
 	}
 	// Units are planned at the default alignment, whatever the pipeline
-	// materializes with (ROADMAP item 8(a)).
+	// materializes with (ROADMAP item 11(a)).
 	align := uint64(program.DefaultAlignWords) * isa.WordBytes
 	cache := uint64(o.CacheBytes)
 	reserved := roundUp(uint64(o.ReservedBytes), align)

@@ -148,11 +148,16 @@ type Table struct {
 	eng   *Engine
 
 	// fields is the physical record layout (nil until EnsureFields or a
-	// field hint installs one); fieldByName indexes it and tally counts
-	// per-field accesses through FetchFields/UpdateFields.
-	fields      []FieldDef
-	fieldByName map[string]*FieldDef
-	tally       map[string]*FieldAccess
+	// field hint installs one); byName indexes it, each entry with the
+	// field's accesses through FetchFields/UpdateFields.
+	fields []FieldDef
+	byName map[string]*tallied
+}
+
+// tallied is one field of a table's layout and its access tally.
+type tallied struct {
+	FieldDef
+	FieldAccess
 }
 
 // CreateTable registers an empty heap table. A field hint installed for the

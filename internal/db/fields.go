@@ -103,15 +103,29 @@ func (e *Engine) SetFieldHints(hints map[string][]FieldDef) error {
 	return nil
 }
 
+// PackFields lays fields out in the order given, each starting where the
+// one before it ends, from offset 0: the fields' Off values are ignored. A
+// workload declares its schemas through it, so declaration order is the
+// interleaved baseline layout, and a record-layout decision packs its
+// permutation of the declared fields the same way.
+func PackFields(fields ...FieldDef) []FieldDef {
+	out := make([]FieldDef, len(fields))
+	off := 0
+	for i, f := range fields {
+		out[i] = FieldDef{Name: f.Name, Off: off, Width: f.Width}
+		off += f.Width
+	}
+	return out
+}
+
 // setFields installs a validated layout on the table and resets its tally.
 func (t *Table) setFields(defs []FieldDef) {
 	t.fields = append([]FieldDef(nil), defs...)
-	t.fieldByName = make(map[string]*FieldDef, len(defs))
-	t.tally = make(map[string]*FieldAccess, len(defs))
-	for i := range t.fields {
-		f := &t.fields[i]
-		t.fieldByName[f.Name] = f
-		t.tally[f.Name] = &FieldAccess{}
+	t.byName = make(map[string]*tallied, len(defs))
+	slots := make([]tallied, len(defs))
+	for i, f := range t.fields {
+		slots[i].FieldDef = f
+		t.byName[f.Name] = &slots[i]
 	}
 }
 
@@ -134,7 +148,7 @@ func (t *Table) EnsureFields(defs []FieldDef) error {
 			t.Name, len(t.fields), len(defs))
 	}
 	for _, d := range defs {
-		f, ok := t.fieldByName[d.Name]
+		f, ok := t.byName[d.Name]
 		if !ok {
 			return fmt.Errorf("db: table %q: installed layout is missing field %q", t.Name, d.Name)
 		}
@@ -154,7 +168,7 @@ func (t *Table) Fields() []FieldDef { return t.fields }
 // fields are programming errors (a workload addressing a field its schema
 // never declared), so it panics rather than returning a sentinel.
 func (t *Table) FieldOffset(name string) int {
-	f, ok := t.fieldByName[name]
+	f, ok := t.byName[name]
 	if !ok {
 		panic(fmt.Sprintf("db: table %q has no field %q (layout installed: %t)", t.Name, name, t.fields != nil))
 	}
@@ -163,12 +177,12 @@ func (t *Table) FieldOffset(name string) int {
 
 // FieldAccesses returns a copy of the table's per-field access tally.
 func (t *Table) FieldAccesses() map[string]FieldAccess {
-	if len(t.tally) == 0 {
+	if len(t.byName) == 0 {
 		return nil
 	}
-	out := make(map[string]FieldAccess, len(t.tally))
-	for name, a := range t.tally {
-		out[name] = *a
+	out := make(map[string]FieldAccess, len(t.byName))
+	for name, f := range t.byName {
+		out[name] = f.FieldAccess
 	}
 	return out
 }

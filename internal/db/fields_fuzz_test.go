@@ -31,7 +31,9 @@ func fieldDefsOf(data []byte) []db.FieldDef {
 
 // FuzzValidateFieldDefs: any field set is accepted or refused, never a
 // panic, and an accepted one is a layout the heap accessors can trust:
-// named, distinct, in-bounds fields that share no byte.
+// named, distinct, in-bounds fields that share no byte. Packed in its given
+// order (PackFields), an accepted layout is accepted again: the same names
+// and widths in the same order, from offset 0 with no gap.
 func FuzzValidateFieldDefs(f *testing.F) {
 	field := func(name byte, off int32, width int16) []byte {
 		b := []byte{name, 0, 0, 0, 0, 0, 0}
@@ -73,6 +75,17 @@ func FuzzValidateFieldDefs(f *testing.F) {
 					t.Fatalf("accepted overlapping fields %+v and %+v", a, b)
 				}
 			}
+		}
+		packed := db.PackFields(defs...)
+		if err := db.ValidateFieldDefs("t", packed); err != nil {
+			t.Fatalf("refused the packed layout %+v: %v", packed, err)
+		}
+		off := 0
+		for i, p := range packed {
+			if p.Name != defs[i].Name || p.Width != defs[i].Width || p.Off != off {
+				t.Fatalf("packed field %d is %+v, want %q at %d width %d", i, p, defs[i].Name, off, defs[i].Width)
+			}
+			off += p.Width
 		}
 	})
 }

@@ -103,8 +103,8 @@ func (e *Engine) copyFrom(src *Engine, frozen bool) error {
 		t := &Table{Name: st.Name, Pages: st.Pages[:len(st.Pages):len(st.Pages)], eng: e}
 		if st.fields != nil {
 			t.setFields(st.fields)
-			for f, a := range st.tally {
-				*t.tally[f] = *a
+			for name, f := range st.byName {
+				t.byName[name].FieldAccess = f.FieldAccess
 			}
 		}
 		e.tables[name] = t

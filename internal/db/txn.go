@@ -291,15 +291,15 @@ func (tb *Table) touch(s *Session, base uint64, n int, perField bool, names []st
 	}
 	s.PB.Data(base, 2, write) // record header: length prefix
 	for _, name := range names {
-		f, ok := tb.fieldByName[name]
+		f, ok := tb.byName[name]
 		if !ok {
 			panic(fmt.Sprintf("db: table %q has no field %q", tb.Name, name))
 		}
 		s.PB.Data(base+2+uint64(f.Off), f.Width, write)
 		if write {
-			tb.tally[name].Writes++
+			f.Writes++
 		} else {
-			tb.tally[name].Reads++
+			f.Reads++
 		}
 	}
 }

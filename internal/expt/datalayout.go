@@ -2,6 +2,8 @@ package expt
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"codelayout/internal/db"
@@ -148,55 +150,47 @@ func measureRecordLayouts(s *Session, cpus int) ([2]*Measure, error) {
 }
 
 // The record-layout decision is the data-cache analogue of the paper's
-// hot/cold code splitting. From a workload's declared per-table field schemas
-// (workload.TableSchema) and a field-access profile (per-field read/write
-// tallies the storage engine collects during training), it groups hot fields
-// contiguously at the record head with cold fields packed behind. It changes
-// only the byte offsets records encode and decode on slotted pages; record
-// width, field set and instruction streams are preserved, so the L1D model
-// sees fewer touched lines per transaction and nothing else moves.
+// hot/cold code splitting. From a workload's declared per-table record
+// layouts (Workload.RecordSchemas) and a field-access profile (per-field
+// read/write tallies the storage engine collects during training), it groups
+// hot fields contiguously at the record head with cold fields packed behind.
+// It changes only the byte offsets records encode and decode on slotted
+// pages; record width, field set and instruction streams are preserved, so
+// the L1D model sees fewer touched lines per transaction and nothing else
+// moves.
 
-// decideGrouped computes the grouped layout of one table: the schema's
+// decideGrouped computes the grouped layout of one table: the declared
 // fields stably sorted by descending read+write tally, packed contiguously
-// so the record width is exactly the schema width. Touched fields come
-// first, hottest ahead; fields with equal tallies, the untouched ones
-// included, keep declared order, so the decision is deterministic and a
+// (db.PackFields) so the record width is exactly the declared width. Touched
+// fields come first, hottest ahead; fields with equal tallies, the untouched
+// ones included, keep declared order, so the decision is deterministic and a
 // table training never touched (nil or empty counts) keeps its declared
 // layout.
-func decideGrouped(ts workload.TableSchema, counts map[string]db.FieldAccess) []db.FieldDef {
-	fields := append([]workload.FieldSchema(nil), ts.Fields...)
+func decideGrouped(declared []db.FieldDef, counts map[string]db.FieldAccess) []db.FieldDef {
+	fields := slices.Clone(declared)
 	sort.SliceStable(fields, func(i, j int) bool {
 		return counts[fields[i].Name].Total() > counts[fields[j].Name].Total()
 	})
-	defs := make([]db.FieldDef, 0, len(fields))
-	off := 0
-	for _, f := range fields {
-		defs = append(defs, db.FieldDef{Name: f.Name, Off: off, Width: f.Width})
-		off += f.Width
-	}
-	return defs
+	return db.PackFields(fields...)
 }
 
 // groupedDefs computes the grouped layout of every table the workload
 // declares a schema for, keyed by table name — the value of
 // machine.Config.RecordLayouts. prof (table → field → tally, as
 // machine.Machine.FieldProfile harvests it) may miss tables training never
-// touched; they keep their declared layout.
+// touched; they keep their declared layout. Tables are checked in name
+// order, so a malformed schema is always reported under the same table.
 func groupedDefs(wl workload.Workload, prof map[string]map[string]db.FieldAccess) (map[string][]db.FieldDef, error) {
 	schemas := wl.RecordSchemas()
 	if len(schemas) == 0 {
 		return nil, fmt.Errorf("expt: workload %q returned no table schemas", wl.Name())
 	}
 	out := make(map[string][]db.FieldDef, len(schemas))
-	for _, ts := range schemas {
-		if err := ts.Validate(); err != nil {
+	for _, table := range slices.Sorted(maps.Keys(schemas)) {
+		if err := db.ValidateFieldDefs(table, schemas[table]); err != nil {
 			return nil, err
 		}
-		defs := decideGrouped(ts, prof[ts.Table])
-		if err := db.ValidateFieldDefs(ts.Table, defs); err != nil {
-			return nil, err
-		}
-		out[ts.Table] = defs
+		out[table] = decideGrouped(schemas[table], prof[table])
 	}
 	return out, nil
 }

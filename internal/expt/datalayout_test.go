@@ -98,24 +98,29 @@ func TestDataLayoutSpecValidation(t *testing.T) {
 	}
 }
 
-// randomSchema builds a schema with 1..12 fields of width 1..32.
-func randomSchema(r *rand.Rand, table string) workload.TableSchema {
-	n := 1 + r.Intn(12)
-	ts := workload.TableSchema{Table: table}
-	for i := 0; i < n; i++ {
-		ts.Fields = append(ts.Fields, workload.FieldSchema{
-			Name:  fmt.Sprintf("f%02d", i),
-			Width: 1 + r.Intn(32),
-		})
+// randomSchema builds a declared layout of 1..12 fields of width 1..32.
+func randomSchema(r *rand.Rand) []db.FieldDef {
+	fields := make([]db.FieldDef, 1+r.Intn(12))
+	for i := range fields {
+		fields[i] = db.FieldDef{Name: fmt.Sprintf("f%02d", i), Width: 1 + r.Intn(32)}
 	}
-	return ts
+	return db.PackFields(fields...)
+}
+
+// recordWidth is the byte width of a record laid out as defs.
+func recordWidth(defs []db.FieldDef) int {
+	w := 0
+	for _, f := range defs {
+		w = max(w, f.Off+f.Width)
+	}
+	return w
 }
 
 // randomCounts builds a tally covering a random subset of the schema's
 // fields (nil and empty maps stand for a table training never touched).
-func randomCounts(r *rand.Rand, ts workload.TableSchema) map[string]db.FieldAccess {
+func randomCounts(r *rand.Rand, schema []db.FieldDef) map[string]db.FieldAccess {
 	counts := make(map[string]db.FieldAccess)
-	for _, f := range ts.Fields {
+	for _, f := range schema {
 		if r.Intn(2) == 0 {
 			counts[f.Name] = db.FieldAccess{Reads: uint64(r.Intn(1000)), Writes: uint64(r.Intn(100))}
 		}
@@ -134,11 +139,11 @@ func randomCounts(r *rand.Rand, ts workload.TableSchema) map[string]db.FieldAcce
 func TestDecideProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 500; iter++ {
-		ts := randomSchema(r, fmt.Sprintf("t%d", iter))
-		if err := ts.Validate(); err != nil {
+		schema := randomSchema(r)
+		if err := db.ValidateFieldDefs("t", schema); err != nil {
 			t.Fatalf("iter %d: random schema invalid: %v", iter, err)
 		}
-		if err := checkGrouped(ts, randomCounts(r, ts)); err != nil {
+		if err := checkGrouped(schema, randomCounts(r, schema)); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}
@@ -157,36 +162,36 @@ func FuzzDecideGrouped(f *testing.F) {
 			return
 		}
 		measured := data[0]&1 == 1
-		ts := workload.TableSchema{Table: "t"}
+		var fields []db.FieldDef
 		counts := make(map[string]db.FieldAccess)
 		for i, b := 0, data[1:]; len(b) >= 4 && i < 12; i, b = i+1, b[4:] {
-			fs := workload.FieldSchema{Name: fmt.Sprintf("f%02d", i), Width: 1 + int(b[0]%32)}
-			ts.Fields = append(ts.Fields, fs)
+			fd := db.FieldDef{Name: fmt.Sprintf("f%02d", i), Width: 1 + int(b[0]%32)}
+			fields = append(fields, fd)
 			if measured && b[2]|b[3] != 0 {
-				counts[fs.Name] = db.FieldAccess{Reads: uint64(b[2]), Writes: uint64(b[3])}
+				counts[fd.Name] = db.FieldAccess{Reads: uint64(b[2]), Writes: uint64(b[3])}
 			}
 		}
-		if err := checkGrouped(ts, counts); err != nil {
+		if err := checkGrouped(db.PackFields(fields...), counts); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
-// checkGrouped decides ts's grouped layout and checks it field by field: a
-// contiguous permutation of the schema's fields at their widths, the same on
-// a second call, and in the decision's order: descending tally first, and
-// declared order among equal tallies, so nil or empty counts keep the
-// declared order.
-func checkGrouped(ts workload.TableSchema, counts map[string]db.FieldAccess) error {
-	defs := decideGrouped(ts, counts)
-	if err := db.ValidateFieldDefs(ts.Table, defs); err != nil {
+// checkGrouped decides schema's grouped layout and checks it field by
+// field: a contiguous permutation of the schema's fields at their widths,
+// the same on a second call, and in the decision's order: descending tally
+// first, and declared order among equal tallies, so nil or empty counts keep
+// the declared order.
+func checkGrouped(schema []db.FieldDef, counts map[string]db.FieldAccess) error {
+	defs := decideGrouped(schema, counts)
+	if err := db.ValidateFieldDefs("t", defs); err != nil {
 		return fmt.Errorf("grouped layout invalid: %v", err)
 	}
-	if len(defs) != len(ts.Fields) {
-		return fmt.Errorf("%d fields in, %d out", len(ts.Fields), len(defs))
+	if len(defs) != len(schema) {
+		return fmt.Errorf("%d fields in, %d out", len(schema), len(defs))
 	}
-	index := make(map[string]int, len(ts.Fields))
-	for i, f := range ts.Fields {
+	index := make(map[string]int, len(schema))
+	for i, f := range schema {
 		index[f.Name] = i
 	}
 	// rank is a field's place in the decision's order: by descending heat,
@@ -202,8 +207,8 @@ func checkGrouped(ts workload.TableSchema, counts map[string]db.FieldAccess) err
 		if !ok {
 			return fmt.Errorf("layout invented field %q", d.Name)
 		}
-		if d.Width != ts.Fields[i].Width {
-			return fmt.Errorf("field %q width %d != schema %d", d.Name, d.Width, ts.Fields[i].Width)
+		if d.Width != schema[i].Width {
+			return fmt.Errorf("field %q width %d != schema %d", d.Name, d.Width, schema[i].Width)
 		}
 		if d.Off != total {
 			return fmt.Errorf("field %q at %d, want contiguous %d", d.Name, d.Off, total)
@@ -212,15 +217,15 @@ func checkGrouped(ts workload.TableSchema, counts map[string]db.FieldAccess) err
 		r := rank{heat: counts[d.Name].Total(), idx: i}
 		if p := prev; p != nil {
 			if p.heat < r.heat || p.heat == r.heat && p.idx > r.idx {
-				return fmt.Errorf("field %q (%+v) placed after %q (%+v)", d.Name, r, ts.Fields[p.idx].Name, *p)
+				return fmt.Errorf("field %q (%+v) placed after %q (%+v)", d.Name, r, schema[p.idx].Name, *p)
 			}
 		}
 		prev = &r
 	}
-	if total != ts.Width() {
-		return fmt.Errorf("record width %d != schema width %d", total, ts.Width())
+	if w := recordWidth(schema); total != w {
+		return fmt.Errorf("record width %d != schema width %d", total, w)
 	}
-	if !reflect.DeepEqual(defs, decideGrouped(ts, counts)) {
+	if !reflect.DeepEqual(defs, decideGrouped(schema, counts)) {
 		return fmt.Errorf("decideGrouped is not deterministic")
 	}
 	return nil
@@ -229,11 +234,11 @@ func checkGrouped(ts workload.TableSchema, counts map[string]db.FieldAccess) err
 // TestDecideHotFieldsLead: measured-hot fields come first in descending
 // access order; untouched fields keep declared order behind them.
 func TestDecideHotFieldsLead(t *testing.T) {
-	ts := workload.TableSchema{Table: "t", Fields: []workload.FieldSchema{
-		{Name: "a", Width: 8}, {Name: "b", Width: 8},
-		{Name: "c", Width: 8}, {Name: "d", Width: 8},
-	}}
-	defs := decideGrouped(ts, map[string]db.FieldAccess{
+	schema := db.PackFields(
+		db.FieldDef{Name: "a", Width: 8}, db.FieldDef{Name: "b", Width: 8},
+		db.FieldDef{Name: "c", Width: 8}, db.FieldDef{Name: "d", Width: 8},
+	)
+	defs := decideGrouped(schema, map[string]db.FieldAccess{
 		"c": {Reads: 100},
 		"a": {Reads: 10},
 	})
@@ -251,12 +256,12 @@ func TestDecideHotFieldsLead(t *testing.T) {
 func TestGroupedRoundTripOnPages(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 40; iter++ {
-		ts := randomSchema(r, fmt.Sprintf("rt%d", iter))
-		defs := decideGrouped(ts, randomCounts(r, ts))
+		schema := randomSchema(r)
+		defs := decideGrouped(schema, randomCounts(r, schema))
 
 		eng := db.NewEngine(db.Config{BufferPoolPages: 64})
 		s := eng.NewSession(1, nil)
-		tb := eng.CreateTable(ts.Table)
+		tb := eng.CreateTable(fmt.Sprintf("rt%d", iter))
 		if err := tb.EnsureFields(defs); err != nil {
 			t.Fatalf("iter %d: EnsureFields: %v", iter, err)
 		}
@@ -269,7 +274,7 @@ func TestGroupedRoundTripOnPages(t *testing.T) {
 		var rids []db.RID
 		var want [][]fieldVal
 		for rec := 0; rec < 20; rec++ {
-			row := make([]byte, ts.Width())
+			row := make([]byte, recordWidth(schema))
 			var vals []fieldVal
 			for _, d := range defs {
 				v := make([]byte, d.Width)
@@ -286,8 +291,8 @@ func TestGroupedRoundTripOnPages(t *testing.T) {
 			s.Begin()
 			row := tb.Fetch(s, rid)
 			s.Commit()
-			if len(row) != ts.Width() {
-				t.Fatalf("iter %d: record width %d, want %d", iter, len(row), ts.Width())
+			if w := recordWidth(schema); len(row) != w {
+				t.Fatalf("iter %d: record width %d, want %d", iter, len(row), w)
 			}
 			for _, fv := range want[i] {
 				off := tb.FieldOffset(fv.name)
@@ -304,12 +309,12 @@ func TestGroupedRoundTripOnPages(t *testing.T) {
 // declared table and the hint path installs the layout so a fresh engine's
 // offsets differ from the declared order where the profile says so.
 func TestGroupedDefsEndToEnd(t *testing.T) {
-	ts := workload.TableSchema{Table: "acct", Fields: []workload.FieldSchema{
-		{Name: "id", Width: 8},
-		{Name: "pad", Width: 64},
-		{Name: "bal", Width: 8},
-	}}
-	wl := &schemaWorkload{schemas: []workload.TableSchema{ts}}
+	schema := db.PackFields(
+		db.FieldDef{Name: "id", Width: 8},
+		db.FieldDef{Name: "pad", Width: 64},
+		db.FieldDef{Name: "bal", Width: 8},
+	)
+	wl := &schemaWorkload{schemas: map[string][]db.FieldDef{"acct": schema}}
 	defs, err := groupedDefs(wl, map[string]map[string]db.FieldAccess{"acct": {"bal": {Reads: 50, Writes: 50}}})
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +328,7 @@ func TestGroupedDefsEndToEnd(t *testing.T) {
 		t.Fatalf("hot field bal at offset %d, want 0", got)
 	}
 	// The loader's interleaved EnsureFields must yield to the installed hint.
-	if err := tb.EnsureFields(ts.Interleaved()); err != nil {
+	if err := tb.EnsureFields(schema); err != nil {
 		t.Fatalf("EnsureFields against hint: %v", err)
 	}
 	if got := tb.FieldOffset("bal"); got != 0 {
@@ -331,7 +336,7 @@ func TestGroupedDefsEndToEnd(t *testing.T) {
 	}
 	// A record written through the offsets reads back through them.
 	s := eng.NewSession(1, nil)
-	row := make([]byte, ts.Width())
+	row := make([]byte, recordWidth(schema))
 	binary.LittleEndian.PutUint64(row[tb.FieldOffset("bal"):], 777)
 	s.Begin()
 	rid := tb.Insert(s, row)
@@ -346,8 +351,8 @@ func TestGroupedDefsEndToEnd(t *testing.T) {
 // on a workload.
 type schemaWorkload struct {
 	workload.Workload
-	schemas []workload.TableSchema
+	schemas map[string][]db.FieldDef
 }
 
-func (w *schemaWorkload) Name() string                          { return "schemawl" }
-func (w *schemaWorkload) RecordSchemas() []workload.TableSchema { return w.schemas }
+func (w *schemaWorkload) Name() string                            { return "schemawl" }
+func (w *schemaWorkload) RecordSchemas() map[string][]db.FieldDef { return w.schemas }

@@ -3,6 +3,7 @@ package machine_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,13 +16,10 @@ import (
 // wl: its fields in reverse declaration order.
 func groupedLayouts(wl workload.Workload) map[string][]db.FieldDef {
 	out := make(map[string][]db.FieldDef)
-	for _, ts := range wl.RecordSchemas() {
-		off := 0
-		for i := len(ts.Fields) - 1; i >= 0; i-- {
-			f := ts.Fields[i]
-			out[ts.Table] = append(out[ts.Table], db.FieldDef{Name: f.Name, Off: off, Width: f.Width})
-			off += f.Width
-		}
+	for table, defs := range wl.RecordSchemas() {
+		reversed := slices.Clone(defs)
+		slices.Reverse(reversed)
+		out[table] = db.PackFields(reversed...)
 	}
 	return out
 }

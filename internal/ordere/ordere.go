@@ -72,23 +72,18 @@ const (
 // quantities belong to New-Order, the YTD and balance columns to Payment —
 // so the layout grouped from a training run's field tallies has a different
 // head per table.
-func Schemas() []workload.TableSchema {
-	filler := rowBytes - 32
-	u64 := func(name string) workload.FieldSchema { return workload.FieldSchema{Name: name, Width: 8} }
-	fill := workload.FieldSchema{Name: "filler", Width: filler}
-	return []workload.TableSchema{
-		{Table: "warehouse", Fields: []workload.FieldSchema{
-			u64("id"), u64("tag"), u64("ytd"), u64("reserved"), fill}},
-		{Table: "district", Fields: []workload.FieldSchema{
-			u64("id"), u64("warehouse"), u64("ytd"), u64("next_oid"), fill}},
-		{Table: "customer", Fields: []workload.FieldSchema{
-			u64("id"), u64("district"), u64("balance"), u64("credit"), fill}},
-		{Table: "stock", Fields: []workload.FieldSchema{
-			u64("id"), u64("warehouse"), u64("qty"), u64("ytd"), fill}},
-		{Table: "orders", Fields: []workload.FieldSchema{
-			u64("key"), u64("customer"), u64("total"), u64("lines"), fill}},
-		{Table: "order_line", Fields: []workload.FieldSchema{
-			u64("key"), u64("item"), u64("amount"), u64("qty"), fill}},
+func Schemas() map[string][]db.FieldDef {
+	row := func(a, b, c, d string) []db.FieldDef {
+		u64 := func(name string) db.FieldDef { return db.FieldDef{Name: name, Width: 8} }
+		return db.PackFields(u64(a), u64(b), u64(c), u64(d), db.FieldDef{Name: "filler", Width: rowBytes - 32})
+	}
+	return map[string][]db.FieldDef{
+		"warehouse":  row("id", "tag", "ytd", "reserved"),
+		"district":   row("id", "warehouse", "ytd", "next_oid"),
+		"customer":   row("id", "district", "balance", "credit"),
+		"stock":      row("id", "warehouse", "qty", "ytd"),
+		"orders":     row("key", "customer", "total", "lines"),
+		"order_line": row("key", "item", "amount", "qty"),
 	}
 }
 
@@ -186,8 +181,8 @@ func loadOwned(eng *db.Engine, sc Scale, own func(warehouse uint64) bool) (*Benc
 	}
 	m := (&Bench{Scale: sc}).bind(eng)
 
-	for _, ts := range Schemas() {
-		if err := eng.Table(ts.Table).EnsureFields(ts.Interleaved()); err != nil {
+	for table, defs := range Schemas() {
+		if err := eng.Table(table).EnsureFields(defs); err != nil {
 			return nil, err
 		}
 	}

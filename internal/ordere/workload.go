@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"codelayout/internal/codegen"
+	"codelayout/internal/db"
 	"codelayout/internal/workload"
 )
 
@@ -62,7 +63,7 @@ func (w *Workload) DataPages() int {
 
 // RecordSchemas implements workload.Workload: the per-table field
 // schemas the record-layout pass groups.
-func (w *Workload) RecordSchemas() []workload.TableSchema { return Schemas() }
+func (w *Workload) RecordSchemas() map[string][]db.FieldDef { return Schemas() }
 
 // KindRoots implements workload.Workload: one entry model per transaction
 // kind in the mix, including the distributed Payment the sharded variant

@@ -106,13 +106,14 @@ func sameSequence(t *testing.T, what, spec string, got, want [][2]program.BlockI
 	}
 }
 
-// TestLayoutPreservesBlockSequence is ROADMAP item 3's first oracle: a layout
-// is a semantics-preserving permutation of the program. For pipeline specs
+// TestLayoutPreservesBlockSequence is an oracle that needs no second
+// implementation (ROADMAP item 15's kind): a layout is a
+// semantics-preserving permutation of the program. For pipeline specs
 // drawn from Mutate — txfuse among them, whose clones map back through
 // CloneOf — the same engine events and the same PRNG seed execute the same
 // logical block sequence under the candidate layout as under the baseline;
-// only addresses and materialized terminator words differ. Trace-replay
-// fitness (item 1c) rests on exactly this.
+// only addresses and materialized terminator words differ. Replay from a
+// captured block stream (parked in ROADMAP) would rest on exactly this.
 func TestLayoutPreservesBlockSequence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")

@@ -51,28 +51,21 @@ const (
 	historyBytes = 50
 )
 
-// balanceSchema declares the shared account/teller/branch record shape: the
-// balance is the only field the transaction paths touch at runtime, so the
-// layout grouped from a training run's field tallies pulls it to the record
-// head ahead of the cold id, branch and filler bytes. Declaration order reproduces the historical offsets
-// (id@0, branch@8, balance@16).
-func balanceSchema(table string) workload.TableSchema {
-	return workload.TableSchema{Table: table, Fields: []workload.FieldSchema{
-		{Name: "id", Width: 8},
-		{Name: "branch", Width: 8},
-		{Name: "balance", Width: 8},
-		{Name: "filler", Width: rowBytes - 24},
-	}}
-}
-
 // Schemas declares the workload's table schemas (history is insert-only and
 // schema-free: whole-record appends gain nothing from field grouping).
-func Schemas() []workload.TableSchema {
-	return []workload.TableSchema{
-		balanceSchema("account"),
-		balanceSchema("teller"),
-		balanceSchema("branch"),
-	}
+// Account, teller and branch share one record shape: the balance is the only
+// field the transaction paths touch at runtime, so the layout grouped from a
+// training run's field tallies pulls it to the record head ahead of the cold
+// id, branch and filler bytes. Declaration order reproduces the historical
+// offsets (id@0, branch@8, balance@16).
+func Schemas() map[string][]db.FieldDef {
+	row := db.PackFields(
+		db.FieldDef{Name: "id", Width: 8},
+		db.FieldDef{Name: "branch", Width: 8},
+		db.FieldDef{Name: "balance", Width: 8},
+		db.FieldDef{Name: "filler", Width: rowBytes - 24},
+	)
+	return map[string][]db.FieldDef{"account": row, "teller": row, "branch": row}
 }
 
 // rowOffsets is one table's resolved field offsets; encode/decode goes
@@ -134,8 +127,8 @@ func loadOwned(eng *db.Engine, sc Scale, own func(branch uint64) bool) (*Bench, 
 	// The interleaved schema layout is the default; an engine field hint
 	// (a grouped record layout) installed before load wins, and the
 	// resolved offsets below follow it.
-	for _, ts := range Schemas() {
-		if err := eng.Table(ts.Table).EnsureFields(ts.Interleaved()); err != nil {
+	for table, defs := range Schemas() {
+		if err := eng.Table(table).EnsureFields(defs); err != nil {
 			return nil, err
 		}
 	}

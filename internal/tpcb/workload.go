@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"codelayout/internal/codegen"
+	"codelayout/internal/db"
 	"codelayout/internal/workload"
 )
 
@@ -88,7 +89,7 @@ func (w *Workload) DataPages() int {
 
 // RecordSchemas implements workload.Workload: the per-table field
 // schemas the record-layout pass groups.
-func (w *Workload) RecordSchemas() []workload.TableSchema { return Schemas() }
+func (w *Workload) RecordSchemas() map[string][]db.FieldDef { return Schemas() }
 
 // KindRoots implements workload.Workload: the local mix runs tpcb_txn, the
 // cross-shard variant runs the tpcb_dist model (sharded runs label it

@@ -11,6 +11,7 @@ import (
 	"codelayout/internal/codegen"
 	"codelayout/internal/db"
 	"codelayout/internal/ordere"
+	"codelayout/internal/probe"
 	"codelayout/internal/program"
 	_ "codelayout/internal/tpcb"
 	"codelayout/internal/workload"
@@ -83,6 +84,61 @@ func TestKindConformance(t *testing.T) {
 				}
 				if shards > 1 && len(seen) != len(declared) {
 					t.Errorf("%d shards: Route yields kinds %v, KindRoots declares %v", shards, seen, declared)
+				}
+			}
+		})
+	}
+}
+
+// TestRecordSchemaConformance: every registered workload, loaded at its
+// quick scale on one engine, installs exactly the layouts RecordSchemas
+// declares — valid ones, packed in declaration order — and a run of
+// requests tallies field accesses only on declared tables, so the grouped
+// record layout decided from the tallies covers every field it reorders.
+func TestRecordSchemaConformance(t *testing.T) {
+	for _, name := range workload.Names() {
+		t.Run(name, func(t *testing.T) {
+			wl, err := workload.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl = wl.QuickScale()
+			eng := db.NewEngine(db.Config{BufferPoolPages: wl.DataPages() + 4096})
+			inst, err := wl.Load([]*db.Engine{eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			schemas := wl.RecordSchemas()
+			if len(schemas) == 0 {
+				t.Fatal("no record schemas")
+			}
+			for table, defs := range schemas {
+				if err := db.ValidateFieldDefs(table, defs); err != nil {
+					t.Fatal(err)
+				}
+				if packed := db.PackFields(defs...); !slices.Equal(defs, packed) {
+					t.Errorf("table %q declares %v, not packed in declaration order (%v)", table, defs, packed)
+				}
+				tb := eng.Table(table)
+				if tb == nil {
+					t.Fatalf("table %q is declared but not created", table)
+				}
+				if got := tb.Fields(); !slices.Equal(got, defs) {
+					t.Errorf("table %q holds %v after Load, want the declared %v", table, got, defs)
+				}
+			}
+			ss := []*db.Session{eng.NewSession(1, probe.Nop{})}
+			r := rand.New(rand.NewSource(3))
+			for i := 0; i < 200; i++ {
+				inst.RunTxn(ss, inst.GenInput(r, nil))
+			}
+			prof := eng.FieldProfile()
+			if len(prof) == 0 {
+				t.Fatal("200 requests tallied no field access")
+			}
+			for table := range prof {
+				if _, ok := schemas[table]; !ok {
+					t.Errorf("table %q tallies field accesses but declares no schema", table)
 				}
 			}
 		})

@@ -172,11 +172,14 @@ type Workload interface {
 	// named root and follows the profile's hottest call edges from there.
 	KindRoots() []KindRoot
 
-	// RecordSchemas returns the per-table field schemas that profile-guided
-	// record layout permutes (expt.DataLayoutTable). They must cover every
-	// table whose encode/decode paths resolve field offsets through
+	// RecordSchemas returns each table's declared record layout, keyed by
+	// table name: its fields packed in declaration order (db.PackFields),
+	// the interleaved baseline Load installs unless an engine field hint
+	// wins, and the field set profile-guided record layout permutes
+	// (expt.DataLayoutTable). They must cover every table whose
+	// encode/decode paths resolve field offsets through
 	// db.Table.FieldOffset.
-	RecordSchemas() []TableSchema
+	RecordSchemas() map[string][]db.FieldDef
 }
 
 // Partitioning declares how a workload splits across engines.

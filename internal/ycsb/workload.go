@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"codelayout/internal/codegen"
+	"codelayout/internal/db"
 	"codelayout/internal/workload"
 )
 
@@ -114,7 +115,7 @@ func (w *Workload) DataPages() int {
 
 // RecordSchemas implements workload.Workload: the per-table field
 // schemas the record-layout pass groups.
-func (w *Workload) RecordSchemas() []workload.TableSchema { return Schemas() }
+func (w *Workload) RecordSchemas() map[string][]db.FieldDef { return Schemas() }
 
 // KindRoots implements workload.Workload: point reads, read-modify-write
 // updates, and the sharded scatter read each have their own entry model.

@@ -16,7 +16,6 @@ import (
 	"math/rand"
 
 	"codelayout/internal/db"
-	"codelayout/internal/workload"
 )
 
 // Scale configures database size.
@@ -66,16 +65,13 @@ type Input struct {
 // Schemas returns the per-table field schemas: key, version and value are
 // the live fields (version and value are what every operation actually
 // touches), the filler models the wide cold payload a real user row carries.
-func Schemas() []workload.TableSchema {
-	return []workload.TableSchema{{
-		Table: "usertable",
-		Fields: []workload.FieldSchema{
-			{Name: "key", Width: 8},
-			{Name: "version", Width: 8},
-			{Name: "value", Width: 8},
-			{Name: "filler", Width: rowBytes - 24},
-		},
-	}}
+func Schemas() map[string][]db.FieldDef {
+	return map[string][]db.FieldDef{"usertable": db.PackFields(
+		db.FieldDef{Name: "key", Width: 8},
+		db.FieldDef{Name: "version", Width: 8},
+		db.FieldDef{Name: "value", Width: 8},
+		db.FieldDef{Name: "filler", Width: rowBytes - 24},
+	)}
 }
 
 // rowOffsets caches the resolved byte offsets of the live fields under
@@ -164,7 +160,7 @@ func loadOwned(eng *db.Engine, sc Scale, own func(key uint64) bool) (*Bench, err
 	eng.CreateTable("usertable")
 	eng.CreateBTree("user_pk")
 	b := (&Bench{Scale: sc}).bind(eng)
-	if err := b.UserTable.EnsureFields(Schemas()[0].Interleaved()); err != nil {
+	if err := b.UserTable.EnsureFields(Schemas()["usertable"]); err != nil {
 		return nil, err
 	}
 	b.off = resolveOffsets(b.UserTable)
