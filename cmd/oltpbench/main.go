@@ -143,7 +143,7 @@ func main() {
 		float64(res.BusyInstrs)/float64(res.Committed))
 	ic := m.Comb4W[64]
 	fmt.Printf("icache 64KB/128B/4-way: %d misses (%.3f%% of line accesses)\n", ic.Misses, ic.MissRate()*100)
-	fmt.Printf("mean app sequence:      %.2f instructions\n", m.Seq.Hist.Mean())
+	fmt.Printf("mean app sequence:      %.2f instructions\n", m.Seq.Mean())
 	if o.FetchStallPenaltyInstr > 0 {
 		fmt.Printf("fetch stalls:     %d instr-times (%d per L1I miss)\n", res.FetchStallInstr, o.FetchStallPenaltyInstr)
 	}

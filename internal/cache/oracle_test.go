@@ -199,9 +199,10 @@ func TestICacheMatchesReferenceOnRandomRuns(t *testing.T) {
 
 // TestICacheMatchesReferenceOnMachineRuns records the fetch runs of a real
 // (tiny) TPC-B run and checks the battery's own cache shapes against the
-// reference on them. The word-tracking half is what lets the battery
-// simulate Word and App4W[128] (application stream) and Intf and Comb4W[128]
-// (combined stream) once each.
+// reference on them. The word-tracking half is what lets the battery's
+// App4W[128] (application stream) track words for Figures 9–11, and its
+// Comb4W[128] (combined stream) attribute interference, as plain members of
+// their families.
 func TestICacheMatchesReferenceOnMachineRuns(t *testing.T) {
 	all, app := machineRuns(t)
 	for _, c := range []struct {
@@ -604,7 +605,7 @@ func TestFamilyMatchesReferenceOnEverySubset(t *testing.T) {
 // TestFamilyMatchesReferenceOnMachineRuns checks the battery's own family
 // rows — the cache-size axis of Figures 4 to 7 and 12 — on machine-recorded
 // runs: a direct-mapped application family, the 4-way application family
-// whose 128KB member is Word, and the 4-way combined family.
+// whose 128KB member tracks words, and the 4-way combined family.
 func TestFamilyMatchesReferenceOnMachineRuns(t *testing.T) {
 	all, app := machineRuns(t)
 	var sizes []int

@@ -6,6 +6,7 @@ import (
 	"codelayout/internal/cache"
 	"codelayout/internal/machine"
 	"codelayout/internal/mem"
+	"codelayout/internal/stats"
 	"codelayout/internal/tlb"
 	"codelayout/internal/trace"
 )
@@ -36,26 +37,22 @@ type Measure struct {
 	// AppDM[size][line] — application-only, direct-mapped (Figures 4, 5).
 	AppDM map[int]map[int]*cache.Stats
 	// App4W[size] — application-only, 128B lines, 4-way (Figures 6, 7, 12).
-	// App4W[128] is the same simulated cache as Word.
+	// App4W[128] also tracks words (Figures 9, 10, 11 and the unused-fetch
+	// statistic).
 	App4W map[int]*cache.Stats
 	// Comb4W[size] — combined app+kernel, 128B, 4-way (Figure 12).
+	// Comb4W[128] also attributes interference (Figure 13).
 	Comb4W map[int]*cache.Stats
 	// Kern4W[size] — kernel-only, 128B, 4-way (Figure 12).
 	Kern4W map[int]*cache.Stats
 
-	// Word: application-only 128KB/128B/4-way with word tracking
-	// (Figures 9, 10, 11 and the unused-fetch statistic).
-	Word *cache.Stats
-	// Intf: combined 128KB/128B/4-way for interference attribution
-	// (Figure 13) — the same simulated cache as Comb4W[128].
-	Intf *cache.Stats
-
-	// Seq and Foot observe the application stream (Figure 8, footprint).
-	Seq  *trace.SeqLen
-	Foot *trace.Footprint
-
-	AppRuns trace.Counter
-	AllRuns trace.Counter
+	// Seq is the histogram of the application stream's sequence lengths
+	// (Figure 8), and AppRuns the fetch runs it was fed: Seq.Sum/AppRuns is
+	// the mean basic block.
+	Seq     *stats.Hist
+	AppRuns uint64
+	// Foot is the application stream's footprint.
+	Foot Footprint
 
 	// ITLB64/ITLB48: merged iTLB misses (64-entry SimOS config, 48-entry
 	// 21164 config).
@@ -76,6 +73,13 @@ type Measure struct {
 	Board mem.Stats
 }
 
+// Footprint is the text a stream touched: its unique 128B lines, in bytes,
+// and its unique pages.
+type Footprint struct {
+	Bytes int64
+	Pages int
+}
+
 // SinkSet names the sink groups a measured run attaches: what the reader of
 // its Measure will read, and so all the run simulates beyond the machine
 // itself. Sets combine with |. Res, Latency and GCWindows come from the
@@ -84,9 +88,8 @@ type SinkSet uint32
 
 const (
 	SinkAppDM  SinkSet = 1 << iota // AppDM: all 25 size × line caches
-	SinkSeq                        // Seq
+	SinkSeq                        // Seq, AppRuns
 	SinkFoot                       // Foot
-	SinkRuns                       // AppRuns, AllRuns
 	SinkITLB                       // ITLB64, ITLB48
 	SinkMem                        // Mem, and HW21264: the L1I whose misses feed Mem's L2
 	SinkBoard                      // Board, and HW21164 likewise
@@ -100,7 +103,7 @@ const (
 
 // SinkApp4W, SinkComb4W and SinkKern4W name one cache of a 4-way family by
 // its size, a CacheSizesKB entry (any other size names no cache: the empty
-// set). SinkApp4W(128) is also Word, SinkComb4W(128) also Intf.
+// set).
 func SinkApp4W(sizeKB int) SinkSet  { return sizeBit(sinkApp4W, sizeKB) }
 func SinkComb4W(sizeKB int) SinkSet { return sizeBit(sinkComb4W, sizeKB) }
 func SinkKern4W(sizeKB int) SinkSet { return sizeBit(sinkKern4W, sizeKB) }
@@ -137,8 +140,7 @@ type sinkGroup struct {
 // sims is what a group's build made: the fetch sink of each CPU, the data
 // sink if the group has one, collect, which files the simulators' results in
 // a Measure, and reset, which readies them for another run of the same shape
-// once collect has run. A group whose collect hands the Measure the
-// simulators themselves has no reset: it is built again for every run.
+// once collect has run.
 type sims struct {
 	fetch   []trace.Sink
 	data    trace.DataSink
@@ -213,20 +215,10 @@ var sinkGroups = func() []sinkGroup {
 				return cache.Config{SizeBytes: size << 10, LineBytes: 128, Assoc: 4, WordStats: size == wordsKB}
 			}, file)
 	}
-	// The 128KB application cache tracks words: it is Word, and word tracking
-	// never changes a hit or a victim. The 128KB combined cache is Intf.
-	fourWay("App4W", sinkApp4W, appStream, 128, func(m *Measure, size int, st *cache.Stats) {
-		put(&m.App4W, size, st)
-		if size == 128 {
-			m.Word = st
-		}
-	})
-	fourWay("Comb4W", sinkComb4W, combStream, 0, func(m *Measure, size int, st *cache.Stats) {
-		put(&m.Comb4W, size, st)
-		if size == 128 {
-			m.Intf = st
-		}
-	})
+	// The 128KB application cache tracks words: word tracking never changes
+	// a hit or a victim.
+	fourWay("App4W", sinkApp4W, appStream, 128, func(m *Measure, size int, st *cache.Stats) { put(&m.App4W, size, st) })
+	fourWay("Comb4W", sinkComb4W, combStream, 0, func(m *Measure, size int, st *cache.Stats) { put(&m.Comb4W, size, st) })
 	fourWay("Kern4W", sinkKern4W, kernStream, 0, func(m *Measure, size int, st *cache.Stats) { put(&m.Kern4W, size, st) })
 
 	// single is a group of one sink that keeps the CPUs apart itself, or
@@ -286,19 +278,11 @@ var sinkGroups = func() []sinkGroup {
 	return append(gs,
 		single("Seq", SinkSeq, appStream, func() (trace.Sink, func(*Measure), func()) {
 			s := trace.NewSeqLen()
-			return s, func(m *Measure) { s.Flush(); m.Seq = s }, nil
+			return s, func(m *Measure) { s.Flush(); m.Seq, m.AppRuns = s.Hist, s.Runs }, s.Reset
 		}),
 		single("Foot", SinkFoot, appStream, func() (trace.Sink, func(*Measure), func()) {
 			f := trace.NewFootprint(128)
-			return f, func(m *Measure) { m.Foot = f }, nil
-		}),
-		single("AppRuns", SinkRuns, appStream, func() (trace.Sink, func(*Measure), func()) {
-			c := &trace.Counter{}
-			return c, func(m *Measure) { m.AppRuns = *c }, func() { *c = trace.Counter{} }
-		}),
-		single("AllRuns", SinkRuns, combStream, func() (trace.Sink, func(*Measure), func()) {
-			c := &trace.Counter{}
-			return c, func(m *Measure) { m.AllRuns = *c }, func() { *c = trace.Counter{} }
+			return f, func(m *Measure) { m.Foot = Footprint{f.Bytes(), f.Pages()} }, f.Reset
 		}),
 		itlb,
 		memory("Mem", SinkMem, cache.Config{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 2}, mem.DefaultConfig(0),

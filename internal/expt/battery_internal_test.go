@@ -102,13 +102,28 @@ func onList(s *Session, k shape) []*battery {
 	return slices.Clone(bl.free[k])
 }
 
+// simulators lists the simulators of every group of b: each CPU's fetch sink
+// and the data sink.
+func simulators(b *battery) []any {
+	var out []any
+	for _, g := range b.groups {
+		for _, f := range g.fetch {
+			out = append(out, f)
+		}
+		out = append(out, g.data)
+	}
+	return out
+}
+
 // TestRecycledBatteryMatchesFresh: a run on a recycled battery reads what a
 // run on a new one reads. One process measures TPC-B under base, fusion, all
 // and base again with the full battery, then with App4W(64)|Mem, then with
 // the full battery again, on one CPU and then on two, so that every run but
 // the first of each shape takes the battery the run before it of the same
 // shape reset and put back: after each run the source holds exactly one
-// battery of its shape, the same one every time. Each Measure must equal the
+// battery of its shape, the same one every time, each of its groups — Seq
+// and Foot too — holding the simulators it held after the shape's first
+// run: a battery is built once per shape. Each Measure must equal the
 // Measure of its layout, set and CPUs taken on a battery built for that one
 // run and never reset or reused (measureSynchronous builds its own, and
 // TestBatteryMatchesSynchronous holds MeasureConfig on a new battery to it);
@@ -156,6 +171,7 @@ func TestRecycledBatteryMatchesFresh(t *testing.T) {
 	}
 	got := make([]*Measure, len(order))
 	kept := map[shape]*battery{}
+	keptSims := map[shape][]any{}
 	for i, k := range order {
 		if got[i] = measure(s, k, recycling); !reflect.DeepEqual(got[i], fresh[k]) {
 			t.Errorf("run %d %+v on a recycled battery reads something else than on a new one\n got %+v\nwant %+v", i, k, got[i], fresh[k])
@@ -165,10 +181,17 @@ func TestRecycledBatteryMatchesFresh(t *testing.T) {
 		if len(list) != 1 {
 			t.Fatalf("run %d %+v left %d batteries of its shape on the list, want 1", i, k, len(list))
 		}
+		for g, sims := range list[0].groups {
+			if len(sims.fetch) != k.cpus || sims.collect == nil || sims.reset == nil {
+				t.Errorf("run %d %+v put group %d on the list without its simulators", i, k, g)
+			}
+		}
 		if kept[sh] == nil {
-			kept[sh] = list[0]
+			kept[sh], keptSims[sh] = list[0], simulators(list[0])
 		} else if list[0] != kept[sh] {
 			t.Errorf("run %d %+v built a battery although the list held one of its shape", i, k)
+		} else if !slices.Equal(simulators(list[0]), keptSims[sh]) {
+			t.Errorf("run %d %+v built a group's simulators again on a recycled battery", i, k)
 		}
 	}
 	for i, k := range order {
@@ -215,7 +238,7 @@ func TestBatteryLeavesNoGoroutine(t *testing.T) {
 		for i := range sinks {
 			sinks[i] = boomSink{}
 		}
-		return sims{fetch: sinks, collect: func(*Measure) {}}
+		return sims{fetch: sinks, collect: func(*Measure) {}, reset: func() {}}
 	}})
 	defer func() { sinkGroups = sinkGroups[:len(sinkGroups)-1] }()
 

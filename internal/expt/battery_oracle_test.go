@@ -140,8 +140,8 @@ func TestBatteryMatchesSynchronous(t *testing.T) {
 				if want.Res.Committed != uint64(s.Opt.Transactions) {
 					t.Fatalf("set %#x: the reference run committed %d of %d", set, want.Res.Committed, s.Opt.Transactions)
 				}
-				if l2 := want.Mem.L2Accesses; set == AllSinks && (l2[0] == 0 || l2[1] == 0 || want.AllRuns.KernelInstrs == 0) {
-					t.Errorf("the run does not send both L1I misses and data references to the L2, or has no kernel runs: %+v, %+v", want.Mem, want.AllRuns)
+				if l2 := want.Mem.L2Accesses; set == AllSinks && (l2[0] == 0 || l2[1] == 0 || want.Res.KernelInstrs == 0) {
+					t.Errorf("the run does not send both L1I misses and data references to the L2, or has no kernel runs: %+v, %d kernel instructions", want.Mem, want.Res.KernelInstrs)
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("set %#x: the lanes read something else than the synchronous battery\n got %+v\nwant %+v", set, got, want)

@@ -135,7 +135,7 @@ func TestSinksArePassiveAndIndependent(t *testing.T) {
 
 			// A field outside the set is nil, not another run's numbers.
 			one := measure(expt.SinkApp4W(64))
-			if len(one.App4W) != 1 || one.App4W[64] == nil || one.Word != nil || one.Comb4W != nil || one.Seq != nil {
+			if len(one.App4W) != 1 || one.App4W[64] == nil || one.App4W[64].WordsUsed != nil || one.Comb4W != nil || one.Seq != nil {
 				t.Errorf("set App4W[64] filed more than App4W[64]: %+v", one)
 			}
 			if again := measure(expt.SinkApp4W(64)); again != one {
@@ -144,7 +144,7 @@ func TestSinksArePassiveAndIndependent(t *testing.T) {
 			// Two sizes of one family are walked together, and each still
 			// reads what it reads in the full family.
 			two := measure(expt.SinkApp4W(64) | expt.SinkApp4W(128))
-			if len(two.App4W) != 2 || two.Word != two.App4W[128] ||
+			if len(two.App4W) != 2 || two.App4W[128].WordsUsed.N == 0 ||
 				!reflect.DeepEqual(two.App4W[64], full.App4W[64]) || !reflect.DeepEqual(two.App4W[128], full.App4W[128]) {
 				t.Errorf("set App4W[64]|App4W[128] differs from the full battery's members: %+v", two)
 			}
@@ -158,7 +158,7 @@ func TestSinksArePassiveAndIndependent(t *testing.T) {
 // TestSinkSetNames: the per-size constructors cover the cache-size axis with
 // distinct bits inside AllSinks, and an unknown size names nothing.
 func TestSinkSetNames(t *testing.T) {
-	seen := expt.SinkAppDM | expt.SinkSeq | expt.SinkFoot | expt.SinkRuns | expt.SinkITLB | expt.SinkMem | expt.SinkBoard
+	seen := expt.SinkAppDM | expt.SinkSeq | expt.SinkFoot | expt.SinkITLB | expt.SinkMem | expt.SinkBoard
 	for _, size := range expt.CacheSizesKB {
 		for fam, bit := range map[string]expt.SinkSet{
 			"app": expt.SinkApp4W(size), "comb": expt.SinkComb4W(size), "kern": expt.SinkKern4W(size),

@@ -299,22 +299,26 @@ func layoutOverAssoc(size int) reading {
 // basicBlock is the dynamic basic block size: application instructions per
 // fetch run (Figure 8).
 func basicBlock(m *Measure) float64 {
-	return ratioOf(float64(m.AppRuns.Instructions), float64(m.AppRuns.Runs))
+	return ratioOf(m.Seq.Sum, float64(m.AppRuns))
 }
 
 // lifetime is the mean cycles a replaced line lived (Figure 11).
-func lifetime(m *Measure) float64 { return ratioOf(m.Word.Lifetime.Sum, float64(m.Word.Lifetime.N)) }
+func lifetime(m *Measure) float64 {
+	l := m.App4W[128].Lifetime
+	return ratioOf(l.Sum, float64(l.N))
+}
 
 // multiUse is the share of loaded words used at least twice (Figure 10).
 func multiUse(m *Measure) float64 {
-	return 1 - m.Word.WordReuse.Frac(0) - m.Word.WordReuse.Frac(1)
+	r := m.App4W[128].WordReuse
+	return 1 - r.Frac(0) - r.Frac(1)
 }
 
 // nearSeventeen is the share of sequences 15-19 instructions long (Figure 8).
 func nearSeventeen(m *Measure) float64 {
 	f := 0.0
 	for l := 15; l <= 19; l++ {
-		f += m.Seq.Hist.Frac(l)
+		f += m.Seq.Frac(l)
 	}
 	return f
 }
@@ -323,7 +327,8 @@ func nearSeventeen(m *Measure) float64 {
 // holds (Figure 13).
 func victimShare(owner, victim cache.Owner) quantity {
 	return func(m *Measure) float64 {
-		return ratioOf(float64(m.Intf.VictimBy[owner][victim]), float64(m.Intf.MissBy[owner]))
+		intf := m.Comb4W[128]
+		return ratioOf(float64(intf.VictimBy[owner][victim]), float64(intf.MissBy[owner]))
 	}
 }
 
@@ -376,24 +381,24 @@ var claims = []Claim{
 		}},
 
 	{ID: "fig08a/base-run", Kind: Input, Says: "base 7.3", Band: about(7.3), Unit: " instr",
-		Value: onBase(func(m *Measure) float64 { return m.Seq.Hist.Mean() })},
+		Value: onBase(func(m *Measure) float64 { return m.Seq.Mean() })},
 	{ID: "fig08a/optimized-run", Kind: Effect, Says: ", optimized >10", Band: atLeast(10), Unit: " instr", Dir: +1,
-		Value: baseToAll(func(m *Measure) float64 { return m.Seq.Hist.Mean() })},
+		Value: baseToAll(func(m *Measure) float64 { return m.Seq.Mean() })},
 	{ID: "fig08a/basic-block", Kind: Input, Says: ", basic block ~5", Band: about(5), Unit: " instr",
 		Value: onBase(basicBlock)},
 
 	{ID: "fig08b/one-instr-base", Kind: Input, Says: "optimized cuts 1-instruction sequences from 21% to 15%", Band: about(0.21), Unit: "%",
-		Value: onBase(func(m *Measure) float64 { return m.Seq.Hist.Frac(1) })},
+		Value: onBase(func(m *Measure) float64 { return m.Seq.Frac(1) })},
 	{ID: "fig08b/one-instr-optimized", Kind: Effect, Band: about(0.15), Unit: "%", Dir: -1,
-		Value: baseToAll(func(m *Measure) float64 { return m.Seq.Hist.Frac(1) })},
+		Value: baseToAll(func(m *Measure) float64 { return m.Seq.Frac(1) })},
 	{ID: "fig08b/spike-near-17", Kind: Effect, Says: " and spikes near 17", Band: atLeast(1), Unit: "x", Dir: +1,
 		Value: over("all", "base", nearSeventeen)},
 
 	{ID: "fig09/all-words-used", Kind: Effect, Says: "optimized uses all 32 words in >60% of replaced lines", Band: atLeast(0.60), Unit: "%", Dir: +1,
-		Value: baseToAll(func(m *Measure) float64 { return m.Word.WordsUsed.Frac(32) })},
+		Value: baseToAll(func(m *Measure) float64 { return m.App4W[128].WordsUsed.Frac(32) })},
 
 	{ID: "fig10/base-unused", Kind: Input, Says: "base leaves >half of fetched words unused", Band: atLeast(0.5), Unit: "%",
-		Value: onBase(func(m *Measure) float64 { return m.Word.WordReuse.Frac(0) })},
+		Value: onBase(func(m *Measure) float64 { return m.App4W[128].WordReuse.Frac(0) })},
 	{ID: "fig10/multi-use", Kind: Effect, Says: "; optimized raises multi-use words", Band: atLeast(1), Unit: "x", Dir: +1,
 		Value: over("all", "base", multiUse)},
 
@@ -424,13 +429,13 @@ var claims = []Claim{
 	{ID: "fig15/all-21164", Kind: Effect, Band: about(0.75), Unit: "%", Dir: -1, Value: relTime(alpha21164, counts21164)},
 
 	{ID: "footprint/base", Kind: Input, Says: "500KB -> 315KB", Band: about(500), Unit: "KB",
-		Value: onBase(func(m *Measure) float64 { return float64(m.Foot.Bytes()) / 1024 })},
+		Value: onBase(func(m *Measure) float64 { return float64(m.Foot.Bytes) / 1024 })},
 	{ID: "footprint/packed", Kind: Effect, Says: " (37% smaller)", Band: about(0.63), Unit: "%", Dir: -1,
-		Value: over("all", "base", func(m *Measure) float64 { return float64(m.Foot.Bytes()) })},
+		Value: over("all", "base", func(m *Measure) float64 { return float64(m.Foot.Bytes) })},
 	{ID: "footprint/base-unused", Kind: Input, Says: "; unused fetched instructions 46% -> 21%", Band: about(0.46), Unit: "%",
-		Value: onBase(func(m *Measure) float64 { return m.Word.UnusedFetchedFrac() })},
+		Value: onBase(func(m *Measure) float64 { return m.App4W[128].UnusedFetchedFrac() })},
 	{ID: "footprint/unused", Kind: Effect, Band: about(0.21), Unit: "%", Dir: -1,
-		Value: baseToAll(func(m *Measure) float64 { return m.Word.UnusedFetchedFrac() })},
+		Value: baseToAll(func(m *Measure) float64 { return m.App4W[128].UnusedFetchedFrac() })},
 
 	{ID: "hw21164/icache", Kind: Effect, Says: "-28% icache", Band: about(-0.28), Unit: "%", Dir: -1,
 		Value: change1P(func(m *Measure) float64 { return float64(m.HW21164.Misses) })},

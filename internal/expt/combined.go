@@ -118,15 +118,16 @@ func fig13(base, opt *Measure) []*stats.Table {
 	for i, m := range [2]*Measure{base, opt} {
 		t := stats.NewTable(titles[i],
 			"missing process", "on kernel-owned line", "on application-owned line", "cold", "total")
-		appRow := m.Intf.VictimBy[cache.OwnerApp]
-		kernRow := m.Intf.VictimBy[cache.OwnerKernel]
-		t.AddRow("kernel", kernRow[cache.OwnerKernel], kernRow[cache.OwnerApp], kernRow[cache.OwnerNone], m.Intf.MissBy[cache.OwnerKernel])
-		t.AddRow("application", appRow[cache.OwnerKernel], appRow[cache.OwnerApp], appRow[cache.OwnerNone], m.Intf.MissBy[cache.OwnerApp])
+		intf := m.Comb4W[128]
+		appRow := intf.VictimBy[cache.OwnerApp]
+		kernRow := intf.VictimBy[cache.OwnerKernel]
+		t.AddRow("kernel", kernRow[cache.OwnerKernel], kernRow[cache.OwnerApp], kernRow[cache.OwnerNone], intf.MissBy[cache.OwnerKernel])
+		t.AddRow("application", appRow[cache.OwnerKernel], appRow[cache.OwnerApp], appRow[cache.OwnerNone], intf.MissBy[cache.OwnerApp])
 		t.AddRow("both",
 			kernRow[cache.OwnerKernel]+appRow[cache.OwnerKernel],
 			kernRow[cache.OwnerApp]+appRow[cache.OwnerApp],
 			kernRow[cache.OwnerNone]+appRow[cache.OwnerNone],
-			m.Intf.Misses)
+			intf.Misses)
 		out = append(out, t)
 	}
 	out[0].Note(paperNote("fig13"))
@@ -200,9 +201,9 @@ func fig15(s *Session) ([]*stats.Table, error) {
 // footprint — the Section 4.1 in-text packing results.
 func footprintExp(base, opt *Measure) []*stats.Table {
 	t := stats.NewTable("Text §4.1: code packing", "metric", "base", "optimized")
-	t.AddRow("footprint in 128B lines (KB)", float64(base.Foot.Bytes())/1024, float64(opt.Foot.Bytes())/1024)
-	t.AddRow("unique pages touched", base.Foot.Pages(), opt.Foot.Pages())
-	t.AddRow("unused fetched instructions", stats.Pct(base.Word.UnusedFetchedFrac()), stats.Pct(opt.Word.UnusedFetchedFrac()))
+	t.AddRow("footprint in 128B lines (KB)", float64(base.Foot.Bytes)/1024, float64(opt.Foot.Bytes)/1024)
+	t.AddRow("unique pages touched", base.Foot.Pages, opt.Foot.Pages)
+	t.AddRow("unused fetched instructions", stats.Pct(base.App4W[128].UnusedFetchedFrac()), stats.Pct(opt.App4W[128].UnusedFetchedFrac()))
 	t.Note(paperNote("footprint"))
 	return []*stats.Table{t}
 }

@@ -190,13 +190,13 @@ func pinDiff(got, want string) []string {
 }
 
 // TestBatteryDigestPinned pins every number the full battery files — all 42
-// caches' Stats with their word histograms, Seq, Foot, both run counters,
+// caches' Stats with their word histograms, Seq and its run count, Foot,
 // both iTLBs, the two memory systems and their L1Is — and the machine's own
 // results beside them, as one sha256 per run: TPC-B under base, all and
 // fusion, and order entry on four shards with the fast path, the p99
-// group-commit tuner and fetch stalls. The digests were recorded before the
-// battery's simulators were last rewritten; a simulator change that moves any
-// statistic of any cache moves one of them. The sha literals decide; beside
+// group-commit tuner and fetch stalls. The digests were last recorded when
+// Measure's fields were reshaped, with no number of the text form moving; a
+// simulator change that moves any statistic of any cache moves one of them. The sha literals decide; beside
 // each, the run's text form is checked in under testdata/pins/, so that a
 // moved digest names the paths that moved. A re-pin rewrites the text with
 //
@@ -227,19 +227,25 @@ func TestBatteryDigestPinned(t *testing.T) {
 		layout string
 		want   string
 	}{
-		{"tpcb", tpcbS, "base", "108d5e012b35f17f2bde4840eb007de62250b602a61cb2d0716324b246bcf45f"},
-		{"tpcb", tpcbS, "all", "0d375779f5f9dc29a4028b78eaec3dc5a4b962a765ea1563ad048ac2b4cce82f"},
-		{"tpcb", tpcbS, "fusion", "9c0c9ff88e7d506246a5d65796e3984057c21504fdf1b0f2eae32e436f40e96a"},
-		{"ordere-4-shards", ordereS, "all", "dd2fd1c2c134384bbc03d0a1890f590a0fa2ccc8958118712eda8ccf296ec1ce"},
+		{"tpcb", tpcbS, "base", "dbc6a8860225e5f8b08d380286b7564eb2586d66d467b3c570140c9bc806220c"},
+		{"tpcb", tpcbS, "all", "a9073c97c0ebe3aee2ae4337222da781a8b8e594c0268226aa18c415f68a4f90"},
+		{"tpcb", tpcbS, "fusion", "4d5b73f908ab6bdb0af7b9a88a40c851f5cc4b58871ee64c421fcc4357d63f98"},
+		{"ordere-4-shards", ordereS, "all", "8b0b9454a0006f63ec370d1c41c81f4dddd6fa966e700ceb863a6bc696bc1f45"},
 	}
 	for _, tc := range cases {
 		m, err := tc.s.Measure(tc.layout, tc.s.Opt.CPUs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Sinks != expt.AllSinks || m.Word == nil || m.Word.WordsUsed.N == 0 || m.ITLB48 <= m.ITLB64 {
-			t.Fatalf("%s/%s: not a full-battery measure: sinks %#x, Word %+v, iTLB misses %d at 64, %d at 48",
-				tc.name, tc.layout, m.Sinks, m.Word, m.ITLB64, m.ITLB48)
+		if w := m.App4W[128]; m.Sinks != expt.AllSinks || w == nil || w.WordsUsed.N == 0 || m.ITLB48 <= m.ITLB64 {
+			t.Fatalf("%s/%s: not a full-battery measure: sinks %#x, App4W[128] %+v, iTLB misses %d at 64, %d at 48",
+				tc.name, tc.layout, m.Sinks, w, m.ITLB64, m.ITLB48)
+		}
+		// Every application instruction is in one sequence, and every
+		// sequence has at least one of the runs.
+		if m.Seq.Sum != float64(m.Res.AppInstrs) || m.AppRuns < m.Seq.N {
+			t.Errorf("%s/%s: sequences sum to %v instructions in %d runs; the machine ran %d application instructions, and there are %d sequences",
+				tc.name, tc.layout, m.Seq.Sum, m.AppRuns, m.Res.AppInstrs, m.Seq.N)
 		}
 		h := sha256.New()
 		var text strings.Builder

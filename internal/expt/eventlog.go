@@ -167,7 +167,7 @@ func attachBattery(cfg *machine.Config, set SinkSet, list *batteryList) *eventLo
 		}
 		s := &l.bat.groups[i]
 		i++
-		if s.collect == nil { // a new battery, or a group built for every run
+		if s.collect == nil { // a new battery
 			*s = g.build(cfg.CPUs, set)
 		}
 		t := fetchTest[g.stream]
@@ -207,24 +207,18 @@ func attachBattery(cfg *machine.Config, set SinkSet, list *batteryList) *eventLo
 	return l
 }
 
-// file runs every group's collector on m, then resets the battery and puts
-// it back on its list: the simulators are the next run's only once m holds
-// all they produced. Call it only after a closed log's run succeeded; a
-// failed run drops its battery, whatever state its lanes left it in. A nil
-// log (the empty set) files nothing.
+// file runs each group's collector on m and then resets the group, and puts
+// the battery back on its list: a group's simulators are the next run's only
+// once m holds all they produced. Call it only after a closed log's run
+// succeeded; a failed run drops its battery, whatever state its lanes left it
+// in. A nil log (the empty set) files nothing.
 func (l *eventLog) file(m *Measure) {
 	if l == nil {
 		return
 	}
 	for _, s := range l.bat.groups {
 		s.collect(m)
-	}
-	for i, s := range l.bat.groups {
-		if s.reset == nil {
-			l.bat.groups[i] = sims{} // m holds them: built again next run
-		} else {
-			s.reset()
-		}
+		s.reset()
 	}
 	l.list.put(l.shape, l.bat)
 }

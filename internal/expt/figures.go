@@ -172,18 +172,18 @@ func fig07(s *Session) ([]*stats.Table, error) {
 func fig08(base, opt *Measure) []*stats.Table {
 	a := stats.NewTable("Figure 8(a): average sequentially executed instructions", "setup", "avg length")
 	a.AddRow("dynamic basic block size", basicBlock(base))
-	a.AddRow("base", base.Seq.Hist.Mean())
-	a.AddRow("optimized", opt.Seq.Hist.Mean())
+	a.AddRow("base", base.Seq.Mean())
+	a.AddRow("optimized", opt.Seq.Mean())
 	a.Note(paperNote("fig08a"))
 
 	b := stats.NewTable("Figure 8(b): sequence length distribution (% of sequences)",
 		"length", "base", "optimized")
 	for l := 1; l <= 33; l++ {
-		b.AddRow(l, stats.Pct(base.Seq.Hist.Frac(l)), stats.Pct(opt.Seq.Hist.Frac(l)))
+		b.AddRow(l, stats.Pct(base.Seq.Frac(l)), stats.Pct(opt.Seq.Frac(l)))
 	}
 	b.AddRow(">33",
-		stats.Pct(base.Seq.Hist.Frac(34)),
-		stats.Pct(opt.Seq.Hist.Frac(34)))
+		stats.Pct(base.Seq.Frac(34)),
+		stats.Pct(opt.Seq.Frac(34)))
 	b.Note(paperNote("fig08b"))
 	return []*stats.Table{a, b}
 }
@@ -193,7 +193,7 @@ func fig09(base, opt *Measure) []*stats.Table {
 	t := stats.NewTable("Figure 9: unique words used before replacement (128KB/128B/4-way, % of replacements)",
 		"words", "base", "optimized")
 	for w := 1; w <= 32; w++ {
-		t.AddRow(w, stats.Pct(base.Word.WordsUsed.Frac(w)), stats.Pct(opt.Word.WordsUsed.Frac(w)))
+		t.AddRow(w, stats.Pct(base.App4W[128].WordsUsed.Frac(w)), stats.Pct(opt.App4W[128].WordsUsed.Frac(w)))
 	}
 	t.Note(paperNote("fig09"))
 	return []*stats.Table{t}
@@ -204,7 +204,7 @@ func fig10(base, opt *Measure) []*stats.Table {
 	t := stats.NewTable("Figure 10: word reuse before replacement (128KB/128B/4-way, % of words loaded)",
 		"uses", "base", "optimized")
 	for n := 0; n <= 15; n++ {
-		t.AddRow(n, stats.Pct(base.Word.WordReuse.Frac(n)), stats.Pct(opt.Word.WordReuse.Frac(n)))
+		t.AddRow(n, stats.Pct(base.App4W[128].WordReuse.Frac(n)), stats.Pct(opt.App4W[128].WordReuse.Frac(n)))
 	}
 	t.Note(paperNote("fig10"))
 	return []*stats.Table{t}
@@ -214,12 +214,9 @@ func fig10(base, opt *Measure) []*stats.Table {
 func fig11(base, opt *Measure) []*stats.Table {
 	t := stats.NewTable("Figure 11: cache line lifetimes (128KB/128B/4-way, % of replacements)",
 		"log2(cache cycles)", "base", "optimized")
-	maxB := len(base.Word.Lifetime.Counts)
-	if n := len(opt.Word.Lifetime.Counts); n > maxB {
-		maxB = n
-	}
-	for bkt := 0; bkt < maxB; bkt++ {
-		bf, of := base.Word.Lifetime.Frac(bkt), opt.Word.Lifetime.Frac(bkt)
+	bl, ol := base.App4W[128].Lifetime, opt.App4W[128].Lifetime
+	for bkt := range max(len(bl.Counts), len(ol.Counts)) {
+		bf, of := bl.Frac(bkt), ol.Frac(bkt)
 		if bf == 0 && of == 0 {
 			continue
 		}

@@ -71,7 +71,7 @@ func TestSelfTrainedTPCBPinned(t *testing.T) {
 			committed: m.Res.Committed, appInstrs: m.Res.AppInstrs, kernInstrs: m.Res.KernelInstrs,
 			app4W64: m.App4W[64].Misses, app4W128: m.App4W[128].Misses, comb4W64: m.Comb4W[64].Misses,
 			itlb64: m.ITLB64, logFlushes: m.Res.LogFlushes, grouped: m.Res.GroupedCommits,
-			conflicts: m.Res.LockConflicts, foot: m.Foot.Bytes(),
+			conflicts: m.Res.LockConflicts, foot: m.Foot.Bytes,
 		}
 		if got != w {
 			t.Errorf("%s: pre-refactor pin broken:\n got %+v\nwant %+v", name, got, w)

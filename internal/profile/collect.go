@@ -183,7 +183,7 @@ func (d *DCPI) Fetch(r trace.FetchRun) {
 	}
 	words := uint64(r.Words)
 	for words >= d.skip {
-		sampleAddr := r.End() - words*4 + (d.skip-1)*4
+		sampleAddr := r.End() - words*isa.WordBytes + (d.skip-1)*isa.WordBytes
 		d.sample(sampleAddr)
 		words -= d.skip
 		d.skip = d.Period

@@ -13,11 +13,16 @@ const MaxCPUs = 64
 
 // SeqLen measures the number of sequentially executed instructions between
 // control breaks (Figure 8 of the paper). A sequence continues as long as
-// fetch runs on the same CPU are address-contiguous; any discontinuity —
-// taken branch, call, return, or a transfer to kernel code — ends it.
+// each run it is fed starts where the last one it was fed on the same CPU
+// ended; any other start — a taken branch, call or return — ends it. It sees
+// only what it is fed: fed the application stream alone, as the battery
+// feeds it, an application run that resumes where its CPU's last one ended
+// extends the sequence even though kernel code ran between the two.
 type SeqLen struct {
 	// Hist buckets sequence lengths; the paper plots 1..33 with overflow.
 	Hist *stats.Hist
+	// Runs counts the runs fed, on every CPU, joined to a sequence or not.
+	Runs uint64
 	// cur tracks the open sequence per CPU.
 	curEnd [MaxCPUs]uint64
 	curLen [MaxCPUs]int32
@@ -31,6 +36,7 @@ func NewSeqLen() *SeqLen {
 
 // Fetch implements Sink.
 func (s *SeqLen) Fetch(r FetchRun) {
+	s.Runs++
 	c := r.CPU
 	if s.open[c] && r.Addr == s.curEnd[c] {
 		s.curLen[c] += r.Words
@@ -55,6 +61,10 @@ func (s *SeqLen) Flush() {
 		}
 	}
 }
+
+// Reset readies s for another stream: it is then as NewSeqLen made it. The
+// histogram is a new one, so one taken from Hist before stays as it was.
+func (s *SeqLen) Reset() { *s = SeqLen{Hist: stats.NewHist(s.Hist.Min, s.Hist.Max)} }
 
 // Footprint counts unique cache lines (and pages) touched by the stream, the
 // measure the paper uses for "footprint in number of unique cache lines
@@ -84,6 +94,9 @@ func (f *Footprint) Fetch(r FetchRun) {
 		f.pages.add(pg)
 	}
 }
+
+// Reset readies f for another stream: it is then as NewFootprint made it.
+func (f *Footprint) Reset() { *f = Footprint{LineBytes: f.LineBytes} }
 
 // Lines returns the number of unique cache lines touched.
 func (f *Footprint) Lines() int { return f.lines.n }

@@ -3,9 +3,11 @@ package trace_test
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"codelayout/internal/isa"
 	"codelayout/internal/trace"
 )
 
@@ -60,6 +62,84 @@ func TestSeqLenPerCPU(t *testing.T) {
 	}
 	if s.Hist.Counts[4-s.Hist.Min] != 1 || s.Hist.Counts[6-s.Hist.Min] != 1 {
 		t.Fatalf("per-cpu sequences wrong: %v", s.Hist.Counts)
+	}
+}
+
+// randomRuns is n fetch runs over four CPUs, half of them starting where
+// their CPU's last run ended, and the words they fetch.
+func randomRuns(seed int64, n int) (runs []trace.FetchRun, words uint64) {
+	r := rand.New(rand.NewSource(seed))
+	var end [4]uint64
+	for range n {
+		cpu := uint8(r.Intn(4))
+		run := trace.FetchRun{Addr: end[cpu], Words: int32(1 + r.Intn(40)), CPU: cpu}
+		if r.Intn(2) == 0 {
+			run.Addr = uint64(r.Intn(1<<20)) * isa.WordBytes
+		}
+		runs = append(runs, run)
+		end[cpu] = run.End()
+		words += uint64(run.Words)
+	}
+	return runs, words
+}
+
+// TestSeqLenRunsAndReset: Runs counts every run fed on every CPU, the ones
+// that extend a sequence too; Flush closes the open sequences and counts no
+// run; once flushed, the histogram's Sum is every word fed; and Reset, with
+// sequences open, leaves the sink as NewSeqLen makes it, so that a second
+// stream reads what it reads on a new sink, without touching the histogram
+// taken before it.
+func TestSeqLenRunsAndReset(t *testing.T) {
+	runs, words := randomRuns(1, 1000)
+	s := trace.NewSeqLen()
+	for _, r := range runs {
+		s.Fetch(r)
+	}
+	if s.Runs != uint64(len(runs)) {
+		t.Errorf("Runs = %d after %d runs", s.Runs, len(runs))
+	}
+	s.Flush()
+	if s.Runs != uint64(len(runs)) || s.Hist.Sum != float64(words) {
+		t.Errorf("flushed: Runs = %d, Hist.Sum = %v; fed %d runs of %d words", s.Runs, s.Hist.Sum, len(runs), words)
+	}
+	if s.Hist.N >= s.Runs || s.Hist.N == 0 {
+		t.Errorf("%d sequences of %d runs: no run extended a sequence", s.Hist.N, s.Runs)
+	}
+	s.Fetch(trace.FetchRun{Addr: 0x40, Words: 3, CPU: 2}) // an open sequence
+	taken, n := s.Hist, s.Hist.N
+	s.Reset()
+	if !reflect.DeepEqual(s, trace.NewSeqLen()) {
+		t.Errorf("Reset left %+v", s)
+	}
+	if taken.N != n {
+		t.Errorf("Reset changed the histogram taken before it: %d sequences, was %d", taken.N, n)
+	}
+	second, _ := randomRuns(2, 500)
+	fresh := trace.NewSeqLen()
+	for _, r := range second {
+		s.Fetch(r)
+		fresh.Fetch(r)
+	}
+	s.Flush()
+	fresh.Flush()
+	if !reflect.DeepEqual(s, fresh) {
+		t.Error("a reset SeqLen reads another stream differently than a new one")
+	}
+}
+
+// TestFootprintReset: Reset leaves a footprint as NewFootprint makes it.
+func TestFootprintReset(t *testing.T) {
+	runs, _ := randomRuns(3, 1000)
+	f := trace.NewFootprint(64)
+	for _, r := range runs {
+		f.Fetch(r)
+	}
+	if f.Lines() == 0 || f.Pages() == 0 {
+		t.Fatal("the runs touched nothing")
+	}
+	f.Reset()
+	if !reflect.DeepEqual(f, trace.NewFootprint(64)) {
+		t.Errorf("Reset left %d lines and %d pages", f.Lines(), f.Pages())
 	}
 }
 
