@@ -15,7 +15,6 @@ import (
 type event struct {
 	addr  uint64
 	n     int32 // a fetch run's words, a data reference's bytes
-	pid   uint16
 	cpu   uint8
 	flags uint8
 }
@@ -229,19 +228,16 @@ func (l *eventLog) Fetch(r trace.FetchRun) {
 	if r.Kernel {
 		flags = evKernel
 	}
-	l.put(event{r.Addr, r.Words, r.PID, r.CPU, flags})
+	l.put(event{r.Addr, r.Words, r.CPU, flags})
 }
 
 // Data implements trace.DataSink.
 func (l *eventLog) Data(r trace.DataRef) {
 	flags := uint8(evData)
-	if r.Kernel {
-		flags |= evKernel
-	}
 	if r.Write {
 		flags |= evWrite
 	}
-	l.put(event{r.Addr, r.Bytes, r.PID, r.CPU, flags})
+	l.put(event{r.Addr, r.Bytes, r.CPU, flags})
 }
 
 // put appends e, on the machine's goroutine. An event from a CPU beyond the
@@ -306,14 +302,14 @@ func (ln *lane) feed(evs []event) (err error) {
 		switch {
 		case e.flags&ln.mask != ln.want:
 			if e.flags&evData != 0 && ln.data != nil {
-				ln.data.Data(trace.DataRef{Addr: e.addr, Bytes: e.n, CPU: e.cpu, PID: e.pid, Write: e.flags&evWrite != 0, Kernel: kernel})
+				ln.data.Data(trace.DataRef{Addr: e.addr, Bytes: e.n, CPU: e.cpu, Write: e.flags&evWrite != 0})
 			}
 		case ln.fams != nil:
 			ln.fams[e.cpu].FetchWords(e.addr, e.n, kernel)
 		case ln.l1is != nil:
 			ln.l1is[e.cpu].FetchWords(e.addr, e.n, kernel)
 		default:
-			ln.fetch[e.cpu].Fetch(trace.FetchRun{Addr: e.addr, Words: e.n, CPU: e.cpu, PID: e.pid, Kernel: kernel})
+			ln.fetch[e.cpu].Fetch(trace.FetchRun{Addr: e.addr, Words: e.n, CPU: e.cpu, Kernel: kernel})
 		}
 	}
 	return nil

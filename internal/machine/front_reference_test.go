@@ -82,7 +82,7 @@ func (r *ReferenceFront) appFetch(p *proc, st *refProc, addr uint64, words int32
 	r.fetchStall(c, addr, words, false)
 	if m.measuring {
 		r.App += uint64(words)
-		r.sinks.Fetch(trace.FetchRun{Addr: addr, Words: words, CPU: uint8(c.id), PID: uint16(p.id)})
+		r.sinks.Fetch(trace.FetchRun{Addr: addr, Words: words, CPU: uint8(c.id)})
 	}
 	if rc := r.cpus[c.id]; c.front.Clock >= rc.nextTimer {
 		rc.nextTimer += m.cfg.TimerIntervalInstr
@@ -99,11 +99,7 @@ func (r *ReferenceFront) kernelFetch(c *cpu, addr uint64, words int32) {
 	r.fetchStall(c, addr, words, true)
 	if m.measuring {
 		r.Kernel += uint64(words)
-		run := trace.FetchRun{Addr: addr, Words: words, CPU: uint8(c.id), Kernel: true}
-		if m.running != nil {
-			run.PID = uint16(m.running.id)
-		}
-		r.sinks.Fetch(run)
+		r.sinks.Fetch(trace.FetchRun{Addr: addr, Words: words, CPU: uint8(c.id), Kernel: true})
 	}
 }
 

@@ -718,19 +718,15 @@ func (m *Machine) openGate() {
 	}
 	sinks := trace.Tee(m.cfg.Sinks)
 	for _, p := range m.procs {
-		cpu, pid := uint8(p.cpu.id), uint16(p.id)
+		cpu := uint8(p.cpu.id)
 		p.emit.Sink = func(addr uint64, words int32) {
-			sinks.Fetch(trace.FetchRun{Addr: addr, Words: words, CPU: cpu, PID: pid})
+			sinks.Fetch(trace.FetchRun{Addr: addr, Words: words, CPU: cpu})
 		}
 	}
 	for _, c := range m.cpus {
 		cpu := uint8(c.id)
 		c.kern.Sink = func(addr uint64, words int32) {
-			r := trace.FetchRun{Addr: addr, Words: words, CPU: cpu, Kernel: true}
-			if m.running != nil {
-				r.PID = uint16(m.running.id)
-			}
-			sinks.Fetch(r)
+			sinks.Fetch(trace.FetchRun{Addr: addr, Words: words, CPU: cpu, Kernel: true})
 		}
 	}
 }
@@ -769,7 +765,7 @@ func (m *Machine) closeGate() Result {
 // data is a process emitter's OnData hook, attached by openGate only when
 // the run has data sinks.
 func (m *Machine) data(p *proc, addr uint64, bytes int, write bool) {
-	d := trace.DataRef{Addr: addr, Bytes: int32(bytes), CPU: uint8(p.cpu.id), PID: uint16(p.id), Write: write}
+	d := trace.DataRef{Addr: addr, Bytes: int32(bytes), CPU: uint8(p.cpu.id), Write: write}
 	for _, s := range m.cfg.DataSinks {
 		s.Data(d)
 	}

@@ -42,8 +42,8 @@ func TestTimerInterruptsInjectKernelCode(t *testing.T) {
 	app, appL, kern, kernL := testImages(t, wl)
 	cfg := configFor(wl, app, appL, kern, kernL)
 	cfg.TimerIntervalInstr = 20_000 // very frequent timer
-	var cnt trace.Counter
-	cfg.Sinks = []trace.Sink{trace.KernelOnly(&cnt)}
+	seq := trace.NewSeqLen()
+	cfg.Sinks = []trace.Sink{trace.KernelOnly(seq)}
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +54,8 @@ func TestTimerInterruptsInjectKernelCode(t *testing.T) {
 	}
 	cfg2 := configFor(wl, app, appL, kern, kernL)
 	cfg2.TimerIntervalInstr = 100_000_000 // effectively no timer
-	var cnt2 trace.Counter
-	cfg2.Sinks = []trace.Sink{trace.KernelOnly(&cnt2)}
+	seq2 := trace.NewSeqLen()
+	cfg2.Sinks = []trace.Sink{trace.KernelOnly(seq2)}
 	m2, err := machine.New(cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +68,12 @@ func TestTimerInterruptsInjectKernelCode(t *testing.T) {
 		t.Fatalf("frequent timer did not add kernel work: %d vs %d",
 			res.KernelInstrs, res2.KernelInstrs)
 	}
-	if cnt.Instructions != res.KernelInstrs || cnt2.Instructions != res2.KernelInstrs {
-		t.Fatal("kernel sink counts disagree with result")
+	// A flushed SeqLen's Sum is every word it was fed.
+	seq.Flush()
+	seq2.Flush()
+	if seq.Hist.Sum != float64(res.KernelInstrs) || seq2.Hist.Sum != float64(res2.KernelInstrs) {
+		t.Fatalf("kernel sinks saw %v and %v words, results say %d and %d",
+			seq.Hist.Sum, seq2.Hist.Sum, res.KernelInstrs, res2.KernelInstrs)
 	}
 }
 

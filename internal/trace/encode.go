@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
-// Binary trace file format: a magic header followed by varint-encoded
-// records. Addresses are delta-encoded per CPU, which keeps OLTP traces
-// compact (most transfers are short).
-const traceMagic = "CLTRACE1"
+// Binary trace file format: a magic header followed by records. Each record
+// is its kind, its CPU and a flags byte, then varints: a fetch run's address,
+// delta-encoded per CPU (which keeps OLTP traces compact: most transfers are
+// short), and its words; a data reference's address and bytes.
+const traceMagic = "CLTRACE2"
 
 const (
 	recFetch = 0x01
@@ -44,13 +46,7 @@ func (tw *Writer) Fetch(r FetchRun) {
 	}
 	delta := int64(r.Addr) - int64(tw.lastEnd[r.CPU])
 	tw.lastEnd[r.CPU] = r.End()
-	flags := byte(0)
-	if r.Kernel {
-		flags = 1
-	}
-	tw.buf = tw.buf[:0]
-	tw.buf = append(tw.buf, recFetch, r.CPU, flags)
-	tw.buf = binary.AppendUvarint(tw.buf, uint64(r.PID))
+	tw.buf = append(tw.buf[:0], recFetch, r.CPU, flag(r.Kernel))
 	tw.buf = binary.AppendVarint(tw.buf, delta)
 	tw.buf = binary.AppendUvarint(tw.buf, uint64(r.Words))
 	_, tw.err = tw.w.Write(tw.buf)
@@ -61,19 +57,19 @@ func (tw *Writer) Data(r DataRef) {
 	if tw.err != nil {
 		return
 	}
-	flags := byte(0)
-	if r.Kernel {
-		flags |= 1
-	}
-	if r.Write {
-		flags |= 2
-	}
-	tw.buf = tw.buf[:0]
-	tw.buf = append(tw.buf, recData, r.CPU, flags)
-	tw.buf = binary.AppendUvarint(tw.buf, uint64(r.PID))
+	tw.buf = append(tw.buf[:0], recData, r.CPU, flag(r.Write))
 	tw.buf = binary.AppendUvarint(tw.buf, r.Addr)
 	tw.buf = binary.AppendUvarint(tw.buf, uint64(r.Bytes))
 	_, tw.err = tw.w.Write(tw.buf)
+}
+
+// flag is a record's flags byte: a fetch run's kernel bit, a data
+// reference's write bit.
+func flag(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Close flushes the trace.
@@ -124,25 +120,20 @@ func (tr *Reader) Replay(sink Sink, dataSink DataSink) error {
 		if err != nil {
 			return err
 		}
-		pid, err := binary.ReadUvarint(tr.r)
-		if err != nil {
-			return err
-		}
 		switch kind {
 		case recFetch:
 			delta, err := binary.ReadVarint(tr.r)
 			if err != nil {
 				return err
 			}
-			words, err := binary.ReadUvarint(tr.r)
+			words, err := readCount(tr.r, "fetch", "words")
 			if err != nil {
 				return err
 			}
 			r := FetchRun{
 				Addr:   uint64(int64(tr.lastEnd[cpu]) + delta),
-				Words:  int32(words),
+				Words:  words,
 				CPU:    cpu,
-				PID:    uint16(pid),
 				Kernel: flags&1 != 0,
 			}
 			tr.lastEnd[cpu] = r.End()
@@ -154,22 +145,28 @@ func (tr *Reader) Replay(sink Sink, dataSink DataSink) error {
 			if err != nil {
 				return err
 			}
-			n, err := binary.ReadUvarint(tr.r)
+			n, err := readCount(tr.r, "data", "bytes")
 			if err != nil {
 				return err
 			}
 			if dataSink != nil {
-				dataSink.Data(DataRef{
-					Addr:   addr,
-					Bytes:  int32(n),
-					CPU:    cpu,
-					PID:    uint16(pid),
-					Kernel: flags&1 != 0,
-					Write:  flags&2 != 0,
-				})
+				dataSink.Data(DataRef{Addr: addr, Bytes: n, CPU: cpu, Write: flags&1 != 0})
 			}
 		default:
 			return fmt.Errorf("trace: unknown record kind %#x", kind)
 		}
 	}
+}
+
+// readCount reads a record's word or byte count, which a FetchRun or DataRef
+// holds only in [1, MaxInt32].
+func readCount(r io.ByteReader, kind, unit string) (int32, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, err
+	}
+	if n < 1 || n > math.MaxInt32 {
+		return 0, fmt.Errorf("trace: %s record with %d %s", kind, n, unit)
+	}
+	return int32(n), nil
 }

@@ -27,27 +27,24 @@ type FetchRun struct {
 	Words int32
 	// CPU is the processor executing the run.
 	CPU uint8
-	// PID identifies the executing process (server process number).
-	PID uint16
 	// Kernel reports whether the run is kernel text.
 	Kernel bool
 }
 
 // End returns the address one past the last fetched word. It takes a
-// pointer: a FetchRun has too many fields to live in registers, and a copy of
-// one is written field by field and read back whole, which stalls the load on
-// every run a sink sees.
+// pointer, so a sink that calls it reads the run's fields in place rather
+// than copying the run; whether a copy of the 16-byte run would now cost the
+// same has not been measured.
 func (r *FetchRun) End() uint64 { return r.Addr + uint64(r.Words)*isa.WordBytes }
 
 // DataRef is a data memory reference issued by the workload (buffer pool
-// page touches, log writes, private working storage).
+// page touches, log writes, private working storage). Only the application
+// issues data references: the kernel model fetches instructions alone.
 type DataRef struct {
-	Addr   uint64
-	Bytes  int32
-	CPU    uint8
-	PID    uint16
-	Write  bool
-	Kernel bool
+	Addr  uint64
+	Bytes int32
+	CPU   uint8
+	Write bool
 }
 
 // Sink consumes instruction fetch runs.
@@ -70,16 +67,17 @@ func (t Tee) Fetch(r FetchRun) {
 	}
 }
 
-// Filter passes through only runs matching Keep.
-type Filter struct {
-	Keep func(FetchRun) bool
-	Next Sink
+// stream passes next the runs of one stream: kernel runs, or application
+// runs.
+type stream struct {
+	kernel bool
+	next   Sink
 }
 
 // Fetch implements Sink.
-func (f *Filter) Fetch(r FetchRun) {
-	if f.Keep(r) {
-		f.Next.Fetch(r)
+func (s *stream) Fetch(r FetchRun) {
+	if r.Kernel == s.kernel {
+		s.next.Fetch(r)
 	}
 }
 
@@ -87,30 +85,15 @@ func (f *Filter) Fetch(r FetchRun) {
 // how Section 4 of the paper studies the database application in isolation:
 // operating-system references are filtered out of the stream before cache
 // simulation.
-func AppOnly(next Sink) Sink {
-	return &Filter{Keep: func(r FetchRun) bool { return !r.Kernel }, Next: next}
-}
+func AppOnly(next Sink) Sink { return &stream{kernel: false, next: next} }
 
 // KernelOnly wraps next so it sees only kernel runs.
-func KernelOnly(next Sink) Sink {
-	return &Filter{Keep: func(r FetchRun) bool { return r.Kernel }, Next: next}
-}
+func KernelOnly(next Sink) Sink { return &stream{kernel: true, next: next} }
 
-// Counter tallies instructions and runs.
+// Counter counts the runs it is fed.
 type Counter struct {
-	Runs         uint64
-	Instructions uint64
-	AppInstrs    uint64
-	KernelInstrs uint64
+	Runs uint64
 }
 
 // Fetch implements Sink.
-func (c *Counter) Fetch(r FetchRun) {
-	c.Runs++
-	c.Instructions += uint64(r.Words)
-	if r.Kernel {
-		c.KernelInstrs += uint64(r.Words)
-	} else {
-		c.AppInstrs += uint64(r.Words)
-	}
-}
+func (c *Counter) Fetch(FetchRun) { c.Runs++ }

@@ -17,16 +17,16 @@ func TestFiltersSplitStreams(t *testing.T) {
 	tee.Fetch(trace.FetchRun{Addr: 0, Words: 5})
 	tee.Fetch(trace.FetchRun{Addr: 100, Words: 3, Kernel: true})
 	tee.Fetch(trace.FetchRun{Addr: 200, Words: 2})
-	if app.Instructions != 7 || kern.Instructions != 3 {
-		t.Fatalf("app=%d kern=%d", app.Instructions, kern.Instructions)
+	if app.Runs != 2 || kern.Runs != 1 {
+		t.Fatalf("app=%d kern=%d runs", app.Runs, kern.Runs)
 	}
 }
 
-func TestCounterSplitsAppKernel(t *testing.T) {
+func TestCounterCountsRuns(t *testing.T) {
 	var c trace.Counter
 	c.Fetch(trace.FetchRun{Words: 4})
 	c.Fetch(trace.FetchRun{Words: 6, Kernel: true})
-	if c.AppInstrs != 4 || c.KernelInstrs != 6 || c.Instructions != 10 || c.Runs != 2 {
+	if c.Runs != 2 {
 		t.Fatalf("%+v", c)
 	}
 }
@@ -173,15 +173,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			if r.Intn(4) == 0 {
 				d := trace.DataRef{
 					Addr: uint64(r.Intn(1 << 20)), Bytes: int32(1 + r.Intn(64)),
-					CPU: uint8(r.Intn(4)), PID: uint16(r.Intn(32)),
-					Write: r.Intn(2) == 0, Kernel: r.Intn(5) == 0,
+					CPU: uint8(r.Intn(4)), Write: r.Intn(2) == 0,
 				}
 				datas = append(datas, d)
 				w.Data(d)
 			} else {
 				fr := trace.FetchRun{
 					Addr: uint64(r.Intn(1<<20)) &^ 3, Words: int32(1 + r.Intn(30)),
-					CPU: uint8(r.Intn(4)), PID: uint16(r.Intn(32)), Kernel: r.Intn(5) == 0,
+					CPU: uint8(r.Intn(4)), Kernel: r.Intn(5) == 0,
 				}
 				fetches = append(fetches, fr)
 				w.Fetch(fr)
